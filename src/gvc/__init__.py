@@ -54,6 +54,7 @@ from .bicomplex import (
     superpotential_residual,
     variational_delta,
     variational_derivative,
+    variational_derivatives,
     volume,
 )
 from .brst import (

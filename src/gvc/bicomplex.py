@@ -10,7 +10,7 @@ wedge word, with Koszul signs tracked on every reordering.
 
 from fractions import Fraction
 
-from .grassmann import EVEN, GvcError
+from .grassmann import EVEN, GvcError, Poly, accumulate
 from .jets import iterated_derivative, total_derivative
 
 DX = 0
@@ -244,13 +244,9 @@ def d_v(phi):
     """Vertical differential th^A_Lambda ^ d/d(s^A_Lambda)."""
     out = Form.zero(phi.ctx)
     for w, f in phi.terms.items():
-        for v in f.variables():
-            if v.gen.kind == "coordinate":
-                continue
-            df = f.deriv(v)
-            if df.is_zero():
-                continue
-            out += letter_wedge_left(theta_letter(v), Form(phi.ctx, {w: df}))
+        for v, df in f.partials():
+            if v.gen.kind != "coordinate":
+                out += letter_wedge_left(theta_letter(v), Form(phi.ctx, {w: df}))
     return out
 
 
@@ -410,18 +406,7 @@ class EulerLagrange:
 
 def euler_lagrange(L):
     """Term-by-term alternating-sign total derivatives of jet partials."""
-    density = L.density
-    ctx = L.ctx
-    comps = {}
-    for v in density.variables():
-        if v.gen.kind == "coordinate":
-            continue
-        term = iterated_derivative(v.index, density.deriv(v))
-        if len(v.index) & 1:
-            term = -term
-        cur = comps.get(v.gen)
-        comps[v.gen] = term if cur is None else cur + term
-    return EulerLagrange(ctx, comps)
+    return EulerLagrange(L.ctx, variational_derivatives(L.density))
 
 
 def variational_derivative(density, gen, side="left"):
@@ -429,15 +414,25 @@ def variational_derivative(density, gen, side="left"):
     ctx = density.ctx
     if isinstance(gen, str):
         gen = ctx.generator(gen)
-    out = ctx.zero()
-    for v in density.variables():
-        if v.gen is not gen and v.gen.name != gen.name:
+    return variational_derivatives(density, side, (gen,)).get(gen, ctx.zero())
+
+
+def variational_derivatives(density, side="left", gens=None):
+    """delta/delta(z) of a density for every generator z in `gens` (every
+    non-coordinate generator when None) that occurs, by generator: the
+    sum over the jets v of z of (-1)^|Lambda| d_Lambda of the partial
+    along v, accumulated in place."""
+    ctx = density.ctx
+    comps = {}
+    for v, dv in density.partials(side):
+        skip = v.gen.kind == "coordinate" if gens is None else v.gen not in gens
+        if skip:
             continue
-        term = iterated_derivative(v.index, density.deriv(v, side))
+        items = iterated_derivative(v.index, dv).terms.items()
         if len(v.index) & 1:
-            term = -term
-        out += term
-    return out
+            items = ((m, -c) for m, c in items)
+        accumulate(ctx, comps.setdefault(v.gen, {}), items)
+    return {gen: Poly(ctx, terms) for gen, terms in comps.items() if terms}
 
 
 def is_variationally_trivial(L):

@@ -10,12 +10,12 @@ directly, so no hidden sign adapters are spread around the code.
 
 from fractions import Fraction
 
-from .grassmann import EVEN, ODD, GvcError, ParityError
+from .grassmann import EVEN, ODD, GvcError, ParityError, Poly, add_product
 from .jets import ContactDerivation, iterated_derivative, prolong_apply
 from .bicomplex import (
     Lagrangian,
     is_variationally_trivial,
-    variational_derivative,
+    variational_derivatives,
 )
 
 
@@ -87,13 +87,12 @@ class KoszulTate:
     def apply(self, p):
         """Right-derivation action: sum of right partials times prolonged
         values, multiplied from the right."""
-        out = self.ctx.zero()
-        for v in p.variables():
+        out = {}
+        for v, dp in p.partials("right"):
             val = self.values.get(v.gen)
-            if val is None:
-                continue
-            out += p.deriv(v, side="right") * iterated_derivative(v.index, val)
-        return out
+            if val is not None:
+                add_product(out, dp, iterated_derivative(v.index, val))
+        return Poly(self.ctx, out)
 
     def nilpotency_residuals(self):
         return {gen.name: self.apply(val) for gen, val in self.values.items()}
@@ -164,13 +163,6 @@ def nilpotency_residuals(theta):
     return out
 
 
-def _partner_tables(pairs):
-    bar_of = {}
-    for z, zbar in pairs.items():
-        bar_of[z] = zbar
-    return bar_of
-
-
 def antibracket(L1, L2, pairs):
     """Odd bracket of two densities over the field-antifield pairing.
 
@@ -182,25 +174,27 @@ def antibracket(L1, L2, pairs):
     d1, d2 = L1.density, L2.density
     d1.require_parity()
     d2.require_parity()
-    bar_of = _partner_tables(pairs)
-    known = set(bar_of) | set(bar_of.values())
+    fields, bars = set(pairs), set(pairs.values())
+    known = fields | bars
     for density in (d1, d2):
         for v in density.variables():
             if v.gen.kind == "coordinate":
                 continue
             if v.gen not in known:
                 raise GvcError("missing antifield partner for %r" % (v.gen.name,))
-    out = ctx.zero()
-    for z, zbar in sorted(bar_of.items(), key=lambda it: it[0].key):
-        r1 = variational_derivative(d1, zbar, side="right")
-        if not r1.is_zero():
-            l2 = variational_derivative(d2, z, side="left")
-            out += r1 * l2
-        r2 = variational_derivative(d2, zbar, side="right")
-        if not r2.is_zero():
-            l1 = variational_derivative(d1, z, side="left")
-            out += r2 * l1
-    return Lagrangian(out)
+    right1 = variational_derivatives(d1, "right", bars)
+    left1 = variational_derivatives(d1, "left", fields)
+    if d2 is d1:
+        right2, left2 = right1, left1
+    else:
+        right2 = variational_derivatives(d2, "right", bars)
+        left2 = variational_derivatives(d2, "left", fields)
+    out = {}
+    for z, zbar in pairs.items():
+        for right, left in ((right1, left2), (right2, left1)):
+            if zbar in right and z in left:
+                add_product(out, right[zbar], left[z])
+    return Lagrangian(Poly(ctx, out))
 
 
 def master_derivation(L, pairs):
@@ -209,15 +203,14 @@ def master_derivation(L, pairs):
     ctx = L.ctx
     if L.density.require_parity() != EVEN:
         raise ParityError("master equation is checked for even densities")
+    left = variational_derivatives(L.density)
     comps = {}
     for z, zbar in pairs.items():
         sign = Fraction(-1) if z.parity == EVEN else Fraction(1)
-        cz = variational_derivative(L.density, zbar, side="left") * sign
-        czbar = variational_derivative(L.density, z, side="left") * sign
-        if not cz.is_zero():
-            comps[z] = cz
-        if not czbar.is_zero():
-            comps[zbar] = czbar
+        if zbar in left:
+            comps[z] = left[zbar] * sign
+        if z in left:
+            comps[zbar] = left[z] * sign
     return ContactDerivation(ctx, comps, ODD)
 
 

@@ -267,6 +267,65 @@ def _mono_render(m, coeff):
     return "%s*%s" % (coeff, body)
 
 
+def accumulate(ctx, out, items):
+    """Add a stream of (monomial, nonzero coefficient) pairs into the term
+    dict `out` in place, dropping cancelled monomials, then enforce the
+    context's term limit.  Every kernel sum goes through here."""
+    get = out.get
+    for m, c in items:
+        s = get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s += c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    ctx.check_terms(len(out))
+    return out
+
+
+def _product_terms(p, q):
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            prod = _mono_mul(m1, m2)
+            if prod is not None:
+                sign, m = prod
+                c = c1 * c2
+                yield m, (c if sign == 1 else -c)
+
+
+def add_product(out, p, q):
+    """out += p * q for a term dict `out`, in place; returns `out`."""
+    return accumulate(p.ctx, out, _product_terms(p, q))
+
+
+def _partial_terms(items, v, side):
+    """Term dict of the partial derivative along `v` of the (monomial,
+    coefficient) pairs `items`; pairs without `v` contribute nothing.
+    Distinct monomials have distinct partials, so nothing merges."""
+    out = {}
+    key = v.key
+    if v.parity == EVEN:
+        for (ev, od), c in items:
+            for pos, (w, e) in enumerate(ev):
+                if w is v or w.key == key:
+                    if e == 1:
+                        out[(ev[:pos] + ev[pos + 1 :], od)] = c
+                    else:
+                        out[(ev[:pos] + ((w, e - 1),) + ev[pos + 1 :], od)] = c * e
+                    break
+    else:
+        for (ev, od), c in items:
+            for pos, w in enumerate(od):
+                if w is v or w.key == key:
+                    flips = pos if side == "left" else len(od) - 1 - pos
+                    out[(ev, od[:pos] + od[pos + 1 :])] = -c if flips & 1 else c
+                    break
+    return out
+
+
 class Poly:
     """Exact-rational linear combination of normal-ordered monomials."""
 
@@ -293,47 +352,24 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        self.ctx.check_terms(len(out))
-        return Poly(self.ctx, out)
+        return Poly(self.ctx, accumulate(self.ctx, dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) - c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        return Poly(self.ctx, out)
+        negated = ((m, -c) for m, c in other.terms.items())
+        return Poly(self.ctx, accumulate(self.ctx, dict(self.terms), negated))
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    prod = _mono_mul(m1, m2)
-                    if prod is None:
-                        continue
-                    sign, m = prod
-                    s = out.get(m, 0) + sign * c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-            self.ctx.check_terms(len(out))
-            return Poly(self.ctx, out)
+            return Poly(self.ctx, add_product({}, self, other))
         c = Fraction(other)
         if c == 0:
             return Poly(self.ctx, {})
+        if c == 1:
+            return Poly(self.ctx, dict(self.terms))
+        if c == -1:
+            return -self
         return Poly(self.ctx, {m: c0 * c for m, c0 in self.terms.items()})
 
     def __rmul__(self, other):
@@ -426,44 +462,35 @@ class Poly:
             raise GvcError("side must be 'left' or 'right'")
         if v.gen.name not in self.ctx.generators:
             raise UnknownGeneratorError("variable %s not registered here" % v.render())
-        out = {}
-        if v.parity == EVEN:
-            for (ev, od), c in self.terms.items():
-                for pos, (w, e) in enumerate(ev):
-                    if w is v or w.key == v.key:
-                        if e == 1:
-                            new_ev = ev[:pos] + ev[pos + 1 :]
-                        else:
-                            new_ev = ev[:pos] + ((w, e - 1),) + ev[pos + 1 :]
-                        m = (new_ev, od)
-                        s = out.get(m, 0) + c * e
-                        if s:
-                            out[m] = s
-                        else:
-                            del out[m]
-                        break
-        else:
-            for (ev, od), c in self.terms.items():
-                for pos, w in enumerate(od):
-                    if w is v or w.key == v.key:
-                        if side == "left":
-                            sign = -1 if pos & 1 else 1
-                        else:
-                            sign = -1 if (len(od) - 1 - pos) & 1 else 1
-                        m = (ev, od[:pos] + od[pos + 1 :])
-                        s = out.get(m, 0) + sign * c
-                        if s:
-                            out[m] = s
-                        else:
-                            del out[m]
-                        break
-        return Poly(self.ctx, out)
+        return Poly(self.ctx, _partial_terms(self.terms.items(), v, side))
+
+    def partials(self, side="left"):
+        """Yield (variable, nonzero partial derivative) for every variable
+        that occurs, in order of first occurrence.
+
+        One pass indexes the terms by the variables they contain, keeping
+        references only; each partial is then built from its own terms
+        when it is reached, so one partial at a time is alive.  Each
+        value equals `deriv(v, side)`.
+        """
+        if side not in ("left", "right"):
+            raise GvcError("side must be 'left' or 'right'")
+        index = {}
+        for item in self.terms.items():
+            ev, od = item[0]
+            for v, _ in ev:
+                index.setdefault(v, []).append(item)
+            for v in od:
+                index.setdefault(v, []).append(item)
+        for v, items in index.items():
+            yield v, Poly(self.ctx, _partial_terms(items, v, side))
 
     def substitute(self, v, repl):
         """Replace the variable `v` by the polynomial `repl` (same parity)."""
         if repl.parity() not in (v.parity,) and not repl.is_zero():
             raise ParityError("substitution must preserve parity")
-        out = self.ctx.zero()
+        ctx = self.ctx
+        out = {}
         for (ev, od), c in self.terms.items():
             if v.parity == EVEN:
                 hit = None
@@ -472,11 +499,11 @@ class Poly:
                         hit = (pos, e)
                         break
                 if hit is None:
-                    out += Poly(self.ctx, {(ev, od): c})
+                    accumulate(ctx, out, [((ev, od), c)])
                     continue
                 pos, e = hit
-                rest = Poly(self.ctx, {(ev[:pos] + ev[pos + 1 :], od): c})
-                out += (repl ** e) * rest
+                rest = Poly(ctx, {(ev[:pos] + ev[pos + 1 :], od): c})
+                add_product(out, repl ** e, rest)
             else:
                 hit = None
                 for pos, w in enumerate(od):
@@ -484,12 +511,11 @@ class Poly:
                         hit = pos
                         break
                 if hit is None:
-                    out += Poly(self.ctx, {(ev, od): c})
+                    accumulate(ctx, out, [((ev, od), c)])
                     continue
-                sign = -1 if hit & 1 else 1
-                rest = Poly(self.ctx, {(ev, od[:hit] + od[hit + 1 :]): sign * c})
-                out += repl * rest
-        return out
+                rest = Poly(ctx, {(ev, od[:hit] + od[hit + 1 :]): -c if hit & 1 else c})
+                add_product(out, repl, rest)
+        return Poly(ctx, out)
 
     # -- presentation ----------------------------------------------------
 

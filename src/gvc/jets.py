@@ -7,7 +7,7 @@ derivation is determined by its components on the generating basis; it
 acts on jets of a field through total derivatives of the component.
 """
 
-from .grassmann import GvcError, ParityError
+from .grassmann import GvcError, ParityError, Poly, accumulate, add_product
 
 
 class MultiIndex:
@@ -57,19 +57,69 @@ def _as_index(index):
 
 
 def total_derivative(lam, p):
-    """d_lam = partial_lam + sum over jets s^A_{lam+Lambda} d/d(s^A_Lambda)."""
+    """d_lam = partial_lam + sum over jets s^A_{lam+Lambda} d/d(s^A_Lambda).
+
+    One pass over the terms: in each monomial every jet factor in turn is
+    traded for its raised jet, and a factor x^lam is lowered; the results
+    go straight into one accumulator.
+    """
     ctx = p.ctx
-    out = ctx.zero()
+    return Poly(ctx, accumulate(ctx, {}, _raised_terms(lam, p)))
+
+
+def _raised_terms(lam, p):
+    ctx = p.ctx
     x = ctx.coordinate(lam)
-    d = p.deriv(x)
-    if not d.is_zero():
-        out += d
-    for v in p.variables():
-        if v.gen.kind == "coordinate":
-            continue
-        raised = ctx.jet(v.gen, v.index + (lam,))
-        out += raised.poly() * p.deriv(v)
-    return out
+    raised = {}
+    for (ev, od), c in p.terms.items():
+        for pos, (w, e) in enumerate(ev):
+            ce = c if e == 1 else c * e
+            if w.gen.kind == "coordinate":
+                if w is x or w.key == x.key:
+                    if e == 1:
+                        yield (ev[:pos] + ev[pos + 1 :], od), ce
+                    else:
+                        yield (ev[:pos] + ((w, e - 1),) + ev[pos + 1 :], od), ce
+                continue
+            r = raised.get(w)
+            if r is None:
+                r = raised[w] = ctx.jet(w.gen, w.index + (lam,))
+            yield (_trade_even(ev, pos, e, r), od), ce
+        for pos, w in enumerate(od):
+            r = raised.get(w)
+            if r is None:
+                r = raised[w] = ctx.jet(w.gen, w.index + (lam,))
+            rest = od[:pos] + od[pos + 1 :]
+            key = r.key
+            at = 0
+            for u in rest:
+                if u.key >= key:
+                    break
+                at += 1
+            if at < len(rest) and rest[at].key == key:
+                continue
+            # moving r from slot pos to slot at passes |pos - at| odd factors
+            yield (ev, rest[:at] + (r,) + rest[at:]), -c if (pos - at) & 1 else c
+
+
+def _trade_even(ev, pos, e, r):
+    """The even part `ev` with its factor at `pos` lowered by one power
+    and the even variable `r` raised by one, in normal order."""
+    out = list(ev)
+    if e == 1:
+        del out[pos]
+    else:
+        out[pos] = (out[pos][0], e - 1)
+    key = r.key
+    for i, (u, f) in enumerate(out):
+        if u.key >= key:
+            if u is r or u.key == key:
+                out[i] = (u, f + 1)
+            else:
+                out.insert(i, (r, 1))
+            return tuple(out)
+    out.append((r, 1))
+    return tuple(out)
 
 
 def iterated_derivative(index, p):
@@ -133,16 +183,14 @@ class ContactDerivation:
 
 def prolong_apply(theta, p):
     """Apply the prolonged derivation: sum_v d_Lambda(v^A) * d_left/dv p."""
-    ctx = p.ctx
-    out = ctx.zero()
-    for v in p.variables():
+    out = {}
+    for v, dp in p.partials():
         if v.gen.kind == "coordinate":
             continue
         val = theta.contract_variable(v)
-        if val.is_zero():
-            continue
-        out += val * p.deriv(v)
-    return out
+        if not val.is_zero():
+            add_product(out, val, dp)
+    return Poly(p.ctx, out)
 
 
 def superbracket(t1, t2):

@@ -28,11 +28,14 @@ from gvc import (
     project_rho,
     superpotential_residual,
     variational_delta,
+    variational_derivative,
+    variational_derivatives,
     volume,
 )
 from gvc.bicomplex import Form
+from gvc.jets import iterated_derivative
 
-from util import make_context, random_form, random_poly, random_vertical
+from util import field_generators, make_context, random_form, random_poly, random_vertical
 
 
 class TestWedge:
@@ -224,6 +227,28 @@ class TestEulerLagrange:
     def test_zero_density_trivial(self):
         ctx = make_context(1)
         assert is_variationally_trivial(Lagrangian(ctx.zero()))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_matches_per_variable_reference(self, side):
+        ctx = make_context(2)
+        rng = random.Random(48)
+        for _ in range(20):
+            density = random_poly(rng, ctx, terms=5)
+            want = {}
+            for v in density.variables():
+                if v.gen.kind == "coordinate":
+                    continue
+                term = iterated_derivative(v.index, density.deriv(v, side))
+                if len(v.index) & 1:
+                    term = -term
+                want[v.gen] = want.get(v.gen, ctx.zero()) + term
+            want = {g: p for g, p in want.items() if not p.is_zero()}
+            assert variational_derivatives(density, side) == want
+            for gen in field_generators(ctx):
+                assert (variational_derivative(density, gen, side)
+                        == want.get(gen, ctx.zero()))
+            if side == "left":
+                assert euler_lagrange(Lagrangian(density)).components == want
 
 
 class TestLepage:

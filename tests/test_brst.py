@@ -23,7 +23,9 @@ from gvc import (
     proper_solution,
     variational_derivative,
 )
-from gvc.brst import NoetherOperator
+from gvc.brst import KoszulTate, NoetherOperator
+from gvc.grassmann import ExpansionLimitError
+from gvc.jets import iterated_derivative
 from gvc.models import Metric
 from gvc.presets import preset_model, su2_algebra
 
@@ -97,6 +99,39 @@ class TestKoszulTate:
                 continue
             numbers = value.antifield_numbers()
             assert numbers == {gen.antifield_number - 1}
+
+    @staticmethod
+    def _hand_built(rng):
+        """A Koszul-Tate-style right derivation on a small field content."""
+        ctx = make_context(2)
+        bar = ctx.add_generator("sbar", "antifield", ODD, ghost_number=-1,
+                                antifield_number=1)
+        value = random_poly(rng, ctx, terms=3, parity=EVEN)
+        kt = KoszulTate(ctx, {bar: value})
+        p = ctx.zero()
+        for index in ((), (0,), (1,), (0, 1)):
+            p = p + random_poly(rng, ctx, terms=2) * ctx.var("sbar", *index)
+        return ctx, kt, p
+
+    def test_apply_matches_per_variable_reference(self):
+        rng = random.Random(51)
+        for _ in range(20):
+            ctx, kt, p = self._hand_built(rng)
+            want = ctx.zero()
+            for v in p.variables():
+                val = kt.values.get(v.gen)
+                if val is not None:
+                    want = want + p.deriv(v, "right") * iterated_derivative(v.index, val)
+            assert kt.apply(p) == want
+
+    def test_apply_term_limit(self):
+        ctx, kt, p = self._hand_built(random.Random(52))
+        n = len(kt.apply(p).terms)
+        ctx.term_limit = n
+        kt.apply(p)
+        ctx.term_limit = n - 1
+        with pytest.raises(ExpansionLimitError):
+            kt.apply(p)
 
     def test_perturbed_row_breaks_nilpotency(self, su2):
         ctx = su2.ctx

@@ -1,6 +1,7 @@
 """Command dispatch, exit codes, report files and determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,8 @@ import pytest
 
 from gvc.cli import main
 from gvc.presets import PRESET_MODEL_TEXT
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 BROKEN_JACOBI = """\
 [model]
@@ -142,9 +145,12 @@ class TestDeterminism:
 
     def test_subprocess_entry_point(self, model_file):
         path = model_file("abelian")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "gvc.cli", "validate-algebra",
              "--model", path, "--deterministic"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "result pass" in proc.stdout

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gvc import Context, EVEN, ODD, GvcError, ParityError, UnknownGeneratorError
-from gvc.grassmann import ExpansionLimitError, JetOrderError, normalize
+from gvc.grassmann import ExpansionLimitError, JetOrderError, Poly, add_product, normalize
 
 from util import make_context, random_poly
 
@@ -140,6 +140,50 @@ class TestDerivative:
         assert p.deriv(ctx.jet("s")) == 3 * (s * s)
 
 
+class TestPartials:
+    """`partials` against the per-variable `deriv` as the reference."""
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_matches_deriv_per_variable(self, side):
+        ctx = make_context(3)
+        rng = random.Random(31)
+        for trial in range(60):
+            parity = (None, EVEN, ODD)[trial % 3]
+            p = random_poly(rng, ctx, terms=5, parity=parity, allow_coords=True)
+            got = list(p.partials(side))
+            want = {}
+            for v in p.variables():
+                d = p.deriv(v, side)
+                if not d.is_zero():
+                    want[v] = d
+            assert len(got) == len(dict(got))
+            assert dict(got) == want
+
+    def test_coordinates_and_powers(self, ctx):
+        x0, s, c1, c2 = (ctx.var(n) for n in ("x0", "s", "c1", "c2"))
+        p = x0 * s * s * c2 * c1 + 3 * s * c1
+        got = dict(p.partials("right"))
+        assert got[ctx.jet("x0")] == -(s * s * c1 * c2)
+        assert got[ctx.jet("s")] == -2 * (x0 * s * c1 * c2) + 3 * c1
+        assert got[ctx.jet("c1")] == x0 * s * s * c2 + 3 * s
+        assert got[ctx.jet("c2")] == -(x0 * s * s * c1)
+        assert set(got) == p.variables()
+
+    def test_zero_and_bad_side(self, ctx):
+        assert list(ctx.zero().partials()) == []
+        with pytest.raises(GvcError):
+            list(ctx.var("s").partials("middle"))
+
+    def test_add_product_accumulates_in_place(self):
+        ctx = make_context(2)
+        rng = random.Random(32)
+        for _ in range(20):
+            a, p, q = (random_poly(rng, ctx, terms=4) for _ in range(3))
+            out = dict(a.terms)
+            assert add_product(out, p, q) is out
+            assert Poly(ctx, out) == a + p * q
+
+
 class TestProperties:
     def test_graded_commutativity_random(self):
         ctx = make_context(2)
@@ -226,6 +270,16 @@ class TestHousekeeping:
             big = p
             for k in range(10):
                 big = big * p
+
+    def test_term_limit_bounds_subtraction(self):
+        ctx = Context(1, term_limit=3)
+        ctx.add_generator("s", "even-field", EVEN)
+        s = ctx.var("s")
+        out = ctx.zero()
+        with pytest.raises(ExpansionLimitError):
+            for k in range(1, 7):
+                out = out - s ** k
+        assert len(out.terms) == 3
 
     def test_coordinates_carry_no_index(self):
         ctx = Context(2)

@@ -17,6 +17,8 @@ from gvc import (
     total_derivative,
 )
 
+from gvc.grassmann import ExpansionLimitError, JetOrderError
+
 from util import make_context, random_poly, random_vertical
 
 
@@ -70,6 +72,52 @@ class TestTotalDerivative:
             assert (d01 - d10).is_zero()
 
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_fused_matches_per_variable_reference(self, dim):
+        ctx = make_context(dim)
+        rng = random.Random(40 + dim)
+        for trial in range(30):
+            parity = (None, EVEN, ODD)[trial % 3]
+            p = random_poly(rng, ctx, terms=5, parity=parity)
+            for lam in range(dim):
+                want = p.deriv(ctx.coordinate(lam))
+                for v in p.variables():
+                    if v.gen.kind != "coordinate":
+                        raised = ctx.jet(v.gen, v.index + (lam,))
+                        want = want + raised.poly() * p.deriv(v)
+                assert total_derivative(lam, p) == want
+
+    def test_repeated_factors(self):
+        ctx = make_context(2)
+        s, s0, q, q0, q1 = (ctx.var("s1"), ctx.var("s1", 0), ctx.var("q1"),
+                            ctx.var("q1", 0), ctx.var("q1", 1))
+        # d_0 of s^2 s_0 = 2 s s_0^2 + s^2 s_00; of q q_1 = q_0 q_1 + q q_01
+        p = s * s * s0 + q * q1
+        want = (2 * (s * s0 * s0) + s * s * ctx.var("s1", 0, 0)
+                + q0 * q1 + q * ctx.var("q1", 0, 1))
+        assert total_derivative(0, p) == want
+        # the raised jet of q may already be a factor: q q_0 -> q q_00
+        assert total_derivative(0, q * q0) == q * ctx.var("q1", 0, 0)
+
+    def test_jet_order_cap(self):
+        ctx = make_context(2, max_jet_order=2)
+        for top in (ctx.var("s1", 0, 1), ctx.var("q1", 1, 1)):
+            p = ctx.var("s2") * ctx.var("q2") + ctx.var("x0") * top
+            with pytest.raises(JetOrderError):
+                total_derivative(0, p)
+        total_derivative(0, ctx.var("s1", 0) * ctx.var("q1", 1))
+
+    def test_term_limit(self):
+        ctx = make_context(2)
+        p = random_poly(random.Random(43), ctx, terms=6)
+        n = len(total_derivative(1, p).terms)
+        ctx.term_limit = n
+        total_derivative(1, p)
+        ctx.term_limit = n - 1
+        with pytest.raises(ExpansionLimitError):
+            total_derivative(1, p)
+
+
 class TestIterated:
     def test_empty_is_identity(self):
         ctx = make_context(2)
@@ -118,6 +166,30 @@ class TestContactDerivation:
                 lhs = prolong_apply(theta, total_derivative(lam, f))
                 rhs = total_derivative(lam, prolong_apply(theta, f))
                 assert (lhs - rhs).is_zero()
+
+    def test_matches_per_variable_reference(self):
+        ctx = make_context(2)
+        rng = random.Random(25)
+        for _ in range(20):
+            for parity in (EVEN, ODD):
+                theta = random_vertical(rng, ctx, parity)
+                f = random_poly(rng, ctx, terms=5)
+                want = ctx.zero()
+                for v in f.variables():
+                    if v.gen.kind != "coordinate":
+                        want = want + theta.contract_variable(v) * f.deriv(v)
+                assert prolong_apply(theta, f) == want
+
+    def test_term_limit(self):
+        ctx = make_context(2)
+        rng = random.Random(26)
+        theta = random_vertical(rng, ctx, EVEN)
+        f = random_poly(rng, ctx, terms=6)
+        n = len(prolong_apply(theta, f).terms)
+        assert n > 1
+        ctx.term_limit = n - 1
+        with pytest.raises(ExpansionLimitError):
+            prolong_apply(theta, f)
 
     def test_gauge_style_component(self):
         # derivative-of-parameter plus field-twist component on one field
