@@ -69,7 +69,7 @@ from .brst import (
     noether_residuals,
     proper_solution,
 )
-from .models import GaugeModel, Metric, build_model
-from .presets import PRESET_ALGEBRAS, PRESET_MODEL_TEXT, preset_model
+from .models import GaugeModel, Metric
+from .presets import PRESET_MODEL_TEXT, preset_model
 
 __version__ = "0.1.0"

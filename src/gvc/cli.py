@@ -9,47 +9,26 @@ intermediate expansion.
 import argparse
 import os
 import sys
-import time
 
-from .grassmann import EVEN, ExpansionLimitError, GvcError
+from .grassmann import ExpansionLimitError, GvcError
 from .superlie import check_invariant_form, check_structure
-from .models import GaugeModel
-from .modelfile import ParseError, parse_model, spec_model
+from .models import GaugeModel, model_header, run_parts, validation_parts
+from .modelfile import ParseError, parse_model, spec_algebra, spec_model
 from .reporting import CheckResult, Report
 
 COMMANDS = GaugeModel.PIPELINES + ("full",)
 DEFAULT_TERM_LIMIT = 10 ** 6
 
 
-def _spec_header(spec):
-    flavor = "even" if all(p == EVEN for _, p in spec.generators) else "graded"
-    return "%s dim %d metric %s" % (flavor, spec.dimension, spec.metric)
-
-
-def _validation_results(algebra, deterministic):
-    results = []
-    for name, checker in (("algebra-structure", check_structure),
-                          ("invariant-form", check_invariant_form)):
-        if name == "invariant-form" and not algebra.has_form:
-            continue
-        t0 = time.monotonic()
-        rep = checker(algebra)
-        entry = CheckResult(name, rep.ok, len(rep.violations),
-                            "-" if rep.ok else rep.describe())
-        entry.seconds = None if deterministic else time.monotonic() - t0
-        results.append(entry)
-    return results
-
-
 def run(spec, command, max_order=None, deterministic=False,
         term_limit=DEFAULT_TERM_LIMIT):
     """Execute one command against a parsed model spec."""
-    header = _spec_header(spec)
+    header = model_header([p for _, p in spec.generators], spec.metric)
     if command == "validate-algebra":
-        from .modelfile import spec_algebra
-
         algebra = spec_algebra(spec)
-        return Report(header, _validation_results(algebra, deterministic))
+        parts = validation_parts(algebra, lambda: check_structure(algebra),
+                                 lambda: check_invariant_form(algebra))
+        return Report(header, run_parts(parts, deterministic))
     try:
         model = spec_model(spec, max_jet_order=max_order, term_limit=term_limit)
     except GvcError as exc:

@@ -72,9 +72,11 @@ class Variable:
     The global total order used for normal ordering is lexicographic on
     (kind rank, generator name, multi-index); it is fixed as soon as the
     generator is registered and does not depend on creation time.
+    Variables are interned per context (`Context.jet`), so equality and
+    hashing are by identity.
     """
 
-    __slots__ = ("ctx", "gen", "index", "parity", "key", "_hash")
+    __slots__ = ("ctx", "gen", "index", "parity", "key")
 
     def __init__(self, ctx, gen, index):
         self.ctx = ctx
@@ -82,17 +84,10 @@ class Variable:
         self.index = index
         self.parity = gen.parity
         self.key = (gen.key[0], gen.key[1], index)
-        self._hash = hash(self.key)
 
     def poly(self):
         m = (((self, 1),), ()) if self.parity == EVEN else ((), (self,))
         return Poly(self.ctx, {m: Fraction(1)})
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or self.key == other.key
 
     def __lt__(self, other):
         return self.key < other.key

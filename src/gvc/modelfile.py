@@ -134,19 +134,7 @@ def parse_model(text):
         raise ParseError("metric signature length differs from dimension", 1)
     if not spec.generators:
         raise ParseError("at least one generator is required", 1)
-    # early structural rejection with line information
-    trial = LieSuperalgebra([n for n, _ in spec.generators],
-                            [p for _, p in spec.generators])
-    for r, i, j, value, lineno in spec.constants:
-        try:
-            trial.set_constant(r, i, j, value)
-        except GvcError as exc:
-            raise ParseError(str(exc), lineno)
-    for i, j, value, lineno in spec.form_entries:
-        try:
-            trial.set_form(i, j, value)
-        except GvcError as exc:
-            raise ParseError(str(exc), lineno)
+    spec_algebra(spec)  # early structural rejection with line information
     return spec
 
 
@@ -173,12 +161,19 @@ def render_model(spec):
 
 
 def spec_algebra(spec):
+    """The algebra a spec declares; an entry the algebra rejects raises a
+    ParseError on its line."""
     alg = LieSuperalgebra([n for n, _ in spec.generators],
                           [p for _, p in spec.generators])
-    for r, i, j, value, _ in spec.constants:
-        alg.set_constant(r, i, j, value)
-    for i, j, value, _ in spec.form_entries:
-        alg.set_form(i, j, value)
+    entries = [(alg.set_constant, (r, i, j, value), lineno)
+               for r, i, j, value, lineno in spec.constants]
+    entries += [(alg.set_form, (i, j, value), lineno)
+                for i, j, value, lineno in spec.form_entries]
+    for setter, args, lineno in entries:
+        try:
+            setter(*args)
+        except GvcError as exc:
+            raise ParseError(str(exc), lineno)
     return alg
 
 

@@ -69,13 +69,65 @@ class Metric:
         return "".join("+" if s == 1 else "-" for s in self.signs)
 
 
+def model_header(parities, signature):
+    """Report header of a model: algebra flavour, dimension and metric."""
+    flavor = "even" if all(p == EVEN for p in parities) else "graded"
+    return "%s dim %d metric %s" % (flavor, len(signature), signature)
+
+
+def _validation_row(check, rep):
+    return CheckResult(check, rep.ok, len(rep.violations),
+                       "-" if rep.ok else rep.describe())
+
+
+def validation_parts(algebra, structure, invariant_form):
+    """The validate-algebra checks as (check name, fn) parts; `structure`
+    and `invariant_form` return the algebra's two validation reports.
+    Needs no model, so a broken algebra still gets one row per check."""
+    parts = [("algebra-structure", lambda n: _validation_row(n, structure()))]
+    if algebra.has_form:
+        parts.append(("invariant-form", lambda n: _validation_row(n, invariant_form())))
+    return parts
+
+
+def run_parts(parts, deterministic=False):
+    """Run (check name, fn) parts in order; a GvcError other than the
+    expansion limit becomes a failed row."""
+    results = []
+    for check_name, fn in parts:
+        t0 = time.monotonic()
+        try:
+            entry = fn(check_name)
+        except ExpansionLimitError:
+            raise
+        except GvcError as exc:
+            entry = CheckResult(check_name, False, witness=str(exc))
+        entry.seconds = None if deterministic else time.monotonic() - t0
+        results.append(entry)
+    return results
+
+
+def _once(store, key, build):
+    """store[key], built by `build()` on first use."""
+    if key not in store:
+        store[key] = build()
+    return store[key]
+
+
 class GaugeModel:
-    """A Yang-Mills system over a validated Lie (super)algebra."""
+    """A Yang-Mills system over a validated Lie (super)algebra.
+
+    The generator roster, split coordinates included, is fixed at
+    construction.  Each derived object that several checks use (the
+    validation reports, the Lagrangian, the field equations, the Noether
+    rows and residuals, the gauge and BRST operators, the antifield
+    pairing and the extended density) is built on first use and kept.
+    """
 
     def __init__(self, algebra, metric, max_jet_order=3, term_limit=1000000):
-        structure = check_structure(algebra)
-        if not structure.ok:
-            raise GvcError("algebra fails validation: %s" % structure.describe())
+        self.structure = check_structure(algebra)
+        if not self.structure.ok:
+            raise GvcError("algebra fails validation: %s" % self.structure.describe())
         self.algebra = algebra
         self.metric = metric
         self.all_even = all(p == EVEN for p in algebra.parities)
@@ -104,60 +156,69 @@ class GaugeModel:
                               for r in range(m)]
         else:
             self.parameter = None
-        self._strength = {}
-        self._sym = {}
-        self._lagrangian = None
-        self._aux_built = False
+        # strength and symmetric split coordinates of the invariance conditions
+        self.aux_strength = {}
+        self.aux_sym = {}
+        for r in range(m):
+            kind = "even-field" if algebra.parities[r] == EVEN else "odd-field"
+            for lam in range(n):
+                for mu in range(lam, n):
+                    if mu > lam:
+                        self.aux_strength[(r, lam, mu)] = ctx.add_generator(
+                            "Fs%d_%d%d" % (r + 1, lam, mu), kind, algebra.parities[r])
+                    self.aux_sym[(r, lam, mu)] = ctx.add_generator(
+                        "Ss%d_%d%d" % (r + 1, lam, mu), kind, algebra.parities[r])
+        self._memo = {}
+
+    def _once(self, key, build):
+        return _once(self._memo, key, build)
+
+    def form_report(self):
+        """Validation report of the invariant form."""
+        return self._once("form-report", lambda: check_invariant_form(self.algebra))
 
     # -- strength and splitting -----------------------------------------
 
-    def strength(self, r, lam, mu):
-        """Antisymmetric half of the split first jets (the curvature)."""
-        key = (r, lam, mu)
-        cached = self._strength.get(key)
-        if cached is not None:
-            return cached
+    def _quadratic_twist(self, r, lam, mu):
+        """The algebra-quadratic part of the split, c^r_ij a^i_lam a^j_mu."""
         ctx = self.ctx
-        p = ctx.jet(self.field[r][mu], (lam,)).poly() - ctx.jet(self.field[r][lam], (mu,)).poly()
+        out = ctx.zero()
         for i in range(self.algebra.dim):
             for j in range(self.algebra.dim):
                 c = self.algebra.constant(r, i, j)
                 if c:
-                    p += c * (ctx.jet(self.field[i][lam]).poly()
-                              * ctx.jet(self.field[j][mu]).poly())
-        self._strength[key] = p
-        return p
+                    out += c * (ctx.jet(self.field[i][lam]).poly()
+                                * ctx.jet(self.field[j][mu]).poly())
+        return out
+
+    def strength(self, r, lam, mu):
+        """Antisymmetric half of the split first jets (the curvature)."""
+        ctx = self.ctx
+        return self._once(("strength", r, lam, mu), lambda: (
+            ctx.jet(self.field[r][mu], (lam,)).poly()
+            - ctx.jet(self.field[r][lam], (mu,)).poly()
+            + self._quadratic_twist(r, lam, mu)))
 
     def sym_jet(self, r, lam, mu):
         """Symmetric half of the split first jets."""
-        key = (r, lam, mu)
-        cached = self._sym.get(key)
-        if cached is not None:
-            return cached
         ctx = self.ctx
-        p = ctx.jet(self.field[r][mu], (lam,)).poly() + ctx.jet(self.field[r][lam], (mu,)).poly()
-        for i in range(self.algebra.dim):
-            for j in range(self.algebra.dim):
-                c = self.algebra.constant(r, i, j)
-                if c:
-                    p -= c * (ctx.jet(self.field[i][lam]).poly()
-                              * ctx.jet(self.field[j][mu]).poly())
-        self._sym[key] = p
-        return p
+        return self._once(("sym", r, lam, mu), lambda: (
+            ctx.jet(self.field[r][mu], (lam,)).poly()
+            + ctx.jet(self.field[r][lam], (mu,)).poly()
+            - self._quadratic_twist(r, lam, mu)))
 
     # -- Lagrangians ------------------------------------------------------
 
     def ym_lagrangian(self, validate=True):
         """Quadratic strength Lagrangian for the stored invariant form."""
-        if self._lagrangian is not None:
-            return self._lagrangian
         if not self.algebra.has_form:
             raise GvcError("the quadratic Lagrangian needs an invariant form")
-        if validate:
-            form_report = check_invariant_form(self.algebra)
-            if not form_report.ok:
-                raise GvcError("invariant form fails validation: %s"
-                               % form_report.describe())
+        if validate and not self.form_report().ok:
+            raise GvcError("invariant form fails validation: %s"
+                           % self.form_report().describe())
+        return self._once("lagrangian", self._strength_density)
+
+    def _strength_density(self):
         ctx = self.ctx
         m, n = self.algebra.dim, self.metric.dim
         quarter = Fraction(1, 4)
@@ -174,8 +235,7 @@ class GaugeModel:
                         coeff = quarter * h * self.metric.g(lam) * self.metric.g(beta)
                         density += coeff * (self.strength(i, lam, beta)
                                             * self.strength(j, lam, beta))
-        self._lagrangian = Lagrangian(density)
-        return self._lagrangian
+        return Lagrangian(density)
 
     def mass_term_lagrangian(self):
         """Quadratic field (not strength) density; breaks gauge invariance."""
@@ -250,13 +310,16 @@ class GaugeModel:
         return EulerLagrange(ctx, comps)
 
     def generic_euler_lagrange(self):
-        return euler_lagrange(self.ym_lagrangian())
+        return self._once("euler-lagrange", lambda: euler_lagrange(self.ym_lagrangian()))
 
     # -- Noether structure ----------------------------------------------------
 
     def noether_operator(self):
         """Rows annihilating the field equations: the algebra-twisted
         divergence, one row per algebra direction."""
+        return self._once("noether-operator", self._noether_rows)
+
+    def _noether_rows(self):
         ctx = self.ctx
         m, n = self.algebra.dim, self.metric.dim
         rows = {}
@@ -274,6 +337,10 @@ class GaugeModel:
                 entries.append((ctx.one(), self.field[j][lam], (lam,)))
             rows["r%d" % (j + 1)] = entries
         return NoetherOperator(ctx, rows)
+
+    def _noether_residuals(self):
+        return self._once("noether-residuals", lambda: noether_residuals(
+            self.noether_operator(), self.generic_euler_lagrange()))
 
     def antifield_map(self):
         out = {}
@@ -316,8 +383,8 @@ class GaugeModel:
 
     def gauge_operator(self):
         """Odd gauge symmetry with ghosts in the parameter slot."""
-        return ContactDerivation(self.ctx, self._gauge_components(self.ghost),
-                                 ODD, ghost_shift=1)
+        return self._once("gauge-operator", lambda: ContactDerivation(
+            self.ctx, self._gauge_components(self.ghost), ODD, ghost_shift=1))
 
     def parameter_symmetry(self):
         """Even gauge symmetry with parameter fields (ordinary case only)."""
@@ -365,18 +432,23 @@ class GaugeModel:
         return gamma
 
     def brst_operator(self):
-        return brst_extend(self.gauge_operator(), self.ghost_sector())
+        """The BRST derivation and its nilpotency residuals."""
+        return self._once("brst-operator", lambda: brst_extend(
+            self.gauge_operator(), self.ghost_sector()))
 
     def pairs(self):
         """Field-antifield pairing of the extended algebra."""
+        return self._once("pairs", self._pairing)
+
+    def _pairing(self):
         out = self.antifield_map()
         for r in range(self.algebra.dim):
             out[self.ghost[r]] = self.noether_antifield[r]
         return out
 
     def extended_lagrangian(self):
-        s, _ = self.brst_operator()
-        return proper_solution(self.ym_lagrangian(), s, self.pairs())
+        return self._once("extended-lagrangian", lambda: proper_solution(
+            self.ym_lagrangian(), self.brst_operator()[0], self.pairs()))
 
     # -- currents (ordinary case) --------------------------------------------
 
@@ -410,24 +482,6 @@ class GaugeModel:
 
     # -- invariance conditions -------------------------------------------------
 
-    def _build_aux(self):
-        if self._aux_built:
-            return
-        ctx = self.ctx
-        m, n = self.algebra.dim, self.metric.dim
-        self.aux_strength = {}
-        self.aux_sym = {}
-        for r in range(m):
-            kind = "even-field" if self.algebra.parities[r] == EVEN else "odd-field"
-            for lam in range(n):
-                for mu in range(lam, n):
-                    if mu > lam:
-                        self.aux_strength[(r, lam, mu)] = ctx.add_generator(
-                            "Fs%d_%d%d" % (r + 1, lam, mu), kind, self.algebra.parities[r])
-                    self.aux_sym[(r, lam, mu)] = ctx.add_generator(
-                        "Ss%d_%d%d" % (r + 1, lam, mu), kind, self.algebra.parities[r])
-        self._aux_built = True
-
     def _aux_strength_poly(self, r, lam, mu):
         ctx = self.ctx
         if lam == mu:
@@ -436,18 +490,6 @@ class GaugeModel:
             return ctx.jet(self.aux_strength[(r, lam, mu)]).poly()
         return -ctx.jet(self.aux_strength[(r, mu, lam)]).poly()
 
-    def _quadratic_twist(self, lam, mu, r):
-        """The algebra-quadratic part of the split, c^r_ij a^i_lam a^j_mu."""
-        ctx = self.ctx
-        out = ctx.zero()
-        for i in range(self.algebra.dim):
-            for j in range(self.algebra.dim):
-                c = self.algebra.constant(r, i, j)
-                if c:
-                    out += c * (ctx.jet(self.field[i][lam]).poly()
-                                * ctx.jet(self.field[j][mu]).poly())
-        return out
-
     def split_coordinates(self, density):
         """Rewrite first jets in the strength/symmetric coordinates.
 
@@ -455,7 +497,6 @@ class GaugeModel:
         halves; the swapped order needs the quadratic twist restored, since
         the symmetric half is symmetric only up to it.
         """
-        self._build_aux()
         ctx = self.ctx
         half = Fraction(1, 2)
         out = density
@@ -468,7 +509,7 @@ class GaugeModel:
                         repl = half * (self._aux_strength_poly(r, lam, mu) + sym)
                     else:
                         repl = half * (sym - self._aux_strength_poly(r, mu, lam)) \
-                            + self._quadratic_twist(mu, lam, r)
+                            + self._quadratic_twist(r, mu, lam)
                     out = out.substitute(v, repl)
         return out
 
@@ -515,153 +556,124 @@ class GaugeModel:
 
     # -- end-to-end -------------------------------------------------------------
 
-    PIPELINES = (
-        "validate-algebra",
-        "euler-lagrange",
-        "noether",
-        "koszul-tate",
-        "brst",
-        "master-equation",
-        "utiyama",
-    )
-
     def header(self):
-        return "%s dim %d metric %s" % (
-            "even" if self.all_even else "graded", self.metric.dim,
-            self.metric.signature())
+        return model_header(self.algebra.parities, self.metric.signature())
 
     def pipeline(self, name, deterministic=False):
         """Run one named check pipeline; precondition failures become
         failed entries rather than exceptions."""
         if name not in self.PIPELINES:
             raise GvcError("unknown pipeline %r" % (name,))
-        try:
-            parts = list(self._pipeline_parts(name))
-        except ExpansionLimitError:
-            raise
-        except GvcError as exc:
-            return [CheckResult(name, False, witness=str(exc))]
-        results = []
-        for check_name, fn in parts:
-            t0 = time.monotonic()
+        if name != "validate-algebra":
             try:
-                entry = fn(check_name)
+                self.ym_lagrangian()
             except ExpansionLimitError:
                 raise
             except GvcError as exc:
-                entry = CheckResult(check_name, False, witness=str(exc))
-            entry.seconds = None if deterministic else time.monotonic() - t0
-            results.append(entry)
-        return results
+                return [CheckResult(name, False, witness=str(exc))]
+        return run_parts(self._PIPELINE_PARTS[name](self), deterministic)
 
-    def _pipeline_parts(self, name):
-        def from_validation(check, rep):
-            return CheckResult(check, rep.ok, len(rep.violations),
-                               "-" if rep.ok else rep.describe())
+    # Each pipeline's parts: (check name, fn(check name) -> CheckResult).
 
-        if name == "validate-algebra":
-            parts = [("algebra-structure",
-                      lambda n: from_validation(n, check_structure(self.algebra)))]
-            if self.algebra.has_form:
-                parts.append(("invariant-form",
-                              lambda n: from_validation(n, check_invariant_form(self.algebra))))
-            return parts
+    def _validate_algebra_parts(self):
+        return validation_parts(self.algebra, lambda: self.structure, self.form_report)
 
+    def _euler_lagrange_parts(self):
+        def two_path(check):
+            generic = self.generic_euler_lagrange()
+            closed = self.closed_euler_lagrange()
+            gens = set(generic.components) | set(closed.components)
+            residuals = {g.name: generic.component(g) - closed.component(g)
+                         for g in gens}
+            return CheckResult.from_residuals(check, residuals)
+
+        return [("euler-lagrange-two-path", two_path)]
+
+    def _noether_parts(self):
+        identities = ("noether-identities", lambda n: CheckResult.from_residuals(
+            n, self._noether_residuals()))
+        if not self.all_even:
+            return [identities]
         L = self.ym_lagrangian()
+        run = {}  # the current, shared by this run's last two checks only
 
-        if name == "euler-lagrange":
-            def two_path(check):
-                generic = self.generic_euler_lagrange()
-                closed = self.closed_euler_lagrange()
-                gens = set(generic.components) | set(closed.components)
-                residuals = {g.name: generic.component(g) - closed.component(g)
-                             for g in gens}
+        def current():
+            return _once(run, "current", self.current)
+
+        return [
+            ("parameter-symmetry", lambda n: CheckResult.from_form(
+                n, lie_derivative(self.parameter_symmetry(), L.form))),
+            identities,
+            ("current-conservation", lambda n: CheckResult.from_form(
+                n, d_h(current()) - interior(self.parameter_symmetry(),
+                                             variational_delta(L.form)))),
+            ("superpotential", lambda n: CheckResult.from_form(
+                n, superpotential_residual(current(), self.generic_euler_lagrange(),
+                                           self.superpotential_rows(),
+                                           self.superpotential()))),
+        ]
+
+    def _koszul_tate_parts(self):
+        def kt_check(check):
+            kt_res = self.koszul_tate().nilpotency_residuals()
+            kt_ok = all(p.is_zero() for p in kt_res.values())
+            noe_ok = all(p.is_zero() for p in self._noether_residuals().values())
+            if kt_ok != noe_ok:
+                return CheckResult(check, False,
+                                   witness="disagrees with the identity rows")
+            return CheckResult.from_residuals(check, kt_res)
+
+        return [("koszul-tate", kt_check)]
+
+    def _brst_parts(self):
+        return [("gauge-symmetry", lambda n: CheckResult.from_form(
+                    n, lie_derivative(self.gauge_operator(), self.ym_lagrangian().form))),
+                ("brst-nilpotency", lambda n: CheckResult.from_residuals(
+                    n, self.brst_operator()[1]))]
+
+    def _master_equation_parts(self):
+        def master(check):
+            _, s_res = self.brst_operator()
+            if any(not p.is_zero() for p in s_res.values()):
+                return CheckResult(check, False, witness="no nilpotent extension")
+            extended = self.extended_lagrangian()
+            rep = master_equation_check(extended, self.pairs())
+            if not rep.bracket_trivial:
+                el = euler_lagrange(rep.bracket)
+                residuals = {g.name: p for g, p in el.components.items()}
                 return CheckResult.from_residuals(check, residuals)
+            if not rep.derivation_nilpotent:
+                return CheckResult.from_residuals(check, rep.derivation_residuals)
+            for z, zbar in self.pairs().items():
+                if not variational_derivative(extended.density, zbar, "right").is_zero():
+                    if not variational_derivative(extended.density, z, "left").is_zero():
+                        return CheckResult(check, True)
+            return CheckResult(check, False, witness="solution is trivial")
 
-            return [("euler-lagrange-two-path", two_path)]
+        return [("master-equation", master)]
 
-        if name == "noether":
-            parts = []
-            if self.all_even:
-                parts.append(("parameter-symmetry", lambda n: CheckResult.from_form(
-                    n, lie_derivative(self.parameter_symmetry(), L.form))))
-            parts.append(("noether-identities", lambda n: CheckResult.from_residuals(
-                n, noether_residuals(self.noether_operator(),
-                                     self.generic_euler_lagrange()))))
-            if self.all_even:
-                parts.append(("current-conservation", lambda n: CheckResult.from_form(
-                    n, d_h(self.current()) - interior(self.parameter_symmetry(),
-                                                      variational_delta(L.form)))))
-                parts.append(("superpotential", lambda n: CheckResult.from_form(
-                    n, superpotential_residual(self.current(),
-                                               self.generic_euler_lagrange(),
-                                               self.superpotential_rows(),
-                                               self.superpotential()))))
-            return parts
-
-        if name == "koszul-tate":
-            def kt_check(check):
-                kt_res = self.koszul_tate().nilpotency_residuals()
-                noe_res = noether_residuals(self.noether_operator(),
-                                            self.generic_euler_lagrange())
-                kt_ok = all(p.is_zero() for p in kt_res.values())
-                noe_ok = all(p.is_zero() for p in noe_res.values())
-                if kt_ok != noe_ok:
-                    return CheckResult(check, False,
-                                       witness="disagrees with the identity rows")
-                return CheckResult.from_residuals(check, kt_res)
-
-            return [("koszul-tate", kt_check)]
-
-        if name == "brst":
-            def brst_check(check):
-                _, s_res = self.brst_operator()
-                return CheckResult.from_residuals(check, s_res)
-
-            return [("gauge-symmetry", lambda n: CheckResult.from_form(
-                        n, lie_derivative(self.gauge_operator(), L.form))),
-                    ("brst-nilpotency", brst_check)]
-
-        if name == "master-equation":
-            def master(check):
-                s, s_res = self.brst_operator()
-                if any(not p.is_zero() for p in s_res.values()):
-                    return CheckResult(check, False, witness="no nilpotent extension")
-                extended = proper_solution(L, s, self.pairs())
-                rep = master_equation_check(extended, self.pairs())
-                if not rep.bracket_trivial:
-                    el = euler_lagrange(rep.bracket)
-                    residuals = {g.name: p for g, p in el.components.items()}
-                    return CheckResult.from_residuals(check, residuals)
-                if not rep.derivation_nilpotent:
-                    return CheckResult.from_residuals(check, rep.derivation_residuals)
-                nontrivial = False
-                for z, zbar in self.pairs().items():
-                    if not variational_derivative(extended.density, zbar, "right").is_zero():
-                        if not variational_derivative(extended.density, z, "left").is_zero():
-                            nontrivial = True
-                            break
-                if not nontrivial:
-                    return CheckResult(check, False, witness="solution is trivial")
-                return CheckResult(check, True)
-
-            return [("master-equation", master)]
-
-        conditions = {}
+    def _utiyama_parts(self):
+        kinds = ("utiyama-strength-dependence", "utiyama-field-independence",
+                 "utiyama-contraction")
+        run = {}  # the three residual tables, computed once per run
 
         def utiyama(kind):
-            if not conditions:
-                sym_res, field_res, contraction_res = self.invariance_conditions(L)
-                conditions["utiyama-strength-dependence"] = sym_res
-                conditions["utiyama-field-independence"] = field_res
-                conditions["utiyama-contraction"] = contraction_res
-            return CheckResult.from_residuals(kind, conditions[kind])
+            tables = _once(run, "tables",
+                           lambda: dict(zip(kinds, self.invariance_conditions())))
+            return CheckResult.from_residuals(kind, tables[kind])
 
-        parts = [("utiyama-strength-dependence", utiyama),
-                 ("utiyama-field-independence", utiyama)]
-        if self.all_even:
-            parts.append(("utiyama-contraction", utiyama))
-        return parts
+        return [(kind, utiyama) for kind in (kinds if self.all_even else kinds[:2])]
+
+    _PIPELINE_PARTS = {
+        "validate-algebra": _validate_algebra_parts,
+        "euler-lagrange": _euler_lagrange_parts,
+        "noether": _noether_parts,
+        "koszul-tate": _koszul_tate_parts,
+        "brst": _brst_parts,
+        "master-equation": _master_equation_parts,
+        "utiyama": _utiyama_parts,
+    }
+    PIPELINES = tuple(_PIPELINE_PARTS)
 
     def euler_lagrange_notes(self):
         """Rendered field equations, one line per generator."""
@@ -675,6 +687,3 @@ class GaugeModel:
             results.extend(self.pipeline(name, deterministic))
         return Report(self.header(), results)
 
-
-def build_model(algebra, metric, max_jet_order=3, term_limit=1000000):
-    return GaugeModel(algebra, metric, max_jet_order, term_limit)

@@ -1,10 +1,13 @@
-"""Built-in algebras and model files used by the CLI and the test suite."""
+"""Built-in model files and the hand-built algebras they declare.
+
+Preset models are built from their model text alone; the algebra
+factories are an independent reference that tests compare it against."""
 
 from fractions import Fraction
 
 from .grassmann import EVEN, ODD
 from .superlie import LieSuperalgebra
-from .models import GaugeModel, Metric
+from .modelfile import parse_model, spec_model
 
 
 def abelian_algebra():
@@ -50,12 +53,6 @@ def osp12_algebra():
     alg.set_form("x", "y", 1)
     return alg
 
-
-PRESET_ALGEBRAS = {
-    "abelian": abelian_algebra,
-    "su2": su2_algebra,
-    "osp12": osp12_algebra,
-}
 
 PRESET_MODEL_TEXT = {
     "abelian": """\
@@ -151,13 +148,5 @@ utiyama
 
 
 def preset_model(name, max_jet_order=3, term_limit=1000000):
-    if name == "abelian":
-        return GaugeModel(abelian_algebra(), Metric.from_signature("++"),
-                          max_jet_order, term_limit)
-    if name == "su2":
-        return GaugeModel(su2_algebra(), Metric.from_signature("+---"),
-                          max_jet_order, term_limit)
-    if name == "osp12":
-        return GaugeModel(osp12_algebra(), Metric.from_signature("+-"),
-                          max_jet_order, term_limit)
-    raise KeyError(name)
+    """The model built from PRESET_MODEL_TEXT[name]."""
+    return spec_model(parse_model(PRESET_MODEL_TEXT[name]), max_jet_order, term_limit)

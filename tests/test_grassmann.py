@@ -35,6 +35,14 @@ def bubble_sign(names):
     return sign, names
 
 
+class TestInterning:
+    def test_equal_jets_are_one_object(self, ctx):
+        s = ctx.generator("s")
+        assert ctx.jet(s, (1, 0)) is ctx.jet(s, (0, 1))
+        assert ctx.jet("s", (1,)) is ctx.jet(s, (1,))
+        assert ctx.jet("c1") is ctx.jet(ctx.generator("c1"))
+
+
 class TestNormalize:
     def test_odd_square_vanishes(self, ctx):
         assert normalize(ctx, 1, [ctx.jet("c1"), ctx.jet("c1")]).is_zero()

@@ -1,10 +1,17 @@
 """Model file parsing, rendering and semantic validation."""
 
+from pathlib import Path
+
 import pytest
 
 from gvc.modelfile import ParseError, parse_model, render_model, \
     spec_algebra, spec_model
-from gvc.presets import PRESET_MODEL_TEXT, su2_algebra
+from gvc.presets import PRESET_MODEL_TEXT, abelian_algebra, osp12_algebra, \
+    preset_model, su2_algebra
+
+GOLDEN = Path(__file__).parent / "golden"
+PRESET_ALGEBRA_FACTORIES = {"abelian": abelian_algebra, "su2": su2_algebra,
+                            "osp12": osp12_algebra}
 
 MINIMAL = """\
 [model]
@@ -25,10 +32,12 @@ class TestParse:
         assert spec.generators == [("e1", 0)]
         assert spec.checks == []
 
-    def test_su2_file_matches_preset(self):
-        spec = parse_model(PRESET_MODEL_TEXT["su2"])
+    @pytest.mark.parametrize("name", sorted(PRESET_ALGEBRA_FACTORIES))
+    def test_file_matches_preset(self, name):
+        spec = parse_model(PRESET_MODEL_TEXT[name])
         alg = spec_algebra(spec)
-        preset = su2_algebra()
+        preset = PRESET_ALGEBRA_FACTORIES[name]()
+        assert alg.parities == preset.parities
         assert alg.labels == preset.labels
         assert alg.stored_constants() == preset.stored_constants()
         assert alg.stored_form() == preset.stored_form()
@@ -120,3 +129,16 @@ class TestBuild:
         spec = parse_model(PRESET_MODEL_TEXT["abelian"])
         model = spec_model(spec, max_jet_order=5)
         assert model.ctx.max_jet_order == 5
+
+
+class TestPresets:
+    @pytest.mark.parametrize("name", sorted(PRESET_MODEL_TEXT))
+    def test_text_is_the_golden_model_file(self, name):
+        golden = (GOLDEN / ("%s.model" % name)).read_bytes()
+        assert PRESET_MODEL_TEXT[name].encode("utf-8") == golden
+
+    @pytest.mark.parametrize("name", sorted(PRESET_MODEL_TEXT))
+    def test_preset_model_renders_the_golden_report(self, name):
+        report = preset_model(name).full_verification(deterministic=True)
+        golden = (GOLDEN / ("%s.txt" % name)).read_text(encoding="utf-8")
+        assert report.render() == golden

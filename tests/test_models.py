@@ -3,11 +3,13 @@ currents, superpotentials and the end-to-end verification report."""
 
 import pytest
 
+import gvc.models
 from gvc import EVEN, GvcError, Lagrangian, ODD, euler_lagrange
 from gvc.bicomplex import Form, d_h, interior, lie_derivative, variational_delta
 from gvc.jets import superbracket
 from gvc.models import GaugeModel, Metric
-from gvc.presets import abelian_algebra, preset_model, su2_algebra
+from gvc.modelfile import parse_model, spec_model
+from gvc.presets import PRESET_MODEL_TEXT, abelian_algebra, preset_model, su2_algebra
 from gvc.superlie import bracket
 
 
@@ -410,3 +412,52 @@ class TestFullVerification:
                                          pipelines=["master-equation"])
         assert not report.ok
         assert "invariant form" in report.results[0].witness
+
+
+class TestBuildOnce:
+    def test_shared_objects_built_once_per_full_run(self, monkeypatch):
+        calls = {}
+
+        def count(name):
+            original = getattr(gvc.models, name)
+
+            def counted(*args, **kwargs):
+                calls.setdefault(name, []).append(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(gvc.models, name, counted)
+
+        names = ("check_structure", "check_invariant_form", "noether_residuals",
+                 "euler_lagrange", "noether_current")
+        for name in names:
+            count(name)
+        model = preset_model("su2")
+        assert model.full_verification().ok
+        assert {name: len(calls.get(name, ())) for name in names} == dict.fromkeys(names, 1)
+        assert calls["euler_lagrange"][0] == (model.ym_lagrangian(),)
+
+    @pytest.mark.parametrize("name", ["su2", "osp12"])
+    def test_pipelines_in_reverse_order_match_full(self, name):
+        full = preset_model(name).full_verification(deterministic=True)
+        model = preset_model(name)
+        rows = []
+        for pipeline in reversed(GaugeModel.PIPELINES):
+            rows = model.pipeline(pipeline, deterministic=True) + rows
+        assert [r.line() for r in rows] == [r.line() for r in full.results]
+
+    def test_context_fixed_after_construction(self):
+        model = preset_model("su2")
+        before = len(model.ctx.generators)
+        model.full_verification(deterministic=True)
+        model.invariance_conditions(model.mass_term_lagrangian())
+        assert len(model.ctx.generators) == before
+
+    def test_unvalidated_lagrangian_keeps_form_validation(self):
+        text = PRESET_MODEL_TEXT["su2"].replace("h e1 e1 = 1", "h e1 e1 = 2")
+        model = spec_model(parse_model(text))
+        model.ym_lagrangian(validate=False)
+        with pytest.raises(GvcError, match="invariant form fails validation"):
+            model.ym_lagrangian()
+        (row,) = model.pipeline("euler-lagrange", deterministic=True)
+        assert not row.ok
+        assert row.witness.startswith("invariant form fails validation")
