@@ -519,9 +519,14 @@ def first_variational_residual(theta, L):
     return lie - interior(theta, dl) - d_h(h0(interior(theta, xi)))
 
 
-def noether_current(theta, L):
-    """Conserved current of an exact symmetry: -h0(theta | Xi_L)."""
-    lie = lie_derivative(theta, L.form)
+def noether_current(theta, L, lie=None):
+    """Conserved current of an exact symmetry: -h0(theta | Xi_L).
+
+    `lie`, when given, is the already computed L_theta L, used for the
+    exact-symmetry precondition instead of recomputing it.
+    """
+    if lie is None:
+        lie = lie_derivative(theta, L.form)
     if not lie.is_zero():
         raise GvcError("derivation is not an exact symmetry of the density")
     return -h0(interior(theta, lepage_equivalent(L)))

@@ -7,6 +7,13 @@ powers; odd variables anticommute and are square-free.  Every
 polynomial is kept in normal form: within a monomial the odd factors
 are strictly increasing under a fixed global order, and reordering
 signs are tracked exactly with rational coefficients.
+
+Coefficients are canonical: a Python `int` whenever the value is
+integral and a `Fraction` only otherwise, so the common integer case
+never pays for rational arithmetic.  `exact` is the one way a
+coefficient enters, and it canonicalises every scaled coefficient; the
+hot sums (`accumulate`) and products (`_product_terms`) inline the same
+test, and no true division ever meets two ints.
 """
 
 from fractions import Fraction
@@ -23,6 +30,17 @@ KINDS = (
     "noether-antifield",
 )
 _KIND_RANK = {kind: rank for rank, kind in enumerate(KINDS)}
+
+
+def exact(c):
+    """The canonical coefficient of `c` (anything `Fraction` accepts):
+    an `int` when it is integral, else a `Fraction`."""
+    if type(c) is not int:
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
 
 
 class GvcError(Exception):
@@ -87,7 +105,7 @@ class Variable:
 
     def poly(self):
         m = (((self, 1),), ()) if self.parity == EVEN else ((), (self,))
-        return Poly(self.ctx, {m: Fraction(1)})
+        return Poly(self.ctx, {m: 1})
 
     def __lt__(self, other):
         return self.key < other.key
@@ -170,7 +188,7 @@ class Context:
         return Poly(self, {})
 
     def scalar(self, c):
-        c = Fraction(c)
+        c = exact(c)
         if c == 0:
             return Poly(self, {})
         return Poly(self, {_ONE: c})
@@ -205,10 +223,23 @@ def _mono_mul(m1, m2):
     elif not ev2:
         ev = ev1
     else:
-        merged = dict(ev1)
-        for v, e in ev2:
-            merged[v] = merged.get(v, 0) + e
-        ev = tuple(sorted(merged.items(), key=lambda it: it[0].key))
+        # linear merge of two sorted even parts
+        merged = []
+        i = j = 0
+        n1, n2 = len(ev1), len(ev2)
+        while i < n1 and j < n2:
+            x, y = ev1[i], ev2[j]
+            if x[0] is y[0]:
+                merged.append((x[0], x[1] + y[1]))
+                i += 1
+                j += 1
+            elif y[0].key < x[0].key:
+                merged.append(y)
+                j += 1
+            else:
+                merged.append(x)
+                i += 1
+        ev = tuple(merged) + ev1[i:] + ev2[j:]
     if not od1:
         return 1, (ev, od2)
     if not od2:
@@ -263,9 +294,10 @@ def _mono_render(m, coeff):
 
 
 def accumulate(ctx, out, items):
-    """Add a stream of (monomial, nonzero coefficient) pairs into the term
-    dict `out` in place, dropping cancelled monomials, then enforce the
-    context's term limit.  Every kernel sum goes through here."""
+    """Add a stream of (monomial, nonzero canonical coefficient) pairs into
+    the term dict `out` in place, dropping cancelled monomials and keeping
+    sums canonical, then enforce the context's term limit.  Every kernel
+    sum goes through here."""
     get = out.get
     for m, c in items:
         s = get(m)
@@ -274,7 +306,7 @@ def accumulate(ctx, out, items):
         else:
             s += c
             if s:
-                out[m] = s
+                out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 del out[m]
     ctx.check_terms(len(out))
@@ -288,6 +320,8 @@ def _product_terms(p, q):
             if prod is not None:
                 sign, m = prod
                 c = c1 * c2
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
                 yield m, (c if sign == 1 else -c)
 
 
@@ -309,7 +343,7 @@ def _partial_terms(items, v, side):
                     if e == 1:
                         out[(ev[:pos] + ev[pos + 1 :], od)] = c
                     else:
-                        out[(ev[:pos] + ((w, e - 1),) + ev[pos + 1 :], od)] = c * e
+                        out[(ev[:pos] + ((w, e - 1),) + ev[pos + 1 :], od)] = exact(c * e)
                     break
     else:
         for (ev, od), c in items:
@@ -322,7 +356,11 @@ def _partial_terms(items, v, side):
 
 
 class Poly:
-    """Exact-rational linear combination of normal-ordered monomials."""
+    """Exact-rational linear combination of normal-ordered monomials.
+
+    `terms` maps each monomial to its nonzero coefficient: an `int` when
+    integral, a `Fraction` with denominator other than 1 otherwise.
+    """
 
     __slots__ = ("ctx", "terms")
 
@@ -358,14 +396,14 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             return Poly(self.ctx, add_product({}, self, other))
-        c = Fraction(other)
+        c = exact(other)
         if c == 0:
             return Poly(self.ctx, {})
         if c == 1:
             return Poly(self.ctx, dict(self.terms))
         if c == -1:
             return -self
-        return Poly(self.ctx, {m: c0 * c for m, c0 in self.terms.items()})
+        return Poly(self.ctx, {m: exact(c0 * c) for m, c0 in self.terms.items()})
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -405,13 +443,14 @@ class Poly:
         return Poly(self.ctx, {m: c for m, c in self.terms.items() if _mono_parity(m)})
 
     def parity_parts(self):
-        """Yield the nonzero (parity, homogeneous part) pieces."""
-        ev = self.even_part()
-        if ev.terms:
-            yield EVEN, ev
-        od = self.odd_part()
-        if od.terms:
-            yield ODD, od
+        """Yield the nonzero (parity, homogeneous part) pieces, split in
+        one walk over the terms."""
+        parts = ({}, {})
+        for m, c in self.terms.items():
+            parts[len(m[1]) & 1][m] = c
+        for parity in (EVEN, ODD):
+            if parts[parity]:
+                yield parity, Poly(self.ctx, parts[parity])
 
     def ghost_numbers(self):
         out = set()
@@ -430,7 +469,7 @@ class Poly:
         return out
 
     def constant_term(self):
-        return self.terms.get(_ONE, Fraction(0))
+        return self.terms.get(_ONE, 0)
 
     # -- structure -----------------------------------------------------
 
@@ -544,7 +583,7 @@ def normalize(ctx, coeff, factors):
     The sign is (-1)^(number of transpositions of odd factors needed to
     sort); the result is zero whenever an odd factor repeats.
     """
-    coeff = Fraction(coeff)
+    coeff = exact(coeff)
     if coeff == 0:
         return ctx.zero()
     ev = {}

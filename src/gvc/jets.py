@@ -7,7 +7,7 @@ derivation is determined by its components on the generating basis; it
 acts on jets of a field through total derivatives of the component.
 """
 
-from .grassmann import GvcError, ParityError, Poly, accumulate, add_product
+from .grassmann import GvcError, ParityError, Poly, accumulate, add_product, exact
 
 
 class MultiIndex:
@@ -73,7 +73,7 @@ def _raised_terms(lam, p):
     raised = {}
     for (ev, od), c in p.terms.items():
         for pos, (w, e) in enumerate(ev):
-            ce = c if e == 1 else c * e
+            ce = c if e == 1 else exact(c * e)
             if w.gen.kind == "coordinate":
                 if w is x or w.key == x.key:
                     if e == 1:
@@ -138,13 +138,14 @@ class ContactDerivation:
     transformation.
     """
 
-    __slots__ = ("ctx", "components", "parity", "ghost_shift")
+    __slots__ = ("ctx", "components", "parity", "ghost_shift", "_values")
 
     def __init__(self, ctx, components, parity, ghost_shift=0):
         self.ctx = ctx
         self.components = {}
         self.parity = parity
         self.ghost_shift = ghost_shift
+        self._values = {}  # jet variable -> contract_variable value
         for gen, comp in components.items():
             if isinstance(gen, str):
                 gen = ctx.generator(gen)
@@ -174,11 +175,14 @@ class ContactDerivation:
         return prolong_apply(self, p)
 
     def contract_variable(self, v):
-        """Value on the jet variable v: d_Lambda of the component on v's field."""
-        comp = self.components.get(v.gen)
-        if comp is None:
-            return self.ctx.zero()
-        return iterated_derivative(v.index, comp)
+        """Value on the jet variable v: d_Lambda of the component on v's
+        field, computed once per variable and kept."""
+        val = self._values.get(v)
+        if val is None:
+            comp = self.components.get(v.gen)
+            val = self.ctx.zero() if comp is None else iterated_derivative(v.index, comp)
+            self._values[v] = val
+        return val
 
 
 def prolong_apply(theta, p):

@@ -120,8 +120,10 @@ class GaugeModel:
     The generator roster, split coordinates included, is fixed at
     construction.  Each derived object that several checks use (the
     validation reports, the Lagrangian, the field equations, the Noether
-    rows and residuals, the gauge and BRST operators, the antifield
-    pairing and the extended density) is built on first use and kept.
+    rows and residuals, the gauge, parameter and BRST operators, the Lie
+    derivative of the Lagrangian along the parameter symmetry, the
+    antifield pairing and the extended density) is built on first use
+    and kept.
     """
 
     def __init__(self, algebra, metric, max_jet_order=3, term_limit=1000000):
@@ -390,7 +392,13 @@ class GaugeModel:
         """Even gauge symmetry with parameter fields (ordinary case only)."""
         if self.parameter is None:
             raise GvcError("parameter-based symmetry exists for all-even algebras only")
-        return ContactDerivation(self.ctx, self._gauge_components(self.parameter), EVEN)
+        return self._once("parameter-symmetry", lambda: ContactDerivation(
+            self.ctx, self._gauge_components(self.parameter), EVEN))
+
+    def parameter_lie_derivative(self):
+        """L_theta L for the parameter symmetry and the Lagrangian."""
+        return self._once("parameter-lie-derivative", lambda: lie_derivative(
+            self.parameter_symmetry(), self.ym_lagrangian().form))
 
     def constant_parameter_symmetry(self, vec):
         """Gauge symmetry for a constant parameter vector over the basis."""
@@ -453,7 +461,8 @@ class GaugeModel:
     # -- currents (ordinary case) --------------------------------------------
 
     def current(self):
-        return noether_current(self.parameter_symmetry(), self.ym_lagrangian())
+        return noether_current(self.parameter_symmetry(), self.ym_lagrangian(),
+                               lie=self.parameter_lie_derivative())
 
     def superpotential(self):
         """The codegree-two form whose horizontal differential carries the
@@ -602,7 +611,7 @@ class GaugeModel:
 
         return [
             ("parameter-symmetry", lambda n: CheckResult.from_form(
-                n, lie_derivative(self.parameter_symmetry(), L.form))),
+                n, self.parameter_lie_derivative())),
             identities,
             ("current-conservation", lambda n: CheckResult.from_form(
                 n, d_h(current()) - interior(self.parameter_symmetry(),

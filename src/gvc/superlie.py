@@ -144,12 +144,31 @@ class LieSuperalgebra:
         return [row[n:] for row in a]
 
 
+def _graded_constants(alg):
+    """Every nonzero c^r_ij over ordered pairs, graded mirror included,
+    as {(i, j): [(r, c^r_ij), ...]}; `constant` would give each value."""
+    par = alg.parities
+    out = {}
+    for (r, i, j), c in alg._c.items():
+        if i == j and par[i] == EVEN:
+            continue
+        out.setdefault((i, j), []).append((r, c))
+        if i != j:
+            out.setdefault((j, i), []).append((r, c if par[i] and par[j] else -c))
+    return out
+
+
 def check_structure(alg):
     """Validate parity consistency, graded antisymmetry and super-Jacobi.
 
     Antisymmetry and the even-diagonal rule hold by construction of the
     sparse storage, so the report covers parity consistency and every
-    Jacobi instance, identified by its index triple.
+    Jacobi instance, identified by its index triple.  The Jacobi totals
+        sum_j (-1)^{[i][b]} c^r_ij c^j_ab + (cyclic in i, a, b)
+    are accumulated from products of stored nonzero constants only:
+    c^r_zj c^j_xy, with sign (-1)^{[z][y]}, enters the totals of the
+    triples (z, x, y), (y, z, x) and (x, y, z).  Violations are listed in
+    (i, a, b, r) order.
     """
     violations = []
     for (r, i, j), v in sorted(alg._c.items()):
@@ -157,22 +176,22 @@ def check_structure(alg):
             continue
         if alg.parities[r] != (alg.parities[i] + alg.parities[j]) % 2:
             violations.append(("parity", (r, i, j)))
-    n = alg.dim
     par = alg.parities
-    for i in range(n):
-        for a in range(n):
-            for b in range(n):
-                for r in range(n):
-                    total = Fraction(0)
-                    for j in range(n):
-                        s1 = -1 if par[i] and par[b] else 1
-                        s2 = -1 if par[a] and par[i] else 1
-                        s3 = -1 if par[b] and par[a] else 1
-                        total += s1 * alg.constant(r, i, j) * alg.constant(j, a, b)
-                        total += s2 * alg.constant(r, a, j) * alg.constant(j, b, i)
-                        total += s3 * alg.constant(r, b, j) * alg.constant(j, i, a)
-                    if total != 0:
-                        violations.append(("jacobi", (r, (i, a, b))))
+    consts = _graded_constants(alg)
+    ending_in = {}  # j -> [(z, r, c^r_zj), ...]
+    for (z, j), entries in consts.items():
+        ending_in.setdefault(j, []).extend((z, r, c) for r, c in entries)
+    totals = {}
+    for (x, y), inner in consts.items():
+        for j, c2 in inner:
+            for z, r, c1 in ending_in.get(j, ()):
+                v = c1 * c2
+                if par[z] and par[y]:
+                    v = -v
+                for key in ((z, x, y, r), (y, z, x, r), (x, y, z, r)):
+                    totals[key] = totals.get(key, 0) + v
+    for i, a, b, r in sorted(k for k, v in totals.items() if v != 0):
+        violations.append(("jacobi", (r, (i, a, b))))
     return ValidationReport(violations)
 
 
@@ -183,6 +202,8 @@ def check_invariant_form(alg):
         sum_m [ h_mj c^m_ri + (-1)^{[r][i]} h_im c^m_rj ] = 0
     for all r, i, j, the identity satisfied by the trace form of any
     faithful representation; on even indices it is the classical one.
+    The totals are accumulated from products of stored nonzero form
+    entries and constants only; violations are listed in (r, i, j) order.
     """
     if not alg.has_form:
         raise GvcError("no invariant form recorded")
@@ -194,16 +215,25 @@ def check_invariant_form(alg):
     sub = [[alg.form(i, j) for j in ev] for i in ev]
     if ev and _det(sub) == 0:
         violations.append(("singular-even-block", ()))
-    for r in range(n):
-        for i in range(n):
-            for j in range(n):
-                total = Fraction(0)
-                sign = -1 if par[r] and par[i] else 1
-                for m in range(n):
-                    total += alg.form(m, j) * alg.constant(m, r, i)
-                    total += sign * alg.form(i, m) * alg.constant(m, r, j)
-                if total != 0:
-                    violations.append(("invariance", (r, i, j)))
+    row, col = {}, {}  # m -> [(j, h_mj)], m -> [(i, h_im)]
+    for (i, j), h in alg._h.items():
+        row.setdefault(i, []).append((j, h))
+        col.setdefault(j, []).append((i, h))
+        if i != j:
+            h = -h if par[i] and par[j] else h
+            row.setdefault(j, []).append((i, h))
+            col.setdefault(i, []).append((j, h))
+    totals = {}
+    for (r, k), entries in _graded_constants(alg).items():
+        for m, c in entries:
+            # k plays i in h_mj c^m_ri, and j in (-1)^{[r][i]} h_im c^m_rj
+            for j, h in row.get(m, ()):
+                totals[(r, k, j)] = totals.get((r, k, j), 0) + h * c
+            for i, h in col.get(m, ()):
+                t = h * c if not (par[r] and par[i]) else -(h * c)
+                totals[(r, i, k)] = totals.get((r, i, k), 0) + t
+    for key in sorted(k for k, v in totals.items() if v != 0):
+        violations.append(("invariance", key))
     return ValidationReport(violations)
 
 

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from gvc import Context, EVEN, ODD, GvcError, ParityError, UnknownGeneratorError
-from gvc.grassmann import ExpansionLimitError, JetOrderError, Poly, add_product, normalize
+from gvc.grassmann import (ExpansionLimitError, JetOrderError, Poly, _mono_mul,
+                           add_product, exact, normalize)
+from gvc.jets import total_derivative
 
 from util import make_context, random_poly
 
@@ -244,6 +246,16 @@ class TestHousekeeping:
             p.require_parity()
         assert p.even_part() + p.odd_part() == p
 
+    def test_parity_parts_one_walk_matches_even_and_odd_part(self):
+        ctx = make_context(2)
+        rng = random.Random(12)
+        for _ in range(40):
+            p = random_poly(rng, ctx, terms=rng.randint(0, 5))
+            want = [(parity, part) for parity, part in
+                    ((EVEN, p.even_part()), (ODD, p.odd_part())) if part.terms]
+            assert list(p.parity_parts()) == want
+        assert list(ctx.zero().parity_parts()) == []
+
     def test_ghost_and_antifield_numbers(self, ctx):
         p = ctx.var("c1") * ctx.var("c2")
         assert p.ghost_numbers() == {2}
@@ -299,3 +311,92 @@ class TestHousekeeping:
         assert p.render() == "-c1*c2 +s"
         assert p.leading_monomial() == "-c1*c2"
         assert ctx.zero().render() == "0"
+
+
+def _old_mono_mul(m1, m2):
+    """The former product: even parts merged through a dict and a sort."""
+    (ev1, od1), (ev2, od2) = m1, m2
+    merged = dict(ev1)
+    for v, e in ev2:
+        merged[v] = merged.get(v, 0) + e
+    ev = tuple(sorted(merged.items(), key=lambda it: it[0].key))
+    letters = list(od1) + list(od2)
+    if len({v.key for v in letters}) < len(letters):
+        return None
+    sign, _ = bubble_sign([v.key for v in letters])
+    return sign, (ev, tuple(sorted(letters, key=lambda v: v.key)))
+
+
+class TestMonoMul:
+    def test_matches_dict_and_sort_merge(self):
+        ctx = make_context(2, evens=3, odds=3)
+        rng = random.Random(41)
+        evens = [ctx.jet(g, idx) for g in ("s1", "s2", "s3")
+                 for idx in ((), (0,), (1,), (0, 1))] + list(ctx.coordinates)
+        pool = evens + [ctx.jet(g, idx) for g in ("q1", "q2", "q3")
+                        for idx in ((), (0,), (1,), (0, 1))]
+
+        def monomial():
+            # distinct factors plus repeated even ones, so powers above 1 occur
+            factors = rng.sample(pool, rng.randint(0, 5)) + rng.choices(evens, k=rng.randint(0, 2))
+            return next(iter(ctx.product(1, factors).terms))
+
+        shared = interleaved = 0
+        for _ in range(600):
+            m1, m2 = monomial(), monomial()
+            assert _mono_mul(m1, m2) == _old_mono_mul(m1, m2)
+            keys1 = [v.key for v, _ in m1[0]]
+            keys2 = [v.key for v, _ in m2[0]]
+            shared += bool(set(keys1) & set(keys2))
+            interleaved += bool(keys1 and keys2 and min(keys2) < max(keys1)
+                                and min(keys1) < max(keys2))
+        assert shared > 50 and interleaved > 100
+
+
+class TestExactCoefficients:
+    def test_exact(self):
+        two = exact(Fraction(4, 2))
+        assert two == 2 and type(two) is int
+        half = exact(Fraction(1, 2))
+        assert half == Fraction(1, 2) and type(half) is Fraction
+        for value, want in ((True, 1), (False, 0), (2.0, 2), (-3, -3)):
+            got = exact(value)
+            assert got == want and type(got) is int
+        assert exact(0.5) == Fraction(1, 2) and type(exact(0.5)) is Fraction
+        assert exact(0.1) == Fraction(0.1)
+        assert exact("3/6") == Fraction(1, 2)
+        with pytest.raises(TypeError):
+            exact(object())
+
+    def test_entry_points_are_canonical(self, ctx):
+        s = ctx.var("s")
+        for p in (ctx.scalar(Fraction(6, 3)), ctx.scalar(True), s * Fraction(4, 2),
+                  s * 2.0, Fraction(4, 2) * s, ctx.product(Fraction(2, 1), ["s"]),
+                  ctx.product(Fraction(1, 2), ["s"]) * 4):
+            (c,) = p.terms.values()
+            assert c == 2 or c == 1
+            assert type(c) is int
+        assert type(ctx.zero().constant_term()) is int
+        assert type(ctx.var("c1").terms[((), (ctx.jet("c1"),))]) is int
+
+    def test_sums_and_products_end_as_int(self, ctx):
+        half = ctx.scalar(Fraction(1, 2))
+        total = half + half
+        assert total.terms == {((), ()): 1} and type(total.constant_term()) is int
+        s = ctx.var("s")
+        p = s * Fraction(1, 2) + s * Fraction(1, 2)
+        assert all(type(c) is int for c in p.terms.values())
+        q = (s * Fraction(1, 2)) * (ctx.scalar(2) * s)
+        assert q == s * s and all(type(c) is int for c in q.terms.values())
+        assert (s * Fraction(3, 2) - s * Fraction(1, 2)).terms == s.terms
+        assert type(next(iter((s * Fraction(3, 2) - s * Fraction(1, 2)).terms.values()))) is int
+        # the power rule and the raised-jet rule multiply by an exponent
+        square = (s * s) * Fraction(1, 2)
+        d = square.deriv(ctx.jet("s"))
+        assert d == s and type(next(iter(d.terms.values()))) is int
+        t = total_derivative(0, square)
+        assert t == s * ctx.var("s", 0)
+        assert all(type(c) is int for c in t.terms.values())
+        third = s * Fraction(1, 3)
+        assert all(type(c) is Fraction and c.denominator != 1
+                   for c in (third + third).terms.values())

@@ -202,6 +202,50 @@ class TestContactDerivation:
         assert (got - want).is_zero()
 
 
+class TestContractVariableMemo:
+    def test_repeated_calls_return_equal_values(self):
+        ctx = make_context(2)
+        rng = random.Random(27)
+        for parity in (EVEN, ODD):
+            theta = random_vertical(rng, ctx, parity)
+            jets = [ctx.jet(g, idx) for g in ("s1", "s2", "q1", "q2")
+                    for idx in ((), (0,), (0, 1), (1, 1))]
+            first = [theta.contract_variable(v) for v in jets]
+            again = [theta.contract_variable(v) for v in reversed(jets)]
+            assert first == again[::-1]
+            assert all(a is b for a, b in zip(first, again[::-1]))  # kept, not rebuilt
+            for v, val in zip(jets, first):
+                comp = theta.component(v.gen)
+                assert val == iterated_derivative(v.index, comp)
+
+    def test_fresh_derivation_is_unaffected(self):
+        ctx = make_context(1, evens=2, odds=0)
+        v = ctx.jet("s1", (0,))
+        one = ContactDerivation(ctx, {"s1": ctx.var("s2")}, EVEN)
+        assert one.contract_variable(v) == ctx.var("s2", 0)
+        other = ContactDerivation(ctx, {"s1": ctx.var("s2") * ctx.var("s2")}, EVEN)
+        assert other.contract_variable(v) == 2 * ctx.var("s2") * ctx.var("s2", 0)
+        assert one.contract_variable(v) == ctx.var("s2", 0)
+        assert ContactDerivation(ctx, {}, EVEN).contract_variable(v).is_zero()
+
+    def test_limits_raise_on_every_call(self):
+        ctx = make_context(2, max_jet_order=2)
+        theta = ContactDerivation(ctx, {"s1": ctx.var("s2", 0)}, EVEN)
+        v = ctx.jet("s1", (0, 1))
+        for _ in range(2):
+            with pytest.raises(JetOrderError):
+                theta.contract_variable(v)
+        ctx = make_context(1, evens=3, odds=0)
+        comp = ctx.var("s2") * ctx.var("s3") * ctx.var("s2")
+        theta = ContactDerivation(ctx, {"s1": comp}, EVEN)
+        ctx.term_limit = 1
+        for _ in range(2):
+            with pytest.raises(ExpansionLimitError):
+                theta.contract_variable(ctx.jet("s1", (0,)))
+        ctx.term_limit = 10
+        assert len(theta.contract_variable(ctx.jet("s1", (0,))).terms) == 2
+
+
 class TestSuperbracket:
     def test_even_constant_self_bracket(self):
         ctx = make_context(1, evens=1, odds=0)

@@ -1,11 +1,18 @@
 """Model builders: rosters, strengths, Lagrangians, field equations,
 currents, superpotentials and the end-to-end verification report."""
 
+from fractions import Fraction
+
 import pytest
 
+import gvc.bicomplex
 import gvc.models
 from gvc import EVEN, GvcError, Lagrangian, ODD, euler_lagrange
-from gvc.bicomplex import Form, d_h, interior, lie_derivative, variational_delta
+from gvc.bicomplex import (EulerLagrange, Form, d_h, interior, lie_derivative,
+                           variational_delta)
+from gvc.brst import NoetherOperator
+from gvc.grassmann import Poly
+from gvc.jets import ContactDerivation
 from gvc.jets import superbracket
 from gvc.models import GaugeModel, Metric
 from gvc.modelfile import parse_model, spec_model
@@ -436,6 +443,22 @@ class TestBuildOnce:
         assert {name: len(calls.get(name, ())) for name in names} == dict.fromkeys(names, 1)
         assert calls["euler_lagrange"][0] == (model.ym_lagrangian(),)
 
+    def test_parameter_lie_derivative_computed_once(self, monkeypatch):
+        calls = []
+        original = gvc.bicomplex.lie_derivative
+
+        def counted(theta, phi):
+            calls.append(theta)
+            return original(theta, phi)
+
+        monkeypatch.setattr(gvc.models, "lie_derivative", counted)
+        monkeypatch.setattr(gvc.bicomplex, "lie_derivative", counted)
+        model = preset_model("su2")
+        assert model.full_verification().ok
+        # one for parameter-symmetry (reused by the current), one for gauge-symmetry
+        assert calls == [model.parameter_symmetry(), model.gauge_operator()]
+        assert model.parameter_symmetry() is model.parameter_symmetry()
+
     @pytest.mark.parametrize("name", ["su2", "osp12"])
     def test_pipelines_in_reverse_order_match_full(self, name):
         full = preset_model(name).full_verification(deterministic=True)
@@ -461,3 +484,41 @@ class TestBuildOnce:
         (row,) = model.pipeline("euler-lagrange", deterministic=True)
         assert not row.ok
         assert row.witness.startswith("invariant form fails validation")
+
+
+def _coefficients(obj, seen):
+    """Every coefficient reachable from a memoized model object."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, Poly):
+        yield from obj.terms.values()
+    elif isinstance(obj, Form):
+        for f in obj.terms.values():
+            yield from _coefficients(f, seen)
+    elif isinstance(obj, Lagrangian):
+        yield from _coefficients(obj.density, seen)
+    elif isinstance(obj, (EulerLagrange, ContactDerivation)):
+        yield from _coefficients(obj.components, seen)
+        yield from _coefficients(getattr(obj, "_values", {}), seen)
+    elif isinstance(obj, NoetherOperator):
+        for entries in obj.rows.values():
+            for coeff, _, _ in entries:
+                yield from _coefficients(coeff, seen)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _coefficients(value, seen)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _coefficients(value, seen)
+
+
+@pytest.mark.parametrize("name", ["su2", "osp12"])
+def test_memoized_coefficients_are_canonical(name):
+    model = preset_model(name)
+    assert model.full_verification().ok
+    coeffs = list(_coefficients(model._memo, set()))
+    assert len(coeffs) > 500
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in coeffs)
+    assert any(type(c) is int for c in coeffs)

@@ -1,5 +1,6 @@
 """Structure-constant validation, brackets and invariant forms."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -7,7 +8,13 @@ import pytest
 
 from gvc import EVEN, GvcError, LieSuperalgebra, ODD, ParityError, bracket
 from gvc.superlie import check_invariant_form, check_structure
+from gvc.modelfile import parse_model, spec_algebra
 from gvc.presets import abelian_algebra, osp12_algebra, su2_algebra
+
+from util import (dense_form_violations, dense_structure_violations,
+                  perturb_algebra, random_superalgebra)
+
+BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench")
 
 
 def brute_force_jacobi(alg):
@@ -215,3 +222,52 @@ class TestInvariantForm:
             for j in range(n):
                 s = sum(h[i][k] * hinv[k][j] for k in range(n))
                 assert s == (1 if i == j else 0)
+
+
+def _bench_algebra(name):
+    with open(os.path.join(BENCH, name), encoding="utf-8") as handle:
+        return spec_algebra(parse_model(handle.read()))
+
+
+def _assert_matches_dense(alg):
+    assert check_structure(alg).violations == dense_structure_violations(alg)
+    if alg.has_form:
+        assert check_invariant_form(alg).violations == dense_form_violations(alg)
+    else:
+        with pytest.raises(GvcError):
+            check_invariant_form(alg)
+
+
+class TestSparseMatchesDense:
+    """The sparse validators give the dense loops' violation lists, in
+    the dense loops' order, so `describe()` text is unchanged."""
+
+    def test_random_superalgebras(self):
+        rng = random.Random(2024)
+        kinds = set()
+        for _ in range(200):
+            alg = random_superalgebra(rng)
+            _assert_matches_dense(alg)
+            kinds.update(kind for kind, _ in check_structure(alg).violations)
+            if alg.has_form:
+                kinds.update(kind for kind, _ in check_invariant_form(alg).violations)
+        assert kinds == {"parity", "jacobi", "invariance", "singular-even-block"}
+
+    @pytest.mark.parametrize("build", [abelian_algebra, su2_algebra, osp12_algebra])
+    def test_perturbed_presets(self, build):
+        rng = random.Random(build.__name__)
+        _assert_matches_dense(build())
+        for _ in range(20):
+            alg = perturb_algebra(rng, build(), constants=rng.randint(0, 2),
+                                  form_entries=rng.randint(0, 2))
+            _assert_matches_dense(alg)
+
+    @pytest.mark.parametrize("name", ["sl3.model", "sl21.model"])
+    def test_stress_algebras(self, name):
+        alg = _bench_algebra(name)
+        assert check_structure(alg).ok and check_invariant_form(alg).ok
+        _assert_matches_dense(alg)
+        alg = perturb_algebra(random.Random(name), alg, constants=1, form_entries=1)
+        assert not (check_structure(alg).ok and check_invariant_form(alg).ok)
+        _assert_matches_dense(alg)
+

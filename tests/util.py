@@ -88,3 +88,129 @@ def random_vertical(rng, ctx, parity, max_order=1):
         if not p.is_zero():
             comps[gen] = p
     return ContactDerivation(ctx, comps, parity)
+
+
+# -- dense validation oracles ----------------------------------------------
+#
+# Transcriptions of the original dense loops over every index tuple,
+# written against the public accessors `constant` and `form` only; they
+# share no code with the sparse `check_structure`/`check_invariant_form`.
+
+
+def _dense_tables(alg):
+    """Every c^r_ij and h_ij as nested lists; integral values as ints,
+    which keeps the n^5 loop fast."""
+    def small(x):
+        return x.numerator if x.denominator == 1 else x
+
+    n = alg.dim
+    c = [[[small(alg.constant(r, i, j)) for j in range(n)] for i in range(n)]
+         for r in range(n)]
+    h = [[small(alg.form(i, j)) for j in range(n)] for i in range(n)]
+    return c, h
+
+
+def dense_structure_violations(alg):
+    """Violation list of the dense parity and super-Jacobi check."""
+    violations = []
+    for r, i, j, v in alg.stored_constants():
+        if v != 0 and alg.parities[r] != (alg.parities[i] + alg.parities[j]) % 2:
+            violations.append(("parity", (r, i, j)))
+    n = alg.dim
+    par = alg.parities
+    c, _ = _dense_tables(alg)
+    for i in range(n):
+        for a in range(n):
+            for b in range(n):
+                s1 = -1 if par[i] and par[b] else 1
+                s2 = -1 if par[a] and par[i] else 1
+                s3 = -1 if par[b] and par[a] else 1
+                for r in range(n):
+                    total = 0
+                    for j in range(n):
+                        total += s1 * c[r][i][j] * c[j][a][b]
+                        total += s2 * c[r][a][j] * c[j][b][i]
+                        total += s3 * c[r][b][j] * c[j][i][a]
+                    if total != 0:
+                        violations.append(("jacobi", (r, (i, a, b))))
+    return violations
+
+
+def _dense_det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    total = Fraction(0)
+    for col, x in enumerate(rows[0]):
+        if x:
+            minor = [row[:col] + row[col + 1:] for row in rows[1:]]
+            total += (-1) ** col * x * _dense_det(minor)
+    return total
+
+
+def dense_form_violations(alg):
+    """Violation list of the dense invariant-form check."""
+    violations = []
+    n = alg.dim
+    par = alg.parities
+    ev = [i for i in range(n) if par[i] == EVEN]
+    if ev and _dense_det([[alg.form(i, j) for j in ev] for i in ev]) == 0:
+        violations.append(("singular-even-block", ()))
+    c, h = _dense_tables(alg)
+    for r in range(n):
+        for i in range(n):
+            for j in range(n):
+                total = 0
+                sign = -1 if par[r] and par[i] else 1
+                for m in range(n):
+                    total += h[m][j] * c[m][r][i]
+                    total += sign * h[i][m] * c[m][r][j]
+                if total != 0:
+                    violations.append(("invariance", (r, i, j)))
+    return violations
+
+
+_VALUES = (1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2))
+
+
+def perturb_algebra(rng, alg, constants=1, form_entries=0, consistent=0.8):
+    """Overwrite random constants (parity-consistent with probability
+    `consistent`) and form entries of `alg` in place, skipping entries
+    the storage rules reject."""
+    from gvc import GvcError
+
+    n = alg.dim
+    par = alg.parities
+    for _ in range(constants):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j and par[i] == EVEN:
+            continue
+        wanted = [r for r in range(n) if par[r] == (par[i] + par[j]) % 2]
+        r = rng.choice(wanted if wanted and rng.random() < consistent else range(n))
+        key = (r, i, j) if i <= j else (r, j, i)
+        alg._c.pop(key, None)
+        alg.set_constant(r, i, j, rng.choice(_VALUES))
+    for _ in range(form_entries):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if par[i] != par[j] or (i == j and par[i] == ODD):
+            continue
+        alg._h.pop((min(i, j), max(i, j)), None)
+        try:
+            alg.set_form(i, j, rng.choice(_VALUES))
+        except GvcError:
+            pass
+    return alg
+
+
+def random_superalgebra(rng, max_dim=5):
+    """A random algebra of mixed parities: random constants (some of
+    them parity-inconsistent, so Jacobi is broken almost always) and,
+    usually, a random graded-symmetric form."""
+    from gvc import LieSuperalgebra
+
+    n = rng.randint(1, max_dim)
+    alg = LieSuperalgebra(["b%d" % k for k in range(n)],
+                          [rng.choice((EVEN, ODD)) for _ in range(n)])
+    perturb_algebra(rng, alg, constants=rng.randint(0, 2 * n),
+                    form_entries=rng.randint(0, 2 * n) if rng.random() < 0.8 else 0)
+    return alg
