@@ -147,12 +147,6 @@ class Form:
 
     # -- degrees ---------------------------------------------------------
 
-    def horizontal_degrees(self):
-        return {sum(1 for ell in w if ell[0] == DX) for w in self.terms}
-
-    def contact_degrees(self):
-        return {sum(1 for ell in w if ell[0] == TH) for w in self.terms}
-
     def max_jet_order(self):
         orders = [0]
         for w, f in self.terms.items():
@@ -500,11 +494,8 @@ def lepage_equivalent(L):
     if density.max_jet_order() > 1:
         raise GvcError("Lepage form implemented for first-order densities only")
     xi = L.form
-    for v in density.variables():
+    for v, momentum in density.partials():
         if v.gen.kind == "coordinate" or v.order != 1:
-            continue
-        momentum = density.deriv(v)
-        if momentum.is_zero():
             continue
         lam = v.index[0]
         xi += Form.theta(ctx, v.gen).wedge(omega_lambda(ctx, lam).times_poly(momentum))

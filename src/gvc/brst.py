@@ -39,17 +39,6 @@ class NoetherOperator:
     def labels(self):
         return sorted(self.rows)
 
-    def row_parity(self, label):
-        """Parity of the row operator acting on the variational covector."""
-        ps = set()
-        for coeff, gen, _ in self.rows[label]:
-            if coeff.is_zero():
-                continue
-            ps.add((coeff.require_parity() + gen.parity) % 2)
-        if len(ps) > 1:
-            raise ParityError("Noether row %r mixes parities" % (label,))
-        return ps.pop() if ps else EVEN
-
 
 def noether_residuals(op, el):
     """Apply each row to the variational derivatives; zero rows are the

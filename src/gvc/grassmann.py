@@ -519,36 +519,41 @@ class Poly:
         for v, items in index.items():
             yield v, Poly(self.ctx, _partial_terms(items, v, side))
 
-    def substitute(self, v, repl):
-        """Replace the variable `v` by the polynomial `repl` (same parity)."""
-        if repl.parity() not in (v.parity,) and not repl.is_zero():
-            raise ParityError("substitution must preserve parity")
+    def substitute(self, mapping):
+        """Replace variables simultaneously: `mapping` sends each variable
+        to a polynomial of the same parity.
+
+        Each term is rewritten once, as the product of its factors in
+        normal order with the replacements swapped in, so the product
+        supplies the odd signs; terms without a replaced variable are
+        kept as they are.
+        """
+        for v, repl in mapping.items():
+            if repl.parity() != v.parity and not repl.is_zero():
+                raise ParityError("substitution must preserve parity")
         ctx = self.ctx
+        powers = {}  # (variable, exponent) -> its factor polynomial
+
+        def factor(v, e):
+            if (v, e) not in powers:
+                repl = mapping.get(v)
+                if repl is None:
+                    mono = (((v, e),), ()) if v.parity == EVEN else ((), (v,))
+                    powers[(v, e)] = Poly(ctx, {mono: 1})
+                else:
+                    powers[(v, e)] = repl ** e
+            return powers[(v, e)]
+
         out = {}
         for (ev, od), c in self.terms.items():
-            if v.parity == EVEN:
-                hit = None
-                for pos, (w, e) in enumerate(ev):
-                    if w.key == v.key:
-                        hit = (pos, e)
-                        break
-                if hit is None:
-                    accumulate(ctx, out, [((ev, od), c)])
-                    continue
-                pos, e = hit
-                rest = Poly(ctx, {(ev[:pos] + ev[pos + 1 :], od): c})
-                add_product(out, repl ** e, rest)
-            else:
-                hit = None
-                for pos, w in enumerate(od):
-                    if w.key == v.key:
-                        hit = pos
-                        break
-                if hit is None:
-                    accumulate(ctx, out, [((ev, od), c)])
-                    continue
-                rest = Poly(ctx, {(ev, od[:hit] + od[hit + 1 :]): -c if hit & 1 else c})
-                add_product(out, repl, rest)
+            factors = ev + tuple((v, 1) for v in od)
+            if not any(v in mapping for v, _ in factors):
+                accumulate(ctx, out, (((ev, od), c),))
+                continue
+            prod = Poly(ctx, {_ONE: c})
+            for v, e in factors:
+                prod = Poly(ctx, add_product({}, prod, factor(v, e)))
+            accumulate(ctx, out, prod.terms.items())
         return Poly(ctx, out)
 
     # -- presentation ----------------------------------------------------

@@ -185,12 +185,10 @@ class GaugeModel:
         """The algebra-quadratic part of the split, c^r_ij a^i_lam a^j_mu."""
         ctx = self.ctx
         out = ctx.zero()
-        for i in range(self.algebra.dim):
-            for j in range(self.algebra.dim):
-                c = self.algebra.constant(r, i, j)
-                if c:
-                    out += c * (ctx.jet(self.field[i][lam]).poly()
-                                * ctx.jet(self.field[j][mu]).poly())
+        for s, i, j, c in self.algebra.graded_constants():
+            if s == r:
+                out += c * (ctx.jet(self.field[i][lam]).poly()
+                            * ctx.jet(self.field[j][mu]).poly())
         return out
 
     def strength(self, r, lam, mu):
@@ -221,20 +219,13 @@ class GaugeModel:
         return self._once("lagrangian", self._strength_density)
 
     def _strength_density(self):
-        ctx = self.ctx
-        m, n = self.algebra.dim, self.metric.dim
-        quarter = Fraction(1, 4)
-        density = ctx.zero()
-        for i in range(m):
-            for j in range(m):
-                h = self.algebra.form(i, j)
-                if not h:
-                    continue
-                for lam in range(n):
-                    for beta in range(n):
-                        if lam == beta:
-                            continue
-                        coeff = quarter * h * self.metric.g(lam) * self.metric.g(beta)
+        n = self.metric.dim
+        density = self.ctx.zero()
+        for i, j, h in self.algebra.graded_form():
+            for lam in range(n):
+                for beta in range(n):
+                    if lam != beta:
+                        coeff = Fraction(1, 4) * h * self.metric.g(lam) * self.metric.g(beta)
                         density += coeff * (self.strength(i, lam, beta)
                                             * self.strength(j, lam, beta))
         return Lagrangian(density)
@@ -243,32 +234,24 @@ class GaugeModel:
         """Quadratic field (not strength) density; breaks gauge invariance."""
         ctx = self.ctx
         density = ctx.zero()
-        for i in range(self.algebra.dim):
-            for j in range(self.algebra.dim):
-                h = self.algebra.form(i, j)
-                if not h:
-                    continue
-                for mu in range(self.metric.dim):
-                    density += (h * self.metric.g(mu)) * (
-                        ctx.jet(self.field[i][mu]).poly() * ctx.jet(self.field[j][mu]).poly())
+        for i, j, h in self.algebra.graded_form():
+            for mu in range(self.metric.dim):
+                density += (h * self.metric.g(mu)) * (
+                    ctx.jet(self.field[i][mu]).poly() * ctx.jet(self.field[j][mu]).poly())
         return Lagrangian(density)
 
     def sym_quadratic_lagrangian(self):
         """Quadratic density in the symmetric jet half (canonical index
         order, which is where the half is a split coordinate); it depends
         on the symmetric coordinates but not on the bare fields."""
-        ctx = self.ctx
-        density = ctx.zero()
-        for i in range(self.algebra.dim):
-            for j in range(self.algebra.dim):
-                h = self.algebra.form(i, j)
-                if not h:
-                    continue
-                for lam in range(self.metric.dim):
-                    for beta in range(lam, self.metric.dim):
-                        coeff = Fraction(1, 4) * h * self.metric.g(lam) * self.metric.g(beta)
-                        density += coeff * (self.sym_jet(i, lam, beta)
-                                            * self.sym_jet(j, lam, beta))
+        n = self.metric.dim
+        density = self.ctx.zero()
+        for i, j, h in self.algebra.graded_form():
+            for lam in range(n):
+                for beta in range(lam, n):
+                    coeff = Fraction(1, 4) * h * self.metric.g(lam) * self.metric.g(beta)
+                    density += coeff * (self.sym_jet(i, lam, beta)
+                                        * self.sym_jet(j, lam, beta))
         return Lagrangian(density)
 
     # -- field equations ----------------------------------------------------
@@ -276,9 +259,8 @@ class GaugeModel:
     def momentum(self, r, mu, kappa):
         """dL/d(jet) in closed form: the metric-contracted strength."""
         out = self.ctx.zero()
-        for j in range(self.algebra.dim):
-            h = self.algebra.form(r, j)
-            if h:
+        for i, j, h in self.algebra.graded_form():
+            if i == r:
                 out += (h * self.metric.g(mu) * self.metric.g(kappa)) * self.strength(j, mu, kappa)
         return out
 
@@ -290,6 +272,7 @@ class GaugeModel:
 
         ctx = self.ctx
         m, n = self.algebra.dim, self.metric.dim
+        consts = self.algebra.graded_constants()
         comps = {}
         for r in range(m):
             for mu in range(n):
@@ -298,15 +281,11 @@ class GaugeModel:
                     pi = self.momentum(r, mu, kappa)
                     if not pi.is_zero():
                         acc += total_derivative(kappa, pi)
-                    for i in range(m):
-                        for fld in range(m):
-                            c = self.algebra.constant(i, r, fld)
-                            if not c:
-                                continue
+                    for i, s, fld, c in consts:
+                        if s == r:
                             pii = self.momentum(i, mu, kappa)
-                            if pii.is_zero():
-                                continue
-                            acc += c * (ctx.jet(self.field[fld][kappa]).poly() * pii)
+                            if not pii.is_zero():
+                                acc += c * (ctx.jet(self.field[fld][kappa]).poly() * pii)
                 if not acc.is_zero():
                     comps[self.field[r][mu]] = acc
         return EulerLagrange(ctx, comps)
@@ -324,21 +303,14 @@ class GaugeModel:
     def _noether_rows(self):
         ctx = self.ctx
         m, n = self.algebra.dim, self.metric.dim
-        rows = {}
-        for j in range(m):
-            entries = []
-            for r in range(m):
-                for i in range(m):
-                    c = self.algebra.constant(r, j, i)
-                    if not c:
-                        continue
-                    for lam in range(n):
-                        coeff = c * ctx.jet(self.field[i][lam]).poly()
-                        entries.append((coeff, self.field[r][lam], ()))
+        rows = {j: [] for j in range(m)}
+        for r, j, i, c in self.algebra.graded_constants():
             for lam in range(n):
-                entries.append((ctx.one(), self.field[j][lam], (lam,)))
-            rows["r%d" % (j + 1)] = entries
-        return NoetherOperator(ctx, rows)
+                rows[j].append((c * ctx.jet(self.field[i][lam]).poly(), self.field[r][lam], ()))
+        for j in range(m):
+            for lam in range(n):
+                rows[j].append((ctx.one(), self.field[j][lam], (lam,)))
+        return NoetherOperator(ctx, {"r%d" % (j + 1): rows[j] for j in range(m)})
 
     def _noether_residuals(self):
         return self._once("noether-residuals", lambda: noether_residuals(
@@ -369,18 +341,13 @@ class GaugeModel:
         """Shared shape of the gauge transformation: the derivative of the
         source plus the algebra twist, for ghosts or parameter fields."""
         ctx = self.ctx
-        comps = {}
-        for r in range(self.algebra.dim):
-            for mu in range(self.metric.dim):
-                comp = ctx.jet(sources[r], (mu,)).poly()
-                for j in range(self.algebra.dim):
-                    for i in range(self.algebra.dim):
-                        c = self.algebra.constant(r, j, i)
-                        if not c:
-                            continue
-                        comp -= c * (ctx.jet(sources[j]).poly()
-                                     * ctx.jet(self.field[i][mu]).poly())
-                comps[self.field[r][mu]] = comp
+        n = self.metric.dim
+        comps = {self.field[r][mu]: ctx.jet(sources[r], (mu,)).poly()
+                 for r in range(self.algebra.dim) for mu in range(n)}
+        for r, j, i, c in self.algebra.graded_constants():
+            for mu in range(n):
+                comps[self.field[r][mu]] -= c * (ctx.jet(sources[j]).poly()
+                                                 * ctx.jet(self.field[i][mu]).poly())
         return comps
 
     def gauge_operator(self):
@@ -407,37 +374,23 @@ class GaugeModel:
         if len(vec) != self.algebra.dim:
             raise GvcError("parameter vector has wrong length")
         comps = {}
-        for r in range(self.algebra.dim):
-            for mu in range(self.metric.dim):
-                comp = ctx.zero()
-                for j in range(self.algebra.dim):
-                    for i in range(self.algebra.dim):
-                        c = self.algebra.constant(r, j, i)
-                        if c and vec[j]:
-                            comp -= (c * vec[j]) * ctx.jet(self.field[i][mu]).poly()
-                if not comp.is_zero():
-                    comps[self.field[r][mu]] = comp
+        for r, j, i, c in self.algebra.graded_constants():
+            if vec[j]:
+                for mu in range(self.metric.dim):
+                    key = self.field[r][mu]
+                    comps[key] = comps.get(key, ctx.zero()) - (
+                        (c * vec[j]) * ctx.jet(self.field[i][mu]).poly())
         return ContactDerivation(self.ctx, comps, EVEN)
 
     def ghost_sector(self):
         """Quadratic ghost components completing the gauge operator."""
         ctx = self.ctx
         gamma = {}
-        for r in range(self.algebra.dim):
-            acc = ctx.zero()
-            for i in range(self.algebra.dim):
-                for j in range(self.algebra.dim):
-                    c = self.algebra.constant(r, i, j)
-                    if not c:
-                        continue
-                    sign = Fraction(-1, 2)
-                    if self.algebra.parities[i] == ODD:
-                        sign = -sign
-                    acc += (sign * c) * (ctx.jet(self.ghost[i]).poly()
-                                         * ctx.jet(self.ghost[j]).poly())
-            if not acc.is_zero():
-                gamma[self.ghost[r]] = acc
-        return gamma
+        for r, i, j, c in self.algebra.graded_constants():
+            sign = Fraction(1, 2) if self.algebra.parities[i] == ODD else Fraction(-1, 2)
+            gamma[self.ghost[r]] = gamma.get(self.ghost[r], ctx.zero()) + (sign * c) * (
+                ctx.jet(self.ghost[i]).poly() * ctx.jet(self.ghost[j]).poly())
+        return {gen: acc for gen, acc in gamma.items() if not acc.is_zero()}
 
     def brst_operator(self):
         """The BRST derivation and its nilpotency residuals."""
@@ -508,19 +461,18 @@ class GaugeModel:
         """
         ctx = self.ctx
         half = Fraction(1, 2)
-        out = density
+        mapping = {}
         for r in range(self.algebra.dim):
             for mu in range(self.metric.dim):
                 for lam in range(self.metric.dim):
-                    v = ctx.jet(self.field[r][mu], (lam,))
                     sym = ctx.jet(self.aux_sym[(r, min(lam, mu), max(lam, mu))]).poly()
                     if lam <= mu:
                         repl = half * (self._aux_strength_poly(r, lam, mu) + sym)
                     else:
                         repl = half * (sym - self._aux_strength_poly(r, mu, lam)) \
                             + self._quadratic_twist(r, mu, lam)
-                    out = out.substitute(v, repl)
-        return out
+                    mapping[ctx.jet(self.field[r][mu], (lam,))] = repl
+        return density.substitute(mapping)
 
     def invariance_conditions(self, L=None):
         """Residual tables for the three gauge-invariance conditions of a
@@ -534,33 +486,26 @@ class GaugeModel:
         if L.density.max_jet_order() > 1:
             raise GvcError("invariance conditions apply to first-order densities")
         ctx = self.ctx
-        tilde = self.split_coordinates(L.density)
+        partial = dict(self.split_coordinates(L.density).partials())
+
+        def d(gen):
+            return partial.get(ctx.jet(gen), ctx.zero())
+
         m, n = self.algebra.dim, self.metric.dim
-        sym_res = {}
-        for key, gen in sorted(self.aux_sym.items()):
-            d = tilde.deriv(ctx.jet(gen))
-            sym_res["S%d_%d%d" % (key[0] + 1, key[1], key[2])] = d
-        field_res = {}
-        for r in range(m):
-            for mu in range(n):
-                d = tilde.deriv(ctx.jet(self.field[r][mu]))
-                field_res["a%d_%d" % (r + 1, mu)] = d
+        sym_res = {"S%d_%d%d" % (r + 1, lam, mu): d(gen)
+                   for (r, lam, mu), gen in sorted(self.aux_sym.items())}
+        field_res = {"a%d_%d" % (r + 1, mu): d(self.field[r][mu])
+                     for r in range(m) for mu in range(n)}
         contraction_res = {}
         if self.all_even:
-            for q in range(m):
-                acc = ctx.zero()
-                for r in range(m):
-                    for p in range(m):
-                        c = self.algebra.constant(r, p, q)
-                        if not c:
-                            continue
-                        for lam in range(n):
-                            for mu in range(lam + 1, n):
-                                fpoly = self._aux_strength_poly(p, lam, mu)
-                                dpoly = tilde.deriv(ctx.jet(self.aux_strength[(r, lam, mu)]))
-                                if not (fpoly.is_zero() or dpoly.is_zero()):
-                                    acc += c * (fpoly * dpoly)
-                contraction_res["q%d" % (q + 1)] = acc
+            contraction_res = {"q%d" % (q + 1): ctx.zero() for q in range(m)}
+            for r, p, q, c in self.algebra.graded_constants():
+                for lam in range(n):
+                    for mu in range(lam + 1, n):
+                        dpoly = partial.get(ctx.jet(self.aux_strength[(r, lam, mu)]))
+                        if dpoly is not None:
+                            contraction_res["q%d" % (q + 1)] += c * (
+                                ctx.jet(self.aux_strength[(p, lam, mu)]).poly() * dpoly)
         return sym_res, field_res, contraction_res
 
     # -- end-to-end -------------------------------------------------------------

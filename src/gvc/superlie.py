@@ -43,21 +43,22 @@ class LieSuperalgebra:
     def parity(self, i):
         return self.parities[self.index(i)]
 
+    def _swap_sign(self, i, j):
+        """(-1)^{[i][j]}: h_ji = sign h_ij and c^r_ji = -sign c^r_ij."""
+        return -1 if self.parities[i] and self.parities[j] else 1
+
     # -- structure constants -------------------------------------------
 
     def set_constant(self, r, i, j, value):
         """Record c^r_ij; the graded-antisymmetric mirror is implied."""
         r, i, j = self.index(r), self.index(i), self.index(j)
         value = Fraction(value)
-        pi, pj = self.parities[i], self.parities[j]
-        if i == j and pi == EVEN and value != 0:
+        if i == j and self.parities[i] == EVEN and value != 0:
             raise GvcError("c^r_ii must vanish for an even index i")
         if i <= j:
             key, val = (r, i, j), value
         else:
-            # c^r_ij = -(-1)^{[i][j]} c^r_ji
-            sign = 1 if (pi and pj) else -1
-            key, val = (r, j, i), sign * value
+            key, val = (r, j, i), -self._swap_sign(i, j) * value
         old = self._c.get(key)
         if old is not None and old != val:
             raise GvcError(
@@ -69,20 +70,33 @@ class LieSuperalgebra:
             del self._c[key]
 
     def constant(self, r, i, j):
-        """c^r_ij with the graded antisymmetry rule applied."""
+        """c^r_ij with the graded antisymmetry rule applied (a point
+        lookup; sums over the constants walk `graded_constants`)."""
         r, i, j = self.index(r), self.index(i), self.index(j)
         if i <= j:
             base = self._c.get((r, i, j), Fraction(0))
             if i == j and self.parities[i] == EVEN:
                 return Fraction(0)
             return base
-        base = self._c.get((r, j, i), Fraction(0))
-        sign = 1 if (self.parities[i] and self.parities[j]) else -1
-        return sign * base
+        return -self._swap_sign(i, j) * self._c.get((r, j, i), Fraction(0))
 
     def stored_constants(self):
         """Canonical nonzero entries as (r, i, j, value), i <= j."""
         return sorted((r, i, j, v) for (r, i, j), v in self._c.items())
+
+    def graded_constants(self):
+        """Every nonzero c^r_ij over ordered index pairs as (r, i, j, value),
+        sorted: each stored entry with its graded mirror c^r_ji, even
+        diagonals excluded.  Each value equals `constant(r, i, j)`."""
+        out = []
+        for (r, i, j), c in self._c.items():
+            if i != j:
+                out.append((r, i, j, c))
+                out.append((r, j, i, -self._swap_sign(i, j) * c))
+            elif self.parities[i] == ODD:
+                out.append((r, i, j, c))
+        out.sort()
+        return out
 
     # -- bilinear form ---------------------------------------------------
 
@@ -97,8 +111,7 @@ class LieSuperalgebra:
         if i <= j:
             key, val = (i, j), value
         else:
-            sign = -1 if (self.parities[i] and self.parities[j]) else 1
-            key, val = (j, i), sign * value
+            key, val = (j, i), self._swap_sign(i, j) * value
         old = self._h.get(key)
         if old is not None and old != val:
             raise GvcError("inconsistent duplicate form entry for %r" % (key,))
@@ -109,14 +122,25 @@ class LieSuperalgebra:
             del self._h[key]
 
     def form(self, i, j):
+        """h_ij with the graded symmetry rule applied (a point lookup)."""
         i, j = self.index(i), self.index(j)
         if i <= j:
             return self._h.get((i, j), Fraction(0))
-        sign = -1 if (self.parities[i] and self.parities[j]) else 1
-        return sign * self._h.get((j, i), Fraction(0))
+        return self._swap_sign(i, j) * self._h.get((j, i), Fraction(0))
 
     def stored_form(self):
         return sorted((i, j, v) for (i, j), v in self._h.items())
+
+    def graded_form(self):
+        """Every nonzero h_ij over ordered index pairs as (i, j, value),
+        sorted, graded mirrors included; each value equals `form(i, j)`."""
+        out = []
+        for (i, j), h in self._h.items():
+            out.append((i, j, h))
+            if i != j:
+                out.append((j, i, self._swap_sign(i, j) * h))
+        out.sort()
+        return out
 
     def form_matrix(self):
         return [[self.form(i, j) for j in range(self.dim)] for i in range(self.dim)]
@@ -144,20 +168,6 @@ class LieSuperalgebra:
         return [row[n:] for row in a]
 
 
-def _graded_constants(alg):
-    """Every nonzero c^r_ij over ordered pairs, graded mirror included,
-    as {(i, j): [(r, c^r_ij), ...]}; `constant` would give each value."""
-    par = alg.parities
-    out = {}
-    for (r, i, j), c in alg._c.items():
-        if i == j and par[i] == EVEN:
-            continue
-        out.setdefault((i, j), []).append((r, c))
-        if i != j:
-            out.setdefault((j, i), []).append((r, c if par[i] and par[j] else -c))
-    return out
-
-
 def check_structure(alg):
     """Validate parity consistency, graded antisymmetry and super-Jacobi.
 
@@ -177,19 +187,18 @@ def check_structure(alg):
         if alg.parities[r] != (alg.parities[i] + alg.parities[j]) % 2:
             violations.append(("parity", (r, i, j)))
     par = alg.parities
-    consts = _graded_constants(alg)
+    consts = alg.graded_constants()
     ending_in = {}  # j -> [(z, r, c^r_zj), ...]
-    for (z, j), entries in consts.items():
-        ending_in.setdefault(j, []).extend((z, r, c) for r, c in entries)
+    for r, z, j, c in consts:
+        ending_in.setdefault(j, []).append((z, r, c))
     totals = {}
-    for (x, y), inner in consts.items():
-        for j, c2 in inner:
-            for z, r, c1 in ending_in.get(j, ()):
-                v = c1 * c2
-                if par[z] and par[y]:
-                    v = -v
-                for key in ((z, x, y, r), (y, z, x, r), (x, y, z, r)):
-                    totals[key] = totals.get(key, 0) + v
+    for j, x, y, c2 in consts:
+        for z, r, c1 in ending_in.get(j, ()):
+            v = c1 * c2
+            if par[z] and par[y]:
+                v = -v
+            for key in ((z, x, y, r), (y, z, x, r), (x, y, z, r)):
+                totals[key] = totals.get(key, 0) + v
     for i, a, b, r in sorted(k for k, v in totals.items() if v != 0):
         violations.append(("jacobi", (r, (i, a, b))))
     return ValidationReport(violations)
@@ -216,22 +225,17 @@ def check_invariant_form(alg):
     if ev and _det(sub) == 0:
         violations.append(("singular-even-block", ()))
     row, col = {}, {}  # m -> [(j, h_mj)], m -> [(i, h_im)]
-    for (i, j), h in alg._h.items():
+    for i, j, h in alg.graded_form():
         row.setdefault(i, []).append((j, h))
         col.setdefault(j, []).append((i, h))
-        if i != j:
-            h = -h if par[i] and par[j] else h
-            row.setdefault(j, []).append((i, h))
-            col.setdefault(i, []).append((j, h))
     totals = {}
-    for (r, k), entries in _graded_constants(alg).items():
-        for m, c in entries:
-            # k plays i in h_mj c^m_ri, and j in (-1)^{[r][i]} h_im c^m_rj
-            for j, h in row.get(m, ()):
-                totals[(r, k, j)] = totals.get((r, k, j), 0) + h * c
-            for i, h in col.get(m, ()):
-                t = h * c if not (par[r] and par[i]) else -(h * c)
-                totals[(r, i, k)] = totals.get((r, i, k), 0) + t
+    for m, r, k, c in alg.graded_constants():
+        # k plays i in h_mj c^m_ri, and j in (-1)^{[r][i]} h_im c^m_rj
+        for j, h in row.get(m, ()):
+            totals[(r, k, j)] = totals.get((r, k, j), 0) + h * c
+        for i, h in col.get(m, ()):
+            t = h * c if not (par[r] and par[i]) else -(h * c)
+            totals[(r, i, k)] = totals.get((r, i, k), 0) + t
     for key in sorted(k for k, v in totals.items() if v != 0):
         violations.append(("invariance", key))
     return ValidationReport(violations)
@@ -291,12 +295,8 @@ def bracket(alg, u, v):
     _homogeneous_parity(alg, u)
     _homogeneous_parity(alg, v)
     out = [Fraction(0)] * alg.dim
-    for (r, i, j), c in alg._c.items():
-        # canonical entry plus its graded mirror
+    for r, i, j, c in alg.graded_constants():
         out[r] += c * u[i] * v[j]
-        if i != j:
-            sign = 1 if (alg.parities[i] and alg.parities[j]) else -1
-            out[r] += sign * c * u[j] * v[i]
     return out
 
 

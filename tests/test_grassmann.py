@@ -265,15 +265,61 @@ class TestHousekeeping:
         ctx = make_context(1)
         s1, s2 = ctx.var("s1"), ctx.var("s2")
         p = s1 * s1 + 2 * s1
-        assert p.substitute(ctx.jet("s1"), s2 + ctx.one()) == \
+        assert p.substitute({ctx.jet("s1"): s2 + ctx.one()}) == \
             (s2 + ctx.one()) * (s2 + ctx.one()) + 2 * (s2 + ctx.one())
 
     def test_substitute_odd_sign(self):
         ctx = make_context(1, odds=3)
         q1, q2, q3 = ctx.var("q1"), ctx.var("q2"), ctx.var("q3")
         p = q1 * q2
-        assert p.substitute(ctx.jet("q2"), q3) == q1 * q3
-        assert p.substitute(ctx.jet("q1"), q3) == q3 * q2
+        assert p.substitute({ctx.jet("q2"): q3}) == q1 * q3
+        assert p.substitute({ctx.jet("q1"): q3}) == q3 * q2
+
+    def test_substitute_mapping_matches_sequential(self):
+        ctx = make_context(2, evens=3, odds=4)
+        rng = random.Random(57)
+        targets = [ctx.jet("s1"), ctx.jet("q1"), ctx.jet("q3", (0,))]
+
+        def free(p):
+            """The terms of `p` without a target, so the order of
+            one-variable substitutions cannot matter."""
+            return Poly(ctx, {m: c for m, c in p.terms.items()
+                              if not Poly(ctx, {m: c}).variables() & set(targets)})
+
+        # two odd targets around an unreplaced odd factor, and a square
+        both = ctx.product(Fraction(3, 2), [targets[0], targets[0], targets[1],
+                                            ctx.jet("q2"), targets[2]])
+        assert len(both.terms) == 1
+        for _ in range(30):
+            p = random_poly(rng, ctx, terms=6) + both
+            mapping = {v: free(random_poly(rng, ctx, terms=3, parity=v.parity))
+                       for v in targets}
+            for order in (targets, targets[::-1]):
+                seq = p
+                for v in order:
+                    seq = seq.substitute({v: mapping[v]})
+                assert p.substitute(mapping) == seq
+        q1, q2, q3, q4 = (ctx.var("q%d" % k) for k in range(1, 5))
+        assert (q1 * q2 * q3).substitute({ctx.jet("q1"): q4, ctx.jet("q3"): q1}) == \
+            q4 * q2 * q1
+
+    def test_substitute_is_simultaneous(self):
+        ctx = make_context(1)
+        s1, s2, q1, q2 = ctx.var("s1"), ctx.var("s2"), ctx.var("q1"), ctx.var("q2")
+        p = s1 * s1 * s2 + 3 * s1
+        swap = {ctx.jet("s1"): s2, ctx.jet("s2"): s1}
+        assert p.substitute(swap) == s2 * s2 * s1 + 3 * s2
+        swap = {ctx.jet("q1"): q2, ctx.jet("q2"): q1}
+        assert (s1 * q1 * q2).substitute(swap) == -(s1 * q1 * q2)
+
+    def test_substitute_keeps_parity(self):
+        ctx = make_context(1)
+        s1, s2, q1 = ctx.var("s1"), ctx.var("s2"), ctx.var("q1")
+        for repl in (q1, s2 + q1):
+            with pytest.raises(ParityError):
+                (s1 * s2).substitute({ctx.jet("s1"): repl})
+        assert (s1 * s2).substitute({ctx.jet("s1"): ctx.zero()}).is_zero()
+        assert (s1 * s2).substitute({}) == s1 * s2
 
     def test_jet_order_cap(self):
         ctx = make_context(2, max_jet_order=2)
@@ -284,12 +330,17 @@ class TestHousekeeping:
     def test_term_limit(self):
         ctx = Context(1, term_limit=4)
         ctx.add_generator("s", "even-field", EVEN)
-        s = ctx.var("s")
+        ctx.add_generator("t", "even-field", EVEN)
+        s, t = ctx.var("s"), ctx.var("t")
         p = ctx.one() + s
         with pytest.raises(ExpansionLimitError):
             big = p
             for k in range(10):
                 big = big * p
+        # every rewritten term stays small; their sum passes the limit
+        q = s + t + t * t + t * t * t
+        with pytest.raises(ExpansionLimitError):
+            q.substitute({ctx.jet("s"): t ** 4 + t ** 5})
 
     def test_term_limit_bounds_subtraction(self):
         ctx = Context(1, term_limit=3)

@@ -2,6 +2,7 @@
 currents, superpotentials and the end-to-end verification report."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,9 @@ from gvc.jets import superbracket
 from gvc.models import GaugeModel, Metric
 from gvc.modelfile import parse_model, spec_model
 from gvc.presets import PRESET_MODEL_TEXT, abelian_algebra, preset_model, su2_algebra
-from gvc.superlie import bracket
+from gvc.superlie import LieSuperalgebra, bracket
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -484,6 +487,23 @@ class TestBuildOnce:
         (row,) = model.pipeline("euler-lagrange", deterministic=True)
         assert not row.ok
         assert row.witness.startswith("invariant form fails validation")
+
+
+class TestSparseBuilders:
+    @pytest.mark.parametrize("name", ["su2", "osp12"])
+    def test_builders_never_look_up_single_constants(self, name, monkeypatch):
+        def refuse(alg, r, i, j):
+            raise AssertionError("model builder scanned LieSuperalgebra.constant")
+
+        monkeypatch.setattr(LieSuperalgebra, "constant", refuse)
+        model = preset_model(name)
+        report = model.full_verification(deterministic=True)
+        assert report.render() == (GOLDEN / ("%s.txt" % name)).read_text(encoding="utf-8")
+        for L in (model.mass_term_lagrangian(), model.sym_quadratic_lagrangian()):
+            model.invariance_conditions(L)
+        model.closed_euler_lagrange()
+        if model.all_even:
+            model.constant_parameter_symmetry([1] * model.algebra.dim)
 
 
 def _coefficients(obj, seen):

@@ -229,7 +229,18 @@ def _bench_algebra(name):
         return spec_algebra(parse_model(handle.read()))
 
 
+def _dense_entries(alg):
+    """The nonzero c^r_ij and h_ij over every index tuple, from the point
+    lookups `constant` and `form`."""
+    n = alg.dim
+    consts = [(r, i, j, alg.constant(r, i, j))
+              for r in range(n) for i in range(n) for j in range(n)]
+    form = [(i, j, alg.form(i, j)) for i in range(n) for j in range(n)]
+    return [e for e in consts if e[-1]], [e for e in form if e[-1]]
+
+
 def _assert_matches_dense(alg):
+    assert (alg.graded_constants(), alg.graded_form()) == _dense_entries(alg)
     assert check_structure(alg).violations == dense_structure_violations(alg)
     if alg.has_form:
         assert check_invariant_form(alg).violations == dense_form_violations(alg)
