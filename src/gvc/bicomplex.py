@@ -10,8 +10,8 @@ wedge word, with Koszul signs tracked on every reordering.
 
 from fractions import Fraction
 
-from .grassmann import EVEN, GvcError, Poly, accumulate
-from .jets import iterated_derivative, total_derivative
+from .grassmann import EVEN, GvcError, Poly, accumulate, add_product, exact
+from .jets import add_total_derivative, iterated_derivative
 
 DX = 0
 TH = 1
@@ -26,14 +26,6 @@ def theta_letter(var):
 
 def _letter_parity(ell):
     return EVEN if ell[0] == DX else ell[1].parity
-
-
-def _word_parity(word):
-    p = 0
-    for ell in word:
-        if ell[0] == TH:
-            p += ell[1].parity
-    return p & 1
 
 
 def _normal_word(letters):
@@ -53,32 +45,45 @@ def _normal_word(letters):
     return sign, tuple(word)
 
 
-def _acc(table, word, poly):
-    if poly.is_zero():
-        return
-    cur = table.get(word)
-    if cur is None:
-        table[word] = poly
-    else:
-        s = cur + poly
-        if s.is_zero():
-            del table[word]
-        else:
-            table[word] = s
+def _scaled(items, scale=1, flip_odd=0):
+    """The (monomial, coefficient) pairs `items` times the canonical
+    coefficient `scale`, each odd monomial negated once more when
+    `flip_odd`: the Koszul sign of an odd letter or operator moving past
+    the coefficient."""
+    if scale == 1 or scale == -1:
+        if flip_odd:
+            negated = 1 if scale == 1 else 0  # the monomial parity that ends negated
+            return ((m, -c if (len(m[1]) & 1) == negated else c) for m, c in items)
+        return items if scale == 1 else ((m, -c) for m, c in items)
+    return ((m, exact(c * scale)) for m, c in _scaled(items, 1, flip_odd))
+
+
+def _add_form(table, phi, scale=1):
+    """table += scale * phi for a per-word table (word -> term dict), in
+    place; returns `table`."""
+    ctx = phi.ctx
+    for w, f in phi.terms.items():
+        accumulate(ctx, table.setdefault(w, {}), _scaled(f.terms.items(), scale))
+    return table
+
+
+def _form(ctx, table):
+    """The Form of a per-word table, each word's Poly built once."""
+    return Form(ctx, {w: Poly(ctx, t) for w, t in table.items()})
 
 
 class Form:
-    """Bigraded exterior form: finite map wedge word -> polynomial."""
+    """Bigraded exterior form: finite map wedge word -> polynomial.
+
+    Every form is built once from its per-word polynomials, and its total
+    monomial count is held to the context's term limit there."""
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, terms=None):
         self.ctx = ctx
-        self.terms = {}
-        if terms:
-            for w, f in terms.items():
-                if not f.is_zero():
-                    self.terms[w] = f
+        self.terms = {w: f for w, f in terms.items() if f.terms} if terms else {}
+        ctx.check_terms(sum(len(f.terms) for f in self.terms.values()))
 
     @classmethod
     def zero(cls, ctx):
@@ -110,13 +115,10 @@ class Form:
         return Form(self.ctx, {w: -f for w, f in self.terms.items()})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, f in other.terms.items():
-            _acc(out, w, f)
-        return Form(self.ctx, out)
+        return _form(self.ctx, _add_form(_add_form({}, self), other))
 
     def __sub__(self, other):
-        return self + (-other)
+        return _form(self.ctx, _add_form(_add_form({}, self), other, -1))
 
     def scale(self, c):
         c = Fraction(c)
@@ -126,35 +128,25 @@ class Form:
 
     def times_poly(self, p):
         """Left multiplication by a coefficient polynomial (no signs)."""
-        out = {}
-        for w, f in self.terms.items():
-            _acc(out, w, p * f)
-        return Form(self.ctx, out)
+        return Form(self.ctx, {w: p * f for w, f in self.terms.items()})
 
     def wedge(self, other):
-        out = {}
+        ctx = self.ctx
+        table = {}
+        flipped = {}  # word of `other` -> its coefficient, odd monomials negated
         for w1, f1 in self.terms.items():
-            p1 = _word_parity(w1)
+            odd = sum(ell[1].parity for ell in w1 if ell[0] == TH) & 1
             for w2, f2 in other.terms.items():
                 nw = _normal_word(w1 + w2)
                 if nw is None:
                     continue
                 sign, word = nw
-                for gp, gpart in f2.parity_parts():
-                    s = -sign if (gp and p1) else sign
-                    _acc(out, word, (f1 * gpart) * s)
-        return Form(self.ctx, out)
-
-    # -- degrees ---------------------------------------------------------
-
-    def max_jet_order(self):
-        orders = [0]
-        for w, f in self.terms.items():
-            orders.append(f.max_jet_order())
-            for ell in w:
-                if ell[0] == TH:
-                    orders.append(ell[1].order)
-        return max(orders)
+                if odd:
+                    if w2 not in flipped:
+                        flipped[w2] = Poly(ctx, dict(_scaled(f2.terms.items(), 1, 1)))
+                    f2 = flipped[w2]
+                add_product(table.setdefault(word, {}), f1, f2, sign)
+        return _form(ctx, table)
 
     # -- presentation ------------------------------------------------------
 
@@ -189,59 +181,68 @@ def _render_letter(ell):
     return "th[%s]" % ell[1].render()
 
 
+def _add_letter_wedge(table, ctx, ell, pairs, scale=1):
+    """table += scale * ell ^ phi, where `pairs` are the (word, term dict)
+    pairs of phi; in place."""
+    flip = _letter_parity(ell)
+    for w, t in pairs:
+        nw = _normal_word((ell,) + w)
+        if nw is not None and t:
+            sign, word = nw
+            accumulate(ctx, table.setdefault(word, {}), _scaled(t.items(), sign * scale, flip))
+    return table
+
+
 def letter_wedge_left(ell, phi):
     """ell wedge phi for a single basis one-form ell."""
-    out = {}
-    lp = _letter_parity(ell)
-    for w, f in phi.terms.items():
-        nw = _normal_word((ell,) + w)
-        if nw is None:
-            continue
-        sign, word = nw
-        for fp, fpart in f.parity_parts():
-            s = -sign if (fp and lp) else sign
-            _acc(out, word, fpart * s)
-    return Form(phi.ctx, out)
+    pairs = ((w, f.terms) for w, f in phi.terms.items())
+    return _form(phi.ctx, _add_letter_wedge({}, phi.ctx, ell, pairs))
 
 
 # -- differentials ---------------------------------------------------------
 
 
-def form_total_derivative(lam, phi):
-    """d_lam extended to forms: acts on coefficients and raises th legs."""
-    ctx = phi.ctx
-    out = {}
-    for w, f in phi.terms.items():
-        _acc(out, w, total_derivative(lam, f))
+def _total_derivative_table(ctx, lam, pairs):
+    """Per-word table of d_lam of the form with (word, term dict) pairs
+    `pairs`: d_lam acts on each coefficient and raises each th leg."""
+    table = {}
+    for w, t in pairs:
+        add_total_derivative(table.setdefault(w, {}), lam, Poly(ctx, t))
         for i, ell in enumerate(w):
             if ell[0] != TH:
                 continue
             v = ell[1]
             raised = ctx.jet(v.gen, v.index + (lam,))
             nw = _normal_word(w[:i] + (theta_letter(raised),) + w[i + 1 :])
-            if nw is None:
-                continue
-            sign, word = nw
-            _acc(out, word, f * sign)
-    return Form(ctx, out)
+            if nw is not None:
+                sign, word = nw
+                accumulate(ctx, table.setdefault(word, {}), _scaled(t.items(), sign))
+    return table
 
 
 def d_h(phi):
-    """Horizontal differential dx^lam ^ d_lam."""
-    out = Form.zero(phi.ctx)
-    for lam in range(phi.ctx.dim):
-        out += letter_wedge_left(dx_letter(lam), form_total_derivative(lam, phi))
-    return out
+    """Horizontal differential dx^lam ^ d_lam.
+
+    d_lam keeps a word's dx letters, so dx^lam ^ d_lam(w) vanishes when
+    w already carries dx^lam; those words are skipped before d_lam."""
+    ctx = phi.ctx
+    table = {}
+    for lam in range(ctx.dim):
+        dx = dx_letter(lam)
+        pairs = ((w, f.terms) for w, f in phi.terms.items() if dx not in w)
+        _add_letter_wedge(table, ctx, dx, _total_derivative_table(ctx, lam, pairs).items())
+    return _form(ctx, table)
 
 
 def d_v(phi):
     """Vertical differential th^A_Lambda ^ d/d(s^A_Lambda)."""
-    out = Form.zero(phi.ctx)
+    ctx = phi.ctx
+    table = {}
     for w, f in phi.terms.items():
         for v, df in f.partials():
             if v.gen.kind != "coordinate":
-                out += letter_wedge_left(theta_letter(v), Form(phi.ctx, {w: df}))
-    return out
+                _add_letter_wedge(table, ctx, theta_letter(v), ((w, df.terms),))
+    return _form(ctx, table)
 
 
 def exterior_d(phi):
@@ -258,65 +259,54 @@ def h0(phi):
 
 
 def _contract_word(phi, op_parity, value_fn):
-    """Shared graded interior-product recursion over wedge words."""
-    out = {}
+    """Shared graded interior-product recursion over wedge words.
+
+    `value_fn(ell)` is the operator's value on a letter (None where it
+    vanishes), looked up before the coefficient is touched.  Moving the
+    operator past the coefficient signs each monomial by
+    (-1)^{|monomial| |op|}; a unit value adds the signed coefficient
+    itself, any other value its product."""
+    ctx = phi.ctx
+    table = {}
     for w, f in phi.terms.items():
-        for fp, fpart in f.parity_parts():
-            base = -1 if (fp and op_parity) else 1
-            prefix_sign = 1
-            prefix_parity = 0
-            for i, ell in enumerate(w):
-                val = value_fn(ell)
-                if val is not None and not val.is_zero():
-                    vp = val.require_parity()
-                    move = -1 if (vp and prefix_parity & 1) else 1
-                    poly = fpart * val * (base * prefix_sign * move)
-                    _acc(out, w[:i] + w[i + 1 :], poly)
-                lp = _letter_parity(ell)
-                if not (lp and op_parity):
-                    prefix_sign = -prefix_sign
-                prefix_parity += lp
-    return Form(phi.ctx, out)
+        signed = None  # f with the operator's per-monomial sign, built on first use
+        prefix_sign = 1
+        prefix_parity = 0
+        for i, ell in enumerate(w):
+            val = value_fn(ell)
+            if val is not None and val.terms:
+                sign = -prefix_sign if (val.require_parity() and prefix_parity & 1) else prefix_sign
+                out = table.setdefault(w[:i] + w[i + 1 :], {})
+                if len(val.terms) == 1 and val.constant_term() == 1:
+                    accumulate(ctx, out, _scaled(f.terms.items(), sign, op_parity))
+                else:
+                    if signed is None:
+                        signed = Poly(ctx, dict(_scaled(f.terms.items(), 1, op_parity)))
+                    add_product(out, signed, val, sign)
+            lp = _letter_parity(ell)
+            if not (lp and op_parity):
+                prefix_sign = -prefix_sign
+            prefix_parity += lp
+    return _form(ctx, table)
 
 
 def interior(theta, phi):
     """Contraction with a vertical contact derivation: th^A_L -> d_L(v^A)."""
-    ctx = phi.ctx
-
-    def value(ell):
-        if ell[0] != TH:
-            return None
-        return theta.contract_variable(ell[1])
-
-    return _contract_word(phi, theta.parity, value)
+    return _contract_word(phi, theta.parity, lambda ell: (
+        theta.contract_variable(ell[1]) if ell[0] == TH else None))
 
 
 def interior_frame(var, phi):
     """Contraction with the coordinate contact frame dual to th at `var`."""
-    ctx = phi.ctx
-    one = ctx.one()
-
-    def value(ell):
-        if ell[0] == TH and ell[1] is var:
-            return one
-        if ell[0] == TH and ell[1].key == var.key:
-            return one
-        return None
-
-    return _contract_word(phi, var.parity, value)
+    one = phi.ctx.one()
+    return _contract_word(phi, var.parity, lambda ell: (
+        one if ell[0] == TH and ell[1].key == var.key else None))
 
 
 def interior_dx(lam, phi):
     """Contraction with the horizontal frame d/dx^lam."""
-    ctx = phi.ctx
-    one = ctx.one()
-
-    def value(ell):
-        if ell[0] == DX and ell[1] == lam:
-            return one
-        return None
-
-    return _contract_word(phi, EVEN, value)
+    one = phi.ctx.one()
+    return _contract_word(phi, EVEN, lambda ell: one if ell == (DX, lam) else None)
 
 
 def lie_derivative(theta, phi):
@@ -391,11 +381,12 @@ class EulerLagrange:
 
     def as_form(self):
         """Assemble th^A ^ E_A omega through the exterior algebra."""
-        out = Form.zero(self.ctx)
-        om = volume(self.ctx)
+        ctx = self.ctx
+        (word,) = volume(ctx).terms
+        table = {}
         for gen, comp in self.components.items():
-            out += Form.theta(self.ctx, gen).wedge(om.times_poly(comp))
-        return out
+            _add_letter_wedge(table, ctx, theta_letter(ctx.jet(gen)), ((word, comp.terms),))
+        return _form(ctx, table)
 
 
 def euler_lagrange(L):
@@ -440,39 +431,38 @@ def is_variationally_trivial(L):
 
 
 def project_rho(phi):
-    """Projection onto source forms: all contact legs reduced to th^A."""
+    """Projection onto source forms: all contact legs reduced to th^A.
+
+    One walk over the words contracts every contact leg with its frame,
+    into one table per (contact degree k, leg).  Each table is then
+    differentiated along the leg's multi-index Lambda and wedged with the
+    leg's th^A, with weight (-1)^|Lambda| / k."""
     ctx = phi.ctx
-    if not phi.terms:
-        return Form.zero(ctx)
-    by_k = {}
+    legs = {}  # (k, leg) -> per-word table of the contraction
     for w, f in phi.terms.items():
         h = sum(1 for ell in w if ell[0] == DX)
         k = len(w) - h
         if h != ctx.dim or k < 1:
             raise GvcError("projection needs contact degree >= 1 at top horizontal degree")
-        part = by_k.setdefault(k, {})
-        part[w] = f
-    out = Form.zero(ctx)
-    for k, terms in by_k.items():
-        psi = Form(ctx, terms)
-        legs = set()
-        for w in terms:
-            for ell in w:
-                if ell[0] == TH:
-                    legs.add(ell[1])
-        acc = Form.zero(ctx)
-        for v in sorted(legs, key=lambda u: u.key):
-            contracted = interior_frame(v, psi)
-            if contracted.is_zero():
-                continue
-            for lam in v.index:
-                contracted = form_total_derivative(lam, contracted)
-            piece = letter_wedge_left(theta_letter(ctx.jet(v.gen, ())), contracted)
-            if len(v.index) & 1:
-                piece = -piece
-            acc += piece
-        out += acc.scale(Fraction(1, k))
-    return out
+        passed_even = 0
+        for i, ell in enumerate(w):
+            if ell[0] == TH:
+                v = ell[1]
+                # the frame anticommutes with each letter it passes, except
+                # that an odd frame commutes with odd letters
+                passed = passed_even if v.parity else i
+                table = legs.setdefault((k, v), {})
+                accumulate(ctx, table.setdefault(w[:i] + w[i + 1 :], {}),
+                           _scaled(f.terms.items(), -1 if passed & 1 else 1, v.parity))
+            if not _letter_parity(ell):
+                passed_even += 1
+    out = {}
+    for (k, v), table in legs.items():
+        for lam in v.index:
+            table = _total_derivative_table(ctx, lam, table.items())
+        weight = exact(Fraction(-1 if len(v.index) & 1 else 1, k))
+        _add_letter_wedge(out, ctx, theta_letter(ctx.jet(v.gen, ())), table.items(), weight)
+    return _form(ctx, out)
 
 
 def variational_delta(phi):
@@ -481,10 +471,7 @@ def variational_delta(phi):
     for w in phi.terms:
         if sum(1 for ell in w if ell[0] == DX) != ctx.dim:
             raise GvcError("variational operator needs top horizontal degree")
-    d = exterior_d(phi)
-    if d.is_zero():
-        return Form.zero(ctx)
-    return project_rho(d)
+    return project_rho(exterior_d(phi))
 
 
 def lepage_equivalent(L):
@@ -493,13 +480,14 @@ def lepage_equivalent(L):
     ctx = L.ctx
     if density.max_jet_order() > 1:
         raise GvcError("Lepage form implemented for first-order densities only")
-    xi = L.form
+    table = _add_form({}, L.form)
     for v, momentum in density.partials():
         if v.gen.kind == "coordinate" or v.order != 1:
             continue
-        lam = v.index[0]
-        xi += Form.theta(ctx, v.gen).wedge(omega_lambda(ctx, lam).times_poly(momentum))
-    return xi
+        piece = omega_lambda(ctx, v.index[0]).times_poly(momentum)
+        _add_letter_wedge(table, ctx, theta_letter(ctx.jet(v.gen)),
+                          ((w, f.terms) for w, f in piece.terms.items()))
+    return _form(ctx, table)
 
 
 def first_variational_residual(theta, L):
@@ -530,8 +518,8 @@ def superpotential_residual(current, el, w_rows, U):
     for w in U.terms:
         if any(ell[0] == TH for ell in w) or sum(1 for ell in w if ell[0] == DX) != ctx.dim - 2:
             raise GvcError("superpotential form must be horizontal of codegree 2")
-    W = Form.zero(ctx)
+    table = _add_form({}, current)
     for coeff, gen, index, mu in w_rows:
         piece = iterated_derivative(tuple(index), el.component(gen))
-        W += omega_lambda(ctx, mu).times_poly(coeff * piece)
-    return current - W - d_h(U)
+        _add_form(table, omega_lambda(ctx, mu).times_poly(coeff * piece), -1)
+    return _form(ctx, _add_form(table, d_h(U), -1))

@@ -167,23 +167,23 @@ def antibracket(L1, L2, pairs):
     known = fields | bars
     for density in (d1, d2):
         for v in density.variables():
-            if v.gen.kind == "coordinate":
-                continue
-            if v.gen not in known:
+            if v.gen.kind != "coordinate" and v.gen not in known:
                 raise GvcError("missing antifield partner for %r" % (v.gen.name,))
     right1 = variational_derivatives(d1, "right", bars)
     left1 = variational_derivatives(d1, "left", fields)
     if d2 is d1:
-        right2, left2 = right1, left1
+        # both cross terms are right1 * left1: accumulate it once, double it
+        cross = ((right1, left1),)
     else:
-        right2 = variational_derivatives(d2, "right", bars)
-        left2 = variational_derivatives(d2, "left", fields)
+        cross = ((right1, variational_derivatives(d2, "left", fields)),
+                 (variational_derivatives(d2, "right", bars), left1))
     out = {}
     for z, zbar in pairs.items():
-        for right, left in ((right1, left2), (right2, left1)):
+        for right, left in cross:
             if zbar in right and z in left:
                 add_product(out, right[zbar], left[z])
-    return Lagrangian(Poly(ctx, out))
+    bracket = Poly(ctx, out)
+    return Lagrangian(bracket * 2 if d2 is d1 else bracket)
 
 
 def master_derivation(L, pairs):
@@ -232,11 +232,12 @@ def master_equation_check(L, pairs):
     return MasterReport(bracket, trivial, residuals)
 
 
-def proper_solution(L, s, pairs):
+def proper_solution(L, s, pairs, residuals=None):
     """Extend a density by the antifield pairing of a nilpotent extension:
-    L + sum_a s(z^a) zbar_a."""
+    L + sum_a s(z^a) zbar_a.  `residuals`, when given, are the nilpotency
+    residuals of `s` already computed (as `brst_extend` returns them)."""
     ctx = L.ctx
-    res = nilpotency_residuals(s)
+    res = nilpotency_residuals(s) if residuals is None else residuals
     bad = [name for name, p in res.items() if not p.is_zero()]
     if bad:
         raise GvcError("extension is not nilpotent on %s" % ", ".join(sorted(bad)))

@@ -313,21 +313,22 @@ def accumulate(ctx, out, items):
     return out
 
 
-def _product_terms(p, q):
+def _product_terms(p, q, sign=1):
     for m1, c1 in p.terms.items():
         for m2, c2 in q.terms.items():
             prod = _mono_mul(m1, m2)
             if prod is not None:
-                sign, m = prod
+                s, m = prod
                 c = c1 * c2
                 if type(c) is not int and c.denominator == 1:
                     c = c.numerator
-                yield m, (c if sign == 1 else -c)
+                yield m, (c if s == sign else -c)
 
 
-def add_product(out, p, q):
-    """out += p * q for a term dict `out`, in place; returns `out`."""
-    return accumulate(p.ctx, out, _product_terms(p, q))
+def add_product(out, p, q, sign=1):
+    """out += sign * p * q (sign +-1) for a term dict `out`, in place;
+    returns `out`."""
+    return accumulate(p.ctx, out, _product_terms(p, q, sign))
 
 
 def _partial_terms(items, v, side):

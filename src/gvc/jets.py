@@ -63,8 +63,12 @@ def total_derivative(lam, p):
     traded for its raised jet, and a factor x^lam is lowered; the results
     go straight into one accumulator.
     """
-    ctx = p.ctx
-    return Poly(ctx, accumulate(ctx, {}, _raised_terms(lam, p)))
+    return Poly(p.ctx, add_total_derivative({}, lam, p))
+
+
+def add_total_derivative(out, lam, p):
+    """out += d_lam p for a term dict `out`, in place; returns `out`."""
+    return accumulate(p.ctx, out, _raised_terms(lam, p))
 
 
 def _raised_terms(lam, p):

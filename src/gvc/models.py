@@ -258,6 +258,9 @@ class GaugeModel:
 
     def momentum(self, r, mu, kappa):
         """dL/d(jet) in closed form: the metric-contracted strength."""
+        return self._once(("momentum", r, mu, kappa), lambda: self._momentum(r, mu, kappa))
+
+    def _momentum(self, r, mu, kappa):
         out = self.ctx.zero()
         for i, j, h in self.algebra.graded_form():
             if i == r:
@@ -408,8 +411,9 @@ class GaugeModel:
         return out
 
     def extended_lagrangian(self):
+        s, residuals = self.brst_operator()
         return self._once("extended-lagrangian", lambda: proper_solution(
-            self.ym_lagrangian(), self.brst_operator()[0], self.pairs()))
+            self.ym_lagrangian(), s, self.pairs(), residuals=residuals))
 
     # -- currents (ordinary case) --------------------------------------------
 

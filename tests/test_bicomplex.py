@@ -9,6 +9,7 @@ import pytest
 from gvc import (
     ContactDerivation,
     EVEN,
+    ExpansionLimitError,
     GvcError,
     Lagrangian,
     ODD,
@@ -19,6 +20,7 @@ from gvc import (
     first_variational_residual,
     interior,
     interior_dx,
+    interior_frame,
     is_variationally_trivial,
     lepage_equivalent,
     lie_derivative,
@@ -32,10 +34,13 @@ from gvc import (
     variational_derivatives,
     volume,
 )
-from gvc.bicomplex import Form
+from gvc.bicomplex import TH, Form, letter_wedge_left, theta_letter
 from gvc.jets import iterated_derivative
 
-from util import field_generators, make_context, random_form, random_poly, random_vertical
+from util import (field_generators, make_context, oracle_add, oracle_d_h, oracle_interior,
+                  oracle_interior_dx, oracle_interior_frame, oracle_letter_wedge_left,
+                  oracle_project_rho, oracle_wedge, random_form, random_jet, random_poly,
+                  random_vertical)
 
 
 class TestWedge:
@@ -396,3 +401,129 @@ class TestSuperpotential:
         # dx^lam ^ omega_lam = volume for every lam
         for lam in range(3):
             assert Form.dx(ctx, lam).wedge(omega_lambda(ctx, lam)) == w
+
+
+def _oracle_context(dim):
+    """Even and odd fields plus an even ghost, whose contact letters sort
+    after the odd fields' ones, so even legs also follow odd letters."""
+    ctx = make_context(dim)
+    ctx.add_generator("g1", "ghost", EVEN)
+    return ctx
+
+
+def _oracle_case(rng, ctx, k, horizontal):
+    """A seeded random form of contact degree k (1 to 3) and the given
+    horizontal degree: mixed-parity coefficients with jets of order 0 to
+    2, contact legs of order 0 to 2, and every other form carrying a
+    repeated odd contact letter."""
+    if k >= 2 and rng.random() < 0.5:
+        odd = [g for g in field_generators(ctx) if g.parity == ODD]
+        ell = theta_letter(random_jet(rng, ctx, rng.choice(odd), 2))
+        rest = random_form(rng, ctx, k - 2, horizontal, terms=2)
+        return letter_wedge_left(ell, letter_wedge_left(ell, rest))
+    return random_form(rng, ctx, k, horizontal, terms=3)
+
+
+def _legs(phi):
+    return sorted({ell[1] for w in phi.terms for ell in w if ell[0] == TH},
+                  key=lambda v: v.key)
+
+
+class TestAgainstDenseOracles:
+    """The per-word accumulators equal the dense pre-rewrite operations
+    (tests/util.py) on seeded random forms."""
+
+    def test_project_rho(self):
+        ctx = _oracle_context(2)
+        rng = random.Random(61)
+        repeated = 0
+        for _ in range(30):
+            # contact degrees 1 to 3 in one form, so each gets its own 1/k
+            phi = Form.zero(ctx)
+            for k in rng.sample((1, 2, 3), rng.randint(1, 3)):
+                phi = phi + _oracle_case(rng, ctx, k, ctx.dim)
+            repeated += any(len(set(w)) < len(w) for w in phi.terms)
+            assert project_rho(phi) == oracle_project_rho(phi)
+        assert repeated
+
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    def test_interior(self, parity):
+        ctx = _oracle_context(2)
+        rng = random.Random(63 + parity)
+        for _ in range(30):
+            theta = random_vertical(rng, ctx, parity)
+            phi = _oracle_case(rng, ctx, rng.randint(1, 3), rng.randint(0, 2))
+            assert interior(theta, phi) == oracle_interior(theta, phi)
+
+    def test_interior_frames(self):
+        ctx = _oracle_context(2)
+        rng = random.Random(65)
+        for _ in range(25):
+            phi = _oracle_case(rng, ctx, rng.randint(1, 3), rng.randint(0, 2))
+            for v in _legs(phi):
+                assert interior_frame(v, phi) == oracle_interior_frame(v, phi)
+            for lam in range(ctx.dim):
+                assert interior_dx(lam, phi) == oracle_interior_dx(lam, phi)
+
+    def test_d_h(self):
+        ctx = _oracle_context(3)
+        rng = random.Random(66)
+        for _ in range(25):
+            # words with and without each dx^lam in one form
+            phi = Form.zero(ctx)
+            for h in rng.sample(range(4), 2):
+                phi = phi + _oracle_case(rng, ctx, rng.randint(1, 3), h)
+            assert d_h(phi) == oracle_d_h(phi)
+
+    def test_sums_and_wedges(self):
+        ctx = _oracle_context(2)
+        rng = random.Random(67)
+        for _ in range(25):
+            a = _oracle_case(rng, ctx, rng.randint(1, 2), rng.randint(0, 1))
+            b = _oracle_case(rng, ctx, rng.randint(1, 2), rng.randint(0, 1))
+            assert a + b == oracle_add(a, b)
+            assert a - b == oracle_add(a, -b)
+            assert a + (-a) == Form.zero(ctx)
+            assert a.wedge(b) == oracle_wedge(a, b)
+            for v in _legs(b):
+                ell = theta_letter(v)
+                assert letter_wedge_left(ell, a) == oracle_letter_wedge_left(ell, a)
+
+
+class TestFormTermLimit:
+    """The term limit bounds a form's total monomial count: each result
+    below has every word under the limit of 3 and 4 monomials in all."""
+
+    @staticmethod
+    def _raises_only_in_total(ctx, op):
+        whole = op()
+        assert all(len(f.terms) <= 3 for f in whole.terms.values())
+        assert sum(len(f.terms) for f in whole.terms.values()) == 4
+        ctx.term_limit = 3
+        with pytest.raises(ExpansionLimitError):
+            op()
+
+    def test_d_h(self):
+        ctx = make_context(3)
+        phi = Form.dx(ctx, 0).times_poly(ctx.var("s1") * ctx.var("s2"))
+        self._raises_only_in_total(ctx, lambda: d_h(phi))
+
+    def test_wedge(self):
+        ctx = make_context(3)
+        a = Form.dx(ctx, 0).times_poly(ctx.var("s1") + ctx.var("s2"))
+        b = Form.dx(ctx, 1) + Form.dx(ctx, 2)
+        self._raises_only_in_total(ctx, lambda: a.wedge(b))
+
+    def test_interior(self):
+        ctx = make_context(3)
+        theta = ContactDerivation(ctx, {"s1": ctx.var("s2") + ctx.var("x0"),
+                                        "s2": ctx.var("s1") + ctx.var("x1")}, EVEN)
+        phi = Form.theta(ctx, "s1").wedge(Form.theta(ctx, "s2"))
+        self._raises_only_in_total(ctx, lambda: interior(theta, phi))
+
+    def test_per_word_limit_still_holds(self):
+        ctx = make_context(3)
+        phi = Form.dx(ctx, 0).times_poly(ctx.var("s1") * ctx.var("s2") * ctx.var("q1"))
+        ctx.term_limit = 2
+        with pytest.raises(ExpansionLimitError):
+            d_h(phi)

@@ -3,6 +3,7 @@ and the classical master equation."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,13 +25,15 @@ from gvc import (
     variational_derivative,
 )
 from gvc.brst import KoszulTate, NoetherOperator
-from gvc.grassmann import ExpansionLimitError
+from gvc.grassmann import ExpansionLimitError, Poly
 from gvc.jets import iterated_derivative
+from gvc.modelfile import parse_model, spec_model
 from gvc.models import Metric
 from gvc.presets import preset_model, su2_algebra
 
 from util import make_context, random_poly
 
+SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
 
 @pytest.fixture(scope="module")
 def su2():
@@ -301,6 +304,21 @@ class TestAntibracket:
         L = su2.ym_lagrangian()
         with pytest.raises(GvcError):
             antibracket(L, L, {})
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
+    def test_self_bracket_equals_two_term_path(self, name):
+        """{S, S} accumulates its one cross term once and doubles it; a
+        distinct copy of S takes the path that adds both cross terms."""
+        if name == "sl21":
+            model = spec_model(parse_model(SL21_MODEL.read_text(encoding="utf-8")))
+        else:
+            model = preset_model(name)
+        S = model.extended_lagrangian()
+        copy = Lagrangian(Poly(S.ctx, dict(S.density.terms)))
+        assert copy.density is not S.density
+        same = antibracket(S, S, model.pairs()).density
+        assert not same.is_zero()
+        assert same == antibracket(S, copy, model.pairs()).density
 
 
 class TestMasterEquation:

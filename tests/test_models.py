@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import gvc.bicomplex
+import gvc.brst
 import gvc.models
 from gvc import EVEN, GvcError, Lagrangian, ODD, euler_lagrange
 from gvc.bicomplex import (EulerLagrange, Form, d_h, interior, lie_derivative,
@@ -461,6 +462,40 @@ class TestBuildOnce:
         # one for parameter-symmetry (reused by the current), one for gauge-symmetry
         assert calls == [model.parameter_symmetry(), model.gauge_operator()]
         assert model.parameter_symmetry() is model.parameter_symmetry()
+
+    def test_momentum_built_once_per_argument(self, monkeypatch):
+        asked, built = [], []
+        momentum, build = GaugeModel.momentum, GaugeModel._momentum
+
+        def counted_momentum(model, *args):
+            asked.append(args)
+            return momentum(model, *args)
+
+        def counted_build(model, *args):
+            built.append(args)
+            return build(model, *args)
+
+        monkeypatch.setattr(GaugeModel, "momentum", counted_momentum)
+        monkeypatch.setattr(GaugeModel, "_momentum", counted_build)
+        assert preset_model("su2").full_verification().ok
+        assert sorted(built) == sorted(set(asked))
+        assert len(asked) > len(built)
+
+    def test_brst_residuals_computed_once(self, monkeypatch):
+        calls = []
+        original = gvc.brst.nilpotency_residuals
+
+        def counted(theta):
+            calls.append(theta)
+            return original(theta)
+
+        monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
+        model = preset_model("su2")
+        assert model.full_verification().ok
+        # brst_extend's, which proper_solution reuses, and the master derivation's
+        assert len(calls) == 2
+        assert calls[0] is model.brst_operator()[0]
+        assert calls[1] is not calls[0]
 
     @pytest.mark.parametrize("name", ["su2", "osp12"])
     def test_pipelines_in_reverse_order_match_full(self, name):

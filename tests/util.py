@@ -5,7 +5,9 @@ import random
 from fractions import Fraction
 
 from gvc import Context, EVEN, ODD
-from gvc.bicomplex import Form, dx_letter, theta_letter, letter_wedge_left
+from gvc.bicomplex import (DX, TH, Form, _letter_parity, _normal_word, dx_letter,
+                           letter_wedge_left, theta_letter)
+from gvc.jets import total_derivative
 
 
 def make_context(dim, evens=2, odds=2, max_jet_order=None):
@@ -214,3 +216,153 @@ def random_superalgebra(rng, max_dim=5):
     perturb_algebra(rng, alg, constants=rng.randint(0, 2 * n),
                     form_entries=rng.randint(0, 2 * n) if rng.random() < 0.8 else 0)
     return alg
+
+
+# -- dense form oracles -------------------------------------------------------
+#
+# The form operations as they were before forms were summed in place:
+# every coefficient is split into parity parts, every sum makes a new
+# Poly, `_oracle_add` copies the whole form, and `oracle_project_rho`
+# contracts each contact leg with a separate walk over the whole form.
+# They use only `Form`'s constructor, Poly arithmetic and the word
+# helpers; none of the per-word tables of the engine.
+
+
+def _oracle_acc(table, word, poly):
+    if poly.is_zero():
+        return
+    cur = table.get(word)
+    if cur is None:
+        table[word] = poly
+    else:
+        s = cur + poly
+        if s.is_zero():
+            del table[word]
+        else:
+            table[word] = s
+
+
+def oracle_add(a, b):
+    """a + b with copy-on-add."""
+    out = dict(a.terms)
+    for w, f in b.terms.items():
+        _oracle_acc(out, w, f)
+    return Form(a.ctx, out)
+
+
+def oracle_wedge(a, b):
+    out = {}
+    for w1, f1 in a.terms.items():
+        p1 = sum(ell[1].parity for ell in w1 if ell[0] == TH) & 1
+        for w2, f2 in b.terms.items():
+            nw = _normal_word(w1 + w2)
+            if nw is None:
+                continue
+            sign, word = nw
+            for gp, gpart in f2.parity_parts():
+                s = -sign if (gp and p1) else sign
+                _oracle_acc(out, word, (f1 * gpart) * s)
+    return Form(a.ctx, out)
+
+
+def oracle_letter_wedge_left(ell, phi):
+    out = {}
+    lp = _letter_parity(ell)
+    for w, f in phi.terms.items():
+        nw = _normal_word((ell,) + w)
+        if nw is None:
+            continue
+        sign, word = nw
+        for fp, fpart in f.parity_parts():
+            s = -sign if (fp and lp) else sign
+            _oracle_acc(out, word, fpart * s)
+    return Form(phi.ctx, out)
+
+
+def oracle_form_total_derivative(lam, phi):
+    ctx = phi.ctx
+    out = {}
+    for w, f in phi.terms.items():
+        _oracle_acc(out, w, total_derivative(lam, f))
+        for i, ell in enumerate(w):
+            if ell[0] != TH:
+                continue
+            v = ell[1]
+            raised = ctx.jet(v.gen, v.index + (lam,))
+            nw = _normal_word(w[:i] + (theta_letter(raised),) + w[i + 1:])
+            if nw is None:
+                continue
+            sign, word = nw
+            _oracle_acc(out, word, f * sign)
+    return Form(ctx, out)
+
+
+def oracle_d_h(phi):
+    """dx^lam ^ d_lam over every word, none skipped."""
+    out = Form.zero(phi.ctx)
+    for lam in range(phi.ctx.dim):
+        out = oracle_add(out, oracle_letter_wedge_left(
+            dx_letter(lam), oracle_form_total_derivative(lam, phi)))
+    return out
+
+
+def _oracle_contract_word(phi, op_parity, value_fn):
+    out = {}
+    for w, f in phi.terms.items():
+        for fp, fpart in f.parity_parts():
+            base = -1 if (fp and op_parity) else 1
+            prefix_sign = 1
+            prefix_parity = 0
+            for i, ell in enumerate(w):
+                val = value_fn(ell)
+                if val is not None and not val.is_zero():
+                    vp = val.require_parity()
+                    move = -1 if (vp and prefix_parity & 1) else 1
+                    _oracle_acc(out, w[:i] + w[i + 1:],
+                                fpart * val * (base * prefix_sign * move))
+                lp = _letter_parity(ell)
+                if not (lp and op_parity):
+                    prefix_sign = -prefix_sign
+                prefix_parity += lp
+    return Form(phi.ctx, out)
+
+
+def oracle_interior(theta, phi):
+    return _oracle_contract_word(phi, theta.parity, lambda ell: (
+        theta.contract_variable(ell[1]) if ell[0] == TH else None))
+
+
+def oracle_interior_frame(var, phi):
+    one = phi.ctx.one()
+    return _oracle_contract_word(phi, var.parity, lambda ell: (
+        one if ell[0] == TH and ell[1].key == var.key else None))
+
+
+def oracle_interior_dx(lam, phi):
+    one = phi.ctx.one()
+    return _oracle_contract_word(phi, EVEN, lambda ell: (
+        one if ell[0] == DX and ell[1] == lam else None))
+
+
+def oracle_project_rho(phi):
+    """One interior_frame walk over the whole form per contact leg."""
+    ctx = phi.ctx
+    by_k = {}
+    for w, f in phi.terms.items():
+        k = sum(1 for ell in w if ell[0] == TH)
+        by_k.setdefault(k, {})[w] = f
+    out = Form.zero(ctx)
+    for k, terms in by_k.items():
+        psi = Form(ctx, terms)
+        legs = {ell[1] for w in terms for ell in w if ell[0] == TH}
+        acc = Form.zero(ctx)
+        for v in sorted(legs, key=lambda u: u.key):
+            contracted = oracle_interior_frame(v, psi)
+            for lam in v.index:
+                contracted = oracle_form_total_derivative(lam, contracted)
+            piece = oracle_letter_wedge_left(theta_letter(ctx.jet(v.gen, ())), contracted)
+            if len(v.index) & 1:
+                piece = -piece
+            acc = oracle_add(acc, piece)
+        out = oracle_add(out, acc.scale(Fraction(1, k)))
+    return out
