@@ -5,7 +5,7 @@ master equation, all checked by exact arithmetic.
 Run:  python demos/03_yang_mills_brst.py
 """
 
-from gvc import euler_lagrange, master_equation_check, noether_residuals
+from gvc import master_equation_check, nilpotency_residuals, noether_residuals
 from gvc.presets import preset_model
 
 model = preset_model("su2")
@@ -31,7 +31,7 @@ print("  Noether identity residuals all zero:",
       all(p.is_zero() for p in res.values()))
 kt = model.koszul_tate()
 print("  Koszul-Tate nilpotent:",
-      all(p.is_zero() for p in kt.nilpotency_residuals().values()))
+      all(p.is_zero() for p in nilpotency_residuals(kt).values()))
 s, s_res = model.brst_operator()
 print("  BRST square zero on generators:",
       all(p.is_zero() for p in s_res.values()))

@@ -211,9 +211,8 @@ def _total_derivative_table(ctx, lam, pairs):
         for i, ell in enumerate(w):
             if ell[0] != TH:
                 continue
-            v = ell[1]
-            raised = ctx.jet(v.gen, v.index + (lam,))
-            nw = _normal_word(w[:i] + (theta_letter(raised),) + w[i + 1 :])
+            raised = theta_letter(ctx.raised(ell[1], lam))
+            nw = _normal_word(w[:i] + (raised,) + w[i + 1 :])
             if nw is not None:
                 sign, word = nw
                 accumulate(ctx, table.setdefault(word, {}), _scaled(t.items(), sign))

@@ -2,16 +2,17 @@
 differential, gauge and BRST derivations, the antibracket and the
 classical master equation.
 
-Internally every derivation acts through left graded derivatives; the
-operators that are defined as right derivations (Koszul-Tate, the
-antifield slot of the antibracket) use the right-derivative convention
-directly, so no hidden sign adapters are spread around the code.
+Every derivation is a `jets.ContactDerivation` acting through left
+graded derivatives, except Koszul-Tate, whose `apply` is the one right
+action; it and the antifield slot of the antibracket use the
+right-derivative convention directly, so no hidden sign adapters are
+spread around the code.
 """
 
 from fractions import Fraction
 
 from .grassmann import EVEN, ODD, GvcError, ParityError, Poly, add_product
-from .jets import ContactDerivation, iterated_derivative, prolong_apply
+from .jets import ContactDerivation, iterated_derivative
 from .bicomplex import (
     Lagrangian,
     is_variationally_trivial,
@@ -36,9 +37,6 @@ class NoetherOperator:
                 clean.append((coeff, gen, tuple(sorted(index))))
             self.rows[label] = clean
 
-    def labels(self):
-        return sorted(self.rows)
-
 
 def noether_residuals(op, el):
     """Apply each row to the variational derivatives; zero rows are the
@@ -58,33 +56,24 @@ def noether_residuals(op, el):
     return out
 
 
-class KoszulTate:
+class KoszulTate(ContactDerivation):
     """Odd right derivation sending antifields to variational derivatives
     and degree-two antifields to the Noether rows rewritten on antifields."""
 
-    __slots__ = ("ctx", "values")
+    __slots__ = ()
 
     def __init__(self, ctx, values):
-        self.ctx = ctx
-        self.values = dict(values)
-
-    def value(self, gen):
-        if isinstance(gen, str):
-            gen = self.ctx.generator(gen)
-        return self.values.get(gen, self.ctx.zero())
+        super().__init__(ctx, values, ODD)
 
     def apply(self, p):
         """Right-derivation action: sum of right partials times prolonged
         values, multiplied from the right."""
         out = {}
         for v, dp in p.partials("right"):
-            val = self.values.get(v.gen)
-            if val is not None:
-                add_product(out, dp, iterated_derivative(v.index, val))
+            val = self.contract_variable(v)
+            if not val.is_zero():
+                add_product(out, dp, val)
         return Poly(self.ctx, out)
-
-    def nilpotency_residuals(self):
-        return {gen.name: self.apply(val) for gen, val in self.values.items()}
 
 
 def koszul_tate(op, el, antifield_of, noether_antifield_of):
@@ -140,16 +129,15 @@ def brst_extend(u, gamma):
             comps[gen] = comps[gen] + val
         else:
             comps[gen] = val
-    s = ContactDerivation(ctx, comps, ODD, ghost_shift=u.ghost_shift or 1)
+    s = ContactDerivation(ctx, comps, ODD)
     return s, nilpotency_residuals(s)
 
 
 def nilpotency_residuals(theta):
-    """theta(theta(z)) for every generator z the derivation moves."""
-    out = {}
-    for gen in sorted(theta.components, key=lambda g: g.key):
-        out[gen.name] = prolong_apply(theta, theta.components[gen])
-    return out
+    """theta(theta(z)) for every generator z the derivation moves, by
+    the derivation's own action (left, or right for Koszul-Tate)."""
+    return {gen.name: theta.apply(theta.components[gen])
+            for gen in sorted(theta.components, key=lambda g: g.key)}
 
 
 def antibracket(L1, L2, pairs):

@@ -10,14 +10,13 @@ import argparse
 import os
 import sys
 
-from .grassmann import ExpansionLimitError, GvcError
+from .grassmann import DEFAULT_TERM_LIMIT, ExpansionLimitError, GvcError
 from .superlie import check_invariant_form, check_structure
 from .models import GaugeModel, model_header, run_parts, validation_parts
-from .modelfile import ParseError, parse_model, spec_algebra, spec_model
+from .modelfile import ParseError, parse_model, spec_model
 from .reporting import CheckResult, Report
 
 COMMANDS = GaugeModel.PIPELINES + ("full",)
-DEFAULT_TERM_LIMIT = 10 ** 6
 
 
 def run(spec, command, max_order=None, deterministic=False,
@@ -25,7 +24,7 @@ def run(spec, command, max_order=None, deterministic=False,
     """Execute one command against a parsed model spec."""
     header = model_header([p for _, p in spec.generators], spec.metric)
     if command == "validate-algebra":
-        algebra = spec_algebra(spec)
+        algebra = spec.algebra
         parts = validation_parts(algebra, lambda: check_structure(algebra),
                                  lambda: check_invariant_form(algebra))
         return Report(header, run_parts(parts, deterministic))
@@ -46,7 +45,7 @@ def run(spec, command, max_order=None, deterministic=False,
             raise
         except GvcError:
             notes = ()
-    return Report(model.header(), results, notes)
+    return Report(header, results, notes)
 
 
 def main(argv=None):

@@ -21,6 +21,11 @@ from fractions import Fraction
 EVEN = 0
 ODD = 1
 
+# Resource bounds: a model's default maximum jet order, and the monomial
+# count of any one expansion (GVC_MAX_TERMS when that is unset).
+DEFAULT_MAX_JET_ORDER = 3
+DEFAULT_TERM_LIMIT = 10 ** 6
+
 KINDS = (
     "coordinate",
     "even-field",
@@ -126,12 +131,13 @@ class Variable:
 class Context:
     """Registry of generators, interned jet variables and global limits."""
 
-    def __init__(self, dim, max_jet_order=None, term_limit=1000000):
+    def __init__(self, dim, max_jet_order=None, term_limit=DEFAULT_TERM_LIMIT):
         self.dim = dim
         self.max_jet_order = max_jet_order
         self.term_limit = term_limit
         self.generators = {}
         self._vars = {}
+        self._raised = {}  # (jet variable, direction) -> raised jet variable
         self.coordinates = []
         for lam in range(dim):
             gen = Generator("x%d" % lam, "coordinate", EVEN)
@@ -178,6 +184,14 @@ class Context:
                 % (len(index), self.max_jet_order, gen.name)
             )
         return self._intern(gen, index)
+
+    def raised(self, v, lam):
+        """The jet v raised in direction lam, kept per (v, lam); an
+        over-order raise is not kept, so it raises on every call."""
+        r = self._raised.get((v, lam))
+        if r is None:
+            r = self._raised[v, lam] = self.jet(v.gen, v.index + (lam,))
+        return r
 
     def coordinate(self, lam):
         return self.coordinates[lam]

@@ -5,6 +5,9 @@ A multi-index is a multiset of spacetime directions; total derivatives
 commute, so iterated derivatives only depend on the multiset.  A contact
 derivation is determined by its components on the generating basis; it
 acts on jets of a field through total derivatives of the component.
+`ContactDerivation` is the one graded derivation type: it acts from the
+left (`prolong_apply`); `brst.KoszulTate` overrides `apply` to act from
+the right.
 """
 
 from .grassmann import GvcError, ParityError, Poly, accumulate, add_product, exact
@@ -74,7 +77,6 @@ def add_total_derivative(out, lam, p):
 def _raised_terms(lam, p):
     ctx = p.ctx
     x = ctx.coordinate(lam)
-    raised = {}
     for (ev, od), c in p.terms.items():
         for pos, (w, e) in enumerate(ev):
             ce = c if e == 1 else exact(c * e)
@@ -85,14 +87,9 @@ def _raised_terms(lam, p):
                     else:
                         yield (ev[:pos] + ((w, e - 1),) + ev[pos + 1 :], od), ce
                 continue
-            r = raised.get(w)
-            if r is None:
-                r = raised[w] = ctx.jet(w.gen, w.index + (lam,))
-            yield (_trade_even(ev, pos, e, r), od), ce
+            yield (_trade_even(ev, pos, e, ctx.raised(w, lam)), od), ce
         for pos, w in enumerate(od):
-            r = raised.get(w)
-            if r is None:
-                r = raised[w] = ctx.jet(w.gen, w.index + (lam,))
+            r = ctx.raised(w, lam)
             rest = od[:pos] + od[pos + 1 :]
             key = r.key
             at = 0
@@ -142,13 +139,12 @@ class ContactDerivation:
     transformation.
     """
 
-    __slots__ = ("ctx", "components", "parity", "ghost_shift", "_values")
+    __slots__ = ("ctx", "components", "parity", "_values")
 
-    def __init__(self, ctx, components, parity, ghost_shift=0):
+    def __init__(self, ctx, components, parity):
         self.ctx = ctx
         self.components = {}
         self.parity = parity
-        self.ghost_shift = ghost_shift
         self._values = {}  # jet variable -> contract_variable value
         for gen, comp in components.items():
             if isinstance(gen, str):
@@ -175,7 +171,8 @@ class ContactDerivation:
     def is_zero(self):
         return not self.components
 
-    def __call__(self, p):
+    def apply(self, p):
+        """The prolonged derivation acting on p from the left."""
         return prolong_apply(self, p)
 
     def contract_variable(self, v):
@@ -202,7 +199,7 @@ def prolong_apply(theta, p):
 
 
 def superbracket(t1, t2):
-    """[t1, t2] = t1 o t2 - (-1)^{[t1][t2]} t2 o t1, again a contact derivation."""
+    """[t1, t2] = t1 o t2 - (-1)^{[t1][t2]} t2 o t1 of left-acting t1, t2."""
     ctx = t1.ctx
     sign = -1 if (t1.parity and t2.parity) else 1
     comps = {}
@@ -211,6 +208,4 @@ def superbracket(t1, t2):
         c = prolong_apply(t1, t2.component(gen)) - sign * prolong_apply(t2, t1.component(gen))
         if not c.is_zero():
             comps[gen] = c
-    return ContactDerivation(
-        ctx, comps, (t1.parity + t2.parity) % 2, t1.ghost_shift + t2.ghost_shift
-    )
+    return ContactDerivation(ctx, comps, (t1.parity + t2.parity) % 2)

@@ -8,7 +8,7 @@ every error carries the line it came from.
 
 from fractions import Fraction
 
-from .grassmann import GvcError
+from .grassmann import DEFAULT_MAX_JET_ORDER, DEFAULT_TERM_LIMIT, GvcError
 from .superlie import LieSuperalgebra
 from .models import GaugeModel, Metric
 
@@ -30,7 +30,8 @@ class ModelSpec:
     def __init__(self):
         self.dimension = None
         self.metric = None
-        self.max_jet_order = 3
+        self.max_jet_order = DEFAULT_MAX_JET_ORDER
+        self.algebra = None       # built by parse_model, reused by spec_model
         self.generators = []      # (name, parity)
         self.constants = []       # (r, i, j, Fraction)
         self.form_entries = []    # (i, j, Fraction)
@@ -134,7 +135,7 @@ def parse_model(text):
         raise ParseError("metric signature length differs from dimension", 1)
     if not spec.generators:
         raise ParseError("at least one generator is required", 1)
-    spec_algebra(spec)  # early structural rejection with line information
+    spec.algebra = spec_algebra(spec)  # early structural rejection with line information
     return spec
 
 
@@ -177,8 +178,8 @@ def spec_algebra(spec):
     return alg
 
 
-def spec_model(spec, max_jet_order=None, term_limit=1000000):
-    algebra = spec_algebra(spec)
+def spec_model(spec, max_jet_order=None, term_limit=DEFAULT_TERM_LIMIT):
+    algebra = spec.algebra
     metric = Metric.from_signature(spec.metric)
     order = spec.max_jet_order if max_jet_order is None else max_jet_order
     return GaugeModel(algebra, metric, max_jet_order=order, term_limit=term_limit)

@@ -11,7 +11,8 @@ invariance conditions that single the Lagrangian out.
 import time
 from fractions import Fraction
 
-from .grassmann import Context, EVEN, ODD, ExpansionLimitError, GvcError
+from .grassmann import (DEFAULT_MAX_JET_ORDER, DEFAULT_TERM_LIMIT, Context, EVEN, ODD,
+                        ExpansionLimitError, GvcError)
 from .superlie import check_invariant_form, check_structure
 from .jets import ContactDerivation
 from .bicomplex import (
@@ -32,6 +33,7 @@ from .brst import (
     brst_extend,
     koszul_tate,
     master_equation_check,
+    nilpotency_residuals,
     noether_residuals,
     proper_solution,
 )
@@ -126,7 +128,8 @@ class GaugeModel:
     and kept.
     """
 
-    def __init__(self, algebra, metric, max_jet_order=3, term_limit=1000000):
+    def __init__(self, algebra, metric, max_jet_order=DEFAULT_MAX_JET_ORDER,
+                 term_limit=DEFAULT_TERM_LIMIT):
         self.structure = check_structure(algebra)
         if not self.structure.ok:
             raise GvcError("algebra fails validation: %s" % self.structure.describe())
@@ -356,7 +359,7 @@ class GaugeModel:
     def gauge_operator(self):
         """Odd gauge symmetry with ghosts in the parameter slot."""
         return self._once("gauge-operator", lambda: ContactDerivation(
-            self.ctx, self._gauge_components(self.ghost), ODD, ghost_shift=1))
+            self.ctx, self._gauge_components(self.ghost), ODD))
 
     def parameter_symmetry(self):
         """Even gauge symmetry with parameter fields (ordinary case only)."""
@@ -573,7 +576,7 @@ class GaugeModel:
 
     def _koszul_tate_parts(self):
         def kt_check(check):
-            kt_res = self.koszul_tate().nilpotency_residuals()
+            kt_res = nilpotency_residuals(self.koszul_tate())
             kt_ok = all(p.is_zero() for p in kt_res.values())
             noe_ok = all(p.is_zero() for p in self._noether_residuals().values())
             if kt_ok != noe_ok:

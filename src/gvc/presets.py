@@ -5,7 +5,7 @@ factories are an independent reference that tests compare it against."""
 
 from fractions import Fraction
 
-from .grassmann import EVEN, ODD
+from .grassmann import DEFAULT_MAX_JET_ORDER, DEFAULT_TERM_LIMIT, EVEN, ODD
 from .superlie import LieSuperalgebra
 from .modelfile import parse_model, spec_model
 
@@ -147,6 +147,6 @@ utiyama
 }
 
 
-def preset_model(name, max_jet_order=3, term_limit=1000000):
+def preset_model(name, max_jet_order=DEFAULT_MAX_JET_ORDER, term_limit=DEFAULT_TERM_LIMIT):
     """The model built from PRESET_MODEL_TEXT[name]."""
     return spec_model(parse_model(PRESET_MODEL_TEXT[name]), max_jet_order, term_limit)

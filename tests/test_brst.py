@@ -7,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
+import gvc.jets
 from gvc import (
     ContactDerivation,
     EVEN,
     GvcError,
     Lagrangian,
     ODD,
+    ParityError,
     antibracket,
     brst_extend,
     euler_lagrange,
@@ -31,7 +33,7 @@ from gvc.modelfile import parse_model, spec_model
 from gvc.models import Metric
 from gvc.presets import preset_model, su2_algebra
 
-from util import make_context, random_poly
+from util import make_context, oracle_koszul_tate_residuals, random_poly
 
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
 
@@ -48,6 +50,11 @@ def abelian():
 @pytest.fixture(scope="module")
 def osp12():
     return preset_model("osp12")
+
+
+@pytest.fixture(scope="module")
+def sl21():
+    return spec_model(parse_model(SL21_MODEL.read_text(encoding="utf-8")))
 
 
 class TestNoetherIdentities:
@@ -84,20 +91,20 @@ class TestNoetherIdentities:
 
 class TestKoszulTate:
     def test_su2_nilpotent(self, su2):
-        res = su2.koszul_tate().nilpotency_residuals()
+        res = nilpotency_residuals(su2.koszul_tate())
         assert all(p.is_zero() for p in res.values())
 
     def test_abelian_nilpotent(self, abelian):
-        res = abelian.koszul_tate().nilpotency_residuals()
+        res = nilpotency_residuals(abelian.koszul_tate())
         assert all(p.is_zero() for p in res.values())
 
     def test_graded_nilpotent(self, osp12):
-        res = osp12.koszul_tate().nilpotency_residuals()
+        res = nilpotency_residuals(osp12.koszul_tate())
         assert all(p.is_zero() for p in res.values())
 
     def test_lowers_antifield_number_by_one(self, su2):
         kt = su2.koszul_tate()
-        for gen, value in kt.values.items():
+        for gen, value in kt.components.items():
             if value.is_zero():
                 continue
             numbers = value.antifield_numbers()
@@ -105,15 +112,20 @@ class TestKoszulTate:
 
     @staticmethod
     def _hand_built(rng):
-        """A Koszul-Tate-style right derivation on a small field content."""
+        """A Koszul-Tate-style right derivation on a small field content:
+        an odd antifield with an even value and an even one with an odd
+        value, so the side values are multiplied on matters."""
         ctx = make_context(2)
         bar = ctx.add_generator("sbar", "antifield", ODD, ghost_number=-1,
                                 antifield_number=1)
-        value = random_poly(rng, ctx, terms=3, parity=EVEN)
-        kt = KoszulTate(ctx, {bar: value})
+        tbar = ctx.add_generator("tbar", "antifield", EVEN, ghost_number=-1,
+                                 antifield_number=1)
+        kt = KoszulTate(ctx, {bar: random_poly(rng, ctx, terms=3, parity=EVEN),
+                              tbar: random_poly(rng, ctx, terms=3, parity=ODD)})
         p = ctx.zero()
-        for index in ((), (0,), (1,), (0, 1)):
-            p = p + random_poly(rng, ctx, terms=2) * ctx.var("sbar", *index)
+        for name in ("sbar", "tbar"):
+            for index in ((), (0,), (1,), (0, 1)):
+                p = p + random_poly(rng, ctx, terms=2) * ctx.var(name, *index)
         return ctx, kt, p
 
     def test_apply_matches_per_variable_reference(self):
@@ -122,7 +134,7 @@ class TestKoszulTate:
             ctx, kt, p = self._hand_built(rng)
             want = ctx.zero()
             for v in p.variables():
-                val = kt.values.get(v.gen)
+                val = kt.components.get(v.gen)
                 if val is not None:
                     want = want + p.deriv(v, "right") * iterated_derivative(v.index, val)
             assert kt.apply(p) == want
@@ -146,7 +158,7 @@ class TestKoszulTate:
         el = su2.generic_euler_lagrange()
         kt = koszul_tate(broken, el, su2.antifield_map(),
                          su2.noether_antifield_map())
-        kt_res = kt.nilpotency_residuals()
+        kt_res = nilpotency_residuals(kt)
         noe = noether_residuals(broken, el)
         # the two detections agree, and the failing residuals match
         assert any(not p.is_zero() for p in kt_res.values())
@@ -157,6 +169,64 @@ class TestKoszulTate:
         with pytest.raises(GvcError):
             koszul_tate(su2.noether_operator(), su2.generic_euler_lagrange(),
                         {}, su2.noether_antifield_map())
+
+    def test_is_a_contact_derivation(self, su2):
+        kt = su2.koszul_tate()
+        assert isinstance(kt, ContactDerivation)
+        assert kt.parity == ODD
+        cbar = su2.noether_antifield[0]
+        assert kt.component(cbar) is kt.components[cbar]
+        assert kt.component(su2.field[0][0]).is_zero()
+
+    @staticmethod
+    def _doubled_rows(model):
+        """Koszul-Tate from Noether rows whose last entry is doubled, so
+        every degree-two antifield has a nonzero residual."""
+        op = model.noether_operator()
+        rows = {}
+        for label, entries in op.rows.items():
+            coeff, gen, index = entries[-1]
+            rows[label] = entries[:-1] + [(coeff * 2, gen, index)]
+        return koszul_tate(NoetherOperator(model.ctx, rows), model.generic_euler_lagrange(),
+                           model.antifield_map(), model.noether_antifield_map())
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
+    def test_residuals_match_oracle(self, name, request):
+        model = request.getfixturevalue(name)
+        kt = model.koszul_tate()
+        res = nilpotency_residuals(kt)
+        assert res == oracle_koszul_tate_residuals(kt)
+        assert list(res) == sorted(res, key=lambda n: model.ctx.generator(n).key)
+        assert all(p.is_zero() for p in res.values())
+        broken = self._doubled_rows(model)
+        res = nilpotency_residuals(broken)
+        assert res == oracle_koszul_tate_residuals(broken)
+        assert {label for label, p in res.items() if not p.is_zero()} == {
+            g.name for g in model.noether_antifield}
+
+    def test_value_parity_enforced(self):
+        ctx = make_context(2)
+        bar = ctx.add_generator("sbar", "antifield", ODD, ghost_number=-1,
+                                antifield_number=1)
+        KoszulTate(ctx, {bar: ctx.var("s1")})
+        for value in (ctx.var("q1"), ctx.var("s1") + ctx.var("q1")):
+            with pytest.raises(ParityError):
+                KoszulTate(ctx, {bar: value})
+
+    def test_prolongs_each_jet_variable_once(self, sl21, monkeypatch):
+        kt = sl21.koszul_tate()
+        calls = []
+        original = gvc.jets.iterated_derivative
+
+        def counted(index, p):
+            calls.append((tuple(index), id(p)))
+            return original(index, p)
+
+        monkeypatch.setattr(gvc.jets, "iterated_derivative", counted)
+        assert all(p.is_zero() for p in nilpotency_residuals(kt).values())
+        moved = {v for comp in kt.components.values() for v in comp.variables()
+                 if v.gen in kt.components}
+        assert len(calls) == len(set(calls)) == len(moved) > 0
 
 
 class TestBrstExtension:
@@ -215,7 +285,7 @@ class TestBrstExtension:
                                            * ctx.jet(osp12.ghost[j]).poly())
             if not acc.is_zero():
                 comps[osp12.ghost[r]] = acc
-        s = ContactDerivation(ctx, comps, ODD, ghost_shift=1)
+        s = ContactDerivation(ctx, comps, ODD)
         res = nilpotency_residuals(s)
         bad = {name for name, p in res.items() if not p.is_zero()}
         assert bad
@@ -351,7 +421,7 @@ class TestMasterEquation:
         u = su2.gauge_operator()
         merged = dict(u.components)
         merged.update({g: -p for g, p in su2.ghost_sector().items()})
-        s = ContactDerivation(ctx, merged, ODD, ghost_shift=1)
+        s = ContactDerivation(ctx, merged, ODD)
         density = su2.ym_lagrangian().density
         for z, comp in s.components.items():
             density = density + comp * ctx.jet(su2.pairs()[z]).poly()

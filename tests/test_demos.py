@@ -1,4 +1,6 @@
-"""Each demo runs to completion and ends with its expected verdict."""
+"""Each demo runs to completion and prints exactly its golden output,
+`tests/golden/demos/<demo>.txt` (demo 05 ends on a deliberately broken
+bracket, so its last line is `result fail`)."""
 
 import os
 import subprocess
@@ -9,12 +11,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-# Demo 05 validates a deliberately broken bracket last.
-LAST_LINE = {
-    "03_yang_mills_brst.py": "result pass",
-    "04_graded_yang_mills.py": "result pass",
-    "05_model_files.py": "result fail",
-}
+GOLDEN = ROOT / "tests" / "golden" / "demos"
+
+
+def test_every_demo_has_a_golden_file():
+    assert DEMOS
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == [p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
@@ -25,5 +27,4 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    if demo.name in LAST_LINE:
-        assert proc.stdout.strip().splitlines()[-1] == LAST_LINE[demo.name]
+    assert proc.stdout == (GOLDEN / (demo.stem + ".txt")).read_text(encoding="utf-8")

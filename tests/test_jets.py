@@ -1,6 +1,7 @@
 """Multi-indices, total derivatives and contact derivations."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,8 @@ from gvc import (
     total_derivative,
 )
 
-from gvc.grassmann import ExpansionLimitError, JetOrderError
+from gvc.grassmann import Context, ExpansionLimitError, JetOrderError
+from gvc.modelfile import parse_model, spec_model
 
 from util import make_context, random_poly, random_vertical
 
@@ -116,6 +118,53 @@ class TestTotalDerivative:
         ctx.term_limit = n - 1
         with pytest.raises(ExpansionLimitError):
             total_derivative(1, p)
+
+
+class TestRaisedJets:
+    def test_raise_is_the_interned_jet(self):
+        ctx = make_context(2)
+        v = ctx.jet("q1", (1,))
+        r = ctx.raised(v, 0)
+        assert r is ctx.jet("q1", (0, 1))
+        assert ctx.raised(v, 0) is r
+        assert ctx.raised(ctx.jet("q1", (0,)), 1) is r
+
+    def test_over_order_raise_errors_on_every_call(self):
+        ctx = make_context(2, max_jet_order=2)
+        v = ctx.jet("s1", (0, 1))
+        for _ in range(2):
+            with pytest.raises(JetOrderError):
+                ctx.raised(v, 0)
+            with pytest.raises(JetOrderError):
+                total_derivative(0, v.poly())
+        assert ctx.raised(ctx.jet("s1", (0,)), 1) is v
+
+    def test_sl3_full_asks_context_jet_once_per_raise(self, monkeypatch):
+        """Each (jet variable, direction) raise reaches Context.jet once,
+        however many total derivatives ask for it."""
+        jet, raised = Context.jet, Context.raised
+        keys, inner, depth = [], [], [0]
+
+        def counted_raised(ctx, v, lam):
+            keys.append((v, lam))
+            depth[0] += 1
+            try:
+                return raised(ctx, v, lam)
+            finally:
+                depth[0] -= 1
+
+        def counted_jet(ctx, gen, index=()):
+            if depth[0]:
+                inner.append((gen, index))
+            return jet(ctx, gen, index)
+
+        monkeypatch.setattr(Context, "raised", counted_raised)
+        monkeypatch.setattr(Context, "jet", counted_jet)
+        text = (Path(__file__).resolve().parent.parent / "bench" / "sl3.model").read_text(
+            encoding="utf-8")
+        assert spec_model(parse_model(text)).full_verification().ok
+        assert len(inner) == len(set(keys))
+        assert len(keys) > 10 * len(inner)
 
 
 class TestIterated:

@@ -7,7 +7,8 @@ from fractions import Fraction
 from gvc import Context, EVEN, ODD
 from gvc.bicomplex import (DX, TH, Form, _letter_parity, _normal_word, dx_letter,
                            letter_wedge_left, theta_letter)
-from gvc.jets import total_derivative
+from gvc.grassmann import Poly, add_product
+from gvc.jets import iterated_derivative, total_derivative
 
 
 def make_context(dim, evens=2, odds=2, max_jet_order=None):
@@ -366,3 +367,20 @@ def oracle_project_rho(phi):
             acc = oracle_add(acc, piece)
         out = oracle_add(out, acc.scale(Fraction(1, k)))
     return out
+
+
+def oracle_koszul_tate_apply(kt, p):
+    """The Koszul-Tate right action with no memo: each variable's value is
+    prolonged afresh and multiplied on the right of the right partial."""
+    out = {}
+    for v, dp in p.partials("right"):
+        val = kt.components.get(v.gen)
+        if val is not None:
+            add_product(out, dp, iterated_derivative(v.index, val))
+    return Poly(kt.ctx, out)
+
+
+def oracle_koszul_tate_residuals(kt):
+    """kt(kt(z)) on every generator z the oracle action moves."""
+    return {gen.name: oracle_koszul_tate_apply(kt, val)
+            for gen, val in kt.components.items()}
