@@ -405,17 +405,20 @@ def variational_derivatives(density, side="left", gens=None):
     """delta/delta(z) of a density for every generator z in `gens` (every
     non-coordinate generator when None) that occurs, by generator: the
     sum over the jets v of z of (-1)^|Lambda| d_Lambda of the partial
-    along v, accumulated in place."""
+    along v, accumulated in place; the last total derivative of each jet
+    writes straight into its generator's table."""
     ctx = density.ctx
     comps = {}
     for v, dv in density.partials(side):
         skip = v.gen.kind == "coordinate" if gens is None else v.gen not in gens
         if skip:
             continue
-        items = iterated_derivative(v.index, dv).terms.items()
-        if len(v.index) & 1:
-            items = ((m, -c) for m, c in items)
-        accumulate(ctx, comps.setdefault(v.gen, {}), items)
+        table = comps.setdefault(v.gen, {})
+        if v.index:
+            add_total_derivative(table, v.index[-1], iterated_derivative(v.index[:-1], dv),
+                                 -1 if len(v.index) & 1 else 1)
+        else:
+            accumulate(ctx, table, dv.terms.items())
     return {gen: Poly(ctx, terms) for gen, terms in comps.items() if terms}
 
 

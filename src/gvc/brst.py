@@ -13,11 +13,7 @@ from fractions import Fraction
 
 from .grassmann import EVEN, ODD, GvcError, ParityError, Poly, add_product
 from .jets import ContactDerivation, iterated_derivative
-from .bicomplex import (
-    Lagrangian,
-    is_variationally_trivial,
-    variational_derivatives,
-)
+from .bicomplex import Lagrangian, euler_lagrange, variational_derivatives
 
 
 class NoetherOperator:
@@ -192,14 +188,22 @@ def master_derivation(L, pairs):
 
 
 class MasterReport:
-    """Outcome of the classical master equation check."""
+    """Outcome of the classical master equation check, keeping the bracket,
+    its Euler-Lagrange operator, the master derivation and that
+    derivation's nilpotency residuals."""
 
-    __slots__ = ("bracket", "bracket_trivial", "derivation_residuals")
+    __slots__ = ("bracket", "bracket_el", "derivation", "derivation_residuals")
 
-    def __init__(self, bracket, bracket_trivial, derivation_residuals):
+    def __init__(self, bracket, bracket_el, derivation, derivation_residuals):
         self.bracket = bracket
-        self.bracket_trivial = bracket_trivial
+        self.bracket_el = bracket_el
+        self.derivation = derivation
         self.derivation_residuals = derivation_residuals
+
+    @property
+    def bracket_trivial(self):
+        """{L, L} is variationally trivial (`is_variationally_trivial`)."""
+        return self.bracket_el.is_zero()
 
     @property
     def derivation_nilpotent(self):
@@ -214,10 +218,9 @@ def master_equation_check(L, pairs):
     """Check {L, L} is variationally trivial and the generated odd
     derivation is nilpotent on generators; the two must agree."""
     bracket = antibracket(L, L, pairs)
-    trivial = is_variationally_trivial(bracket)
+    bracket_el = euler_lagrange(bracket)
     theta = master_derivation(L, pairs)
-    residuals = nilpotency_residuals(theta)
-    return MasterReport(bracket, trivial, residuals)
+    return MasterReport(bracket, bracket_el, theta, nilpotency_residuals(theta))
 
 
 def proper_solution(L, s, pairs, residuals=None):

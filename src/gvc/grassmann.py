@@ -12,8 +12,11 @@ Coefficients are canonical: a Python `int` whenever the value is
 integral and a `Fraction` only otherwise, so the common integer case
 never pays for rational arithmetic.  `exact` is the one way a
 coefficient enters, and it canonicalises every scaled coefficient; the
-hot sums (`accumulate`) and products (`_product_terms`) inline the same
+hot sums (`accumulate`) and products (`add_product`) inline the same
 test, and no true division ever meets two ints.
+
+Each variable carries one order key, a string, so that every comparison
+the kernel makes is a single string comparison.
 """
 
 from fractions import Fraction
@@ -74,6 +77,9 @@ class Generator:
     __slots__ = ("name", "kind", "parity", "ghost_number", "antifield_number", "key")
 
     def __init__(self, name, kind, parity, ghost_number=0, antifield_number=0):
+        if type(name) is not str or not name or "\x00" in name:
+            raise GvcError("generator name must be a nonempty string without NUL, got %r"
+                           % (name,))
         if kind not in _KIND_RANK:
             raise GvcError("unknown generator kind %r" % (kind,))
         if parity not in (EVEN, ODD):
@@ -83,7 +89,8 @@ class Generator:
         self.parity = parity
         self.ghost_number = ghost_number
         self.antifield_number = antifield_number
-        self.key = (_KIND_RANK[kind], name)
+        # prefix of its variables' order keys (see `Variable`)
+        self.key = chr(_KIND_RANK[kind] + 1) + name + "\x00"
 
     def __repr__(self):
         return "Generator(%r, %r, parity=%d)" % (self.name, self.kind, self.parity)
@@ -95,8 +102,11 @@ class Variable:
     The global total order used for normal ordering is lexicographic on
     (kind rank, generator name, multi-index); it is fixed as soon as the
     generator is registered and does not depend on creation time.
-    Variables are interned per context (`Context.jet`), so equality and
-    hashing are by identity.
+    `key` encodes that order in one string: chr(rank + 1), the name, a
+    NUL, then chr(i + 1) per index entry.  Names hold no NUL and every
+    other character is above it, so a name sorts before its extensions
+    as in the tuple order.  Variables are interned per context
+    (`Context.jet`), so equality and hashing are by identity.
     """
 
     __slots__ = ("ctx", "gen", "index", "parity", "key")
@@ -106,7 +116,7 @@ class Variable:
         self.gen = gen
         self.index = index
         self.parity = gen.parity
-        self.key = (gen.key[0], gen.key[1], index)
+        self.key = gen.key + "".join(chr(i + 1) for i in index)
 
     def poly(self):
         m = (((self, 1),), ()) if self.parity == EVEN else ((), (self,))
@@ -145,11 +155,11 @@ class Context:
             self.coordinates.append(self._intern(gen, ()))
 
     def add_generator(self, name, kind, parity, ghost_number=0, antifield_number=0):
+        gen = Generator(name, kind, parity, ghost_number, antifield_number)
         if name in self.generators:
             raise GvcError("generator %r already registered" % (name,))
         if kind == "coordinate":
             raise GvcError("base coordinates are registered by the context")
-        gen = Generator(name, kind, parity, ghost_number, antifield_number)
         self.generators[gen.name] = gen
         return gen
 
@@ -228,57 +238,6 @@ class Context:
 _ONE = ((), ())  # the empty monomial
 
 
-def _mono_mul(m1, m2):
-    """Product of two normal monomials: (sign, monomial) or None if zero."""
-    ev1, od1 = m1
-    ev2, od2 = m2
-    if ev2 and not ev1:
-        ev = ev2
-    elif not ev2:
-        ev = ev1
-    else:
-        # linear merge of two sorted even parts
-        merged = []
-        i = j = 0
-        n1, n2 = len(ev1), len(ev2)
-        while i < n1 and j < n2:
-            x, y = ev1[i], ev2[j]
-            if x[0] is y[0]:
-                merged.append((x[0], x[1] + y[1]))
-                i += 1
-                j += 1
-            elif y[0].key < x[0].key:
-                merged.append(y)
-                j += 1
-            else:
-                merged.append(x)
-                i += 1
-        ev = tuple(merged) + ev1[i:] + ev2[j:]
-    if not od1:
-        return 1, (ev, od2)
-    if not od2:
-        return 1, (ev, od1)
-    od = []
-    crossings = 0
-    i = j = 0
-    n1 = len(od1)
-    while i < n1 and j < len(od2):
-        a, b = od1[i], od2[j]
-        if a.key == b.key:
-            return None
-        if a.key < b.key:
-            od.append(a)
-            i += 1
-        else:
-            od.append(b)
-            crossings += n1 - i
-            j += 1
-    od.extend(od1[i:])
-    od.extend(od2[j:])
-    sign = -1 if crossings & 1 else 1
-    return sign, (ev, tuple(od))
-
-
 def _mono_parity(m):
     return len(m[1]) & 1
 
@@ -311,13 +270,15 @@ def accumulate(ctx, out, items):
     """Add a stream of (monomial, nonzero canonical coefficient) pairs into
     the term dict `out` in place, dropping cancelled monomials and keeping
     sums canonical, then enforce the context's term limit.  Every kernel
-    sum goes through here."""
-    get = out.get
+    sum takes this step: here, or inlined in the two hot loops,
+    `add_product` and `jets.add_total_derivative`."""
+    setdefault = out.setdefault
     for m, c in items:
-        s = get(m)
-        if s is None:
-            out[m] = c
-        else:
+        # setdefault hashes a new monomial once; the length tells whether
+        # it was new
+        n = len(out)
+        s = setdefault(m, c)
+        if len(out) == n:
             s += c
             if s:
                 out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
@@ -327,22 +288,92 @@ def accumulate(ctx, out, items):
     return out
 
 
-def _product_terms(p, q, sign=1):
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
-            prod = _mono_mul(m1, m2)
-            if prod is not None:
-                s, m = prod
-                c = c1 * c2
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
-                yield m, (c if s == sign else -c)
-
-
 def add_product(out, p, q, sign=1):
     """out += sign * p * q (sign +-1) for a term dict `out`, in place;
-    returns `out`."""
-    return accumulate(p.ctx, out, _product_terms(p, q, sign))
+    returns `out`.
+
+    One loop over the pairs of terms: the odd words are merged counting
+    the crossings of the Koszul sign, and a pair sharing an odd letter is
+    dropped (variables are interned, so `is` compares them); the sorted
+    even parts are concatenated when one ends below the other's start
+    and merged by exponent otherwise; each product is summed into `out`
+    as `accumulate` does, and the term limit is checked at the end."""
+    setdefault = out.setdefault
+    negate = sign == -1
+    q_items = [(ev, od, c, len(od), ev and ev[0][0].key, ev and ev[-1][0].key)
+               for (ev, od), c in q.terms.items()]
+    for (ev1, od1), c1 in p.terms.items():
+        n1, e1 = len(od1), len(ev1)
+        if ev1:
+            first1, last1 = ev1[0][0].key, ev1[-1][0].key
+        for ev2, od2, c2, n2, first2, last2 in q_items:
+            flip = negate
+            if not od2:
+                od = od1
+            elif not od1:
+                od = od2
+            else:
+                od = None
+                word = []
+                i = j = 0
+                while i < n1 and j < n2:
+                    a, b = od1[i], od2[j]
+                    if a is b:
+                        break
+                    if a.key < b.key:
+                        word.append(a)
+                        i += 1
+                    else:
+                        # b passes the n1 - i letters of od1 still to come
+                        word.append(b)
+                        if (n1 - i) & 1:
+                            flip = not flip
+                        j += 1
+                else:
+                    od = tuple(word) + od1[i:] + od2[j:]
+                if od is None:
+                    continue
+            if not ev2:
+                ev = ev1
+            elif not ev1:
+                ev = ev2
+            elif last1 < first2:
+                ev = ev1 + ev2
+            elif last2 < first1:
+                ev = ev2 + ev1
+            else:
+                word = []
+                i = j = 0
+                e2 = len(ev2)
+                while i < e1 and j < e2:
+                    x, y = ev1[i], ev2[j]
+                    if x[0] is y[0]:
+                        word.append((x[0], x[1] + y[1]))
+                        i += 1
+                        j += 1
+                    elif y[0].key < x[0].key:
+                        word.append(y)
+                        j += 1
+                    else:
+                        word.append(x)
+                        i += 1
+                ev = tuple(word) + ev1[i:] + ev2[j:]
+            c = c1 * c2
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            if flip:
+                c = -c
+            m = (ev, od)
+            n = len(out)
+            s = setdefault(m, c)
+            if len(out) == n:
+                s += c
+                if s:
+                    out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
+                else:
+                    del out[m]
+    p.ctx.check_terms(len(out))
+    return out
 
 
 def _partial_terms(items, v, side):

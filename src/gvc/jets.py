@@ -2,7 +2,9 @@
 prolongation of vertical contact derivations.
 
 A multi-index is a multiset of spacetime directions; total derivatives
-commute, so iterated derivatives only depend on the multiset.  A contact
+commute, so iterated derivatives only depend on the multiset.  A total
+derivative is one loop over the terms that writes each raised term
+straight into the caller's term table (`add_total_derivative`).  A contact
 derivation is determined by its components on the generating basis; it
 acts on jets of a field through total derivatives of the component.
 `ContactDerivation` is the one graded derivation type: it acts from the
@@ -10,7 +12,7 @@ left (`prolong_apply`); `brst.KoszulTate` overrides `apply` to act from
 the right.
 """
 
-from .grassmann import GvcError, ParityError, Poly, accumulate, add_product, exact
+from .grassmann import GvcError, ParityError, Poly, add_product, exact
 
 
 class MultiIndex:
@@ -60,36 +62,46 @@ def _as_index(index):
 
 
 def total_derivative(lam, p):
-    """d_lam = partial_lam + sum over jets s^A_{lam+Lambda} d/d(s^A_Lambda).
-
-    One pass over the terms: in each monomial every jet factor in turn is
-    traded for its raised jet, and a factor x^lam is lowered; the results
-    go straight into one accumulator.
-    """
+    """d_lam = partial_lam + sum over jets s^A_{lam+Lambda} d/d(s^A_Lambda)."""
     return Poly(p.ctx, add_total_derivative({}, lam, p))
 
 
-def add_total_derivative(out, lam, p):
-    """out += d_lam p for a term dict `out`, in place; returns `out`."""
-    return accumulate(p.ctx, out, _raised_terms(lam, p))
+def add_total_derivative(out, lam, p, sign=1):
+    """out += sign * d_lam p (sign +-1) for a term dict `out`, in place;
+    returns `out`.
 
-
-def _raised_terms(lam, p):
+    One loop over the terms: in each monomial every jet factor in turn is
+    traded for its raised jet (`Context.raised`), and a factor x^lam is
+    lowered; each result is summed into `out` as `accumulate` does, and
+    the term limit is checked at the end."""
     ctx = p.ctx
+    raised = ctx.raised
     x = ctx.coordinate(lam)
+    setdefault = out.setdefault
     for (ev, od), c in p.terms.items():
+        if sign == -1:
+            c = -c
         for pos, (w, e) in enumerate(ev):
-            ce = c if e == 1 else exact(c * e)
             if w.gen.kind == "coordinate":
-                if w is x or w.key == x.key:
-                    if e == 1:
-                        yield (ev[:pos] + ev[pos + 1 :], od), ce
-                    else:
-                        yield (ev[:pos] + ((w, e - 1),) + ev[pos + 1 :], od), ce
-                continue
-            yield (_trade_even(ev, pos, e, ctx.raised(w, lam)), od), ce
+                if w is not x:
+                    continue
+                if e == 1:
+                    m = (ev[:pos] + ev[pos + 1 :], od)
+                else:
+                    m = (ev[:pos] + ((w, e - 1),) + ev[pos + 1 :], od)
+            else:
+                m = (_trade_even(ev, pos, e, raised(w, lam)), od)
+            ce = c if e == 1 else exact(c * e)
+            n = len(out)
+            s = setdefault(m, ce)
+            if len(out) == n:
+                s += ce
+                if s:
+                    out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
+                else:
+                    del out[m]
         for pos, w in enumerate(od):
-            r = ctx.raised(w, lam)
+            r = raised(w, lam)
             rest = od[:pos] + od[pos + 1 :]
             key = r.key
             at = 0
@@ -97,10 +109,21 @@ def _raised_terms(lam, p):
                 if u.key >= key:
                     break
                 at += 1
-            if at < len(rest) and rest[at].key == key:
+            if at < len(rest) and rest[at] is r:
                 continue
             # moving r from slot pos to slot at passes |pos - at| odd factors
-            yield (ev, rest[:at] + (r,) + rest[at:]), -c if (pos - at) & 1 else c
+            m = (ev, rest[:at] + (r,) + rest[at:])
+            ce = -c if (pos - at) & 1 else c
+            n = len(out)
+            s = setdefault(m, ce)
+            if len(out) == n:
+                s += ce
+                if s:
+                    out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
+                else:
+                    del out[m]
+    ctx.check_terms(len(out))
+    return out
 
 
 def _trade_even(ev, pos, e, r):
@@ -114,7 +137,7 @@ def _trade_even(ev, pos, e, r):
     key = r.key
     for i, (u, f) in enumerate(out):
         if u.key >= key:
-            if u is r or u.key == key:
+            if u is r:
                 out[i] = (u, f + 1)
             else:
                 out.insert(i, (r, 1))

@@ -214,7 +214,9 @@ class TestKoszulTate:
                 KoszulTate(ctx, {bar: value})
 
     def test_prolongs_each_jet_variable_once(self, sl21, monkeypatch):
-        kt = sl21.koszul_tate()
+        # a fresh derivation: the model keeps its own, memo filled by earlier tests
+        kt = koszul_tate(sl21.noether_operator(), sl21.generic_euler_lagrange(),
+                         sl21.antifield_map(), sl21.noether_antifield_map())
         calls = []
         original = gvc.jets.iterated_derivative
 

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from gvc import Context, EVEN, ODD, GvcError, ParityError, UnknownGeneratorError
-from gvc.grassmann import (ExpansionLimitError, JetOrderError, Poly, _mono_mul,
+from gvc.grassmann import (KINDS, ExpansionLimitError, Generator, JetOrderError, Poly,
                            add_product, exact, normalize)
 from gvc.jets import total_derivative
 
-from util import make_context, random_poly
+from util import make_context, oracle_add_product, random_poly
 
 
 @pytest.fixture
@@ -43,6 +43,52 @@ class TestInterning:
         assert ctx.jet(s, (1, 0)) is ctx.jet(s, (0, 1))
         assert ctx.jet("s", (1,)) is ctx.jet(s, (1,))
         assert ctx.jet("c1") is ctx.jet(ctx.generator("c1"))
+
+
+class TestOrderKey:
+    def test_string_key_matches_tuple_order(self):
+        """Variable.key orders as (kind rank, name, index) does, prefix
+        names (a1 < a10, a1 < a1_) included."""
+        rng = random.Random(47)
+        names = {"a", "a1", "a10", "a1_", "a_1", "a0", "A1", "_", "1", "a1_0",
+                 "a\x01", "\x01"}
+        while len(names) < 40:
+            names.add("".join(rng.choice("a1_0Z9") for _ in range(rng.randint(1, 4))))
+        ctx = Context(4)
+        for name in sorted(names):
+            # the names "a" and "a\x01" share a kind, so only the key's
+            # separator tells a jet of "a" from "a\x01"
+            kind = "even-field" if name.startswith("a") else rng.choice(
+                ("even-field", "ghost", "antifield"))
+            ctx.add_generator(name, kind, rng.choice((EVEN, ODD)))
+        variables = list(ctx.coordinates)
+        for gen in ctx.generators.values():
+            if gen.kind != "coordinate":
+                for order in range(4):
+                    for _ in range(3):
+                        variables.append(ctx.jet(gen, [rng.randrange(4) for _ in range(order)]))
+        variables = list(dict.fromkeys(variables))
+        rng.shuffle(variables)
+
+        def old_key(v):
+            return (KINDS.index(v.gen.kind), v.gen.name, v.index)
+
+        assert len({v.key for v in variables}) == len(variables)
+        assert sorted(variables, key=lambda v: v.key) == sorted(variables, key=old_key)
+        sample = rng.sample(variables, 300)
+        for a in sample:
+            for b in sample:
+                assert (a.key < b.key) == (old_key(a) < old_key(b))
+                assert (a.key == b.key) == (a is b)
+
+    def test_bad_names_rejected(self):
+        ctx = Context(1)
+        for name in ("", "a\x00", "\x00", 3, None, ("a",)):
+            with pytest.raises(GvcError):
+                Generator(name, "even-field", EVEN)
+            with pytest.raises(GvcError):
+                ctx.add_generator(name, "even-field", EVEN)
+        assert list(ctx.generators) == ["x0"]
 
 
 class TestNormalize:
@@ -379,6 +425,8 @@ def _old_mono_mul(m1, m2):
 
 
 class TestMonoMul:
+    """Monomial products, taken by `add_product` on one-term polynomials."""
+
     def test_matches_dict_and_sort_merge(self):
         ctx = make_context(2, evens=3, odds=3)
         rng = random.Random(41)
@@ -395,13 +443,53 @@ class TestMonoMul:
         shared = interleaved = 0
         for _ in range(600):
             m1, m2 = monomial(), monomial()
-            assert _mono_mul(m1, m2) == _old_mono_mul(m1, m2)
+            want = _old_mono_mul(m1, m2)
+            got = add_product({}, Poly(ctx, {m1: 1}), Poly(ctx, {m2: 1}))
+            assert got == ({} if want is None else {want[1]: want[0]})
             keys1 = [v.key for v, _ in m1[0]]
             keys2 = [v.key for v, _ in m2[0]]
             shared += bool(set(keys1) & set(keys2))
             interleaved += bool(keys1 and keys2 and min(keys2) < max(keys1)
                                 and min(keys1) < max(keys2))
         assert shared > 50 and interleaved > 100
+
+
+class TestAddProduct:
+    """The one-loop product against the per-pair oracle of tests/util.py,
+    summed into a table that already holds terms."""
+
+    def test_matches_oracle(self):
+        ctx = make_context(2, evens=2, odds=3)
+        rng = random.Random(44)
+        shared_odd = cancelled = fractional = 0
+        for _ in range(200):
+            p = random_poly(rng, ctx, terms=rng.randint(0, 5), max_order=1)
+            q = random_poly(rng, ctx, terms=rng.randint(0, 5), max_order=1)
+            head = Poly(ctx, dict(list(q.terms.items())[:rng.randint(0, len(q.terms))]))
+            for sign in (1, -1):
+                # the table starts with minus the product of a part of q,
+                # which the sum cancels
+                base = oracle_add_product({}, p, head, -sign)
+                got = add_product(dict(base), p, q, sign)
+                assert got == oracle_add_product(dict(base), p, q, sign)
+                assert all(type(c) is int or c.denominator != 1 for c in got.values())
+                cancelled += bool(set(base) - set(got))
+                fractional += any(type(c) is not int for c in got.values())
+            shared_odd += any(set(m1[1]) & set(m2[1]) for m1 in p.terms for m2 in q.terms)
+            assert add_product(add_product({}, p, q), p, q, -1) == {}
+        assert shared_odd > 20 and cancelled > 20 and fractional > 20
+
+    def test_term_limit(self):
+        ctx = make_context(2)
+        rng = random.Random(46)
+        p, q = random_poly(rng, ctx, terms=4), random_poly(rng, ctx, terms=4)
+        n = len(add_product({}, p, q))
+        ctx.term_limit = n
+        add_product({}, p, q, -1)
+        ctx.term_limit = n - 1
+        for sign in (1, -1):
+            with pytest.raises(ExpansionLimitError):
+                add_product({}, p, q, sign)
 
 
 class TestExactCoefficients:

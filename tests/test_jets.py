@@ -18,10 +18,11 @@ from gvc import (
     total_derivative,
 )
 
-from gvc.grassmann import Context, ExpansionLimitError, JetOrderError
+from gvc.grassmann import Context, ExpansionLimitError, JetOrderError, Poly
+from gvc.jets import add_total_derivative
 from gvc.modelfile import parse_model, spec_model
 
-from util import make_context, random_poly, random_vertical
+from util import make_context, oracle_add_total_derivative, random_poly, random_vertical
 
 
 class TestMultiIndex:
@@ -115,9 +116,35 @@ class TestTotalDerivative:
         n = len(total_derivative(1, p).terms)
         ctx.term_limit = n
         total_derivative(1, p)
+        add_total_derivative({}, 1, p, -1)
         ctx.term_limit = n - 1
         with pytest.raises(ExpansionLimitError):
             total_derivative(1, p)
+        with pytest.raises(ExpansionLimitError):
+            add_total_derivative({}, 1, p, -1)
+
+    def test_add_matches_oracle(self):
+        """The one-loop total derivative against the raised-term oracle of
+        tests/util.py, summed into a table that already holds terms."""
+        ctx = make_context(3, evens=2, odds=2)
+        rng = random.Random(45)
+        hits_odd = cancelled = fractional = 0
+        for _ in range(150):
+            p = random_poly(rng, ctx, terms=rng.randint(0, 6), max_order=2)
+            lam = rng.randrange(3)
+            head = Poly(ctx, dict(list(p.terms.items())[:rng.randint(0, len(p.terms))]))
+            for sign in (1, -1):
+                # the table starts with minus d_lam of a part of p
+                base = oracle_add_total_derivative({}, lam, head, -sign)
+                got = add_total_derivative(dict(base), lam, p, sign)
+                assert got == oracle_add_total_derivative(dict(base), lam, p, sign)
+                assert all(type(c) is int or c.denominator != 1 for c in got.values())
+                cancelled += bool(set(base) - set(got))
+                fractional += any(type(c) is not int for c in got.values())
+            # a raised odd letter that is already a factor kills the term
+            hits_odd += any(ctx.raised(w, lam) in od for _, od in p.terms for w in od)
+            assert add_total_derivative(add_total_derivative({}, lam, p), lam, p, -1) == {}
+        assert hits_odd > 5 and cancelled > 20 and fractional > 20
 
 
 class TestRaisedJets:

@@ -19,6 +19,7 @@ from gvc.jets import superbracket
 from gvc.models import GaugeModel, Metric
 from gvc.modelfile import parse_model, spec_model
 from gvc.presets import PRESET_MODEL_TEXT, abelian_algebra, preset_model, su2_algebra
+from gvc.reporting import CheckResult
 from gvc.superlie import LieSuperalgebra, bracket
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -425,6 +426,30 @@ class TestFullVerification:
         assert "invariant form" in report.results[0].witness
 
 
+class TestMasterEquationWitnesses:
+    """The master-equation row on densities other than the proper solution."""
+
+    def test_plain_lagrangian_is_a_trivial_solution(self, monkeypatch):
+        model = preset_model("su2")
+        monkeypatch.setattr(model, "extended_lagrangian", model.ym_lagrangian)
+        (row,) = model.pipeline("master-equation", deterministic=True)
+        assert not row.ok and row.witness == "solution is trivial"
+
+    def test_perturbed_ghost_term_fails_the_bracket(self, monkeypatch):
+        model = preset_model("su2")
+        ghost, pairs = model.ghost[0], model.pairs()
+        # the ghost term s(c1) cbar1 of the proper solution, counted twice
+        term = model.brst_operator()[0].components[ghost] * model.ctx.jet(pairs[ghost]).poly()
+        perturbed = Lagrangian(model.extended_lagrangian().density + term)
+        monkeypatch.setattr(model, "extended_lagrangian", lambda: perturbed)
+        (row,) = model.pipeline("master-equation", deterministic=True)
+        el = euler_lagrange(gvc.brst.antibracket(perturbed, perturbed, pairs))
+        assert not el.is_zero()
+        want = CheckResult.from_residuals(
+            "master-equation", {g.name: p for g, p in el.components.items()})
+        assert not row.ok and row.line() == want.line()
+
+
 class TestBuildOnce:
     def test_shared_objects_built_once_per_full_run(self, monkeypatch):
         calls = {}
@@ -477,6 +502,40 @@ class TestBuildOnce:
 
         monkeypatch.setattr(GaugeModel, "momentum", counted_momentum)
         monkeypatch.setattr(GaugeModel, "_momentum", counted_build)
+        assert preset_model("su2").full_verification().ok
+        assert sorted(built) == sorted(set(asked))
+        assert len(asked) > len(built)
+
+    def test_koszul_tate_built_once_per_model(self, monkeypatch):
+        built = []
+        original = gvc.models.koszul_tate
+
+        def counted(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(gvc.models, "koszul_tate", counted)
+        model = preset_model("su2")
+        assert model.full_verification().ok
+        kt = model.koszul_tate()
+        assert model.pipeline("koszul-tate")[0].ok
+        assert model.koszul_tate() is kt
+        assert len(built) == 1
+
+    def test_quadratic_twist_built_once_per_argument(self, monkeypatch):
+        asked, built = [], []
+        twist, build = GaugeModel._quadratic_twist, GaugeModel._twist_sum
+
+        def counted_twist(model, *args):
+            asked.append(args)
+            return twist(model, *args)
+
+        def counted_build(model, *args):
+            built.append(args)
+            return build(model, *args)
+
+        monkeypatch.setattr(GaugeModel, "_quadratic_twist", counted_twist)
+        monkeypatch.setattr(GaugeModel, "_twist_sum", counted_build)
         assert preset_model("su2").full_verification().ok
         assert sorted(built) == sorted(set(asked))
         assert len(asked) > len(built)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from gvc import Context, EVEN, ODD
 from gvc.bicomplex import (DX, TH, Form, _letter_parity, _normal_word, dx_letter,
                            letter_wedge_left, theta_letter)
-from gvc.grassmann import Poly, add_product
+from gvc.grassmann import Poly, accumulate, add_product, exact
 from gvc.jets import iterated_derivative, total_derivative
 
 
@@ -91,6 +91,131 @@ def random_vertical(rng, ctx, parity, max_order=1):
         if not p.is_zero():
             comps[gen] = p
     return ContactDerivation(ctx, comps, parity)
+
+
+# -- kernel oracles -----------------------------------------------------------
+#
+# The product and total derivative as they were before each became one
+# loop writing into the accumulator: a per-pair monomial product and a
+# per-term generator of raised terms, streamed through `accumulate`.
+# Variables are compared by key, not identity.
+
+
+def oracle_mono_mul(m1, m2):
+    """Product of two normal monomials: (sign, monomial) or None if zero."""
+    ev1, od1 = m1
+    ev2, od2 = m2
+    if ev2 and not ev1:
+        ev = ev2
+    elif not ev2:
+        ev = ev1
+    else:
+        merged = []
+        i = j = 0
+        n1, n2 = len(ev1), len(ev2)
+        while i < n1 and j < n2:
+            x, y = ev1[i], ev2[j]
+            if x[0] is y[0]:
+                merged.append((x[0], x[1] + y[1]))
+                i += 1
+                j += 1
+            elif y[0].key < x[0].key:
+                merged.append(y)
+                j += 1
+            else:
+                merged.append(x)
+                i += 1
+        ev = tuple(merged) + ev1[i:] + ev2[j:]
+    if not od1:
+        return 1, (ev, od2)
+    if not od2:
+        return 1, (ev, od1)
+    od = []
+    crossings = 0
+    i = j = 0
+    n1 = len(od1)
+    while i < n1 and j < len(od2):
+        a, b = od1[i], od2[j]
+        if a.key == b.key:
+            return None
+        if a.key < b.key:
+            od.append(a)
+            i += 1
+        else:
+            od.append(b)
+            crossings += n1 - i
+            j += 1
+    od.extend(od1[i:])
+    od.extend(od2[j:])
+    return (-1 if crossings & 1 else 1), (ev, tuple(od))
+
+
+def _oracle_product_terms(p, q, sign):
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            prod = oracle_mono_mul(m1, m2)
+            if prod is not None:
+                s, m = prod
+                c = exact(c1 * c2)
+                yield m, (c if s == sign else -c)
+
+
+def oracle_add_product(out, p, q, sign=1):
+    """out += sign * p * q through the per-pair product stream."""
+    return accumulate(p.ctx, out, _oracle_product_terms(p, q, sign))
+
+
+def _oracle_trade_even(ev, pos, e, r):
+    out = list(ev)
+    if e == 1:
+        del out[pos]
+    else:
+        out[pos] = (out[pos][0], e - 1)
+    for i, (u, f) in enumerate(out):
+        if u.key >= r.key:
+            if u.key == r.key:
+                out[i] = (u, f + 1)
+            else:
+                out.insert(i, (r, 1))
+            return tuple(out)
+    out.append((r, 1))
+    return tuple(out)
+
+
+def oracle_raised_terms(lam, p):
+    """The (monomial, coefficient) stream of d_lam p, unsummed."""
+    ctx = p.ctx
+    x = ctx.coordinate(lam)
+    for (ev, od), c in p.terms.items():
+        for pos, (w, e) in enumerate(ev):
+            ce = c if e == 1 else exact(c * e)
+            if w.gen.kind == "coordinate":
+                if w.key == x.key:
+                    if e == 1:
+                        yield (ev[:pos] + ev[pos + 1:], od), ce
+                    else:
+                        yield (ev[:pos] + ((w, e - 1),) + ev[pos + 1:], od), ce
+                continue
+            yield (_oracle_trade_even(ev, pos, e, ctx.raised(w, lam)), od), ce
+        for pos, w in enumerate(od):
+            r = ctx.raised(w, lam)
+            rest = od[:pos] + od[pos + 1:]
+            at = 0
+            for u in rest:
+                if u.key >= r.key:
+                    break
+                at += 1
+            if at < len(rest) and rest[at].key == r.key:
+                continue
+            yield (ev, rest[:at] + (r,) + rest[at:]), -c if (pos - at) & 1 else c
+
+
+def oracle_add_total_derivative(out, lam, p, sign=1):
+    """out += sign * d_lam p through the raised-term stream."""
+    items = oracle_raised_terms(lam, p)
+    if sign == -1:
+        items = ((m, -c) for m, c in items)
+    return accumulate(p.ctx, out, items)
 
 
 # -- dense validation oracles ----------------------------------------------
