@@ -72,34 +72,33 @@ class KoszulTate(ContactDerivation):
         return Poly(self.ctx, out)
 
 
-def koszul_tate(op, el, antifield_of, noether_antifield_of):
+def koszul_tate(op, el, pairs):
     """Assemble the Koszul-Tate derivation from a Noether operator.
 
-    `antifield_of` maps each field generator entering the variational
-    derivatives to its antifield; `noether_antifield_of` maps row labels
-    to degree-two antifields.  Nilpotency on generators is equivalent to
-    all Noether residuals vanishing.
+    `pairs` is the field-antifield pairing: it maps each field generator
+    entering the variational derivatives to its antifield, and the names
+    of its degree-two antifields label the rows of `op`.  Nilpotency on
+    generators is equivalent to all Noether residuals vanishing; the
+    residual on a degree-two antifield is its row's.
     """
     ctx = op.ctx
-    values = {}
-    for gen, comp in el.components.items():
+
+    def antifield(gen):
         try:
-            bar = antifield_of[gen]
+            return pairs[gen]
         except KeyError:
             raise GvcError("missing antifield registration for %r" % (gen.name,))
-        values[bar] = comp
+
+    values = {antifield(gen): comp for gen, comp in el.components.items()}
+    degree_two = {bar.name: bar for bar in pairs.values() if bar.antifield_number == 2}
     for label, entries in op.rows.items():
         try:
-            nbar = noether_antifield_of[label]
+            nbar = degree_two[label]
         except KeyError:
             raise GvcError("missing degree-two antifield for row %r" % (label,))
         acc = ctx.zero()
         for coeff, gen, index in entries:
-            try:
-                bar = antifield_of[gen]
-            except KeyError:
-                raise GvcError("missing antifield registration for %r" % (gen.name,))
-            acc += coeff * ctx.jet(bar, index).poly()
+            acc += coeff * ctx.var(antifield(gen), *index)
         values[nbar] = acc
     return KoszulTate(ctx, values)
 
@@ -238,5 +237,5 @@ def proper_solution(L, s, pairs, residuals=None):
             zbar = pairs[z]
         except KeyError:
             raise GvcError("missing antifield partner for %r" % (z.name,))
-        density = density + comp * ctx.jet(zbar, ()).poly()
+        density = density + comp * ctx.var(zbar)
     return Lagrangian(density)

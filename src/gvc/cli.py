@@ -62,6 +62,9 @@ def main(argv=None):
     parser.add_argument("--deterministic", action="store_true",
                         help="omit timing fields for byte-stable output")
     args = parser.parse_args(argv)
+    # the bounds a model file's max_jet_order must meet hold here too
+    if args.max_order is not None and args.max_order < 1:
+        parser.error("--max-order must be positive")
 
     limit = os.environ.get("GVC_MAX_TERMS")
     if limit is None:
@@ -71,6 +74,8 @@ def main(argv=None):
             term_limit = int(limit)
         except ValueError:
             parser.error("GVC_MAX_TERMS must be an integer")
+        if term_limit < 1:
+            parser.error("GVC_MAX_TERMS must be positive")
 
     try:
         with open(args.model, "r", encoding="utf-8") as handle:

@@ -106,21 +106,19 @@ class Variable:
     NUL, then chr(i + 1) per index entry.  Names hold no NUL and every
     other character is above it, so a name sorts before its extensions
     as in the tuple order.  Variables are interned per context
-    (`Context.jet`), so equality and hashing are by identity.
+    (`Context.jet`), so equality and hashing are by identity.  A variable
+    holds no reference back to its context, so a dropped context is freed
+    at once rather than by the cycle collector; `Context.var` builds the
+    polynomial of one variable.
     """
 
-    __slots__ = ("ctx", "gen", "index", "parity", "key")
+    __slots__ = ("gen", "index", "parity", "key")
 
-    def __init__(self, ctx, gen, index):
-        self.ctx = ctx
+    def __init__(self, gen, index):
         self.gen = gen
         self.index = index
         self.parity = gen.parity
         self.key = gen.key + "".join(chr(i + 1) for i in index)
-
-    def poly(self):
-        m = (((self, 1),), ()) if self.parity == EVEN else ((), (self,))
-        return Poly(self.ctx, {m: 1})
 
     def __lt__(self, other):
         return self.key < other.key
@@ -172,7 +170,7 @@ class Context:
     def _intern(self, gen, index):
         cached = self._vars.get((gen.name, index))
         if cached is None:
-            cached = Variable(self, gen, index)
+            cached = Variable(gen, index)
             self._vars[(gen.name, index)] = cached
         return cached
 
@@ -220,9 +218,12 @@ class Context:
     def one(self):
         return self.scalar(1)
 
-    def var(self, name, *index):
-        """Single-variable polynomial, a convenience for tests and demos."""
-        return self.jet(name, index).poly()
+    def var(self, gen, *index):
+        """The polynomial of one jet variable: `gen` (a generator or its
+        name) with the multi-index."""
+        v = self.jet(gen, index)
+        m = (((v, 1),), ()) if v.parity == EVEN else ((), (v,))
+        return Poly(self, {m: 1})
 
     def product(self, coeff, factors):
         """Normal form of an ordered product of variables (`normalize`)."""
@@ -487,16 +488,6 @@ class Poly:
 
     def odd_part(self):
         return Poly(self.ctx, {m: c for m, c in self.terms.items() if _mono_parity(m)})
-
-    def parity_parts(self):
-        """Yield the nonzero (parity, homogeneous part) pieces, split in
-        one walk over the terms."""
-        parts = ({}, {})
-        for m, c in self.terms.items():
-            parts[len(m[1]) & 1][m] = c
-        for parity in (EVEN, ODD):
-            if parts[parity]:
-                yield parity, Poly(self.ctx, parts[parity])
 
     def ghost_numbers(self):
         out = set()

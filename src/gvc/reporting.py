@@ -28,12 +28,6 @@ class CheckResult:
         return cls(name, False, nonzero, witness, seconds)
 
     @classmethod
-    def from_poly(cls, name, poly, seconds=None):
-        if poly.is_zero():
-            return cls(name, True, 0, "-", seconds)
-        return cls(name, False, len(poly.terms), poly.leading_monomial(), seconds)
-
-    @classmethod
     def from_form(cls, name, form, seconds=None):
         if form.is_zero():
             return cls(name, True, 0, "-", seconds)

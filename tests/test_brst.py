@@ -152,23 +152,27 @@ class TestKoszulTate:
         ctx = su2.ctx
         op = su2.noether_operator()
         rows = {label: list(entries) for label, entries in op.rows.items()}
-        coeff, gen, index = rows["r1"][0]
-        rows["r1"][0] = (coeff + ctx.one(), gen, index)
+        coeff, gen, index = rows["cbar1"][0]
+        rows["cbar1"][0] = (coeff + ctx.one(), gen, index)
         broken = NoetherOperator(ctx, rows)
         el = su2.generic_euler_lagrange()
-        kt = koszul_tate(broken, el, su2.antifield_map(),
-                         su2.noether_antifield_map())
+        kt = koszul_tate(broken, el, su2.pairs())
         kt_res = nilpotency_residuals(kt)
         noe = noether_residuals(broken, el)
         # the two detections agree, and the failing residuals match
         assert any(not p.is_zero() for p in kt_res.values())
         assert any(not p.is_zero() for p in noe.values())
-        assert (kt_res["cbar1"] - noe["r1"]).is_zero()
+        assert (kt_res["cbar1"] - noe["cbar1"]).is_zero()
 
     def test_missing_antifield_registration(self, su2):
-        with pytest.raises(GvcError):
-            koszul_tate(su2.noether_operator(), su2.generic_euler_lagrange(),
-                        {}, su2.noether_antifield_map())
+        op, el = su2.noether_operator(), su2.generic_euler_lagrange()
+        with pytest.raises(GvcError, match="missing antifield registration for 'a"):
+            koszul_tate(op, el, {})
+        for label in ("r1", "abar1_0"):
+            relabelled = NoetherOperator(su2.ctx, {label: op.rows["cbar1"]})
+            with pytest.raises(GvcError, match="missing degree-two antifield for row %r"
+                               % label):
+                koszul_tate(relabelled, el, su2.pairs())
 
     def test_is_a_contact_derivation(self, su2):
         kt = su2.koszul_tate()
@@ -180,15 +184,14 @@ class TestKoszulTate:
 
     @staticmethod
     def _doubled_rows(model):
-        """Koszul-Tate from Noether rows whose last entry is doubled, so
-        every degree-two antifield has a nonzero residual."""
-        op = model.noether_operator()
+        """Noether rows whose last entry is doubled, so every degree-two
+        antifield has a nonzero residual, and their Koszul-Tate derivation."""
         rows = {}
-        for label, entries in op.rows.items():
+        for label, entries in model.noether_operator().rows.items():
             coeff, gen, index = entries[-1]
             rows[label] = entries[:-1] + [(coeff * 2, gen, index)]
-        return koszul_tate(NoetherOperator(model.ctx, rows), model.generic_euler_lagrange(),
-                           model.antifield_map(), model.noether_antifield_map())
+        op = NoetherOperator(model.ctx, rows)
+        return op, koszul_tate(op, model.generic_euler_lagrange(), model.pairs())
 
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
     def test_residuals_match_oracle(self, name, request):
@@ -198,11 +201,14 @@ class TestKoszulTate:
         assert res == oracle_koszul_tate_residuals(kt)
         assert list(res) == sorted(res, key=lambda n: model.ctx.generator(n).key)
         assert all(p.is_zero() for p in res.values())
-        broken = self._doubled_rows(model)
+        op, broken = self._doubled_rows(model)
         res = nilpotency_residuals(broken)
         assert res == oracle_koszul_tate_residuals(broken)
         assert {label for label, p in res.items() if not p.is_zero()} == {
             g.name for g in model.noether_antifield}
+        # each degree-two antifield's residual is its Noether row's
+        noe = noether_residuals(op, model.generic_euler_lagrange())
+        assert noe == {g.name: res[g.name] for g in model.noether_antifield}
 
     def test_value_parity_enforced(self):
         ctx = make_context(2)
@@ -216,7 +222,7 @@ class TestKoszulTate:
     def test_prolongs_each_jet_variable_once(self, sl21, monkeypatch):
         # a fresh derivation: the model keeps its own, memo filled by earlier tests
         kt = koszul_tate(sl21.noether_operator(), sl21.generic_euler_lagrange(),
-                         sl21.antifield_map(), sl21.noether_antifield_map())
+                         sl21.pairs())
         calls = []
         original = gvc.jets.iterated_derivative
 
@@ -268,13 +274,13 @@ class TestBrstExtension:
         comps = {}
         for r in range(m):
             for lam in range(n):
-                comp = ctx.jet(osp12.ghost[r], (lam,)).poly()
+                comp = ctx.var(osp12.ghost[r], lam)
                 for j in range(m):
                     for i in range(m):
                         c = constant(r, j, i)
                         if c:
-                            comp -= c * (ctx.jet(osp12.ghost[j]).poly()
-                                         * ctx.jet(osp12.field[i][lam]).poly())
+                            comp -= c * (ctx.var(osp12.ghost[j])
+                                         * ctx.var(osp12.field[i][lam]))
                 comps[osp12.field[r][lam]] = comp
         for r in range(m):
             acc = ctx.zero()
@@ -283,8 +289,8 @@ class TestBrstExtension:
                     c = constant(r, i, j)
                     if c:
                         sign = Fraction(-1, 2) * ((-1) ** alg.parities[i])
-                        acc += sign * c * (ctx.jet(osp12.ghost[i]).poly()
-                                           * ctx.jet(osp12.ghost[j]).poly())
+                        acc += sign * c * (ctx.var(osp12.ghost[i])
+                                           * ctx.var(osp12.ghost[j]))
             if not acc.is_zero():
                 comps[osp12.ghost[r]] = acc
         s = ContactDerivation(ctx, comps, ODD)
@@ -296,7 +302,7 @@ class TestBrstExtension:
 
     def test_ghost_sector_must_be_ghost_only(self, su2):
         ctx = su2.ctx
-        bad = {su2.ghost[0]: ctx.jet(su2.antifield[0][0]).poly()}
+        bad = {su2.ghost[0]: ctx.var(su2.antifield[0][0])}
         with pytest.raises(GvcError):
             brst_extend(su2.gauge_operator(), bad)
 
@@ -324,7 +330,7 @@ class TestBrstExtension:
                 g = rng.choice(gens)
                 order = rng.randint(0, 1)
                 idx = tuple(rng.randrange(4) for _ in range(order))
-                factor = su2.ctx.jet(g, idx).poly()
+                factor = su2.ctx.var(g, *idx)
                 p = p * factor
             assert prolong_apply(s, prolong_apply(s, p)).is_zero()
 
@@ -355,7 +361,7 @@ class TestAntibracket:
                 out = ctx.zero()
                 for _ in range(3):
                     g1, g2 = rng.choice(fields), rng.choice(fields)
-                    term = ctx.jet(g1).poly() * ctx.jet(g2, (rng.randrange(4),)).poly()
+                    term = ctx.var(g1) * ctx.var(g2, rng.randrange(4))
                     part = term.even_part() if parity == EVEN else term.odd_part()
                     out = out + part
                 return Lagrangian(out)
@@ -426,14 +432,14 @@ class TestMasterEquation:
         s = ContactDerivation(ctx, merged, ODD)
         density = su2.ym_lagrangian().density
         for z, comp in s.components.items():
-            density = density + comp * ctx.jet(su2.pairs()[z]).poly()
+            density = density + comp * ctx.var(su2.pairs()[z])
         rep = master_equation_check(Lagrangian(density), su2.pairs())
         assert not rep.ok
         assert not rep.bracket_trivial
 
     def test_odd_density_rejected(self, su2):
         ctx = su2.ctx
-        L = Lagrangian(ctx.jet(su2.ghost[0]).poly())
+        L = Lagrangian(ctx.var(su2.ghost[0]))
         with pytest.raises(GvcError):
             master_derivation(L, su2.pairs())
 
@@ -445,8 +451,8 @@ class TestProperSolution:
         got = proper_solution(abelian.ym_lagrangian(), s, abelian.pairs())
         want = abelian.ym_lagrangian().density
         for mu in range(2):
-            want = want + ctx.jet(abelian.ghost[0], (mu,)).poly() \
-                * ctx.jet(abelian.antifield[0][mu]).poly()
+            want = want + ctx.var(abelian.ghost[0], mu) \
+                * ctx.var(abelian.antifield[0][mu])
         assert got.density == want
 
     def test_su2_display(self, su2):
@@ -457,14 +463,13 @@ class TestProperSolution:
         want = su2.ym_lagrangian().density
         for r in range(3):
             for mu in range(4):
-                comp = ctx.jet(su2.ghost[r], (mu,)).poly()
+                comp = ctx.var(su2.ghost[r], mu)
                 for p in range(3):
                     for q in range(3):
                         c = alg.constant(r, p, q)
                         if c:
-                            comp += c * (ctx.jet(su2.field[p][mu]).poly()
-                                         * ctx.jet(su2.ghost[q]).poly())
-                want = want + comp * ctx.jet(su2.antifield[r][mu]).poly()
+                            comp += c * (ctx.var(su2.field[p][mu]) * ctx.var(su2.ghost[q]))
+                want = want + comp * ctx.var(su2.antifield[r][mu])
         for r in range(3):
             gamma = ctx.zero()
             for p in range(3):
@@ -472,8 +477,8 @@ class TestProperSolution:
                     c = alg.constant(r, p, q)
                     if c:
                         gamma += Fraction(-1, 2) * c * (
-                            ctx.jet(su2.ghost[p]).poly() * ctx.jet(su2.ghost[q]).poly())
-            want = want + gamma * ctx.jet(su2.noether_antifield[r]).poly()
+                            ctx.var(su2.ghost[p]) * ctx.var(su2.ghost[q]))
+            want = want + gamma * ctx.var(su2.noether_antifield[r])
         assert got.density == want
 
     def test_graded_display_signs(self, osp12):
@@ -485,14 +490,14 @@ class TestProperSolution:
         m, n = alg.dim, 2
         for r in range(m):
             for lam in range(n):
-                comp = ctx.jet(osp12.ghost[r], (lam,)).poly()
+                comp = ctx.var(osp12.ghost[r], lam)
                 for j in range(m):
                     for i in range(m):
                         c = alg.constant(r, j, i)
                         if c:
-                            comp -= c * (ctx.jet(osp12.ghost[j]).poly()
-                                         * ctx.jet(osp12.field[i][lam]).poly())
-                want = want + comp * ctx.jet(osp12.antifield[r][lam]).poly()
+                            comp -= c * (ctx.var(osp12.ghost[j])
+                                         * ctx.var(osp12.field[i][lam]))
+                want = want + comp * ctx.var(osp12.antifield[r][lam])
         for r in range(m):
             gamma = ctx.zero()
             for i in range(m):
@@ -500,9 +505,9 @@ class TestProperSolution:
                     c = alg.constant(r, i, j)
                     if c:
                         sign = Fraction(-1, 2) * ((-1) ** alg.parities[i])
-                        gamma += sign * c * (ctx.jet(osp12.ghost[i]).poly()
-                                             * ctx.jet(osp12.ghost[j]).poly())
-            want = want + gamma * ctx.jet(osp12.noether_antifield[r]).poly()
+                        gamma += sign * c * (ctx.var(osp12.ghost[i])
+                                             * ctx.var(osp12.ghost[j]))
+            want = want + gamma * ctx.var(osp12.noether_antifield[r])
         assert got.density == want
 
     def test_requires_nilpotent_extension(self, su2):

@@ -114,6 +114,27 @@ class TestPipelines:
         out = capsys.readouterr().out
         assert "status fail" in out
 
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_max_order_below_one_is_a_usage_error(self, model_file, capsys, order):
+        with pytest.raises(SystemExit) as err:
+            main(["euler-lagrange", "--model", model_file("abelian"),
+                  "--max-order", order, "--deterministic"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-order must be positive" in captured.err
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_term_limit_below_one_is_a_usage_error(self, model_file, capsys,
+                                                   monkeypatch, limit):
+        monkeypatch.setenv("GVC_MAX_TERMS", limit)
+        with pytest.raises(SystemExit) as err:
+            main(["euler-lagrange", "--model", model_file("su2"), "--deterministic"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "GVC_MAX_TERMS must be positive" in captured.err
+
     def test_term_limit_env_aborts(self, model_file, capsys, monkeypatch):
         monkeypatch.setenv("GVC_MAX_TERMS", "10")
         assert main(["euler-lagrange", "--model", model_file("su2"),

@@ -186,7 +186,7 @@ class TestDerivative:
         v = ctx.jet("c1")
         for _ in range(40):
             p = random_poly(rng, ctx, terms=3)
-            for parity, part in p.parity_parts():
+            for parity, part in ((EVEN, p.even_part()), (ODD, p.odd_part())):
                 sign = 1 if v.parity == EVEN else (-1) ** ((parity + 1) % 2)
                 assert part.deriv(v, "right") == sign * part.deriv(v, "left")
 
@@ -291,16 +291,6 @@ class TestHousekeeping:
         with pytest.raises(ParityError):
             p.require_parity()
         assert p.even_part() + p.odd_part() == p
-
-    def test_parity_parts_one_walk_matches_even_and_odd_part(self):
-        ctx = make_context(2)
-        rng = random.Random(12)
-        for _ in range(40):
-            p = random_poly(rng, ctx, terms=rng.randint(0, 5))
-            want = [(parity, part) for parity, part in
-                    ((EVEN, p.even_part()), (ODD, p.odd_part())) if part.terms]
-            assert list(p.parity_parts()) == want
-        assert list(ctx.zero().parity_parts()) == []
 
     def test_ghost_and_antifield_numbers(self, ctx):
         p = ctx.var("c1") * ctx.var("c2")

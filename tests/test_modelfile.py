@@ -1,9 +1,12 @@
 """Model file parsing, rendering and semantic validation."""
 
+import random
+import re
 from pathlib import Path
 
 import pytest
 
+from gvc.grassmann import GvcError
 from gvc.modelfile import ParseError, parse_model, render_model, \
     spec_algebra, spec_model
 from gvc.presets import PRESET_MODEL_TEXT, abelian_algebra, osp12_algebra, \
@@ -142,3 +145,58 @@ class TestPresets:
         report = preset_model(name).full_verification(deterministic=True)
         golden = (GOLDEN / ("%s.txt" % name)).read_text(encoding="utf-8")
         assert report.render() == golden
+
+
+class TestFuzz:
+    """Seeded mutants of the golden model files: each one parses or is
+    rejected with a line number, and each one that parses builds or is
+    rejected with a `GvcError`; nothing else escapes."""
+
+    TOKENS = ("[model]", "[algebra]", "[form]", "[checks]", "=", "c", "h", "generator",
+              "parity", "0", "1", "-1", "2", "4", "5", "1/0", "1/2", "-3/4", "x", "e1",
+              "+-", "+---", "dimension", "metric", "max_jet_order", "noether", "9" * 40, "")
+    CHARS = " \t=[]/+-_#.0123456789ehxcé\x00"
+
+    def _mutate(self, rng, lines):
+        lines = list(lines)
+        op = rng.randrange(5)
+        i = rng.randrange(len(lines))
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        elif op == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 3:
+            k = rng.randrange(len(lines[i]) + 1)
+            lines[i] = lines[i][:k] + rng.choice(self.CHARS) + lines[i][k + rng.randrange(2):]
+        else:
+            words = lines[i].split() or [""]
+            words[rng.randrange(len(words))] = rng.choice(self.TOKENS)
+            lines[i] = " ".join(words)
+        return lines
+
+    def test_mutants_fail_cleanly(self):
+        rng = random.Random(2014)
+        sources = [p.read_text(encoding="utf-8").splitlines()
+                   for p in sorted(GOLDEN.glob("*.model"))]
+        assert len(sources) == 3
+        outcomes = {"parse-error": 0, "build-error": 0, "built": 0}
+        for _ in range(4000):
+            lines = rng.choice(sources)
+            for _ in range(rng.randint(1, 3)):
+                lines = self._mutate(rng, lines) or [""]
+            try:
+                spec = parse_model("\n".join(lines) + "\n")
+            except ParseError as exc:
+                assert re.search(r"\bline \d+", str(exc)), str(exc)
+                outcomes["parse-error"] += 1
+                continue
+            try:
+                spec_model(spec)
+            except GvcError:
+                outcomes["build-error"] += 1
+                continue
+            outcomes["built"] += 1
+        assert all(outcomes.values()), outcomes

@@ -1,6 +1,8 @@
 """Model builders: rosters, strengths, Lagrangians, field equations,
 currents, superpotentials and the end-to-end verification report."""
 
+import gc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import gvc.models
 from gvc import EVEN, GvcError, Lagrangian, ODD, euler_lagrange
 from gvc.bicomplex import (EulerLagrange, Form, d_h, interior, lie_derivative,
                            variational_delta)
-from gvc.brst import NoetherOperator
+from gvc.brst import NoetherOperator, nilpotency_residuals
 from gvc.grassmann import Poly
 from gvc.jets import ContactDerivation
 from gvc.jets import superbracket
@@ -23,6 +25,7 @@ from gvc.reporting import CheckResult
 from gvc.superlie import LieSuperalgebra, bracket
 
 GOLDEN = Path(__file__).parent / "golden"
+SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +41,11 @@ def abelian():
 @pytest.fixture(scope="module")
 def osp12():
     return preset_model("osp12")
+
+
+@pytest.fixture(scope="module")
+def sl21():
+    return spec_model(parse_model(SL21_MODEL.read_text(encoding="utf-8")))
 
 
 class TestMetric:
@@ -83,9 +91,21 @@ class TestRoster:
                 assert osp12.antifield[r][mu].parity == (expected + 1) % 2
             assert osp12.ghost[r].parity == (expected + 1) % 2
             assert osp12.noether_antifield[r].parity == expected
+            assert osp12.parameter[r].parity == expected
+            assert osp12.parameter[r].kind == osp12.field[r][0].kind
         # odd algebra directions give even ghosts
         assert osp12.ghost[alg.index("x")].parity == EVEN
-        assert osp12.parameter is None
+        assert osp12.parameter[alg.index("x")].kind == "odd-field"
+
+    def test_one_pairing(self, su2):
+        pairs = su2.pairs()
+        assert su2.pairs() is pairs
+        assert len(pairs) == 3 * 4 + 3
+        for r in range(3):
+            assert pairs[su2.ghost[r]] is su2.noether_antifield[r]
+            for mu in range(4):
+                assert pairs[su2.field[r][mu]] is su2.antifield[r][mu]
+        assert list(su2.noether_operator().rows) == ["cbar1", "cbar2", "cbar3"]
 
     def test_unvalidated_algebra_rejected(self):
         bad = su2_algebra()
@@ -98,17 +118,17 @@ class TestStrength:
     def test_abelian_is_jet_antisymmetrization(self, abelian):
         ctx = abelian.ctx
         got = abelian.strength(0, 0, 1)
-        want = ctx.jet(abelian.field[0][1], (0,)).poly() \
-            - ctx.jet(abelian.field[0][0], (1,)).poly()
+        want = ctx.var(abelian.field[0][1], 0) \
+            - ctx.var(abelian.field[0][0], 1)
         assert got == want
 
     def test_su2_quadratic_term(self, su2):
         ctx = su2.ctx
         got = su2.strength(0, 0, 1)
-        want = ctx.jet(su2.field[0][1], (0,)).poly() \
-            - ctx.jet(su2.field[0][0], (1,)).poly() \
-            + ctx.jet(su2.field[1][0]).poly() * ctx.jet(su2.field[2][1]).poly() \
-            - ctx.jet(su2.field[2][0]).poly() * ctx.jet(su2.field[1][1]).poly()
+        want = ctx.var(su2.field[0][1], 0) \
+            - ctx.var(su2.field[0][0], 1) \
+            + ctx.var(su2.field[1][0]) * ctx.var(su2.field[2][1]) \
+            - ctx.var(su2.field[2][0]) * ctx.var(su2.field[1][1])
         assert got == want
 
     def test_antisymmetry(self, su2, osp12):
@@ -127,7 +147,7 @@ class TestStrength:
                 for lam in range(model.metric.dim):
                     for mu in range(model.metric.dim):
                         recon = model.strength(r, lam, mu) + model.sym_jet(r, lam, mu)
-                        want = 2 * ctx.jet(model.field[r][mu], (lam,)).poly()
+                        want = 2 * ctx.var(model.field[r][mu], lam)
                         assert recon == want
 
     def test_graded_odd_quadratic_survives(self, osp12):
@@ -137,7 +157,7 @@ class TestStrength:
         f_idx = alg.index("f")
         strength = osp12.strength(f_idx, 0, 1)
         ctx = osp12.ctx
-        quad = ctx.jet(osp12.field[x][0]).poly() * ctx.jet(osp12.field[x][1]).poly()
+        quad = ctx.var(osp12.field[x][0]) * ctx.var(osp12.field[x][1])
         collected = {m: c for m, c in strength.terms.items() if m in quad.terms}
         assert collected  # the c^f_xx a^x a^x piece is present
 
@@ -201,15 +221,15 @@ class TestSymmetries:
         ctx = su2.ctx
         u = su2.gauge_operator()
         comp = u.component(su2.field[0][2])
-        want = ctx.jet(su2.ghost[0], (2,)).poly() \
-            + ctx.jet(su2.field[1][2]).poly() * ctx.jet(su2.ghost[2]).poly() \
-            - ctx.jet(su2.field[2][2]).poly() * ctx.jet(su2.ghost[1]).poly()
+        want = ctx.var(su2.ghost[0], 2) \
+            + ctx.var(su2.field[1][2]) * ctx.var(su2.ghost[2]) \
+            - ctx.var(su2.field[2][2]) * ctx.var(su2.ghost[1])
         assert comp == want
 
     def test_abelian_gauge_operator_pure_derivative(self, abelian):
         ctx = abelian.ctx
         u = abelian.gauge_operator()
-        assert u.component(abelian.field[0][1]) == ctx.jet(abelian.ghost[0], (1,)).poly()
+        assert u.component(abelian.field[0][1]) == ctx.var(abelian.ghost[0], 1)
 
     def test_graded_gauge_operator_sign(self, osp12):
         ctx = osp12.ctx
@@ -217,13 +237,12 @@ class TestSymmetries:
         u = osp12.gauge_operator()
         r = alg.index("x")
         comp = u.component(osp12.field[r][0])
-        want = ctx.jet(osp12.ghost[r], (0,)).poly()
+        want = ctx.var(osp12.ghost[r], 0)
         for j in range(alg.dim):
             for i in range(alg.dim):
                 c = alg.constant(r, j, i)
                 if c:
-                    want -= c * (ctx.jet(osp12.ghost[j]).poly()
-                                 * ctx.jet(osp12.field[i][0]).poly())
+                    want -= c * (ctx.var(osp12.ghost[j]) * ctx.var(osp12.field[i][0]))
         assert comp == want
 
     def test_gauge_operator_is_exact_symmetry(self, su2, abelian, osp12):
@@ -234,9 +253,9 @@ class TestSymmetries:
     def test_parameter_symmetry_components(self, su2):
         ctx = su2.ctx
         comp = su2.parameter_symmetry().component(su2.field[0][2])
-        want = ctx.jet(su2.parameter[0], (2,)).poly() \
-            + ctx.jet(su2.field[1][2]).poly() * ctx.jet(su2.parameter[2]).poly() \
-            - ctx.jet(su2.field[2][2]).poly() * ctx.jet(su2.parameter[1]).poly()
+        want = ctx.var(su2.parameter[0], 2) \
+            + ctx.var(su2.field[1][2]) * ctx.var(su2.parameter[2]) \
+            - ctx.var(su2.field[2][2]) * ctx.var(su2.parameter[1])
         assert comp == want
 
     def test_bracket_of_constant_symmetries(self, su2):
@@ -271,12 +290,12 @@ class TestSymmetries:
                             c = model.algebra.constant(r, j, i)
                             if c:
                                 comp -= c * (sources[j]
-                                             * ctx.jet(model.field[i][mu]).poly())
+                                             * ctx.var(model.field[i][mu]))
                     comps[model.field[r][mu]] = comp
             return ContactDerivation(ctx, comps, EVEN)
 
-        xi_src = [ctx.jet(model.parameter[r]).poly() for r in range(3)]
-        eta_src = [ctx.jet(eta[r]).poly() for r in range(3)]
+        xi_src = [ctx.var(model.parameter[r]) for r in range(3)]
+        eta_src = [ctx.var(eta[r]) for r in range(3)]
         u_xi = symmetry_from_sources(xi_src)
         u_eta = symmetry_from_sources(eta_src)
         lhs = superbracket(u_xi, u_eta)
@@ -333,6 +352,25 @@ class TestCurrents:
                                       su2.superpotential_rows(), su2.superpotential())
         assert res.is_zero()
 
+    @pytest.mark.parametrize("name", ["osp12", "sl21"])
+    def test_graded_parameter_residuals_vanish(self, name, request):
+        """Parameters carry their directions' parities, so the parameter
+        symmetry, current conservation and superpotential hold on graded
+        models too."""
+        from gvc.bicomplex import superpotential_residual
+
+        model = request.getfixturevalue(name)
+        assert not model.all_even
+        assert model.parameter_lie_derivative().is_zero()
+        current = model.current()
+        residual = d_h(current) - interior(model.parameter_symmetry(),
+                                           variational_delta(model.ym_lagrangian().form))
+        assert residual.is_zero()
+        assert not model.superpotential().is_zero()
+        assert superpotential_residual(current, model.generic_euler_lagrange(),
+                                       model.superpotential_rows(),
+                                       model.superpotential()).is_zero()
+
     def test_symmetrized_superpotential_fails(self, su2):
         from gvc.bicomplex import omega_pair, superpotential_residual
 
@@ -345,7 +383,7 @@ class TestCurrents:
                 for r in range(3):
                     pi = su2.momentum(r, nu, mu)
                     if not pi.is_zero():
-                        comp += ctx.jet(su2.parameter[r]).poly() * pi
+                        comp += ctx.var(su2.parameter[r]) * pi
                 # wrong sign on the swapped slot: symmetric instead of
                 # antisymmetric, entering through a doubled contribution
                 if not comp.is_zero():
@@ -377,7 +415,7 @@ class TestInvarianceConditions:
 
     def test_second_order_density_rejected(self, su2):
         ctx = su2.ctx
-        L = Lagrangian(ctx.jet(su2.field[0][0], (0, 0)).poly())
+        L = Lagrangian(ctx.var(su2.field[0][0], 0, 0))
         with pytest.raises(GvcError):
             su2.invariance_conditions(L)
 
@@ -407,6 +445,44 @@ class TestFullVerification:
     def test_graded_all_pass(self, osp12):
         report = osp12.full_verification(deterministic=True)
         assert report.ok
+
+    def test_graded_reports_drop_the_even_only_checks(self, su2, osp12):
+        even = [r.name for r in su2.full_verification(deterministic=True).results]
+        graded = [r.name for r in osp12.full_verification(deterministic=True).results]
+        assert set(GaugeModel.EVEN_ONLY_CHECKS) <= set(even)
+        assert graded == [n for n in even if n not in GaugeModel.EVEN_ONLY_CHECKS]
+
+    def test_koszul_tate_compared_row_by_row(self, monkeypatch):
+        model = preset_model("su2")
+        op, el = model.noether_operator(), model.generic_euler_lagrange()
+
+        def scaled(factors):
+            """The rows with their last entry scaled by factors[label] (2 by
+            default), so every row has a nonzero residual."""
+            rows = {}
+            for label, entries in op.rows.items():
+                coeff, gen, index = entries[-1]
+                rows[label] = entries[:-1] + [(coeff * factors.get(label, 2), gen, index)]
+            return NoetherOperator(model.ctx, rows)
+
+        doubled = scaled({})
+        monkeypatch.setattr(model, "noether_operator", lambda: doubled)
+        noe = gvc.brst.noether_residuals(doubled, el)
+        assert all(not p.is_zero() for p in noe.values())
+        # both routes fail on every row and agree: the Koszul-Tate residuals
+        kt = gvc.brst.koszul_tate(doubled, el, model.pairs())
+        monkeypatch.setattr(model, "koszul_tate", lambda: kt)
+        (row,) = model.pipeline("koszul-tate", deterministic=True)
+        want = CheckResult.from_residuals("koszul-tate", nilpotency_residuals(kt))
+        assert not row.ok and row.line() == want.line()
+        # both routes fail on every row, and differ on cbar1 only
+        kt = gvc.brst.koszul_tate(scaled({"cbar1": 3}), el, model.pairs())
+        kt_res = nilpotency_residuals(kt)
+        assert all(not kt_res[name].is_zero() for name in noe)
+        assert [name for name in noe if kt_res[name] != noe[name]] == ["cbar1"]
+        monkeypatch.setattr(model, "koszul_tate", lambda: kt)
+        (row,) = model.pipeline("koszul-tate", deterministic=True)
+        assert not row.ok and row.witness == "disagrees with the identity rows"
 
     def test_pipeline_subset(self, su2):
         report = su2.full_verification(deterministic=True,
@@ -439,7 +515,7 @@ class TestMasterEquationWitnesses:
         model = preset_model("su2")
         ghost, pairs = model.ghost[0], model.pairs()
         # the ghost term s(c1) cbar1 of the proper solution, counted twice
-        term = model.brst_operator()[0].components[ghost] * model.ctx.jet(pairs[ghost]).poly()
+        term = model.brst_operator()[0].components[ghost] * model.ctx.var(pairs[ghost])
         perturbed = Lagrangian(model.extended_lagrangian().density + term)
         monkeypatch.setattr(model, "extended_lagrangian", lambda: perturbed)
         (row,) = model.pipeline("master-equation", deterministic=True)
@@ -564,6 +640,17 @@ class TestBuildOnce:
         for pipeline in reversed(GaugeModel.PIPELINES):
             rows = model.pipeline(pipeline, deterministic=True) + rows
         assert [r.line() for r in rows] == [r.line() for r in full.results]
+
+    def test_context_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            model = preset_model("su2")
+            assert model.full_verification().ok
+            ref = weakref.ref(model.ctx)
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_context_fixed_after_construction(self):
         model = preset_model("su2")

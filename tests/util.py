@@ -368,6 +368,12 @@ def _oracle_acc(table, word, poly):
             table[word] = s
 
 
+def parity_parts(p):
+    """The nonzero (parity, homogeneous part) pieces of `p`."""
+    return [(parity, part) for parity, part in
+            ((EVEN, p.even_part()), (ODD, p.odd_part())) if part.terms]
+
+
 def oracle_add(a, b):
     """a + b with copy-on-add."""
     out = dict(a.terms)
@@ -385,7 +391,7 @@ def oracle_wedge(a, b):
             if nw is None:
                 continue
             sign, word = nw
-            for gp, gpart in f2.parity_parts():
+            for gp, gpart in parity_parts(f2):
                 s = -sign if (gp and p1) else sign
                 _oracle_acc(out, word, (f1 * gpart) * s)
     return Form(a.ctx, out)
@@ -399,7 +405,7 @@ def oracle_letter_wedge_left(ell, phi):
         if nw is None:
             continue
         sign, word = nw
-        for fp, fpart in f.parity_parts():
+        for fp, fpart in parity_parts(f):
             s = -sign if (fp and lp) else sign
             _oracle_acc(out, word, fpart * s)
     return Form(phi.ctx, out)
@@ -435,7 +441,7 @@ def oracle_d_h(phi):
 def _oracle_contract_word(phi, op_parity, value_fn):
     out = {}
     for w, f in phi.terms.items():
-        for fp, fpart in f.parity_parts():
+        for fp, fpart in parity_parts(f):
             base = -1 if (fp and op_parity) else 1
             prefix_sign = 1
             prefix_parity = 0
