@@ -409,9 +409,8 @@ def variational_derivatives(density, side="left", gens=None):
     writes straight into its generator's table."""
     ctx = density.ctx
     comps = {}
-    for v, dv in density.partials(side):
-        skip = v.gen.kind == "coordinate" if gens is None else v.gen not in gens
-        if skip:
+    for v, dv in density.partials(side, gens):
+        if gens is None and v.gen.kind == "coordinate":
             continue
         table = comps.setdefault(v.gen, {})
         if v.index:

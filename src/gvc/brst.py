@@ -6,19 +6,22 @@ Every derivation is a `jets.ContactDerivation` acting through left
 graded derivatives, except Koszul-Tate, whose `apply` is the one right
 action; it and the antifield slot of the antibracket use the
 right-derivative convention directly, so no hidden sign adapters are
-spread around the code.
+spread around the code.  Each sum (a Noether row's residual, a
+Koszul-Tate value, the proper solution) is built in one term table, and
+the master-equation report keeps the bracket's size, not the bracket.
 """
 
 from fractions import Fraction
 
 from .grassmann import EVEN, ODD, GvcError, ParityError, Poly, add_product
-from .jets import ContactDerivation, iterated_derivative
+from .jets import ContactDerivation, add_total_derivative, iterated_derivative
 from .bicomplex import Lagrangian, euler_lagrange, variational_derivatives
 
 
 class NoetherOperator:
     """Rows of total differential operators annihilating the variational
-    derivatives: row r is a list of (coefficient, generator, multi-index)."""
+    derivatives: row r is a list of (coefficient, generator, multi-index),
+    the coefficient a polynomial (a scalar is taken as a constant one)."""
 
     __slots__ = ("ctx", "rows")
 
@@ -30,16 +33,22 @@ class NoetherOperator:
             for coeff, gen, index in entries:
                 if isinstance(gen, str):
                     gen = ctx.generator(gen)
+                if not isinstance(coeff, Poly):
+                    coeff = ctx.scalar(coeff)
                 clean.append((coeff, gen, tuple(sorted(index))))
             self.rows[label] = clean
 
 
 def noether_residuals(op, el):
     """Apply each row to the variational derivatives; zero rows are the
-    valid identities.  Rows must reference field generators."""
+    valid identities.  Rows must reference field generators.
+
+    Each row is summed in one table; an entry whose coefficient is the
+    constant +-1 adds its last total derivative straight into it."""
+    ctx = op.ctx
     out = {}
     for label, entries in op.rows.items():
-        res = op.ctx.zero()
+        res = {}
         for coeff, gen, index in entries:
             if gen.kind not in ("even-field", "odd-field"):
                 raise GvcError(
@@ -47,8 +56,13 @@ def noether_residuals(op, el):
             comp = el.component(gen)
             if comp.is_zero():
                 continue
-            res += coeff * iterated_derivative(index, comp)
-        out[label] = res
+            sign = coeff.constant_term() if len(coeff.terms) == 1 else 0
+            if index and (sign == 1 or sign == -1):
+                add_total_derivative(res, index[-1], iterated_derivative(index[:-1], comp),
+                                     sign)
+            else:
+                add_product(res, coeff, iterated_derivative(index, comp))
+        out[label] = Poly(ctx, res)
     return out
 
 
@@ -65,10 +79,8 @@ class KoszulTate(ContactDerivation):
         """Right-derivation action: sum of right partials times prolonged
         values, multiplied from the right."""
         out = {}
-        for v, dp in p.partials("right"):
-            val = self.contract_variable(v)
-            if not val.is_zero():
-                add_product(out, dp, val)
+        for v, dp in p.partials("right", self.components):
+            self.add_value(out, v, dp, right=True)
         return Poly(self.ctx, out)
 
 
@@ -96,10 +108,10 @@ def koszul_tate(op, el, pairs):
             nbar = degree_two[label]
         except KeyError:
             raise GvcError("missing degree-two antifield for row %r" % (label,))
-        acc = ctx.zero()
+        acc = {}
         for coeff, gen, index in entries:
-            acc += coeff * ctx.var(antifield(gen), *index)
-        values[nbar] = acc
+            add_product(acc, coeff, ctx.var(antifield(gen), *index))
+        values[nbar] = Poly(ctx, acc)
     return KoszulTate(ctx, values)
 
 
@@ -187,14 +199,14 @@ def master_derivation(L, pairs):
 
 
 class MasterReport:
-    """Outcome of the classical master equation check, keeping the bracket,
-    its Euler-Lagrange operator, the master derivation and that
-    derivation's nilpotency residuals."""
+    """Outcome of the classical master equation check, keeping the
+    bracket's size (not the bracket), its Euler-Lagrange operator, the
+    master derivation and that derivation's nilpotency residuals."""
 
-    __slots__ = ("bracket", "bracket_el", "derivation", "derivation_residuals")
+    __slots__ = ("bracket_terms", "bracket_el", "derivation", "derivation_residuals")
 
-    def __init__(self, bracket, bracket_el, derivation, derivation_residuals):
-        self.bracket = bracket
+    def __init__(self, bracket_terms, bracket_el, derivation, derivation_residuals):
+        self.bracket_terms = bracket_terms
         self.bracket_el = bracket_el
         self.derivation = derivation
         self.derivation_residuals = derivation_residuals
@@ -217,9 +229,10 @@ def master_equation_check(L, pairs):
     """Check {L, L} is variationally trivial and the generated odd
     derivation is nilpotent on generators; the two must agree."""
     bracket = antibracket(L, L, pairs)
-    bracket_el = euler_lagrange(bracket)
+    bracket_terms, bracket_el = len(bracket.density.terms), euler_lagrange(bracket)
+    del bracket  # not alive while the derivation is built and checked
     theta = master_derivation(L, pairs)
-    return MasterReport(bracket, bracket_el, theta, nilpotency_residuals(theta))
+    return MasterReport(bracket_terms, bracket_el, theta, nilpotency_residuals(theta))
 
 
 def proper_solution(L, s, pairs, residuals=None):
@@ -231,11 +244,11 @@ def proper_solution(L, s, pairs, residuals=None):
     bad = [name for name, p in res.items() if not p.is_zero()]
     if bad:
         raise GvcError("extension is not nilpotent on %s" % ", ".join(sorted(bad)))
-    density = L.density
+    out = dict(L.density.terms)
     for z, comp in s.components.items():
         try:
             zbar = pairs[z]
         except KeyError:
             raise GvcError("missing antifield partner for %r" % (z.name,))
-        density = density + comp * ctx.var(zbar)
-    return Lagrangian(density)
+        add_product(out, comp, ctx.var(zbar))
+    return Lagrangian(Poly(ctx, out))

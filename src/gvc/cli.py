@@ -2,8 +2,8 @@
 emit the report.
 
 Exit status: 0 when every check passes, 1 when any check fails, 2 for
-parse or usage errors.  GVC_MAX_TERMS bounds the monomial count of any
-intermediate expansion.
+parse or usage errors, an unreadable model file or an unwritable report.
+GVC_MAX_TERMS bounds the monomial count of any intermediate expansion.
 """
 
 import argparse
@@ -83,6 +83,9 @@ def main(argv=None):
     except OSError as exc:
         print("gvc: %s" % exc, file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print("gvc: %s: not UTF-8 text: %s" % (args.model, exc), file=sys.stderr)
+        return 2
     try:
         spec = parse_model(text)
     except ParseError as exc:
@@ -98,8 +101,12 @@ def main(argv=None):
 
     sys.stdout.write(report.render(with_time=not args.deterministic))
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(report.json_lines(with_time=not args.deterministic))
+        try:
+            with open(args.report, "w", encoding="utf-8") as handle:
+                handle.write(report.json_lines(with_time=not args.deterministic))
+        except OSError as exc:
+            print("gvc: cannot write report: %s" % exc, file=sys.stderr)
+            return 2
     return 0 if report.ok else 1
 
 

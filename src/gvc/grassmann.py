@@ -535,9 +535,11 @@ class Poly:
             raise UnknownGeneratorError("variable %s not registered here" % v.render())
         return Poly(self.ctx, _partial_terms(self.terms.items(), v, side))
 
-    def partials(self, side="left"):
+    def partials(self, side="left", gens=None):
         """Yield (variable, nonzero partial derivative) for every variable
-        that occurs, in order of first occurrence.
+        that occurs, in order of first occurrence; when `gens` (a
+        collection of generators) is given, only for the variables whose
+        generator is in it.
 
         One pass indexes the terms by the variables they contain, keeping
         references only; each partial is then built from its own terms
@@ -550,9 +552,11 @@ class Poly:
         for item in self.terms.items():
             ev, od = item[0]
             for v, _ in ev:
-                index.setdefault(v, []).append(item)
+                if gens is None or v.gen in gens:
+                    index.setdefault(v, []).append(item)
             for v in od:
-                index.setdefault(v, []).append(item)
+                if gens is None or v.gen in gens:
+                    index.setdefault(v, []).append(item)
         for v, items in index.items():
             yield v, Poly(self.ctx, _partial_terms(items, v, side))
 

@@ -6,10 +6,13 @@ commute, so iterated derivatives only depend on the multiset.  A total
 derivative is one loop over the terms that writes each raised term
 straight into the caller's term table (`add_total_derivative`).  A contact
 derivation is determined by its components on the generating basis; it
-acts on jets of a field through total derivatives of the component.
+acts on jets of a field through total derivatives of the component, and
+each jet's value is one total derivative of its parent jet's value.
 `ContactDerivation` is the one graded derivation type: it acts from the
 left (`prolong_apply`); `brst.KoszulTate` overrides `apply` to act from
-the right.
+the right.  Both walk only the partials along the derivation's
+components, and a jet whose partial is the constant +-1 adds its total
+derivative straight into the result instead of building its value.
 """
 
 from .grassmann import GvcError, ParityError, Poly, add_product, exact
@@ -199,25 +202,52 @@ class ContactDerivation:
         return prolong_apply(self, p)
 
     def contract_variable(self, v):
-        """Value on the jet variable v: d_Lambda of the component on v's
-        field, computed once per variable and kept."""
+        """Value on the jet variable v, d_Lambda of the component on v's
+        field: the component itself on v's field, else one total
+        derivative of the value on v's parent jet (Lambda less its last
+        direction); computed once per variable and kept."""
         val = self._values.get(v)
         if val is None:
             comp = self.components.get(v.gen)
-            val = self.ctx.zero() if comp is None else iterated_derivative(v.index, comp)
+            if comp is None:
+                val = self.ctx.zero()
+            elif not v.index:
+                val = comp
+            else:
+                val = total_derivative(v.index[-1], self.contract_variable(
+                    self.ctx.jet(v.gen, v.index[:-1])))
             self._values[v] = val
         return val
 
+    def add_value(self, out, v, dp, right=False):
+        """out += value(v) * dp, or dp * value(v) when `right`, for a term
+        dict `out` in place.
+
+        A jet of order at least one whose partial `dp` is the constant +-1
+        and whose value is not kept yet adds the total derivative of its
+        parent's value straight into `out`, so its own value, used once,
+        is never built."""
+        if v.index and len(dp.terms) == 1 and v not in self._values:
+            sign = dp.constant_term()
+            if sign == 1 or sign == -1:
+                parent = self.contract_variable(self.ctx.jet(v.gen, v.index[:-1]))
+                if parent.terms:
+                    add_total_derivative(out, v.index[-1], parent, sign)
+                return
+        val = self.contract_variable(v)
+        if val.terms:
+            if right:
+                add_product(out, dp, val)
+            else:
+                add_product(out, val, dp)
+
 
 def prolong_apply(theta, p):
-    """Apply the prolonged derivation: sum_v d_Lambda(v^A) * d_left/dv p."""
+    """Apply the prolonged derivation: sum_v d_Lambda(v^A) * d_left/dv p,
+    over the variables of the fields theta moves."""
     out = {}
-    for v, dp in p.partials():
-        if v.gen.kind == "coordinate":
-            continue
-        val = theta.contract_variable(v)
-        if not val.is_zero():
-            add_product(out, val, dp)
+    for v, dp in p.partials("left", theta.components):
+        theta.add_value(out, v, dp)
     return Poly(p.ctx, out)
 
 

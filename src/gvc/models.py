@@ -13,10 +13,11 @@ import time
 from fractions import Fraction
 
 from .grassmann import (DEFAULT_MAX_JET_ORDER, DEFAULT_TERM_LIMIT, Context, EVEN, ODD,
-                        ExpansionLimitError, GvcError)
+                        ExpansionLimitError, GvcError, Poly, accumulate, add_product, exact)
 from .superlie import check_invariant_form, check_structure
-from .jets import ContactDerivation
+from .jets import ContactDerivation, add_total_derivative
 from .bicomplex import (
+    EulerLagrange,
     Form,
     Lagrangian,
     d_h,
@@ -228,16 +229,22 @@ class GaugeModel:
         return self._once("lagrangian", self._strength_density)
 
     def _strength_density(self):
+        """1/4 h_ij g_lam g_beta F^i_lam,beta F^j_lam,beta over lam != beta.
+        F is antisymmetric in (lam, beta), so each form entry is h_ij/2
+        times one table summed over lam < beta with sign g_lam g_beta."""
+        ctx = self.ctx
         n = self.metric.dim
-        density = self.ctx.zero()
+        signs = self.metric.signs
+        density = {}
         for i, j, h in self.algebra.graded_form():
+            table = {}
             for lam in range(n):
-                for beta in range(n):
-                    if lam != beta:
-                        coeff = Fraction(1, 4) * h * self.metric.g(lam) * self.metric.g(beta)
-                        density += coeff * (self.strength(i, lam, beta)
-                                            * self.strength(j, lam, beta))
-        return Lagrangian(density)
+                for beta in range(lam + 1, n):
+                    add_product(table, self.strength(i, lam, beta),
+                                self.strength(j, lam, beta), signs[lam] * signs[beta])
+            half = Fraction(h) / 2
+            accumulate(ctx, density, ((m, exact(half * c)) for m, c in table.items()))
+        return Lagrangian(Poly(ctx, density))
 
     def mass_term_lagrangian(self):
         """Quadratic field (not strength) density; breaks gauge invariance."""
@@ -278,28 +285,26 @@ class GaugeModel:
 
     def closed_euler_lagrange(self):
         """Field equations assembled from the closed expression: total
-        derivative of the momentum plus the algebra-twisted momentum."""
-        from .bicomplex import EulerLagrange
-        from .jets import total_derivative
-
+        derivative of the momentum plus the algebra-twisted momentum,
+        each component summed in one table."""
         ctx = self.ctx
         m, n = self.algebra.dim, self.metric.dim
         consts = self.algebra.graded_constants()
         comps = {}
         for r in range(m):
             for mu in range(n):
-                acc = ctx.zero()
+                acc = {}
                 for kappa in range(n):
                     pi = self.momentum(r, mu, kappa)
                     if not pi.is_zero():
-                        acc += total_derivative(kappa, pi)
+                        add_total_derivative(acc, kappa, pi)
                     for i, s, fld, c in consts:
                         if s == r:
                             pii = self.momentum(i, mu, kappa)
                             if not pii.is_zero():
-                                acc += c * (ctx.var(self.field[fld][kappa]) * pii)
-                if not acc.is_zero():
-                    comps[self.field[r][mu]] = acc
+                                add_product(acc, c * ctx.var(self.field[fld][kappa]), pii)
+                if acc:
+                    comps[self.field[r][mu]] = Poly(ctx, acc)
         return EulerLagrange(ctx, comps)
 
     def generic_euler_lagrange(self):

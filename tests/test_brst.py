@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+import gvc.brst
 import gvc.jets
 from gvc import (
     ContactDerivation,
     EVEN,
+    EulerLagrange,
     GvcError,
     Lagrangian,
     ODD,
@@ -27,13 +29,15 @@ from gvc import (
     variational_derivative,
 )
 from gvc.brst import KoszulTate, NoetherOperator
-from gvc.grassmann import ExpansionLimitError, Poly
-from gvc.jets import iterated_derivative
+from gvc.grassmann import ExpansionLimitError, JetOrderError, Poly
+from gvc.jets import iterated_derivative, total_derivative
 from gvc.modelfile import parse_model, spec_model
 from gvc.models import Metric
 from gvc.presets import preset_model, su2_algebra
 
-from util import make_context, oracle_koszul_tate_residuals, random_poly
+from util import (field_generators, linear_jet_paths, linear_jet_polys, make_context,
+                  oracle_koszul_tate_apply, oracle_koszul_tate_residuals, random_poly,
+                  random_vertical)
 
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
 
@@ -73,6 +77,25 @@ class TestNoetherIdentities:
                             + su2.mass_term_lagrangian().density)
         res = noether_residuals(su2.noether_operator(), euler_lagrange(broken))
         assert any(not p.is_zero() for p in res.values())
+
+    def test_rows_match_memo_free_sum(self):
+        # coefficients +-1 (the fused path, also as plain ints), 2, 1/2 and
+        # polynomials, on random mixed-parity components
+        ctx = make_context(2)
+        gens = field_generators(ctx)
+        rng = random.Random(2016)
+        coeffs = (ctx.one(), -ctx.one(), -1, ctx.scalar(2), Fraction(1, 2))
+        for _ in range(40):
+            el = EulerLagrange(ctx, {g: random_poly(rng, ctx, terms=3) for g in gens})
+            rows = {"r%d" % r: [(rng.choice(coeffs + (random_poly(rng, ctx, terms=1),)),
+                                 rng.choice(gens),
+                                 [rng.randrange(2) for _ in range(rng.randint(0, 2))])
+                                for _ in range(4)]
+                    for r in range(3)}
+            want = {label: sum((coeff * iterated_derivative(index, el.component(gen))
+                                for coeff, gen, index in entries), ctx.zero())
+                    for label, entries in rows.items()}
+            assert noether_residuals(NoetherOperator(ctx, rows), el) == want
 
     def test_mismatched_field_sets_rejected(self, su2):
         ctx = su2.ctx
@@ -219,22 +242,52 @@ class TestKoszulTate:
             with pytest.raises(ParityError):
                 KoszulTate(ctx, {bar: value})
 
+    def test_apply_matches_memo_free_oracle(self):
+        ctx = make_context(2)
+        rng = random.Random(2015)
+        counts = {"fused": 0, "product": 0}
+        for _ in range(80):
+            kt = KoszulTate(ctx, random_vertical(rng, ctx, ODD).components)
+            p = linear_jet_polys(rng, ctx, list(kt.components) or field_generators(ctx))
+            assert kt.apply(p) == oracle_koszul_tate_apply(kt, p)
+            linear_jet_paths(kt, p, "right", counts)
+        assert counts["fused"] > 50 and counts["product"] > 50
+
+    def test_bounds_on_the_fused_path(self):
+        ctx = make_context(2, max_jet_order=2)
+        kt = KoszulTate(ctx, {ctx.generator("q1"): ctx.var("s2", 0)})
+        with pytest.raises(JetOrderError):
+            kt.apply(-ctx.var("q1", 0, 1))
+        ctx = make_context(1, evens=3, odds=1)
+        comp = ctx.var("s2") * ctx.var("s3") * ctx.var("s2")
+        kt = KoszulTate(ctx, {ctx.generator("q1"): comp})
+        ctx.term_limit = 1
+        with pytest.raises(ExpansionLimitError):
+            kt.apply(ctx.var("q1", 0))
+        ctx.term_limit = 2
+        assert kt.apply(ctx.var("q1", 0)) == total_derivative(0, comp)
+        assert ctx.jet("q1", (0,)) not in kt._values
+
     def test_prolongs_each_jet_variable_once(self, sl21, monkeypatch):
         # a fresh derivation: the model keeps its own, memo filled by earlier tests
         kt = koszul_tate(sl21.noether_operator(), sl21.generic_euler_lagrange(),
                          sl21.pairs())
         calls = []
-        original = gvc.jets.iterated_derivative
+        original = gvc.jets.add_total_derivative
 
-        def counted(index, p):
-            calls.append((tuple(index), id(p)))
-            return original(index, p)
+        def counted(out, lam, p, sign=1):
+            calls.append((lam, id(p)))
+            return original(out, lam, p, sign)
 
-        monkeypatch.setattr(gvc.jets, "iterated_derivative", counted)
+        # every total derivative, kept or fused, goes through this one loop
+        monkeypatch.setattr(gvc.jets, "add_total_derivative", counted)
+        monkeypatch.setattr(gvc.brst, "add_total_derivative", counted)
         assert all(p.is_zero() for p in nilpotency_residuals(kt).values())
-        moved = {v for comp in kt.components.values() for v in comp.variables()
-                 if v.gen in kt.components}
-        assert len(calls) == len(set(calls)) == len(moved) > 0
+        # each (direction, parent value) pair names one jet: none is prolonged twice
+        assert len(calls) == len(set(calls)) > 0
+        # the rows' abar;lam are linear with partial +-1: fused, never kept
+        assert not [v for v in kt._values if v.gen.kind == "antifield" and v.index]
+        assert all(kt._values[v] is kt.components[v.gen] for v in kt._values)
 
 
 class TestBrstExtension:
@@ -404,7 +457,7 @@ class TestMasterEquation:
         L = su2.ym_lagrangian()
         rep = master_equation_check(L, su2.pairs())
         assert rep.ok
-        assert rep.bracket.density.is_zero()
+        assert rep.bracket_terms == 0
         # the field-direction derivation vanishes identically
         for z in su2.pairs():
             assert variational_derivative(L.density, su2.pairs()[z], "right").is_zero()
@@ -413,6 +466,8 @@ class TestMasterEquation:
         extended = su2.extended_lagrangian()
         rep = master_equation_check(extended, su2.pairs())
         assert rep.ok
+        assert rep.bracket_terms == len(antibracket(extended, extended,
+                                                    su2.pairs()).density.terms) > 0
         # non-trivial: both derivations have nonzero components
         assert any(not variational_derivative(extended.density, zbar, "right").is_zero()
                    for zbar in su2.pairs().values())

@@ -66,6 +66,24 @@ class TestExitCodes:
     def test_missing_file_is_two(self, capsys):
         assert main(["full", "--model", "/nonexistent/x.model"]) == 2
 
+    def test_non_utf8_model_is_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.model"
+        path.write_bytes(PRESET_MODEL_TEXT["su2"].encode("utf-8") + b"# caf\xe9\n")
+        assert main(["full", "--model", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gvc: %s: not UTF-8 text" % path)
+        assert "Traceback" not in captured.err
+
+    def test_unwritable_report_is_two(self, model_file, capsys, tmp_path):
+        for report in (tmp_path / "missing" / "out.json", tmp_path):
+            assert main(["validate-algebra", "--model", model_file("su2"),
+                         "--deterministic", "--report", str(report)]) == 2
+            captured = capsys.readouterr()
+            assert "result pass" in captured.out  # the report printed first
+            assert captured.err.startswith("gvc: cannot write report: ")
+            assert str(report) in captured.err
+
     def test_usage_error_is_two(self, model_file):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate", "--model", model_file("abelian")])

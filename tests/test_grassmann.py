@@ -215,6 +215,22 @@ class TestPartials:
             assert len(got) == len(dict(got))
             assert dict(got) == want
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_filtered_by_generators(self, side):
+        ctx = make_context(2)
+        gens = [g for g in ctx.generators.values()]
+        rng = random.Random(33)
+        sizes = set()
+        for trial in range(60):
+            parity = (None, EVEN, ODD)[trial % 3]
+            p = random_poly(rng, ctx, terms=5, parity=parity, allow_coords=True)
+            keep = set(rng.sample(gens, rng.randint(0, len(gens))))
+            got = [(v, d.terms) for v, d in p.partials(side, keep)]
+            want = [(v, d.terms) for v, d in p.partials(side) if v.gen in keep]
+            assert got == want  # same partials, in the same order
+            sizes.add(len(got) < len(list(p.partials(side))))
+        assert sizes == {False, True}
+
     def test_coordinates_and_powers(self, ctx):
         x0, s, c1, c2 = (ctx.var(n) for n in ("x0", "s", "c1", "c2"))
         p = x0 * s * s * c2 * c1 + 3 * s * c1

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import gvc.jets
 from gvc import (
     ContactDerivation,
     EVEN,
@@ -22,7 +23,9 @@ from gvc.grassmann import Context, ExpansionLimitError, JetOrderError, Poly
 from gvc.jets import add_total_derivative
 from gvc.modelfile import parse_model, spec_model
 
-from util import make_context, oracle_add_total_derivative, random_poly, random_vertical
+from util import (field_generators, linear_jet_paths, linear_jet_polys, make_context,
+                  oracle_add_total_derivative, oracle_prolong_apply, random_poly,
+                  random_vertical)
 
 
 class TestMultiIndex:
@@ -276,6 +279,52 @@ class TestContactDerivation:
         got = prolong_apply(theta, ctx.var(a, 0))
         want = ctx.var(xi, 0, 1) + ctx.var(a, 0) * ctx.var(xi) + ctx.var(a) * ctx.var(xi, 0)
         assert (got - want).is_zero()
+
+
+class TestFusedLinearJets:
+    """A linear jet whose partial is +-1 adds its total derivative straight
+    into the sum; any other partial takes the product path."""
+
+    def test_matches_memo_free_oracle(self):
+        ctx = make_context(2)
+        rng = random.Random(2014)
+        counts = {"fused": 0, "product": 0}
+        for trial in range(120):
+            theta = random_vertical(rng, ctx, trial % 2)
+            p = linear_jet_polys(rng, ctx, list(theta.components) or field_generators(ctx))
+            assert prolong_apply(theta, p) == oracle_prolong_apply(theta, p)
+            linear_jet_paths(theta, p, "left", counts)
+        assert counts["fused"] > 100 and counts["product"] > 100
+
+    def test_kept_value_is_not_derived_again(self, monkeypatch):
+        ctx = make_context(2)
+        theta = ContactDerivation(ctx, {"s1": ctx.var("s2") * ctx.var("q1")}, ODD)
+        kept = theta.contract_variable(ctx.jet("s1", (0, 1)))
+        calls = []
+        monkeypatch.setattr(gvc.jets, "add_total_derivative",
+                            lambda *args: calls.append(args))
+        assert prolong_apply(theta, -ctx.var("s1", 0, 1)) == -kept
+        assert calls == []
+
+    def test_jet_order_bound(self):
+        ctx = make_context(2, max_jet_order=2)
+        theta = ContactDerivation(ctx, {"s1": ctx.var("s2", 0)}, EVEN)
+        for p in (ctx.var("s1", 0, 1), -ctx.var("s1", 0, 1)):
+            with pytest.raises(JetOrderError):
+                prolong_apply(theta, p)
+        assert ctx.jet("s1", (0, 1)) not in theta._values
+
+    def test_term_limit(self):
+        ctx = make_context(1, evens=3, odds=0)
+        comp = ctx.var("s2") * ctx.var("s3") * ctx.var("s2")
+        theta = ContactDerivation(ctx, {"s1": comp}, EVEN)
+        p = -ctx.var("s1", 0)
+        ctx.term_limit = 1
+        with pytest.raises(ExpansionLimitError):
+            prolong_apply(theta, p)
+        ctx.term_limit = 2
+        assert prolong_apply(theta, p) == -total_derivative(0, comp)
+        assert ctx.jet("s1", (0,)) not in theta._values
 
 
 class TestContractVariableMemo:

@@ -500,6 +500,49 @@ def oracle_project_rho(phi):
     return out
 
 
+def random_linear_jets(rng, ctx, gens, terms=4, max_order=3):
+    """A sum of jets of `gens` of order 1 to `max_order`, each linear with
+    a coefficient among 1, -1, 2 and 1/2."""
+    out = ctx.zero()
+    for _ in range(terms):
+        index = [rng.randrange(ctx.dim) for _ in range(rng.randint(1, max_order))]
+        coeff = rng.choice((1, -1, 2, Fraction(1, 2)))
+        out = out + coeff * ctx.var(rng.choice(gens), *index)
+    return out
+
+
+def linear_jet_polys(rng, ctx, moved):
+    """Random terms plus linear jets of the moved fields, plus a jet of any
+    field times a random term (so not every jet's partial is constant)."""
+    gens = field_generators(ctx)
+    return (random_poly(rng, ctx, terms=3) + random_linear_jets(rng, ctx, moved)
+            + random_linear_jets(rng, ctx, gens, terms=1) * random_poly(rng, ctx, terms=1))
+
+
+def linear_jet_paths(theta, p, side, counts):
+    """Count the jets with a constant partial by the path they took: one
+    with partial +-1 and no kept value was fused, one with another
+    constant partial took the product and so has its value kept."""
+    for v, dp in p.partials(side, theta.components):
+        if v.index and list(dp.terms) == [((), ())]:
+            if dp.constant_term() in (1, -1):
+                counts["fused"] += v not in theta._values
+            else:
+                assert v in theta._values
+                counts["product"] += 1
+
+
+def oracle_prolong_apply(theta, p):
+    """The prolonged left action with no memo: each variable's value is
+    prolonged afresh and multiplied on the left of the left partial."""
+    out = {}
+    for v, dp in p.partials():
+        val = theta.components.get(v.gen)
+        if val is not None:
+            add_product(out, iterated_derivative(v.index, val), dp)
+    return Poly(theta.ctx, out)
+
+
 def oracle_koszul_tate_apply(kt, p):
     """The Koszul-Tate right action with no memo: each variable's value is
     prolonged afresh and multiplied on the right of the right partial."""
