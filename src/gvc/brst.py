@@ -7,15 +7,17 @@ graded derivatives, except Koszul-Tate, whose `apply` is the one right
 action; it and the antifield slot of the antibracket use the
 right-derivative convention directly, so no hidden sign adapters are
 spread around the code.  Each sum (a Noether row's residual, a
-Koszul-Tate value, the proper solution) is built in one term table, and
-the master-equation report keeps the bracket's size, not the bracket.
+Koszul-Tate value, the proper solution) is built in one term table.
+The master equation is checked by Theta_S^2 alone, and the bracket's
+failure rows are E_z({S,S}) = -+2 Theta_S^2(zbar) (minus on fields and
+ghosts, plus on antifields); `antibracket` is the tests' oracle for it.
 """
 
 from fractions import Fraction
 
 from .grassmann import EVEN, ODD, GvcError, ParityError, Poly, add_product
 from .jets import ContactDerivation, add_total_derivative, iterated_derivative
-from .bicomplex import Lagrangian, euler_lagrange, variational_derivatives
+from .bicomplex import Lagrangian, variational_derivatives
 
 
 class NoetherOperator:
@@ -147,6 +149,15 @@ def nilpotency_residuals(theta):
             for gen in sorted(theta.components, key=lambda g: g.key)}
 
 
+def _require_paired(densities, pairs):
+    """Every non-coordinate generator of the densities has a partner."""
+    known = set(pairs) | set(pairs.values())
+    for density in densities:
+        for v in density.variables():
+            if v.gen.kind != "coordinate" and v.gen not in known:
+                raise GvcError("missing antifield partner for %r" % (v.gen.name,))
+
+
 def antibracket(L1, L2, pairs):
     """Odd bracket of two densities over the field-antifield pairing.
 
@@ -158,34 +169,26 @@ def antibracket(L1, L2, pairs):
     d1, d2 = L1.density, L2.density
     d1.require_parity()
     d2.require_parity()
+    _require_paired((d1, d2), pairs)
     fields, bars = set(pairs), set(pairs.values())
-    known = fields | bars
-    for density in (d1, d2):
-        for v in density.variables():
-            if v.gen.kind != "coordinate" and v.gen not in known:
-                raise GvcError("missing antifield partner for %r" % (v.gen.name,))
-    right1 = variational_derivatives(d1, "right", bars)
-    left1 = variational_derivatives(d1, "left", fields)
-    if d2 is d1:
-        # both cross terms are right1 * left1: accumulate it once, double it
-        cross = ((right1, left1),)
-    else:
-        cross = ((right1, variational_derivatives(d2, "left", fields)),
-                 (variational_derivatives(d2, "right", bars), left1))
     out = {}
-    for z, zbar in pairs.items():
-        for right, left in cross:
+    for right_arg, left_arg in ((d1, d2), (d2, d1)):
+        right = variational_derivatives(right_arg, "right", bars)
+        left = variational_derivatives(left_arg, "left", fields)
+        for z, zbar in pairs.items():
             if zbar in right and z in left:
                 add_product(out, right[zbar], left[z])
-    bracket = Poly(ctx, out)
-    return Lagrangian(bracket * 2 if d2 is d1 else bracket)
+    return Lagrangian(Poly(ctx, out))
 
 
 def master_derivation(L, pairs):
     """The odd derivation generated by an even density through the
-    antibracket; nilpotency is one face of the master equation."""
+    antibracket over a pairing of all its generators; its nilpotency is
+    the master equation."""
     ctx = L.ctx
-    if L.density.require_parity() != EVEN:
+    parity = L.density.require_parity()
+    _require_paired((L.density,), pairs)
+    if parity != EVEN:
         raise ParityError("master equation is checked for even densities")
     left = variational_derivatives(L.density)
     comps = {}
@@ -199,40 +202,40 @@ def master_derivation(L, pairs):
 
 
 class MasterReport:
-    """Outcome of the classical master equation check, keeping the
-    bracket's size (not the bracket), its Euler-Lagrange operator, the
-    master derivation and that derivation's nilpotency residuals."""
+    """Outcome of the classical master equation check: the master
+    derivation Theta_S, its nilpotency residuals and the pairing."""
 
-    __slots__ = ("bracket_terms", "bracket_el", "derivation", "derivation_residuals")
+    __slots__ = ("pairs", "derivation", "derivation_residuals")
 
-    def __init__(self, bracket_terms, bracket_el, derivation, derivation_residuals):
-        self.bracket_terms = bracket_terms
-        self.bracket_el = bracket_el
+    def __init__(self, pairs, derivation, derivation_residuals):
+        self.pairs = pairs
         self.derivation = derivation
         self.derivation_residuals = derivation_residuals
 
-    @property
-    def bracket_trivial(self):
-        """{L, L} is variationally trivial (`is_variationally_trivial`)."""
-        return self.bracket_el.is_zero()
+    def bracket_residuals(self):
+        """The nonzero E_g({S, S}) by generator name: -2 Theta_S^2(zbar)
+        on a field or ghost z, +2 Theta_S^2(z) on its partner zbar."""
+        res, out = self.derivation_residuals, {}
+        for z, zbar in self.pairs.items():
+            for gen, partner, factor in ((z, zbar, -2), (zbar, z, 2)):
+                p = res.get(partner.name)
+                if p is not None and not p.is_zero():
+                    out[gen.name] = p * factor
+        return out
 
     @property
     def derivation_nilpotent(self):
+        """Also whether {S, S} is variationally trivial (its rows above)."""
         return all(p.is_zero() for p in self.derivation_residuals.values())
 
-    @property
-    def ok(self):
-        return self.bracket_trivial and self.derivation_nilpotent
+    bracket_trivial = ok = derivation_nilpotent
 
 
 def master_equation_check(L, pairs):
-    """Check {L, L} is variationally trivial and the generated odd
-    derivation is nilpotent on generators; the two must agree."""
-    bracket = antibracket(L, L, pairs)
-    bracket_terms, bracket_el = len(bracket.density.terms), euler_lagrange(bracket)
-    del bracket  # not alive while the derivation is built and checked
+    """The classical master equation by Theta_L^2 alone: {L, L} is
+    variationally trivial exactly when it vanishes on every generator."""
     theta = master_derivation(L, pairs)
-    return MasterReport(bracket_terms, bracket_el, theta, nilpotency_residuals(theta))
+    return MasterReport(pairs, theta, nilpotency_residuals(theta))
 
 
 def proper_solution(L, s, pairs, residuals=None):

@@ -591,11 +591,8 @@ class GaugeModel:
                 return CheckResult(check, False, witness="no nilpotent extension")
             extended = self.extended_lagrangian()
             rep = master_equation_check(extended, self.pairs())
-            if not rep.bracket_trivial:
-                residuals = {g.name: p for g, p in rep.bracket_el.components.items()}
-                return CheckResult.from_residuals(check, residuals)
-            if not rep.derivation_nilpotent:
-                return CheckResult.from_residuals(check, rep.derivation_residuals)
+            if not rep.ok:
+                return CheckResult.from_residuals(check, rep.bracket_residuals())
             # The derivation moves z by the variational derivative along
             # zbar and zbar by the one along z; the density is even, so its
             # left and right variational derivatives vanish together.  A

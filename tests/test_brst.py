@@ -103,12 +103,14 @@ class TestNoetherIdentities:
         with pytest.raises(GvcError):
             noether_residuals(op, su2.generic_euler_lagrange())
 
-    def test_zero_component_rows_allowed(self, su2):
-        ctx = su2.ctx
+    def test_zero_component_rows_allowed(self):
+        # its own model: the new generator must not grow the shared context
+        model = preset_model("su2")
+        ctx = model.ctx
         # a field the density never touches has zero variational derivative
         extra = ctx.add_generator("spectator", "even-field", EVEN)
         op = NoetherOperator(ctx, {"only": [(ctx.one(), extra, ())]})
-        res = noether_residuals(op, su2.generic_euler_lagrange())
+        res = noether_residuals(op, model.generic_euler_lagrange())
         assert res["only"].is_zero()
 
 
@@ -125,8 +127,9 @@ class TestKoszulTate:
         res = nilpotency_residuals(osp12.koszul_tate())
         assert all(p.is_zero() for p in res.values())
 
-    def test_lowers_antifield_number_by_one(self, su2):
-        kt = su2.koszul_tate()
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
+    def test_lowers_antifield_number_by_one(self, name, request):
+        kt = request.getfixturevalue(name).koszul_tate()
         for gen, value in kt.components.items():
             if value.is_zero():
                 continue
@@ -365,8 +368,9 @@ class TestBrstExtension:
             brst_extend(su2.gauge_operator(),
                         {su2.field[0][0]: ctx.zero()})
 
-    def test_raises_ghost_number_by_one(self, su2):
-        s, _ = su2.brst_operator()
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
+    def test_raises_ghost_number_by_one(self, name, request):
+        s, _ = request.getfixturevalue(name).brst_operator()
         for gen, comp in s.components.items():
             numbers = comp.ghost_numbers()
             assert numbers == {gen.ghost_number + 1}
@@ -438,8 +442,9 @@ class TestAntibracket:
 
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
     def test_self_bracket_equals_two_term_path(self, name):
-        """{S, S} accumulates its one cross term once and doubles it; a
-        distinct copy of S takes the path that adds both cross terms."""
+        """{S, S} is a nonzero density (only its Euler-Lagrange rows
+        vanish) and does not depend on whether its two arguments are one
+        object or equal copies."""
         if name == "sl21":
             model = spec_model(parse_model(SL21_MODEL.read_text(encoding="utf-8")))
         else:
@@ -457,7 +462,7 @@ class TestMasterEquation:
         L = su2.ym_lagrangian()
         rep = master_equation_check(L, su2.pairs())
         assert rep.ok
-        assert rep.bracket_terms == 0
+        assert antibracket(L, L, su2.pairs()).density.is_zero()
         # the field-direction derivation vanishes identically
         for z in su2.pairs():
             assert variational_derivative(L.density, su2.pairs()[z], "right").is_zero()
@@ -466,8 +471,7 @@ class TestMasterEquation:
         extended = su2.extended_lagrangian()
         rep = master_equation_check(extended, su2.pairs())
         assert rep.ok
-        assert rep.bracket_terms == len(antibracket(extended, extended,
-                                                    su2.pairs()).density.terms) > 0
+        assert not antibracket(extended, extended, su2.pairs()).density.is_zero()
         # non-trivial: both derivations have nonzero components
         assert any(not variational_derivative(extended.density, zbar, "right").is_zero()
                    for zbar in su2.pairs().values())
@@ -497,6 +501,85 @@ class TestMasterEquation:
         L = Lagrangian(ctx.var(su2.ghost[0]))
         with pytest.raises(GvcError):
             master_derivation(L, su2.pairs())
+
+    def test_check_rejects_odd_and_mixed_densities(self, su2):
+        ctx = su2.ctx
+        odd = ctx.var(su2.ghost[0])
+        for density in (odd, odd + ctx.var(su2.field[0][0])):
+            with pytest.raises(ParityError):
+                master_equation_check(Lagrangian(density), su2.pairs())
+
+    def test_check_rejects_unpaired_generator(self, su2):
+        # xi1 is a field of the roster but has no antifield partner
+        L = Lagrangian(su2.extended_lagrangian().density + su2.ctx.var("xi1") ** 2)
+        with pytest.raises(GvcError, match="missing antifield partner for 'xi1'"):
+            master_equation_check(L, su2.pairs())
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
+    def test_generated_derivation_raises_ghost_number_by_one(self, name, request):
+        model = request.getfixturevalue(name)
+        theta = master_equation_check(model.extended_lagrangian(), model.pairs()).derivation
+        assert theta.components
+        for gen, comp in theta.components.items():
+            assert comp.ghost_numbers() == {gen.ghost_number + 1}
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
+    def test_proper_solution_has_ghost_number_zero(self, name, request):
+        assert request.getfixturevalue(name).extended_lagrangian().density.ghost_numbers() == {0}
+
+
+def _perturbed_solution(model, rng):
+    """The proper solution plus a nonzero even sum of products of two or
+    three paired generators; field jets go up to order one, so the
+    bracket's Euler-Lagrange rows stay within the jet order bound."""
+    ctx, pairs = model.ctx, model.pairs()
+    gens = sorted(list(pairs) + list(pairs.values()), key=lambda g: g.key)
+    added = ctx.zero()
+    while added.is_zero():
+        for _ in range(2):
+            term = ctx.scalar(rng.choice([1, -1, 2]))
+            for _ in range(rng.randint(2, 3)):
+                gen = rng.choice(gens)
+                order = rng.randint(0, 1) if gen.kind in ("even-field", "odd-field") else 0
+                term = term * ctx.var(gen, *(rng.randrange(ctx.dim) for _ in range(order)))
+            added = added + term.even_part()
+    return Lagrangian(model.extended_lagrangian().density + added)
+
+
+class TestMasterIdentity:
+    """E_z({S,S}) = -2 Theta_S^2(zbar) and E_zbar({S,S}) = +2 Theta_S^2(z),
+    against the bracket built by `antibracket` and differentiated by
+    `euler_lagrange`, which the master-equation check never calls."""
+
+    @staticmethod
+    def _rows(model, el, rep, field_sign, antifield_sign):
+        """(oracle, predicted) component by component over the pairing."""
+        res, zero = rep.derivation_residuals, model.ctx.zero()
+        for z, zbar in model.pairs().items():
+            yield el.component(z), res.get(zbar.name, zero) * field_sign
+            yield el.component(zbar), res.get(z.name, zero) * antifield_sign
+
+    @staticmethod
+    def _both_routes(model, S):
+        return (euler_lagrange(antibracket(S, S, model.pairs())),
+                master_equation_check(S, model.pairs()))
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
+    def test_bracket_rows_are_the_square_of_the_derivation(self, name, request):
+        model = request.getfixturevalue(name)
+        rng = random.Random(1406)
+        for _ in range(2):
+            el, rep = self._both_routes(model, _perturbed_solution(model, rng))
+            assert not el.is_zero() and not rep.ok and not rep.bracket_trivial
+            for got, want in self._rows(model, el, rep, -2, 2):
+                assert got == want
+            # the report rebuilds the nonzero rows by name
+            assert rep.bracket_residuals() == {g.name: p for g, p in el.components.items()}
+
+    @pytest.mark.parametrize("sign", [-2, 2])
+    def test_one_sign_for_both_sides_fails(self, sign, su2):
+        el, rep = self._both_routes(su2, _perturbed_solution(su2, random.Random(1406)))
+        assert any(got != want for got, want in self._rows(su2, el, rep, sign, sign))
 
 
 class TestProperSolution:
