@@ -8,9 +8,7 @@ Coefficients are graded polynomials and always sit to the left of the
 wedge word, with Koszul signs tracked on every reordering.
 """
 
-from fractions import Fraction
-
-from .grassmann import EVEN, GvcError, Poly, accumulate, add_product, exact
+from .grassmann import EVEN, GvcError, Poly, accumulate, add_product
 from .jets import add_total_derivative, iterated_derivative
 
 DX = 0
@@ -45,31 +43,28 @@ def _normal_word(letters):
     return sign, tuple(word)
 
 
-def _scaled(items, scale=1, flip_odd=0):
-    """The (monomial, coefficient) pairs `items` times the canonical
-    coefficient `scale`, each odd monomial negated once more when
-    `flip_odd`: the Koszul sign of an odd letter or operator moving past
-    the coefficient."""
-    if scale == 1 or scale == -1:
-        if flip_odd:
-            negated = 1 if scale == 1 else 0  # the monomial parity that ends negated
-            return ((m, -c if (len(m[1]) & 1) == negated else c) for m, c in items)
-        return items if scale == 1 else ((m, -c) for m, c in items)
-    return ((m, exact(c * scale)) for m, c in _scaled(items, 1, flip_odd))
+def _signed(items, sign=1, flip_odd=0):
+    """The (monomial, numerator) pairs `items` times the sign +-1, each
+    odd monomial negated once more when `flip_odd`: the Koszul sign of an
+    odd letter or operator moving past the coefficient."""
+    if flip_odd:
+        negated = 1 if sign == 1 else 0  # the monomial parity that ends negated
+        return ((m, -c if (len(m[1]) & 1) == negated else c) for m, c in items)
+    return items if sign == 1 else ((m, -c) for m, c in items)
 
 
-def _add_form(table, phi, scale=1):
-    """table += scale * phi for a per-word table (word -> term dict), in
-    place; returns `table`."""
+def _add_form(table, phi, sign=1):
+    """table += sign * phi (sign +-1) for a per-word table of sums in
+    place (word -> Poly); returns `table`."""
     ctx = phi.ctx
     for w, f in phi.terms.items():
-        accumulate(ctx, table.setdefault(w, {}), _scaled(f.terms.items(), scale))
+        accumulate(table.setdefault(w, ctx.zero()), _signed(f.terms.items(), sign), f.den)
     return table
 
 
 def _form(ctx, table):
-    """The Form of a per-word table, each word's Poly built once."""
-    return Form(ctx, {w: Poly(ctx, t) for w, t in table.items()})
+    """The Form of a per-word table, each word's sum finished once."""
+    return Form(ctx, {w: t.finish() for w, t in table.items()})
 
 
 class Form:
@@ -121,9 +116,6 @@ class Form:
         return _form(self.ctx, _add_form(_add_form({}, self), other, -1))
 
     def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return Form.zero(self.ctx)
         return Form(self.ctx, {w: f * c for w, f in self.terms.items()})
 
     def times_poly(self, p):
@@ -143,9 +135,9 @@ class Form:
                 sign, word = nw
                 if odd:
                     if w2 not in flipped:
-                        flipped[w2] = Poly(ctx, dict(_scaled(f2.terms.items(), 1, 1)))
+                        flipped[w2] = Poly(ctx, dict(_signed(f2.terms.items(), 1, 1)), f2.den)
                     f2 = flipped[w2]
-                add_product(table.setdefault(word, {}), f1, f2, sign)
+                add_product(table.setdefault(word, ctx.zero()), f1, f2, sign)
         return _form(ctx, table)
 
     # -- presentation ------------------------------------------------------
@@ -181,33 +173,33 @@ def _render_letter(ell):
     return "th[%s]" % ell[1].render()
 
 
-def _add_letter_wedge(table, ctx, ell, pairs, scale=1):
-    """table += scale * ell ^ phi, where `pairs` are the (word, term dict)
-    pairs of phi; in place."""
+def _add_letter_wedge(table, ctx, ell, pairs, sign=1, den=1):
+    """table += (sign / den) * ell ^ phi (sign +-1), where `pairs` are the
+    (word, polynomial) pairs of phi; in place."""
     flip = _letter_parity(ell)
     for w, t in pairs:
         nw = _normal_word((ell,) + w)
-        if nw is not None and t:
-            sign, word = nw
-            accumulate(ctx, table.setdefault(word, {}), _scaled(t.items(), sign * scale, flip))
+        if nw is not None and t.terms:
+            s, word = nw
+            accumulate(table.setdefault(word, ctx.zero()),
+                       _signed(t.terms.items(), s * sign, flip), t.den * den)
     return table
 
 
 def letter_wedge_left(ell, phi):
     """ell wedge phi for a single basis one-form ell."""
-    pairs = ((w, f.terms) for w, f in phi.terms.items())
-    return _form(phi.ctx, _add_letter_wedge({}, phi.ctx, ell, pairs))
+    return _form(phi.ctx, _add_letter_wedge({}, phi.ctx, ell, phi.terms.items()))
 
 
 # -- differentials ---------------------------------------------------------
 
 
 def _total_derivative_table(ctx, lam, pairs):
-    """Per-word table of d_lam of the form with (word, term dict) pairs
+    """Per-word table of d_lam of the form with (word, polynomial) pairs
     `pairs`: d_lam acts on each coefficient and raises each th leg."""
     table = {}
     for w, t in pairs:
-        add_total_derivative(table.setdefault(w, {}), lam, Poly(ctx, t))
+        add_total_derivative(table.setdefault(w, ctx.zero()), lam, t)
         for i, ell in enumerate(w):
             if ell[0] != TH:
                 continue
@@ -215,7 +207,8 @@ def _total_derivative_table(ctx, lam, pairs):
             nw = _normal_word(w[:i] + (raised,) + w[i + 1 :])
             if nw is not None:
                 sign, word = nw
-                accumulate(ctx, table.setdefault(word, {}), _scaled(t.items(), sign))
+                accumulate(table.setdefault(word, ctx.zero()), _signed(t.terms.items(), sign),
+                           t.den)
     return table
 
 
@@ -228,7 +221,7 @@ def d_h(phi):
     table = {}
     for lam in range(ctx.dim):
         dx = dx_letter(lam)
-        pairs = ((w, f.terms) for w, f in phi.terms.items() if dx not in w)
+        pairs = ((w, f) for w, f in phi.terms.items() if dx not in w)
         _add_letter_wedge(table, ctx, dx, _total_derivative_table(ctx, lam, pairs).items())
     return _form(ctx, table)
 
@@ -240,7 +233,7 @@ def d_v(phi):
     for w, f in phi.terms.items():
         for v, df in f.partials():
             if v.gen.kind != "coordinate":
-                _add_letter_wedge(table, ctx, theta_letter(v), ((w, df.terms),))
+                _add_letter_wedge(table, ctx, theta_letter(v), ((w, df),))
     return _form(ctx, table)
 
 
@@ -275,12 +268,12 @@ def _contract_word(phi, op_parity, value_fn):
             val = value_fn(ell)
             if val is not None and val.terms:
                 sign = -prefix_sign if (val.require_parity() and prefix_parity & 1) else prefix_sign
-                out = table.setdefault(w[:i] + w[i + 1 :], {})
+                out = table.setdefault(w[:i] + w[i + 1 :], ctx.zero())
                 if len(val.terms) == 1 and val.constant_term() == 1:
-                    accumulate(ctx, out, _scaled(f.terms.items(), sign, op_parity))
+                    accumulate(out, _signed(f.terms.items(), sign, op_parity), f.den)
                 else:
                     if signed is None:
-                        signed = Poly(ctx, dict(_scaled(f.terms.items(), 1, op_parity)))
+                        signed = Poly(ctx, dict(_signed(f.terms.items(), 1, op_parity)), f.den)
                     add_product(out, signed, val, sign)
             lp = _letter_parity(ell)
             if not (lp and op_parity):
@@ -384,7 +377,7 @@ class EulerLagrange:
         (word,) = volume(ctx).terms
         table = {}
         for gen, comp in self.components.items():
-            _add_letter_wedge(table, ctx, theta_letter(ctx.jet(gen)), ((word, comp.terms),))
+            _add_letter_wedge(table, ctx, theta_letter(ctx.jet(gen)), ((word, comp),))
         return _form(ctx, table)
 
 
@@ -412,13 +405,13 @@ def variational_derivatives(density, side="left", gens=None):
     for v, dv in density.partials(side, gens):
         if gens is None and v.gen.kind == "coordinate":
             continue
-        table = comps.setdefault(v.gen, {})
+        table = comps.setdefault(v.gen, ctx.zero())
         if v.index:
             add_total_derivative(table, v.index[-1], iterated_derivative(v.index[:-1], dv),
                                  -1 if len(v.index) & 1 else 1)
         else:
-            accumulate(ctx, table, dv.terms.items())
-    return {gen: Poly(ctx, terms) for gen, terms in comps.items() if terms}
+            accumulate(table, dv.terms.items(), dv.den)
+    return {gen: table.finish() for gen, table in comps.items() if table.terms}
 
 
 def is_variationally_trivial(L):
@@ -453,16 +446,16 @@ def project_rho(phi):
                 # that an odd frame commutes with odd letters
                 passed = passed_even if v.parity else i
                 table = legs.setdefault((k, v), {})
-                accumulate(ctx, table.setdefault(w[:i] + w[i + 1 :], {}),
-                           _scaled(f.terms.items(), -1 if passed & 1 else 1, v.parity))
+                accumulate(table.setdefault(w[:i] + w[i + 1 :], ctx.zero()),
+                           _signed(f.terms.items(), -1 if passed & 1 else 1, v.parity), f.den)
             if not _letter_parity(ell):
                 passed_even += 1
     out = {}
     for (k, v), table in legs.items():
         for lam in v.index:
             table = _total_derivative_table(ctx, lam, table.items())
-        weight = exact(Fraction(-1 if len(v.index) & 1 else 1, k))
-        _add_letter_wedge(out, ctx, theta_letter(ctx.jet(v.gen, ())), table.items(), weight)
+        _add_letter_wedge(out, ctx, theta_letter(ctx.jet(v.gen, ())), table.items(),
+                          -1 if len(v.index) & 1 else 1, k)
     return _form(ctx, out)
 
 
@@ -486,8 +479,7 @@ def lepage_equivalent(L):
         if v.gen.kind == "coordinate" or v.order != 1:
             continue
         piece = omega_lambda(ctx, v.index[0]).times_poly(momentum)
-        _add_letter_wedge(table, ctx, theta_letter(ctx.jet(v.gen)),
-                          ((w, f.terms) for w, f in piece.terms.items()))
+        _add_letter_wedge(table, ctx, theta_letter(ctx.jet(v.gen)), piece.terms.items())
     return _form(ctx, table)
 
 

@@ -7,13 +7,11 @@ graded derivatives, except Koszul-Tate, whose `apply` is the one right
 action; it and the antifield slot of the antibracket use the
 right-derivative convention directly, so no hidden sign adapters are
 spread around the code.  Each sum (a Noether row's residual, a
-Koszul-Tate value, the proper solution) is built in one term table.
+Koszul-Tate value, the proper solution) is built in one polynomial.
 The master equation is checked by Theta_S^2 alone, and the bracket's
 failure rows are E_z({S,S}) = -+2 Theta_S^2(zbar) (minus on fields and
 ghosts, plus on antifields); `antibracket` is the tests' oracle for it.
 """
-
-from fractions import Fraction
 
 from .grassmann import EVEN, ODD, GvcError, ParityError, Poly, add_product
 from .jets import ContactDerivation, add_total_derivative, iterated_derivative
@@ -50,7 +48,7 @@ def noether_residuals(op, el):
     ctx = op.ctx
     out = {}
     for label, entries in op.rows.items():
-        res = {}
+        res = ctx.zero()
         for coeff, gen, index in entries:
             if gen.kind not in ("even-field", "odd-field"):
                 raise GvcError(
@@ -64,7 +62,7 @@ def noether_residuals(op, el):
                                      sign)
             else:
                 add_product(res, coeff, iterated_derivative(index, comp))
-        out[label] = Poly(ctx, res)
+        out[label] = res.finish()
     return out
 
 
@@ -80,10 +78,10 @@ class KoszulTate(ContactDerivation):
     def apply(self, p):
         """Right-derivation action: sum of right partials times prolonged
         values, multiplied from the right."""
-        out = {}
+        out = self.ctx.zero()
         for v, dp in p.partials("right", self.components):
             self.add_value(out, v, dp, right=True)
-        return Poly(self.ctx, out)
+        return out.finish()
 
 
 def koszul_tate(op, el, pairs):
@@ -110,10 +108,10 @@ def koszul_tate(op, el, pairs):
             nbar = degree_two[label]
         except KeyError:
             raise GvcError("missing degree-two antifield for row %r" % (label,))
-        acc = {}
+        acc = ctx.zero()
         for coeff, gen, index in entries:
             add_product(acc, coeff, ctx.var(antifield(gen), *index))
-        values[nbar] = Poly(ctx, acc)
+        values[nbar] = acc.finish()
     return KoszulTate(ctx, values)
 
 
@@ -171,14 +169,14 @@ def antibracket(L1, L2, pairs):
     d2.require_parity()
     _require_paired((d1, d2), pairs)
     fields, bars = set(pairs), set(pairs.values())
-    out = {}
+    out = ctx.zero()
     for right_arg, left_arg in ((d1, d2), (d2, d1)):
         right = variational_derivatives(right_arg, "right", bars)
         left = variational_derivatives(left_arg, "left", fields)
         for z, zbar in pairs.items():
             if zbar in right and z in left:
                 add_product(out, right[zbar], left[z])
-    return Lagrangian(Poly(ctx, out))
+    return Lagrangian(out.finish())
 
 
 def master_derivation(L, pairs):
@@ -193,7 +191,7 @@ def master_derivation(L, pairs):
     left = variational_derivatives(L.density)
     comps = {}
     for z, zbar in pairs.items():
-        sign = Fraction(-1) if z.parity == EVEN else Fraction(1)
+        sign = -1 if z.parity == EVEN else 1
         if zbar in left:
             comps[z] = left[zbar] * sign
         if z in left:
@@ -247,11 +245,11 @@ def proper_solution(L, s, pairs, residuals=None):
     bad = [name for name, p in res.items() if not p.is_zero()]
     if bad:
         raise GvcError("extension is not nilpotent on %s" % ", ".join(sorted(bad)))
-    out = dict(L.density.terms)
+    out = Poly(ctx, dict(L.density.terms), L.density.den)
     for z, comp in s.components.items():
         try:
             zbar = pairs[z]
         except KeyError:
             raise GvcError("missing antifield partner for %r" % (z.name,))
         add_product(out, comp, ctx.var(zbar))
-    return Lagrangian(Poly(ctx, out))
+    return Lagrangian(out.finish())

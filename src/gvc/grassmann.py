@@ -8,18 +8,21 @@ polynomial is kept in normal form: within a monomial the odd factors
 are strictly increasing under a fixed global order, and reordering
 signs are tracked exactly with rational coefficients.
 
-Coefficients are canonical: a Python `int` whenever the value is
-integral and a `Fraction` only otherwise, so the common integer case
-never pays for rational arithmetic.  `exact` is the one way a
-coefficient enters, and it canonicalises every scaled coefficient; the
-hot sums (`accumulate`) and products (`add_product`) inline the same
-test, and no true division ever meets two ints.
+Coefficients are fraction-free: each polynomial keeps integer
+numerators over one positive denominator, normalised so that the
+denominator shares no factor with all the numerators, so it is 1
+exactly when the polynomial is integral.  Every kernel loop does int
+arithmetic only; a sum in place carries its own denominator and
+rescales only when an incoming denominator does not divide it, so an
+integral computation never rescales.  A `Fraction` is built only where
+a coefficient is shown (`Poly.coeffs`, `constant_term`, `render`).
 
 Each variable carries one order key, a string, so that every comparison
 the kernel makes is a single string comparison.
 """
 
 from fractions import Fraction
+from math import gcd
 
 EVEN = 0
 ODD = 1
@@ -40,15 +43,21 @@ KINDS = (
 _KIND_RANK = {kind: rank for rank, kind in enumerate(KINDS)}
 
 
-def exact(c):
-    """The canonical coefficient of `c` (anything `Fraction` accepts):
-    an `int` when it is integral, else a `Fraction`."""
-    if type(c) is not int:
-        if type(c) is not Fraction:
-            c = Fraction(c)
-        if c.denominator == 1:
-            return c.numerator
-    return c
+def exact(c, den=1):
+    """The canonical coefficient of `c` / `den`, for `c` anything
+    `Fraction` accepts: an `int` when it is integral, else a `Fraction`."""
+    if type(c) is int and den == 1:
+        return c
+    c = Fraction(c) / den
+    return c.numerator if c.denominator == 1 else c
+
+
+def _rational(c):
+    """(numerator, positive denominator) of a scalar in lowest terms."""
+    if type(c) is int:
+        return c, 1
+    c = Fraction(c)
+    return c.numerator, c.denominator
 
 
 class GvcError(Exception):
@@ -210,10 +219,10 @@ class Context:
         return Poly(self, {})
 
     def scalar(self, c):
-        c = exact(c)
-        if c == 0:
+        num, den = _rational(c)
+        if num == 0:
             return Poly(self, {})
-        return Poly(self, {_ONE: c})
+        return Poly(self, {_ONE: num}, den)
 
     def one(self):
         return self.scalar(1)
@@ -267,48 +276,71 @@ def _mono_render(m, coeff):
     return "%s*%s" % (coeff, body)
 
 
-def accumulate(ctx, out, items):
-    """Add a stream of (monomial, nonzero canonical coefficient) pairs into
-    the term dict `out` in place, dropping cancelled monomials and keeping
-    sums canonical, then enforce the context's term limit.  Every kernel
-    sum takes this step: here, or inlined in the two hot loops,
-    `add_product` and `jets.add_total_derivative`."""
-    setdefault = out.setdefault
+def common_denominator(out, den):
+    """Make the denominator of the sum `out` a multiple of `den`, and
+    return the factor that lifts a numerator over `den` onto it.  `out`
+    rescales only when `den` does not divide its denominator, so an
+    integral sum never does."""
+    have = out.den
+    if have % den:
+        lift = den // gcd(have, den)
+        terms = out.terms
+        for m in terms:
+            terms[m] *= lift
+        have = out.den = have * lift
+    return have // den
+
+
+def accumulate(out, items, den=1):
+    """Add a stream of (monomial, nonzero numerator) pairs over the
+    denominator `den` into the polynomial `out` in place, dropping
+    cancelled monomials, then enforce the context's term limit; returns
+    `out`, whose denominator `finish` reduces.  Every kernel sum takes
+    this step: here, or inlined in the two hot loops, `add_product` and
+    `jets.add_total_derivative`."""
+    lift = common_denominator(out, den)
+    if lift != 1:
+        items = ((m, c * lift) for m, c in items)
+    terms = out.terms
+    setdefault = terms.setdefault
     for m, c in items:
         # setdefault hashes a new monomial once; the length tells whether
         # it was new
-        n = len(out)
+        n = len(terms)
         s = setdefault(m, c)
-        if len(out) == n:
+        if len(terms) == n:
             s += c
             if s:
-                out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
+                terms[m] = s
             else:
-                del out[m]
-    ctx.check_terms(len(out))
+                del terms[m]
+    out.ctx.check_terms(len(terms))
     return out
 
 
 def add_product(out, p, q, sign=1):
-    """out += sign * p * q (sign +-1) for a term dict `out`, in place;
-    returns `out`.
+    """out += sign * p * q (sign +-1) for a polynomial `out`, in place;
+    returns `out`, whose denominator `finish` reduces.
 
     One loop over the pairs of terms: the odd words are merged counting
     the crossings of the Koszul sign, and a pair sharing an odd letter is
     dropped (variables are interned, so `is` compares them); the sorted
     even parts are concatenated when one ends below the other's start
     and merged by exponent otherwise; each product is summed into `out`
-    as `accumulate` does, and the term limit is checked at the end."""
-    setdefault = out.setdefault
-    negate = sign == -1
-    q_items = [(ev, od, c, len(od), ev and ev[0][0].key, ev and ev[-1][0].key)
+    as `accumulate` does, and the term limit is checked at the end.  The
+    sign and the lift onto `out`'s denominator scale q's numerators once,
+    before the loop."""
+    lift = common_denominator(out, p.den * q.den) * sign
+    terms = out.terms
+    setdefault = terms.setdefault
+    q_items = [(ev, od, c * lift, len(od), ev and ev[0][0].key, ev and ev[-1][0].key)
                for (ev, od), c in q.terms.items()]
     for (ev1, od1), c1 in p.terms.items():
         n1, e1 = len(od1), len(ev1)
         if ev1:
             first1, last1 = ev1[0][0].key, ev1[-1][0].key
         for ev2, od2, c2, n2, first2, last2 in q_items:
-            flip = negate
+            flip = False
             if not od2:
                 od = od1
             elif not od1:
@@ -359,28 +391,25 @@ def add_product(out, p, q, sign=1):
                         word.append(x)
                         i += 1
                 ev = tuple(word) + ev1[i:] + ev2[j:]
-            c = c1 * c2
-            if type(c) is not int and c.denominator == 1:
-                c = c.numerator
-            if flip:
-                c = -c
+            c = -c1 * c2 if flip else c1 * c2
             m = (ev, od)
-            n = len(out)
+            n = len(terms)
             s = setdefault(m, c)
-            if len(out) == n:
+            if len(terms) == n:
                 s += c
                 if s:
-                    out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
+                    terms[m] = s
                 else:
-                    del out[m]
-    p.ctx.check_terms(len(out))
+                    del terms[m]
+    out.ctx.check_terms(len(terms))
     return out
 
 
 def _partial_terms(items, v, side):
-    """Term dict of the partial derivative along `v` of the (monomial,
-    coefficient) pairs `items`; pairs without `v` contribute nothing.
-    Distinct monomials have distinct partials, so nothing merges."""
+    """Numerators of the partial derivative along `v` of the (monomial,
+    numerator) pairs `items`, over their denominator; pairs without `v`
+    contribute nothing.  Distinct monomials have distinct partials, so
+    nothing merges."""
     out = {}
     key = v.key
     if v.parity == EVEN:
@@ -390,7 +419,7 @@ def _partial_terms(items, v, side):
                     if e == 1:
                         out[(ev[:pos] + ev[pos + 1 :], od)] = c
                     else:
-                        out[(ev[:pos] + ((w, e - 1),) + ev[pos + 1 :], od)] = exact(c * e)
+                        out[(ev[:pos] + ((w, e - 1),) + ev[pos + 1 :], od)] = c * e
                     break
     else:
         for (ev, od), c in items:
@@ -405,52 +434,70 @@ def _partial_terms(items, v, side):
 class Poly:
     """Exact-rational linear combination of normal-ordered monomials.
 
-    `terms` maps each monomial to its nonzero coefficient: an `int` when
-    integral, a `Fraction` with denominator other than 1 otherwise.
+    `terms` maps each monomial to a nonzero `int` numerator, all over the
+    one positive denominator `den`, and gcd(den, numerators) is 1; so
+    `den` is 1 exactly when every coefficient is integral, and equal
+    polynomials have equal `terms` and `den`.  `coeffs` gives the
+    coefficients themselves.  A polynomial is also the accumulator of the
+    kernel's sums in place (`accumulate`, `add_product`,
+    `jets.add_total_derivative`), which leave `den` unreduced; such a sum
+    ends with `finish`.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "den")
 
-    def __init__(self, ctx, terms):
+    def __init__(self, ctx, terms, den=1):
         self.ctx = ctx
         self.terms = terms
+        self.den = den
+
+    def finish(self):
+        """Reduce `den` against the numerators, in place; returns self."""
+        den = self.den
+        if den != 1:
+            g = gcd(den, *self.terms.values())
+            if g != 1:
+                self.den = den // g
+                terms = self.terms
+                for m in terms:
+                    terms[m] //= g
+        return self
 
     def is_zero(self):
         return not self.terms
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.terms == other.terms
+            return self.den == other.den and self.terms == other.terms
         return NotImplemented
 
     def __hash__(self):
         raise TypeError("Poly is unhashable")
 
     def __neg__(self):
-        return Poly(self.ctx, {m: -c for m, c in self.terms.items()})
+        return Poly(self.ctx, {m: -c for m, c in self.terms.items()}, self.den)
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly(self.ctx, accumulate(self.ctx, dict(self.terms), other.terms.items()))
+        out = Poly(self.ctx, dict(self.terms), self.den)
+        return accumulate(out, other.terms.items(), other.den).finish()
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
+        out = Poly(self.ctx, dict(self.terms), self.den)
         negated = ((m, -c) for m, c in other.terms.items())
-        return Poly(self.ctx, accumulate(self.ctx, dict(self.terms), negated))
+        return accumulate(out, negated, other.den).finish()
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            return Poly(self.ctx, add_product({}, self, other))
-        c = exact(other)
-        if c == 0:
+            return add_product(Poly(self.ctx, {}), self, other).finish()
+        num, den = _rational(other)
+        if num == 0:
             return Poly(self.ctx, {})
-        if c == 1:
-            return Poly(self.ctx, dict(self.terms))
-        if c == -1:
-            return -self
-        return Poly(self.ctx, {m: exact(c0 * c) for m, c0 in self.terms.items()})
+        return Poly(self.ctx, {m: c * num for m, c in self.terms.items()},
+                    self.den * den).finish()
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -484,10 +531,12 @@ class Poly:
         return p
 
     def even_part(self):
-        return Poly(self.ctx, {m: c for m, c in self.terms.items() if not _mono_parity(m)})
+        return Poly(self.ctx, {m: c for m, c in self.terms.items() if not _mono_parity(m)},
+                    self.den).finish()
 
     def odd_part(self):
-        return Poly(self.ctx, {m: c for m, c in self.terms.items() if _mono_parity(m)})
+        return Poly(self.ctx, {m: c for m, c in self.terms.items() if _mono_parity(m)},
+                    self.den).finish()
 
     def ghost_numbers(self):
         out = set()
@@ -505,8 +554,13 @@ class Poly:
             out.add(a)
         return out
 
+    def coeffs(self):
+        """Each monomial's coefficient: an `int` when it is integral, else
+        a `Fraction`."""
+        return {m: exact(c, self.den) for m, c in self.terms.items()}
+
     def constant_term(self):
-        return self.terms.get(_ONE, 0)
+        return exact(self.terms.get(_ONE, 0), self.den)
 
     # -- structure -----------------------------------------------------
 
@@ -533,7 +587,7 @@ class Poly:
             raise GvcError("side must be 'left' or 'right'")
         if v.gen.name not in self.ctx.generators:
             raise UnknownGeneratorError("variable %s not registered here" % v.render())
-        return Poly(self.ctx, _partial_terms(self.terms.items(), v, side))
+        return Poly(self.ctx, _partial_terms(self.terms.items(), v, side), self.den).finish()
 
     def partials(self, side="left", gens=None):
         """Yield (variable, nonzero partial derivative) for every variable
@@ -558,7 +612,7 @@ class Poly:
                 if gens is None or v.gen in gens:
                     index.setdefault(v, []).append(item)
         for v, items in index.items():
-            yield v, Poly(self.ctx, _partial_terms(items, v, side))
+            yield v, Poly(self.ctx, _partial_terms(items, v, side), self.den).finish()
 
     def substitute(self, mapping):
         """Replace variables simultaneously: `mapping` sends each variable
@@ -585,24 +639,26 @@ class Poly:
                     powers[(v, e)] = repl ** e
             return powers[(v, e)]
 
-        out = {}
+        out = Poly(ctx, {})
         for (ev, od), c in self.terms.items():
             factors = ev + tuple((v, 1) for v in od)
             if not any(v in mapping for v, _ in factors):
-                accumulate(ctx, out, (((ev, od), c),))
+                accumulate(out, (((ev, od), c),))
                 continue
             prod = Poly(ctx, {_ONE: c})
             for v, e in factors:
-                prod = Poly(ctx, add_product({}, prod, factor(v, e)))
-            accumulate(ctx, out, prod.terms.items())
-        return Poly(ctx, out)
+                prod = add_product(Poly(ctx, {}), prod, factor(v, e))
+            accumulate(out, prod.terms.items(), prod.den)
+        # the numerators summed so far are over this polynomial's denominator
+        out.den *= self.den
+        return out.finish()
 
     # -- presentation ----------------------------------------------------
 
     def render(self):
         if not self.terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda it: _mono_key(it[0]))
+        items = sorted(self.coeffs().items(), key=lambda it: _mono_key(it[0]))
         parts = []
         for m, c in items:
             txt = _mono_render(m, c)
@@ -617,7 +673,7 @@ class Poly:
         if not self.terms:
             return "0"
         m, c = min(self.terms.items(), key=lambda it: _mono_key(it[0]))
-        return _mono_render(m, c)
+        return _mono_render(m, exact(c, self.den))
 
     def __repr__(self):
         return "Poly(%s)" % self.render()
@@ -629,8 +685,8 @@ def normalize(ctx, coeff, factors):
     The sign is (-1)^(number of transpositions of odd factors needed to
     sort); the result is zero whenever an odd factor repeats.
     """
-    coeff = exact(coeff)
-    if coeff == 0:
+    num, den = _rational(coeff)
+    if num == 0:
         return ctx.zero()
     ev = {}
     od = []
@@ -654,4 +710,4 @@ def normalize(ctx, coeff, factors):
             od.append(v)
             od.sort(key=lambda w: w.key)
     mono = (tuple(sorted(ev.items(), key=lambda it: it[0].key)), tuple(od))
-    return Poly(ctx, {mono: sign * coeff})
+    return Poly(ctx, {mono: sign * num}, den)

@@ -4,7 +4,7 @@ prolongation of vertical contact derivations.
 A multi-index is a multiset of spacetime directions; total derivatives
 commute, so iterated derivatives only depend on the multiset.  A total
 derivative is one loop over the terms that writes each raised term
-straight into the caller's term table (`add_total_derivative`).  A contact
+straight into the caller's sum (`add_total_derivative`).  A contact
 derivation is determined by its components on the generating basis; it
 acts on jets of a field through total derivatives of the component, and
 each jet's value is one total derivative of its parent jet's value.
@@ -15,7 +15,7 @@ components, and a jet whose partial is the constant +-1 adds its total
 derivative straight into the result instead of building its value.
 """
 
-from .grassmann import GvcError, ParityError, Poly, add_product, exact
+from .grassmann import GvcError, ParityError, add_product, common_denominator
 
 
 class MultiIndex:
@@ -66,12 +66,12 @@ def _as_index(index):
 
 def total_derivative(lam, p):
     """d_lam = partial_lam + sum over jets s^A_{lam+Lambda} d/d(s^A_Lambda)."""
-    return Poly(p.ctx, add_total_derivative({}, lam, p))
+    return add_total_derivative(p.ctx.zero(), lam, p).finish()
 
 
 def add_total_derivative(out, lam, p, sign=1):
-    """out += sign * d_lam p (sign +-1) for a term dict `out`, in place;
-    returns `out`.
+    """out += sign * d_lam p (sign +-1) for a polynomial `out`, in place;
+    returns `out`, whose denominator `finish` reduces.
 
     One loop over the terms: in each monomial every jet factor in turn is
     traded for its raised jet (`Context.raised`), and a factor x^lam is
@@ -80,10 +80,12 @@ def add_total_derivative(out, lam, p, sign=1):
     ctx = p.ctx
     raised = ctx.raised
     x = ctx.coordinate(lam)
-    setdefault = out.setdefault
+    lift = common_denominator(out, p.den) * sign
+    terms = out.terms
+    setdefault = terms.setdefault
     for (ev, od), c in p.terms.items():
-        if sign == -1:
-            c = -c
+        if lift != 1:
+            c *= lift
         for pos, (w, e) in enumerate(ev):
             if w.gen.kind == "coordinate":
                 if w is not x:
@@ -94,15 +96,15 @@ def add_total_derivative(out, lam, p, sign=1):
                     m = (ev[:pos] + ((w, e - 1),) + ev[pos + 1 :], od)
             else:
                 m = (_trade_even(ev, pos, e, raised(w, lam)), od)
-            ce = c if e == 1 else exact(c * e)
-            n = len(out)
+            ce = c if e == 1 else c * e
+            n = len(terms)
             s = setdefault(m, ce)
-            if len(out) == n:
+            if len(terms) == n:
                 s += ce
                 if s:
-                    out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
+                    terms[m] = s
                 else:
-                    del out[m]
+                    del terms[m]
         for pos, w in enumerate(od):
             r = raised(w, lam)
             rest = od[:pos] + od[pos + 1 :]
@@ -117,15 +119,15 @@ def add_total_derivative(out, lam, p, sign=1):
             # moving r from slot pos to slot at passes |pos - at| odd factors
             m = (ev, rest[:at] + (r,) + rest[at:])
             ce = -c if (pos - at) & 1 else c
-            n = len(out)
+            n = len(terms)
             s = setdefault(m, ce)
-            if len(out) == n:
+            if len(terms) == n:
                 s += ce
                 if s:
-                    out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
+                    terms[m] = s
                 else:
-                    del out[m]
-    ctx.check_terms(len(out))
+                    del terms[m]
+    ctx.check_terms(len(terms))
     return out
 
 
@@ -220,8 +222,8 @@ class ContactDerivation:
         return val
 
     def add_value(self, out, v, dp, right=False):
-        """out += value(v) * dp, or dp * value(v) when `right`, for a term
-        dict `out` in place.
+        """out += value(v) * dp, or dp * value(v) when `right`, for a
+        polynomial `out` in place.
 
         A jet of order at least one whose partial `dp` is the constant +-1
         and whose value is not kept yet adds the total derivative of its
@@ -245,10 +247,10 @@ class ContactDerivation:
 def prolong_apply(theta, p):
     """Apply the prolonged derivation: sum_v d_Lambda(v^A) * d_left/dv p,
     over the variables of the fields theta moves."""
-    out = {}
+    out = p.ctx.zero()
     for v, dp in p.partials("left", theta.components):
         theta.add_value(out, v, dp)
-    return Poly(p.ctx, out)
+    return out.finish()
 
 
 def superbracket(t1, t2):

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from .grassmann import (DEFAULT_MAX_JET_ORDER, DEFAULT_TERM_LIMIT, Context, EVEN, ODD,
-                        ExpansionLimitError, GvcError, Poly, accumulate, add_product, exact)
+                        ExpansionLimitError, GvcError, accumulate, add_product)
 from .superlie import check_invariant_form, check_structure
 from .jets import ContactDerivation, add_total_derivative
 from .bicomplex import (
@@ -235,16 +235,17 @@ class GaugeModel:
         ctx = self.ctx
         n = self.metric.dim
         signs = self.metric.signs
-        density = {}
+        density = ctx.zero()
         for i, j, h in self.algebra.graded_form():
-            table = {}
+            table = ctx.zero()
             for lam in range(n):
                 for beta in range(lam + 1, n):
                     add_product(table, self.strength(i, lam, beta),
                                 self.strength(j, lam, beta), signs[lam] * signs[beta])
             half = Fraction(h) / 2
-            accumulate(ctx, density, ((m, exact(half * c)) for m, c in table.items()))
-        return Lagrangian(Poly(ctx, density))
+            accumulate(density, ((m, half.numerator * c) for m, c in table.terms.items()),
+                       half.denominator * table.den)
+        return Lagrangian(density.finish())
 
     def mass_term_lagrangian(self):
         """Quadratic field (not strength) density; breaks gauge invariance."""
@@ -293,7 +294,7 @@ class GaugeModel:
         comps = {}
         for r in range(m):
             for mu in range(n):
-                acc = {}
+                acc = ctx.zero()
                 for kappa in range(n):
                     pi = self.momentum(r, mu, kappa)
                     if not pi.is_zero():
@@ -303,8 +304,8 @@ class GaugeModel:
                             pii = self.momentum(i, mu, kappa)
                             if not pii.is_zero():
                                 add_product(acc, c * ctx.var(self.field[fld][kappa]), pii)
-                if acc:
-                    comps[self.field[r][mu]] = Poly(ctx, acc)
+                if acc.terms:
+                    comps[self.field[r][mu]] = acc.finish()
         return EulerLagrange(ctx, comps)
 
     def generic_euler_lagrange(self):

@@ -65,7 +65,7 @@ def oracle_total_derivative(lam, p):
     """Product-rule expansion of the total derivative, factor by factor."""
     ctx = p.ctx
     out = ctx.zero()
-    for (ev, od), coeff in p.terms.items():
+    for (ev, od), coeff in p.coeffs().items():
         factors = []
         for v, e in ev:
             factors.extend([v] * e)

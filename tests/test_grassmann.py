@@ -8,9 +8,11 @@ import pytest
 from gvc import Context, EVEN, ODD, GvcError, ParityError, UnknownGeneratorError
 from gvc.grassmann import (KINDS, ExpansionLimitError, Generator, JetOrderError, Poly,
                            add_product, exact, normalize)
-from gvc.jets import total_derivative
+from gvc.jets import add_total_derivative, total_derivative
 
-from util import make_context, oracle_add_product, random_poly
+from util import (assert_normal, make_context, oracle_add_product,
+                  oracle_add_total_derivative, oracle_coeffs, oracle_partial, oracle_poly,
+                  oracle_substitute, random_poly)
 
 
 @pytest.fixture
@@ -251,9 +253,9 @@ class TestPartials:
         rng = random.Random(32)
         for _ in range(20):
             a, p, q = (random_poly(rng, ctx, terms=4) for _ in range(3))
-            out = dict(a.terms)
+            out = Poly(ctx, dict(a.terms), a.den)
             assert add_product(out, p, q) is out
-            assert Poly(ctx, out) == a + p * q
+            assert out.finish() == a + p * q
 
 
 class TestProperties:
@@ -336,7 +338,8 @@ class TestHousekeeping:
             """The terms of `p` without a target, so the order of
             one-variable substitutions cannot matter."""
             return Poly(ctx, {m: c for m, c in p.terms.items()
-                              if not Poly(ctx, {m: c}).variables() & set(targets)})
+                              if not Poly(ctx, {m: c}).variables() & set(targets)},
+                        p.den).finish()
 
         # two odd targets around an unreplaced odd factor, and a square
         both = ctx.product(Fraction(3, 2), [targets[0], targets[0], targets[1],
@@ -450,8 +453,8 @@ class TestMonoMul:
         for _ in range(600):
             m1, m2 = monomial(), monomial()
             want = _old_mono_mul(m1, m2)
-            got = add_product({}, Poly(ctx, {m1: 1}), Poly(ctx, {m2: 1}))
-            assert got == ({} if want is None else {want[1]: want[0]})
+            got = add_product(ctx.zero(), Poly(ctx, {m1: 1}), Poly(ctx, {m2: 1}))
+            assert got.terms == ({} if want is None else {want[1]: want[0]})
             keys1 = [v.key for v, _ in m1[0]]
             keys2 = [v.key for v, _ in m2[0]]
             shared += bool(set(keys1) & set(keys2))
@@ -462,43 +465,125 @@ class TestMonoMul:
 
 class TestAddProduct:
     """The one-loop product against the per-pair oracle of tests/util.py,
-    summed into a table that already holds terms."""
+    summed into a polynomial that already holds terms."""
 
     def test_matches_oracle(self):
         ctx = make_context(2, evens=2, odds=3)
         rng = random.Random(44)
-        shared_odd = cancelled = fractional = 0
+        shared_odd = cancelled = fractional = rescaled = 0
         for _ in range(200):
             p = random_poly(rng, ctx, terms=rng.randint(0, 5), max_order=1)
             q = random_poly(rng, ctx, terms=rng.randint(0, 5), max_order=1)
-            head = Poly(ctx, dict(list(q.terms.items())[:rng.randint(0, len(q.terms))]))
+            head = oracle_poly(ctx, dict(list(oracle_coeffs(q).items())
+                                         [:rng.randint(0, len(q.terms))]))
             for sign in (1, -1):
-                # the table starts with minus the product of a part of q,
+                # the sum starts with minus the product of a part of q,
                 # which the sum cancels
                 base = oracle_add_product({}, p, head, -sign)
-                got = add_product(dict(base), p, q, sign)
-                assert got == oracle_add_product(dict(base), p, q, sign)
-                assert all(type(c) is int or c.denominator != 1 for c in got.values())
-                cancelled += bool(set(base) - set(got))
-                fractional += any(type(c) is not int for c in got.values())
+                out = oracle_poly(ctx, base)
+                den = out.den
+                assert add_product(out, p, q, sign) is out
+                rescaled += out.den != den
+                assert out.finish().coeffs() == oracle_add_product(dict(base), p, q, sign)
+                assert_normal(out)
+                cancelled += bool(set(base) - set(out.terms))
+                fractional += out.den != 1
             shared_odd += any(set(m1[1]) & set(m2[1]) for m1 in p.terms for m2 in q.terms)
-            assert add_product(add_product({}, p, q), p, q, -1) == {}
-        assert shared_odd > 20 and cancelled > 20 and fractional > 20
+            assert add_product(add_product(ctx.zero(), p, q), p, q, -1).finish() == ctx.zero()
+        assert shared_odd > 20 and cancelled > 20 and fractional > 20 and rescaled > 20
 
     def test_term_limit(self):
         ctx = make_context(2)
         rng = random.Random(46)
         p, q = random_poly(rng, ctx, terms=4), random_poly(rng, ctx, terms=4)
-        n = len(add_product({}, p, q))
+        n = len(add_product(ctx.zero(), p, q).terms)
         ctx.term_limit = n
-        add_product({}, p, q, -1)
+        add_product(ctx.zero(), p, q, -1)
         ctx.term_limit = n - 1
         for sign in (1, -1):
             with pytest.raises(ExpansionLimitError):
-                add_product({}, p, q, sign)
+                add_product(ctx.zero(), p, q, sign)
+
+
+class TestFractionFree:
+    """The kernel on coefficients with denominators 2, 3 and 6 mixed with
+    integers, against the `Fraction` oracles of tests/util.py, and the
+    normal form of numerators over one denominator."""
+
+    DENS = (1, 1, 2, 3, 6)
+
+    def test_kernel_matches_oracles(self):
+        ctx = make_context(2, evens=2, odds=3)
+        rng = random.Random(61)
+        dens = set()
+        for _ in range(120):
+            p = random_poly(rng, ctx, terms=rng.randint(0, 5), max_order=1, dens=self.DENS)
+            q = random_poly(rng, ctx, terms=rng.randint(0, 4), max_order=1, dens=self.DENS)
+            start = oracle_coeffs(random_poly(rng, ctx, terms=3, max_order=1, dens=self.DENS))
+            sign = rng.choice((1, -1))
+            got = add_product(oracle_poly(ctx, start), p, q, sign).finish()
+            assert got.coeffs() == oracle_add_product(dict(start), p, q, sign)
+            assert_normal(got)
+            lam = rng.randrange(ctx.dim)
+            got = add_total_derivative(oracle_poly(ctx, start), lam, p, sign).finish()
+            assert got.coeffs() == oracle_add_total_derivative(dict(start), lam, p, sign)
+            assert_normal(got)
+            for side in ("left", "right"):
+                partials = dict(p.partials(side))
+                assert set(partials) == {v for v in p.variables()
+                                         if oracle_partial(p, v, side)}
+                for v, d in partials.items():
+                    assert d.coeffs() == oracle_partial(p, v, side)
+                    assert_normal(d)
+            targets = sorted(p.variables(), key=lambda v: v.key)[:2]
+            mapping = {v: random_poly(rng, ctx, terms=2, max_order=1, parity=v.parity,
+                                      dens=self.DENS) for v in targets}
+            got = p.substitute(mapping)
+            assert got.coeffs() == oracle_substitute(p, mapping)
+            assert_normal(got)
+            dens.update((p.den, q.den))
+        assert {1, 2, 3, 6} <= dens
+
+    def test_normal_form(self, ctx):
+        s = ctx.var("s")
+        sixth = s * Fraction(1, 6)
+        assert sixth.den == 6 and sixth.terms == {(((ctx.jet("s"), 1),), ()): 1}
+        total = sixth + s * Fraction(1, 3)
+        assert total == s * Fraction(1, 2)
+        # equal numerators over different denominators are different
+        assert total.terms == s.terms and total != s and total != sixth
+        assert total.den == 2 and list(total.terms.values()) == [1]
+        square = (s * Fraction(1, 2)) * (s * 2)
+        assert square.den == 1 and square == s * s
+        gone = s * Fraction(1, 6) + s * Fraction(1, 3) - s * Fraction(1, 2)
+        assert gone.is_zero() and gone.den == 1 and gone == ctx.zero()
+        acc = add_product(ctx.zero(), s * Fraction(1, 6), ctx.one())
+        add_product(acc, s * Fraction(-1, 6), ctx.one())
+        assert acc.finish().den == 1 and acc.is_zero()
+        for p in (total, square, gone, sixth * 3 - s * Fraction(1, 2) + s * ctx.var("c1")):
+            assert_normal(p)
+
+    def test_term_limit_on_the_rational_path(self):
+        ctx = make_context(2)
+        rng = random.Random(62)
+        p = random_poly(rng, ctx, terms=4, dens=(2, 3))
+        q = random_poly(rng, ctx, terms=4, dens=(3, 6))
+        assert p.den != 1 and q.den != 1
+        n = len((p * q).terms)
+        m = len(total_derivative(0, p).terms)
+        ctx.term_limit = min(n, m) - 1
+        with pytest.raises(ExpansionLimitError):
+            add_product(ctx.zero(), p, q)
+        with pytest.raises(ExpansionLimitError):
+            add_total_derivative(ctx.scalar(Fraction(1, 5)), 0, p)
+        with pytest.raises(ExpansionLimitError):
+            p * q
 
 
 class TestExactCoefficients:
+    """Numerators are ints over one normalised denominator, and `coeffs`
+    and `constant_term` give an int whenever a coefficient is integral."""
+
     def test_exact(self):
         two = exact(Fraction(4, 2))
         assert two == 2 and type(two) is int
@@ -510,6 +595,9 @@ class TestExactCoefficients:
         assert exact(0.5) == Fraction(1, 2) and type(exact(0.5)) is Fraction
         assert exact(0.1) == Fraction(0.1)
         assert exact("3/6") == Fraction(1, 2)
+        # a numerator over a denominator, as a polynomial stores it
+        assert exact(4, 2) == 2 and type(exact(4, 2)) is int
+        assert exact(-3, 6) == Fraction(-1, 2) and exact(0, 6) == 0 and type(exact(0, 6)) is int
         with pytest.raises(TypeError):
             exact(object())
 
@@ -519,29 +607,54 @@ class TestExactCoefficients:
                   s * 2.0, Fraction(4, 2) * s, ctx.product(Fraction(2, 1), ["s"]),
                   ctx.product(Fraction(1, 2), ["s"]) * 4):
             (c,) = p.terms.values()
-            assert c == 2 or c == 1
+            assert (c == 2 or c == 1) and type(c) is int and p.den == 1
+            (c,) = p.coeffs().values()
             assert type(c) is int
-        assert type(ctx.zero().constant_term()) is int
+        for p in (ctx.scalar(Fraction(6, 4)), ctx.scalar(0.75), s * Fraction(-9, 6),
+                  Fraction(3, 2) * s, ctx.product(Fraction(9, 6), ["s"]),
+                  ctx.product(Fraction(1, 2), ["s"]) * 3, s * "3/6"):
+            assert_normal(p)
+            assert p.den in (2, 4)
+            (c,) = p.coeffs().values()
+            assert type(c) is Fraction and abs(c) in (Fraction(3, 2), Fraction(3, 4),
+                                                      Fraction(1, 2))
+        assert type(ctx.zero().constant_term()) is int and ctx.zero().den == 1
+        assert ctx.scalar(0.0) == ctx.zero() and ctx.scalar(Fraction(0, 7)).den == 1
         assert type(ctx.var("c1").terms[((), (ctx.jet("c1"),))]) is int
+        # an integral coefficient of a non-integral polynomial reads as an int
+        p = ctx.scalar(2) + s * Fraction(1, 2)
+        assert p.den == 2 and p.terms[((), ())] == 4
+        assert p.constant_term() == 2 and type(p.constant_term()) is int
+        assert sorted(map(type, p.coeffs().values()), key=str) == [Fraction, int]
+        assert p.render() == "2 +1/2*s"
 
     def test_sums_and_products_end_as_int(self, ctx):
         half = ctx.scalar(Fraction(1, 2))
         total = half + half
-        assert total.terms == {((), ()): 1} and type(total.constant_term()) is int
+        assert total.terms == {((), ()): 1} and total.den == 1
+        assert type(total.constant_term()) is int
         s = ctx.var("s")
         p = s * Fraction(1, 2) + s * Fraction(1, 2)
-        assert all(type(c) is int for c in p.terms.values())
+        assert p.den == 1 and all(type(c) is int for c in p.coeffs().values())
         q = (s * Fraction(1, 2)) * (ctx.scalar(2) * s)
-        assert q == s * s and all(type(c) is int for c in q.terms.values())
-        assert (s * Fraction(3, 2) - s * Fraction(1, 2)).terms == s.terms
-        assert type(next(iter((s * Fraction(3, 2) - s * Fraction(1, 2)).terms.values()))) is int
+        assert q == s * s and q.den == 1
+        d = s * Fraction(3, 2) - s * Fraction(1, 2)
+        assert d.terms == s.terms and d.den == 1 and d == s
         # the power rule and the raised-jet rule multiply by an exponent
         square = (s * s) * Fraction(1, 2)
+        assert square.den == 2
         d = square.deriv(ctx.jet("s"))
-        assert d == s and type(next(iter(d.terms.values()))) is int
+        assert d == s and d.den == 1 and type(next(iter(d.coeffs().values()))) is int
         t = total_derivative(0, square)
-        assert t == s * ctx.var("s", 0)
-        assert all(type(c) is int for c in t.terms.values())
+        assert t == s * ctx.var("s", 0) and t.den == 1
+        (v, dv), = square.partials()
+        assert dv == s and dv.den == 1
+        assert (square.substitute({ctx.jet("s"): s * 2})) == s * s * 2
         third = s * Fraction(1, 3)
+        two_thirds = third + third
+        assert two_thirds.den == 3 and list(two_thirds.terms.values()) == [2]
         assert all(type(c) is Fraction and c.denominator != 1
-                   for c in (third + third).terms.values())
+                   for c in two_thirds.coeffs().values())
+        for p in (total, p, q, d, square, t, two_thirds, third.even_part(),
+                  (third + ctx.var("c1") * ctx.var("c2") * Fraction(2, 3)).odd_part()):
+            assert_normal(p)

@@ -19,13 +19,13 @@ from gvc import (
     total_derivative,
 )
 
-from gvc.grassmann import Context, ExpansionLimitError, JetOrderError, Poly
+from gvc.grassmann import Context, ExpansionLimitError, JetOrderError
 from gvc.jets import add_total_derivative
 from gvc.modelfile import parse_model, spec_model
 
-from util import (field_generators, linear_jet_paths, linear_jet_polys, make_context,
-                  oracle_add_total_derivative, oracle_prolong_apply, random_poly,
-                  random_vertical)
+from util import (assert_normal, field_generators, linear_jet_paths, linear_jet_polys,
+                  make_context, oracle_add_total_derivative, oracle_coeffs,
+                  oracle_poly, oracle_prolong_apply, random_poly, random_vertical)
 
 
 class TestMultiIndex:
@@ -119,34 +119,38 @@ class TestTotalDerivative:
         n = len(total_derivative(1, p).terms)
         ctx.term_limit = n
         total_derivative(1, p)
-        add_total_derivative({}, 1, p, -1)
+        add_total_derivative(ctx.zero(), 1, p, -1)
         ctx.term_limit = n - 1
         with pytest.raises(ExpansionLimitError):
             total_derivative(1, p)
         with pytest.raises(ExpansionLimitError):
-            add_total_derivative({}, 1, p, -1)
+            add_total_derivative(ctx.zero(), 1, p, -1)
 
     def test_add_matches_oracle(self):
         """The one-loop total derivative against the raised-term oracle of
-        tests/util.py, summed into a table that already holds terms."""
+        tests/util.py, summed into a polynomial that already holds terms."""
         ctx = make_context(3, evens=2, odds=2)
         rng = random.Random(45)
         hits_odd = cancelled = fractional = 0
         for _ in range(150):
             p = random_poly(rng, ctx, terms=rng.randint(0, 6), max_order=2)
             lam = rng.randrange(3)
-            head = Poly(ctx, dict(list(p.terms.items())[:rng.randint(0, len(p.terms))]))
+            head = oracle_poly(ctx, dict(list(oracle_coeffs(p).items())
+                                         [:rng.randint(0, len(p.terms))]))
             for sign in (1, -1):
-                # the table starts with minus d_lam of a part of p
+                # the sum starts with minus d_lam of a part of p
                 base = oracle_add_total_derivative({}, lam, head, -sign)
-                got = add_total_derivative(dict(base), lam, p, sign)
-                assert got == oracle_add_total_derivative(dict(base), lam, p, sign)
-                assert all(type(c) is int or c.denominator != 1 for c in got.values())
-                cancelled += bool(set(base) - set(got))
-                fractional += any(type(c) is not int for c in got.values())
+                out = oracle_poly(ctx, base)
+                assert add_total_derivative(out, lam, p, sign) is out
+                want = oracle_add_total_derivative(dict(base), lam, p, sign)
+                assert out.finish().coeffs() == want
+                assert_normal(out)
+                cancelled += bool(set(base) - set(out.terms))
+                fractional += out.den != 1
             # a raised odd letter that is already a factor kills the term
             hits_odd += any(ctx.raised(w, lam) in od for _, od in p.terms for w in od)
-            assert add_total_derivative(add_total_derivative({}, lam, p), lam, p, -1) == {}
+            twice = add_total_derivative(add_total_derivative(ctx.zero(), lam, p), lam, p, -1)
+            assert twice.finish() == ctx.zero()
         assert hits_odd > 5 and cancelled > 20 and fractional > 20
 
 

@@ -14,7 +14,7 @@ import gvc.models
 from gvc import EVEN, GvcError, Lagrangian, ODD, euler_lagrange
 from gvc.bicomplex import (EulerLagrange, Form, d_h, interior, lie_derivative,
                            variational_delta)
-from gvc.brst import NoetherOperator, nilpotency_residuals
+from gvc.brst import NoetherOperator, master_equation_check, nilpotency_residuals
 from gvc.grassmann import Poly
 from gvc.jets import ContactDerivation
 from gvc.jets import superbracket
@@ -23,6 +23,8 @@ from gvc.modelfile import parse_model, spec_model
 from gvc.presets import PRESET_MODEL_TEXT, abelian_algebra, preset_model, su2_algebra
 from gvc.reporting import CheckResult
 from gvc.superlie import LieSuperalgebra, bracket
+
+from util import assert_normal, rescaled_model_text
 
 GOLDEN = Path(__file__).parent / "golden"
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
@@ -526,6 +528,48 @@ class TestMasterEquationWitnesses:
         assert not row.ok and row.line() == want.line()
 
 
+class TestBasisRescaling:
+    """sl(2|1) in its supertrace basis, whose constants include +-1/2, and
+    with every odd basis vector doubled, where every constant is an
+    integer: the rational and the integral kernel paths must agree."""
+
+    @pytest.fixture(scope="class")
+    def bases(self):
+        spec = parse_model(SL21_MODEL.read_text(encoding="utf-8"))
+        doubled = parse_model(rescaled_model_text(
+            spec, {name: 2 for name, parity in spec.generators if parity == ODD}))
+        assert any(c.denominator != 1 for *_, c, _ in spec.constants)
+        assert all(c.denominator == 1 for *_, c, _ in doubled.constants)
+        assert all(h.denominator == 1 for *_, h, _ in doubled.form_entries)
+        return spec_model(spec), spec_model(doubled)
+
+    @pytest.mark.parametrize("pipeline", ["koszul-tate", "brst", "master-equation"])
+    def test_checks_pass_on_both_bases(self, bases, pipeline):
+        for model in bases:
+            rows = model.pipeline(pipeline, deterministic=True)
+            assert rows and all(row.ok for row in rows)
+
+    def test_perturbed_ghost_term_fails_alike(self, bases, monkeypatch):
+        """The perturbation of `TestMasterEquationWitnesses`, on the ghost
+        of H1, whose s(c) has coefficients +-1/2 in the supertrace basis."""
+        rows, labels, dens = [], [], []
+        for model in bases:
+            ghost, pairs = model.ghost[model.algebra.index("H1")], model.pairs()
+            s_c = model.brst_operator()[0].components[ghost]
+            dens.append(s_c.den)
+            # the ghost term s(c) cbar of the proper solution, counted twice
+            perturbed = Lagrangian(model.extended_lagrangian().density
+                                   + s_c * model.ctx.var(pairs[ghost]))
+            monkeypatch.setattr(model, "extended_lagrangian", lambda: perturbed)
+            (row,) = model.pipeline("master-equation", deterministic=True)
+            assert not row.ok
+            rows.append((row.nonzero, row.witness.split(":")[0]))
+            residuals = master_equation_check(perturbed, pairs).bracket_residuals()
+            labels.append({label: len(p.terms) for label, p in residuals.items()})
+        assert dens[0] != 1 and dens[1] == 1
+        assert rows[0] == rows[1] and labels[0] == labels[1] and labels[0]
+
+
 class TestBuildOnce:
     def test_shared_objects_built_once_per_full_run(self, monkeypatch):
         calls = {}
@@ -687,39 +731,46 @@ class TestSparseBuilders:
             model.constant_parameter_symmetry([1] * model.algebra.dim)
 
 
-def _coefficients(obj, seen):
-    """Every coefficient reachable from a memoized model object."""
+def _polys(obj, seen):
+    """Every polynomial reachable from a memoized model object."""
     if id(obj) in seen:
         return
     seen.add(id(obj))
     if isinstance(obj, Poly):
-        yield from obj.terms.values()
+        yield obj
     elif isinstance(obj, Form):
         for f in obj.terms.values():
-            yield from _coefficients(f, seen)
+            yield from _polys(f, seen)
     elif isinstance(obj, Lagrangian):
-        yield from _coefficients(obj.density, seen)
+        yield from _polys(obj.density, seen)
     elif isinstance(obj, (EulerLagrange, ContactDerivation)):
-        yield from _coefficients(obj.components, seen)
-        yield from _coefficients(getattr(obj, "_values", {}), seen)
+        yield from _polys(obj.components, seen)
+        yield from _polys(getattr(obj, "_values", {}), seen)
     elif isinstance(obj, NoetherOperator):
         for entries in obj.rows.values():
             for coeff, _, _ in entries:
-                yield from _coefficients(coeff, seen)
+                yield from _polys(coeff, seen)
     elif isinstance(obj, dict):
         for value in obj.values():
-            yield from _coefficients(value, seen)
+            yield from _polys(value, seen)
     elif isinstance(obj, (tuple, list)):
         for value in obj:
-            yield from _coefficients(value, seen)
+            yield from _polys(value, seen)
 
 
 @pytest.mark.parametrize("name", ["su2", "osp12"])
 def test_memoized_coefficients_are_canonical(name):
+    """Every kept polynomial has int numerators over a normalised
+    denominator, and its coefficients read as ints when integral."""
     model = preset_model(name)
     assert model.full_verification().ok
-    coeffs = list(_coefficients(model._memo, set()))
+    polys = list(_polys(model._memo, set()))
+    for p in polys:
+        assert_normal(p)
+    coeffs = [c for p in polys for c in p.coeffs().values()]
     assert len(coeffs) > 500
     assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
                for c in coeffs)
     assert any(type(c) is int for c in coeffs)
+    # the quadratic Lagrangian's h/2 and the ghost sector's 1/2 are not integral
+    assert any(p.den != 1 for p in polys) and any(p.den == 1 for p in polys)

@@ -3,11 +3,12 @@ and forms over small field contents."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from gvc import Context, EVEN, ODD
 from gvc.bicomplex import (DX, TH, Form, _letter_parity, _normal_word, dx_letter,
                            letter_wedge_left, theta_letter)
-from gvc.grassmann import Poly, accumulate, add_product, exact
+from gvc.grassmann import Poly, add_product
 from gvc.jets import iterated_derivative, total_derivative
 
 
@@ -30,9 +31,11 @@ def random_jet(rng, ctx, gen, max_order):
     return ctx.jet(gen, index)
 
 
-def random_monomial(rng, ctx, max_order=2, allow_coords=True):
-    """One normal monomial as (coefficient, factor list)."""
-    coeff = Fraction(rng.choice([1, -1]) * rng.randint(1, 3), rng.randint(1, 2))
+def random_monomial(rng, ctx, max_order=2, allow_coords=True, dens=None):
+    """One normal monomial as (coefficient, factor list); the coefficient's
+    denominator is 1 or 2, or one of `dens` when given."""
+    den = rng.randint(1, 2) if dens is None else rng.choice(dens)
+    coeff = Fraction(rng.choice([1, -1]) * rng.randint(1, 3), den)
     factors = []
     gens = field_generators(ctx)
     evens = [g for g in gens if g.parity == EVEN]
@@ -51,10 +54,11 @@ def random_monomial(rng, ctx, max_order=2, allow_coords=True):
     return coeff, factors
 
 
-def random_poly(rng, ctx, terms=3, max_order=2, parity=None, allow_coords=True):
+def random_poly(rng, ctx, terms=3, max_order=2, parity=None, allow_coords=True,
+                dens=None):
     out = ctx.zero()
     for _ in range(terms):
-        coeff, factors = random_monomial(rng, ctx, max_order, allow_coords)
+        coeff, factors = random_monomial(rng, ctx, max_order, allow_coords, dens)
         mono = ctx.product(coeff, factors)
         if parity is not None:
             mono = mono.even_part() if parity == EVEN else mono.odd_part()
@@ -95,10 +99,49 @@ def random_vertical(rng, ctx, parity, max_order=1):
 
 # -- kernel oracles -----------------------------------------------------------
 #
-# The product and total derivative as they were before each became one
-# loop writing into the accumulator: a per-pair monomial product and a
-# per-term generator of raised terms, streamed through `accumulate`.
-# Variables are compared by key, not identity.
+# The kernel's operations on dicts of `Fraction` coefficients: a per-pair
+# monomial product, a per-term stream of raised terms, a per-monomial
+# partial and a factor-by-factor substitution, each summed by `oracle_sum`.
+# They read a polynomial only through `oracle_coeffs` and share no code
+# with the fraction-free kernel.  Variables are compared by key, not
+# identity.
+
+
+def oracle_coeffs(p):
+    """The coefficients of `p` as Fractions: each numerator over `p.den`."""
+    return {m: Fraction(c, p.den) for m, c in p.terms.items()}
+
+
+def oracle_sum(out, items):
+    """out += the (monomial, rational) pairs `items`, dropping the
+    monomials that cancel; returns `out`."""
+    for m, c in items:
+        total = out.get(m, 0) + c
+        if total:
+            out[m] = total
+        else:
+            out.pop(m, None)
+    return out
+
+
+def oracle_poly(ctx, coeffs):
+    """The Poly of a dict of rational coefficients: every numerator over
+    the least common denominator, which is then in lowest terms."""
+    den = 1
+    for c in coeffs.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    return Poly(ctx, {m: int(c * den) for m, c in coeffs.items()}, den)
+
+
+def assert_normal(p):
+    """`p` is in the fraction-free normal form: nonzero int numerators over
+    a positive int denominator that shares no factor with all of them, so
+    the denominator is 1 exactly when every coefficient is integral."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c != 0 for c in p.terms.values())
+    assert gcd(p.den, *p.terms.values()) == 1
+    integral = all(Fraction(c, p.den).denominator == 1 for c in p.terms.values())
+    assert (p.den == 1) == integral
 
 
 def oracle_mono_mul(m1, m2):
@@ -150,19 +193,19 @@ def oracle_mono_mul(m1, m2):
     return (-1 if crossings & 1 else 1), (ev, tuple(od))
 
 
-def _oracle_product_terms(p, q, sign):
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
+def _oracle_product_terms(a, b, sign):
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
             prod = oracle_mono_mul(m1, m2)
             if prod is not None:
                 s, m = prod
-                c = exact(c1 * c2)
-                yield m, (c if s == sign else -c)
+                yield m, c1 * c2 * s * sign
 
 
 def oracle_add_product(out, p, q, sign=1):
-    """out += sign * p * q through the per-pair product stream."""
-    return accumulate(p.ctx, out, _oracle_product_terms(p, q, sign))
+    """out += sign * p * q for a dict of rational coefficients, through
+    the per-pair product stream."""
+    return oracle_sum(out, _oracle_product_terms(oracle_coeffs(p), oracle_coeffs(q), sign))
 
 
 def _oracle_trade_even(ev, pos, e, r):
@@ -183,12 +226,12 @@ def _oracle_trade_even(ev, pos, e, r):
 
 
 def oracle_raised_terms(lam, p):
-    """The (monomial, coefficient) stream of d_lam p, unsummed."""
+    """The (monomial, rational) stream of d_lam p, unsummed."""
     ctx = p.ctx
     x = ctx.coordinate(lam)
-    for (ev, od), c in p.terms.items():
+    for (ev, od), c in oracle_coeffs(p).items():
         for pos, (w, e) in enumerate(ev):
-            ce = c if e == 1 else exact(c * e)
+            ce = c * e
             if w.gen.kind == "coordinate":
                 if w.key == x.key:
                     if e == 1:
@@ -211,11 +254,48 @@ def oracle_raised_terms(lam, p):
 
 
 def oracle_add_total_derivative(out, lam, p, sign=1):
-    """out += sign * d_lam p through the raised-term stream."""
-    items = oracle_raised_terms(lam, p)
-    if sign == -1:
-        items = ((m, -c) for m, c in items)
-    return accumulate(p.ctx, out, items)
+    """out += sign * d_lam p for a dict of rational coefficients, through
+    the raised-term stream."""
+    return oracle_sum(out, ((m, c * sign) for m, c in oracle_raised_terms(lam, p)))
+
+
+def oracle_partial(p, v, side="left"):
+    """The rational coefficients of the partial of `p` along `v`: the
+    power rule on an even variable; on an odd one, the sign of moving it
+    to the front (left) or the back (right) of the odd word."""
+    out = {}
+    for (ev, od), c in oracle_coeffs(p).items():
+        if v.parity == EVEN:
+            for pos, (w, e) in enumerate(ev):
+                if w.key == v.key:
+                    rest = ev[:pos] + (((w, e - 1),) if e > 1 else ()) + ev[pos + 1:]
+                    oracle_sum(out, (((rest, od), c * e),))
+        else:
+            for pos, w in enumerate(od):
+                if w.key == v.key:
+                    passed = pos if side == "left" else len(od) - 1 - pos
+                    oracle_sum(out, (((ev, od[:pos] + od[pos + 1:]), -c if passed & 1 else c),))
+    return out
+
+
+def oracle_substitute(p, mapping):
+    """The rational coefficients of `p` with each variable in `mapping`
+    replaced: every term is multiplied out factor by factor, in its
+    normal order, with the replacements in place."""
+    out = {}
+    for (ev, od), c in oracle_coeffs(p).items():
+        prod = {((), ()): c}
+        factors = [v for v, e in ev for _ in range(e)] + list(od)
+        for v in factors:
+            repl = mapping.get(v)
+            if repl is None:
+                mono = (((v, 1),), ()) if v.parity == EVEN else ((), (v,))
+                factor = {mono: Fraction(1)}
+            else:
+                factor = oracle_coeffs(repl)
+            prod = oracle_sum({}, _oracle_product_terms(prod, factor, 1))
+        oracle_sum(out, prod.items())
+    return out
 
 
 # -- dense validation oracles ----------------------------------------------
@@ -342,6 +422,26 @@ def random_superalgebra(rng, max_dim=5):
     perturb_algebra(rng, alg, constants=rng.randint(0, 2 * n),
                     form_entries=rng.randint(0, 2 * n) if rng.random() < 0.8 else 0)
     return alg
+
+
+# -- basis rescaling ------------------------------------------------------------
+
+
+def rescaled_model_text(spec, scales):
+    """Model text of the parsed `spec` in the basis e_i -> s_i e_i, where
+    `scales` maps each generator name to s_i (default 1): the constants
+    become c'^r_ij = c^r_ij s_i s_j / s_r and the form h'_ij = h_ij s_i s_j.
+    It is the same algebra, so every check must give the same verdict."""
+    s = {name: Fraction(scales.get(name, 1)) for name, _ in spec.generators}
+    lines = ["[model]", "dimension = %d" % spec.dimension, "metric = %s" % spec.metric,
+             "max_jet_order = %d" % spec.max_jet_order, "", "[algebra]"]
+    lines += ["generator %s parity %d" % (name, parity) for name, parity in spec.generators]
+    lines += ["c %s %s %s = %s" % (r, i, j, c * s[i] * s[j] / s[r])
+              for r, i, j, c, _ in spec.constants]
+    lines += ["", "[form]"]
+    lines += ["h %s %s = %s" % (i, j, h * s[i] * s[j]) for i, j, h, _ in spec.form_entries]
+    lines += ["", "[checks]"] + list(spec.checks)
+    return "\n".join(lines) + "\n"
 
 
 # -- dense form oracles -------------------------------------------------------
@@ -535,23 +635,23 @@ def linear_jet_paths(theta, p, side, counts):
 def oracle_prolong_apply(theta, p):
     """The prolonged left action with no memo: each variable's value is
     prolonged afresh and multiplied on the left of the left partial."""
-    out = {}
+    out = theta.ctx.zero()
     for v, dp in p.partials():
         val = theta.components.get(v.gen)
         if val is not None:
             add_product(out, iterated_derivative(v.index, val), dp)
-    return Poly(theta.ctx, out)
+    return out.finish()
 
 
 def oracle_koszul_tate_apply(kt, p):
     """The Koszul-Tate right action with no memo: each variable's value is
     prolonged afresh and multiplied on the right of the right partial."""
-    out = {}
+    out = kt.ctx.zero()
     for v, dp in p.partials("right"):
         val = kt.components.get(v.gen)
         if val is not None:
             add_product(out, dp, iterated_derivative(v.index, val))
-    return Poly(kt.ctx, out)
+    return out.finish()
 
 
 def oracle_koszul_tate_residuals(kt):
