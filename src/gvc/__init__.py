@@ -35,6 +35,7 @@ from .bicomplex import (
     EulerLagrange,
     Form,
     Lagrangian,
+    conservation_residual,
     d_h,
     d_v,
     euler_lagrange,

@@ -504,6 +504,29 @@ def noether_current(theta, L, lie=None):
     return -h0(interior(theta, lepage_equivalent(L)))
 
 
+def conservation_residual(theta, current, el):
+    """d_h(J) - interior(theta, variational_delta(L.form)) for a horizontal
+    current J of codegree 1 and the field equations `el` of L, as one table
+    times the volume form: each word w of J, lacking dx^mu, adds
+    sign(dx^mu ^ w) d_mu J_w, and each field z subtracts E_z theta(z) with
+    the Koszul sign of th^z and theta passing each monomial of E_z."""
+    ctx = current.ctx
+    (vol,) = volume(ctx).terms
+    table = ctx.zero()
+    for w, j in current.terms.items():
+        missing = tuple(ell for ell in vol if ell not in w)
+        if len(w) != ctx.dim - 1 or len(missing) != 1:
+            raise GvcError("current must be horizontal of codegree 1")
+        add_total_derivative(table, missing[0][1], j, _normal_word(missing + w)[0])
+    for gen, e in el.components.items():
+        val = theta.contract_variable(ctx.jet(gen))
+        if val.terms:
+            if (gen.parity + theta.parity) & 1:
+                e = Poly(ctx, dict(_signed(e.terms.items(), 1, 1)), e.den)
+            add_product(table, e, val, -1)
+    return Form(ctx, {vol: table.finish()})
+
+
 def superpotential_residual(current, el, w_rows, U):
     """current - W - d_H U for W an on-shell combination of variational
     derivatives, given as rows (coefficient, generator, multi-index, mu)."""

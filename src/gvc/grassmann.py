@@ -146,12 +146,14 @@ class Variable:
 
 
 class Context:
-    """Registry of generators, interned jet variables and global limits."""
+    """Registry of generators, interned jet variables and global limits;
+    once frozen it registers no new generator, but still interns jets."""
 
     def __init__(self, dim, max_jet_order=None, term_limit=DEFAULT_TERM_LIMIT):
         self.dim = dim
         self.max_jet_order = max_jet_order
         self.term_limit = term_limit
+        self.frozen = False
         self.generators = {}
         self._vars = {}
         self._raised = {}  # (jet variable, direction) -> raised jet variable
@@ -162,6 +164,8 @@ class Context:
             self.coordinates.append(self._intern(gen, ()))
 
     def add_generator(self, name, kind, parity, ghost_number=0, antifield_number=0):
+        if self.frozen:
+            raise GvcError("context is frozen; cannot register %r" % (name,))
         gen = Generator(name, kind, parity, ghost_number, antifield_number)
         if name in self.generators:
             raise GvcError("generator %r already registered" % (name,))
@@ -169,6 +173,9 @@ class Context:
             raise GvcError("base coordinates are registered by the context")
         self.generators[gen.name] = gen
         return gen
+
+    def freeze(self):
+        self.frozen = True
 
     def generator(self, name):
         try:

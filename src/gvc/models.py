@@ -15,19 +15,17 @@ from fractions import Fraction
 from .grassmann import (DEFAULT_MAX_JET_ORDER, DEFAULT_TERM_LIMIT, Context, EVEN, ODD,
                         ExpansionLimitError, GvcError, accumulate, add_product)
 from .superlie import check_invariant_form, check_structure
-from .jets import ContactDerivation, add_total_derivative
+from .jets import ContactDerivation, add_total_derivative, prolong_apply
 from .bicomplex import (
     EulerLagrange,
     Form,
     Lagrangian,
-    d_h,
+    conservation_residual,
     euler_lagrange,
-    interior,
-    lie_derivative,
     noether_current,
     omega_pair,
     superpotential_residual,
-    variational_delta,
+    volume,
 )
 from .brst import (
     NoetherOperator,
@@ -121,12 +119,13 @@ class GaugeModel:
     """A Yang-Mills system over a validated Lie (super)algebra.
 
     The generator roster, split coordinates included, and the
-    field-antifield pairing are fixed at construction.  Each derived
-    object that several checks use (the validation reports, the
-    Lagrangian, the field equations, the Noether rows and residuals, the
-    gauge, parameter and BRST operators, the Lie derivative of the
-    Lagrangian along the parameter symmetry and the extended density) is
-    built on first use and kept.
+    field-antifield pairing are fixed at construction, which ends by
+    freezing the context.  Each derived object that several checks use
+    (the validation reports, the Lagrangian, the field equations, the
+    Noether rows and residuals, the gauge, parameter and BRST operators,
+    the Lie derivative of the Lagrangian along the parameter symmetry, a
+    density prolongation, and the extended density) is built on first
+    use and kept.
     """
 
     # Checks whose formulas are proved for even algebras only; a model
@@ -179,6 +178,7 @@ class GaugeModel:
                        for r in range(m) for mu in range(n)}
         self._pairs.update(zip(self.ghost, self.noether_antifield))
         self._memo = {}
+        ctx.freeze()
 
     def _once(self, key, build):
         return _once(self._memo, key, build)
@@ -279,10 +279,11 @@ class GaugeModel:
 
     def _momentum(self, r, mu, kappa):
         out = self.ctx.zero()
+        sign = self.metric.signs[mu] * self.metric.signs[kappa]
         for i, j, h in self.algebra.graded_form():
             if i == r:
-                out += (h * self.metric.g(mu) * self.metric.g(kappa)) * self.strength(j, mu, kappa)
-        return out
+                add_product(out, self.ctx.scalar(h), self.strength(j, mu, kappa), sign)
+        return out.finish()
 
     def closed_euler_lagrange(self):
         """Field equations assembled from the closed expression: total
@@ -364,10 +365,15 @@ class GaugeModel:
         return self._once("parameter-symmetry", lambda: ContactDerivation(
             self.ctx, self._gauge_components(self.parameter), EVEN))
 
+    def lie_derivative(self, theta):
+        """L_theta L of the Lagrangian, a density: the prolonged derivation
+        applied to L's polynomial, times the volume form."""
+        return volume(self.ctx).times_poly(prolong_apply(theta, self.ym_lagrangian().density))
+
     def parameter_lie_derivative(self):
         """L_theta L for the parameter symmetry and the Lagrangian."""
-        return self._once("parameter-lie-derivative", lambda: lie_derivative(
-            self.parameter_symmetry(), self.ym_lagrangian().form))
+        return self._once("parameter-lie-derivative",
+                          lambda: self.lie_derivative(self.parameter_symmetry()))
 
     def constant_parameter_symmetry(self, vec):
         """Gauge symmetry for a constant parameter vector over the basis."""
@@ -420,17 +426,16 @@ class GaugeModel:
         off-shell part of the current."""
         ctx = self.ctx
         n = self.metric.dim
-        out = Form.zero(ctx)
+        table = {}
         for nu in range(n):
             for mu in range(nu + 1, n):
-                comp = ctx.zero()
+                # omega_pair is one word with coefficient +-1
+                ((word, sign),) = omega_pair(ctx, nu, mu).terms.items()
+                comp = table[word] = ctx.zero()
                 for r in range(self.algebra.dim):
-                    pi = self.momentum(r, nu, mu)
-                    if not pi.is_zero():
-                        comp += ctx.var(self.parameter[r]) * pi
-                if not comp.is_zero():
-                    out += omega_pair(ctx, nu, mu).times_poly(comp)
-        return out
+                    add_product(comp, ctx.var(self.parameter[r]), self.momentum(r, nu, mu),
+                                sign.constant_term())
+        return Form(ctx, {w: comp.finish() for w, comp in table.items()})
 
     def superpotential_rows(self):
         ctx = self.ctx
@@ -545,7 +550,6 @@ class GaugeModel:
         return [("euler-lagrange-two-path", two_path)]
 
     def _noether_parts(self):
-        L = self.ym_lagrangian()
         run = {}  # the current, shared by this run's last two checks only
 
         def current():
@@ -557,8 +561,8 @@ class GaugeModel:
             ("noether-identities", lambda n: CheckResult.from_residuals(
                 n, self._noether_residuals())),
             ("current-conservation", lambda n: CheckResult.from_form(
-                n, d_h(current()) - interior(self.parameter_symmetry(),
-                                             variational_delta(L.form)))),
+                n, conservation_residual(self.parameter_symmetry(), current(),
+                                         self.generic_euler_lagrange()))),
             ("superpotential", lambda n: CheckResult.from_form(
                 n, superpotential_residual(current(), self.generic_euler_lagrange(),
                                            self.superpotential_rows(),
@@ -581,7 +585,7 @@ class GaugeModel:
 
     def _brst_parts(self):
         return [("gauge-symmetry", lambda n: CheckResult.from_form(
-                    n, lie_derivative(self.gauge_operator(), self.ym_lagrangian().form))),
+                    n, self.lie_derivative(self.gauge_operator()))),
                 ("brst-nilpotency", lambda n: CheckResult.from_residuals(
                     n, self.brst_operator()[1]))]
 

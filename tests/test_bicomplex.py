@@ -13,6 +13,7 @@ from gvc import (
     GvcError,
     Lagrangian,
     ODD,
+    conservation_residual,
     d_h,
     d_v,
     euler_lagrange,
@@ -371,6 +372,20 @@ class TestNoetherCurrent:
         shift = ContactDerivation(ctx, {"s1": ctx.one()}, EVEN)
         J = noether_current(shift, L)
         assert d_h(J) == interior(shift, variational_delta(L.form))
+
+    def test_conservation_residual_matches_forms(self):
+        # random densities of mixed parity, derivations of both parities
+        # and random currents: the one-table residual equals the Form route
+        rng = random.Random(57)
+        for dim in (1, 2):
+            ctx = make_context(dim)
+            for _ in range(8):
+                L = Lagrangian(random_poly(rng, ctx, terms=4, max_order=1))
+                J = random_form(rng, ctx, 0, dim - 1, terms=3, max_order=1)
+                for parity in (EVEN, ODD):
+                    theta = random_vertical(rng, ctx, parity)
+                    want = d_h(J) - interior(theta, variational_delta(L.form))
+                    assert conservation_residual(theta, J, euler_lagrange(L)) == want
 
     def test_zero_derivation_zero_current(self):
         ctx = make_context(1)

@@ -2,6 +2,7 @@
 currents, superpotentials and the end-to-end verification report."""
 
 import gc
+import random
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -12,12 +13,11 @@ import gvc.bicomplex
 import gvc.brst
 import gvc.models
 from gvc import EVEN, GvcError, Lagrangian, ODD, euler_lagrange
-from gvc.bicomplex import (EulerLagrange, Form, d_h, interior, lie_derivative,
-                           variational_delta)
+from gvc.bicomplex import (EulerLagrange, Form, conservation_residual, d_h, interior,
+                           lie_derivative, variational_delta)
 from gvc.brst import NoetherOperator, master_equation_check, nilpotency_residuals
 from gvc.grassmann import Poly
-from gvc.jets import ContactDerivation
-from gvc.jets import superbracket
+from gvc.jets import ContactDerivation, prolong_apply, superbracket, total_derivative
 from gvc.models import GaugeModel, Metric
 from gvc.modelfile import parse_model, spec_model
 from gvc.presets import PRESET_MODEL_TEXT, abelian_algebra, preset_model, su2_algebra
@@ -60,6 +60,30 @@ class TestMetric:
     def test_bad_signature(self):
         with pytest.raises(GvcError):
             Metric.from_signature("+0-")
+
+
+class TestFrozenContext:
+    def test_built_model_refuses_new_generators(self):
+        model = GaugeModel(su2_algebra(), Metric.from_signature("+--"))
+        ctx = model.ctx
+        before = dict(ctx.generators)
+        with pytest.raises(GvcError, match="frozen"):
+            ctx.add_generator("spectator", "even-field", EVEN)
+        assert ctx.generators == before
+        for model in (preset_model("osp12"),
+                      spec_model(parse_model(SL21_MODEL.read_text(encoding="utf-8")))):
+            with pytest.raises(GvcError, match="frozen"):
+                model.ctx.add_generator("spectator", "odd-field", ODD)
+
+    def test_new_jets_of_registered_generators_still_intern(self):
+        model = GaugeModel(su2_algebra(), Metric.from_signature("+--"))
+        ctx = model.ctx
+        a = model.field[0][0]
+        v = ctx.jet(a, (2, 0, 1))
+        assert v is ctx.jet(a, (0, 1, 2)) and v.order == 3
+        assert ctx.raised(ctx.jet(a, (1,)), 2) is ctx.jet(a, (1, 2))
+        assert prolong_apply(model.gauge_operator(), ctx.var(a, 1, 2)) == \
+            total_derivative(2, total_derivative(1, model.gauge_operator().component(a)))
 
 
 class TestRoster:
@@ -279,8 +303,10 @@ class TestSymmetries:
 
         model = GaugeModel(su2_algebra(), Metric.from_signature("+--"))
         ctx = model.ctx
-        eta = [ctx.add_generator("eta%d" % (r + 1), "even-field", EVEN)
-               for r in range(3)]
+        # the built context is frozen: the second family is a set of even
+        # generators it already holds and that xi does not touch
+        eta = [model.aux_sym[(r, 0, 0)] for r in range(3)]
+        assert all(g.kind == "even-field" and g.parity == EVEN for g in eta)
 
         def symmetry_from_sources(sources):
             comps = {}
@@ -394,6 +420,60 @@ class TestCurrents:
         res = superpotential_residual(su2.current(), su2.generic_euler_lagrange(),
                                       su2.superpotential_rows(), bad)
         assert not res.is_zero()
+
+
+class TestDensityRoutes:
+    """The pipelines' density routes against the Form route they replace:
+    equal forms, so equal `nonzero` counts and `first` witnesses."""
+
+    @staticmethod
+    def assert_same_row(got, want):
+        assert got == want
+        assert CheckResult.from_form("x", got).line() == CheckResult.from_form("x", want).line()
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
+    def test_conservation_residual_matches_forms(self, name, request):
+        model = request.getfixturevalue(name)
+        theta, el = model.parameter_symmetry(), model.generic_euler_lagrange()
+        delta = variational_delta(model.ym_lagrangian().form)
+        current = model.current()
+        rng = random.Random(name)
+        words = sorted(current.terms)
+        for scaled in (None, rng.choice(words)):
+            factor = rng.choice((2, 3, -1, Fraction(1, 2)))
+            J = Form(model.ctx, {w: f * factor if w == scaled else f
+                                 for w, f in current.terms.items()})
+            got = conservation_residual(theta, J, el)
+            self.assert_same_row(got, d_h(J) - interior(theta, delta))
+            assert got.is_zero() == (scaled is None)
+
+    def test_conservation_residual_rejects_other_degrees(self, su2):
+        theta, el = su2.parameter_symmetry(), su2.generic_euler_lagrange()
+        for bad in (su2.ym_lagrangian().form, su2.superpotential()):
+            with pytest.raises(GvcError, match="codegree 1"):
+                conservation_residual(theta, bad, el)
+
+    @pytest.mark.parametrize("name", ["abelian", "su2", "osp12", "sl21"])
+    def test_lie_derivatives_match_forms(self, name, request):
+        model = request.getfixturevalue(name)
+        L = model.ym_lagrangian()
+        rng = random.Random(name)
+        for theta in (model.gauge_operator(), model.parameter_symmetry()):
+            doubled = rng.choice(sorted(theta.components, key=lambda g: g.key))
+            perturbed = ContactDerivation(model.ctx, {
+                g: c * 2 if g is doubled else c for g, c in theta.components.items()},
+                theta.parity)
+            for t in (theta, perturbed):
+                got = model.lie_derivative(t)
+                self.assert_same_row(got, lie_derivative(t, L.form))
+                assert got.is_zero() == (t is theta)
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
+    def test_field_equations_match_the_form_route(self, name, request):
+        model = request.getfixturevalue(name)
+        el = model.generic_euler_lagrange()
+        assert not el.is_zero()
+        assert variational_delta(model.ym_lagrangian().form) == el.as_form()
 
 
 class TestInvarianceConditions:
@@ -593,19 +673,38 @@ class TestBuildOnce:
         assert calls["euler_lagrange"][0] == (model.ym_lagrangian(),)
 
     def test_parameter_lie_derivative_computed_once(self, monkeypatch):
-        calls = []
-        original = gvc.bicomplex.lie_derivative
+        calls, lies, form_lies = [], [], []
+        prolong, current, form_lie = (gvc.models.prolong_apply, gvc.models.noether_current,
+                                      gvc.bicomplex.lie_derivative)
 
-        def counted(theta, phi):
-            calls.append(theta)
-            return original(theta, phi)
+        def counted(theta, p):
+            calls.append((theta, p))
+            return prolong(theta, p)
 
-        monkeypatch.setattr(gvc.models, "lie_derivative", counted)
-        monkeypatch.setattr(gvc.bicomplex, "lie_derivative", counted)
+        def counted_current(theta, L, lie=None):
+            lies.append(lie)
+            return current(theta, L, lie=lie)
+
+        def counted_form_lie(theta, phi):
+            form_lies.append(theta)
+            return form_lie(theta, phi)
+
+        monkeypatch.setattr(gvc.models, "prolong_apply", counted)
+        monkeypatch.setattr(gvc.models, "noether_current", counted_current)
+        monkeypatch.setattr(gvc.bicomplex, "lie_derivative", counted_form_lie)
         model = preset_model("su2")
         assert model.full_verification().ok
-        # one for parameter-symmetry (reused by the current), one for gauge-symmetry
-        assert calls == [model.parameter_symmetry(), model.gauge_operator()]
+        # one density prolongation for parameter-symmetry, one for
+        # gauge-symmetry, and none on forms
+        density = model.ym_lagrangian().density
+        assert [(theta, p is density) for theta, p in calls] == [
+            (model.parameter_symmetry(), True), (model.gauge_operator(), True)]
+        assert form_lies == []
+        # the current reuses the parameter one as its precondition, also
+        # when it is built again
+        assert len(lies) == 1 and lies[0] is model.parameter_lie_derivative()
+        model.current()
+        assert len(calls) == 2 and form_lies == [] and lies[1] is lies[0]
         assert model.parameter_symmetry() is model.parameter_symmetry()
 
     def test_momentum_built_once_per_argument(self, monkeypatch):
