@@ -8,7 +8,7 @@ Coefficients are graded polynomials and always sit to the left of the
 wedge word, with Koszul signs tracked on every reordering.
 """
 
-from .grassmann import EVEN, GvcError, Poly, accumulate, add_product
+from .grassmann import _ONE, EVEN, GvcError, Poly, accumulate, add_product
 from .jets import add_total_derivative, iterated_derivative
 
 DX = 0
@@ -119,8 +119,18 @@ class Form:
         return Form(self.ctx, {w: f * c for w, f in self.terms.items()})
 
     def times_poly(self, p):
-        """Left multiplication by a coefficient polynomial (no signs)."""
-        return Form(self.ctx, {w: p * f for w, f in self.terms.items()})
+        """Left multiplication by a coefficient polynomial (no signs).  A
+        constant word coefficient, as in `volume` and its interiors,
+        scales p's numerators instead of multiplying."""
+        out = {}
+        for w, f in self.terms.items():
+            c = f.terms.get(_ONE) if len(f.terms) == 1 else None
+            if c is None:
+                out[w] = p * f
+            else:
+                out[w] = Poly(self.ctx, {m: c * n for m, n in p.terms.items()},
+                              p.den * f.den).finish()
+        return Form(self.ctx, out)
 
     def wedge(self, other):
         ctx = self.ctx

@@ -3,11 +3,12 @@ differential, gauge and BRST derivations, the antibracket and the
 classical master equation.
 
 Every derivation is a `jets.ContactDerivation` acting through left
-graded derivatives, except Koszul-Tate, whose `apply` is the one right
-action; it and the antifield slot of the antibracket use the
-right-derivative convention directly, so no hidden sign adapters are
-spread around the code.  Each sum (a Noether row's residual, a
-Koszul-Tate value, the proper solution) is built in one polynomial.
+graded derivatives, except Koszul-Tate, whose `apply` runs the same
+action loop as `jets.prolong_apply` from the right; it and the antifield
+slot of the antibracket use the right-derivative convention directly,
+so no hidden sign adapters are spread around the code.  Each sum (a
+Noether row's residual, a Koszul-Tate value, the proper solution) is
+built in one polynomial.
 The master equation is checked by Theta_S^2 alone, and the bracket's
 failure rows are E_z({S,S}) = -+2 Theta_S^2(zbar) (minus on fields and
 ghosts, plus on antifields); `antibracket` is the tests' oracle for it.
@@ -78,10 +79,7 @@ class KoszulTate(ContactDerivation):
     def apply(self, p):
         """Right-derivation action: sum of right partials times prolonged
         values, multiplied from the right."""
-        out = self.ctx.zero()
-        for v, dp in p.partials("right", self.components):
-            self.add_value(out, v, dp, right=True)
-        return out.finish()
+        return self._act(p, right=True)
 
 
 def koszul_tate(op, el, pairs):

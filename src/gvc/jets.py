@@ -8,14 +8,17 @@ straight into the caller's sum (`add_total_derivative`).  A contact
 derivation is determined by its components on the generating basis; it
 acts on jets of a field through total derivatives of the component, and
 each jet's value is one total derivative of its parent jet's value.
-`ContactDerivation` is the one graded derivation type: it acts from the
-left (`prolong_apply`); `brst.KoszulTate` overrides `apply` to act from
-the right.  Both walk only the partials along the derivation's
-components, and a jet whose partial is the constant +-1 adds its total
-derivative straight into the result instead of building its value.
+`ContactDerivation` is the one graded derivation type, with one action
+loop (`ContactDerivation._act`): `prolong_apply` runs it from the left
+and `brst.KoszulTate.apply` from the right.  The loop walks p's terms
+once, takes each factor the derivation moves out of its term in place
+and multiplies the remainder by that jet's value straight into one
+table, so no partial derivative (`Poly.partials`) is built; a term that
+is exactly +-v adds the total derivative of the parent's value instead
+of building v's own.
 """
 
-from .grassmann import GvcError, ParityError, add_product, common_denominator
+from .grassmann import GvcError, ParityError, common_denominator
 
 
 class MultiIndex:
@@ -74,9 +77,10 @@ def add_total_derivative(out, lam, p, sign=1):
     returns `out`, whose denominator `finish` reduces.
 
     One loop over the terms: in each monomial every jet factor in turn is
-    traded for its raised jet (`Context.raised`), and a factor x^lam is
-    lowered; each result is summed into `out` as `accumulate` does, and
-    the term limit is checked at the end."""
+    traded for its raised jet (`Context.raised`), which takes the factor's
+    slot when it still sorts between the slot's neighbours, and a factor
+    x^lam is lowered; each result is summed into `out` as `accumulate`
+    does, and the term limit is checked at the end."""
     ctx = p.ctx
     raised = ctx.raised
     x = ctx.coordinate(lam)
@@ -86,6 +90,7 @@ def add_total_derivative(out, lam, p, sign=1):
     for (ev, od), c in p.terms.items():
         if lift != 1:
             c *= lift
+        last = len(ev) - 1
         for pos, (w, e) in enumerate(ev):
             if w.gen.kind == "coordinate":
                 if w is not x:
@@ -95,7 +100,24 @@ def add_total_derivative(out, lam, p, sign=1):
                 else:
                     m = (ev[:pos] + ((w, e - 1),) + ev[pos + 1 :], od)
             else:
-                m = (_trade_even(ev, pos, e, raised(w, lam)), od)
+                r = raised(w, lam)
+                key = r.key
+                if e == 1 and (not pos or ev[pos - 1][0].key < key) and (
+                        pos == last or key < ev[pos + 1][0].key):
+                    # r sorts where w stood: swap it into the slot
+                    m = (ev[:pos] + ((r, 1),) + ev[pos + 1 :], od)
+                else:
+                    rest = ev[:pos] + ev[pos + 1 :] if e == 1 else \
+                        ev[:pos] + ((w, e - 1),) + ev[pos + 1 :]
+                    at = 0
+                    for u, f in rest:
+                        if u.key >= key:
+                            break
+                        at += 1
+                    if at < len(rest) and rest[at][0] is r:
+                        m = (rest[:at] + ((r, rest[at][1] + 1),) + rest[at + 1 :], od)
+                    else:
+                        m = (rest[:at] + ((r, 1),) + rest[at:], od)
             ce = c if e == 1 else c * e
             n = len(terms)
             s = setdefault(m, ce)
@@ -129,26 +151,6 @@ def add_total_derivative(out, lam, p, sign=1):
                     del terms[m]
     ctx.check_terms(len(terms))
     return out
-
-
-def _trade_even(ev, pos, e, r):
-    """The even part `ev` with its factor at `pos` lowered by one power
-    and the even variable `r` raised by one, in normal order."""
-    out = list(ev)
-    if e == 1:
-        del out[pos]
-    else:
-        out[pos] = (out[pos][0], e - 1)
-    key = r.key
-    for i, (u, f) in enumerate(out):
-        if u.key >= key:
-            if u is r:
-                out[i] = (u, f + 1)
-            else:
-                out.insert(i, (r, 1))
-            return tuple(out)
-    out.append((r, 1))
-    return tuple(out)
 
 
 def iterated_derivative(index, p):
@@ -221,36 +223,179 @@ class ContactDerivation:
             self._values[v] = val
         return val
 
-    def add_value(self, out, v, dp, right=False):
-        """out += value(v) * dp, or dp * value(v) when `right`, for a
-        polynomial `out` in place.
+    def _act(self, p, right=False):
+        """The prolonged derivation on p: sum over the jets v it moves of
+        value(v) * d_left p/dv, or d_right p/dv * value(v) when `right`,
+        summed into one table in one walk over p's terms.
 
-        A jet of order at least one whose partial `dp` is the constant +-1
-        and whose value is not kept yet adds the total derivative of its
-        parent's value straight into `out`, so its own value, used once,
-        is never built."""
-        if v.index and len(dp.terms) == 1 and v not in self._values:
-            sign = dp.constant_term()
-            if sign == 1 or sign == -1:
-                parent = self.contract_variable(self.ctx.jet(v.gen, v.index[:-1]))
-                if parent.terms:
-                    add_total_derivative(out, v.index[-1], parent, sign)
-                return
-        val = self.contract_variable(v)
-        if val.terms:
-            if right:
-                add_product(out, dp, val)
-            else:
-                add_product(out, val, dp)
+        Each factor v of a term is taken out in place, with the partial's
+        sign and exponent, and the remainder is multiplied by each term of
+        v's kept value (`contract_variable`), the inner operand, as
+        `add_product` multiplies; no partial derivative is built.  A term
+        that is exactly +-v, for a jet of order at least one whose value
+        is not kept yet, adds the total derivative of its parent's value
+        instead, so that value, used once, is never built.  The term limit
+        is checked after every term of p."""
+        ctx = p.ctx
+        comps = self.components
+        values = self._values
+        out = ctx.zero()
+        terms = out.terms
+        setdefault = terms.setdefault
+        limit = ctx.term_limit
+        pden = p.den
+        for (ev, od), c in p.terms.items():
+            moved = []
+            for pos, (w, e) in enumerate(ev):
+                if w.gen in comps:
+                    rest = ev[:pos] + ev[pos + 1 :] if e == 1 else \
+                        ev[:pos] + ((w, e - 1),) + ev[pos + 1 :]
+                    moved.append((w, rest, od, c if e == 1 else c * e))
+            n = len(od)
+            for pos, w in enumerate(od):
+                if w.gen in comps:
+                    flips = n - 1 - pos if right else pos
+                    moved.append((w, ev, od[:pos] + od[pos + 1 :], -c if flips & 1 else c))
+            for w, evr, odr, cw in moved:
+                val = values.get(w)
+                if val is None:
+                    if w.index and not evr and not odr and (cw == pden or cw == -pden):
+                        parent = self.contract_variable(ctx.jet(w.gen, w.index[:-1]))
+                        if parent.terms:
+                            add_total_derivative(out, w.index[-1], parent, cw // pden)
+                        continue
+                    val = self.contract_variable(w)
+                if not val.terms:
+                    continue
+                den = pden * val.den
+                if out.den % den:
+                    common_denominator(out, den)
+                cw *= out.den // den
+                nr = len(odr)
+                single = len(evr) == 1
+                if single:
+                    (x, ex), = evr
+                    kx = x.key
+                for (evv, odv), cv in val.terms.items():
+                    # odd words: the value's letters stand left of the rest's,
+                    # and a right action reverses that at the sign
+                    # (-1)^{|value word| |rest word|}
+                    if not odv:
+                        om = odr
+                        flip = False
+                    elif not nr:
+                        om = odv
+                        flip = False
+                    elif nr == 1 and len(odv) == 1:
+                        a = odv[0]
+                        b = odr[0]
+                        if a is b:
+                            continue
+                        if a.key < b.key:
+                            om = (a, b)
+                            flip = right
+                        else:
+                            om = (b, a)
+                            flip = not right
+                    else:
+                        nv = len(odv)
+                        flip = right and (nv * nr) & 1 == 1
+                        om = None
+                        word = []
+                        i = j = 0
+                        while i < nv and j < nr:
+                            a, b = odv[i], odr[j]
+                            if a is b:
+                                break
+                            if a.key < b.key:
+                                word.append(a)
+                                i += 1
+                            else:
+                                # b passes the nv - i letters of odv still to come
+                                word.append(b)
+                                if (nv - i) & 1:
+                                    flip = not flip
+                                j += 1
+                        else:
+                            om = tuple(word) + odv[i:] + odr[j:]
+                        if om is None:
+                            continue
+                    # even parts: one factor is inserted by a short scan
+                    if not evv:
+                        em = evr
+                    elif not evr:
+                        em = evv
+                    elif single:
+                        i = 0
+                        for u, f in evv:
+                            if u.key >= kx:
+                                if u is x:
+                                    em = evv[:i] + ((x, f + ex),) + evv[i + 1 :]
+                                else:
+                                    em = evv[:i] + evr + evv[i:]
+                                break
+                            i += 1
+                        else:
+                            em = evv + evr
+                    elif len(evv) == 1:
+                        (y, ey), = evv
+                        ky = y.key
+                        i = 0
+                        for u, f in evr:
+                            if u.key >= ky:
+                                if u is y:
+                                    em = evr[:i] + ((y, f + ey),) + evr[i + 1 :]
+                                else:
+                                    em = evr[:i] + evv + evr[i:]
+                                break
+                            i += 1
+                        else:
+                            em = evr + evv
+                    else:
+                        em = _merge_even(evv, evr)
+                    cc = -cw * cv if flip else cw * cv
+                    m = (em, om)
+                    k = len(terms)
+                    s = setdefault(m, cc)
+                    if len(terms) == k:
+                        s += cc
+                        if s:
+                            terms[m] = s
+                        else:
+                            del terms[m]
+            if limit is not None and len(terms) > limit:
+                ctx.check_terms(len(terms))
+        return out.finish()
 
 
 def prolong_apply(theta, p):
     """Apply the prolonged derivation: sum_v d_Lambda(v^A) * d_left/dv p,
     over the variables of the fields theta moves."""
-    out = p.ctx.zero()
-    for v, dp in p.partials("left", theta.components):
-        theta.add_value(out, v, dp)
-    return out.finish()
+    return theta._act(p)
+
+
+def _merge_even(ev1, ev2):
+    """The product of two sorted even parts, each of two factors or more."""
+    if ev1[-1][0].key < ev2[0][0].key:
+        return ev1 + ev2
+    if ev2[-1][0].key < ev1[0][0].key:
+        return ev2 + ev1
+    word = []
+    i = j = 0
+    n1, n2 = len(ev1), len(ev2)
+    while i < n1 and j < n2:
+        x, y = ev1[i], ev2[j]
+        if x[0] is y[0]:
+            word.append((x[0], x[1] + y[1]))
+            i += 1
+            j += 1
+        elif y[0].key < x[0].key:
+            word.append(y)
+            j += 1
+        else:
+            word.append(x)
+            i += 1
+    return tuple(word) + ev1[i:] + ev2[j:]
 
 
 def superbracket(t1, t2):

@@ -108,6 +108,14 @@ def run_parts(parts, deterministic=False):
     return results
 
 
+def _add(out, p, c=1):
+    """out += c * p in place for a polynomial p and a nonzero scalar c;
+    returns `out`, whose denominator `finish` reduces."""
+    c = Fraction(c)
+    return accumulate(out, ((m, c.numerator * n) for m, n in p.terms.items()),
+                      c.denominator * p.den)
+
+
 def _once(store, key, build):
     """store[key], built by `build()` on first use."""
     if key not in store:
@@ -198,8 +206,9 @@ class GaugeModel:
         out = ctx.zero()
         for s, i, j, c in self.algebra.graded_constants():
             if s == r:
-                out += c * (ctx.var(self.field[i][lam]) * ctx.var(self.field[j][mu]))
-        return out
+                _add(out, ctx.product(c, (ctx.jet(self.field[i][lam]),
+                                          ctx.jet(self.field[j][mu]))))
+        return out.finish()
 
     def strength(self, r, lam, mu):
         """Antisymmetric half of the split first jets (the curvature)."""
@@ -242,9 +251,7 @@ class GaugeModel:
                 for beta in range(lam + 1, n):
                     add_product(table, self.strength(i, lam, beta),
                                 self.strength(j, lam, beta), signs[lam] * signs[beta])
-            half = Fraction(h) / 2
-            accumulate(density, ((m, half.numerator * c) for m, c in table.terms.items()),
-                       half.denominator * table.den)
+            _add(density, table, Fraction(h) / 2)
         return Lagrangian(density.finish())
 
     def mass_term_lagrangian(self):
@@ -253,9 +260,9 @@ class GaugeModel:
         density = ctx.zero()
         for i, j, h in self.algebra.graded_form():
             for mu in range(self.metric.dim):
-                density += (h * self.metric.g(mu)) * (
-                    ctx.var(self.field[i][mu]) * ctx.var(self.field[j][mu]))
-        return Lagrangian(density)
+                _add(density, ctx.product(h * self.metric.g(mu), (
+                    ctx.jet(self.field[i][mu]), ctx.jet(self.field[j][mu]))))
+        return Lagrangian(density.finish())
 
     def sym_quadratic_lagrangian(self):
         """Quadratic density in the symmetric jet half (canonical index
@@ -351,9 +358,9 @@ class GaugeModel:
                  for r in range(self.algebra.dim) for mu in range(n)}
         for r, j, i, c in self.algebra.graded_constants():
             for mu in range(n):
-                comps[self.field[r][mu]] -= c * (ctx.var(sources[j])
-                                                 * ctx.var(self.field[i][mu]))
-        return comps
+                _add(comps[self.field[r][mu]],
+                     ctx.product(-c, (ctx.jet(sources[j]), ctx.jet(self.field[i][mu]))))
+        return {gen: comp.finish() for gen, comp in comps.items()}
 
     def gauge_operator(self):
         """Odd gauge symmetry with ghosts in the parameter slot."""
@@ -385,10 +392,10 @@ class GaugeModel:
         for r, j, i, c in self.algebra.graded_constants():
             if vec[j]:
                 for mu in range(self.metric.dim):
-                    key = self.field[r][mu]
-                    comps[key] = comps.get(key, ctx.zero()) - (
-                        (c * vec[j]) * ctx.var(self.field[i][mu]))
-        return ContactDerivation(self.ctx, comps, EVEN)
+                    _add(comps.setdefault(self.field[r][mu], ctx.zero()),
+                         ctx.var(self.field[i][mu]), -c * vec[j])
+        return ContactDerivation(self.ctx, {gen: comp.finish() for gen, comp in comps.items()},
+                                 EVEN)
 
     def ghost_sector(self):
         """Quadratic ghost components completing the gauge operator."""
@@ -396,9 +403,9 @@ class GaugeModel:
         gamma = {}
         for r, i, j, c in self.algebra.graded_constants():
             sign = Fraction(1, 2) if self.algebra.parities[i] == ODD else Fraction(-1, 2)
-            gamma[self.ghost[r]] = gamma.get(self.ghost[r], ctx.zero()) + (sign * c) * (
-                ctx.var(self.ghost[i]) * ctx.var(self.ghost[j]))
-        return {gen: acc for gen, acc in gamma.items() if not acc.is_zero()}
+            _add(gamma.setdefault(self.ghost[r], ctx.zero()),
+                 ctx.product(sign * c, (ctx.jet(self.ghost[i]), ctx.jet(self.ghost[j]))))
+        return {gen: acc.finish() for gen, acc in gamma.items() if acc.terms}
 
     def brst_operator(self):
         """The BRST derivation and its nilpotency residuals."""
@@ -469,12 +476,13 @@ class GaugeModel:
             for mu in range(self.metric.dim):
                 for lam in range(self.metric.dim):
                     sym = ctx.var(self.aux_sym[(r, min(lam, mu), max(lam, mu))])
+                    repl = _add(ctx.zero(), sym, half)
                     if lam <= mu:
-                        repl = half * (self._aux_strength_poly(r, lam, mu) + sym)
+                        _add(repl, self._aux_strength_poly(r, lam, mu), half)
                     else:
-                        repl = half * (sym - self._aux_strength_poly(r, mu, lam)) \
-                            + self._quadratic_twist(r, mu, lam)
-                    mapping[ctx.jet(self.field[r][mu], (lam,))] = repl
+                        _add(repl, self._aux_strength_poly(r, mu, lam), -half)
+                        _add(repl, self._quadratic_twist(r, mu, lam))
+                    mapping[ctx.jet(self.field[r][mu], (lam,))] = repl.finish()
         return density.substitute(mapping)
 
     def invariance_conditions(self, L=None):
@@ -507,8 +515,9 @@ class GaugeModel:
                     for mu in range(lam + 1, n):
                         dpoly = partial.get(ctx.jet(self.aux_strength[(r, lam, mu)]))
                         if dpoly is not None:
-                            contraction_res["q%d" % (q + 1)] += c * (
-                                ctx.var(self.aux_strength[(p, lam, mu)]) * dpoly)
+                            add_product(contraction_res["q%d" % (q + 1)], ctx.product(
+                                c, (ctx.jet(self.aux_strength[(p, lam, mu)]),)), dpoly)
+            contraction_res = {q: res.finish() for q, res in contraction_res.items()}
         return sym_res, field_res, contraction_res
 
     # -- end-to-end -------------------------------------------------------------

@@ -505,6 +505,21 @@ class TestAgainstDenseOracles:
                 assert letter_wedge_left(ell, a) == oracle_letter_wedge_left(ell, a)
 
 
+class TestTimesPoly:
+    def test_constant_words_scale_like_products(self):
+        ctx = make_context(3)
+        rng = random.Random(32)
+        half = Form.dx(ctx, 0).scale(Fraction(1, 2))
+        mixed = Form.dx(ctx, 1).scale(-3) + Form.dx(ctx, 2).times_poly(
+            ctx.var("s1") + ctx.var("q1") * ctx.var("q2"))
+        forms = (volume(ctx), omega_lambda(ctx, 1), omega_pair(ctx, 0, 2), half, half + mixed)
+        for _ in range(20):
+            p = random_poly(rng, ctx, dens=(1, 2, 3))
+            for phi in forms:
+                want = {w: p * f for w, f in phi.terms.items()}
+                assert phi.times_poly(p).terms == {w: f for w, f in want.items() if f.terms}
+
+
 class TestFormTermLimit:
     """The term limit bounds a form's total monomial count: each result
     below has every word under the limit of 3 and 4 monomials in all."""

@@ -37,7 +37,7 @@ from gvc.presets import preset_model, su2_algebra
 
 from util import (field_generators, linear_jet_paths, linear_jet_polys, make_context,
                   oracle_koszul_tate_apply, oracle_koszul_tate_residuals, random_poly,
-                  random_vertical)
+                  random_vertical, shared_jet_cases, shared_jet_poly)
 
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
 
@@ -250,12 +250,20 @@ class TestKoszulTate:
         ctx = make_context(2)
         rng = random.Random(2015)
         counts = {"fused": 0, "product": 0}
+        shared = {"den": 0, "power": 0, "first": 0, "later": 0}
         for _ in range(80):
             kt = KoszulTate(ctx, random_vertical(rng, ctx, ODD).components)
-            p = linear_jet_polys(rng, ctx, list(kt.components) or field_generators(ctx))
+            moved = list(kt.components) or field_generators(ctx)
+            p = linear_jet_polys(rng, ctx, moved)
             assert kt.apply(p) == oracle_koszul_tate_apply(kt, p)
             linear_jet_paths(kt, p, "right", counts)
+            # a fresh memo, so the shared jet's value is not kept yet
+            kt = KoszulTate(ctx, kt.components)
+            q, v = shared_jet_poly(rng, ctx, moved)
+            assert kt.apply(q) == oracle_koszul_tate_apply(kt, q)
+            shared_jet_cases(kt, q, v, shared)
         assert counts["fused"] > 50 and counts["product"] > 50
+        assert min(shared.values()) > 20, shared
 
     def test_bounds_on_the_fused_path(self):
         ctx = make_context(2, max_jet_order=2)
@@ -368,6 +376,21 @@ class TestBrstExtension:
         with pytest.raises(GvcError):
             brst_extend(su2.gauge_operator(),
                         {su2.field[0][0]: ctx.zero()})
+
+    def test_term_limit_holds_on_a_zero_square(self):
+        # a fresh model, since the limit is lowered on its context; each
+        # square is zero, but its sum holds more than one monomial on the
+        # way, and every value it uses is already kept
+        model = preset_model("osp12")
+        s, _ = model.brst_operator()
+        kt = model.koszul_tate()
+        squares = ((s, model.ghost[0]), (kt, model.noether_antifield[0]))
+        for theta, gen in squares:
+            assert theta.apply(theta.components[gen]).is_zero()
+        model.ctx.term_limit = 1
+        for theta, gen in squares:
+            with pytest.raises(ExpansionLimitError):
+                theta.apply(theta.components[gen])
 
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
     def test_raises_ghost_number_by_one(self, name, request):

@@ -25,7 +25,8 @@ from gvc.modelfile import parse_model, spec_model
 
 from util import (assert_normal, field_generators, linear_jet_paths, linear_jet_polys,
                   make_context, oracle_add_total_derivative, oracle_coeffs,
-                  oracle_poly, oracle_prolong_apply, random_poly, random_vertical)
+                  oracle_poly, oracle_prolong_apply, random_poly, random_vertical,
+                  shared_jet_cases, shared_jet_poly)
 
 
 class TestMultiIndex:
@@ -293,12 +294,20 @@ class TestFusedLinearJets:
         ctx = make_context(2)
         rng = random.Random(2014)
         counts = {"fused": 0, "product": 0}
+        shared = {"den": 0, "power": 0, "first": 0, "later": 0}
         for trial in range(120):
             theta = random_vertical(rng, ctx, trial % 2)
-            p = linear_jet_polys(rng, ctx, list(theta.components) or field_generators(ctx))
+            moved = list(theta.components) or field_generators(ctx)
+            p = linear_jet_polys(rng, ctx, moved)
             assert prolong_apply(theta, p) == oracle_prolong_apply(theta, p)
             linear_jet_paths(theta, p, "left", counts)
+            # a fresh memo, so the shared jet's value is not kept yet
+            theta = ContactDerivation(ctx, theta.components, theta.parity)
+            q, v = shared_jet_poly(rng, ctx, moved)
+            assert prolong_apply(theta, q) == oracle_prolong_apply(theta, q)
+            shared_jet_cases(theta, q, v, shared)
         assert counts["fused"] > 100 and counts["product"] > 100
+        assert min(shared.values()) > 30, shared
 
     def test_kept_value_is_not_derived_again(self, monkeypatch):
         ctx = make_context(2)

@@ -495,11 +495,79 @@ class TestInvarianceConditions:
         assert all(p.is_zero() for p in fld.values())
         assert all(p.is_zero() for p in contr.values())
 
+    def test_contraction_matches_operator_sum(self, su2):
+        # linear in one strength, so the contraction rows are nonzero
+        ctx, n = su2.ctx, su2.metric.dim
+        L = Lagrangian(su2.strength(0, 0, 1))
+        partial = dict(su2.split_coordinates(L.density).partials())
+        want = {"q%d" % (q + 1): ctx.zero() for q in range(su2.algebra.dim)}
+        for r, p, q, c in su2.algebra.graded_constants():
+            for lam in range(n):
+                for mu in range(lam + 1, n):
+                    dpoly = partial.get(ctx.jet(su2.aux_strength[(r, lam, mu)]))
+                    if dpoly is not None:
+                        want["q%d" % (q + 1)] += c * (
+                            ctx.var(su2.aux_strength[(p, lam, mu)]) * dpoly)
+        _, _, got = su2.invariance_conditions(L)
+        assert got == want
+        assert any(not p.is_zero() for p in got.values())
+
     def test_second_order_density_rejected(self, su2):
         ctx = su2.ctx
         L = Lagrangian(ctx.var(su2.field[0][0], 0, 0))
         with pytest.raises(GvcError):
             su2.invariance_conditions(L)
+
+
+class TestOneTableBuilders:
+    """Each builder that sums into one table equals the same sum taken
+    with polynomial operators."""
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
+    def test_match_operator_sums(self, name, request):
+        model = request.getfixturevalue(name)
+        ctx, alg, n = model.ctx, model.algebra, model.metric.dim
+        var, consts = ctx.var, alg.graded_constants()
+        for r in range(alg.dim):
+            for lam in range(n):
+                for mu in range(n):
+                    want = ctx.zero()
+                    for s, i, j, c in consts:
+                        if s == r:
+                            want += c * (var(model.field[i][lam]) * var(model.field[j][mu]))
+                    assert model._twist_sum(r, lam, mu) == want
+        for sources in (model.ghost, model.parameter):
+            want = {model.field[r][mu]: var(sources[r], mu)
+                    for r in range(alg.dim) for mu in range(n)}
+            for r, j, i, c in consts:
+                for mu in range(n):
+                    want[model.field[r][mu]] -= c * (var(sources[j]) * var(model.field[i][mu]))
+            assert model._gauge_components(sources) == want
+        want = {}
+        for r, i, j, c in consts:
+            sign = Fraction(1, 2) if alg.parities[i] == ODD else Fraction(-1, 2)
+            want[model.ghost[r]] = want.get(model.ghost[r], ctx.zero()) + (sign * c) * (
+                var(model.ghost[i]) * var(model.ghost[j]))
+        assert model.ghost_sector() == {g: p for g, p in want.items() if not p.is_zero()}
+        want = ctx.zero()
+        for i, j, h in alg.graded_form():
+            for mu in range(n):
+                want += (h * model.metric.g(mu)) * (var(model.field[i][mu])
+                                                    * var(model.field[j][mu]))
+        assert model.mass_term_lagrangian().density == want
+        half, mapping = Fraction(1, 2), {}
+        for r in range(alg.dim):
+            for mu in range(n):
+                for lam in range(n):
+                    sym = var(model.aux_sym[(r, min(lam, mu), max(lam, mu))])
+                    if lam <= mu:
+                        repl = half * (model._aux_strength_poly(r, lam, mu) + sym)
+                    else:
+                        repl = half * (sym - model._aux_strength_poly(r, mu, lam)) \
+                            + model._twist_sum(r, mu, lam)
+                    mapping[ctx.jet(model.field[r][mu], (lam,))] = repl
+        density = model.ym_lagrangian().density
+        assert model.split_coordinates(density) == density.substitute(mapping)
 
 
 class TestDimensionSweep:

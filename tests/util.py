@@ -632,6 +632,41 @@ def linear_jet_paths(theta, p, side, counts):
                 counts["product"] += 1
 
 
+def shared_jet_poly(rng, ctx, moved):
+    """Random terms over the denominators 1, 3 and 6, plus a jet v of a
+    moved field that enters linearly with coefficient +-1 and inside
+    another monomial, and squared when it is even, these added in a
+    random order; returns the polynomial and v."""
+    gen = rng.choice(moved)
+    v = ctx.jet(gen, [rng.randrange(ctx.dim) for _ in range(rng.randint(1, 2))])
+    x = ctx.var(gen, *v.index)
+    parts = [rng.choice((1, -1)) * x, x * random_poly(rng, ctx, terms=1, dens=(1, 3))]
+    if gen.parity == EVEN:
+        parts.append(x * x * random_poly(rng, ctx, terms=1, dens=(1, 2)))
+    rng.shuffle(parts)
+    p = random_poly(rng, ctx, terms=2, dens=(1, 3, 6))
+    for part in parts:
+        p = p + part
+    return p, v
+
+
+def shared_jet_cases(theta, p, v, counts):
+    """Count what a `shared_jet_poly` polynomial covers when theta moves
+    v: a denominator other than 1, a power of at least two, and the +-1
+    term of v walked before or after another term that holds v."""
+    if v.gen not in theta.components:
+        return
+    counts["den"] += p.den != 1
+    counts["power"] += any(w is v and e > 1 for ev, _ in p.terms for w, e in ev)
+    linear = (((v, 1),), ()) if v.parity == EVEN else ((), (v,))
+    walk = list(p.terms)
+    if p.terms.get(linear) in (p.den, -p.den):
+        holding = [i for i, (ev, od) in enumerate(walk)
+                   if (ev, od) != linear and (v in od or any(w is v for w, _ in ev))]
+        if holding:
+            counts["first" if walk.index(linear) < holding[0] else "later"] += 1
+
+
 def oracle_prolong_apply(theta, p):
     """The prolonged left action with no memo: each variable's value is
     prolonged afresh and multiplied on the left of the left partial."""
