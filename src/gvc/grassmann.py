@@ -303,7 +303,7 @@ def accumulate(out, items, den=1):
     denominator `den` into the polynomial `out` in place, dropping
     cancelled monomials, then enforce the context's term limit; returns
     `out`, whose denominator `finish` reduces.  Every kernel sum takes
-    this step: here, or inlined in the two hot loops, `add_product` and
+    this step: here, or inlined in the two hot loops, `add_times` and
     `jets.add_total_derivative`."""
     lift = common_denominator(out, den)
     if lift != 1:
@@ -329,87 +329,145 @@ def add_product(out, p, q, sign=1):
     """out += sign * p * q (sign +-1) for a polynomial `out`, in place;
     returns `out`, whose denominator `finish` reduces.
 
-    One loop over the pairs of terms: the odd words are merged counting
-    the crossings of the Koszul sign, and a pair sharing an odd letter is
-    dropped (variables are interned, so `is` compares them); the sorted
-    even parts are concatenated when one ends below the other's start
-    and merged by exponent otherwise; each product is summed into `out`
-    as `accumulate` does, and the term limit is checked at the end.  The
-    sign and the lift onto `out`'s denominator scale q's numerators once,
-    before the loop."""
+    One `add_times` per term of q, which multiplies every term of p by
+    it, with the sign and the lift onto `out`'s denominator folded into
+    that term's numerator; a p of one even monomial commutes with q, so
+    the two swap and one call takes all of q.  The term limit is checked
+    at the end."""
     lift = common_denominator(out, p.den * q.den) * sign
     terms = out.terms
-    setdefault = terms.setdefault
-    q_items = [(ev, od, c * lift, len(od), ev and ev[0][0].key, ev and ev[-1][0].key)
-               for (ev, od), c in q.terms.items()]
-    for (ev1, od1), c1 in p.terms.items():
-        n1, e1 = len(od1), len(ev1)
-        if ev1:
-            first1, last1 = ev1[0][0].key, ev1[-1][0].key
-        for ev2, od2, c2, n2, first2, last2 in q_items:
-            flip = False
-            if not od2:
-                od = od1
-            elif not od1:
-                od = od2
-            else:
-                od = None
-                word = []
-                i = j = 0
-                while i < n1 and j < n2:
-                    a, b = od1[i], od2[j]
-                    if a is b:
-                        break
-                    if a.key < b.key:
-                        word.append(a)
-                        i += 1
-                    else:
-                        # b passes the n1 - i letters of od1 still to come
-                        word.append(b)
-                        if (n1 - i) & 1:
-                            flip = not flip
-                        j += 1
-                else:
-                    od = tuple(word) + od1[i:] + od2[j:]
-                if od is None:
-                    continue
-            if not ev2:
-                ev = ev1
-            elif not ev1:
-                ev = ev2
-            elif last1 < first2:
-                ev = ev1 + ev2
-            elif last2 < first1:
-                ev = ev2 + ev1
-            else:
-                word = []
-                i = j = 0
-                e2 = len(ev2)
-                while i < e1 and j < e2:
-                    x, y = ev1[i], ev2[j]
-                    if x[0] is y[0]:
-                        word.append((x[0], x[1] + y[1]))
-                        i += 1
-                        j += 1
-                    elif y[0].key < x[0].key:
-                        word.append(y)
-                        j += 1
-                    else:
-                        word.append(x)
-                        i += 1
-                ev = tuple(word) + ev1[i:] + ev2[j:]
-            c = -c1 * c2 if flip else c1 * c2
-            m = (ev, od)
-            n = len(terms)
-            s = setdefault(m, c)
-            if len(terms) == n:
-                s += c
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
+    if len(p.terms) == 1 < len(q.terms) and not _mono_parity(next(iter(p.terms))):
+        p, q = q, p
+    items = p.terms.items()
+    for (ev, od), c in q.terms.items():
+        add_times(terms, items, ev, od, c * lift)
     out.ctx.check_terms(len(terms))
     return out
+
+
+def add_times(terms, items, evr, odr, c):
+    """terms += c * m * (evr, odr) summed over the (monomial m, numerator)
+    pairs `items`, in place on a table of numerators: each m stands left
+    of the one monomial (evr, odr).  This is the kernel's one monomial
+    product; the caller checks the term limit.
+
+    The odd words are merged counting the crossings of the Koszul sign,
+    one letter on each side by one comparison, and a pair sharing an odd
+    letter is dropped (variables are interned, so `is` compares them).
+    A one-factor even part on either side is inserted by a short scan,
+    and wider ones merge in `_merge_even`.  Each product is summed into
+    `terms` as `accumulate` does."""
+    setdefault = terms.setdefault
+    nr = len(odr)
+    if nr == 1:
+        b = odr[0]
+        kb = b.key
+    single = len(evr) == 1
+    if single:
+        (x, ex), = evr
+        kx = x.key
+    for (evv, odv), cv in items:
+        if not odv:
+            om = odr
+            flip = False
+        elif not nr:
+            om = odv
+            flip = False
+        elif nr == 1 and len(odv) == 1:
+            a = odv[0]
+            if a is b:
+                continue
+            flip = kb < a.key
+            om = (b, a) if flip else (a, b)
+        else:
+            nv = len(odv)
+            flip = False
+            word = []
+            i = j = 0
+            while i < nv and j < nr:
+                u, w = odv[i], odr[j]
+                if u is w:
+                    break
+                if u.key < w.key:
+                    word.append(u)
+                    i += 1
+                else:
+                    # w passes the nv - i letters of odv still to come
+                    word.append(w)
+                    if (nv - i) & 1:
+                        flip = not flip
+                    j += 1
+            if i < nv and j < nr:
+                continue  # the words share a letter
+            om = tuple(word) + odv[i:] + odr[j:]
+        if not evv:
+            em = evr
+        elif not evr:
+            em = evv
+        elif single:
+            i = 0
+            for u, f in evv:
+                if u.key >= kx:
+                    if u is x:
+                        em = evv[:i] + ((x, f + ex),) + evv[i + 1 :]
+                    else:
+                        em = evv[:i] + evr + evv[i:]
+                    break
+                i += 1
+            else:
+                em = evv + evr
+        elif len(evv) == 1:
+            (y, ey), = evv
+            ky = y.key
+            i = 0
+            for u, f in evr:
+                if u.key >= ky:
+                    if u is y:
+                        em = evr[:i] + ((y, f + ey),) + evr[i + 1 :]
+                    else:
+                        em = evr[:i] + evv + evr[i:]
+                    break
+                i += 1
+            else:
+                em = evr + evv
+        else:
+            em = _merge_even(evv, evr)
+        cc = -c * cv if flip else c * cv
+        m = (em, om)
+        k = len(terms)
+        s = setdefault(m, cc)
+        if len(terms) == k:
+            s += cc
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+
+
+def _merge_even(ev1, ev2):
+    """The product of two sorted even parts, each of two factors or more:
+    concatenated when one ends below the other's start, else merged by
+    exponent."""
+    if ev1[-1][0].key < ev2[0][0].key:
+        return ev1 + ev2
+    if ev2[-1][0].key < ev1[0][0].key:
+        return ev2 + ev1
+    word = []
+    i = j = 0
+    n1, n2 = len(ev1), len(ev2)
+    while i < n1 and j < n2:
+        x, y = ev1[i], ev2[j]
+        if x[0] is y[0]:
+            word.append((x[0], x[1] + y[1]))
+            i += 1
+            j += 1
+        elif y[0].key < x[0].key:
+            word.append(y)
+            j += 1
+        else:
+            word.append(x)
+            i += 1
+    return tuple(word) + ev1[i:] + ev2[j:]
 
 
 def _partial_terms(items, v, side):

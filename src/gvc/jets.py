@@ -12,13 +12,14 @@ each jet's value is one total derivative of its parent jet's value.
 loop (`ContactDerivation._act`): `prolong_apply` runs it from the left
 and `brst.KoszulTate.apply` from the right.  The loop walks p's terms
 once, takes each factor the derivation moves out of its term in place
-and multiplies the remainder by that jet's value straight into one
-table, so no partial derivative (`Poly.partials`) is built; a term that
+and multiplies that jet's value by the remainder straight into one
+table through the kernel's one monomial product (`grassmann.add_times`),
+so no partial derivative (`Poly.partials`) is built; a term that
 is exactly +-v adds the total derivative of the parent's value instead
 of building v's own.
 """
 
-from .grassmann import GvcError, ParityError, common_denominator
+from .grassmann import GvcError, ParityError, add_times, common_denominator
 
 
 class MultiIndex:
@@ -229,19 +230,20 @@ class ContactDerivation:
         summed into one table in one walk over p's terms.
 
         Each factor v of a term is taken out in place, with the partial's
-        sign and exponent, and the remainder is multiplied by each term of
-        v's kept value (`contract_variable`), the inner operand, as
-        `add_product` multiplies; no partial derivative is built.  A term
-        that is exactly +-v, for a jet of order at least one whose value
-        is not kept yet, adds the total derivative of its parent's value
-        instead, so that value, used once, is never built.  The term limit
-        is checked after every term of p."""
+        sign and exponent, and v's kept value (`contract_variable`) is
+        multiplied by the remainder in one `add_times`, the value on the
+        left; no partial derivative is built.  A right action moves the
+        value's odd word, of parity |v| + |theta|, past the remainder's,
+        so it negates v's numerator when both are odd.  A term that is
+        exactly +-v, for a jet of order at least one whose value is not
+        kept yet, adds the total derivative of its parent's value instead,
+        so that value, used once, is never built.  The term limit is
+        checked after every term of p."""
         ctx = p.ctx
         comps = self.components
         values = self._values
         out = ctx.zero()
         terms = out.terms
-        setdefault = terms.setdefault
         limit = ctx.term_limit
         pden = p.den
         for (ev, od), c in p.terms.items():
@@ -271,98 +273,9 @@ class ContactDerivation:
                 if out.den % den:
                     common_denominator(out, den)
                 cw *= out.den // den
-                nr = len(odr)
-                single = len(evr) == 1
-                if single:
-                    (x, ex), = evr
-                    kx = x.key
-                for (evv, odv), cv in val.terms.items():
-                    # odd words: the value's letters stand left of the rest's,
-                    # and a right action reverses that at the sign
-                    # (-1)^{|value word| |rest word|}
-                    if not odv:
-                        om = odr
-                        flip = False
-                    elif not nr:
-                        om = odv
-                        flip = False
-                    elif nr == 1 and len(odv) == 1:
-                        a = odv[0]
-                        b = odr[0]
-                        if a is b:
-                            continue
-                        if a.key < b.key:
-                            om = (a, b)
-                            flip = right
-                        else:
-                            om = (b, a)
-                            flip = not right
-                    else:
-                        nv = len(odv)
-                        flip = right and (nv * nr) & 1 == 1
-                        om = None
-                        word = []
-                        i = j = 0
-                        while i < nv and j < nr:
-                            a, b = odv[i], odr[j]
-                            if a is b:
-                                break
-                            if a.key < b.key:
-                                word.append(a)
-                                i += 1
-                            else:
-                                # b passes the nv - i letters of odv still to come
-                                word.append(b)
-                                if (nv - i) & 1:
-                                    flip = not flip
-                                j += 1
-                        else:
-                            om = tuple(word) + odv[i:] + odr[j:]
-                        if om is None:
-                            continue
-                    # even parts: one factor is inserted by a short scan
-                    if not evv:
-                        em = evr
-                    elif not evr:
-                        em = evv
-                    elif single:
-                        i = 0
-                        for u, f in evv:
-                            if u.key >= kx:
-                                if u is x:
-                                    em = evv[:i] + ((x, f + ex),) + evv[i + 1 :]
-                                else:
-                                    em = evv[:i] + evr + evv[i:]
-                                break
-                            i += 1
-                        else:
-                            em = evv + evr
-                    elif len(evv) == 1:
-                        (y, ey), = evv
-                        ky = y.key
-                        i = 0
-                        for u, f in evr:
-                            if u.key >= ky:
-                                if u is y:
-                                    em = evr[:i] + ((y, f + ey),) + evr[i + 1 :]
-                                else:
-                                    em = evr[:i] + evv + evr[i:]
-                                break
-                            i += 1
-                        else:
-                            em = evr + evv
-                    else:
-                        em = _merge_even(evv, evr)
-                    cc = -cw * cv if flip else cw * cv
-                    m = (em, om)
-                    k = len(terms)
-                    s = setdefault(m, cc)
-                    if len(terms) == k:
-                        s += cc
-                        if s:
-                            terms[m] = s
-                        else:
-                            del terms[m]
+                if right and w.parity != self.parity and len(odr) & 1:
+                    cw = -cw
+                add_times(terms, val.terms.items(), evr, odr, cw)
             if limit is not None and len(terms) > limit:
                 ctx.check_terms(len(terms))
         return out.finish()
@@ -372,30 +285,6 @@ def prolong_apply(theta, p):
     """Apply the prolonged derivation: sum_v d_Lambda(v^A) * d_left/dv p,
     over the variables of the fields theta moves."""
     return theta._act(p)
-
-
-def _merge_even(ev1, ev2):
-    """The product of two sorted even parts, each of two factors or more."""
-    if ev1[-1][0].key < ev2[0][0].key:
-        return ev1 + ev2
-    if ev2[-1][0].key < ev1[0][0].key:
-        return ev2 + ev1
-    word = []
-    i = j = 0
-    n1, n2 = len(ev1), len(ev2)
-    while i < n1 and j < n2:
-        x, y = ev1[i], ev2[j]
-        if x[0] is y[0]:
-            word.append((x[0], x[1] + y[1]))
-            i += 1
-            j += 1
-        elif y[0].key < x[0].key:
-            word.append(y)
-            j += 1
-        else:
-            word.append(x)
-            i += 1
-    return tuple(word) + ev1[i:] + ev2[j:]
 
 
 def superbracket(t1, t2):

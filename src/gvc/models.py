@@ -128,12 +128,13 @@ class GaugeModel:
 
     The generator roster, split coordinates included, and the
     field-antifield pairing are fixed at construction, which ends by
-    freezing the context.  Each derived object that several checks use
-    (the validation reports, the Lagrangian, the field equations, the
-    Noether rows and residuals, the gauge, parameter and BRST operators,
-    the Lie derivative of the Lagrangian along the parameter symmetry, a
-    density prolongation, and the extended density) is built on first
-    use and kept.
+    freezing the context, and so are the algebra's graded constants and
+    form entries.  Each derived object that several checks use (the
+    validation reports, the Lagrangian, the field equations, the Noether
+    rows and residuals, the gauge, parameter and BRST operators, the Lie
+    derivative of the Lagrangian along the parameter symmetry, a density
+    prolongation, and the extended density) is built on first use and
+    kept.
     """
 
     # Checks whose formulas are proved for even algebras only; a model
@@ -152,6 +153,12 @@ class GaugeModel:
         ctx = Context(metric.dim, max_jet_order=max_jet_order, term_limit=term_limit)
         self.ctx = ctx
         m, n = algebra.dim, metric.dim
+        self.constants = algebra.graded_constants()
+        self.form_entries = algebra.graded_form()
+        # per algebra index r, the entries holding r where a builder looks
+        self._constants_by_r = [[e for e in self.constants if e[0] == r] for r in range(m)]
+        self._constants_by_i = [[e for e in self.constants if e[1] == r] for r in range(m)]
+        self._form_by_i = [[e for e in self.form_entries if e[0] == r] for r in range(m)]
         kinds = ["even-field" if p == EVEN else "odd-field" for p in algebra.parities]
         self.field = [[ctx.add_generator(
             "a%d_%d" % (r + 1, mu), kinds[r], algebra.parities[r],
@@ -204,10 +211,9 @@ class GaugeModel:
     def _twist_sum(self, r, lam, mu):
         ctx = self.ctx
         out = ctx.zero()
-        for s, i, j, c in self.algebra.graded_constants():
-            if s == r:
-                _add(out, ctx.product(c, (ctx.jet(self.field[i][lam]),
-                                          ctx.jet(self.field[j][mu]))))
+        for _, i, j, c in self._constants_by_r[r]:
+            _add(out, ctx.product(c, (ctx.jet(self.field[i][lam]),
+                                      ctx.jet(self.field[j][mu]))))
         return out.finish()
 
     def strength(self, r, lam, mu):
@@ -245,7 +251,7 @@ class GaugeModel:
         n = self.metric.dim
         signs = self.metric.signs
         density = ctx.zero()
-        for i, j, h in self.algebra.graded_form():
+        for i, j, h in self.form_entries:
             table = ctx.zero()
             for lam in range(n):
                 for beta in range(lam + 1, n):
@@ -258,7 +264,7 @@ class GaugeModel:
         """Quadratic field (not strength) density; breaks gauge invariance."""
         ctx = self.ctx
         density = ctx.zero()
-        for i, j, h in self.algebra.graded_form():
+        for i, j, h in self.form_entries:
             for mu in range(self.metric.dim):
                 _add(density, ctx.product(h * self.metric.g(mu), (
                     ctx.jet(self.field[i][mu]), ctx.jet(self.field[j][mu]))))
@@ -270,7 +276,7 @@ class GaugeModel:
         on the symmetric coordinates but not on the bare fields."""
         n = self.metric.dim
         density = self.ctx.zero()
-        for i, j, h in self.algebra.graded_form():
+        for i, j, h in self.form_entries:
             for lam in range(n):
                 for beta in range(lam, n):
                     coeff = Fraction(1, 4) * h * self.metric.g(lam) * self.metric.g(beta)
@@ -287,9 +293,8 @@ class GaugeModel:
     def _momentum(self, r, mu, kappa):
         out = self.ctx.zero()
         sign = self.metric.signs[mu] * self.metric.signs[kappa]
-        for i, j, h in self.algebra.graded_form():
-            if i == r:
-                add_product(out, self.ctx.scalar(h), self.strength(j, mu, kappa), sign)
+        for _, j, h in self._form_by_i[r]:
+            add_product(out, self.ctx.scalar(h), self.strength(j, mu, kappa), sign)
         return out.finish()
 
     def closed_euler_lagrange(self):
@@ -298,7 +303,6 @@ class GaugeModel:
         each component summed in one table."""
         ctx = self.ctx
         m, n = self.algebra.dim, self.metric.dim
-        consts = self.algebra.graded_constants()
         comps = {}
         for r in range(m):
             for mu in range(n):
@@ -307,11 +311,10 @@ class GaugeModel:
                     pi = self.momentum(r, mu, kappa)
                     if not pi.is_zero():
                         add_total_derivative(acc, kappa, pi)
-                    for i, s, fld, c in consts:
-                        if s == r:
-                            pii = self.momentum(i, mu, kappa)
-                            if not pii.is_zero():
-                                add_product(acc, c * ctx.var(self.field[fld][kappa]), pii)
+                    for i, _, fld, c in self._constants_by_i[r]:
+                        pii = self.momentum(i, mu, kappa)
+                        if not pii.is_zero():
+                            add_product(acc, c * ctx.var(self.field[fld][kappa]), pii)
                 if acc.terms:
                     comps[self.field[r][mu]] = acc.finish()
         return EulerLagrange(ctx, comps)
@@ -330,7 +333,7 @@ class GaugeModel:
         ctx = self.ctx
         m, n = self.algebra.dim, self.metric.dim
         rows = {j: [] for j in range(m)}
-        for r, j, i, c in self.algebra.graded_constants():
+        for r, j, i, c in self.constants:
             for lam in range(n):
                 rows[j].append((c * ctx.var(self.field[i][lam]), self.field[r][lam], ()))
         for j in range(m):
@@ -356,7 +359,7 @@ class GaugeModel:
         n = self.metric.dim
         comps = {self.field[r][mu]: ctx.var(sources[r], mu)
                  for r in range(self.algebra.dim) for mu in range(n)}
-        for r, j, i, c in self.algebra.graded_constants():
+        for r, j, i, c in self.constants:
             for mu in range(n):
                 _add(comps[self.field[r][mu]],
                      ctx.product(-c, (ctx.jet(sources[j]), ctx.jet(self.field[i][mu]))))
@@ -389,7 +392,7 @@ class GaugeModel:
         if len(vec) != self.algebra.dim:
             raise GvcError("parameter vector has wrong length")
         comps = {}
-        for r, j, i, c in self.algebra.graded_constants():
+        for r, j, i, c in self.constants:
             if vec[j]:
                 for mu in range(self.metric.dim):
                     _add(comps.setdefault(self.field[r][mu], ctx.zero()),
@@ -401,7 +404,7 @@ class GaugeModel:
         """Quadratic ghost components completing the gauge operator."""
         ctx = self.ctx
         gamma = {}
-        for r, i, j, c in self.algebra.graded_constants():
+        for r, i, j, c in self.constants:
             sign = Fraction(1, 2) if self.algebra.parities[i] == ODD else Fraction(-1, 2)
             _add(gamma.setdefault(self.ghost[r], ctx.zero()),
                  ctx.product(sign * c, (ctx.jet(self.ghost[i]), ctx.jet(self.ghost[j]))))
@@ -510,7 +513,7 @@ class GaugeModel:
         contraction_res = {}
         if self.all_even:
             contraction_res = {"q%d" % (q + 1): ctx.zero() for q in range(m)}
-            for r, p, q, c in self.algebra.graded_constants():
+            for r, p, q, c in self.constants:
                 for lam in range(n):
                     for mu in range(lam + 1, n):
                         dpoly = partial.get(ctx.jet(self.aux_strength[(r, lam, mu)]))

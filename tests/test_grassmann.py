@@ -463,6 +463,38 @@ class TestMonoMul:
         assert shared > 50 and interleaved > 100
 
 
+def _add_times_paths(left, right, counts):
+    """Count the branch `add_times` takes for the monomial `left` times
+    `right`: the 1x1 odd words in either order or a shared odd letter,
+    then a one-factor even part on the right or the left (the same
+    variable, inserted inside, appended), or a merge of wider ones
+    (concatenated either way, or interleaved)."""
+    (evv, odv), (evr, odr) = left, right
+    if set(odv) & set(odr):
+        counts["odd-shared"] += 1
+        return
+    if len(odv) == len(odr) == 1:
+        counts["odd-1x1-" + ("before" if odv[0].key < odr[0].key else "after")] += 1
+    for side, one, other in (("right", evr, evv), ("left", evv, evr)):
+        if len(one) == 1 and other and (side == "right" or len(other) > 1):
+            x = one[0][0]
+            keys = [u.key for u, _ in other]
+            where = ("same" if x.key in keys else
+                     "inside" if keys[-1] > x.key else "appended")
+            counts["%s-%s" % (side, where)] += 1
+            return
+    if len(evv) > 1 and len(evr) > 1:
+        where = ("before" if evv[-1][0].key < evr[0][0].key else
+                 "after" if evr[-1][0].key < evv[0][0].key else "interleaved")
+        counts["merge-" + where] += 1
+
+
+ADD_TIMES_PATHS = ["swapped", "odd-shared", "odd-1x1-before", "odd-1x1-after"] + [
+    "%s-%s" % (side, where) for side in ("right", "left")
+    for where in ("same", "inside", "appended")] + [
+    "merge-before", "merge-after", "merge-interleaved"]
+
+
 class TestAddProduct:
     """The one-loop product against the per-pair oracle of tests/util.py,
     summed into a polynomial that already holds terms."""
@@ -471,6 +503,7 @@ class TestAddProduct:
         ctx = make_context(2, evens=2, odds=3)
         rng = random.Random(44)
         shared_odd = cancelled = fractional = rescaled = 0
+        paths = dict.fromkeys(ADD_TIMES_PATHS, 0)
         for _ in range(200):
             p = random_poly(rng, ctx, terms=rng.randint(0, 5), max_order=1)
             q = random_poly(rng, ctx, terms=rng.randint(0, 5), max_order=1)
@@ -489,8 +522,15 @@ class TestAddProduct:
                 cancelled += bool(set(base) - set(out.terms))
                 fractional += out.den != 1
             shared_odd += any(set(m1[1]) & set(m2[1]) for m1 in p.terms for m2 in q.terms)
+            # a p of one even monomial swaps with q: q's terms are the items
+            swap = len(p.terms) == 1 < len(q.terms) and not len(next(iter(p.terms))[1]) & 1
+            paths["swapped"] += swap
+            for m1 in p.terms:
+                for m2 in q.terms:
+                    _add_times_paths(*((m2, m1) if swap else (m1, m2)), paths)
             assert add_product(add_product(ctx.zero(), p, q), p, q, -1).finish() == ctx.zero()
         assert shared_odd > 20 and cancelled > 20 and fractional > 20 and rescaled > 20
+        assert all(paths.values()), paths
 
     def test_term_limit(self):
         ctx = make_context(2)

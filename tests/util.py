@@ -8,7 +8,7 @@ from math import gcd
 from gvc import Context, EVEN, ODD
 from gvc.bicomplex import (DX, TH, Form, _letter_parity, _normal_word, dx_letter,
                            letter_wedge_left, theta_letter)
-from gvc.grassmann import Poly, add_product
+from gvc.grassmann import Poly
 from gvc.jets import iterated_derivative, total_derivative
 
 
@@ -667,26 +667,33 @@ def shared_jet_cases(theta, p, v, counts):
             counts["first" if walk.index(linear) < holding[0] else "later"] += 1
 
 
-def oracle_prolong_apply(theta, p):
-    """The prolonged left action with no memo: each variable's value is
-    prolonged afresh and multiplied on the left of the left partial."""
-    out = theta.ctx.zero()
-    for v, dp in p.partials():
+def _oracle_act(theta, p, side):
+    """The prolonged action of theta on p with no memo, on dicts of
+    rational coefficients: each moved variable's value is prolonged
+    afresh and multiplied on the left of its left partial, or on the
+    right of its right partial, by the per-pair oracle product."""
+    ctx = theta.ctx
+    out = {}
+    for v in p.variables():
         val = theta.components.get(v.gen)
         if val is not None:
-            add_product(out, iterated_derivative(v.index, val), dp)
-    return out.finish()
+            value = iterated_derivative(v.index, val)
+            dp = oracle_poly(ctx, oracle_partial(p, v, side))
+            if side == "left":
+                oracle_add_product(out, value, dp)
+            else:
+                oracle_add_product(out, dp, value)
+    return oracle_poly(ctx, out)
+
+
+def oracle_prolong_apply(theta, p):
+    """The prolonged left action with no memo."""
+    return _oracle_act(theta, p, "left")
 
 
 def oracle_koszul_tate_apply(kt, p):
-    """The Koszul-Tate right action with no memo: each variable's value is
-    prolonged afresh and multiplied on the right of the right partial."""
-    out = kt.ctx.zero()
-    for v, dp in p.partials("right"):
-        val = kt.components.get(v.gen)
-        if val is not None:
-            add_product(out, dp, iterated_derivative(v.index, val))
-    return out.finish()
+    """The Koszul-Tate right action with no memo."""
+    return _oracle_act(kt, p, "right")
 
 
 def oracle_koszul_tate_residuals(kt):
