@@ -12,6 +12,8 @@ built in one polynomial.
 The master equation is checked by Theta_S^2 alone, and the bracket's
 failure rows are E_z({S,S}) = -+2 Theta_S^2(zbar) (minus on fields and
 ghosts, plus on antifields); `antibracket` is the tests' oracle for it.
+Under relabellings proved to fix S and the pairing, Theta_S^2 is taken
+on one generator per orbit (`master_equation_check`).
 """
 
 from .grassmann import EVEN, ODD, GvcError, ParityError, Poly, add_product
@@ -138,11 +140,13 @@ def brst_extend(u, gamma):
     return s, nilpotency_residuals(s)
 
 
-def nilpotency_residuals(theta):
-    """theta(theta(z)) for every generator z the derivation moves, by
-    the derivation's own action (left, or right for Koszul-Tate)."""
-    return {gen.name: theta.apply(theta.components[gen])
-            for gen in sorted(theta.components, key=lambda g: g.key)}
+def nilpotency_residuals(theta, gens=None):
+    """theta(theta(z)) for every generator z the derivation moves, or for
+    those of `gens` (a subset), by the derivation's own action (left, or
+    right for Koszul-Tate), in key order."""
+    comps = theta.components
+    return {gen.name: theta.apply(comps[gen])
+            for gen in sorted(comps if gens is None else gens, key=lambda g: g.key)}
 
 
 def _require_paired(densities, pairs):
@@ -199,7 +203,8 @@ def master_derivation(L, pairs):
 
 class MasterReport:
     """Outcome of the classical master equation check: the master
-    derivation Theta_S, its nilpotency residuals and the pairing."""
+    derivation Theta_S, its nilpotency residuals on the generators it
+    squared (`squared`) and the pairing."""
 
     __slots__ = ("pairs", "derivation", "derivation_residuals")
 
@@ -207,6 +212,12 @@ class MasterReport:
         self.pairs = pairs
         self.derivation = derivation
         self.derivation_residuals = derivation_residuals
+
+    @property
+    def squared(self):
+        """Names of the generators Theta_S was squared on; any other it
+        moves lies in the orbit of one of them, where it is proved zero."""
+        return tuple(self.derivation_residuals)
 
     def bracket_residuals(self):
         """The nonzero E_g({S, S}) by generator name: -2 Theta_S^2(zbar)
@@ -227,11 +238,62 @@ class MasterReport:
     bracket_trivial = ok = derivation_nilpotent
 
 
-def master_equation_check(L, pairs):
-    """The classical master equation by Theta_L^2 alone: {L, L} is
-    variationally trivial exactly when it vanishes on every generator."""
+def _fixes(S, pairs, gen_map, perm):
+    """Whether the relabelling (gen_map, perm) maps the pairing onto
+    itself (g(pairs[z]) is pairs[g(z)] for every z) and fixes S exactly;
+    `Poly.rename` refuses a map that changes a parity."""
+    if any(pairs.get(gen_map.get(z, z)) is not gen_map.get(zbar, zbar)
+           for z, zbar in pairs.items()):
+        return False
+    return S.rename(gen_map, perm) == S
+
+
+def _representatives(moved, gen_maps):
+    """The smallest-key member of each orbit of the generators `moved`
+    under the group the maps generate: one union-find over z -- g(z)."""
+    root = {z: z for z in moved}
+
+    def find(z):
+        while root[z] is not z:
+            z = root[z]
+        return z
+
+    for gen_map in gen_maps:
+        for z, w in gen_map.items():
+            if z in root and w in root:
+                a, b = find(z), find(w)
+                if a is not b:
+                    if b.key < a.key:
+                        a, b = b, a
+                    root[b] = a
+    return [z for z in moved if find(z) is z]
+
+
+def master_equation_check(L, pairs, symmetries=()):
+    """The classical master equation by Theta_S^2 alone: {S, S} is
+    variationally trivial exactly when it vanishes on every generator.
+
+    `symmetries` are relabellings (gen_map, perm) in the sense of
+    `Poly.rename`, such as swaps of spacetime directions.  Each one that
+    fixes S exactly and maps the pairing onto itself commutes with
+    Theta_S (it relabels the total derivatives and keeps the variational
+    derivatives paired), so Theta_S^2(g z) = g Theta_S^2(z).  When every
+    symmetry is proved so, Theta_S is squared only on the smallest-key
+    member of each orbit, and zero there is zero on the whole orbit.  If
+    a proof or a representative fails, every generator is squared, the
+    representatives' values kept, so a failure reads as without
+    symmetries."""
     theta = master_derivation(L, pairs)
-    return MasterReport(pairs, theta, nilpotency_residuals(theta))
+    kept = {}
+    if symmetries and all(_fixes(L.density, pairs, *g) for g in symmetries):
+        kept = nilpotency_residuals(theta, _representatives(
+            theta.components, [gen_map for gen_map, _ in symmetries]))
+        if all(p.is_zero() for p in kept.values()):
+            return MasterReport(pairs, theta, kept)
+    order = sorted(theta.components, key=lambda g: g.key)
+    residuals = nilpotency_residuals(theta, [z for z in order if z.name not in kept])
+    residuals.update(kept)
+    return MasterReport(pairs, theta, {z.name: residuals[z.name] for z in order})
 
 
 def proper_solution(L, s, pairs, residuals=None):

@@ -331,13 +331,18 @@ def add_product(out, p, q, sign=1):
 
     One `add_times` per term of q, which multiplies every term of p by
     it, with the sign and the lift onto `out`'s denominator folded into
-    that term's numerator; a p of one even monomial commutes with q, so
-    the two swap and one call takes all of q.  The term limit is checked
-    at the end."""
+    that term's numerator.  A p of one monomial m commutes with a
+    parity-homogeneous q up to (-1)^{|m||q|}, so the two swap, that sign
+    joins the lift and one call takes all of q; an odd m and a q of
+    mixed parity keep the loop.  The term limit is checked at the end."""
     lift = common_denominator(out, p.den * q.den) * sign
     terms = out.terms
-    if len(p.terms) == 1 < len(q.terms) and not _mono_parity(next(iter(p.terms))):
-        p, q = q, p
+    if len(p.terms) == 1 < len(q.terms):
+        flip = _mono_parity(next(iter(p.terms))) and q.parity()
+        if flip is not None:
+            p, q = q, p
+            if flip:
+                lift = -lift
     items = p.terms.items()
     for (ev, od), c in q.terms.items():
         add_times(terms, items, ev, od, c * lift)
@@ -717,6 +722,48 @@ class Poly:
         # the numerators summed so far are over this polynomial's denominator
         out.den *= self.den
         return out.finish()
+
+    def rename(self, gen_map, perm):
+        """The image under a relabelling of variables: each jet z;Lambda
+        becomes gen_map(z);perm(Lambda) and each x^lam becomes
+        x^perm(lam), where `gen_map` is a parity-preserving permutation of
+        generators (a dict; generators it lacks stay) and `perm` one of
+        the directions (perm[lam] is lam's image).
+
+        The relabelling is a bijection on variables, so no two terms
+        meet and no product is formed: each even part is re-sorted by
+        key, and each odd word is sorted carrying the sign of its
+        inversions.  It equals `substitute` with every variable mapped to
+        its image."""
+        ctx = self.ctx
+        if sorted(perm) != list(range(ctx.dim)):
+            raise GvcError("direction map must permute 0..%d" % (ctx.dim - 1))
+        if set(gen_map.values()) != set(gen_map) or any(
+                g.parity != h.parity for g, h in gen_map.items()):
+            raise GvcError("generator map must be a parity-preserving permutation")
+        image = {x: ctx.coordinates[perm[lam]] for lam, x in enumerate(ctx.coordinates)}
+
+        def var(v):
+            w = image.get(v)
+            if w is None:
+                w = image[v] = ctx.jet(gen_map.get(v.gen, v.gen), [perm[i] for i in v.index])
+            return w
+
+        out = {}
+        for (ev, od), c in self.terms.items():
+            ev2 = sorted(((var(v), e) for v, e in ev), key=lambda it: it[0].key)
+            od2 = []
+            for v in od:
+                w = var(v)
+                # insertion sort: w passes every letter above it
+                at = len(od2)
+                while at and od2[at - 1].key > w.key:
+                    at -= 1
+                if (len(od2) - at) & 1:
+                    c = -c
+                od2.insert(at, w)
+            out[(tuple(ev2), tuple(od2))] = c
+        return Poly(ctx, out, self.den)
 
     # -- presentation ----------------------------------------------------
 

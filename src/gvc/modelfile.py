@@ -53,6 +53,7 @@ def parse_model(text):
     spec = ModelSpec()
     section = None
     declared = set()
+    keys = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -70,6 +71,9 @@ def parse_model(text):
                 raise ParseError("expected key = value", lineno)
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
+            if key in keys:
+                raise ParseError("duplicate key %r in [model]" % (key,), lineno)
+            keys.add(key)
             if key == "dimension":
                 try:
                     spec.dimension = int(value)
@@ -126,6 +130,8 @@ def parse_model(text):
             name = line
             if name not in CHECK_NAMES:
                 raise ParseError("unknown check %r" % (name,), lineno)
+            if name in spec.checks:
+                raise ParseError("check %r listed twice" % (name,), lineno)
             spec.checks.append(name)
     if spec.dimension is None:
         raise ParseError("missing dimension in [model]", 1)

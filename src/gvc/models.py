@@ -126,15 +126,15 @@ def _once(store, key, build):
 class GaugeModel:
     """A Yang-Mills system over a validated Lie (super)algebra.
 
-    The generator roster, split coordinates included, and the
-    field-antifield pairing are fixed at construction, which ends by
-    freezing the context, and so are the algebra's graded constants and
-    form entries.  Each derived object that several checks use (the
-    validation reports, the Lagrangian, the field equations, the Noether
-    rows and residuals, the gauge, parameter and BRST operators, the Lie
-    derivative of the Lagrangian along the parameter symmetry, a density
-    prolongation, and the extended density) is built on first use and
-    kept.
+    The generator roster, split coordinates included, the
+    field-antifield pairing and the direction swaps the metric admits
+    are fixed at construction, which ends by freezing the context, and
+    so are the algebra's graded constants and form entries.  Each
+    derived object that several checks use (the validation reports, the
+    Lagrangian, the field equations, the Noether rows and residuals, the
+    gauge, parameter and BRST operators, the Lie derivative of the
+    Lagrangian along the parameter symmetry, a density prolongation, and
+    the extended density) is built on first use and kept.
     """
 
     # Checks whose formulas are proved for even algebras only; a model
@@ -192,6 +192,19 @@ class GaugeModel:
         self._pairs = {self.field[r][mu]: self.antifield[r][mu]
                        for r in range(m) for mu in range(n)}
         self._pairs.update(zip(self.ghost, self.noether_antifield))
+        # the swaps of directions adjacent within one metric sign class,
+        # which generate every direction permutation the metric admits,
+        # as relabellings (gen_map, perm) of fields and antifields
+        self.direction_swaps = []
+        for sign in (1, -1):
+            dirs = [mu for mu in range(n) if metric.signs[mu] == sign]
+            for lam, mu in zip(dirs, dirs[1:]):
+                perm = list(range(n))
+                perm[lam], perm[mu] = mu, lam
+                gen_map = {}
+                for row in self.field + self.antifield:
+                    gen_map[row[lam]], gen_map[row[mu]] = row[mu], row[lam]
+                self.direction_swaps.append((gen_map, perm))
         self._memo = {}
         ctx.freeze()
 
@@ -259,30 +272,6 @@ class GaugeModel:
                                 self.strength(j, lam, beta), signs[lam] * signs[beta])
             _add(density, table, Fraction(h) / 2)
         return Lagrangian(density.finish())
-
-    def mass_term_lagrangian(self):
-        """Quadratic field (not strength) density; breaks gauge invariance."""
-        ctx = self.ctx
-        density = ctx.zero()
-        for i, j, h in self.form_entries:
-            for mu in range(self.metric.dim):
-                _add(density, ctx.product(h * self.metric.g(mu), (
-                    ctx.jet(self.field[i][mu]), ctx.jet(self.field[j][mu]))))
-        return Lagrangian(density.finish())
-
-    def sym_quadratic_lagrangian(self):
-        """Quadratic density in the symmetric jet half (canonical index
-        order, which is where the half is a split coordinate); it depends
-        on the symmetric coordinates but not on the bare fields."""
-        n = self.metric.dim
-        density = self.ctx.zero()
-        for i, j, h in self.form_entries:
-            for lam in range(n):
-                for beta in range(lam, n):
-                    coeff = Fraction(1, 4) * h * self.metric.g(lam) * self.metric.g(beta)
-                    density += coeff * (self.sym_jet(i, lam, beta)
-                                        * self.sym_jet(j, lam, beta))
-        return Lagrangian(density)
 
     # -- field equations ----------------------------------------------------
 
@@ -384,21 +373,6 @@ class GaugeModel:
         """L_theta L for the parameter symmetry and the Lagrangian."""
         return self._once("parameter-lie-derivative",
                           lambda: self.lie_derivative(self.parameter_symmetry()))
-
-    def constant_parameter_symmetry(self, vec):
-        """Gauge symmetry for a constant parameter vector over the basis."""
-        ctx = self.ctx
-        vec = [Fraction(c) for c in vec]
-        if len(vec) != self.algebra.dim:
-            raise GvcError("parameter vector has wrong length")
-        comps = {}
-        for r, j, i, c in self.constants:
-            if vec[j]:
-                for mu in range(self.metric.dim):
-                    _add(comps.setdefault(self.field[r][mu], ctx.zero()),
-                         ctx.var(self.field[i][mu]), -c * vec[j])
-        return ContactDerivation(self.ctx, {gen: comp.finish() for gen, comp in comps.items()},
-                                 EVEN)
 
     def ghost_sector(self):
         """Quadratic ghost components completing the gauge operator."""
@@ -607,7 +581,7 @@ class GaugeModel:
             if any(not p.is_zero() for p in s_res.values()):
                 return CheckResult(check, False, witness="no nilpotent extension")
             extended = self.extended_lagrangian()
-            rep = master_equation_check(extended, self.pairs())
+            rep = master_equation_check(extended, self.pairs(), self.direction_swaps)
             if not rep.ok:
                 return CheckResult.from_residuals(check, rep.bracket_residuals())
             # The derivation moves z by the variational derivative along

@@ -9,6 +9,7 @@ import pytest
 
 import gvc.brst
 import gvc.jets
+import gvc.models
 from gvc import (
     ContactDerivation,
     EVEN,
@@ -32,10 +33,12 @@ from gvc.brst import KoszulTate, NoetherOperator
 from gvc.grassmann import ExpansionLimitError, JetOrderError
 from gvc.jets import iterated_derivative, total_derivative
 from gvc.modelfile import parse_model, spec_model
-from gvc.models import Metric
+from gvc.models import GaugeModel, Metric
 from gvc.presets import preset_model, su2_algebra
+from gvc.reporting import CheckResult
 
 from util import (field_generators, linear_jet_paths, linear_jet_polys, make_context,
+                  mass_term_lagrangian, orbit_only_failure,
                   oracle_koszul_tate_apply, oracle_koszul_tate_residuals, random_poly,
                   random_vertical, shared_jet_cases, shared_jet_poly)
 
@@ -61,6 +64,11 @@ def sl21():
     return spec_model(parse_model(SL21_MODEL.read_text(encoding="utf-8")))
 
 
+@pytest.fixture(scope="module")
+def su2_euclidean():
+    return GaugeModel(su2_algebra(), Metric((1, 1, 1, 1)))
+
+
 class TestNoetherIdentities:
     def test_abelian_divergence_identity(self, abelian):
         res = noether_residuals(abelian.noether_operator(),
@@ -74,7 +82,7 @@ class TestNoetherIdentities:
 
     def test_mass_perturbation_obstruction(self, su2):
         broken = Lagrangian(su2.ym_lagrangian().density
-                            + su2.mass_term_lagrangian().density)
+                            + mass_term_lagrangian(su2).density)
         res = noether_residuals(su2.noether_operator(), euler_lagrange(broken))
         assert any(not p.is_zero() for p in res.values())
 
@@ -592,6 +600,139 @@ class TestMasterIdentity:
     def test_one_sign_for_both_sides_fails(self, sign, su2):
         el, rep = self._both_routes(su2, _perturbed_solution(su2, random.Random(1406)))
         assert any(got != want for got, want in self._rows(su2, el, rep, sign, sign))
+
+
+class TestOrbitReduction:
+    """Theta_S^2 on one generator per orbit of the direction swaps that
+    fix S, against the full table of every generator."""
+
+    @staticmethod
+    def _routes(model, S):
+        return (master_equation_check(S, model.pairs(), model.direction_swaps),
+                master_equation_check(S, model.pairs()))
+
+    @staticmethod
+    def _same_failure(reduced, full):
+        """The full table and the same rows, byte for byte."""
+        assert reduced.squared == full.squared
+        assert list(reduced.derivation_residuals.items()) == \
+            list(full.derivation_residuals.items())
+        rows = [CheckResult.from_residuals("master-equation", rep.bracket_residuals()).line()
+                for rep in (reduced, full)]
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("name, swaps", [
+        ("abelian", [(1, 0)]), ("osp12", []), ("su2", [(0, 2, 1, 3), (0, 1, 3, 2)]),
+        ("su2_euclidean", [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)])])
+    def test_swaps_of_directions_with_one_metric_sign(self, name, swaps, request):
+        model = request.getfixturevalue(name)
+        assert [tuple(perm) for _, perm in model.direction_swaps] == swaps
+        for gen_map, perm in model.direction_swaps:
+            for table in (model.field, model.antifield):
+                for row in table:
+                    for mu, gen in enumerate(row):
+                        assert gen_map.get(gen, gen) is row[perm[mu]]
+            assert len(gen_map) == 4 * model.algebra.dim
+
+    @pytest.mark.parametrize("name", ["abelian", "su2", "osp12", "sl21", "su2_euclidean"])
+    def test_same_verdicts_on_one_generator_per_orbit(self, name, request):
+        model = request.getfixturevalue(name)
+        reduced, full = self._routes(model, model.extended_lagrangian())
+        assert reduced.ok and full.ok
+        assert reduced.bracket_residuals() == full.bracket_residuals() == {}
+        moved = sorted(full.derivation.components, key=lambda g: g.key)
+        assert full.squared == tuple(g.name for g in moved)
+        # the representatives: ghosts, their partners, and fields and
+        # antifields of the first direction of each metric sign
+        signs = model.metric.signs
+        first = {signs.index(sign) for sign in signs}
+        direction = {gen: mu for table in (model.field, model.antifield)
+                     for row in table for mu, gen in enumerate(row)}
+        assert reduced.squared == tuple(g.name for g in moved
+                                        if direction.get(g, min(first)) in first)
+        assert len(reduced.squared) < len(moved) or name == "osp12"
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21", "su2_euclidean"])
+    def test_perturbed_rows_are_identical(self, name, request):
+        model = request.getfixturevalue(name)
+        rng = random.Random(1406)
+        for _ in range(2):
+            reduced, full = self._routes(model, _perturbed_solution(model, rng))
+            assert not full.ok
+            self._same_failure(reduced, full)
+
+    def test_invariant_breaking_is_caught_on_representatives(self, su2, monkeypatch):
+        # the mass term is fixed by every swap, so the proof holds, and it
+        # breaks gauge invariance, so a representative fails and the rest
+        # of the table follows
+        S = Lagrangian(su2.extended_lagrangian().density + mass_term_lagrangian(su2).density)
+        assert all(S.density.rename(*g) == S.density for g in su2.direction_swaps)
+        squared = []
+        original = gvc.brst.nilpotency_residuals
+
+        def counted(theta, gens=None):
+            squared.append(None if gens is None else len(gens))
+            return original(theta, gens)
+
+        monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
+        reduced = master_equation_check(S, su2.pairs(), su2.direction_swaps)
+        moved = len(reduced.derivation.components)
+        assert squared == [18, moved - 18]
+        monkeypatch.undo()
+        full = master_equation_check(S, su2.pairs())
+        assert not full.ok
+        self._same_failure(reduced, full)
+
+    def test_direction_three_term_forces_the_full_table(self, su2):
+        # h_ij F^i_03 F^j_03 is gauge invariant, so S plus it still solves
+        # the master equation; the swap (1 2) fixes it, (2 3) does not
+        ctx = su2.ctx
+        extra = ctx.zero()
+        for i, j, h in su2.form_entries:
+            extra += h * (su2.strength(i, 0, 3) * su2.strength(j, 0, 3))
+        S = Lagrangian(su2.extended_lagrangian().density + extra)
+        swap12, swap23 = su2.direction_swaps
+        assert S.density.rename(*swap12) == S.density
+        assert S.density.rename(*swap23) != S.density
+        reduced, full = self._routes(su2, S)
+        assert reduced.ok and full.ok
+        assert reduced.squared == full.squared
+
+    def test_failure_off_the_representatives_is_caught(self):
+        L, pairs, g = orbit_only_failure()
+        assert L.density.rename(*g) != L.density
+        rep = master_equation_check(L, pairs, [g])
+        assert not rep.ok
+        assert rep.squared == ("u1", "u2", "ebar1", "ebar2", "c", "cbar")
+        assert [name for name, p in rep.derivation_residuals.items() if p.terms] == \
+            ["u2", "ebar2"]
+        assert set(rep.bracket_residuals()) == {"ubar2", "e2"}
+
+    def test_map_breaking_the_pairing_is_refused(self):
+        # S holds none of u1, u2, ebar1 and ebar2, so swapping them alone
+        # fixes it; but the map sends u1 to u2 and keeps u1's partner
+        # ubar1, and taken as a symmetry it would hide both failing rows
+        L, pairs, (gen_map, perm) = orbit_only_failure()
+        half = {g: h for g, h in gen_map.items() if g.name in ("u1", "u2", "ebar1", "ebar2")}
+        assert L.density.rename(half, perm) == L.density
+        rep = master_equation_check(L, pairs, [(half, perm)])
+        assert not rep.ok
+        assert rep.squared == ("u1", "u2", "ebar1", "ebar2", "c", "cbar")
+
+    def test_pipeline_passes_the_swaps(self, sl21, monkeypatch):
+        reports = []
+        original = gvc.models.master_equation_check
+
+        def kept(L, pairs, symmetries=()):
+            reports.append((symmetries, original(L, pairs, symmetries)))
+            return reports[-1][1]
+
+        monkeypatch.setattr(gvc.models, "master_equation_check", kept)
+        (row,) = sl21.pipeline("master-equation", deterministic=True)
+        assert row.ok
+        ((symmetries, rep),) = reports
+        assert symmetries is sl21.direction_swaps
+        assert len(rep.squared) == 48 < len(rep.derivation.components) == 80
 
 
 class TestProperSolution:

@@ -63,6 +63,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line" in err
 
+    def test_duplicate_key_is_two(self, model_file, capsys):
+        text = PRESET_MODEL_TEXT["su2"].replace("dimension = 4", "dimension = 4\ndimension = 4")
+        assert main(["full", "--model", model_file("dup", text), "--deterministic"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 3, column 1: duplicate key 'dimension' in [model]" in captured.err
+
     def test_missing_file_is_two(self, capsys):
         assert main(["full", "--model", "/nonexistent/x.model"]) == 2
 

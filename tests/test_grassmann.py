@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+import gvc.grassmann
 from gvc import Context, EVEN, ODD, GvcError, ParityError, UnknownGeneratorError
 from gvc.grassmann import (KINDS, ExpansionLimitError, Generator, JetOrderError, Poly,
                            add_product, exact, normalize)
 from gvc.jets import add_total_derivative, total_derivative
 
-from util import (assert_normal, make_context, oracle_add_product,
+from util import (assert_normal, field_generators, make_context, oracle_add_product,
                   oracle_add_total_derivative, oracle_coeffs, oracle_partial, oracle_poly,
                   oracle_substitute, random_poly)
 
@@ -522,8 +523,10 @@ class TestAddProduct:
                 cancelled += bool(set(base) - set(out.terms))
                 fractional += out.den != 1
             shared_odd += any(set(m1[1]) & set(m2[1]) for m1 in p.terms for m2 in q.terms)
-            # a p of one even monomial swaps with q: q's terms are the items
-            swap = len(p.terms) == 1 < len(q.terms) and not len(next(iter(p.terms))[1]) & 1
+            # a p of one monomial swaps with q, even or parity-homogeneous:
+            # q's terms are the items
+            swap = len(p.terms) == 1 < len(q.terms) and (
+                not len(next(iter(p.terms))[1]) & 1 or q.parity() is not None)
             paths["swapped"] += swap
             for m1 in p.terms:
                 for m2 in q.terms:
@@ -531,6 +534,34 @@ class TestAddProduct:
             assert add_product(add_product(ctx.zero(), p, q), p, q, -1).finish() == ctx.zero()
         assert shared_odd > 20 and cancelled > 20 and fractional > 20 and rescaled > 20
         assert all(paths.values()), paths
+
+    @pytest.mark.parametrize("q_parity", [EVEN, ODD, None])
+    def test_odd_monomial_swaps_with_a_homogeneous_q(self, q_parity, monkeypatch):
+        """An odd one-monomial p against an even, odd or mixed q: one
+        `add_times` call takes all of a homogeneous q, with the sign of
+        the swap, and a mixed q keeps one call per term."""
+        ctx = make_context(2, evens=2, odds=3)
+        rng = random.Random(45)
+        calls = []
+        add_times = gvc.grassmann.add_times
+        monkeypatch.setattr(gvc.grassmann, "add_times", lambda terms, items, *rest: (
+            calls.append(items), add_times(terms, items, *rest)))
+        checked = 0
+        for _ in range(300):
+            p = random_poly(rng, ctx, terms=1, max_order=1, parity=ODD)
+            q = random_poly(rng, ctx, terms=rng.randint(2, 5), max_order=1,
+                            parity=q_parity)
+            if len(p.terms) != 1 or len(q.terms) < 2 or q.parity() != q_parity:
+                continue
+            start = random_poly(rng, ctx, terms=2, dens=(1, 2, 3))
+            for sign in (1, -1):
+                del calls[:]
+                out = add_product(Poly(ctx, dict(start.terms), start.den), p, q, sign)
+                want = oracle_add_product(oracle_coeffs(start), p, q, sign)
+                assert out.finish().coeffs() == want
+                assert len(calls) == (len(q.terms) if q_parity is None else 1)
+            checked += 1
+        assert checked > 20
 
     def test_term_limit(self):
         ctx = make_context(2)
@@ -698,3 +729,69 @@ class TestExactCoefficients:
         for p in (total, p, q, d, square, t, two_thirds, third.even_part(),
                   (third + ctx.var("c1") * ctx.var("c2") * Fraction(2, 3)).odd_part()):
             assert_normal(p)
+
+
+class TestRename:
+    """`Poly.rename` against substitution of each variable's image (the
+    kernel's and the `Fraction` oracle's) and against a bubble-sort sign
+    of each odd word, under random parity-preserving permutations of
+    generators and of directions."""
+
+    @staticmethod
+    def _relabelling(rng, ctx):
+        gen_map = {}
+        for parity in (EVEN, ODD):
+            group = [g for g in field_generators(ctx) if g.parity == parity]
+            gen_map.update(zip(group, rng.sample(group, len(group))))
+        return gen_map, rng.sample(range(ctx.dim), ctx.dim)
+
+    @staticmethod
+    def _image(ctx, gen_map, perm, v):
+        if v.gen.kind == "coordinate":
+            return ctx.coordinate(perm[ctx.coordinates.index(v)])
+        return ctx.jet(gen_map[v.gen], [perm[i] for i in v.index])
+
+    def _cases(self, seed):
+        ctx = make_context(3, evens=3, odds=4)
+        rng = random.Random(seed)
+        for _ in range(60):
+            # products make odd words of three letters and more
+            p = random_poly(rng, ctx, terms=3, dens=(1, 2, 3)) * random_poly(rng, ctx, terms=3)
+            gen_map, perm = self._relabelling(rng, ctx)
+            yield ctx, p, gen_map, perm, lambda v: self._image(ctx, gen_map, perm, v)
+
+    def test_matches_substitution(self):
+        long_words = 0
+        for ctx, p, gen_map, perm, image in self._cases(1406):
+            mapping = {v: ctx.var(image(v).gen, *image(v).index) for v in p.variables()}
+            got = p.rename(gen_map, perm)
+            assert_normal(got)
+            assert got.coeffs() == oracle_substitute(p, mapping)
+            assert got == p.substitute(mapping)
+            long_words += any(len(od) >= 3 for _, od in p.terms)
+        assert long_words > 20
+
+    def test_odd_sign_is_the_inversion_count(self):
+        flips = 0
+        for ctx, p, gen_map, perm, image in self._cases(6318):
+            got = p.rename(gen_map, perm)
+            assert len(got.terms) == len(p.terms) and got.den == p.den
+            for (ev, od), c in p.terms.items():
+                letters = {image(v).key: image(v) for v in od}
+                sign, keys = bubble_sign([image(v).key for v in od])
+                even = tuple(sorted(((image(v), e) for v, e in ev), key=lambda it: it[0].key))
+                assert got.terms[(even, tuple(letters[k] for k in keys))] == sign * c
+                flips += sign == -1
+        assert flips > 20
+
+    def test_identity_and_bad_maps(self):
+        ctx = make_context(2)
+        s1, s2, q1 = ctx.generator("s1"), ctx.generator("s2"), ctx.generator("q1")
+        p = ctx.var("s1", 0) * ctx.var("q1", 1) * ctx.var("q2") + ctx.var("x1")
+        assert p.rename({}, [0, 1]) == p
+        assert p.rename({s1: s2, s2: s1}, [1, 0]) == \
+            ctx.var("s2", 1) * ctx.var("q1", 0) * ctx.var("q2") + ctx.var("x0")
+        for gen_map, perm in (({}, [0, 0]), ({}, [0]), ({s1: s2}, [0, 1]),
+                              ({s1: q1, q1: s1}, [0, 1])):
+            with pytest.raises(GvcError):
+                p.rename(gen_map, perm)

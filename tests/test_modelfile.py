@@ -98,6 +98,27 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_model(MINIMAL.replace("metric = ++", "metric = +"))
 
+    @pytest.mark.parametrize("line", ["dimension = 2", "metric = ++", "max_jet_order = 2"])
+    def test_duplicate_model_key_rejected(self, line):
+        text = MINIMAL.replace("metric = ++", "metric = ++\nmax_jet_order = 3\n" + line)
+        with pytest.raises(ParseError, match="duplicate key %r" % line.split()[0]) as err:
+            parse_model(text)
+        assert err.value.line == 5
+
+    def test_second_dimension_does_not_overwrite_the_first(self):
+        # without the rejection this parses as a consistent 2D model
+        text = MINIMAL.replace("dimension = 2", "dimension = 4\ndimension = 2").replace(
+            "metric = ++", "metric = +-")
+        with pytest.raises(ParseError, match="duplicate key 'dimension'") as err:
+            parse_model(text)
+        assert err.value.line == 3
+
+    def test_check_listed_twice_rejected(self):
+        text = MINIMAL + "\n[checks]\nbrst\nnoether\nbrst\n"
+        with pytest.raises(ParseError, match="check 'brst' listed twice") as err:
+            parse_model(text)
+        assert err.value.line == 11
+
     def test_line_numbers_reported(self):
         text = MINIMAL + "junk line\n"
         with pytest.raises(ParseError) as err:

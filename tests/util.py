@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from gvc import Context, EVEN, ODD
+from gvc import ContactDerivation, Context, EVEN, Lagrangian, ODD
 from gvc.bicomplex import (DX, TH, Form, _letter_parity, _normal_word, dx_letter,
                            letter_wedge_left, theta_letter)
 from gvc.grassmann import Poly
@@ -700,3 +700,78 @@ def oracle_koszul_tate_residuals(kt):
     """kt(kt(z)) on every generator z the oracle action moves."""
     return {gen.name: oracle_koszul_tate_apply(kt, val)
             for gen, val in kt.components.items()}
+
+
+# -- test-only model builders -----------------------------------------------
+#
+# Densities and symmetries of a `GaugeModel` that only tests use, built
+# from its roster, graded constants and form entries.
+
+
+def mass_term_lagrangian(model):
+    """Quadratic field (not strength) density; breaks gauge invariance."""
+    ctx = model.ctx
+    density = ctx.zero()
+    for i, j, h in model.form_entries:
+        for mu in range(model.metric.dim):
+            density += ctx.product(h * model.metric.g(mu), (
+                ctx.jet(model.field[i][mu]), ctx.jet(model.field[j][mu])))
+    return Lagrangian(density)
+
+
+def sym_quadratic_lagrangian(model):
+    """Quadratic density in the symmetric jet half (canonical index
+    order, which is where the half is a split coordinate); it depends on
+    the symmetric coordinates but not on the bare fields."""
+    n = model.metric.dim
+    density = model.ctx.zero()
+    for i, j, h in model.form_entries:
+        for lam in range(n):
+            for beta in range(lam, n):
+                coeff = Fraction(1, 4) * h * model.metric.g(lam) * model.metric.g(beta)
+                density += coeff * (model.sym_jet(i, lam, beta) * model.sym_jet(j, lam, beta))
+    return Lagrangian(density)
+
+
+def constant_parameter_symmetry(model, vec):
+    """Gauge symmetry of `model` for a constant parameter vector over the
+    algebra's basis."""
+    ctx = model.ctx
+    vec = [Fraction(c) for c in vec]
+    assert len(vec) == model.algebra.dim
+    comps = {}
+    for r, j, i, c in model.constants:
+        if vec[j]:
+            for mu in range(model.metric.dim):
+                gen = model.field[r][mu]
+                comps[gen] = comps.get(gen, ctx.zero()) + (-c * vec[j]) * ctx.var(
+                    model.field[i][mu])
+    return ContactDerivation(ctx, comps, EVEN)
+
+
+def orbit_only_failure():
+    """A density S, its pairing and a relabelling g that keeps the
+    pairing but not S, such that Theta_S^2 vanishes on the smallest-key
+    member of every orbit of g but not on u2 and ebar2.
+
+    Even fields u1, u2, e1, e2 with odd antifields ubar1, ubar2, ebar1,
+    ebar2, and an odd ghost c with its even partner cbar; g swaps the
+    index 1 and 2 members of each family.  With
+    S = ubar2 c + cbar e2 + ubar1 ubar2 e1, {S, S} is a multiple of
+    ubar2 e2, so its rows sit on u2 and ebar2 alone, while Theta_S moves
+    u1, u2, ebar1, ebar2, c and cbar, a set g maps onto itself."""
+    ctx = Context(1)
+    pairs = {}
+    for name in ("u1", "u2", "e1", "e2"):
+        pairs[ctx.add_generator(name, "even-field", EVEN)] = ctx.add_generator(
+            name[0] + "bar" + name[1:], "antifield", ODD, ghost_number=-1, antifield_number=1)
+    pairs[ctx.add_generator("c", "ghost", ODD, ghost_number=1)] = ctx.add_generator(
+        "cbar", "noether-antifield", EVEN, ghost_number=-2, antifield_number=2)
+    var = ctx.var
+    density = var("ubar2") * var("c") + var("cbar") * var("e2") \
+        + var("ubar1") * var("ubar2") * var("e1")
+    gen = ctx.generator
+    gen_map = {}
+    for a, b in (("u1", "u2"), ("ubar1", "ubar2"), ("e1", "e2"), ("ebar1", "ebar2")):
+        gen_map[gen(a)], gen_map[gen(b)] = gen(b), gen(a)
+    return Lagrangian(density), pairs, (gen_map, [0])
