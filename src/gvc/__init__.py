@@ -18,7 +18,6 @@ from .grassmann import (
 )
 from .jets import (
     ContactDerivation,
-    MultiIndex,
     iterated_derivative,
     prolong_apply,
     superbracket,

@@ -1,8 +1,9 @@
-"""Jet bookkeeping: symmetric multi-indices, total derivatives and the
-prolongation of vertical contact derivations.
+"""Jet bookkeeping: total derivatives and the prolongation of vertical
+contact derivations.
 
-A multi-index is a multiset of spacetime directions; total derivatives
-commute, so iterated derivatives only depend on the multiset.  A total
+A multi-index is a multiset of spacetime directions, held as a sorted
+tuple (`Variable.index`); total derivatives commute, so iterated
+derivatives only depend on the multiset.  A total
 derivative is one loop over the terms that writes each raised term
 straight into the caller's sum (`add_total_derivative`).  A contact
 derivation is determined by its components on the generating basis; it
@@ -20,52 +21,6 @@ of building v's own.
 """
 
 from .grassmann import GvcError, ParityError, add_times, common_denominator
-
-
-class MultiIndex:
-    """Multiset of spacetime indices, order-insensitive by construction."""
-
-    __slots__ = ("indices",)
-
-    def __init__(self, *indices):
-        if len(indices) == 1 and isinstance(indices[0], (tuple, list, MultiIndex)):
-            indices = tuple(indices[0]) if not isinstance(indices[0], MultiIndex) else indices[0].indices
-        self.indices = tuple(sorted(indices))
-
-    @property
-    def counts(self):
-        out = {}
-        for lam in self.indices:
-            out[lam] = out.get(lam, 0) + 1
-        return out
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __add__(self, other):
-        return MultiIndex(self.indices + tuple(other))
-
-    def __eq__(self, other):
-        if isinstance(other, MultiIndex):
-            return self.indices == other.indices
-        return self.indices == tuple(sorted(other))
-
-    def __hash__(self):
-        return hash(self.indices)
-
-    def __repr__(self):
-        return "MultiIndex%r" % (self.indices,)
-
-
-def _as_index(index):
-    if isinstance(index, MultiIndex):
-        return index.indices
-    if isinstance(index, int):
-        return (index,)
-    return tuple(sorted(index))
 
 
 def total_derivative(lam, p):
@@ -156,7 +111,7 @@ def add_total_derivative(out, lam, p, sign=1):
 
 def iterated_derivative(index, p):
     """d_Lambda, the composition of total derivatives over a multi-index."""
-    for lam in _as_index(index):
+    for lam in index:
         p = total_derivative(lam, p)
     return p
 

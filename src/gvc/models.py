@@ -63,9 +63,6 @@ class Metric:
     def dim(self):
         return len(self.signs)
 
-    def g(self, lam):
-        return Fraction(self.signs[lam])
-
     def signature(self):
         return "".join("+" if s == 1 else "-" for s in self.signs)
 
@@ -431,14 +428,6 @@ class GaugeModel:
 
     # -- invariance conditions -------------------------------------------------
 
-    def _aux_strength_poly(self, r, lam, mu):
-        ctx = self.ctx
-        if lam == mu:
-            return ctx.zero()
-        if lam < mu:
-            return ctx.var(self.aux_strength[(r, lam, mu)])
-        return -ctx.var(self.aux_strength[(r, mu, lam)])
-
     def split_coordinates(self, density):
         """Rewrite first jets in the strength/symmetric coordinates.
 
@@ -452,22 +441,29 @@ class GaugeModel:
         for r in range(self.algebra.dim):
             for mu in range(self.metric.dim):
                 for lam in range(self.metric.dim):
-                    sym = ctx.var(self.aux_sym[(r, min(lam, mu), max(lam, mu))])
-                    repl = _add(ctx.zero(), sym, half)
-                    if lam <= mu:
-                        _add(repl, self._aux_strength_poly(r, lam, mu), half)
-                    else:
-                        _add(repl, self._aux_strength_poly(r, mu, lam), -half)
+                    key = (r, min(lam, mu), max(lam, mu))
+                    repl = _add(ctx.zero(), ctx.var(self.aux_sym[key]), half)
+                    if lam != mu:
+                        _add(repl, ctx.var(self.aux_strength[key]), half if lam < mu else -half)
+                    if lam > mu:
                         _add(repl, self._quadratic_twist(r, mu, lam))
                     mapping[ctx.jet(self.field[r][mu], (lam,))] = repl.finish()
         return density.substitute(mapping)
 
     def invariance_conditions(self, L=None):
         """Residual tables for the three gauge-invariance conditions of a
-        first-order density, in the split coordinates.
+        first-order density, in the split coordinates: its partials along
+        the symmetric halves, along the undifferentiated fields, and the
+        contraction, all zero for an invariant density.
 
-        The contraction condition is evaluated for all-even algebras; the
-        first two make sense for any parity assignment.
+        The contraction row of direction q is, with left partials,
+            sum over r, p and lam < mu of
+            (-1)^{|p||q|} c^r_pq F^p_lam,mu dL/dF^r_lam,mu,
+        the coefficient of xi^q in the variation of L along a constant
+        parameter xi, under which F^r moves by c^r_pq F^p xi^q: bringing
+        xi^q left past F^p gives the sign, which is -1 only for odd p and
+        odd q.  Every model computes all three tables; `EVEN_ONLY_CHECKS`
+        alone keeps the contraction row out of graded reports.
         """
         if L is None:
             L = self.ym_lagrangian()
@@ -480,21 +476,22 @@ class GaugeModel:
             return partial.get(ctx.jet(gen), ctx.zero())
 
         m, n = self.algebra.dim, self.metric.dim
+        parities = self.algebra.parities
         sym_res = {"S%d_%d%d" % (r + 1, lam, mu): d(gen)
                    for (r, lam, mu), gen in sorted(self.aux_sym.items())}
         field_res = {"a%d_%d" % (r + 1, mu): d(self.field[r][mu])
                      for r in range(m) for mu in range(n)}
-        contraction_res = {}
-        if self.all_even:
-            contraction_res = {"q%d" % (q + 1): ctx.zero() for q in range(m)}
-            for r, p, q, c in self.constants:
-                for lam in range(n):
-                    for mu in range(lam + 1, n):
-                        dpoly = partial.get(ctx.jet(self.aux_strength[(r, lam, mu)]))
-                        if dpoly is not None:
-                            add_product(contraction_res["q%d" % (q + 1)], ctx.product(
-                                c, (ctx.jet(self.aux_strength[(p, lam, mu)]),)), dpoly)
-            contraction_res = {q: res.finish() for q, res in contraction_res.items()}
+        contraction_res = [ctx.zero() for _ in range(m)]
+        for r, p, q, c in self.constants:
+            sign = -1 if parities[p] and parities[q] else 1
+            for lam in range(n):
+                for mu in range(lam + 1, n):
+                    dpoly = partial.get(ctx.jet(self.aux_strength[(r, lam, mu)]))
+                    if dpoly is not None:
+                        add_product(contraction_res[q], ctx.product(
+                            c, (ctx.jet(self.aux_strength[(p, lam, mu)]),)), dpoly, sign)
+        contraction_res = {"q%d" % (q + 1): res.finish()
+                           for q, res in enumerate(contraction_res)}
         return sym_res, field_res, contraction_res
 
     # -- end-to-end -------------------------------------------------------------

@@ -128,9 +128,6 @@ class LieSuperalgebra:
             return self._h.get((i, j), Fraction(0))
         return self._swap_sign(i, j) * self._h.get((j, i), Fraction(0))
 
-    def stored_form(self):
-        return sorted((i, j, v) for (i, j), v in self._h.items())
-
     def graded_form(self):
         """Every nonzero h_ij over ordered index pairs as (i, j, value),
         sorted, graded mirrors included; each value equals `form(i, j)`."""
@@ -141,31 +138,6 @@ class LieSuperalgebra:
                 out.append((j, i, self._swap_sign(i, j) * h))
         out.sort()
         return out
-
-    def form_matrix(self):
-        return [[self.form(i, j) for j in range(self.dim)] for i in range(self.dim)]
-
-    def form_inverse(self):
-        """Exact inverse h^{ij}; raises if the matrix is singular."""
-        n = self.dim
-        a = [row[:] + [Fraction(1) if k == i else Fraction(0) for k in range(n)]
-             for i, row in enumerate(self.form_matrix())]
-        for col in range(n):
-            pivot = None
-            for row in range(col, n):
-                if a[row][col] != 0:
-                    pivot = row
-                    break
-            if pivot is None:
-                raise GvcError("invariant form is singular")
-            a[col], a[pivot] = a[pivot], a[col]
-            inv = Fraction(1) / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for row in range(n):
-                if row != col and a[row][col] != 0:
-                    f = a[row][col]
-                    a[row] = [x - f * y for x, y in zip(a[row], a[col])]
-        return [row[n:] for row in a]
 
 
 def check_structure(alg):

@@ -10,7 +10,6 @@ from gvc import (
     ContactDerivation,
     EVEN,
     GvcError,
-    MultiIndex,
     ODD,
     ParityError,
     iterated_derivative,
@@ -27,23 +26,6 @@ from util import (assert_normal, field_generators, linear_jet_paths, linear_jet_
                   make_context, oracle_add_total_derivative, oracle_coeffs,
                   oracle_poly, oracle_prolong_apply, random_poly, random_vertical,
                   shared_jet_cases, shared_jet_poly)
-
-
-class TestMultiIndex:
-    def test_order_insensitive(self):
-        assert MultiIndex(0, 1) == MultiIndex(1, 0)
-        assert hash(MultiIndex(2, 0, 2)) == hash(MultiIndex(0, 2, 2))
-
-    def test_counts_and_length(self):
-        mi = MultiIndex(1, 0, 1)
-        assert len(mi) == 3
-        assert mi.counts == {0: 1, 1: 2}
-
-    def test_append(self):
-        assert MultiIndex(1) + MultiIndex(0) == MultiIndex(0, 1)
-
-    def test_empty(self):
-        assert len(MultiIndex()) == 0
 
 
 class TestTotalDerivative:
@@ -217,7 +199,7 @@ class TestIterated:
         rng = random.Random(23)
         for _ in range(20):
             p = random_poly(rng, ctx) * random_poly(rng, ctx)
-            two = iterated_derivative(MultiIndex(0, 1), p)
+            two = iterated_derivative((0, 1), p)
             steps = total_derivative(0, total_derivative(1, p))
             assert (two - steps).is_zero()
 

@@ -43,7 +43,7 @@ class TestParse:
         assert alg.parities == preset.parities
         assert alg.labels == preset.labels
         assert alg.stored_constants() == preset.stored_constants()
-        assert alg.stored_form() == preset.stored_form()
+        assert alg.graded_form() == preset.graded_form()
 
     def test_six_line_mirror_entries_collapse(self):
         spec = parse_model(PRESET_MODEL_TEXT["su2"])

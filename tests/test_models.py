@@ -56,7 +56,7 @@ class TestMetric:
         m = Metric.from_signature("+--")
         assert m.dim == 3
         assert m.signature() == "+--"
-        assert m.g(0) == 1 and m.g(1) == -1
+        assert m.signs == (1, -1, -1)
 
     def test_bad_signature(self):
         with pytest.raises(GvcError):
@@ -225,7 +225,7 @@ class TestFieldEquations:
             want = ctx.zero()
             for lam in range(4):
                 pi = ctx.zero()
-                coeff = model.metric.g(mu) * model.metric.g(lam)
+                coeff = model.metric.signs[mu] * model.metric.signs[lam]
                 pi += coeff * model.strength(0, mu, lam)
                 want += total_derivative(lam, pi)
             assert generic.component(model.field[0][mu]) == want
@@ -513,6 +513,42 @@ class TestInvarianceConditions:
         assert got == want
         assert any(not p.is_zero() for p in got.values())
 
+    @pytest.mark.parametrize("name", ["osp12", "sl21"])
+    def test_graded_contraction_vanishes(self, name, request):
+        """The graded Yang-Mills density passes the contraction condition;
+        the sign (-1)^{|p||q|} is what makes its odd-odd rows cancel."""
+        model = request.getfixturevalue(name)
+        assert not model.all_even
+        _, _, contr = model.invariance_conditions()
+        assert sorted(contr) == sorted("q%d" % (q + 1) for q in range(model.algebra.dim))
+        assert all(p.is_zero() for p in contr.values())
+
+    @pytest.mark.parametrize("labels, rows", [
+        # odd strengths: only constants of one odd and one even index enter
+        (("x", "y"), ["q4", "q5"]),
+        # linear in F^h, which c^h_xy = -1 ties to an odd-odd pair
+        (("h",), ["q2", "q3", "q4", "q5"]),
+    ])
+    def test_graded_contraction_matches_signed_oracle(self, osp12, labels, rows):
+        ctx, alg, n = osp12.ctx, osp12.algebra, osp12.metric.dim
+        density = ctx.one()
+        for label in labels:
+            density = density * osp12.strength(alg.index(label), 0, 1)
+        L = Lagrangian(density)
+        partial = dict(osp12.split_coordinates(L.density).partials())
+        want = {"q%d" % (q + 1): ctx.zero() for q in range(alg.dim)}
+        for r, p, q, c in alg.graded_constants():
+            sign = (-1) ** (alg.parities[p] * alg.parities[q])
+            for lam in range(n):
+                for mu in range(lam + 1, n):
+                    dpoly = partial.get(ctx.jet(osp12.aux_strength[(r, lam, mu)]))
+                    if dpoly is not None:
+                        want["q%d" % (q + 1)] += (sign * c) * (
+                            ctx.var(osp12.aux_strength[(p, lam, mu)]) * dpoly)
+        _, _, got = osp12.invariance_conditions(L)
+        assert got == want
+        assert sorted(q for q, p in got.items() if not p.is_zero()) == rows
+
     def test_second_order_density_rejected(self, su2):
         ctx = su2.ctx
         L = Lagrangian(ctx.var(su2.field[0][0], 0, 0))
@@ -553,19 +589,20 @@ class TestOneTableBuilders:
         want = ctx.zero()
         for i, j, h in alg.graded_form():
             for mu in range(n):
-                want += (h * model.metric.g(mu)) * (var(model.field[i][mu])
-                                                    * var(model.field[j][mu]))
+                want += (h * model.metric.signs[mu]) * (var(model.field[i][mu])
+                                                        * var(model.field[j][mu]))
         assert mass_term_lagrangian(model).density == want
         half, mapping = Fraction(1, 2), {}
         for r in range(alg.dim):
             for mu in range(n):
                 for lam in range(n):
-                    sym = var(model.aux_sym[(r, min(lam, mu), max(lam, mu))])
+                    key = (r, min(lam, mu), max(lam, mu))
+                    sym = var(model.aux_sym[key])
+                    strength = var(model.aux_strength[key]) if lam != mu else ctx.zero()
                     if lam <= mu:
-                        repl = half * (model._aux_strength_poly(r, lam, mu) + sym)
+                        repl = half * (strength + sym)
                     else:
-                        repl = half * (sym - model._aux_strength_poly(r, mu, lam)) \
-                            + model._twist_sum(r, mu, lam)
+                        repl = half * (sym - strength) + model._twist_sum(r, mu, lam)
                     mapping[ctx.jet(model.field[r][mu], (lam,))] = repl
         density = model.ym_lagrangian().density
         assert model.split_coordinates(density) == density.substitute(mapping)

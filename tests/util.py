@@ -714,7 +714,7 @@ def mass_term_lagrangian(model):
     density = ctx.zero()
     for i, j, h in model.form_entries:
         for mu in range(model.metric.dim):
-            density += ctx.product(h * model.metric.g(mu), (
+            density += ctx.product(h * model.metric.signs[mu], (
                 ctx.jet(model.field[i][mu]), ctx.jet(model.field[j][mu])))
     return Lagrangian(density)
 
@@ -728,7 +728,7 @@ def sym_quadratic_lagrangian(model):
     for i, j, h in model.form_entries:
         for lam in range(n):
             for beta in range(lam, n):
-                coeff = Fraction(1, 4) * h * model.metric.g(lam) * model.metric.g(beta)
+                coeff = Fraction(1, 4) * h * model.metric.signs[lam] * model.metric.signs[beta]
                 density += coeff * (model.sym_jet(i, lam, beta) * model.sym_jet(j, lam, beta))
     return Lagrangian(density)
 
