@@ -12,8 +12,10 @@ built in one polynomial.
 The master equation is checked by Theta_S^2 alone, and the bracket's
 failure rows are E_z({S,S}) = -+2 Theta_S^2(zbar) (minus on fields and
 ghosts, plus on antifields); `antibracket` is the tests' oracle for it.
-Under relabellings proved to fix S and the pairing, Theta_S^2 is taken
-on one generator per orbit (`master_equation_check`).
+Under signed relabellings proved to commute with Theta_S or with
+Koszul-Tate (direction swaps, algebra automorphisms), Theta_S^2, the
+Noether rows and Koszul-Tate's square are taken on one generator per
+orbit first (`on_representatives`).
 """
 
 from .grassmann import EVEN, ODD, GvcError, ParityError, Poly, add_product
@@ -42,15 +44,18 @@ class NoetherOperator:
             self.rows[label] = clean
 
 
-def noether_residuals(op, el):
-    """Apply each row to the variational derivatives; zero rows are the
-    valid identities.  Rows must reference field generators.
+def noether_residuals(op, el, labels=None):
+    """Apply each row, or each of those labelled in `labels`, to the
+    variational derivatives; zero rows are the valid identities.  Rows
+    must reference field generators.
 
     Each row is summed in one table; an entry whose coefficient is the
     constant +-1 adds its last total derivative straight into it."""
     ctx = op.ctx
     out = {}
     for label, entries in op.rows.items():
+        if labels is not None and label not in labels:
+            continue
         res = ctx.zero()
         for coeff, gen, index in entries:
             if gen.kind not in ("even-field", "odd-field"):
@@ -238,19 +243,22 @@ class MasterReport:
     bracket_trivial = ok = derivation_nilpotent
 
 
-def _fixes(S, pairs, gen_map, perm):
-    """Whether the relabelling (gen_map, perm) maps the pairing onto
-    itself (g(pairs[z]) is pairs[g(z)] for every z) and fixes S exactly;
-    `Poly.rename` refuses a map that changes a parity."""
+def _fixes(S, pairs, gen_map, perm, signs=None):
+    """Whether the relabelling (gen_map, perm, signs) maps the pairing onto
+    itself (g(pairs[z]) is pairs[g(z)] for every z, with z's sign) and
+    fixes S exactly; `Poly.rename` refuses a map that is no signed
+    permutation or that changes a parity."""
+    signs = signs or {}
     if any(pairs.get(gen_map.get(z, z)) is not gen_map.get(zbar, zbar)
-           for z, zbar in pairs.items()):
+           or signs.get(z, 1) != signs.get(zbar, 1) for z, zbar in pairs.items()):
         return False
-    return S.rename(gen_map, perm) == S
+    return S.rename(gen_map, perm, signs) == S
 
 
 def _representatives(moved, gen_maps):
     """The smallest-key member of each orbit of the generators `moved`
-    under the group the maps generate: one union-find over z -- g(z)."""
+    under the group the maps generate, signs aside: one union-find over
+    z -- g(z)."""
     root = {z: z for z in moved}
 
     def find(z):
@@ -266,34 +274,67 @@ def _representatives(moved, gen_maps):
                     if b.key < a.key:
                         a, b = b, a
                     root[b] = a
-    return [z for z in moved if find(z) is z]
+    return {z for z in moved if find(z) is z}
+
+
+def on_representatives(evaluate, moved, representatives=None):
+    """The residual table of the generators `moved`, by name in key order,
+    where `evaluate(gens)` gives it on a sublist.  `representatives`, one
+    per orbit of maps proved to carry each residual onto its image's up to
+    sign, go first, and zero on them is zero everywhere: the table holds
+    them alone.  Otherwise the rest follows and the table is rebuilt in
+    order, so a failure reads as without maps."""
+    order = sorted(moved, key=lambda g: g.key)
+    kept = {}
+    if representatives is not None:
+        kept = evaluate([z for z in order if z in representatives])
+        if all(p.is_zero() for p in kept.values()):
+            return kept
+    residuals = evaluate([z for z in order if z.name not in kept])
+    residuals.update(kept)
+    return {z.name: residuals[z.name] for z in order}
 
 
 def master_equation_check(L, pairs, symmetries=()):
     """The classical master equation by Theta_S^2 alone: {S, S} is
     variationally trivial exactly when it vanishes on every generator.
 
-    `symmetries` are relabellings (gen_map, perm) in the sense of
-    `Poly.rename`, such as swaps of spacetime directions.  Each one that
-    fixes S exactly and maps the pairing onto itself commutes with
-    Theta_S (it relabels the total derivatives and keeps the variational
-    derivatives paired), so Theta_S^2(g z) = g Theta_S^2(z).  When every
-    symmetry is proved so, Theta_S is squared only on the smallest-key
-    member of each orbit, and zero there is zero on the whole orbit.  If
-    a proof or a representative fails, every generator is squared, the
-    representatives' values kept, so a failure reads as without
-    symmetries."""
+    `symmetries` are relabellings (gen_map, perm) or (gen_map, perm,
+    signs) in the sense of `Poly.rename`, such as swaps of spacetime
+    directions and the algebra's signed automorphisms.  Each one that
+    fixes S exactly and maps the pairing onto itself, with one sign on
+    both members of a pair, is anticanonical and relabels the total
+    derivatives, so it commutes with Theta_S and Theta_S^2(g z) =
+    g Theta_S^2(z).  When every symmetry is proved so, Theta_S is squared
+    on the smallest-key member of each orbit first (`on_representatives`).
+    If a proof or a representative fails, every generator is squared, so
+    a failure reads as without symmetries."""
     theta = master_derivation(L, pairs)
-    kept = {}
-    if symmetries and all(_fixes(L.density, pairs, *g) for g in symmetries):
-        kept = nilpotency_residuals(theta, _representatives(
-            theta.components, [gen_map for gen_map, _ in symmetries]))
-        if all(p.is_zero() for p in kept.values()):
-            return MasterReport(pairs, theta, kept)
-    order = sorted(theta.components, key=lambda g: g.key)
-    residuals = nilpotency_residuals(theta, [z for z in order if z.name not in kept])
-    residuals.update(kept)
-    return MasterReport(pairs, theta, {z.name: residuals[z.name] for z in order})
+    reps = None
+    if all(_fixes(L.density, pairs, *g) for g in symmetries):
+        reps = _representatives(theta.components, [g[0] for g in symmetries])
+    return MasterReport(pairs, theta, on_representatives(
+        lambda gens: nilpotency_residuals(theta, gens), theta.components, reps))
+
+
+def row_representatives(L, kt, pairs, maps):
+    """One generator per orbit of those Koszul-Tate `kt` of L moves, under
+    relabellings (gen_map, perm, signs) proved to commute with it, or None.
+    Each must fix L and the pairing (`_fixes`), so it carries each field
+    equation, an antifield's value, onto its image's with the sign; keep
+    antifield numbers; and carry each degree-two antifield's value, a
+    Noether row, onto its image's with the sign."""
+    values = kt.components
+    for gen_map, perm, signs in maps:
+        if not _fixes(L.density, pairs, gen_map, perm, signs):
+            return None
+        for z, value in values.items():
+            w = gen_map.get(z, z)
+            if w.antifield_number != z.antifield_number or z.antifield_number == 2 and (
+                    w not in values
+                    or value.rename(gen_map, perm, signs) != values[w] * signs.get(z, 1)):
+                return None
+    return _representatives(values, [g for g, _, _ in maps])
 
 
 def proper_solution(L, s, pairs, residuals=None):

@@ -600,28 +600,12 @@ class Poly:
             raise ParityError("polynomial is not parity-homogeneous")
         return p
 
-    def even_part(self):
-        return Poly(self.ctx, {m: c for m, c in self.terms.items() if not _mono_parity(m)},
-                    self.den).finish()
-
-    def odd_part(self):
-        return Poly(self.ctx, {m: c for m, c in self.terms.items() if _mono_parity(m)},
-                    self.den).finish()
-
     def ghost_numbers(self):
         out = set()
         for ev, od in self.terms:
             g = sum(v.gen.ghost_number * e for v, e in ev)
             g += sum(v.gen.ghost_number for v in od)
             out.add(g)
-        return out
-
-    def antifield_numbers(self):
-        out = set()
-        for ev, od in self.terms:
-            a = sum(v.gen.antifield_number * e for v, e in ev)
-            a += sum(v.gen.antifield_number for v in od)
-            out.add(a)
         return out
 
     def coeffs(self):
@@ -723,43 +707,56 @@ class Poly:
         out.den *= self.den
         return out.finish()
 
-    def rename(self, gen_map, perm):
-        """The image under a relabelling of variables: each jet z;Lambda
-        becomes gen_map(z);perm(Lambda) and each x^lam becomes
-        x^perm(lam), where `gen_map` is a parity-preserving permutation of
-        generators (a dict; generators it lacks stay) and `perm` one of
-        the directions (perm[lam] is lam's image).
+    def rename(self, gen_map, perm, signs=None):
+        """The image under a signed relabelling of variables: each jet
+        z;Lambda becomes signs[z] gen_map(z);perm(Lambda) and each x^lam
+        becomes x^perm(lam), where `gen_map` is a parity-preserving
+        permutation of generators (a dict; generators it lacks stay),
+        `signs` gives -1 or 1 (default 1) and `perm` permutes the
+        directions (perm[lam] is lam's image).
 
-        The relabelling is a bijection on variables, so no two terms
-        meet and no product is formed: each even part is re-sorted by
-        key, and each odd word is sorted carrying the sign of its
+        No two terms meet and no product is formed: each term takes its
+        factors' signs, each to its exponent, its even part is re-sorted by
+        key, and its odd word is sorted carrying the sign of its
         inversions.  It equals `substitute` with every variable mapped to
-        its image."""
+        its signed image."""
         ctx = self.ctx
+        signs = signs or {}
         if sorted(perm) != list(range(ctx.dim)):
             raise GvcError("direction map must permute 0..%d" % (ctx.dim - 1))
         if set(gen_map.values()) != set(gen_map) or any(
-                g.parity != h.parity for g, h in gen_map.items()):
-            raise GvcError("generator map must be a parity-preserving permutation")
-        image = {x: ctx.coordinates[perm[lam]] for lam, x in enumerate(ctx.coordinates)}
+                g.parity != h.parity for g, h in gen_map.items()) or any(
+                s not in (1, -1) for s in signs.values()):
+            raise GvcError("generator map must be a parity-preserving signed permutation")
+        image = {x: (ctx.coordinates[perm[lam]], 1) for lam, x in enumerate(ctx.coordinates)}
 
         def var(v):
             w = image.get(v)
             if w is None:
-                w = image[v] = ctx.jet(gen_map.get(v.gen, v.gen), [perm[i] for i in v.index])
+                g = v.gen
+                w = image[v] = (ctx.jet(gen_map.get(g, g), [perm[i] for i in v.index]),
+                                signs.get(g, 1))
             return w
 
         out = {}
         for (ev, od), c in self.terms.items():
-            ev2 = sorted(((var(v), e) for v, e in ev), key=lambda it: it[0].key)
+            ev2 = []
+            for v, e in ev:
+                w, s = var(v)
+                if s < 0 and e & 1:
+                    c = -c
+                ev2.append((w, e))
+            ev2.sort(key=lambda it: it[0].key)
             od2 = []
             for v in od:
-                w = var(v)
+                w, s = var(v)
                 # insertion sort: w passes every letter above it
                 at = len(od2)
                 while at and od2[at - 1].key > w.key:
                     at -= 1
                 if (len(od2) - at) & 1:
+                    s = -s
+                if s < 0:
                     c = -c
                 od2.insert(at, w)
             out[(tuple(ev2), tuple(od2))] = c

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .grassmann import (DEFAULT_MAX_JET_ORDER, DEFAULT_TERM_LIMIT, Context, EVEN, ODD,
                         ExpansionLimitError, GvcError, accumulate, add_product)
-from .superlie import check_invariant_form, check_structure
+from .superlie import check_invariant_form, check_structure, signed_automorphisms
 from .jets import ContactDerivation, add_total_derivative, prolong_apply
 from .bicomplex import (
     EulerLagrange,
@@ -34,7 +34,9 @@ from .brst import (
     master_equation_check,
     nilpotency_residuals,
     noether_residuals,
+    on_representatives,
     proper_solution,
+    row_representatives,
 )
 from .reporting import CheckResult, Report
 
@@ -129,8 +131,8 @@ class GaugeModel:
     so are the algebra's graded constants and form entries.  Each
     derived object that several checks use (the validation reports, the
     Lagrangian, the field equations, the Noether rows and residuals, the
-    gauge, parameter and BRST operators, the Lie derivative of the
-    Lagrangian along the parameter symmetry, a density prolongation, and
+    gauge, parameter and BRST operators, the Lie derivative along the
+    parameter symmetry, the algebra maps and their proof on the rows, and
     the extended density) is built on first use and kept.
     """
 
@@ -207,6 +209,20 @@ class GaugeModel:
 
     def _once(self, key, build):
         return _once(self._memo, key, build)
+
+    def algebra_maps(self):
+        """The algebra's signed automorphisms e_r -> s_r e_pi(r), found on first
+        use, as relabellings (gen_map, perm, signs) moving the field,
+        antifield, ghost and degree-two antifield of r to s_r times pi(r)'s."""
+        return self._once("algebra-maps", self._algebra_relabellings)
+
+    def _algebra_relabellings(self):
+        n, m = self.metric.dim, self.algebra.dim
+        by_r = [self.field[r] + self.antifield[r] + [self.ghost[r], self.noether_antifield[r]]
+                for r in range(m)]
+        return [({gen: image for r in range(m) for gen, image in zip(by_r[r], by_r[pi[r]])},
+                 list(range(n)), {gen: -1 for r in range(m) if signs[r] < 0 for gen in by_r[r]})
+                for pi, signs in signed_automorphisms(self.algebra)]
 
     def form_report(self):
         """Validation report of the invariant form."""
@@ -329,12 +345,22 @@ class GaugeModel:
                                      for j in range(m)})
 
     def _noether_residuals(self):
-        return self._once("noether-residuals", lambda: noether_residuals(
-            self.noether_operator(), self.generic_euler_lagrange()))
+        return self._once("noether-residuals", lambda: on_representatives(
+            lambda gens: noether_residuals(self.noether_operator(),
+                                           self.generic_euler_lagrange(),
+                                           {g.name for g in gens}),
+            self.noether_antifield, self._row_representatives()))
 
     def koszul_tate(self):
         return self._once("koszul-tate", lambda: koszul_tate(
             self.noether_operator(), self.generic_euler_lagrange(), self._pairs))
+
+    def _row_representatives(self):
+        """One generator per orbit of those Koszul-Tate moves under the algebra
+        maps, proved once per model; None without maps or if a proof fails."""
+        return self._once("row-representatives", lambda: row_representatives(
+            self.ym_lagrangian(), self.koszul_tate(), self._pairs, self.algebra_maps())
+            if self.algebra_maps() else None)
 
     # -- symmetries -------------------------------------------------------------
 
@@ -556,7 +582,9 @@ class GaugeModel:
         def kt_check(check):
             # Each row is labelled by its degree-two antifield, where the
             # Koszul-Tate residual is the row's; every other one vanishes.
-            kt_res = nilpotency_residuals(self.koszul_tate())
+            kt = self.koszul_tate()
+            kt_res = on_representatives(lambda gens: nilpotency_residuals(kt, gens),
+                                        kt.components, self._row_representatives())
             noe_res = self._noether_residuals()
             zero = self.ctx.zero()
             if any(p != noe_res.get(name, zero) for name, p in kt_res.items()):
@@ -578,7 +606,8 @@ class GaugeModel:
             if any(not p.is_zero() for p in s_res.values()):
                 return CheckResult(check, False, witness="no nilpotent extension")
             extended = self.extended_lagrangian()
-            rep = master_equation_check(extended, self.pairs(), self.direction_swaps)
+            rep = master_equation_check(extended, self.pairs(),
+                                        self.direction_swaps + self.algebra_maps())
             if not rep.ok:
                 return CheckResult.from_residuals(check, rep.bracket_residuals())
             # The derivation moves z by the variational derivative along

@@ -5,6 +5,7 @@ Structure constants are stored sparsely on canonical index pairs
 rule, so inconsistent duplicate entries are impossible by construction.
 """
 
+import math
 from fractions import Fraction
 
 from .grassmann import EVEN, ODD, GvcError, ParityError
@@ -140,6 +141,13 @@ class LieSuperalgebra:
         return out
 
 
+def _scaled(entries):
+    """Entries (..., value) with each value an int over one common
+    denominator: sums and zero tests over them need no Fraction."""
+    den = math.lcm(*(e[-1].denominator for e in entries))
+    return [e[:-1] + (e[-1].numerator * (den // e[-1].denominator),) for e in entries]
+
+
 def check_structure(alg):
     """Validate parity consistency, graded antisymmetry and super-Jacobi.
 
@@ -159,7 +167,7 @@ def check_structure(alg):
         if alg.parities[r] != (alg.parities[i] + alg.parities[j]) % 2:
             violations.append(("parity", (r, i, j)))
     par = alg.parities
-    consts = alg.graded_constants()
+    consts = _scaled(alg.graded_constants())
     ending_in = {}  # j -> [(z, r, c^r_zj), ...]
     for r, z, j, c in consts:
         ending_in.setdefault(j, []).append((z, r, c))
@@ -197,11 +205,11 @@ def check_invariant_form(alg):
     if ev and _det(sub) == 0:
         violations.append(("singular-even-block", ()))
     row, col = {}, {}  # m -> [(j, h_mj)], m -> [(i, h_im)]
-    for i, j, h in alg.graded_form():
+    for i, j, h in _scaled(alg.graded_form()):
         row.setdefault(i, []).append((j, h))
         col.setdefault(j, []).append((i, h))
     totals = {}
-    for m, r, k, c in alg.graded_constants():
+    for m, r, k, c in _scaled(alg.graded_constants()):
         # k plays i in h_mj c^m_ri, and j in (-1)^{[r][i]} h_im c^m_rj
         for j, h in row.get(m, ()):
             totals[(r, k, j)] = totals.get((r, k, j), 0) + h * c
@@ -211,6 +219,80 @@ def check_invariant_form(alg):
     for key in sorted(k for k, v in totals.items() if v != 0):
         violations.append(("invariance", key))
     return ValidationReport(violations)
+
+
+def signed_automorphisms(alg):
+    """Parity-preserving signed permutations e_i -> s_i e_pi(i) of the basis
+    with c^pi(r)_pi(i)pi(j) = s_r s_i s_j c^r_ij and h_pi(i)pi(j) = s_i s_j h_ij,
+    as (pi, s): a short list with the orbits of the group of all of them,
+    found from the constants and form alone.  For each pair i < j in two
+    orbits whose profiles (parity, positions and magnitudes of entries)
+    agree, a map sending i to j is sought by backtracking, nearest to i
+    first, cut at the first nonzero entry mapped wrongly (mapping those
+    into themselves keeps the zeros); only maps that merge are kept."""
+    m, par = alg.dim, alg.parities
+    consts = {(r, i, j): c for r, i, j, c in _scaled(alg.graded_constants())}
+    form = {(i, j): h for i, j, h in _scaled(alg.graded_form())}
+    touching = [[] for _ in range(m)]  # k -> [(indices, value, table)]
+    for table in (consts, form):
+        for key, val in table.items():
+            for k in set(key):
+                touching[k].append((key, val, table))
+    profiles = [(par[k], tuple(sorted((tuple(x == k for x in key), abs(val))
+                                      for key, val, _ in touching[k]))) for k in range(m)]
+    kind = [profiles.index(p) for p in profiles]
+
+    def search(i, j):
+        # the indices in breadth-first order from i over shared entries
+        order, at = [i], 0
+        while len(order) < m:
+            if at == len(order):
+                order.append(next(k for k in range(m) if k not in order))
+            for key, _, _ in touching[order[at]]:
+                order.extend(x for x in set(key) if x not in order)
+            at += 1
+        pi, s, used = [None] * m, [0] * m, [False] * m
+
+        def fits(k):
+            for key, val, table in touching[k]:
+                image, sign = [], val
+                for x in key:
+                    if pi[x] is None:
+                        break
+                    image.append(pi[x])
+                    sign *= s[x]
+                else:
+                    if table.get(tuple(image)) != sign:
+                        return False
+            return True
+
+        def extend(depth):
+            if depth == m:
+                return True
+            k = order[depth]
+            for t in ([j] if depth == 0 else range(m)):
+                if used[t] or kind[t] != kind[k]:
+                    continue
+                used[t], pi[k] = True, t
+                for s[k] in (1, -1):
+                    if fits(k) and extend(depth + 1):
+                        return True
+                used[t], pi[k] = False, None
+            return False
+
+        return (tuple(pi), tuple(s)) if extend(0) else None
+
+    orbit, maps = list(range(m)), []
+    for i in range(m):
+        for j in range(i + 1, m):
+            if orbit[i] != orbit[j] and kind[i] == kind[j]:
+                found = search(i, j)
+                if found:
+                    maps.append(found)
+                    for k, t in enumerate(found[0]):
+                        a, b = sorted((orbit[k], orbit[t]))
+                        orbit = [a if o == b else o for o in orbit]
+    return maps
 
 
 def _det(rows):

@@ -38,7 +38,8 @@ from gvc import (
 from gvc.bicomplex import TH, Form, letter_wedge_left, theta_letter
 from gvc.jets import iterated_derivative
 
-from util import (field_generators, make_context, oracle_add, oracle_d_h, oracle_interior,
+from util import (even_part, field_generators, make_context, odd_part, oracle_add,
+                  oracle_d_h, oracle_interior,
                   oracle_interior_dx, oracle_interior_frame, oracle_letter_wedge_left,
                   oracle_project_rho, oracle_wedge, random_form, random_jet, random_poly,
                   random_vertical)
@@ -86,9 +87,9 @@ class TestWedge:
                 for p2 in (EVEN, ODD):
                     a = random_form(rng, ctx, k1, h1, terms=1)
                     b = random_form(rng, ctx, k2, h2, terms=1)
-                    a = Form(ctx, {w: f.even_part() if p1 == EVEN else f.odd_part()
+                    a = Form(ctx, {w: even_part(f) if p1 == EVEN else odd_part(f)
                                    for w, f in a.terms.items()})
-                    b = Form(ctx, {w: f.even_part() if p2 == EVEN else f.odd_part()
+                    b = Form(ctx, {w: even_part(f) if p2 == EVEN else odd_part(f)
                                    for w, f in b.terms.items()})
                     # parities of the full terms include the contact legs
                     def total_parity(form):

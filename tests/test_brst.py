@@ -29,16 +29,18 @@ from gvc import (
     proper_solution,
     variational_derivative,
 )
-from gvc.brst import KoszulTate, NoetherOperator
+from gvc.brst import KoszulTate, NoetherOperator, row_representatives
 from gvc.grassmann import ExpansionLimitError, JetOrderError
 from gvc.jets import iterated_derivative, total_derivative
 from gvc.modelfile import parse_model, spec_model
 from gvc.models import GaugeModel, Metric
 from gvc.presets import preset_model, su2_algebra
 from gvc.reporting import CheckResult
+from gvc.superlie import signed_automorphisms
 
-from util import (field_generators, linear_jet_paths, linear_jet_polys, make_context,
-                  mass_term_lagrangian, orbit_only_failure,
+from util import (antifield_numbers, basis_orbits, even_part, field_generators, linear_jet_paths,
+                  linear_jet_polys, make_context, mass_term_lagrangian, odd_part,
+                  orbit_only_failure,
                   oracle_koszul_tate_apply, oracle_koszul_tate_residuals, random_poly,
                   random_vertical, shared_jet_cases, shared_jet_poly)
 
@@ -142,7 +144,7 @@ class TestKoszulTate:
         for gen, value in kt.components.items():
             if value.is_zero():
                 continue
-            numbers = value.antifield_numbers()
+            numbers = antifield_numbers(value)
             assert numbers == {gen.antifield_number - 1}
 
     @staticmethod
@@ -451,7 +453,7 @@ class TestAntibracket:
                 for _ in range(3):
                     g1, g2 = rng.choice(fields), rng.choice(fields)
                     term = ctx.var(g1) * ctx.var(g2, rng.randrange(4))
-                    part = term.even_part() if parity == EVEN else term.odd_part()
+                    part = even_part(term) if parity == EVEN else odd_part(term)
                     out = out + part
                 return Lagrangian(out)
 
@@ -562,7 +564,7 @@ def _perturbed_solution(model, rng):
                 gen = rng.choice(gens)
                 order = rng.randint(0, 1) if gen.kind in ("even-field", "odd-field") else 0
                 term = term * ctx.var(gen, *(rng.randrange(ctx.dim) for _ in range(order)))
-            added = added + term.even_part()
+            added = added + even_part(term)
     return Lagrangian(model.extended_lagrangian().density + added)
 
 
@@ -731,8 +733,193 @@ class TestOrbitReduction:
         (row,) = sl21.pipeline("master-equation", deterministic=True)
         assert row.ok
         ((symmetries, rep),) = reports
-        assert symmetries is sl21.direction_swaps
-        assert len(rep.squared) == 48 < len(rep.derivation.components) == 80
+        assert symmetries == sl21.direction_swaps + sl21.algebra_maps()
+        assert len(rep.squared) == 24 < len(rep.derivation.components) == 80
+
+
+def _direction_strength_square(model, r):
+    """sum over lam < mu of g_lam g_mu F^r_lam,mu F^r_lam,mu, the strength
+    density of algebra direction r alone.  On su2, c^r_ir = 0, so it is
+    invariant under the gauge transformations along r but not along the
+    other directions, and the algebra maps move it; the direction swaps
+    fix it."""
+    signs, n = model.metric.signs, model.metric.dim
+    out = model.ctx.zero()
+    for lam in range(n):
+        for mu in range(lam + 1, n):
+            out += signs[lam] * signs[mu] * (model.strength(r, lam, mu) * model.strength(r, lam, mu))
+    return out
+
+
+class TestAlgebraOrbits:
+    """Theta_S^2, the Noether rows and Koszul-Tate on one algebra direction
+    per orbit of the algebra's signed automorphisms, against the full
+    tables."""
+
+    @staticmethod
+    def _first_of_orbit(model):
+        """Whether each algebra direction is the first of its orbit."""
+        orbits = basis_orbits(model.algebra.dim, signed_automorphisms(model.algebra))
+        return {r: r == min(o) for o in orbits for r in o}
+
+    @pytest.mark.parametrize("name, count", [
+        ("abelian", 0), ("su2", 2), ("osp12", 1), ("sl21", 2)])
+    def test_maps_move_a_direction_with_one_sign(self, name, count, request):
+        model = request.getfixturevalue(name)
+        maps = model.algebra_maps()
+        assert len(maps) == count
+        S, L = model.extended_lagrangian().density, model.ym_lagrangian().density
+        for (gen_map, perm, signs), (pi, s) in zip(maps, signed_automorphisms(model.algebra)):
+            assert perm == list(range(model.metric.dim))
+            for r in range(model.algebra.dim):
+                for family in (model.field, model.antifield):
+                    for mu, gen in enumerate(family[r]):
+                        assert gen_map[gen] is family[pi[r]][mu]
+                        assert signs.get(gen, 1) == s[r]
+                for family in (model.ghost, model.noether_antifield):
+                    assert gen_map[family[r]] is family[pi[r]]
+                    assert signs.get(family[r], 1) == s[r]
+            assert S.rename(gen_map, perm, signs) == S
+            assert L.rename(gen_map, perm, signs) == L
+
+    @pytest.mark.parametrize("name, squared", [
+        ("abelian", 3), ("su2", 6), ("osp12", 18), ("sl21", 24)])
+    def test_master_equation_on_one_direction_per_orbit(self, name, squared, request):
+        model = request.getfixturevalue(name)
+        S = model.extended_lagrangian()
+        reduced = master_equation_check(S, model.pairs(),
+                                        model.direction_swaps + model.algebra_maps())
+        full = master_equation_check(S, model.pairs())
+        assert reduced.ok and full.ok and len(reduced.squared) == squared
+        signs, first = model.metric.signs, self._first_of_orbit(model)
+        algebra_index = {}
+        for family in (model.field, model.antifield):
+            for r, row in enumerate(family):
+                for mu, gen in enumerate(row):
+                    if signs.index(signs[mu]) == mu:
+                        algebra_index[gen] = r
+        for family in (model.ghost, model.noether_antifield):
+            algebra_index.update((gen, r) for r, gen in enumerate(family))
+        assert reduced.squared == tuple(g.name for g in sorted(
+            full.derivation.components, key=lambda g: g.key)
+            if g in algebra_index and first[algebra_index[g]])
+
+    @pytest.mark.parametrize("name, rows", [
+        ("abelian", ["cbar1"]), ("su2", ["cbar1"]), ("osp12", ["cbar1", "cbar2", "cbar4"]),
+        ("sl21", ["cbar1", "cbar3", "cbar4", "cbar5"])])
+    def test_rows_on_one_direction_per_orbit(self, name, rows, monkeypatch):
+        model = (spec_model(parse_model(SL21_MODEL.read_text(encoding="utf-8")))
+                 if name == "sl21" else preset_model(name))
+        squared = []
+        original = gvc.models.nilpotency_residuals
+
+        def counted(theta, gens=None):
+            squared.append(gens)
+            return original(theta, gens)
+
+        monkeypatch.setattr(gvc.models, "nilpotency_residuals", counted)
+        assert list(model._noether_residuals()) == rows
+        assert all(r.ok for r in model.pipeline("koszul-tate", deterministic=True))
+        first = self._first_of_orbit(model)
+        (gens,) = squared
+        assert [g.name for g in gens] == [
+            z.name for r in range(model.algebra.dim) if first[r]
+            for z in model.antifield[r]] + rows
+
+    def test_invariant_breaking_is_caught_on_representatives(self, monkeypatch):
+        # the mass term is fixed by every swap and every algebra map, and
+        # it breaks gauge invariance: a representative fails, the rest of
+        # each table follows, and the tables are the unreduced ones
+        model = preset_model("su2")
+        S = Lagrangian(model.extended_lagrangian().density + mass_term_lagrangian(model).density)
+        symmetries = model.direction_swaps + model.algebra_maps()
+        squared = []
+        original = gvc.brst.nilpotency_residuals
+
+        def counted(theta, gens=None):
+            squared.append(len(gens))
+            return original(theta, gens)
+
+        monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
+        reduced = master_equation_check(S, model.pairs(), symmetries)
+        moved = len(reduced.derivation.components)
+        assert squared == [6, moved - 6]
+        monkeypatch.undo()
+        full = master_equation_check(S, model.pairs())
+        assert not full.ok
+        TestOrbitReduction._same_failure(reduced, full)
+        L = Lagrangian(model.ym_lagrangian().density + mass_term_lagrangian(model).density)
+        labels = []
+        original_rows = gvc.models.noether_residuals
+
+        def counted_rows(op, el, wanted=None):
+            labels.append(sorted(wanted))
+            return original_rows(op, el, wanted)
+
+        monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+        monkeypatch.setattr(gvc.models, "noether_residuals", counted_rows)
+        got = model._noether_residuals()
+        assert labels == [["cbar1"], ["cbar2", "cbar3"]]
+        want = noether_residuals(model.noether_operator(), euler_lagrange(L))
+        assert all(not p.is_zero() for p in want.values())
+        assert list(got.items()) == list(want.items())
+
+    def test_algebra_breaking_term_runs_the_full_tables(self, monkeypatch):
+        # the direction-1 strength square keeps the swaps and moves under
+        # the algebra maps; it spoils the Noether rows of directions 2 and
+        # 3 only, so the representative cbar1 alone would hide them
+        model = preset_model("su2")
+        extra = _direction_strength_square(model, 0)
+        S = Lagrangian(model.extended_lagrangian().density + extra)
+        assert all(S.density.rename(*g) == S.density for g in model.direction_swaps)
+        reduced = master_equation_check(S, model.pairs(),
+                                        model.direction_swaps + model.algebra_maps())
+        full = master_equation_check(S, model.pairs())
+        assert not full.ok
+        TestOrbitReduction._same_failure(reduced, full)
+        L = Lagrangian(model.ym_lagrangian().density + extra)
+        monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+        kt = model.koszul_tate()
+        assert row_representatives(L, kt, model.pairs(), model.algebra_maps()) is None
+        want = noether_residuals(model.noether_operator(), euler_lagrange(L))
+        assert want["cbar1"].is_zero() and not want["cbar2"].is_zero()
+        assert list(model._noether_residuals().items()) == list(want.items())
+        (row,) = model.pipeline("koszul-tate", deterministic=True)
+        assert not row.ok
+        assert row.line() == CheckResult.from_residuals(
+            "koszul-tate", nilpotency_residuals(kt)).line()
+
+    def test_rows_that_break_a_map_run_the_full_tables(self, monkeypatch):
+        # L keeps every map, but cbar2's row has its last entry doubled:
+        # the rows' values are no longer carried onto each other
+        model = preset_model("su2")
+        op = model.noether_operator()
+        rows = dict(op.rows)
+        coeff, gen, index = rows["cbar2"][-1]
+        rows["cbar2"] = rows["cbar2"][:-1] + [(coeff * 2, gen, index)]
+        broken = NoetherOperator(model.ctx, rows)
+        monkeypatch.setattr(model, "noether_operator", lambda: broken)
+        kt = model.koszul_tate()
+        assert row_representatives(model.ym_lagrangian(), kt, model.pairs(),
+                                   model.algebra_maps()) is None
+        want = noether_residuals(broken, model.generic_euler_lagrange())
+        assert want["cbar1"].is_zero() and not want["cbar2"].is_zero()
+        assert list(model._noether_residuals().items()) == list(want.items())
+        (row,) = model.pipeline("koszul-tate", deterministic=True)
+        assert not row.ok
+        assert row.line() == CheckResult.from_residuals(
+            "koszul-tate", nilpotency_residuals(kt)).line()
+
+    def test_a_sign_on_one_member_of_a_pair_is_refused(self):
+        # these signs fix S and keep each pair's signs equal; without u1's
+        # sign S is still fixed, as u1 is not in it, but ubar1 is
+        L, pairs, _ = orbit_only_failure()
+        names = ("u1", "ubar1", "u2", "ubar2", "e2", "ebar2", "c", "cbar")
+        signs = {L.ctx.generator(name): -1 for name in names}
+        assert gvc.brst._fixes(L.density, pairs, {}, [0], signs)
+        del signs[L.ctx.generator("u1")]
+        assert L.density.rename({}, [0], signs) == L.density
+        assert not gvc.brst._fixes(L.density, pairs, {}, [0], signs)
 
 
 class TestProperSolution:

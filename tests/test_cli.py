@@ -180,6 +180,46 @@ class TestPipelines:
         assert parsed[-1] == {"result": "pass"}
 
 
+# `full` on su2 with max_jet_order = 2: the three checks that square
+# third jets fail on the jet-order bound, with these witnesses.
+SU2_JET_ORDER_2 = """\
+model even dim 4 metric +---
+check algebra-structure | status pass | nonzero 0 | first -
+check invariant-form | status pass | nonzero 0 | first -
+check euler-lagrange-two-path | status pass | nonzero 0 | first -
+check parameter-symmetry | status pass | nonzero 0 | first -
+check noether-identities | status fail | nonzero 0 | first jet order 3 exceeds configured maximum 2 for a1_1
+check current-conservation | status pass | nonzero 0 | first -
+check superpotential | status pass | nonzero 0 | first -
+check koszul-tate | status fail | nonzero 0 | first jet order 3 exceeds configured maximum 2 for a1_1
+check gauge-symmetry | status pass | nonzero 0 | first -
+check brst-nilpotency | status pass | nonzero 0 | first -
+check master-equation | status fail | nonzero 0 | first jet order 3 exceeds configured maximum 2 for c1
+check utiyama-strength-dependence | status pass | nonzero 0 | first -
+check utiyama-field-independence | status pass | nonzero 0 | first -
+check utiyama-contraction | status pass | nonzero 0 | first -
+result fail
+"""
+
+
+class TestResourceBounds:
+    """The jet-order and term bounds on the orbit-reduced routes of the
+    master equation, Noether rows and Koszul-Tate."""
+
+    def test_jet_order_bound_fails_the_reduced_checks(self, model_file, capsys):
+        text = PRESET_MODEL_TEXT["su2"].replace("max_jet_order = 3", "max_jet_order = 2")
+        assert text != PRESET_MODEL_TEXT["su2"]
+        assert main(["full", "--model", model_file("su2_order2", text), "--deterministic"]) == 1
+        assert capsys.readouterr().out == SU2_JET_ORDER_2
+
+    def test_term_limit_aborts_full(self, model_file, capsys, monkeypatch):
+        monkeypatch.setenv("GVC_MAX_TERMS", "50")
+        assert main(["full", "--model", model_file("su2"), "--deterministic"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "limit 50" in captured.err
+
+
 class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, model_file, capsys):
         path = model_file("abelian")

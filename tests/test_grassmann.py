@@ -11,9 +11,9 @@ from gvc.grassmann import (KINDS, ExpansionLimitError, Generator, JetOrderError,
                            add_product, exact, normalize)
 from gvc.jets import add_total_derivative, total_derivative
 
-from util import (assert_normal, field_generators, make_context, oracle_add_product,
-                  oracle_add_total_derivative, oracle_coeffs, oracle_partial, oracle_poly,
-                  oracle_substitute, random_poly)
+from util import (antifield_numbers, assert_normal, even_part, field_generators,
+                  make_context, odd_part, oracle_add_product, oracle_add_total_derivative,
+                  oracle_coeffs, oracle_partial, oracle_poly, oracle_substitute, random_poly)
 
 
 @pytest.fixture
@@ -189,7 +189,7 @@ class TestDerivative:
         v = ctx.jet("c1")
         for _ in range(40):
             p = random_poly(rng, ctx, terms=3)
-            for parity, part in ((EVEN, p.even_part()), (ODD, p.odd_part())):
+            for parity, part in ((EVEN, even_part(p)), (ODD, odd_part(p))):
                 sign = 1 if v.parity == EVEN else (-1) ** ((parity + 1) % 2)
                 assert part.deriv(v, "right") == sign * part.deriv(v, "left")
 
@@ -309,12 +309,12 @@ class TestHousekeeping:
         assert p.parity() is None
         with pytest.raises(ParityError):
             p.require_parity()
-        assert p.even_part() + p.odd_part() == p
+        assert even_part(p) + odd_part(p) == p
 
     def test_ghost_and_antifield_numbers(self, ctx):
         p = ctx.var("c1") * ctx.var("c2")
         assert p.ghost_numbers() == {2}
-        assert p.antifield_numbers() == {-2}
+        assert antifield_numbers(p) == {-2}
 
     def test_substitute_even(self):
         ctx = make_context(1)
@@ -726,8 +726,8 @@ class TestExactCoefficients:
         assert two_thirds.den == 3 and list(two_thirds.terms.values()) == [2]
         assert all(type(c) is Fraction and c.denominator != 1
                    for c in two_thirds.coeffs().values())
-        for p in (total, p, q, d, square, t, two_thirds, third.even_part(),
-                  (third + ctx.var("c1") * ctx.var("c2") * Fraction(2, 3)).odd_part()):
+        for p in (total, p, q, d, square, t, two_thirds, even_part(third),
+                  odd_part(third + ctx.var("c1") * ctx.var("c2") * Fraction(2, 3))):
             assert_normal(p)
 
 
@@ -783,6 +783,51 @@ class TestRename:
                 assert got.terms[(even, tuple(letters[k] for k in keys))] == sign * c
                 flips += sign == -1
         assert flips > 20
+
+    @staticmethod
+    def _signs(rng, ctx):
+        return {g: rng.choice((1, -1)) for g in field_generators(ctx)}
+
+    def test_signed_matches_substitution(self):
+        rng = random.Random(2718)
+        negated = set()
+        for ctx, p, gen_map, perm, image in self._cases(1406):
+            signs = self._signs(rng, ctx)
+            mapping = {v: ctx.var(image(v).gen, *image(v).index) * signs.get(v.gen, 1)
+                       for v in p.variables()}
+            got = p.rename(gen_map, perm, signs)
+            assert_normal(got)
+            assert got.coeffs() == oracle_substitute(p, mapping)
+            assert got == p.substitute(mapping)
+            negated.update(v.gen.parity for v in p.variables() if signs.get(v.gen) == -1)
+        assert negated == {EVEN, ODD}
+
+    def test_signed_sign_is_inversions_times_factor_signs(self):
+        rng = random.Random(31)
+        long_negated = 0
+        for ctx, p, gen_map, perm, image in self._cases(6318):
+            signs = self._signs(rng, ctx)
+            got = p.rename(gen_map, perm, signs)
+            for (ev, od), c in p.terms.items():
+                letters = {image(v).key: image(v) for v in od}
+                sign, keys = bubble_sign([image(v).key for v in od])
+                for v, e in list(ev) + [(v, 1) for v in od]:
+                    sign *= signs.get(v.gen, 1) ** e
+                even = tuple(sorted(((image(v), e) for v, e in ev), key=lambda it: it[0].key))
+                assert got.terms[(even, tuple(letters[k] for k in keys))] == sign * c
+                long_negated += len(od) >= 3 and any(signs[v.gen] == -1 for v in od)
+        assert long_negated > 20
+
+    def test_refuses_maps_that_are_no_signed_permutation(self):
+        ctx = make_context(2)
+        s1, s2, q1 = ctx.generator("s1"), ctx.generator("s2"), ctx.generator("q1")
+        p = ctx.var("s1", 0) * ctx.var("q1", 1) * ctx.var("q2") + ctx.var("x1")
+        assert p.rename({s1: s2, s2: s1}, [0, 1], {s1: -1, q1: 1}) == \
+            -(ctx.var("s2", 0) * ctx.var("q1", 1) * ctx.var("q2")) + ctx.var("x1")
+        for gen_map, signs in (({}, {s1: 2}), ({}, {q1: 0}), ({}, {s1: Fraction(-1, 2)}),
+                               ({s1: s2}, {s1: -1}), ({s1: q1, q1: s1}, {s1: -1, q1: -1})):
+            with pytest.raises(GvcError):
+                p.rename(gen_map, [0, 1], signs)
 
     def test_identity_and_bad_maps(self):
         ctx = make_context(2)

@@ -1,5 +1,6 @@
 """Structure-constant validation, brackets and invariant forms."""
 
+import importlib.util
 import os
 import random
 from fractions import Fraction
@@ -7,12 +8,12 @@ from fractions import Fraction
 import pytest
 
 from gvc import EVEN, GvcError, LieSuperalgebra, ODD, ParityError, bracket
-from gvc.superlie import check_invariant_form, check_structure
+from gvc.superlie import check_invariant_form, check_structure, signed_automorphisms
 from gvc.modelfile import parse_model, spec_algebra
 from gvc.presets import abelian_algebra, osp12_algebra, su2_algebra
 
-from util import (dense_form_violations, dense_structure_violations,
-                  perturb_algebra, random_superalgebra)
+from util import (basis_orbits, brute_force_automorphisms, dense_form_violations,
+                  dense_structure_violations, perturb_algebra, random_superalgebra)
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench")
 
@@ -273,3 +274,78 @@ class TestSparseMatchesDense:
         assert not (check_structure(alg).ok and check_invariant_form(alg).ok)
         _assert_matches_dense(alg)
 
+
+
+def _stress_models():
+    spec = importlib.util.spec_from_file_location(
+        "stress_models", os.path.join(BENCH, "stress_models.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSignedAutomorphisms:
+    """The search for signed basis permutations that keep the constants
+    and the form, against enumeration of the whole group."""
+
+    @staticmethod
+    def _algebra(name):
+        if name.endswith(".model"):
+            return _bench_algebra(name)
+        return {"abelian": abelian_algebra, "su2": su2_algebra, "osp12": osp12_algebra}[name]()
+
+    @pytest.mark.parametrize("name, orbit_sizes", [
+        ("abelian", [1]), ("su2", [3]), ("osp12", [1, 2, 2]),
+        ("sl21.model", [1, 1, 2, 4]), ("sl3.model", [2, 2, 4])])
+    def test_orbits_are_those_of_the_whole_group(self, name, orbit_sizes):
+        alg = self._algebra(name)
+        maps = signed_automorphisms(alg)
+        group = brute_force_automorphisms(alg)
+        assert set(maps) <= set(group)
+        orbits = basis_orbits(alg.dim, maps)
+        assert orbits == basis_orbits(alg.dim, group)
+        assert sorted(len(o) for o in orbits) == orbit_sizes
+        # each kept map merges orbits of the ones before it
+        for k in range(len(maps)):
+            assert len(basis_orbits(alg.dim, maps[:k + 1])) < len(basis_orbits(alg.dim, maps[:k]))
+
+    @staticmethod
+    def _signature(alg):
+        """The orbit partition without labels: per orbit, its size and the
+        sorted magnitudes of the constants and form entries that hold each
+        member, with the positions it takes."""
+        def profile(k):
+            rows = [(key.index(k), abs(v)) for table in (alg.graded_constants(),
+                                                        alg.graded_form())
+                    for *key, v in table if k in key]
+            return tuple(sorted(rows))
+
+        return sorted((len(o), sorted(profile(k) for k in o))
+                      for o in basis_orbits(alg.dim, signed_automorphisms(alg)))
+
+    @pytest.mark.parametrize("name", ["sl3.model", "sl21.model"])
+    def test_orbits_survive_relabelling(self, name):
+        relabel = _stress_models().relabel
+        with open(os.path.join(BENCH, name), encoding="utf-8") as handle:
+            text = handle.read()
+        want = self._signature(spec_algebra(parse_model(text)))
+        for seed in range(1, 6):
+            alg = spec_algebra(parse_model(relabel(text, seed)))
+            assert alg.labels != _bench_algebra(name).labels
+            assert self._signature(alg) == want
+
+    def test_no_map_without_a_symmetry(self):
+        # the magnitudes agree, but h_11 = 1 and h_22 = -1 cannot be
+        # exchanged by any sign; the same holds across two copies of su2
+        alg = LieSuperalgebra(["e1", "e2"], [EVEN, EVEN])
+        alg.set_form("e1", "e1", 1)
+        alg.set_form("e2", "e2", -1)
+        assert signed_automorphisms(alg) == []
+        alg = LieSuperalgebra(["a1", "a2", "a3", "b1", "b2", "b3"], [EVEN] * 6)
+        for copy, h in (("a", 1), ("b", -1)):
+            for r, i, j in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+                alg.set_constant("%s%d" % (copy, r), "%s%d" % (copy, i), "%s%d" % (copy, j), 1)
+            for r in (1, 2, 3):
+                alg.set_form("%s%d" % (copy, r), "%s%d" % (copy, r), h)
+        assert basis_orbits(6, signed_automorphisms(alg)) == {
+            frozenset({0, 1, 2}), frozenset({3, 4, 5})}

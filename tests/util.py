@@ -1,6 +1,8 @@
 """Shared helpers for the test suite: deterministic random polynomials
 and forms over small field contents."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -54,6 +56,22 @@ def random_monomial(rng, ctx, max_order=2, allow_coords=True, dens=None):
     return coeff, factors
 
 
+def even_part(p):
+    """The terms of `p` with an even number of odd letters."""
+    return Poly(p.ctx, {m: c for m, c in p.terms.items() if not len(m[1]) % 2}, p.den).finish()
+
+
+def odd_part(p):
+    """The terms of `p` with an odd number of odd letters."""
+    return Poly(p.ctx, {m: c for m, c in p.terms.items() if len(m[1]) % 2}, p.den).finish()
+
+
+def antifield_numbers(p):
+    """The antifield numbers of the terms of `p`."""
+    return {sum(v.gen.antifield_number * e for v, e in ev)
+            + sum(v.gen.antifield_number for v in od) for ev, od in p.terms}
+
+
 def random_poly(rng, ctx, terms=3, max_order=2, parity=None, allow_coords=True,
                 dens=None):
     out = ctx.zero()
@@ -61,7 +79,7 @@ def random_poly(rng, ctx, terms=3, max_order=2, parity=None, allow_coords=True,
         coeff, factors = random_monomial(rng, ctx, max_order, allow_coords, dens)
         mono = ctx.product(coeff, factors)
         if parity is not None:
-            mono = mono.even_part() if parity == EVEN else mono.odd_part()
+            mono = even_part(mono) if parity == EVEN else odd_part(mono)
         out = out + mono
     return out
 
@@ -471,7 +489,7 @@ def _oracle_acc(table, word, poly):
 def parity_parts(p):
     """The nonzero (parity, homogeneous part) pieces of `p`."""
     return [(parity, part) for parity, part in
-            ((EVEN, p.even_part()), (ODD, p.odd_part())) if part.terms]
+            ((EVEN, even_part(p)), (ODD, odd_part(p))) if part.terms]
 
 
 def oracle_add(a, b):
@@ -775,3 +793,46 @@ def orbit_only_failure():
     for a, b in (("u1", "u2"), ("ubar1", "ubar2"), ("e1", "e2"), ("ebar1", "ebar2")):
         gen_map[gen(a)], gen_map[gen(b)] = gen(b), gen(a)
     return Lagrangian(density), pairs, (gen_map, [0])
+
+
+def brute_force_automorphisms(alg):
+    """Every parity-preserving signed permutation e_i -> s_i e_pi(i) that
+    keeps the constants and the form, by enumeration over the dense
+    tables: each permutation within the parity classes that maps every
+    entry to one of the same magnitude, then every sign vector on it."""
+    m = alg.dim
+    idx = range(m)
+    tables = ({(r, i, j): alg.constant(r, i, j) for r in idx for i in idx for j in idx},
+              {(i, j): alg.form(i, j) for i in idx for j in idx})
+    entries = sorted(((key, v, table) for table in tables for key, v in table.items()),
+                     key=lambda e: e[1] == 0)  # nonzero entries first
+    classes = [[i for i in idx if alg.parities[i] == p] for p in (EVEN, ODD)]
+    out = []
+    for images in itertools.product(*(itertools.permutations(c) for c in classes)):
+        pi = [None] * m
+        for cls, image in zip(classes, images):
+            for i, t in zip(cls, image):
+                pi[i] = t
+        if any(abs(table[tuple(pi[x] for x in key)]) != abs(v) for key, v, table in entries):
+            continue
+        for s in itertools.product((1, -1), repeat=m):
+            if all(table[tuple(pi[x] for x in key)] == v * math.prod(s[x] for x in key)
+                   for key, v, table in entries if v):
+                out.append((tuple(pi), s))
+    return out
+
+
+def basis_orbits(m, maps):
+    """The orbits of the permutations pi of (pi, s) on range(m), as a set
+    of frozensets, by closing each index under the maps."""
+    out = set()
+    for i in range(m):
+        orbit, todo = {i}, [i]
+        while todo:
+            k = todo.pop()
+            for pi, _ in maps:
+                if pi[k] not in orbit:
+                    orbit.add(pi[k])
+                    todo.append(pi[k])
+        out.add(frozenset(orbit))
+    return out
