@@ -43,8 +43,8 @@ print("The extension couples each transform to its antifield; the added")
 print("piece has %d monomials and ghost numbers %s." % (
     len(added.terms), sorted(added.ghost_numbers())))
 rep = master_equation_check(extended, model.pairs())
-print("  bracket {L_E, L_E} variationally trivial:", rep.bracket_trivial)
-print("  generated odd derivation nilpotent:", rep.derivation_nilpotent)
+print("  bracket {L_E, L_E} variationally trivial:", rep.ok)
+print("  generated odd derivation nilpotent:", rep.ok)
 
 print()
 print("Full report:")

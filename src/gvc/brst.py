@@ -15,7 +15,7 @@ ghosts, plus on antifields); `antibracket` is the tests' oracle for it.
 Under signed relabellings proved to commute with Theta_S or with
 Koszul-Tate (direction swaps, algebra automorphisms), Theta_S^2, the
 Noether rows and Koszul-Tate's square are taken on one generator per
-orbit first (`on_representatives`).
+orbit first (`orbit_representatives`, `on_representatives`).
 """
 
 from .grassmann import EVEN, ODD, GvcError, ParityError, Poly, add_product
@@ -236,29 +236,34 @@ class MasterReport:
         return out
 
     @property
-    def derivation_nilpotent(self):
-        """Also whether {S, S} is variationally trivial (its rows above)."""
+    def ok(self):
+        """Whether Theta_S^2 vanishes, so {S, S} is variationally trivial."""
         return all(p.is_zero() for p in self.derivation_residuals.values())
 
-    bracket_trivial = ok = derivation_nilpotent
 
+def orbit_representatives(density, pairs, maps, moved, carry=False):
+    """The smallest-key member of each orbit of the generators a derivation
+    moves (`moved`, its values by generator) under the relabellings `maps`
+    (gen_map, perm, signs) of `Poly.rename`, once each is proved to commute
+    with the derivation; None if a proof fails.
 
-def _fixes(S, pairs, gen_map, perm, signs=None):
-    """Whether the relabelling (gen_map, perm, signs) maps the pairing onto
-    itself (g(pairs[z]) is pairs[g(z)] for every z, with z's sign) and
-    fixes S exactly; `Poly.rename` refuses a map that is no signed
-    permutation or that changes a parity."""
-    signs = signs or {}
-    if any(pairs.get(gen_map.get(z, z)) is not gen_map.get(zbar, zbar)
-           or signs.get(z, 1) != signs.get(zbar, 1) for z, zbar in pairs.items()):
-        return False
-    return S.rename(gen_map, perm, signs) == S
-
-
-def _representatives(moved, gen_maps):
-    """The smallest-key member of each orbit of the generators `moved`
-    under the group the maps generate, signs aside: one union-find over
-    z -- g(z)."""
+    Each map must send the pairing onto itself with one sign per pair and
+    fix `density` exactly, so it is anticanonical, relabels the total
+    derivatives and commutes with Theta_S.  With `carry` (Koszul-Tate's
+    values), it must also keep antifield numbers and carry each degree-two
+    antifield's value, a Noether row, onto s times its image's.  The
+    orbits, signs aside, come from one union-find over z -- g(z)."""
+    for gen_map, perm, signs in maps:
+        if any(pairs.get(gen_map.get(z, z)) is not gen_map.get(zbar, zbar)
+               or signs.get(z, 1) != signs.get(zbar, 1) for z, zbar in pairs.items()) \
+                or density.rename(gen_map, perm, signs) != density:
+            return None
+        for z, value in moved.items() if carry else ():
+            w = gen_map.get(z, z)
+            if w.antifield_number != z.antifield_number or z.antifield_number == 2 and (
+                    w not in moved
+                    or value.rename(gen_map, perm, signs) != moved[w] * signs.get(z, 1)):
+                return None
     root = {z: z for z in moved}
 
     def find(z):
@@ -266,14 +271,11 @@ def _representatives(moved, gen_maps):
             z = root[z]
         return z
 
-    for gen_map in gen_maps:
+    for gen_map, _, _ in maps:
         for z, w in gen_map.items():
             if z in root and w in root:
-                a, b = find(z), find(w)
-                if a is not b:
-                    if b.key < a.key:
-                        a, b = b, a
-                    root[b] = a
+                a, b = sorted((find(z), find(w)), key=lambda g: g.key)
+                root[b] = a
     return {z for z in moved if find(z) is z}
 
 
@@ -299,42 +301,17 @@ def master_equation_check(L, pairs, symmetries=()):
     """The classical master equation by Theta_S^2 alone: {S, S} is
     variationally trivial exactly when it vanishes on every generator.
 
-    `symmetries` are relabellings (gen_map, perm) or (gen_map, perm,
-    signs) in the sense of `Poly.rename`, such as swaps of spacetime
-    directions and the algebra's signed automorphisms.  Each one that
-    fixes S exactly and maps the pairing onto itself, with one sign on
-    both members of a pair, is anticanonical and relabels the total
-    derivatives, so it commutes with Theta_S and Theta_S^2(g z) =
-    g Theta_S^2(z).  When every symmetry is proved so, Theta_S is squared
-    on the smallest-key member of each orbit first (`on_representatives`).
-    If a proof or a representative fails, every generator is squared, so
-    a failure reads as without symmetries."""
+    `symmetries` are relabellings (gen_map, perm, signs) such as swaps of
+    spacetime directions and the algebra's signed automorphisms.  When
+    each is proved to commute with Theta_S (`orbit_representatives`),
+    Theta_S^2(g z) = g Theta_S^2(z), and Theta_S is squared on one
+    generator per orbit first (`on_representatives`).  If a proof or a
+    representative fails, every generator is squared, so a failure reads
+    as without symmetries."""
     theta = master_derivation(L, pairs)
-    reps = None
-    if all(_fixes(L.density, pairs, *g) for g in symmetries):
-        reps = _representatives(theta.components, [g[0] for g in symmetries])
+    reps = orbit_representatives(L.density, pairs, symmetries, theta.components)
     return MasterReport(pairs, theta, on_representatives(
         lambda gens: nilpotency_residuals(theta, gens), theta.components, reps))
-
-
-def row_representatives(L, kt, pairs, maps):
-    """One generator per orbit of those Koszul-Tate `kt` of L moves, under
-    relabellings (gen_map, perm, signs) proved to commute with it, or None.
-    Each must fix L and the pairing (`_fixes`), so it carries each field
-    equation, an antifield's value, onto its image's with the sign; keep
-    antifield numbers; and carry each degree-two antifield's value, a
-    Noether row, onto its image's with the sign."""
-    values = kt.components
-    for gen_map, perm, signs in maps:
-        if not _fixes(L.density, pairs, gen_map, perm, signs):
-            return None
-        for z, value in values.items():
-            w = gen_map.get(z, z)
-            if w.antifield_number != z.antifield_number or z.antifield_number == 2 and (
-                    w not in values
-                    or value.rename(gen_map, perm, signs) != values[w] * signs.get(z, 1)):
-                return None
-    return _representatives(values, [g for g, _, _ in maps])
 
 
 def proper_solution(L, s, pairs, residuals=None):

@@ -707,13 +707,13 @@ class Poly:
         out.den *= self.den
         return out.finish()
 
-    def rename(self, gen_map, perm, signs=None):
+    def rename(self, gen_map, perm, signs):
         """The image under a signed relabelling of variables: each jet
         z;Lambda becomes signs[z] gen_map(z);perm(Lambda) and each x^lam
         becomes x^perm(lam), where `gen_map` is a parity-preserving
         permutation of generators (a dict; generators it lacks stay),
-        `signs` gives -1 or 1 (default 1) and `perm` permutes the
-        directions (perm[lam] is lam's image).
+        `signs` gives -1 or 1 (a dict; 1 where it has none) and `perm`
+        permutes the directions (perm[lam] is lam's image).
 
         No two terms meet and no product is formed: each term takes its
         factors' signs, each to its exponent, its even part is re-sorted by
@@ -721,7 +721,6 @@ class Poly:
         inversions.  It equals `substitute` with every variable mapped to
         its signed image."""
         ctx = self.ctx
-        signs = signs or {}
         if sorted(perm) != list(range(ctx.dim)):
             raise GvcError("direction map must permute 0..%d" % (ctx.dim - 1))
         if set(gen_map.values()) != set(gen_map) or any(

@@ -35,8 +35,8 @@ from .brst import (
     nilpotency_residuals,
     noether_residuals,
     on_representatives,
+    orbit_representatives,
     proper_solution,
-    row_representatives,
 )
 from .reporting import CheckResult, Report
 
@@ -191,24 +191,28 @@ class GaugeModel:
         self._pairs = {self.field[r][mu]: self.antifield[r][mu]
                        for r in range(m) for mu in range(n)}
         self._pairs.update(zip(self.ghost, self.noether_antifield))
-        # the swaps of directions adjacent within one metric sign class,
-        # which generate every direction permutation the metric admits,
-        # as relabellings (gen_map, perm) of fields and antifields
-        self.direction_swaps = []
-        for sign in (1, -1):
-            dirs = [mu for mu in range(n) if metric.signs[mu] == sign]
-            for lam, mu in zip(dirs, dirs[1:]):
-                perm = list(range(n))
-                perm[lam], perm[mu] = mu, lam
-                gen_map = {}
-                for row in self.field + self.antifield:
-                    gen_map[row[lam]], gen_map[row[mu]] = row[mu], row[lam]
-                self.direction_swaps.append((gen_map, perm))
         self._memo = {}
         ctx.freeze()
 
     def _once(self, key, build):
         return _once(self._memo, key, build)
+
+    def direction_swaps(self):
+        """The swaps of directions adjacent within one metric sign class,
+        which generate every direction permutation the metric admits, as
+        relabellings (gen_map, perm, {}) of fields and antifields."""
+        return self._once("direction-swaps", self._swap_relabellings)
+
+    def _swap_relabellings(self):
+        n, swaps = self.metric.dim, []
+        for sign in (1, -1):
+            dirs = [mu for mu in range(n) if self.metric.signs[mu] == sign]
+            for lam, mu in zip(dirs, dirs[1:]):
+                perm = list(range(n))
+                perm[lam], perm[mu] = mu, lam
+                swaps.append(({row[nu]: row[perm[nu]] for row in self.field + self.antifield
+                               for nu in (lam, mu)}, perm, {}))
+        return swaps
 
     def algebra_maps(self):
         """The algebra's signed automorphisms e_r -> s_r e_pi(r), found on first
@@ -249,14 +253,6 @@ class GaugeModel:
             ctx.var(self.field[r][mu], lam)
             - ctx.var(self.field[r][lam], mu)
             + self._quadratic_twist(r, lam, mu)))
-
-    def sym_jet(self, r, lam, mu):
-        """Symmetric half of the split first jets."""
-        ctx = self.ctx
-        return self._once(("sym", r, lam, mu), lambda: (
-            ctx.var(self.field[r][mu], lam)
-            + ctx.var(self.field[r][lam], mu)
-            - self._quadratic_twist(r, lam, mu)))
 
     # -- Lagrangians ------------------------------------------------------
 
@@ -358,9 +354,9 @@ class GaugeModel:
     def _row_representatives(self):
         """One generator per orbit of those Koszul-Tate moves under the algebra
         maps, proved once per model; None without maps or if a proof fails."""
-        return self._once("row-representatives", lambda: row_representatives(
-            self.ym_lagrangian(), self.koszul_tate(), self._pairs, self.algebra_maps())
-            if self.algebra_maps() else None)
+        return self._once("row-representatives", lambda: orbit_representatives(
+            self.ym_lagrangian().density, self._pairs, self.algebra_maps(),
+            self.koszul_tate().components, carry=True) if self.algebra_maps() else None)
 
     # -- symmetries -------------------------------------------------------------
 
@@ -607,7 +603,7 @@ class GaugeModel:
                 return CheckResult(check, False, witness="no nilpotent extension")
             extended = self.extended_lagrangian()
             rep = master_equation_check(extended, self.pairs(),
-                                        self.direction_swaps + self.algebra_maps())
+                                        self.direction_swaps() + self.algebra_maps())
             if not rep.ok:
                 return CheckResult.from_residuals(check, rep.bracket_residuals())
             # The derivation moves z by the variational derivative along

@@ -29,7 +29,7 @@ from gvc import (
     proper_solution,
     variational_derivative,
 )
-from gvc.brst import KoszulTate, NoetherOperator, row_representatives
+from gvc.brst import KoszulTate, NoetherOperator, on_representatives, orbit_representatives
 from gvc.grassmann import ExpansionLimitError, JetOrderError
 from gvc.jets import iterated_derivative, total_derivative
 from gvc.modelfile import parse_model, spec_model
@@ -516,7 +516,6 @@ class TestMasterEquation:
             density = density + comp * ctx.var(su2.pairs()[z])
         rep = master_equation_check(Lagrangian(density), su2.pairs())
         assert not rep.ok
-        assert not rep.bracket_trivial
 
     def test_odd_density_rejected(self, su2):
         ctx = su2.ctx
@@ -592,7 +591,7 @@ class TestMasterIdentity:
         rng = random.Random(1406)
         for _ in range(2):
             el, rep = self._both_routes(model, _perturbed_solution(model, rng))
-            assert not el.is_zero() and not rep.ok and not rep.bracket_trivial
+            assert not el.is_zero() and not rep.ok
             for got, want in self._rows(model, el, rep, -2, 2):
                 assert got == want
             # the report rebuilds the nonzero rows by name
@@ -610,7 +609,7 @@ class TestOrbitReduction:
 
     @staticmethod
     def _routes(model, S):
-        return (master_equation_check(S, model.pairs(), model.direction_swaps),
+        return (master_equation_check(S, model.pairs(), model.direction_swaps()),
                 master_equation_check(S, model.pairs()))
 
     @staticmethod
@@ -628,8 +627,9 @@ class TestOrbitReduction:
         ("su2_euclidean", [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)])])
     def test_swaps_of_directions_with_one_metric_sign(self, name, swaps, request):
         model = request.getfixturevalue(name)
-        assert [tuple(perm) for _, perm in model.direction_swaps] == swaps
-        for gen_map, perm in model.direction_swaps:
+        assert [tuple(perm) for _, perm, _ in model.direction_swaps()] == swaps
+        for gen_map, perm, signs in model.direction_swaps():
+            assert signs == {}
             for table in (model.field, model.antifield):
                 for row in table:
                     for mu, gen in enumerate(row):
@@ -668,7 +668,7 @@ class TestOrbitReduction:
         # breaks gauge invariance, so a representative fails and the rest
         # of the table follows
         S = Lagrangian(su2.extended_lagrangian().density + mass_term_lagrangian(su2).density)
-        assert all(S.density.rename(*g) == S.density for g in su2.direction_swaps)
+        assert all(S.density.rename(*g) == S.density for g in su2.direction_swaps())
         squared = []
         original = gvc.brst.nilpotency_residuals
 
@@ -677,7 +677,7 @@ class TestOrbitReduction:
             return original(theta, gens)
 
         monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
-        reduced = master_equation_check(S, su2.pairs(), su2.direction_swaps)
+        reduced = master_equation_check(S, su2.pairs(), su2.direction_swaps())
         moved = len(reduced.derivation.components)
         assert squared == [18, moved - 18]
         monkeypatch.undo()
@@ -693,7 +693,7 @@ class TestOrbitReduction:
         for i, j, h in su2.form_entries:
             extra += h * (su2.strength(i, 0, 3) * su2.strength(j, 0, 3))
         S = Lagrangian(su2.extended_lagrangian().density + extra)
-        swap12, swap23 = su2.direction_swaps
+        swap12, swap23 = su2.direction_swaps()
         assert S.density.rename(*swap12) == S.density
         assert S.density.rename(*swap23) != S.density
         reduced, full = self._routes(su2, S)
@@ -714,10 +714,10 @@ class TestOrbitReduction:
         # S holds none of u1, u2, ebar1 and ebar2, so swapping them alone
         # fixes it; but the map sends u1 to u2 and keeps u1's partner
         # ubar1, and taken as a symmetry it would hide both failing rows
-        L, pairs, (gen_map, perm) = orbit_only_failure()
+        L, pairs, (gen_map, perm, signs) = orbit_only_failure()
         half = {g: h for g, h in gen_map.items() if g.name in ("u1", "u2", "ebar1", "ebar2")}
-        assert L.density.rename(half, perm) == L.density
-        rep = master_equation_check(L, pairs, [(half, perm)])
+        assert L.density.rename(half, perm, signs) == L.density
+        rep = master_equation_check(L, pairs, [(half, perm, signs)])
         assert not rep.ok
         assert rep.squared == ("u1", "u2", "ebar1", "ebar2", "c", "cbar")
 
@@ -733,7 +733,7 @@ class TestOrbitReduction:
         (row,) = sl21.pipeline("master-equation", deterministic=True)
         assert row.ok
         ((symmetries, rep),) = reports
-        assert symmetries == sl21.direction_swaps + sl21.algebra_maps()
+        assert symmetries == sl21.direction_swaps() + sl21.algebra_maps()
         assert len(rep.squared) == 24 < len(rep.derivation.components) == 80
 
 
@@ -788,7 +788,7 @@ class TestAlgebraOrbits:
         model = request.getfixturevalue(name)
         S = model.extended_lagrangian()
         reduced = master_equation_check(S, model.pairs(),
-                                        model.direction_swaps + model.algebra_maps())
+                                        model.direction_swaps() + model.algebra_maps())
         full = master_equation_check(S, model.pairs())
         assert reduced.ok and full.ok and len(reduced.squared) == squared
         signs, first = model.metric.signs, self._first_of_orbit(model)
@@ -826,13 +826,44 @@ class TestAlgebraOrbits:
             z.name for r in range(model.algebra.dim) if first[r]
             for z in model.antifield[r]] + rows
 
+    @pytest.mark.parametrize("name", ["su2", "sl21"])
+    def test_order_of_the_maps_changes_nothing(self, name, request):
+        # the swaps before or after the algebra maps for the master
+        # equation, and the algebra maps reversed for the rows: the same
+        # representatives and the same reduced tables
+        model = request.getfixturevalue(name)
+        pairs, swaps, maps = model.pairs(), model.direction_swaps(), model.algebra_maps()
+        assert len(swaps) == len(maps) == 2
+        S = model.extended_lagrangian()
+        theta = master_derivation(S, pairs).components
+        orders = (swaps + maps, maps + swaps)
+        reps = [orbit_representatives(S.density, pairs, order, theta) for order in orders]
+        reports = [master_equation_check(S, pairs, order) for order in orders]
+        assert reps[0] == reps[1] and len(reps[0]) < len(theta)
+        assert reports[0].squared == tuple(g.name for g in sorted(reps[0], key=lambda g: g.key))
+        assert list(reports[0].derivation_residuals.items()) == \
+            list(reports[1].derivation_residuals.items())
+        kt = model.koszul_tate()
+        rows = [orbit_representatives(model.ym_lagrangian().density, pairs, order,
+                                      kt.components, carry=True) for order in (maps, maps[::-1])]
+        assert rows[0] == rows[1] == model._row_representatives()
+        assert len(rows[0]) < len(kt.components)
+        for moved, evaluate in (
+                (kt.components, lambda gens: nilpotency_residuals(kt, gens)),
+                (model.noether_antifield, lambda gens: noether_residuals(
+                    model.noether_operator(), model.generic_euler_lagrange(),
+                    {g.name for g in gens}))):
+            tables = [on_representatives(evaluate, moved, r) for r in rows]
+            assert list(tables[0].items()) == list(tables[1].items())
+            assert set(tables[0]) == {g.name for g in moved if g in rows[0]}
+
     def test_invariant_breaking_is_caught_on_representatives(self, monkeypatch):
         # the mass term is fixed by every swap and every algebra map, and
         # it breaks gauge invariance: a representative fails, the rest of
         # each table follows, and the tables are the unreduced ones
         model = preset_model("su2")
         S = Lagrangian(model.extended_lagrangian().density + mass_term_lagrangian(model).density)
-        symmetries = model.direction_swaps + model.algebra_maps()
+        symmetries = model.direction_swaps() + model.algebra_maps()
         squared = []
         original = gvc.brst.nilpotency_residuals
 
@@ -871,16 +902,17 @@ class TestAlgebraOrbits:
         model = preset_model("su2")
         extra = _direction_strength_square(model, 0)
         S = Lagrangian(model.extended_lagrangian().density + extra)
-        assert all(S.density.rename(*g) == S.density for g in model.direction_swaps)
+        assert all(S.density.rename(*g) == S.density for g in model.direction_swaps())
         reduced = master_equation_check(S, model.pairs(),
-                                        model.direction_swaps + model.algebra_maps())
+                                        model.direction_swaps() + model.algebra_maps())
         full = master_equation_check(S, model.pairs())
         assert not full.ok
         TestOrbitReduction._same_failure(reduced, full)
         L = Lagrangian(model.ym_lagrangian().density + extra)
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
         kt = model.koszul_tate()
-        assert row_representatives(L, kt, model.pairs(), model.algebra_maps()) is None
+        assert orbit_representatives(L.density, model.pairs(), model.algebra_maps(),
+                                     kt.components, carry=True) is None
         want = noether_residuals(model.noether_operator(), euler_lagrange(L))
         assert want["cbar1"].is_zero() and not want["cbar2"].is_zero()
         assert list(model._noether_residuals().items()) == list(want.items())
@@ -900,8 +932,8 @@ class TestAlgebraOrbits:
         broken = NoetherOperator(model.ctx, rows)
         monkeypatch.setattr(model, "noether_operator", lambda: broken)
         kt = model.koszul_tate()
-        assert row_representatives(model.ym_lagrangian(), kt, model.pairs(),
-                                   model.algebra_maps()) is None
+        assert orbit_representatives(model.ym_lagrangian().density, model.pairs(),
+                                     model.algebra_maps(), kt.components, carry=True) is None
         want = noether_residuals(broken, model.generic_euler_lagrange())
         assert want["cbar1"].is_zero() and not want["cbar2"].is_zero()
         assert list(model._noether_residuals().items()) == list(want.items())
@@ -916,10 +948,10 @@ class TestAlgebraOrbits:
         L, pairs, _ = orbit_only_failure()
         names = ("u1", "ubar1", "u2", "ubar2", "e2", "ebar2", "c", "cbar")
         signs = {L.ctx.generator(name): -1 for name in names}
-        assert gvc.brst._fixes(L.density, pairs, {}, [0], signs)
+        assert orbit_representatives(L.density, pairs, [({}, [0], signs)], {}) == set()
         del signs[L.ctx.generator("u1")]
         assert L.density.rename({}, [0], signs) == L.density
-        assert not gvc.brst._fixes(L.density, pairs, {}, [0], signs)
+        assert orbit_representatives(L.density, pairs, [({}, [0], signs)], {}) is None
 
 
 class TestProperSolution:

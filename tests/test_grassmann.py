@@ -764,7 +764,7 @@ class TestRename:
         long_words = 0
         for ctx, p, gen_map, perm, image in self._cases(1406):
             mapping = {v: ctx.var(image(v).gen, *image(v).index) for v in p.variables()}
-            got = p.rename(gen_map, perm)
+            got = p.rename(gen_map, perm, {})
             assert_normal(got)
             assert got.coeffs() == oracle_substitute(p, mapping)
             assert got == p.substitute(mapping)
@@ -774,7 +774,7 @@ class TestRename:
     def test_odd_sign_is_the_inversion_count(self):
         flips = 0
         for ctx, p, gen_map, perm, image in self._cases(6318):
-            got = p.rename(gen_map, perm)
+            got = p.rename(gen_map, perm, {})
             assert len(got.terms) == len(p.terms) and got.den == p.den
             for (ev, od), c in p.terms.items():
                 letters = {image(v).key: image(v) for v in od}
@@ -833,10 +833,10 @@ class TestRename:
         ctx = make_context(2)
         s1, s2, q1 = ctx.generator("s1"), ctx.generator("s2"), ctx.generator("q1")
         p = ctx.var("s1", 0) * ctx.var("q1", 1) * ctx.var("q2") + ctx.var("x1")
-        assert p.rename({}, [0, 1]) == p
-        assert p.rename({s1: s2, s2: s1}, [1, 0]) == \
+        assert p.rename({}, [0, 1], {}) == p
+        assert p.rename({s1: s2, s2: s1}, [1, 0], {}) == \
             ctx.var("s2", 1) * ctx.var("q1", 0) * ctx.var("q2") + ctx.var("x0")
         for gen_map, perm in (({}, [0, 0]), ({}, [0]), ({s1: s2}, [0, 1]),
                               ({s1: q1, q1: s1}, [0, 1])):
             with pytest.raises(GvcError):
-                p.rename(gen_map, perm)
+                p.rename(gen_map, perm, {})

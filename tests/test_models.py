@@ -25,7 +25,7 @@ from gvc.reporting import CheckResult
 from gvc.superlie import LieSuperalgebra, bracket
 
 from util import (assert_normal, constant_parameter_symmetry, mass_term_lagrangian,
-                  rescaled_model_text, sym_quadratic_lagrangian)
+                  rescaled_model_text, sym_jet, sym_quadratic_lagrangian)
 
 GOLDEN = Path(__file__).parent / "golden"
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
@@ -173,7 +173,7 @@ class TestStrength:
             for r in range(model.algebra.dim):
                 for lam in range(model.metric.dim):
                     for mu in range(model.metric.dim):
-                        recon = model.strength(r, lam, mu) + model.sym_jet(r, lam, mu)
+                        recon = model.strength(r, lam, mu) + sym_jet(model, r, lam, mu)
                         want = 2 * ctx.var(model.field[r][mu], lam)
                         assert recon == want
 

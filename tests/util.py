@@ -737,6 +737,14 @@ def mass_term_lagrangian(model):
     return Lagrangian(density)
 
 
+def sym_jet(model, r, lam, mu):
+    """Symmetric half of the split first jets of `model`; it and the
+    strength add up to twice the jet."""
+    ctx = model.ctx
+    return (ctx.var(model.field[r][mu], lam) + ctx.var(model.field[r][lam], mu)
+            - model._quadratic_twist(r, lam, mu))
+
+
 def sym_quadratic_lagrangian(model):
     """Quadratic density in the symmetric jet half (canonical index
     order, which is where the half is a split coordinate); it depends on
@@ -747,7 +755,7 @@ def sym_quadratic_lagrangian(model):
         for lam in range(n):
             for beta in range(lam, n):
                 coeff = Fraction(1, 4) * h * model.metric.signs[lam] * model.metric.signs[beta]
-                density += coeff * (model.sym_jet(i, lam, beta) * model.sym_jet(j, lam, beta))
+                density += coeff * (sym_jet(model, i, lam, beta) * sym_jet(model, j, lam, beta))
     return Lagrangian(density)
 
 
@@ -768,9 +776,10 @@ def constant_parameter_symmetry(model, vec):
 
 
 def orbit_only_failure():
-    """A density S, its pairing and a relabelling g that keeps the
-    pairing but not S, such that Theta_S^2 vanishes on the smallest-key
-    member of every orbit of g but not on u2 and ebar2.
+    """A density S, its pairing and a relabelling g = (gen_map, perm,
+    signs), with no signs, that keeps the pairing but not S, such that
+    Theta_S^2 vanishes on the smallest-key member of every orbit of g but
+    not on u2 and ebar2.
 
     Even fields u1, u2, e1, e2 with odd antifields ubar1, ubar2, ebar1,
     ebar2, and an odd ghost c with its even partner cbar; g swaps the
@@ -792,7 +801,7 @@ def orbit_only_failure():
     gen_map = {}
     for a, b in (("u1", "u2"), ("ubar1", "ubar2"), ("e1", "e2"), ("ebar1", "ebar2")):
         gen_map[gen(a)], gen_map[gen(b)] = gen(b), gen(a)
-    return Lagrangian(density), pairs, (gen_map, [0])
+    return Lagrangian(density), pairs, (gen_map, [0], {})
 
 
 def brute_force_automorphisms(alg):
