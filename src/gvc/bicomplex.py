@@ -501,17 +501,18 @@ def first_variational_residual(theta, L):
     return lie - interior(theta, dl) - d_h(h0(interior(theta, xi)))
 
 
-def noether_current(theta, L, lie=None):
+def noether_current(theta, L, lie=None, lepage=None):
     """Conserved current of an exact symmetry: -h0(theta | Xi_L).
 
-    `lie`, when given, is the already computed L_theta L, used for the
-    exact-symmetry precondition instead of recomputing it.
+    `lie` and `lepage`, when given, are the already computed L_theta L,
+    used for the exact-symmetry precondition instead of recomputing it,
+    and the Lepage form Xi_L.
     """
     if lie is None:
         lie = lie_derivative(theta, L.form)
     if not lie.is_zero():
         raise GvcError("derivation is not an exact symmetry of the density")
-    return -h0(interior(theta, lepage_equivalent(L)))
+    return -h0(interior(theta, lepage_equivalent(L) if lepage is None else lepage))
 
 
 def conservation_residual(theta, current, el):

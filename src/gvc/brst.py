@@ -12,9 +12,10 @@ built in one polynomial.
 The master equation is checked by Theta_S^2 alone, and the bracket's
 failure rows are E_z({S,S}) = -+2 Theta_S^2(zbar) (minus on fields and
 ghosts, plus on antifields); `antibracket` is the tests' oracle for it.
-Under signed relabellings proved to commute with Theta_S or with
-Koszul-Tate (direction swaps, algebra automorphisms), Theta_S^2, the
-Noether rows and Koszul-Tate's square are taken on one generator per
+Under signed relabellings proved to commute with Theta_S, with
+Koszul-Tate or with a gauge derivation (direction swaps, algebra
+automorphisms), Theta_S^2, the Noether rows, Koszul-Tate's square and
+the gauge symmetry checks' directions are taken on one generator per
 orbit first (`orbit_representatives`, `on_representatives`).
 """
 
@@ -241,29 +242,35 @@ class MasterReport:
         return all(p.is_zero() for p in self.derivation_residuals.values())
 
 
-def orbit_representatives(density, pairs, maps, moved, carry=False):
-    """The smallest-key member of each orbit of the generators a derivation
-    moves (`moved`, its values by generator) under the relabellings `maps`
-    (gen_map, perm, signs) of `Poly.rename`, once each is proved to commute
-    with the derivation; None if a proof fails.
+def paired_sum(ctx, values, partners):
+    """The sum over z of values[z] * partners[z], one density for a table of
+    derivation values: a map that keeps the pairing, with the partners
+    paired to their z, fixes it exactly when it carries each value onto
+    s_z times its image's, provided no value holds a partner (each term
+    then holds one partner, which names its z)."""
+    out = ctx.zero()
+    for z, value in values.items():
+        add_product(out, value, ctx.var(partners[z]))
+    return out.finish()
+
+
+def orbit_representatives(density, pairs, maps, moved):
+    """The smallest-key member of each orbit of the generators `moved` (a
+    derivation's generators, or the sources of its directions) under the
+    relabellings `maps` (gen_map, perm, signs) of `Poly.rename`, once each
+    is proved to commute with the derivation; None if a proof fails.
 
     Each map must send the pairing onto itself with one sign per pair and
-    fix `density` exactly, so it is anticanonical, relabels the total
-    derivatives and commutes with Theta_S.  With `carry` (Koszul-Tate's
-    values), it must also keep antifield numbers and carry each degree-two
-    antifield's value, a Noether row, onto s times its image's.  The
-    orbits, signs aside, come from one union-find over z -- g(z)."""
+    fix `density` exactly.  With S, it is anticanonical, relabels the total
+    derivatives and commutes with Theta_S; with a Lagrangian, with its
+    field equations; with a `paired_sum` of a derivation's values, with
+    the derivation.  The orbits, signs aside, come from one union-find
+    over z -- g(z)."""
     for gen_map, perm, signs in maps:
         if any(pairs.get(gen_map.get(z, z)) is not gen_map.get(zbar, zbar)
                or signs.get(z, 1) != signs.get(zbar, 1) for z, zbar in pairs.items()) \
                 or density.rename(gen_map, perm, signs) != density:
             return None
-        for z, value in moved.items() if carry else ():
-            w = gen_map.get(z, z)
-            if w.antifield_number != z.antifield_number or z.antifield_number == 2 and (
-                    w not in moved
-                    or value.rename(gen_map, perm, signs) != moved[w] * signs.get(z, 1)):
-                return None
     root = {z: z for z in moved}
 
     def find(z):

@@ -267,6 +267,11 @@ def _mono_key(m):
     )
 
 
+def _factor_key(factor):
+    """Sort key of an even factor (variable, exponent): the variable's."""
+    return factor[0].key
+
+
 def _mono_render(m, coeff):
     ev, od = m
     parts = []
@@ -710,8 +715,9 @@ class Poly:
     def rename(self, gen_map, perm, signs):
         """The image under a signed relabelling of variables: each jet
         z;Lambda becomes signs[z] gen_map(z);perm(Lambda) and each x^lam
-        becomes x^perm(lam), where `gen_map` is a parity-preserving
-        permutation of generators (a dict; generators it lacks stay),
+        becomes x^perm(lam), where `gen_map` is a kind- and
+        parity-preserving permutation of the context's generators (a dict;
+        generators it lacks stay),
         `signs` gives -1 or 1 (a dict; 1 where it has none) and `perm`
         permutes the directions (perm[lam] is lam's image).
 
@@ -723,32 +729,34 @@ class Poly:
         ctx = self.ctx
         if sorted(perm) != list(range(ctx.dim)):
             raise GvcError("direction map must permute 0..%d" % (ctx.dim - 1))
+        registered = ctx.generators.get
         if set(gen_map.values()) != set(gen_map) or any(
-                g.parity != h.parity for g, h in gen_map.items()) or any(
-                s not in (1, -1) for s in signs.values()):
-            raise GvcError("generator map must be a parity-preserving signed permutation")
+                g.parity != h.parity or g.kind != h.kind or registered(h.name) is not h
+                for g, h in gen_map.items()) or any(s not in (1, -1) for s in signs.values()):
+            raise GvcError("generator map must be a kind- and parity-preserving signed "
+                           "permutation of the context's generators")
         image = {x: (ctx.coordinates[perm[lam]], 1) for lam, x in enumerate(ctx.coordinates)}
+        known = image.get
 
         def var(v):
-            w = image.get(v)
-            if w is None:
-                g = v.gen
-                w = image[v] = (ctx.jet(gen_map.get(g, g), [perm[i] for i in v.index]),
-                                signs.get(g, 1))
+            # the image has v's order and kind, so it is interned unchecked
+            g = v.gen
+            index = tuple(sorted(perm[i] for i in v.index))
+            w = image[v] = (ctx._intern(gen_map.get(g, g), index), signs.get(g, 1))
             return w
 
         out = {}
         for (ev, od), c in self.terms.items():
             ev2 = []
             for v, e in ev:
-                w, s = var(v)
+                w, s = known(v) or var(v)
                 if s < 0 and e & 1:
                     c = -c
                 ev2.append((w, e))
-            ev2.sort(key=lambda it: it[0].key)
+            ev2.sort(key=_factor_key)
             od2 = []
             for v in od:
-                w, s = var(v)
+                w, s = known(v) or var(v)
                 # insertion sort: w passes every letter above it
                 at = len(od2)
                 while at and od2[at - 1].key > w.key:

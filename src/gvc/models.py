@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from .grassmann import (DEFAULT_MAX_JET_ORDER, DEFAULT_TERM_LIMIT, Context, EVEN, ODD,
-                        ExpansionLimitError, GvcError, accumulate, add_product)
+                        ExpansionLimitError, GvcError, Poly, accumulate, add_product)
 from .superlie import check_invariant_form, check_structure, signed_automorphisms
 from .jets import ContactDerivation, add_total_derivative, prolong_apply
 from .bicomplex import (
@@ -22,6 +22,7 @@ from .bicomplex import (
     Lagrangian,
     conservation_residual,
     euler_lagrange,
+    lepage_equivalent,
     noether_current,
     omega_pair,
     superpotential_residual,
@@ -36,6 +37,7 @@ from .brst import (
     noether_residuals,
     on_representatives,
     orbit_representatives,
+    paired_sum,
     proper_solution,
 )
 from .reporting import CheckResult, Report
@@ -115,6 +117,18 @@ def _add(out, p, c=1):
                       c.denominator * p.den)
 
 
+def _held(m, gens):
+    """The generators of `gens` with a jet among the monomial m's factors,
+    once per factor."""
+    ev, od = m
+    return [v.gen for v, _ in ev if v.gen in gens] + [v.gen for v in od if v.gen in gens]
+
+
+def _carrying(p, gens):
+    """The terms of p with a factor that is a jet of one of `gens`."""
+    return Poly(p.ctx, {m: c for m, c in p.terms.items() if _held(m, gens)}, p.den).finish()
+
+
 def _once(store, key, build):
     """store[key], built by `build()` on first use."""
     if key not in store:
@@ -131,9 +145,11 @@ class GaugeModel:
     so are the algebra's graded constants and form entries.  Each
     derived object that several checks use (the validation reports, the
     Lagrangian, the field equations, the Noether rows and residuals, the
-    gauge, parameter and BRST operators, the Lie derivative along the
-    parameter symmetry, the algebra maps and their proof on the rows, and
-    the extended density) is built on first use and kept.
+    gauge, parameter and BRST operators, the parts of the gauge and
+    parameter derivations by algebra direction and their Lie derivatives,
+    the Lepage form, the algebra maps, their proofs on L, on the rows and
+    on the directions, and the extended density) is built on first use
+    and kept.
     """
 
     # Checks whose formulas are proved for even algebras only; a model
@@ -217,12 +233,14 @@ class GaugeModel:
     def algebra_maps(self):
         """The algebra's signed automorphisms e_r -> s_r e_pi(r), found on first
         use, as relabellings (gen_map, perm, signs) moving the field,
-        antifield, ghost and degree-two antifield of r to s_r times pi(r)'s."""
+        antifield, ghost, degree-two antifield and parameter of r to s_r
+        times pi(r)'s."""
         return self._once("algebra-maps", self._algebra_relabellings)
 
     def _algebra_relabellings(self):
         n, m = self.metric.dim, self.algebra.dim
-        by_r = [self.field[r] + self.antifield[r] + [self.ghost[r], self.noether_antifield[r]]
+        by_r = [self.field[r] + self.antifield[r]
+                + [self.ghost[r], self.noether_antifield[r], self.parameter[r]]
                 for r in range(m)]
         return [({gen: image for r in range(m) for gen, image in zip(by_r[r], by_r[pi[r]])},
                  list(range(n)), {gen: -1 for r in range(m) if signs[r] < 0 for gen in by_r[r]})
@@ -351,12 +369,31 @@ class GaugeModel:
         return self._once("koszul-tate", lambda: koszul_tate(
             self.noether_operator(), self.generic_euler_lagrange(), self._pairs))
 
+    def _invariant_maps(self):
+        """The algebra maps, once each is proved to keep the pairing and fix
+        L (one rename of L each, once per model); [] if a proof fails."""
+        def prove():
+            maps = self.algebra_maps()
+            fixed = maps and orbit_representatives(
+                self.ym_lagrangian().density, self._pairs, maps, ()) is not None
+            return maps if fixed else []
+
+        return self._once("invariant-maps", prove)
+
     def _row_representatives(self):
-        """One generator per orbit of those Koszul-Tate moves under the algebra
-        maps, proved once per model; None without maps or if a proof fails."""
-        return self._once("row-representatives", lambda: orbit_representatives(
-            self.ym_lagrangian().density, self._pairs, self.algebra_maps(),
-            self.koszul_tate().components, carry=True) if self.algebra_maps() else None)
+        """One generator per orbit of those Koszul-Tate moves under the maps
+        of `_invariant_maps`, once each is also proved to carry each Noether
+        row delta(cbar_j) onto s_j times its image's (it fixes the sum of
+        delta(cbar_j) c_j); None without such maps or if a proof fails."""
+        def prove():
+            kt = self.koszul_tate().components
+            ghosts = dict(zip(self.noether_antifield, self.ghost))
+            return orbit_representatives(
+                paired_sum(self.ctx, {z: kt[z] for z in ghosts if z in kt}, ghosts), self._pairs,
+                self._invariant_maps(), kt)
+
+        return self._once("row-representatives",
+                          lambda: prove() if self._invariant_maps() else None)
 
     # -- symmetries -------------------------------------------------------------
 
@@ -383,15 +420,91 @@ class GaugeModel:
         return self._once("parameter-symmetry", lambda: ContactDerivation(
             self.ctx, self._gauge_components(self.parameter), EVEN))
 
+    def _symmetry(self, kind):
+        """The gauge derivation of `kind`, "gauge" (ghosts in the source
+        slot) or "parameter", and its sources, one per algebra direction."""
+        if kind == "gauge":
+            return self.gauge_operator(), self.ghost
+        return self.parameter_symmetry(), self.parameter
+
+    def _part(self, kind, directions):
+        """The part of the derivation of `kind` whose terms carry the source
+        of one of `directions`, kept; all of it for every direction.  Each
+        term of the model's components carries one source jet, sources[q]
+        of direction q, so the derivation is the sum of the parts of a
+        partition of the directions; the part of q alone moves a^q_mu by
+        D_mu sources[q] and a^r_mu by -c^r_qi sources[q] a^i_mu."""
+        def build():
+            theta, sources = self._symmetry(kind)
+            if len(directions) == len(sources):
+                return theta
+            batch = {sources[q] for q in directions}
+            return ContactDerivation(self.ctx, {gen: _carrying(comp, batch) for gen, comp
+                                                in theta.components.items()}, theta.parity)
+
+        return self._once(("part", kind, directions), build)
+
+    def _direction_representatives(self, kind):
+        """One source per orbit of the maps of `_invariant_maps`, once each is
+        also proved to carry every component theta(a) onto s times its
+        image's (it fixes the sum of theta(a) abar); None without such
+        maps, if a proof fails, if L holds a source or if a term of theta
+        holds other than one source jet."""
+        def prove():
+            theta, sources = self._symmetry(kind)
+            source_set = set(sources)
+            linear = self._invariant_maps() and source_set.isdisjoint(
+                v.gen for v in self.ym_lagrangian().density.variables()) and all(
+                len(_held(m, source_set)) == 1 for comp in theta.components.values()
+                for m in comp.terms)
+            return orbit_representatives(
+                paired_sum(self.ctx, theta.components, self._pairs), self._pairs,
+                self._invariant_maps(), sources) if linear else None
+
+        return self._once(("direction-representatives", kind), prove)
+
+    def _by_direction(self, kind, residual):
+        """The residual of the derivation of `kind`, where residual(directions)
+        is the Form of its part with those directions' sources (`_part`).
+        When `_direction_representatives` holds, every term of a residual of
+        the symmetry checks carries one source jet, so the parts of two
+        directions share no term and a sum vanishes exactly when each part
+        does; a map that fixes L and carries the derivation's components
+        onto s times their images' sends the part of q to the part of pi(q)
+        and its residual to the image of q's (the superpotential U and the
+        rows W of a part are built from c and h, which every algebra map
+        keeps, and follow the same way).  So the part of one direction
+        per orbit goes first (`on_representatives`), the rest only if it
+        fails, and the table, split by source, is summed back into one
+        Form; otherwise the whole derivation's is taken at once."""
+        sources = self._symmetry(kind)[1]
+        reps = self._direction_representatives(kind)
+        if reps is None:
+            return residual(tuple(range(len(sources))))
+        index = {src: q for q, src in enumerate(sources)}
+
+        def evaluate(gens):
+            form = residual(tuple(index[g] for g in gens))
+            return {g.name: Form(self.ctx, {w: _carrying(f, (g,)) for w, f in form.terms.items()})
+                    for g in gens}
+
+        return sum(on_representatives(evaluate, sources, reps).values(), Form.zero(self.ctx))
+
     def lie_derivative(self, theta):
         """L_theta L of the Lagrangian, a density: the prolonged derivation
         applied to L's polynomial, times the volume form."""
         return volume(self.ctx).times_poly(prolong_apply(theta, self.ym_lagrangian().density))
 
+    def _lie(self, kind, directions):
+        """L_theta L for the part of `directions` (`_part`), kept: a parameter
+        part's is also its current's precondition."""
+        return self._once(("lie", kind, directions),
+                          lambda: self.lie_derivative(self._part(kind, directions)))
+
     def parameter_lie_derivative(self):
         """L_theta L for the parameter symmetry and the Lagrangian."""
-        return self._once("parameter-lie-derivative",
-                          lambda: self.lie_derivative(self.parameter_symmetry()))
+        return self._once("parameter-lie-derivative", lambda: self._by_direction(
+            "parameter", lambda qs: self._lie("parameter", qs)))
 
     def ghost_sector(self):
         """Quadratic ghost components completing the gauge operator."""
@@ -420,13 +533,27 @@ class GaugeModel:
 
     # -- currents --------------------------------------------------------------
 
-    def current(self):
-        return noether_current(self.parameter_symmetry(), self.ym_lagrangian(),
-                               lie=self.parameter_lie_derivative())
+    def lepage_form(self):
+        """The Lepage form Xi_L of the Lagrangian, which every current
+        contracts."""
+        return self._once("lepage-form", lambda: lepage_equivalent(self.ym_lagrangian()))
 
-    def superpotential(self):
+    def _chosen(self, directions):
+        """`directions`, or every algebra direction when None."""
+        return tuple(range(self.algebra.dim)) if directions is None else directions
+
+    def current(self, directions=None):
+        """The Noether current -h0(theta | Xi_L) of the parameter symmetry's
+        part with the sources of `directions` (all when None), whose own
+        L_theta L is its exact-symmetry precondition."""
+        directions = self._chosen(directions)
+        return noether_current(self._part("parameter", directions), self.ym_lagrangian(),
+                               lie=self._lie("parameter", directions),
+                               lepage=self.lepage_form())
+
+    def superpotential(self, directions=None):
         """The codegree-two form whose horizontal differential carries the
-        off-shell part of the current."""
+        off-shell part of the current, or of the part of `directions`."""
         ctx = self.ctx
         n = self.metric.dim
         table = {}
@@ -435,15 +562,15 @@ class GaugeModel:
                 # omega_pair is one word with coefficient +-1
                 ((word, sign),) = omega_pair(ctx, nu, mu).terms.items()
                 comp = table[word] = ctx.zero()
-                for r in range(self.algebra.dim):
+                for r in self._chosen(directions):
                     add_product(comp, ctx.var(self.parameter[r]), self.momentum(r, nu, mu),
                                 sign.constant_term())
         return Form(ctx, {w: comp.finish() for w, comp in table.items()})
 
-    def superpotential_rows(self):
+    def superpotential_rows(self, directions=None):
         ctx = self.ctx
         rows = []
-        for r in range(self.algebra.dim):
+        for r in self._chosen(directions):
             for mu in range(self.metric.dim):
                 rows.append((ctx.var(self.parameter[r]), self.field[r][mu], (), mu))
         return rows
@@ -555,23 +682,24 @@ class GaugeModel:
         return [("euler-lagrange-two-path", two_path)]
 
     def _noether_parts(self):
-        run = {}  # the current, shared by this run's last two checks only
+        run = {}  # each part's current, shared by this run's last two checks only
 
-        def current():
-            return _once(run, "current", self.current)
+        def current(directions):
+            return _once(run, directions, lambda: self.current(directions))
+
+        def by_direction(check, residual):
+            return CheckResult.from_form(check, self._by_direction("parameter", residual))
 
         return [
             ("parameter-symmetry", lambda n: CheckResult.from_form(
                 n, self.parameter_lie_derivative())),
             ("noether-identities", lambda n: CheckResult.from_residuals(
                 n, self._noether_residuals())),
-            ("current-conservation", lambda n: CheckResult.from_form(
-                n, conservation_residual(self.parameter_symmetry(), current(),
-                                         self.generic_euler_lagrange()))),
-            ("superpotential", lambda n: CheckResult.from_form(
-                n, superpotential_residual(current(), self.generic_euler_lagrange(),
-                                           self.superpotential_rows(),
-                                           self.superpotential()))),
+            ("current-conservation", lambda n: by_direction(n, lambda qs: conservation_residual(
+                self._part("parameter", qs), current(qs), self.generic_euler_lagrange()))),
+            ("superpotential", lambda n: by_direction(n, lambda qs: superpotential_residual(
+                current(qs), self.generic_euler_lagrange(), self.superpotential_rows(qs),
+                self.superpotential(qs)))),
         ]
 
     def _koszul_tate_parts(self):
@@ -592,7 +720,7 @@ class GaugeModel:
 
     def _brst_parts(self):
         return [("gauge-symmetry", lambda n: CheckResult.from_form(
-                    n, self.lie_derivative(self.gauge_operator()))),
+                    n, self._by_direction("gauge", lambda qs: self._lie("gauge", qs)))),
                 ("brst-nilpotency", lambda n: CheckResult.from_residuals(
                     n, self.brst_operator()[1]))]
 

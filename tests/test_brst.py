@@ -29,7 +29,8 @@ from gvc import (
     proper_solution,
     variational_derivative,
 )
-from gvc.brst import KoszulTate, NoetherOperator, on_representatives, orbit_representatives
+from gvc.brst import (KoszulTate, NoetherOperator, on_representatives, orbit_representatives,
+                      paired_sum)
 from gvc.grassmann import ExpansionLimitError, JetOrderError
 from gvc.jets import iterated_derivative, total_derivative
 from gvc.modelfile import parse_model, spec_model
@@ -69,6 +70,14 @@ def sl21():
 @pytest.fixture(scope="module")
 def su2_euclidean():
     return GaugeModel(su2_algebra(), Metric((1, 1, 1, 1)))
+
+
+def _rows_density(model, kt):
+    """The sum of delta(cbar_j) c_j over the Noether rows delta(cbar_j):
+    fixed by an algebra map exactly when it carries each row onto s_j
+    times its image's."""
+    ghosts = dict(zip(model.noether_antifield, model.ghost))
+    return paired_sum(model.ctx, {z: kt.components[z] for z in ghosts}, ghosts)
 
 
 class TestNoetherIdentities:
@@ -844,8 +853,8 @@ class TestAlgebraOrbits:
         assert list(reports[0].derivation_residuals.items()) == \
             list(reports[1].derivation_residuals.items())
         kt = model.koszul_tate()
-        rows = [orbit_representatives(model.ym_lagrangian().density, pairs, order,
-                                      kt.components, carry=True) for order in (maps, maps[::-1])]
+        rows = [orbit_representatives(_rows_density(model, kt), pairs, order, kt.components)
+                for order in (maps, maps[::-1])]
         assert rows[0] == rows[1] == model._row_representatives()
         assert len(rows[0]) < len(kt.components)
         for moved, evaluate in (
@@ -912,7 +921,8 @@ class TestAlgebraOrbits:
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
         kt = model.koszul_tate()
         assert orbit_representatives(L.density, model.pairs(), model.algebra_maps(),
-                                     kt.components, carry=True) is None
+                                     kt.components) is None
+        assert model._row_representatives() is None
         want = noether_residuals(model.noether_operator(), euler_lagrange(L))
         assert want["cbar1"].is_zero() and not want["cbar2"].is_zero()
         assert list(model._noether_residuals().items()) == list(want.items())
@@ -933,7 +943,10 @@ class TestAlgebraOrbits:
         monkeypatch.setattr(model, "noether_operator", lambda: broken)
         kt = model.koszul_tate()
         assert orbit_representatives(model.ym_lagrangian().density, model.pairs(),
-                                     model.algebra_maps(), kt.components, carry=True) is None
+                                     model.algebra_maps(), kt.components) is not None
+        assert orbit_representatives(_rows_density(model, kt), model.pairs(),
+                                     model.algebra_maps(), kt.components) is None
+        assert model._row_representatives() is None
         want = noether_residuals(broken, model.generic_euler_lagrange())
         assert want["cbar1"].is_zero() and not want["cbar2"].is_zero()
         assert list(model._noether_residuals().items()) == list(want.items())

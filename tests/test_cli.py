@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from gvc.cli import main
-from gvc.presets import PRESET_MODEL_TEXT
+from gvc.presets import PRESET_MODEL_TEXT, preset_model
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -204,7 +204,7 @@ result fail
 
 class TestResourceBounds:
     """The jet-order and term bounds on the orbit-reduced routes of the
-    master equation, Noether rows and Koszul-Tate."""
+    master equation, Noether rows, Koszul-Tate and the symmetry checks."""
 
     def test_jet_order_bound_fails_the_reduced_checks(self, model_file, capsys):
         text = PRESET_MODEL_TEXT["su2"].replace("max_jet_order = 3", "max_jet_order = 2")
@@ -218,6 +218,18 @@ class TestResourceBounds:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "limit 50" in captured.err
+
+    def test_term_limit_aborts_the_reduced_current_route(self, model_file, capsys,
+                                                         monkeypatch):
+        # one term below su2's Lepage form, which the current of the one
+        # representative direction contracts, and above every earlier table
+        lepage = preset_model("su2").lepage_form()
+        limit = sum(len(f.terms) for f in lepage.terms.values()) - 1
+        monkeypatch.setenv("GVC_MAX_TERMS", str(limit))
+        assert main(["noether", "--model", model_file("su2"), "--deterministic"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "limit %d" % limit in captured.err
 
 
 class TestDeterminism:

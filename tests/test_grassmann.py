@@ -829,6 +829,21 @@ class TestRename:
             with pytest.raises(GvcError):
                 p.rename(gen_map, [0, 1], signs)
 
+    def test_refuses_maps_across_kinds_or_contexts(self):
+        # the images are interned unchecked, so a map must keep each
+        # generator's kind (not an even field to an even antifield or to a
+        # coordinate) and stay within the context
+        ctx = make_context(2)
+        ctx.add_generator("t1", "antifield", EVEN)
+        other = make_context(2)
+        s1, t1, x0 = ctx.generator("s1"), ctx.generator("t1"), ctx.generator("x0")
+        p = ctx.var("s1", 0) * ctx.var("x0")
+        assert p.rename({s1: s1}, [0, 1], {}) == p
+        foreign = other.generator("s1")
+        for gen_map in ({s1: t1, t1: s1}, {s1: x0, x0: s1}, {s1: foreign, foreign: s1}):
+            with pytest.raises(GvcError, match="kind- and parity-preserving"):
+                p.rename(gen_map, [0, 1], {})
+
     def test_identity_and_bad_maps(self):
         ctx = make_context(2)
         s1, s2, q1 = ctx.generator("s1"), ctx.generator("s2"), ctx.generator("q1")

@@ -14,11 +14,13 @@ import gvc.brst
 import gvc.models
 from gvc import EVEN, GvcError, Lagrangian, ODD, euler_lagrange
 from gvc.bicomplex import (EulerLagrange, Form, conservation_residual, d_h, interior,
-                           lie_derivative, variational_delta)
-from gvc.brst import NoetherOperator, master_equation_check, nilpotency_residuals
-from gvc.grassmann import Poly
+                           lie_derivative, noether_current, superpotential_residual,
+                           variational_delta)
+from gvc.brst import (NoetherOperator, master_equation_check, nilpotency_residuals,
+                      orbit_representatives, paired_sum)
+from gvc.grassmann import ExpansionLimitError, Poly
 from gvc.jets import ContactDerivation, prolong_apply, superbracket, total_derivative
-from gvc.models import GaugeModel, Metric
+from gvc.models import GaugeModel, Metric, run_parts
 from gvc.modelfile import parse_model, spec_model
 from gvc.presets import PRESET_MODEL_TEXT, abelian_algebra, preset_model, su2_algebra
 from gvc.reporting import CheckResult
@@ -477,6 +479,282 @@ class TestDensityRoutes:
         assert variational_delta(model.ym_lagrangian().form) == el.as_form()
 
 
+def _unreduced_form(model, check):
+    """The check's Form by the whole derivation at once, as before the
+    checks were split by direction."""
+    L, el = model.ym_lagrangian(), model.generic_euler_lagrange()
+    theta = model.parameter_symmetry()
+    if check == "gauge-symmetry":
+        return model.lie_derivative(model.gauge_operator())
+    if check == "parameter-symmetry":
+        return model.lie_derivative(theta)
+    current = noether_current(theta, L)
+    if check == "current-conservation":
+        return conservation_residual(theta, current, el)
+    return superpotential_residual(current, el, model.superpotential_rows(),
+                                   model.superpotential())
+
+
+def _unreduced_row(model, check):
+    (row,) = run_parts([(check, lambda n: CheckResult.from_form(n, _unreduced_form(model, n)))],
+                       deterministic=True)
+    return row.line()
+
+
+SYMMETRY_CHECKS = ("parameter-symmetry", "current-conservation", "superpotential",
+                   "gauge-symmetry")
+
+
+class TestParameterOrbits:
+    """The parameter and gauge symmetry checks, each a sum over algebra
+    directions q of a residual linear in the source xi^q or c^q, on one
+    direction per orbit of the algebra maps, against the whole
+    derivation."""
+
+    @staticmethod
+    def _batches(monkeypatch):
+        """The source names of each batch the symmetry checks evaluate."""
+        batches = []
+        original = gvc.models.on_representatives
+
+        def recording(evaluate, moved, representatives=None):
+            def record(gens):
+                # parameters and ghosts; the Noether rows and Koszul-Tate
+                # batches hold antifields
+                if gens and gens[0].kind in ("even-field", "odd-field", "ghost"):
+                    batches.append([g.name for g in gens])
+                return evaluate(gens)
+
+            return original(record, moved, representatives)
+
+        monkeypatch.setattr(gvc.models, "on_representatives", recording)
+        return batches
+
+    @staticmethod
+    def _prolonged(monkeypatch):
+        """The derivations the symmetry checks prolong on L, in order."""
+        thetas = []
+        original = gvc.models.prolong_apply
+
+        def recording(theta, p):
+            thetas.append(theta)
+            return original(theta, p)
+
+        monkeypatch.setattr(gvc.models, "prolong_apply", recording)
+        return thetas
+
+    @staticmethod
+    def _rows(model):
+        return {row.name: row for pipeline in ("noether", "brst")
+                for row in model.pipeline(pipeline, deterministic=True)}
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
+    def test_parts_sum_to_the_whole(self, name, request):
+        model = request.getfixturevalue(name)
+        ctx, m, n = model.ctx, model.algebra.dim, model.metric.dim
+        every = tuple(range(m))
+        L, el = model.ym_lagrangian(), model.generic_euler_lagrange()
+        mass = mass_term_lagrangian(model).density
+        for kind, check in (("parameter", "parameter-symmetry"), ("gauge", "gauge-symmetry")):
+            theta, sources = model._symmetry(kind)
+            parts = [model._part(kind, (q,)) for q in range(m)]
+            assert model._part(kind, every).components == theta.components
+            for q, part in enumerate(parts):
+                # D_mu sources[q] on a^q_mu, -c^r_qi sources[q] a^i_mu on a^r_mu
+                want = {model.field[q][mu]: ctx.var(sources[q], mu) for mu in range(n)}
+                for r, j, i, c in model.constants:
+                    for mu in range(n):
+                        if j == q:
+                            want[model.field[r][mu]] = want.get(model.field[r][mu], ctx.zero()) \
+                                - c * (ctx.var(sources[q]) * ctx.var(model.field[i][mu]))
+                assert part.parity == theta.parity
+                assert part.components == {g: p for g, p in want.items() if not p.is_zero()}
+            # on a density that breaks the symmetry the parts' Lie
+            # derivatives share no term and sum to the whole
+            lies = [prolong_apply(t, mass) for t in parts]
+            assert all(not p.is_zero() for p in lies)
+            assert sum(lies, ctx.zero()) == prolong_apply(theta, mass)
+            assert sum(len(p.terms) for p in lies) == len(prolong_apply(theta, mass).terms)
+            assert model._by_direction(kind, lambda qs: model._lie(kind, qs)) == \
+                _unreduced_form(model, check)
+        theta = model.parameter_symmetry()
+        currents = [model.current((q,)) for q in range(m)]
+        whole = noether_current(theta, L)
+        assert not whole.is_zero() and sum(currents, Form.zero(ctx)) == whole == model.current()
+        # doubled currents and superpotentials leave nonzero residuals
+        conserved = [conservation_residual(model._part("parameter", (q,)), currents[q].scale(2),
+                                           el) for q in range(m)]
+        assert sum(conserved, Form.zero(ctx)) == conservation_residual(theta, whole.scale(2), el)
+        spread = [superpotential_residual(currents[q], el, model.superpotential_rows((q,)),
+                                          model.superpotential((q,)).scale(2)) for q in range(m)]
+        assert sum(spread, Form.zero(ctx)) == superpotential_residual(
+            whole, el, model.superpotential_rows(), model.superpotential().scale(2))
+        assert all(not f.is_zero() for f in conserved + spread)
+        assert sum((model.superpotential((q,)) for q in range(m)), Form.zero(ctx)) == \
+            model.superpotential()
+
+    def test_invariant_perturbation_is_caught_on_representatives(self, monkeypatch):
+        # the mass term is fixed by every algebra map and breaks both
+        # symmetries: the first direction fails, the rest follows, and each
+        # row is the whole derivation's
+        model = preset_model("su2")
+        L = Lagrangian(model.ym_lagrangian().density + mass_term_lagrangian(model).density)
+        monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+        batches = self._batches(monkeypatch)
+        rows = self._rows(model)
+        assert batches == [["xi1"], ["xi2", "xi3"], ["xi1"], ["xi1"], ["c1"], ["c2", "c3"]]
+        for check in SYMMETRY_CHECKS:
+            assert not rows[check].ok
+            assert rows[check].line() == _unreduced_row(model, check)
+        assert "not an exact symmetry" in rows["current-conservation"].witness
+
+    def test_invariant_residuals_are_caught_on_representatives(self, monkeypatch):
+        # L is invariant, but doubled currents and superpotentials, fixed
+        # by every map, leave a residual in every direction
+        model = preset_model("su2")
+        current, superpotential = model.current, model.superpotential
+        batches = self._batches(monkeypatch)
+        monkeypatch.setattr(model, "current", lambda q=None: current(q).scale(2))
+        row = dict(model._noether_parts())["current-conservation"]("current-conservation")
+        monkeypatch.delattr(model, "current")
+        monkeypatch.setattr(model, "superpotential", lambda q=None: superpotential(q).scale(2))
+        rows = self._rows(model)
+        assert batches == [["xi1"], ["xi2", "xi3"], ["xi1"], ["xi1"], ["xi1"], ["xi2", "xi3"],
+                           ["c1"]]
+        theta, el = model.parameter_symmetry(), model.generic_euler_lagrange()
+        want = conservation_residual(theta, current().scale(2), el)
+        assert not row.ok and row.line() == CheckResult.from_form(row.name, want).line()
+        assert not rows["superpotential"].ok
+        assert rows["superpotential"].line() == _unreduced_row(model, "superpotential")
+
+    def test_a_component_breaking_a_map_forces_the_full_route(self, monkeypatch):
+        # the last direction's component on a3_0 gains its source times
+        # a3_0: the algebra maps no longer carry it, and only that
+        # direction's piece fails, so the representative alone would pass
+        original = GaugeModel._gauge_components
+
+        def broken(model, sources):
+            comps = original(model, sources)
+            q = model.algebra.dim - 1
+            a = model.field[q][0]
+            comps[a] = comps[a] + model.ctx.var(sources[q]) * model.ctx.var(a)
+            return comps
+
+        monkeypatch.setattr(GaugeModel, "_gauge_components", broken)
+        model = preset_model("su2")
+        batches, prolonged = self._batches(monkeypatch), self._prolonged(monkeypatch)
+        rows = self._rows(model)
+        assert batches == []
+        assert prolonged == [model.parameter_symmetry(), model.gauge_operator()]
+        for kind in ("parameter", "gauge"):
+            assert model._direction_representatives(kind) is None
+            lies = [model.lie_derivative(model._part(kind, (q,))) for q in range(3)]
+            assert [p.is_zero() for p in lies] == [True, True, False]
+        for check in SYMMETRY_CHECKS:
+            assert not rows[check].ok
+            assert rows[check].line() == _unreduced_row(model, check)
+
+    @pytest.mark.parametrize("extra", ["no source", "three sources"])
+    def test_a_term_without_one_source_runs_unreduced(self, extra, monkeypatch):
+        # every parameter-symmetry component gains the field, or the
+        # parameter, of its direction times h_ij a^i_0 a^j_0, or times
+        # h_ij xi^i xi^j: the algebra maps still commute with it, but such a
+        # term would belong to no part, or to three
+        original = GaugeModel._gauge_components
+
+        def patched(model, sources):
+            comps = original(model, sources)
+            if sources is model.parameter:
+                ctx, n = model.ctx, model.metric.dim
+                pair = [model.field[r][0] for r in range(3)] if extra == "no source" \
+                    else model.parameter
+                scalar = sum((ctx.product(h, (ctx.jet(pair[i]), ctx.jet(pair[j])))
+                              for i, j, h in model.form_entries), ctx.zero())
+                for r in range(3):
+                    for mu in range(n):
+                        first = model.field[r][mu] if extra == "no source" else sources[r]
+                        a = model.field[r][mu]
+                        comps[a] = comps[a] + ctx.var(first) * scalar
+            return comps
+
+        monkeypatch.setattr(GaugeModel, "_gauge_components", patched)
+        model = preset_model("su2")
+        theta = model.parameter_symmetry()
+        carried = paired_sum(model.ctx, theta.components, model.pairs())
+        assert orbit_representatives(carried, model.pairs(), model.algebra_maps(),
+                                     model.parameter) == {model.parameter[0]}
+        prolonged = self._prolonged(monkeypatch)
+        rows = self._rows(model)
+        assert model._direction_representatives("parameter") is None
+        assert prolonged[0] is theta
+        assert not rows["parameter-symmetry"].ok
+        for check in SYMMETRY_CHECKS:
+            assert rows[check].line() == _unreduced_row(model, check)
+
+    def test_abelian_runs_unreduced(self, monkeypatch):
+        model = preset_model("abelian")
+        batches, prolonged = self._batches(monkeypatch), self._prolonged(monkeypatch)
+        rows = self._rows(model)
+        assert model.algebra_maps() == [] and batches == []
+        assert prolonged == [model.parameter_symmetry(), model.gauge_operator()]
+        assert all(rows[check].ok for check in SYMMETRY_CHECKS)
+
+    def test_a_source_in_L_runs_unreduced(self, monkeypatch):
+        # h_ij xi^i xi^j is fixed by every algebra map, but with it the parts
+        # of two directions may share terms, so no part stands for another
+        model = preset_model("su2")
+        ctx = model.ctx
+        extra = ctx.zero()
+        for i, j, h in model.form_entries:
+            extra += ctx.product(h, (ctx.jet(model.parameter[i]), ctx.jet(model.parameter[j])))
+        L = Lagrangian(model.ym_lagrangian().density + extra)
+        monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+        assert model._invariant_maps() == model.algebra_maps()
+        batches, prolonged = self._batches(monkeypatch), self._prolonged(monkeypatch)
+        rows = self._rows(model)
+        assert model._direction_representatives("parameter") is None
+        assert model._direction_representatives("gauge") == {model.ghost[0]}
+        assert batches == [["c1"]]
+        assert prolonged == [model.parameter_symmetry(), model._part("gauge", (0,))]
+        for check in SYMMETRY_CHECKS:
+            assert rows[check].line() == _unreduced_row(model, check)
+
+    @pytest.mark.parametrize("name", ["su2", "sl21"])
+    def test_order_of_the_maps_changes_nothing(self, name, request, monkeypatch):
+        shared = request.getfixturevalue(name)
+        maps = shared.algebra_maps()
+        assert len(maps) == 2
+        pairs = shared.pairs()
+        for kind in ("parameter", "gauge"):
+            theta, sources = shared._symmetry(kind)
+            carried = paired_sum(shared.ctx, theta.components, pairs)
+            reps = [orbit_representatives(carried, pairs, order, sources)
+                    for order in (maps, maps[::-1])]
+            assert reps[0] == reps[1] == shared._direction_representatives(kind)
+            assert len(reps[0]) < len(sources)
+        lines, runs = [], []
+        for order in (maps, maps[::-1]):
+            model = preset_model(name) if name == "su2" else spec_model(
+                parse_model(SL21_MODEL.read_text(encoding="utf-8")))
+            monkeypatch.setattr(model, "algebra_maps", lambda order=order: order)
+            runs.append(self._batches(monkeypatch))
+            lines.append([row.line() for row in model.full_verification(True).results])
+            monkeypatch.undo()
+        assert runs[0] == runs[1] and lines[0] == lines[1]
+
+    def test_term_limit_on_the_reduced_current_route(self):
+        # the Lepage form, built for the representative's current, is the
+        # largest table of the noether pipeline on su2
+        lepage = preset_model("su2").lepage_form()
+        limit = sum(len(f.terms) for f in lepage.terms.values()) - 1
+        model = spec_model(parse_model(PRESET_MODEL_TEXT["su2"]), term_limit=limit)
+        parts = model._noether_parts()
+        assert all(row.ok for row in run_parts(parts[:2]))
+        assert model._direction_representatives("parameter") == {model.parameter[0]}
+        with pytest.raises(ExpansionLimitError, match="limit %d" % limit):
+            run_parts(parts[2:3])
+
+
 class TestInvarianceConditions:
     def test_quadratic_strength_density_passes(self, su2):
         sym, fld, contr = su2.invariance_conditions()
@@ -770,7 +1048,7 @@ class TestBuildOnce:
             monkeypatch.setattr(gvc.models, name, counted)
 
         names = ("check_structure", "check_invariant_form", "noether_residuals",
-                 "euler_lagrange", "noether_current")
+                 "euler_lagrange", "noether_current", "lepage_equivalent")
         for name in names:
             count(name)
         model = preset_model("su2")
@@ -779,39 +1057,61 @@ class TestBuildOnce:
         assert calls["euler_lagrange"][0] == (model.ym_lagrangian(),)
 
     def test_parameter_lie_derivative_computed_once(self, monkeypatch):
-        calls, lies, form_lies = [], [], []
-        prolong, current, form_lie = (gvc.models.prolong_apply, gvc.models.noether_current,
-                                      gvc.bicomplex.lie_derivative)
+        calls, currents, form_lies, lepages = [], [], [], []
+        prolong, current, form_lie, lepage = (
+            gvc.models.prolong_apply, gvc.models.noether_current, gvc.bicomplex.lie_derivative,
+            gvc.models.lepage_equivalent)
 
         def counted(theta, p):
             calls.append((theta, p))
             return prolong(theta, p)
 
-        def counted_current(theta, L, lie=None):
-            lies.append(lie)
-            return current(theta, L, lie=lie)
+        def counted_current(theta, L, lie=None, lepage=None):
+            currents.append((theta, lie, lepage))
+            return current(theta, L, lie=lie, lepage=lepage)
 
         def counted_form_lie(theta, phi):
             form_lies.append(theta)
             return form_lie(theta, phi)
 
+        def counted_lepage(L):
+            lepages.append(L)
+            return lepage(L)
+
         monkeypatch.setattr(gvc.models, "prolong_apply", counted)
         monkeypatch.setattr(gvc.models, "noether_current", counted_current)
         monkeypatch.setattr(gvc.bicomplex, "lie_derivative", counted_form_lie)
+        monkeypatch.setattr(gvc.models, "lepage_equivalent", counted_lepage)
         model = preset_model("su2")
         assert model.full_verification().ok
-        # one density prolongation for parameter-symmetry, one for
-        # gauge-symmetry, and none on forms
+        # su2's three directions are one orbit of its algebra maps: one
+        # density prolongation of the first direction's part of the
+        # parameter symmetry for parameter-symmetry, one of the gauge
+        # operator's for gauge-symmetry, and none on forms
         density = model.ym_lagrangian().density
-        assert [(theta, p is density) for theta, p in calls] == [
-            (model.parameter_symmetry(), True), (model.gauge_operator(), True)]
+        xi, ghost = model._part("parameter", (0,)), model._part("gauge", (0,))
+        assert [(theta, p is density) for theta, p in calls] == [(xi, True), (ghost, True)]
         assert form_lies == []
-        # the current reuses the parameter one as its precondition, also
-        # when it is built again
-        assert len(lies) == 1 and lies[0] is model.parameter_lie_derivative()
+        # that part's current takes its own L_theta as the precondition,
+        # and the one Lepage form
+        assert [(theta, lie is model._lie("parameter", (0,)), xi_L is model.lepage_form())
+                for theta, lie, xi_L in currents] == [(xi, True, True)]
+        assert len(lepages) == 1 and lepages[0] is model.ym_lagrangian()
+        # the whole current prolongs the whole part once, reuses its own
+        # L_theta and the same Lepage form
         model.current()
-        assert len(calls) == 2 and form_lies == [] and lies[1] is lies[0]
+        whole = model._part("parameter", (0, 1, 2))
+        assert [theta for theta, _ in calls[2:]] == [whole]
+        assert [(theta, lie is model._lie("parameter", (0, 1, 2)), xi_L is model.lepage_form())
+                for theta, lie, xi_L in currents[1:]] == [(whole, True, True)]
+        assert len(lepages) == 1 and form_lies == []
         assert model.parameter_symmetry() is model.parameter_symmetry()
+        # sl(2|1)'s gauge-symmetry: one prolongation of the part of its
+        # four representative directions
+        calls.clear()
+        sl21 = spec_model(parse_model(SL21_MODEL.read_text(encoding="utf-8")))
+        assert all(row.ok for row in sl21.pipeline("brst"))
+        assert calls == [(sl21._part("gauge", (0, 2, 3, 4)), sl21.ym_lagrangian().density)]
 
     def test_momentum_built_once_per_argument(self, monkeypatch):
         asked, built = [], []
