@@ -32,9 +32,9 @@ print("  Noether identity residuals all zero:",
 kt = model.koszul_tate()
 print("  Koszul-Tate nilpotent:",
       all(p.is_zero() for p in nilpotency_residuals(kt).values()))
-s, s_res = model.brst_operator()
+s = model.brst_operator()
 print("  BRST square zero on generators:",
-      all(p.is_zero() for p in s_res.values()))
+      all(p.is_zero() for p in nilpotency_residuals(s).values()))
 
 extended = model.extended_lagrangian()
 added = extended.density - L.density

@@ -20,7 +20,6 @@ from .jets import (
     ContactDerivation,
     iterated_derivative,
     prolong_apply,
-    superbracket,
     total_derivative,
 )
 from .superlie import (

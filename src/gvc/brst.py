@@ -7,16 +7,14 @@ graded derivatives, except Koszul-Tate, whose `apply` runs the same
 action loop as `jets.prolong_apply` from the right; it and the antifield
 slot of the antibracket use the right-derivative convention directly,
 so no hidden sign adapters are spread around the code.  Each sum (a
-Noether row's residual, a Koszul-Tate value, the proper solution) is
-built in one polynomial.
+Noether row's residual, a Koszul-Tate value, a `paired_sum`, such as the
+proper solution's S - L) is built in one polynomial.
 The master equation is checked by Theta_S^2 alone, and the bracket's
 failure rows are E_z({S,S}) = -+2 Theta_S^2(zbar) (minus on fields and
 ghosts, plus on antifields); `antibracket` is the tests' oracle for it.
-Under signed relabellings proved to commute with Theta_S, with
-Koszul-Tate or with a gauge derivation (direction swaps, algebra
-automorphisms), Theta_S^2, the Noether rows, Koszul-Tate's square and
-the gauge symmetry checks' directions are taken on one generator per
-orbit first (`orbit_representatives`, `on_representatives`).
+`orbit_representatives` proves that signed relabellings keep the pairing
+and fix a density (L or a paired sum); `on_representatives` takes a
+residual table on one generator per orbit of maps so proved first.
 """
 
 from .grassmann import EVEN, ODD, GvcError, ParityError, Poly, add_product
@@ -125,8 +123,8 @@ def brst_extend(u, gamma):
     """Extend a gauge derivation by ghost-sector components.
 
     `gamma` maps ghost generators to antifield-free polynomials in the
-    ghost sector; the result is the candidate BRST derivation, returned
-    with its per-generator nilpotency residuals.
+    ghost sector; the result is the candidate BRST derivation, whose
+    square `nilpotency_residuals` gives.
     """
     ctx = u.ctx
     comps = dict(u.components)
@@ -135,15 +133,10 @@ def brst_extend(u, gamma):
             gen = ctx.generator(gen)
         if gen.kind != "ghost":
             raise GvcError("ghost-sector component on non-ghost %r" % (gen.name,))
-        for v in val.variables():
-            if v.gen.kind not in ("ghost",):
-                raise GvcError("ghost-sector terms must be built from ghosts only")
-        if gen in comps:
-            comps[gen] = comps[gen] + val
-        else:
-            comps[gen] = val
-    s = ContactDerivation(ctx, comps, ODD)
-    return s, nilpotency_residuals(s)
+        if any(v.gen.kind != "ghost" for v in val.variables()):
+            raise GvcError("ghost-sector terms must be built from ghosts only")
+        comps[gen] = comps[gen] + val if gen in comps else val
+    return ContactDerivation(ctx, comps, ODD)
 
 
 def nilpotency_residuals(theta, gens=None):
@@ -264,13 +257,18 @@ def orbit_representatives(density, pairs, maps, moved):
     fix `density` exactly.  With S, it is anticanonical, relabels the total
     derivatives and commutes with Theta_S; with a Lagrangian, with its
     field equations; with a `paired_sum` of a derivation's values, with
-    the derivation.  The orbits, signs aside, come from one union-find
-    over z -- g(z)."""
+    the derivation."""
     for gen_map, perm, signs in maps:
         if any(pairs.get(gen_map.get(z, z)) is not gen_map.get(zbar, zbar)
                or signs.get(z, 1) != signs.get(zbar, 1) for z, zbar in pairs.items()) \
                 or density.rename(gen_map, perm, signs) != density:
             return None
+    return orbit_roots(maps, moved)
+
+
+def orbit_roots(maps, moved):
+    """The smallest-key member of each orbit of `moved` under the maps,
+    signs aside, from one union-find over z -- g(z); no proof."""
     root = {z: z for z in moved}
 
     def find(z):
@@ -291,50 +289,40 @@ def on_representatives(evaluate, moved, representatives=None):
     where `evaluate(gens)` gives it on a sublist.  `representatives`, one
     per orbit of maps proved to carry each residual onto its image's up to
     sign, go first, and zero on them is zero everywhere: the table holds
-    them alone.  Otherwise the rest follows and the table is rebuilt in
-    order, so a failure reads as without maps."""
+    them alone.  Otherwise, or if none is in `moved`, the rest follows and
+    the table is rebuilt in order, so a failure reads as without maps."""
     order = sorted(moved, key=lambda g: g.key)
-    kept = {}
-    if representatives is not None:
-        kept = evaluate([z for z in order if z in representatives])
-        if all(p.is_zero() for p in kept.values()):
-            return kept
+    chosen = [z for z in order if z in representatives] if representatives else []
+    kept = evaluate(chosen) if chosen else {}
+    if kept and all(p.is_zero() for p in kept.values()):
+        return kept
     residuals = evaluate([z for z in order if z.name not in kept])
     residuals.update(kept)
     return {z.name: residuals[z.name] for z in order}
 
 
-def master_equation_check(L, pairs, symmetries=()):
+def master_equation_check(L, pairs, representatives=None):
     """The classical master equation by Theta_S^2 alone: {S, S} is
     variationally trivial exactly when it vanishes on every generator.
 
-    `symmetries` are relabellings (gen_map, perm, signs) such as swaps of
-    spacetime directions and the algebra's signed automorphisms.  When
-    each is proved to commute with Theta_S (`orbit_representatives`),
-    Theta_S^2(g z) = g Theta_S^2(z), and Theta_S is squared on one
-    generator per orbit first (`on_representatives`).  If a proof or a
-    representative fails, every generator is squared, so a failure reads
-    as without symmetries."""
+    `representatives`, one generator per orbit of relabellings the caller
+    proved to fix S and keep the pairing (`orbit_representatives`), so
+    that Theta_S^2(g z) = g Theta_S^2(z), are squared first
+    (`on_representatives`); the proof is the caller's."""
     theta = master_derivation(L, pairs)
-    reps = orbit_representatives(L.density, pairs, symmetries, theta.components)
     return MasterReport(pairs, theta, on_representatives(
-        lambda gens: nilpotency_residuals(theta, gens), theta.components, reps))
+        lambda gens: nilpotency_residuals(theta, gens), theta.components, representatives))
 
 
 def proper_solution(L, s, pairs, residuals=None):
     """Extend a density by the antifield pairing of a nilpotent extension:
-    L + sum_a s(z^a) zbar_a.  `residuals`, when given, are the nilpotency
-    residuals of `s` already computed (as `brst_extend` returns them)."""
-    ctx = L.ctx
+    S = L + sum_a s(z^a) zbar_a, L plus the `paired_sum` of s.
+    `residuals`, when given, are s's nilpotency residuals already taken."""
     res = nilpotency_residuals(s) if residuals is None else residuals
     bad = [name for name, p in res.items() if not p.is_zero()]
     if bad:
         raise GvcError("extension is not nilpotent on %s" % ", ".join(sorted(bad)))
-    out = Poly(ctx, dict(L.density.terms), L.density.den)
-    for z, comp in s.components.items():
-        try:
-            zbar = pairs[z]
-        except KeyError:
+    for z in s.components:
+        if z not in pairs:
             raise GvcError("missing antifield partner for %r" % (z.name,))
-        add_product(out, comp, ctx.var(zbar))
-    return Lagrangian(out.finish())
+    return Lagrangian(L.density + paired_sum(L.ctx, s.components, pairs))

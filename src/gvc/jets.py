@@ -241,15 +241,3 @@ def prolong_apply(theta, p):
     over the variables of the fields theta moves."""
     return theta._act(p)
 
-
-def superbracket(t1, t2):
-    """[t1, t2] = t1 o t2 - (-1)^{[t1][t2]} t2 o t1 of left-acting t1, t2."""
-    ctx = t1.ctx
-    sign = -1 if (t1.parity and t2.parity) else 1
-    comps = {}
-    gens = set(t1.components) | set(t2.components)
-    for gen in gens:
-        c = prolong_apply(t1, t2.component(gen)) - sign * prolong_apply(t2, t1.component(gen))
-        if not c.is_zero():
-            comps[gen] = c
-    return ContactDerivation(ctx, comps, (t1.parity + t2.parity) % 2)

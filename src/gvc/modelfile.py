@@ -6,6 +6,7 @@ generators and structure constants, [form] the invariant bilinear form,
 every error carries the line it came from.
 """
 
+import sys
 from fractions import Fraction
 
 from .grassmann import DEFAULT_MAX_JET_ORDER, DEFAULT_TERM_LIMIT, GvcError
@@ -40,13 +41,18 @@ class ModelSpec:
 
 def _rational(text, lineno):
     text = text.strip()
+    parts = [part.strip() for part in text.split("/", 1)]
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num.strip()), int(den.strip()))
-        return Fraction(int(text))
+        return Fraction(*map(int, parts))
     except (ValueError, ZeroDivisionError):
-        raise ParseError("expected an exact rational, got %r" % (text,), lineno)
+        # Python's int-string conversion limit (0 when unlimited or unknown)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        digits = max(len(p.lstrip("+-")) for p in parts)
+        if 0 < limit < digits and all(p.lstrip("+-").isdecimal() for p in parts):
+            raise ParseError("a constant of %d digits exceeds Python's limit of %d digits "
+                             "for an integer string" % (digits, limit), lineno)
+        shown = repr(text) if len(text) <= 40 else "%r... (%d characters)" % (text[:40], len(text))
+        raise ParseError("expected an exact rational, got %s" % shown, lineno)
 
 
 def parse_model(text):

@@ -37,6 +37,7 @@ from .brst import (
     noether_residuals,
     on_representatives,
     orbit_representatives,
+    orbit_roots,
     paired_sum,
     proper_solution,
 )
@@ -139,17 +140,16 @@ def _once(store, key, build):
 class GaugeModel:
     """A Yang-Mills system over a validated Lie (super)algebra.
 
-    The generator roster, split coordinates included, the
-    field-antifield pairing and the direction swaps the metric admits
-    are fixed at construction, which ends by freezing the context, and
-    so are the algebra's graded constants and form entries.  Each
-    derived object that several checks use (the validation reports, the
-    Lagrangian, the field equations, the Noether rows and residuals, the
-    gauge, parameter and BRST operators, the parts of the gauge and
-    parameter derivations by algebra direction and their Lie derivatives,
-    the Lepage form, the algebra maps, their proofs on L, on the rows and
-    on the directions, and the extended density) is built on first use
-    and kept.
+    The generator roster, split coordinates included, and the
+    field-antifield pairing are fixed at construction, which ends by
+    freezing the context, and so are the algebra's graded constants and
+    form entries.  Each derived object that several checks use (the
+    validation reports, the Lagrangian, the field equations, the Noether
+    rows and residuals, the gauge, parameter and BRST operators and the
+    BRST square, the parts of the gauge and parameter derivations by
+    algebra direction and their Lie derivatives, the Lepage form, the
+    relabellings, the orbit layer's proofs, each once per relabelling
+    and density, and the extended density) is built on first use and kept.
     """
 
     # Checks whose formulas are proved for even algebras only; a model
@@ -363,37 +363,75 @@ class GaugeModel:
             lambda gens: noether_residuals(self.noether_operator(),
                                            self.generic_euler_lagrange(),
                                            {g.name for g in gens}),
-            self.noether_antifield, self._row_representatives()))
+            self.noether_antifield, self._representatives("koszul-tate")))
 
     def koszul_tate(self):
         return self._once("koszul-tate", lambda: koszul_tate(
             self.noether_operator(), self.generic_euler_lagrange(), self._pairs))
 
-    def _invariant_maps(self):
-        """The algebra maps, once each is proved to keep the pairing and fix
-        L (one rename of L each, once per model); [] if a proof fails."""
+    # -- orbit proofs -------------------------------------------------------------
+
+    def _paired_sum(self, key):
+        """The paired sum of the BRST operator ("brst") or the parameter symmetry
+        against the antifields, or of the Noether rows against the ghosts."""
+        def build():
+            if key == "rows":
+                kt = self.koszul_tate().components
+                ghosts = dict(zip(self.noether_antifield, self.ghost))
+                return paired_sum(self.ctx, {z: kt[z] for z in ghosts if z in kt}, ghosts)
+            theta = self.brst_operator() if key == "brst" else self.parameter_symmetry()
+            return paired_sum(self.ctx, theta.components, self._pairs)
+
+        return self._once(("paired-sum", key), build)
+
+    def _fixes(self, family, key):
+        """Whether each relabelling of `family` (a method) keeps the pairing
+        and fixes the density `key` (L, S - L or a `_paired_sum`), once per
+        model; S - L equal to s's paired sum, as S is built, shares its proof."""
         def prove():
-            maps = self.algebra_maps()
-            fixed = maps and orbit_representatives(
-                self.ym_lagrangian().density, self._pairs, maps, ()) is not None
-            return maps if fixed else []
+            if key in ("L", "S-L"):
+                L = self.ym_lagrangian().density
+                density = L if key == "L" else self.extended_lagrangian().density - L
+                if key == "S-L" and density == self._paired_sum("brst"):
+                    return self._fixes(family, "brst")
+            else:
+                density = self._paired_sum(key)
+            maps = getattr(self, family)()
+            return orbit_representatives(density, self._pairs, maps, ()) is not None
 
-        return self._once("invariant-maps", prove)
+        return self._once(("fixes", family, key), prove)
 
-    def _row_representatives(self):
-        """One generator per orbit of those Koszul-Tate moves under the maps
-        of `_invariant_maps`, once each is also proved to carry each Noether
-        row delta(cbar_j) onto s_j times its image's (it fixes the sum of
-        delta(cbar_j) c_j); None without such maps or if a proof fails."""
+    def _representatives(self, check):
+        """One generator per orbit of those `check` evaluates, once each
+        relabelling that can merge them fixes each density named; None
+        without one, if a proof fails or if a symmetry check's residuals do
+        not split by source.  Keeping the pairing, a map fixing L commutes
+        with the field equations, one fixing a derivation's paired sum with
+        it; s holds no L, and its gauge part pairs with other partners."""
+        def splits():
+            theta, sources = self._symmetry(check)
+            held, L = set(sources), self.ym_lagrangian().density
+            return held.isdisjoint(v.gen for v in L.variables()) and all(
+                len(_held(m, held)) == 1 for p in theta.components.values() for m in p.terms)
+
         def prove():
-            kt = self.koszul_tate().components
-            ghosts = dict(zip(self.noether_antifield, self.ghost))
-            return orbit_representatives(
-                paired_sum(self.ctx, {z: kt[z] for z in ghosts if z in kt}, ghosts), self._pairs,
-                self._invariant_maps(), kt)
+            fields = [g for row in self.field for g in row]
+            antifields = [g for row in self.antifield for g in row]
+            algebra = ("algebra_maps",)
+            gens, families, keys = {
+                "master-equation": (fields + antifields + self.ghost + self.noether_antifield,
+                                    ("direction_swaps",) + algebra, ("L", "S-L")),
+                "koszul-tate": (antifields + self.noether_antifield, algebra, ("L", "rows")),
+                "parameter": (self.parameter, algebra, ("L", "parameter")),
+                "gauge": (self.ghost, algebra, ("L", "brst")),
+                "brst": (fields + self.ghost, algebra, ("brst",))}[check]
+            families = [f for f in families if getattr(self, f)()]
+            if families and (check not in ("parameter", "gauge") or splits()) \
+                    and all(self._fixes(f, key) for key in keys for f in families):
+                return orbit_roots([g for f in families for g in getattr(self, f)()], gens)
+            return None
 
-        return self._once("row-representatives",
-                          lambda: prove() if self._invariant_maps() else None)
+        return self._once(("representatives", check), prove)
 
     # -- symmetries -------------------------------------------------------------
 
@@ -444,41 +482,18 @@ class GaugeModel:
 
         return self._once(("part", kind, directions), build)
 
-    def _direction_representatives(self, kind):
-        """One source per orbit of the maps of `_invariant_maps`, once each is
-        also proved to carry every component theta(a) onto s times its
-        image's (it fixes the sum of theta(a) abar); None without such
-        maps, if a proof fails, if L holds a source or if a term of theta
-        holds other than one source jet."""
-        def prove():
-            theta, sources = self._symmetry(kind)
-            source_set = set(sources)
-            linear = self._invariant_maps() and source_set.isdisjoint(
-                v.gen for v in self.ym_lagrangian().density.variables()) and all(
-                len(_held(m, source_set)) == 1 for comp in theta.components.values()
-                for m in comp.terms)
-            return orbit_representatives(
-                paired_sum(self.ctx, theta.components, self._pairs), self._pairs,
-                self._invariant_maps(), sources) if linear else None
-
-        return self._once(("direction-representatives", kind), prove)
-
     def _by_direction(self, kind, residual):
         """The residual of the derivation of `kind`, where residual(directions)
         is the Form of its part with those directions' sources (`_part`).
-        When `_direction_representatives` holds, every term of a residual of
-        the symmetry checks carries one source jet, so the parts of two
-        directions share no term and a sum vanishes exactly when each part
-        does; a map that fixes L and carries the derivation's components
-        onto s times their images' sends the part of q to the part of pi(q)
-        and its residual to the image of q's (the superpotential U and the
-        rows W of a part are built from c and h, which every algebra map
-        keeps, and follow the same way).  So the part of one direction
-        per orbit goes first (`on_representatives`), the rest only if it
-        fails, and the table, split by source, is summed back into one
-        Form; otherwise the whole derivation's is taken at once."""
+        With `_representatives`, each term of a residual carries one source
+        jet, so the parts of two directions share no term, and a map that
+        fixes L and the derivation's paired sum sends q's part and residual
+        onto pi(q)'s (U and W, built from c and h, follow).  So the part of
+        one direction per orbit goes first (`on_representatives`), and the
+        table, split by source, is summed back into one Form; otherwise the
+        whole derivation's is taken at once."""
         sources = self._symmetry(kind)[1]
-        reps = self._direction_representatives(kind)
+        reps = self._representatives(kind)
         if reps is None:
             return residual(tuple(range(len(sources))))
         index = {src: q for q, src in enumerate(sources)}
@@ -517,9 +532,15 @@ class GaugeModel:
         return {gen: acc.finish() for gen, acc in gamma.items() if acc.terms}
 
     def brst_operator(self):
-        """The BRST derivation and its nilpotency residuals."""
+        """The BRST derivation s: the gauge operator and the ghost sector."""
         return self._once("brst-operator", lambda: brst_extend(
             self.gauge_operator(), self.ghost_sector()))
+
+    def _brst_residuals(self):
+        """s^2 on the generators s moves, on one per orbit first."""
+        return self._once("brst-residuals", lambda: on_representatives(
+            lambda gens: nilpotency_residuals(self.brst_operator(), gens),
+            self.brst_operator().components, self._representatives("brst")))
 
     def pairs(self):
         """Field-antifield pairing of the extended algebra: each field to
@@ -527,9 +548,8 @@ class GaugeModel:
         return self._pairs
 
     def extended_lagrangian(self):
-        s, residuals = self.brst_operator()
         return self._once("extended-lagrangian", lambda: proper_solution(
-            self.ym_lagrangian(), s, self.pairs(), residuals=residuals))
+            self.ym_lagrangian(), self.brst_operator(), self._pairs, self._brst_residuals()))
 
     # -- currents --------------------------------------------------------------
 
@@ -708,7 +728,7 @@ class GaugeModel:
             # Koszul-Tate residual is the row's; every other one vanishes.
             kt = self.koszul_tate()
             kt_res = on_representatives(lambda gens: nilpotency_residuals(kt, gens),
-                                        kt.components, self._row_representatives())
+                                        kt.components, self._representatives("koszul-tate"))
             noe_res = self._noether_residuals()
             zero = self.ctx.zero()
             if any(p != noe_res.get(name, zero) for name, p in kt_res.items()):
@@ -722,16 +742,14 @@ class GaugeModel:
         return [("gauge-symmetry", lambda n: CheckResult.from_form(
                     n, self._by_direction("gauge", lambda qs: self._lie("gauge", qs)))),
                 ("brst-nilpotency", lambda n: CheckResult.from_residuals(
-                    n, self.brst_operator()[1]))]
+                    n, self._brst_residuals()))]
 
     def _master_equation_parts(self):
         def master(check):
-            _, s_res = self.brst_operator()
-            if any(not p.is_zero() for p in s_res.values()):
+            if any(not p.is_zero() for p in self._brst_residuals().values()):
                 return CheckResult(check, False, witness="no nilpotent extension")
-            extended = self.extended_lagrangian()
-            rep = master_equation_check(extended, self.pairs(),
-                                        self.direction_swaps() + self.algebra_maps())
+            rep = master_equation_check(self.extended_lagrangian(), self._pairs,
+                                        self._representatives("master-equation"))
             if not rep.ok:
                 return CheckResult.from_residuals(check, rep.bracket_residuals())
             # The derivation moves z by the variational derivative along

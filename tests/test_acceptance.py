@@ -17,7 +17,7 @@ from gvc.grassmann import normalize
 from gvc.models import GaugeModel, Metric
 from gvc.presets import osp12_algebra, preset_model, su2_algebra
 from gvc.superlie import LieSuperalgebra, check_structure
-from gvc.brst import noether_residuals
+from gvc.brst import nilpotency_residuals, noether_residuals
 
 from util import (make_context, mass_term_lagrangian, random_form, random_poly,
                   sym_quadratic_lagrangian)
@@ -217,7 +217,7 @@ def _detect(alg, metric):
     if bad:
         label = sorted(bad)[0]
         return "noether", "%s: %s" % (label, bad[label].leading_monomial())
-    _, s_res = model.brst_operator()
+    s_res = nilpotency_residuals(model.brst_operator())
     bad = {k: p for k, p in s_res.items()
            if not p.is_zero() and model.ctx.generator(k).kind == "ghost"}
     if bad:

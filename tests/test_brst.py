@@ -30,7 +30,7 @@ from gvc import (
     variational_derivative,
 )
 from gvc.brst import (KoszulTate, NoetherOperator, on_representatives, orbit_representatives,
-                      paired_sum)
+                      orbit_roots, paired_sum)
 from gvc.grassmann import ExpansionLimitError, JetOrderError
 from gvc.jets import iterated_derivative, total_derivative
 from gvc.modelfile import parse_model, spec_model
@@ -70,6 +70,15 @@ def sl21():
 @pytest.fixture(scope="module")
 def su2_euclidean():
     return GaugeModel(su2_algebra(), Metric((1, 1, 1, 1)))
+
+
+def _fresh(name):
+    """A new model of the fixture `name`, with nothing built or proved."""
+    if name == "sl21":
+        return spec_model(parse_model(SL21_MODEL.read_text(encoding="utf-8")))
+    if name == "su2_euclidean":
+        return GaugeModel(su2_algebra(), Metric((1, 1, 1, 1)))
+    return preset_model(name)
 
 
 def _rows_density(model, kt):
@@ -323,16 +332,16 @@ class TestKoszulTate:
 
 class TestBrstExtension:
     def test_abelian_ghostless_extension(self, abelian):
-        s, res = brst_extend(abelian.gauge_operator(), {})
-        assert all(p.is_zero() for p in res.values())
+        s = brst_extend(abelian.gauge_operator(), {})
+        assert all(p.is_zero() for p in nilpotency_residuals(s).values())
 
     def test_su2_quadratic_ghost_sector(self, su2):
-        s, res = brst_extend(su2.gauge_operator(), su2.ghost_sector())
-        assert all(p.is_zero() for p in res.values())
+        s = brst_extend(su2.gauge_operator(), su2.ghost_sector())
+        assert all(p.is_zero() for p in nilpotency_residuals(s).values())
 
     def test_graded_ghost_sector(self, osp12):
-        s, res = brst_extend(osp12.gauge_operator(), osp12.ghost_sector())
-        assert all(p.is_zero() for p in res.values())
+        s = brst_extend(osp12.gauge_operator(), osp12.ghost_sector())
+        assert all(p.is_zero() for p in nilpotency_residuals(s).values())
 
     def test_model_rejects_broken_constants(self):
         alg = su2_algebra()
@@ -401,7 +410,7 @@ class TestBrstExtension:
         # square is zero, but its sum holds more than one monomial on the
         # way, and every value it uses is already kept
         model = preset_model("osp12")
-        s, _ = model.brst_operator()
+        s = model.brst_operator()
         kt = model.koszul_tate()
         squares = ((s, model.ghost[0]), (kt, model.noether_antifield[0]))
         for theta, gen in squares:
@@ -413,14 +422,14 @@ class TestBrstExtension:
 
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
     def test_raises_ghost_number_by_one(self, name, request):
-        s, _ = request.getfixturevalue(name).brst_operator()
+        s = request.getfixturevalue(name).brst_operator()
         for gen, comp in s.components.items():
             numbers = comp.ghost_numbers()
             assert numbers == {gen.ghost_number + 1}
 
     def test_square_vanishes_on_random_polynomials(self, su2):
         from gvc.jets import prolong_apply
-        s, _ = su2.brst_operator()
+        s = su2.brst_operator()
         rng = random.Random(61)
         gens = [su2.field[r][mu] for r in range(3) for mu in range(4)]
         gens += list(su2.ghost)
@@ -617,8 +626,17 @@ class TestOrbitReduction:
     fix S, against the full table of every generator."""
 
     @staticmethod
-    def _routes(model, S):
-        return (master_equation_check(S, model.pairs(), model.direction_swaps()),
+    def _routes(name, build, monkeypatch, algebra_maps=False):
+        """The master equation of the density build(model) on a new model
+        of `name`, on the representatives its orbit layer proves (for the
+        swaps alone unless `algebra_maps`), and by the full table."""
+        model = _fresh(name)
+        if not algebra_maps:
+            monkeypatch.setattr(model, "algebra_maps", lambda: [])
+        S = build(model)
+        monkeypatch.setattr(model, "extended_lagrangian", lambda: S)
+        reps = model._representatives("master-equation")
+        return (model, master_equation_check(S, model.pairs(), reps),
                 master_equation_check(S, model.pairs()))
 
     @staticmethod
@@ -646,9 +664,9 @@ class TestOrbitReduction:
             assert len(gen_map) == 4 * model.algebra.dim
 
     @pytest.mark.parametrize("name", ["abelian", "su2", "osp12", "sl21", "su2_euclidean"])
-    def test_same_verdicts_on_one_generator_per_orbit(self, name, request):
-        model = request.getfixturevalue(name)
-        reduced, full = self._routes(model, model.extended_lagrangian())
+    def test_same_verdicts_on_one_generator_per_orbit(self, name, monkeypatch):
+        model, reduced, full = self._routes(
+            name, lambda model: model.extended_lagrangian(), monkeypatch)
         assert reduced.ok and full.ok
         assert reduced.bracket_residuals() == full.bracket_residuals() == {}
         moved = sorted(full.derivation.components, key=lambda g: g.key)
@@ -664,55 +682,93 @@ class TestOrbitReduction:
         assert len(reduced.squared) < len(moved) or name == "osp12"
 
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl21", "su2_euclidean"])
-    def test_perturbed_rows_are_identical(self, name, request):
-        model = request.getfixturevalue(name)
+    def test_perturbed_rows_are_identical(self, name, monkeypatch):
         rng = random.Random(1406)
         for _ in range(2):
-            reduced, full = self._routes(model, _perturbed_solution(model, rng))
+            _, reduced, full = self._routes(
+                name, lambda model: _perturbed_solution(model, rng), monkeypatch)
             assert not full.ok
             self._same_failure(reduced, full)
+            monkeypatch.undo()
 
-    def test_invariant_breaking_is_caught_on_representatives(self, su2, monkeypatch):
+    def test_invariant_breaking_is_caught_on_representatives(self, monkeypatch):
         # the mass term is fixed by every swap, so the proof holds, and it
         # breaks gauge invariance, so a representative fails and the rest
         # of the table follows
-        S = Lagrangian(su2.extended_lagrangian().density + mass_term_lagrangian(su2).density)
-        assert all(S.density.rename(*g) == S.density for g in su2.direction_swaps())
+        def build(model):
+            S = Lagrangian(model.extended_lagrangian().density
+                           + mass_term_lagrangian(model).density)
+            assert all(S.density.rename(*g) == S.density for g in model.direction_swaps())
+            return S
+
         squared = []
         original = gvc.brst.nilpotency_residuals
 
         def counted(theta, gens=None):
-            squared.append(None if gens is None else len(gens))
+            squared.append(len(gens))
             return original(theta, gens)
 
         monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
-        reduced = master_equation_check(S, su2.pairs(), su2.direction_swaps())
+        _, reduced, full = self._routes("su2", build, monkeypatch)
         moved = len(reduced.derivation.components)
-        assert squared == [18, moved - 18]
-        monkeypatch.undo()
-        full = master_equation_check(S, su2.pairs())
+        assert squared == [18, moved - 18, moved]
         assert not full.ok
         self._same_failure(reduced, full)
 
-    def test_direction_three_term_forces_the_full_table(self, su2):
+    def test_direction_three_term_forces_the_full_table(self, monkeypatch):
         # h_ij F^i_03 F^j_03 is gauge invariant, so S plus it still solves
         # the master equation; the swap (1 2) fixes it, (2 3) does not
-        ctx = su2.ctx
-        extra = ctx.zero()
-        for i, j, h in su2.form_entries:
-            extra += h * (su2.strength(i, 0, 3) * su2.strength(j, 0, 3))
-        S = Lagrangian(su2.extended_lagrangian().density + extra)
-        swap12, swap23 = su2.direction_swaps()
-        assert S.density.rename(*swap12) == S.density
-        assert S.density.rename(*swap23) != S.density
-        reduced, full = self._routes(su2, S)
+        def build(model):
+            extra = model.ctx.zero()
+            for i, j, h in model.form_entries:
+                extra += h * (model.strength(i, 0, 3) * model.strength(j, 0, 3))
+            S = Lagrangian(model.extended_lagrangian().density + extra)
+            swap12, swap23 = model.direction_swaps()
+            assert S.density.rename(*swap12) == S.density
+            assert S.density.rename(*swap23) != S.density
+            return S
+
+        model, reduced, full = self._routes("su2", build, monkeypatch)
+        assert model._fixes("direction_swaps", "L") and not model._fixes("direction_swaps", "S-L")
+        assert model._representatives("master-equation") is None
         assert reduced.ok and full.ok
         assert reduced.squared == full.squared
+
+    def test_a_swap_breaking_lagrangian_forces_the_full_table(self, monkeypatch):
+        # L gains h_ij F^i_03 F^j_03, gauge invariant, so L + the paired sum
+        # of s still solves the master equation; S - L is that paired sum,
+        # which every swap keeps, but the swap (2 3) moves L
+        model = _fresh("su2")
+        extra = model.ctx.zero()
+        for i, j, h in model.form_entries:
+            extra += h * (model.strength(i, 0, 3) * model.strength(j, 0, 3))
+        L = Lagrangian(model.ym_lagrangian().density + extra)
+        monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+        reports = []
+        original = gvc.models.master_equation_check
+
+        def kept(S, pairs, representatives=None):
+            reports.append((representatives, original(S, pairs, representatives)))
+            return reports[-1][1]
+
+        monkeypatch.setattr(gvc.models, "master_equation_check", kept)
+        (row,) = model.pipeline("master-equation", deterministic=True)
+        assert row.ok
+        assert model._fixes("direction_swaps", "S-L") and model._fixes("algebra_maps", "L")
+        assert not model._fixes("direction_swaps", "L")
+        ((representatives, rep),) = reports
+        assert representatives is None
+        assert len(rep.squared) == len(rep.derivation.components) == 30
 
     def test_failure_off_the_representatives_is_caught(self):
         L, pairs, g = orbit_only_failure()
         assert L.density.rename(*g) != L.density
-        rep = master_equation_check(L, pairs, [g])
+        theta = master_derivation(L, pairs).components
+        # unproved, the orbits of g would hide both failing rows
+        assert master_equation_check(L, pairs, orbit_roots([g], theta)).ok
+        reps = orbit_representatives(L.density, pairs, [g], theta)
+        assert reps is None
+        rep = master_equation_check(L, pairs, reps)
         assert not rep.ok
         assert rep.squared == ("u1", "u2", "ebar1", "ebar2", "c", "cbar")
         assert [name for name, p in rep.derivation_residuals.items() if p.terms] == \
@@ -726,24 +782,83 @@ class TestOrbitReduction:
         L, pairs, (gen_map, perm, signs) = orbit_only_failure()
         half = {g: h for g, h in gen_map.items() if g.name in ("u1", "u2", "ebar1", "ebar2")}
         assert L.density.rename(half, perm, signs) == L.density
-        rep = master_equation_check(L, pairs, [(half, perm, signs)])
+        theta = master_derivation(L, pairs).components
+        assert master_equation_check(L, pairs, orbit_roots([(half, perm, signs)], theta)).ok
+        reps = orbit_representatives(L.density, pairs, [(half, perm, signs)], theta)
+        assert reps is None
+        rep = master_equation_check(L, pairs, reps)
         assert not rep.ok
         assert rep.squared == ("u1", "u2", "ebar1", "ebar2", "c", "cbar")
 
-    def test_pipeline_passes_the_swaps(self, sl21, monkeypatch):
+    def test_pipeline_passes_the_swaps(self, monkeypatch):
+        sl21 = _fresh("sl21")
         reports = []
         original = gvc.models.master_equation_check
 
-        def kept(L, pairs, symmetries=()):
-            reports.append((symmetries, original(L, pairs, symmetries)))
+        def kept(L, pairs, representatives=None):
+            reports.append((representatives, original(L, pairs, representatives)))
             return reports[-1][1]
 
         monkeypatch.setattr(gvc.models, "master_equation_check", kept)
         (row,) = sl21.pipeline("master-equation", deterministic=True)
         assert row.ok
-        ((symmetries, rep),) = reports
-        assert symmetries == sl21.direction_swaps() + sl21.algebra_maps()
+        ((representatives, rep),) = reports
+        # proved for the swaps and the algebra maps on L and on S - L
+        assert all(sl21._fixes(family, key) for family in ("direction_swaps", "algebra_maps")
+                   for key in ("L", "S-L"))
+        assert representatives == orbit_roots(sl21.direction_swaps() + sl21.algebra_maps(),
+                                              rep.derivation.components)
         assert len(rep.squared) == 24 < len(rep.derivation.components) == 80
+
+    @pytest.mark.parametrize("name", ["su2", "sl21"])
+    def test_representatives_holding_no_generator_run_the_full_table(self, name, monkeypatch):
+        # relabellings passed where representatives belong hold none of
+        # the generators: the whole table is squared, and a failure shows
+        model = _fresh(name)
+        wrong = model.direction_swaps() + model.algebra_maps()
+        for S in (model.extended_lagrangian(), _perturbed_solution(model, random.Random(7))):
+            given, full = (master_equation_check(S, model.pairs(), reps) for reps in (wrong, None))
+            assert given.squared == full.squared == tuple(
+                g.name for g in sorted(full.derivation.components, key=lambda g: g.key))
+            self._same_failure(given, full)
+        evaluated = []
+
+        def evaluate(gens):
+            evaluated.append(len(gens))
+            return {g.name: model.ctx.one() for g in gens}
+
+        table = on_representatives(evaluate, model.ghost, {model.field[0][0]})
+        assert evaluated == [len(model.ghost)] and len(table) == len(model.ghost)
+
+    def test_a_perturbed_brst_operator_forces_the_full_route(self, monkeypatch):
+        # s' = phi s phi^-1 for phi: c1 -> 2 c1 is nilpotent, and L + the
+        # paired sum of s' is S under the anticanonical c1 -> 2 c1,
+        # cbar1 -> cbar1 / 2, so it solves the master equation; L is
+        # unchanged, but the algebra maps no longer fix S - L
+        model = _fresh("su2")
+        ctx, c1 = model.ctx, model.ghost[0]
+        s = model.brst_operator()
+        phi = {ctx.jet(c1, index): 2 * ctx.var(c1, *index)
+               for index in ((),) + tuple((mu,) for mu in range(4))}
+        comps = {z: p.substitute(phi) * (Fraction(1, 2) if z is c1 else 1)
+                 for z, p in s.components.items()}
+        perturbed = ContactDerivation(ctx, comps, ODD)
+        assert all(p.is_zero() for p in nilpotency_residuals(perturbed).values())
+        monkeypatch.setattr(model, "brst_operator", lambda: perturbed)
+        squared = []
+        original = gvc.brst.nilpotency_residuals
+
+        def counted(theta, gens=None):
+            squared.append(len(gens))
+            return original(theta, gens)
+
+        monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
+        (row,) = model.pipeline("master-equation", deterministic=True)
+        assert row.ok
+        assert all(model._fixes(family, "L") for family in ("direction_swaps", "algebra_maps"))
+        assert model._fixes("direction_swaps", "S-L") and not model._fixes("algebra_maps", "S-L")
+        assert model._representatives("master-equation") is None
+        assert squared == [len(model.pairs()) * 2]
 
 
 def _direction_strength_square(model, r):
@@ -797,7 +912,7 @@ class TestAlgebraOrbits:
         model = request.getfixturevalue(name)
         S = model.extended_lagrangian()
         reduced = master_equation_check(S, model.pairs(),
-                                        model.direction_swaps() + model.algebra_maps())
+                                        model._representatives("master-equation"))
         full = master_equation_check(S, model.pairs())
         assert reduced.ok and full.ok and len(reduced.squared) == squared
         signs, first = model.metric.signs, self._first_of_orbit(model)
@@ -847,7 +962,7 @@ class TestAlgebraOrbits:
         theta = master_derivation(S, pairs).components
         orders = (swaps + maps, maps + swaps)
         reps = [orbit_representatives(S.density, pairs, order, theta) for order in orders]
-        reports = [master_equation_check(S, pairs, order) for order in orders]
+        reports = [master_equation_check(S, pairs, r) for r in reps]
         assert reps[0] == reps[1] and len(reps[0]) < len(theta)
         assert reports[0].squared == tuple(g.name for g in sorted(reps[0], key=lambda g: g.key))
         assert list(reports[0].derivation_residuals.items()) == \
@@ -855,7 +970,7 @@ class TestAlgebraOrbits:
         kt = model.koszul_tate()
         rows = [orbit_representatives(_rows_density(model, kt), pairs, order, kt.components)
                 for order in (maps, maps[::-1])]
-        assert rows[0] == rows[1] == model._row_representatives()
+        assert rows[0] == rows[1] == model._representatives("koszul-tate")
         assert len(rows[0]) < len(kt.components)
         for moved, evaluate in (
                 (kt.components, lambda gens: nilpotency_residuals(kt, gens)),
@@ -870,9 +985,6 @@ class TestAlgebraOrbits:
         # the mass term is fixed by every swap and every algebra map, and
         # it breaks gauge invariance: a representative fails, the rest of
         # each table follows, and the tables are the unreduced ones
-        model = preset_model("su2")
-        S = Lagrangian(model.extended_lagrangian().density + mass_term_lagrangian(model).density)
-        symmetries = model.direction_swaps() + model.algebra_maps()
         squared = []
         original = gvc.brst.nilpotency_residuals
 
@@ -881,13 +993,16 @@ class TestAlgebraOrbits:
             return original(theta, gens)
 
         monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
-        reduced = master_equation_check(S, model.pairs(), symmetries)
+        _, reduced, full = TestOrbitReduction._routes("su2", lambda model: Lagrangian(
+            model.extended_lagrangian().density + mass_term_lagrangian(model).density),
+            monkeypatch, algebra_maps=True)
         moved = len(reduced.derivation.components)
-        assert squared == [6, moved - 6]
-        monkeypatch.undo()
-        full = master_equation_check(S, model.pairs())
+        assert squared == [6, moved - 6, moved]
         assert not full.ok
         TestOrbitReduction._same_failure(reduced, full)
+        monkeypatch.undo()
+        # the rows, on a new model whose L holds the mass term
+        model = _fresh("su2")
         L = Lagrangian(model.ym_lagrangian().density + mass_term_lagrangian(model).density)
         labels = []
         original_rows = gvc.models.noether_residuals
@@ -908,21 +1023,28 @@ class TestAlgebraOrbits:
         # the direction-1 strength square keeps the swaps and moves under
         # the algebra maps; it spoils the Noether rows of directions 2 and
         # 3 only, so the representative cbar1 alone would hide them
-        model = preset_model("su2")
-        extra = _direction_strength_square(model, 0)
-        S = Lagrangian(model.extended_lagrangian().density + extra)
-        assert all(S.density.rename(*g) == S.density for g in model.direction_swaps())
-        reduced = master_equation_check(S, model.pairs(),
-                                        model.direction_swaps() + model.algebra_maps())
-        full = master_equation_check(S, model.pairs())
+        def build(model):
+            S = Lagrangian(model.extended_lagrangian().density
+                           + _direction_strength_square(model, 0))
+            assert all(S.density.rename(*g) == S.density for g in model.direction_swaps())
+            return S
+
+        model, reduced, full = TestOrbitReduction._routes("su2", build, monkeypatch,
+                                                          algebra_maps=True)
+        assert model._fixes("algebra_maps", "L") and not model._fixes("algebra_maps", "S-L")
+        assert model._representatives("master-equation") is None
         assert not full.ok
         TestOrbitReduction._same_failure(reduced, full)
-        L = Lagrangian(model.ym_lagrangian().density + extra)
+        monkeypatch.undo()
+        # the rows, on a new model whose L holds the term
+        model = _fresh("su2")
+        L = Lagrangian(model.ym_lagrangian().density + _direction_strength_square(model, 0))
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
         kt = model.koszul_tate()
         assert orbit_representatives(L.density, model.pairs(), model.algebra_maps(),
                                      kt.components) is None
-        assert model._row_representatives() is None
+        assert not model._fixes("algebra_maps", "L")
+        assert model._representatives("koszul-tate") is None
         want = noether_residuals(model.noether_operator(), euler_lagrange(L))
         assert want["cbar1"].is_zero() and not want["cbar2"].is_zero()
         assert list(model._noether_residuals().items()) == list(want.items())
@@ -946,7 +1068,8 @@ class TestAlgebraOrbits:
                                      model.algebra_maps(), kt.components) is not None
         assert orbit_representatives(_rows_density(model, kt), model.pairs(),
                                      model.algebra_maps(), kt.components) is None
-        assert model._row_representatives() is None
+        assert model._fixes("algebra_maps", "L") and not model._fixes("algebra_maps", "rows")
+        assert model._representatives("koszul-tate") is None
         want = noether_residuals(broken, model.generic_euler_lagrange())
         assert want["cbar1"].is_zero() and not want["cbar2"].is_zero()
         assert list(model._noether_residuals().items()) == list(want.items())
@@ -967,10 +1090,69 @@ class TestAlgebraOrbits:
         assert orbit_representatives(L.density, pairs, [({}, [0], signs)], {}) is None
 
 
+    @pytest.mark.parametrize("name, squared", [
+        ("abelian", 2), ("su2", 5), ("osp12", 9), ("sl21", 20)])
+    def test_brst_square_on_one_direction_per_orbit(self, name, squared, monkeypatch):
+        # the fields and ghosts of the first direction of each orbit; the
+        # maps are proved on the paired sum of s alone
+        model = _fresh(name)
+        batches = self._brst_batches(model, monkeypatch)
+        gauge, square = model.pipeline("brst", deterministic=True)
+        assert gauge.ok and square.ok
+        first = self._first_of_orbit(model)
+        direction = {gen: r for r, row in enumerate(model.field) for gen in row}
+        direction.update((gen, r) for r, gen in enumerate(model.ghost))
+        moved = sorted(model.brst_operator().components, key=lambda g: g.key)
+        assert batches == [[g.name for g in moved if first[direction[g]]]]
+        assert len(batches[0]) == squared
+        assert list(model._brst_residuals()) == batches[0]
+        if model.algebra_maps():
+            assert model._fixes("algebra_maps", "brst")
+        # s holds no L: the square alone proves nothing on it
+        alone = _fresh(name)
+        assert list(alone._brst_residuals()) == batches[0]
+        assert ("fixes", "algebra_maps", "L") not in alone._memo
+
+    @staticmethod
+    def _brst_batches(model, monkeypatch):
+        """The generator names of each batch the BRST square is taken on."""
+        batches = []
+        original = gvc.models.nilpotency_residuals
+
+        def counted(theta, gens=None):
+            if theta is model.brst_operator():
+                batches.append([g.name for g in gens])
+            return original(theta, gens)
+
+        monkeypatch.setattr(gvc.models, "nilpotency_residuals", counted)
+        return batches
+
+    def test_a_ghost_sector_perturbation_forces_the_full_square(self, monkeypatch):
+        # s(c2) doubled: L and the gauge part still keep every algebra map,
+        # but the paired sum of s does not, so the square is taken on every
+        # generator at once, and gauge-symmetry, which shares that proof,
+        # on the whole derivation
+        model = _fresh("su2")
+        sector = model.ghost_sector()
+        sector[model.ghost[1]] = sector[model.ghost[1]] * 2
+        monkeypatch.setattr(model, "ghost_sector", lambda: sector)
+        batches = self._brst_batches(model, monkeypatch)
+        gauge, square = model.pipeline("brst", deterministic=True)
+        assert model._fixes("algebra_maps", "L") and not model._fixes("algebra_maps", "brst")
+        assert model._representatives("brst") is None is model._representatives("gauge")
+        s = model.brst_operator()
+        assert batches == [[g.name for g in sorted(s.components, key=lambda g: g.key)]]
+        assert gauge.ok and not square.ok
+        assert square.line() == CheckResult.from_residuals(
+            "brst-nilpotency", nilpotency_residuals(s)).line()
+        with pytest.raises(GvcError, match="not nilpotent"):
+            model.extended_lagrangian()
+
+
 class TestProperSolution:
     def test_abelian_display(self, abelian):
         ctx = abelian.ctx
-        s, _ = abelian.brst_operator()
+        s = abelian.brst_operator()
         got = proper_solution(abelian.ym_lagrangian(), s, abelian.pairs())
         want = abelian.ym_lagrangian().density
         for mu in range(2):
@@ -981,7 +1163,7 @@ class TestProperSolution:
     def test_su2_display(self, su2):
         ctx = su2.ctx
         alg = su2.algebra
-        s, _ = su2.brst_operator()
+        s = su2.brst_operator()
         got = proper_solution(su2.ym_lagrangian(), s, su2.pairs())
         want = su2.ym_lagrangian().density
         for r in range(3):
@@ -1007,7 +1189,7 @@ class TestProperSolution:
     def test_graded_display_signs(self, osp12):
         ctx = osp12.ctx
         alg = osp12.algebra
-        s, _ = osp12.brst_operator()
+        s = osp12.brst_operator()
         got = proper_solution(osp12.ym_lagrangian(), s, osp12.pairs())
         want = osp12.ym_lagrangian().density
         m, n = alg.dim, 2

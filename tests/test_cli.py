@@ -63,6 +63,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line" in err
 
+    def test_constant_over_the_digit_limit_is_two(self, model_file, capsys):
+        # 5,001 digits make a valid rational, but Python converts at most
+        # sys.get_int_max_str_digits() digits (4,300 by default) to an int
+        line = "c e1 e2 e3 = " + "7" * 5001
+        text = PRESET_MODEL_TEXT["su2"].replace("c e1 e2 e3 = 1", line)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert main(["full", "--model", model_file("long", text), "--deterministic"]) == 2
+        finally:
+            sys.set_int_max_str_digits(old)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("line %d, column 1: a constant of 5001 digits exceeds Python's limit of 4300 "
+                "digits for an integer string" % (text.splitlines().index(line) + 1)) \
+            in captured.err
+        assert "777" not in captured.err and len(captured.err) < 300
+
     def test_duplicate_key_is_two(self, model_file, capsys):
         text = PRESET_MODEL_TEXT["su2"].replace("dimension = 4", "dimension = 4\ndimension = 4")
         assert main(["full", "--model", model_file("dup", text), "--deterministic"]) == 2

@@ -14,7 +14,6 @@ from gvc import (
     ParityError,
     iterated_derivative,
     prolong_apply,
-    superbracket,
     total_derivative,
 )
 
@@ -25,7 +24,7 @@ from gvc.modelfile import parse_model, spec_model
 from util import (assert_normal, field_generators, linear_jet_paths, linear_jet_polys,
                   make_context, oracle_add_total_derivative, oracle_coeffs,
                   oracle_poly, oracle_prolong_apply, random_poly, random_vertical,
-                  shared_jet_cases, shared_jet_poly)
+                  shared_jet_cases, shared_jet_poly, superbracket)
 
 
 class TestTotalDerivative:

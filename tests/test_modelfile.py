@@ -76,6 +76,15 @@ class TestParse:
             parse_model(text)
         assert "rational" in str(err.value)
 
+    def test_long_non_rational_is_echoed_short(self):
+        junk = "1/" + "x" * 5000
+        text = PRESET_MODEL_TEXT["su2"].replace("c e1 e2 e3 = 1", "c e1 e2 e3 = " + junk)
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert err.value.line == text.splitlines().index("c e1 e2 e3 = " + junk) + 1
+        assert str(err.value).endswith(
+            "expected an exact rational, got %r... (5002 characters)" % junk[:40])
+
     def test_unknown_key_rejected(self):
         text = MINIMAL.replace("metric = ++", "metric = ++\ncolor = blue")
         with pytest.raises(ParseError):

@@ -19,7 +19,7 @@ from gvc.bicomplex import (EulerLagrange, Form, conservation_residual, d_h, inte
 from gvc.brst import (NoetherOperator, master_equation_check, nilpotency_residuals,
                       orbit_representatives, paired_sum)
 from gvc.grassmann import ExpansionLimitError, Poly
-from gvc.jets import ContactDerivation, prolong_apply, superbracket, total_derivative
+from gvc.jets import ContactDerivation, prolong_apply, total_derivative
 from gvc.models import GaugeModel, Metric, run_parts
 from gvc.modelfile import parse_model, spec_model
 from gvc.presets import PRESET_MODEL_TEXT, abelian_algebra, preset_model, su2_algebra
@@ -27,7 +27,7 @@ from gvc.reporting import CheckResult
 from gvc.superlie import LieSuperalgebra, bracket
 
 from util import (assert_normal, constant_parameter_symmetry, mass_term_lagrangian,
-                  rescaled_model_text, sym_jet, sym_quadratic_lagrangian)
+                  rescaled_model_text, superbracket, sym_jet, sym_quadratic_lagrangian)
 
 GOLDEN = Path(__file__).parent / "golden"
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
@@ -519,9 +519,10 @@ class TestParameterOrbits:
 
         def recording(evaluate, moved, representatives=None):
             def record(gens):
-                # parameters and ghosts; the Noether rows and Koszul-Tate
-                # batches hold antifields
-                if gens and gens[0].kind in ("even-field", "odd-field", "ghost"):
+                # parameters and ghosts alone; the Noether rows and
+                # Koszul-Tate batches hold antifields, the BRST square's
+                # gauge fields
+                if gens and all(g.kind == "ghost" or g.name.startswith("xi") for g in gens):
                     batches.append([g.name for g in gens])
                 return evaluate(gens)
 
@@ -647,7 +648,7 @@ class TestParameterOrbits:
         assert batches == []
         assert prolonged == [model.parameter_symmetry(), model.gauge_operator()]
         for kind in ("parameter", "gauge"):
-            assert model._direction_representatives(kind) is None
+            assert model._representatives(kind) is None
             lies = [model.lie_derivative(model._part(kind, (q,))) for q in range(3)]
             assert [p.is_zero() for p in lies] == [True, True, False]
         for check in SYMMETRY_CHECKS:
@@ -685,7 +686,7 @@ class TestParameterOrbits:
                                      model.parameter) == {model.parameter[0]}
         prolonged = self._prolonged(monkeypatch)
         rows = self._rows(model)
-        assert model._direction_representatives("parameter") is None
+        assert model._representatives("parameter") is None
         assert prolonged[0] is theta
         assert not rows["parameter-symmetry"].ok
         for check in SYMMETRY_CHECKS:
@@ -709,11 +710,11 @@ class TestParameterOrbits:
             extra += ctx.product(h, (ctx.jet(model.parameter[i]), ctx.jet(model.parameter[j])))
         L = Lagrangian(model.ym_lagrangian().density + extra)
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
-        assert model._invariant_maps() == model.algebra_maps()
+        assert model._fixes("algebra_maps", "L")
         batches, prolonged = self._batches(monkeypatch), self._prolonged(monkeypatch)
         rows = self._rows(model)
-        assert model._direction_representatives("parameter") is None
-        assert model._direction_representatives("gauge") == {model.ghost[0]}
+        assert model._representatives("parameter") is None
+        assert model._representatives("gauge") == {model.ghost[0]}
         assert batches == [["c1"]]
         assert prolonged == [model.parameter_symmetry(), model._part("gauge", (0,))]
         for check in SYMMETRY_CHECKS:
@@ -730,7 +731,7 @@ class TestParameterOrbits:
             carried = paired_sum(shared.ctx, theta.components, pairs)
             reps = [orbit_representatives(carried, pairs, order, sources)
                     for order in (maps, maps[::-1])]
-            assert reps[0] == reps[1] == shared._direction_representatives(kind)
+            assert reps[0] == reps[1] == shared._representatives(kind)
             assert len(reps[0]) < len(sources)
         lines, runs = [], []
         for order in (maps, maps[::-1]):
@@ -750,7 +751,7 @@ class TestParameterOrbits:
         model = spec_model(parse_model(PRESET_MODEL_TEXT["su2"]), term_limit=limit)
         parts = model._noether_parts()
         assert all(row.ok for row in run_parts(parts[:2]))
-        assert model._direction_representatives("parameter") == {model.parameter[0]}
+        assert model._representatives("parameter") == {model.parameter[0]}
         with pytest.raises(ExpansionLimitError, match="limit %d" % limit):
             run_parts(parts[2:3])
 
@@ -981,7 +982,7 @@ class TestMasterEquationWitnesses:
         model = preset_model("su2")
         ghost, pairs = model.ghost[0], model.pairs()
         # the ghost term s(c1) cbar1 of the proper solution, counted twice
-        term = model.brst_operator()[0].components[ghost] * model.ctx.var(pairs[ghost])
+        term = model.brst_operator().components[ghost] * model.ctx.var(pairs[ghost])
         perturbed = Lagrangian(model.extended_lagrangian().density + term)
         monkeypatch.setattr(model, "extended_lagrangian", lambda: perturbed)
         (row,) = model.pipeline("master-equation", deterministic=True)
@@ -1019,7 +1020,7 @@ class TestBasisRescaling:
         rows, labels, dens = [], [], []
         for model in bases:
             ghost, pairs = model.ghost[model.algebra.index("H1")], model.pairs()
-            s_c = model.brst_operator()[0].components[ghost]
+            s_c = model.brst_operator().components[ghost]
             dens.append(s_c.den)
             # the ghost term s(c) cbar of the proper solution, counted twice
             perturbed = Lagrangian(model.extended_lagrangian().density
@@ -1167,19 +1168,44 @@ class TestBuildOnce:
 
     def test_brst_residuals_computed_once(self, monkeypatch):
         calls = []
-        original = gvc.brst.nilpotency_residuals
+        for module in (gvc.brst, gvc.models):
+            def counted(theta, gens=None, original=module.nilpotency_residuals):
+                calls.append(theta)
+                return original(theta, gens)
 
-        def counted(theta, gens=None):
-            calls.append(theta)
-            return original(theta, gens)
-
-        monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
+            monkeypatch.setattr(module, "nilpotency_residuals", counted)
         model = preset_model("su2")
         assert model.full_verification().ok
-        # brst_extend's, which proper_solution reuses, and the master derivation's
+        # besides Koszul-Tate's: the BRST square on one generator per
+        # orbit, which proper_solution reuses, and the master derivation's
+        calls = [theta for theta in calls if theta is not model.koszul_tate()]
         assert len(calls) == 2
-        assert calls[0] is model.brst_operator()[0]
+        assert calls[0] is model.brst_operator()
         assert calls[1] is not calls[0]
+
+    @pytest.mark.parametrize("name", ["su2", "sl21"])
+    def test_each_density_renamed_once_per_map(self, name, monkeypatch):
+        # every map is proved on L once, for the master equation, the
+        # Noether rows, Koszul-Tate and the symmetry checks together, and
+        # no density is renamed twice under one map
+        renamed = []
+        original = Poly.rename
+
+        def counted(p, gen_map, perm, signs):
+            renamed.append((p, gen_map))
+            return original(p, gen_map, perm, signs)
+
+        monkeypatch.setattr(Poly, "rename", counted)
+        model = preset_model(name) if name == "su2" else spec_model(
+            parse_model(SL21_MODEL.read_text(encoding="utf-8")))
+        assert model.full_verification().ok
+        L = model.ym_lagrangian().density
+        maps = [gen_map for gen_map, _, _ in model.direction_swaps() + model.algebra_maps()]
+        on_L = [gen_map for p, gen_map in renamed if p is L]
+        assert len(on_L) == len(maps) == 4
+        assert all(any(g is gen_map for g in on_L) for gen_map in maps)
+        pairs = [(id(p), id(gen_map)) for p, gen_map in renamed]
+        assert len(pairs) == len(set(pairs))
 
     @pytest.mark.parametrize("name", ["su2", "osp12"])
     def test_pipelines_in_reverse_order_match_full(self, name):
@@ -1234,6 +1260,25 @@ class TestSparseBuilders:
         model.closed_euler_lagrange()
         if model.all_even:
             constant_parameter_symmetry(model, [1] * model.algebra.dim)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
+def test_reduced_rows_match_the_unreduced_route(name, order, monkeypatch):
+    """At a low maximum jet order, where checks fail on the bound, every
+    check of every pipeline (the graded models' gated ones included) has
+    the row of the route without orbit reduction, witness and all."""
+    text = SL21_MODEL.read_text(encoding="utf-8") if name == "sl21" else PRESET_MODEL_TEXT[name]
+    lines = []
+    for reduced in (True, False):
+        model = spec_model(parse_model(text), max_jet_order=order)
+        if not reduced:
+            monkeypatch.setattr(model, "_representatives", lambda check: None)
+        rows = [row for pipeline in GaugeModel.PIPELINES
+                for row in run_parts(GaugeModel._PIPELINE_PARTS[pipeline](model), True)]
+        lines.append([row.line() for row in rows])
+    assert len(lines[0]) == 14 and lines[0] == lines[1]
+    assert any("exceeds configured maximum %d" % order in line for line in lines[0])
 
 
 def _polys(obj, seen):

@@ -11,7 +11,7 @@ from gvc import ContactDerivation, Context, EVEN, Lagrangian, ODD
 from gvc.bicomplex import (DX, TH, Form, _letter_parity, _normal_word, dx_letter,
                            letter_wedge_left, theta_letter)
 from gvc.grassmann import Poly
-from gvc.jets import iterated_derivative, total_derivative
+from gvc.jets import iterated_derivative, prolong_apply, total_derivative
 
 
 def make_context(dim, evens=2, odds=2, max_jet_order=None):
@@ -845,3 +845,17 @@ def basis_orbits(m, maps):
                     todo.append(pi[k])
         out.add(frozenset(orbit))
     return out
+
+
+def superbracket(t1, t2):
+    """[t1, t2] = t1 o t2 - (-1)^{[t1][t2]} t2 o t1 of left-acting t1, t2:
+    the graded commutator of two derivations, as a derivation."""
+    ctx = t1.ctx
+    sign = -1 if (t1.parity and t2.parity) else 1
+    comps = {}
+    gens = set(t1.components) | set(t2.components)
+    for gen in gens:
+        c = prolong_apply(t1, t2.component(gen)) - sign * prolong_apply(t2, t1.component(gen))
+        if not c.is_zero():
+            comps[gen] = c
+    return ContactDerivation(ctx, comps, (t1.parity + t2.parity) % 2)
