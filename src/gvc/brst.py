@@ -2,16 +2,16 @@
 differential, gauge and BRST derivations, the antibracket and the
 classical master equation.
 
-Every derivation is a `jets.ContactDerivation` acting through left
-graded derivatives, except Koszul-Tate, whose `apply` runs the same
-action loop as `jets.prolong_apply` from the right; it and the antifield
-slot of the antibracket use the right-derivative convention directly,
-so no hidden sign adapters are spread around the code.  Each sum (a
-Noether row's residual, a Koszul-Tate value, a `paired_sum`, such as the
-proper solution's S - L) is built in one polynomial.
-The master equation is checked by Theta_S^2 alone, and the bracket's
-failure rows are E_z({S,S}) = -+2 Theta_S^2(zbar) (minus on fields and
-ghosts, plus on antifields); `antibracket` is the tests' oracle for it.
+Every derivation is a `jets.ContactDerivation` acting through left graded
+derivatives, except Koszul-Tate, whose `apply` runs the same action loop as
+`jets.prolong_apply` from the right; it and the antifield slot of the
+antibracket use the right-derivative convention directly, so no hidden sign
+adapters are spread around the code.  Each sum (a Noether row's residual, a
+Koszul-Tate value, a `paired_sum`, such as the proper solution's S - L) is
+built in one polynomial.  The master equation is checked by Theta_S^2 alone,
+Theta_S taking L's field equations as given plus those of S - L, and the
+bracket's failure rows are E_z({S,S}) = -+2 Theta_S^2(zbar) (minus on fields
+and ghosts, plus on antifields); `antibracket` is the tests' oracle for it.
 `orbit_representatives` proves that signed relabellings keep the pairing
 and fix a density (L or a paired sum); `on_representatives` takes a
 residual table on one generator per orbit of maps so proved first.
@@ -180,16 +180,20 @@ def antibracket(L1, L2, pairs):
     return Lagrangian(out.finish())
 
 
-def master_derivation(L, pairs):
+def master_derivation(L, pairs, split=None):
     """The odd derivation generated by an even density through the
     antibracket over a pairing of all its generators; its nilpotency is
-    the master equation."""
+    the master equation.  With `split`, the left variational derivatives
+    of a part P of the density by generator and the density minus P, it
+    adds the latter's to them: delta is linear."""
     ctx = L.ctx
     parity = L.density.require_parity()
     _require_paired((L.density,), pairs)
     if parity != EVEN:
         raise ParityError("master equation is checked for even densities")
-    left = variational_derivatives(L.density)
+    left = variational_derivatives(L.density if split is None else split[1])
+    for z, p in (split[0].items() if split else ()):
+        left[z] = p + left[z] if z in left else p
     comps = {}
     for z, zbar in pairs.items():
         sign = -1 if z.parity == EVEN else 1
@@ -301,23 +305,25 @@ def on_representatives(evaluate, moved, representatives=None):
     return {z.name: residuals[z.name] for z in order}
 
 
-def master_equation_check(L, pairs, representatives=None):
+def master_equation_check(L, pairs, representatives=None, split=None):
     """The classical master equation by Theta_S^2 alone: {S, S} is
     variationally trivial exactly when it vanishes on every generator.
 
     `representatives`, one generator per orbit of relabellings the caller
     proved to fix S and keep the pairing (`orbit_representatives`), so
     that Theta_S^2(g z) = g Theta_S^2(z), are squared first
-    (`on_representatives`); the proof is the caller's."""
-    theta = master_derivation(L, pairs)
+    (`on_representatives`); the proof is the caller's.  `split` is as in
+    `master_derivation`."""
+    theta = master_derivation(L, pairs, split)
     return MasterReport(pairs, theta, on_representatives(
         lambda gens: nilpotency_residuals(theta, gens), theta.components, representatives))
 
 
-def proper_solution(L, s, pairs, residuals=None):
+def proper_solution(L, s, pairs, residuals=None, paired=None):
     """Extend a density by the antifield pairing of a nilpotent extension:
     S = L + sum_a s(z^a) zbar_a, L plus the `paired_sum` of s.
-    `residuals`, when given, are s's nilpotency residuals already taken."""
+    `residuals` and `paired`, when given, are s's nilpotency residuals and
+    paired sum already taken."""
     res = nilpotency_residuals(s) if residuals is None else residuals
     bad = [name for name, p in res.items() if not p.is_zero()]
     if bad:
@@ -325,4 +331,5 @@ def proper_solution(L, s, pairs, residuals=None):
     for z in s.components:
         if z not in pairs:
             raise GvcError("missing antifield partner for %r" % (z.name,))
-    return Lagrangian(L.density + paired_sum(L.ctx, s.components, pairs))
+    return Lagrangian(L.density + (paired_sum(L.ctx, s.components, pairs) if paired is None
+                                   else paired))

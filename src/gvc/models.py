@@ -1,10 +1,10 @@
 """Turnkey Yang-Mills models over a Lie (super)algebra.
 
-Builds the full generator roster (gauge fields, ghosts, antifields,
-degree-two antifields and gauge parameters, each field with the parity
-of its algebra direction) and the one field-antifield pairing, the
-strength polynomials, the quadratic Lagrangian, both routes to the
-field equations, the Noether rows, the Koszul-Tate, gauge and BRST
+Builds the generator roster (gauge fields, ghosts, antifields, degree-two
+antifields and gauge parameters, each field with the parity of its algebra
+direction), the one field-antifield pairing, the strength polynomials, the
+quadratic Lagrangian, two routes to the field equations (compared on one
+field per orbit), the Noether rows, the Koszul-Tate, gauge and BRST
 derivations, the extended density solving the master equation, and the
 invariance conditions that single the Lagrangian out.
 """
@@ -140,16 +140,16 @@ def _once(store, key, build):
 class GaugeModel:
     """A Yang-Mills system over a validated Lie (super)algebra.
 
-    The generator roster, split coordinates included, and the
-    field-antifield pairing are fixed at construction, which ends by
-    freezing the context, and so are the algebra's graded constants and
-    form entries.  Each derived object that several checks use (the
-    validation reports, the Lagrangian, the field equations, the Noether
-    rows and residuals, the gauge, parameter and BRST operators and the
-    BRST square, the parts of the gauge and parameter derivations by
-    algebra direction and their Lie derivatives, the Lepage form, the
-    relabellings, the orbit layer's proofs, each once per relabelling
-    and density, and the extended density) is built on first use and kept.
+    The generator roster, split coordinates included, and the field-antifield
+    pairing are fixed at construction, which ends by freezing the context,
+    and so are the algebra's graded constants and form entries.  Each derived
+    object that several checks use (the validation reports, the strength and
+    momentum per direction pair, the Lagrangian, the field equations, which
+    Theta_S reuses, the Noether rows and residuals, the gauge, parameter and
+    BRST operators and the BRST square, the parts of the gauge and parameter
+    derivations by algebra direction and their Lie derivatives, the Lepage
+    form, the relabellings, the orbit layer's proofs, each once per
+    relabelling and density, S and S - L) is built on first use and kept.
     """
 
     # Checks whose formulas are proved for even algebras only; a model
@@ -265,12 +265,13 @@ class GaugeModel:
         return out.finish()
 
     def strength(self, r, lam, mu):
-        """Antisymmetric half of the split first jets (the curvature)."""
+        """Antisymmetric half of the split first jets (the curvature), built for
+        lam < mu: graded antisymmetric constants give F_mu,lam = -F_lam,mu, F_lam,lam = 0."""
         ctx = self.ctx
         return self._once(("strength", r, lam, mu), lambda: (
-            ctx.var(self.field[r][mu], lam)
-            - ctx.var(self.field[r][lam], mu)
-            + self._quadratic_twist(r, lam, mu)))
+            ctx.var(self.field[r][mu], lam) - ctx.var(self.field[r][lam], mu)
+            + self._quadratic_twist(r, lam, mu) if lam < mu
+            else -self.strength(r, mu, lam) if lam > mu else ctx.zero()))
 
     # -- Lagrangians ------------------------------------------------------
 
@@ -303,8 +304,10 @@ class GaugeModel:
     # -- field equations ----------------------------------------------------
 
     def momentum(self, r, mu, kappa):
-        """dL/d(jet) in closed form: the metric-contracted strength."""
-        return self._once(("momentum", r, mu, kappa), lambda: self._momentum(r, mu, kappa))
+        """dL/d(jet) in closed form: the metric-contracted strength, antisymmetric like it."""
+        return self._once(("momentum", r, mu, kappa), lambda: (
+            self._momentum(r, mu, kappa) if mu < kappa
+            else -self.momentum(r, kappa, mu) if mu > kappa else self.ctx.zero()))
 
     def _momentum(self, r, mu, kappa):
         out = self.ctx.zero()
@@ -313,15 +316,15 @@ class GaugeModel:
             add_product(out, self.ctx.scalar(h), self.strength(j, mu, kappa), sign)
         return out.finish()
 
-    def closed_euler_lagrange(self):
+    def closed_euler_lagrange(self, fields=None):
         """Field equations assembled from the closed expression: total
         derivative of the momentum plus the algebra-twisted momentum,
-        each component summed in one table."""
+        each component summed in one table; on `fields` alone when given."""
         ctx = self.ctx
-        m, n = self.algebra.dim, self.metric.dim
+        n = self.metric.dim
         comps = {}
-        for r in range(m):
-            for mu in range(n):
+        for r, row in enumerate(self.field):
+            for mu in (mu for mu in range(n) if fields is None or row[mu] in fields):
                 acc = ctx.zero()
                 for kappa in range(n):
                     pi = self.momentum(r, mu, kappa)
@@ -332,7 +335,7 @@ class GaugeModel:
                         if not pii.is_zero():
                             add_product(acc, c * ctx.var(self.field[fld][kappa]), pii)
                 if acc.terms:
-                    comps[self.field[r][mu]] = acc.finish()
+                    comps[row[mu]] = acc.finish()
         return EulerLagrange(ctx, comps)
 
     def generic_euler_lagrange(self):
@@ -384,18 +387,20 @@ class GaugeModel:
 
         return self._once(("paired-sum", key), build)
 
+    def _s_minus_l(self):
+        """S - L of the extended density S, kept with S for its proof and Theta_S."""
+        S = self.extended_lagrangian()
+        return self._once(("S-L", S), lambda: S.density - self.ym_lagrangian().density)
+
     def _fixes(self, family, key):
         """Whether each relabelling of `family` (a method) keeps the pairing
         and fixes the density `key` (L, S - L or a `_paired_sum`), once per
         model; S - L equal to s's paired sum, as S is built, shares its proof."""
         def prove():
-            if key in ("L", "S-L"):
-                L = self.ym_lagrangian().density
-                density = L if key == "L" else self.extended_lagrangian().density - L
-                if key == "S-L" and density == self._paired_sum("brst"):
-                    return self._fixes(family, "brst")
-            else:
-                density = self._paired_sum(key)
+            density = (self.ym_lagrangian().density if key == "L" else
+                       self._s_minus_l() if key == "S-L" else self._paired_sum(key))
+            if key == "S-L" and density == self._paired_sum("brst"):
+                return self._fixes(family, "brst")
             maps = getattr(self, family)()
             return orbit_representatives(density, self._pairs, maps, ()) is not None
 
@@ -406,8 +411,9 @@ class GaugeModel:
         relabelling that can merge them fixes each density named; None
         without one, if a proof fails or if a symmetry check's residuals do
         not split by source.  Keeping the pairing, a map fixing L commutes
-        with the field equations, one fixing a derivation's paired sum with
-        it; s holds no L, and its gauge part pairs with other partners."""
+        with the field equations (the closed route's too: it keeps c, h and
+        the metric signs), one fixing a derivation's paired sum with it; s
+        holds no L, and its gauge part pairs with other partners."""
         def splits():
             theta, sources = self._symmetry(check)
             held, L = set(sources), self.ym_lagrangian().density
@@ -419,6 +425,7 @@ class GaugeModel:
             antifields = [g for row in self.antifield for g in row]
             algebra = ("algebra_maps",)
             gens, families, keys = {
+                "euler-lagrange": (fields, ("direction_swaps",) + algebra, ("L",)),
                 "master-equation": (fields + antifields + self.ghost + self.noether_antifield,
                                     ("direction_swaps",) + algebra, ("L", "S-L")),
                 "koszul-tate": (antifields + self.noether_antifield, algebra, ("L", "rows")),
@@ -549,7 +556,8 @@ class GaugeModel:
 
     def extended_lagrangian(self):
         return self._once("extended-lagrangian", lambda: proper_solution(
-            self.ym_lagrangian(), self.brst_operator(), self._pairs, self._brst_residuals()))
+            self.ym_lagrangian(), self.brst_operator(), self._pairs, self._brst_residuals(),
+            self._paired_sum("brst")))
 
     # -- currents --------------------------------------------------------------
 
@@ -691,15 +699,13 @@ class GaugeModel:
         return validation_parts(self.algebra, lambda: self.structure, self.form_report)
 
     def _euler_lagrange_parts(self):
-        def two_path(check):
-            generic = self.generic_euler_lagrange()
-            closed = self.closed_euler_lagrange()
-            gens = set(generic.components) | set(closed.components)
-            residuals = {g.name: generic.component(g) - closed.component(g)
-                         for g in gens}
-            return CheckResult.from_residuals(check, residuals)
+        def residuals(gens):
+            generic, closed = self.generic_euler_lagrange(), self.closed_euler_lagrange(gens)
+            return {g.name: generic.component(g) - closed.component(g) for g in gens}
 
-        return [("euler-lagrange-two-path", two_path)]
+        return [("euler-lagrange-two-path", lambda n: CheckResult.from_residuals(
+            n, on_representatives(residuals, [g for row in self.field for g in row],
+                                  self._representatives("euler-lagrange"))))]
 
     def _noether_parts(self):
         run = {}  # each part's current, shared by this run's last two checks only
@@ -749,7 +755,9 @@ class GaugeModel:
             if any(not p.is_zero() for p in self._brst_residuals().values()):
                 return CheckResult(check, False, witness="no nilpotent extension")
             rep = master_equation_check(self.extended_lagrangian(), self._pairs,
-                                        self._representatives("master-equation"))
+                                        self._representatives("master-equation"),
+                                        (self.generic_euler_lagrange().components,
+                                         self._s_minus_l()))
             if not rep.ok:
                 return CheckResult.from_residuals(check, rep.bracket_residuals())
             # The derivation moves z by the variational derivative along

@@ -566,6 +566,43 @@ class TestMasterEquation:
     def test_proper_solution_has_ghost_number_zero(self, name, request):
         assert request.getfixturevalue(name).extended_lagrangian().density.ghost_numbers() == {0}
 
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
+    def test_derivation_from_the_kept_field_equations(self, name, monkeypatch):
+        """Theta_S of the pipeline, from the kept field equations of L and
+        the variational derivatives of S - L, is Theta_S taken from S, on
+        the proper solution and on S plus a random term; so are the split
+        sums of L alone and of S - L alone, where L's cancel."""
+        reports = []
+        original = gvc.models.master_equation_check
+
+        def kept(S, pairs, representatives=None, split=None):
+            reports.append((split, original(S, pairs, representatives, split)))
+            return reports[-1][1]
+
+        monkeypatch.setattr(gvc.models, "master_equation_check", kept)
+        verdicts = []
+        for build in (lambda model: model.extended_lagrangian(),
+                      lambda model: _perturbed_solution(model, random.Random(22))):
+            model = _fresh(name)
+            pairs, L, S = model.pairs(), model.ym_lagrangian(), build(model)
+            el = model.generic_euler_lagrange().components
+            monkeypatch.setattr(model, "extended_lagrangian", lambda S=S: S)
+            (row,) = model.pipeline("master-equation", deterministic=True)
+            (split, rep), want = reports.pop(), master_equation_check(S, pairs)
+            assert split[0] is el and split[1] == S.density - L.density
+            assert list(rep.derivation.components.items()) == \
+                list(master_derivation(S, pairs).components.items())
+            assert row.line() == (CheckResult("master-equation", True) if want.ok else
+                                  CheckResult.from_residuals("master-equation",
+                                                             want.bracket_residuals())).line()
+            verdicts.append(row.ok)
+        assert verdicts == [True, False]
+        rest = model._paired_sum("brst")
+        for S, split in ((L, (el, L.density - L.density)),
+                         (Lagrangian(rest), (el, rest - L.density))):
+            assert list(master_derivation(S, pairs, split).components.items()) == \
+                list(master_derivation(S, pairs).components.items())
+
 
 def _perturbed_solution(model, rng):
     """The proper solution plus a nonzero even sum of products of two or
@@ -747,8 +784,8 @@ class TestOrbitReduction:
         reports = []
         original = gvc.models.master_equation_check
 
-        def kept(S, pairs, representatives=None):
-            reports.append((representatives, original(S, pairs, representatives)))
+        def kept(S, pairs, representatives=None, split=None):
+            reports.append((representatives, original(S, pairs, representatives, split)))
             return reports[-1][1]
 
         monkeypatch.setattr(gvc.models, "master_equation_check", kept)
@@ -795,8 +832,8 @@ class TestOrbitReduction:
         reports = []
         original = gvc.models.master_equation_check
 
-        def kept(L, pairs, representatives=None):
-            reports.append((representatives, original(L, pairs, representatives)))
+        def kept(L, pairs, representatives=None, split=None):
+            reports.append((representatives, original(L, pairs, representatives, split)))
             return reports[-1][1]
 
         monkeypatch.setattr(gvc.models, "master_equation_check", kept)

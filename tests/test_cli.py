@@ -2,12 +2,14 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from gvc.cli import main
+from gvc.cli import COMMANDS, main
 from gvc.presets import PRESET_MODEL_TEXT, preset_model
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -270,3 +272,55 @@ class TestDeterminism:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "result pass" in proc.stdout
+
+
+# Replacements for one space-separated token of a mutant's line.
+MUTANT_TOKENS = ("0", "1", "-1", "2", "3", "1/2", "1/0", "-0", "x", "", "=", "+", "-", "+-",
+                 "++", "parity", "e1", "h", "c", "generator", "[form]", "[checks]", "7" * 60)
+
+
+def _mutant(text, rng):
+    """`text` after one or two random line edits: a line deleted, doubled
+    or swapped with another, its last token (most often a value) or
+    another replaced, or one character inserted into it."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 2)):
+        if not lines:
+            break
+        i = rng.randrange(len(lines))
+        op = rng.randrange(6)
+        if op == 5:
+            lines[i] = lines[i].rsplit(" ", 1)[0] + " " + rng.choice(MUTANT_TOKENS[:8])
+        elif op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        elif op == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 3:
+            tokens = lines[i].split(" ")
+            tokens[rng.randrange(len(tokens))] = rng.choice(MUTANT_TOKENS)
+            lines[i] = " ".join(tokens)
+        else:
+            k = rng.randrange(len(lines[i]) + 1)
+            lines[i] = lines[i][:k] + rng.choice("=[]#/-+ \t\x00\u00e9") + lines[i][k:]
+    return "\n".join(lines) + "\n"
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("name", ["abelian", "su2", "osp12"])
+    def test_mutated_golden_models_end_cleanly(self, name, model_file, capsys, monkeypatch):
+        """Seeded mutants of a golden model, each run through one random
+        command under a low term limit, all end in exit 0, 1 or 2 with no
+        traceback; an exception escaping `main` fails the test."""
+        monkeypatch.setenv("GVC_MAX_TERMS", "200")
+        text = (Path(__file__).parent / "golden" / ("%s.model" % name)).read_text(encoding="utf-8")
+        rng = random.Random("hostile-%s" % name)
+        codes = []
+        for k in range(150):
+            path = model_file("mutant%d" % k, _mutant(text, rng))
+            codes.append(main([rng.choice(COMMANDS), "--model", path, "--deterministic"]))
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.out + captured.err
+        assert set(codes) <= {0, 1, 2} and len(set(codes)) > 1

@@ -17,7 +17,7 @@ from gvc.bicomplex import (EulerLagrange, Form, conservation_residual, d_h, inte
                            lie_derivative, noether_current, superpotential_residual,
                            variational_delta)
 from gvc.brst import (NoetherOperator, master_equation_check, nilpotency_residuals,
-                      orbit_representatives, paired_sum)
+                      orbit_representatives, orbit_roots, paired_sum)
 from gvc.grassmann import ExpansionLimitError, Poly
 from gvc.jets import ContactDerivation, prolong_apply, total_derivative
 from gvc.models import GaugeModel, Metric, run_parts
@@ -31,6 +31,7 @@ from util import (assert_normal, constant_parameter_symmetry, mass_term_lagrangi
 
 GOLDEN = Path(__file__).parent / "golden"
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
+SL3_MODEL = SL21_MODEL.with_name("sl3.model")
 
 
 @pytest.fixture(scope="module")
@@ -161,10 +162,17 @@ class TestStrength:
         assert got == want
 
     def test_antisymmetry(self, su2, osp12):
+        # built for lam < mu alone, the strength is the closed formula in
+        # every order of the two directions
         for model in (su2, osp12):
+            ctx = model.ctx
             for r in range(model.algebra.dim):
                 for lam in range(model.metric.dim):
                     for mu in range(model.metric.dim):
+                        want = ctx.var(model.field[r][mu], lam) - ctx.var(model.field[r][lam], mu)
+                        for _, i, j, c in (e for e in model.constants if e[0] == r):
+                            want += c * ctx.var(model.field[i][lam]) * ctx.var(model.field[j][mu])
+                        assert model.strength(r, lam, mu) == want
                         assert (model.strength(r, lam, mu)
                                 + model.strength(r, mu, lam)).is_zero()
                     assert model.strength(r, lam, lam).is_zero()
@@ -232,13 +240,60 @@ class TestFieldEquations:
                 want += total_derivative(lam, pi)
             assert generic.component(model.field[0][mu]) == want
 
-    def test_two_paths_agree(self, su2, abelian, osp12):
-        for model in (abelian, su2, osp12):
+    def test_two_paths_agree(self, su2, abelian, osp12, sl21):
+        # the closed route on every field, the reference for the check's
+        # reduced table
+        sl3 = spec_model(parse_model(SL3_MODEL.read_text(encoding="utf-8")))
+        for model in (abelian, su2, osp12, sl3, sl21):
             generic = model.generic_euler_lagrange()
             closed = model.closed_euler_lagrange()
             gens = set(generic.components) | set(closed.components)
+            assert len(closed.components) == model.algebra.dim * model.metric.dim
             for g in gens:
                 assert (generic.component(g) - closed.component(g)).is_zero()
+
+    @pytest.mark.parametrize("name, count", [
+        ("abelian", 1), ("su2", 2), ("osp12", 6), ("sl21", 8), ("sl3", 6)])
+    def test_closed_route_on_one_field_per_orbit(self, name, count, monkeypatch):
+        path = {"sl21": SL21_MODEL, "sl3": SL3_MODEL}.get(name)
+        model = spec_model(parse_model(path.read_text(encoding="utf-8"))) if path \
+            else preset_model(name)
+        asked, closed = [], GaugeModel.closed_euler_lagrange
+
+        def counted(model, fields=None):
+            asked.append(fields)
+            return closed(model, fields)
+
+        monkeypatch.setattr(GaugeModel, "closed_euler_lagrange", counted)
+        (result,) = model.pipeline("euler-lagrange", deterministic=True)
+        assert result.ok
+        fields = [g for row in model.field for g in row]
+        reps = model._representatives("euler-lagrange")
+        assert all(model._fixes(family, "L") for family in ("direction_swaps", "algebra_maps"))
+        assert reps == orbit_roots(model.direction_swaps() + model.algebra_maps(), fields)
+        assert asked == [[g for g in fields if g in reps]] and len(reps) == count
+
+    def test_mass_term_off_the_representatives_fails_the_whole_table(self, monkeypatch):
+        # a mass term on a3_3 moves under the swaps and the algebra maps,
+        # and it changes the generic field equation of a3_3 alone, which
+        # is on no representative: the L proof fails, the whole table
+        # runs, and its row is the unreduced route's
+        su2 = preset_model("su2")
+        assert {g.name for g in su2._representatives("euler-lagrange")} == {"a1_0", "a1_1"}
+        models, lines = [], []
+        for reduced in (True, False):
+            model = preset_model("su2")
+            L = Lagrangian(model.ym_lagrangian(validate=False).density
+                           + model.ctx.var(model.field[2][3]) ** 2)
+            monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True, L=L: L)
+            if not reduced:
+                monkeypatch.setattr(model, "_representatives", lambda check: None)
+            (row,) = model.pipeline("euler-lagrange", deterministic=True)
+            models.append(model)
+            lines.append(row.line())
+        assert not row.ok and row.nonzero == 1 and row.witness.startswith("a3_3: ")
+        assert lines[0] == lines[1]
+        assert models[0]._representatives("euler-lagrange") is None
 
 
 class TestSymmetries:
@@ -1052,10 +1107,23 @@ class TestBuildOnce:
                  "euler_lagrange", "noether_current", "lepage_equivalent")
         for name in names:
             count(name)
+        densities = []
+        for module in (gvc.bicomplex, gvc.brst):
+            def counted_derivatives(density, side="left", gens=None,
+                                    original=module.variational_derivatives):
+                densities.append(density)
+                return original(density, side, gens)
+
+            monkeypatch.setattr(module, "variational_derivatives", counted_derivatives)
         model = preset_model("su2")
         assert model.full_verification().ok
         assert {name: len(calls.get(name, ())) for name in names} == dict.fromkeys(names, 1)
         assert calls["euler_lagrange"][0] == (model.ym_lagrangian(),)
+        # the variational derivatives of L, the generic field equations,
+        # and of S - L, which Theta_S adds to them
+        assert [p is q for p, q in zip(densities, (model.ym_lagrangian().density,
+                                                    model._s_minus_l()))] == [True, True]
+        assert len(densities) == 2
 
     def test_parameter_lie_derivative_computed_once(self, monkeypatch):
         calls, currents, form_lies, lepages = [], [], [], []
@@ -1114,7 +1182,9 @@ class TestBuildOnce:
         assert all(row.ok for row in sl21.pipeline("brst"))
         assert calls == [(sl21._part("gauge", (0, 2, 3, 4)), sl21.ym_lagrangian().density)]
 
-    def test_momentum_built_once_per_argument(self, monkeypatch):
+    def test_momentum_built_once_per_direction_pair(self, monkeypatch):
+        # the momentum, like the strength, is antisymmetric in its two
+        # directions: built for mu < kappa alone, once each
         asked, built = [], []
         momentum, build = GaugeModel.momentum, GaugeModel._momentum
 
@@ -1129,7 +1199,9 @@ class TestBuildOnce:
         monkeypatch.setattr(GaugeModel, "momentum", counted_momentum)
         monkeypatch.setattr(GaugeModel, "_momentum", counted_build)
         assert preset_model("su2").full_verification().ok
-        assert sorted(built) == sorted(set(asked))
+        assert all(mu < kappa for _, mu, kappa in built) and len(built) == len(set(built))
+        assert set(built) == {(r, min(mu, kappa), max(mu, kappa)) for r, mu, kappa in asked
+                              if mu != kappa}
         assert len(asked) > len(built)
 
     def test_koszul_tate_built_once_per_model(self, monkeypatch):
