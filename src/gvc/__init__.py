@@ -38,11 +38,9 @@ from .bicomplex import (
     d_v,
     euler_lagrange,
     exterior_d,
-    first_variational_residual,
     h0,
     interior,
     interior_dx,
-    interior_frame,
     is_variationally_trivial,
     lepage_equivalent,
     lie_derivative,

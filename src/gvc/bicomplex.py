@@ -85,10 +85,6 @@ class Form:
         return cls(ctx)
 
     @classmethod
-    def from_poly(cls, p):
-        return cls(p.ctx, {(): p})
-
-    @classmethod
     def dx(cls, ctx, lam):
         return cls(ctx, {(dx_letter(lam),): ctx.one()})
 
@@ -114,9 +110,6 @@ class Form:
 
     def __sub__(self, other):
         return _form(self.ctx, _add_form(_add_form({}, self), other, -1))
-
-    def scale(self, c):
-        return Form(self.ctx, {w: f * c for w, f in self.terms.items()})
 
     def times_poly(self, p):
         """Left multiplication by a coefficient polynomial (no signs).  A
@@ -194,11 +187,6 @@ def _add_letter_wedge(table, ctx, ell, pairs, sign=1, den=1):
             accumulate(table.setdefault(word, ctx.zero()),
                        _signed(t.terms.items(), s * sign, flip), t.den * den)
     return table
-
-
-def letter_wedge_left(ell, phi):
-    """ell wedge phi for a single basis one-form ell."""
-    return _form(phi.ctx, _add_letter_wedge({}, phi.ctx, ell, phi.terms.items()))
 
 
 # -- differentials ---------------------------------------------------------
@@ -296,13 +284,6 @@ def interior(theta, phi):
     """Contraction with a vertical contact derivation: th^A_L -> d_L(v^A)."""
     return _contract_word(phi, theta.parity, lambda ell: (
         theta.contract_variable(ell[1]) if ell[0] == TH else None))
-
-
-def interior_frame(var, phi):
-    """Contraction with the coordinate contact frame dual to th at `var`."""
-    one = phi.ctx.one()
-    return _contract_word(phi, var.parity, lambda ell: (
-        one if ell[0] == TH and ell[1].key == var.key else None))
 
 
 def interior_dx(lam, phi):
@@ -491,14 +472,6 @@ def lepage_equivalent(L):
         piece = omega_lambda(ctx, v.index[0]).times_poly(momentum)
         _add_letter_wedge(table, ctx, theta_letter(ctx.jet(v.gen)), piece.terms.items())
     return _form(ctx, table)
-
-
-def first_variational_residual(theta, L):
-    """L_theta L - theta | delta L - d_H h0(theta | Xi_L); zero when exact."""
-    lie = lie_derivative(theta, L.form)
-    dl = variational_delta(L.form)
-    xi = lepage_equivalent(L)
-    return lie - interior(theta, dl) - d_h(h0(interior(theta, xi)))
 
 
 def noether_current(theta, L, lie=None, lepage=None):

@@ -7,6 +7,13 @@ quadratic Lagrangian, two routes to the field equations (compared on one
 field per orbit), the Noether rows, the Koszul-Tate, gauge and BRST
 derivations, the extended density solving the master equation, and the
 invariance conditions that single the Lagrangian out.
+
+The invariance conditions and the gauge Lie derivatives are taken in the
+Utiyama split coordinates: phi rewrites each first jet of a field by the
+strength and symmetric coordinates (Fs, Ss), and the model's own
+Lagrangian becomes 1/4 h g g Fs Fs.  A Lie derivative is first taken there,
+by the derivation conjugated through phi; a nonzero or failed result is
+taken again in jets, whose Form is the row.
 """
 
 import time
@@ -149,7 +156,10 @@ class GaugeModel:
     BRST operators and the BRST square, the parts of the gauge and parameter
     derivations by algebra direction and their Lie derivatives, the Lepage
     form, the relabellings, the orbit layer's proofs, each once per
-    relabelling and density, S and S - L) is built on first use and kept.
+    relabelling and density, S and S - L, and phi(L) with each first jet's
+    image) is built on first use and kept.  The orbit layer's proofs,
+    S - L and phi(L) are kept with the density they came from, so an L or S
+    installed later is proved and split anew.
     """
 
     # Checks whose formulas are proved for even algebras only; a model
@@ -193,16 +203,21 @@ class GaugeModel:
         self.parameter = [ctx.add_generator("xi%d" % (r + 1), kinds[r], algebra.parities[r])
                           for r in range(m)]
         # strength and symmetric split coordinates of the invariance conditions
+        # and of the gauge Lie derivatives; _unsplit names each one's preimage
         self.aux_strength = {}
         self.aux_sym = {}
+        self._unsplit = {}
         for r in range(m):
             for lam in range(n):
                 for mu in range(lam, n):
                     if mu > lam:
-                        self.aux_strength[(r, lam, mu)] = ctx.add_generator(
+                        gen = self.aux_strength[(r, lam, mu)] = ctx.add_generator(
                             "Fs%d_%d%d" % (r + 1, lam, mu), kinds[r], algebra.parities[r])
-                    self.aux_sym[(r, lam, mu)] = ctx.add_generator(
+                        self._unsplit[gen] = (True, r, lam, mu)
+                    gen = self.aux_sym[(r, lam, mu)] = ctx.add_generator(
                         "Ss%d_%d%d" % (r + 1, lam, mu), kinds[r], algebra.parities[r])
+                    self._unsplit[gen] = (False, r, lam, mu)
+        self._field_at = {gen: (r, mu) for r in range(m) for mu, gen in enumerate(self.field[r])}
         # each field to its antifield, each ghost to its degree-two antifield
         self._pairs = {self.field[r][mu]: self.antifield[r][mu]
                        for r in range(m) for mu in range(n)}
@@ -282,10 +297,11 @@ class GaugeModel:
         if validate and not self.form_report().ok:
             raise GvcError("invariant form fails validation: %s"
                            % self.form_report().describe())
-        return self._once("lagrangian", self._strength_density)
+        return self._once("lagrangian", lambda: Lagrangian(self._strength_density(self.strength)))
 
-    def _strength_density(self):
-        """1/4 h_ij g_lam g_beta F^i_lam,beta F^j_lam,beta over lam != beta.
+    def _strength_density(self, strength):
+        """1/4 h_ij g_lam g_beta F^i_lam,beta F^j_lam,beta over lam != beta,
+        with F^r_lam,beta = strength(r, lam, beta) asked for lam < beta.
         F is antisymmetric in (lam, beta), so each form entry is h_ij/2
         times one table summed over lam < beta with sign g_lam g_beta."""
         ctx = self.ctx
@@ -296,10 +312,10 @@ class GaugeModel:
             table = ctx.zero()
             for lam in range(n):
                 for beta in range(lam + 1, n):
-                    add_product(table, self.strength(i, lam, beta),
-                                self.strength(j, lam, beta), signs[lam] * signs[beta])
+                    add_product(table, strength(i, lam, beta),
+                                strength(j, lam, beta), signs[lam] * signs[beta])
             _add(density, table, Fraction(h) / 2)
-        return Lagrangian(density.finish())
+        return density.finish()
 
     # -- field equations ----------------------------------------------------
 
@@ -374,46 +390,81 @@ class GaugeModel:
 
     # -- orbit proofs -------------------------------------------------------------
 
+    def _source(self, key):
+        """What the density of a proof key is kept with: L for "L", S for
+        "S-L", else the derivation of the `_paired_sum` of `key`."""
+        if key == "L":
+            return self.ym_lagrangian()
+        if key == "S-L":
+            return self.extended_lagrangian()
+        return {"brst": self.brst_operator, "parameter": self.parameter_symmetry,
+                "rows": self.koszul_tate}[key]()
+
     def _paired_sum(self, key):
         """The paired sum of the BRST operator ("brst") or the parameter symmetry
-        against the antifields, or of the Noether rows against the ghosts."""
+        against the antifields, or of the Noether rows against the ghosts,
+        kept with that derivation."""
+        theta = self._source(key)
+
         def build():
             if key == "rows":
-                kt = self.koszul_tate().components
                 ghosts = dict(zip(self.noether_antifield, self.ghost))
-                return paired_sum(self.ctx, {z: kt[z] for z in ghosts if z in kt}, ghosts)
-            theta = self.brst_operator() if key == "brst" else self.parameter_symmetry()
+                return paired_sum(self.ctx, {z: theta.components[z] for z in ghosts
+                                             if z in theta.components}, ghosts)
             return paired_sum(self.ctx, theta.components, self._pairs)
 
-        return self._once(("paired-sum", key), build)
+        return self._once(("paired-sum", theta), build)
 
     def _s_minus_l(self):
-        """S - L of the extended density S, kept with S for its proof and Theta_S."""
+        """S - L of the extended density S, kept with S for its proof and
+        Theta_S: the paired sum of s itself when S is the proper solution
+        built here, L plus that sum; an installed S subtracts L."""
         S = self.extended_lagrangian()
-        return self._once(("S-L", S), lambda: S.density - self.ym_lagrangian().density)
+        return self._once(("S-L", S), lambda: (
+            self._paired_sum("brst") if S is self._memo.get("extended-lagrangian")
+            else S.density - self.ym_lagrangian().density))
 
     def _fixes(self, family, key):
         """Whether each relabelling of `family` (a method) keeps the pairing
         and fixes the density `key` (L, S - L or a `_paired_sum`), once per
-        model; S - L equal to s's paired sum, as S is built, shares its proof."""
+        model and density (`_source`); S - L of the proper solution built
+        here is s's paired sum and shares its proof."""
+        source = self._source(key)
+
         def prove():
-            density = (self.ym_lagrangian().density if key == "L" else
-                       self._s_minus_l() if key == "S-L" else self._paired_sum(key))
-            if key == "S-L" and density == self._paired_sum("brst"):
+            if key == "S-L" and source is self._memo.get("extended-lagrangian"):
                 return self._fixes(family, "brst")
+            density = (source.density if key == "L" else
+                       self._s_minus_l() if key == "S-L" else self._paired_sum(key))
             maps = getattr(self, family)()
             return orbit_representatives(density, self._pairs, maps, ()) is not None
 
-        return self._once(("fixes", family, key), prove)
+        return self._once(("fixes", family, source), prove)
 
     def _representatives(self, check):
         """One generator per orbit of those `check` evaluates, once each
-        relabelling that can merge them fixes each density named; None
-        without one, if a proof fails or if a symmetry check's residuals do
-        not split by source.  Keeping the pairing, a map fixing L commutes
-        with the field equations (the closed route's too: it keeps c, h and
-        the metric signs), one fixing a derivation's paired sum with it; s
-        holds no L, and its gauge part pairs with other partners."""
+        relabelling that can merge them fixes each density named, kept with
+        those densities' sources; None without one, if a proof fails or if
+        a symmetry check's residuals do not split by source.  Keeping the
+        pairing, a map fixing L commutes with the field equations (the
+        closed route's too: it keeps c, h and the metric signs), one fixing
+        a derivation's paired sum with it; s holds no L, and its gauge part
+        pairs with other partners."""
+        fields = [g for row in self.field for g in row]
+        antifields = [g for row in self.antifield for g in row]
+        algebra = ("algebra_maps",)
+        gens, families, keys = {
+            "euler-lagrange": (fields, ("direction_swaps",) + algebra, ("L",)),
+            "master-equation": (fields + antifields + self.ghost + self.noether_antifield,
+                                ("direction_swaps",) + algebra, ("L", "S-L")),
+            "koszul-tate": (antifields + self.noether_antifield, algebra, ("L", "rows")),
+            "parameter": (self.parameter, algebra, ("L", "parameter")),
+            "gauge": (self.ghost, algebra, ("L", "brst")),
+            "brst": (fields + self.ghost, algebra, ("brst",))}[check]
+        families = [f for f in families if getattr(self, f)()]
+        if not families:
+            return None
+
         def splits():
             theta, sources = self._symmetry(check)
             held, L = set(sources), self.ym_lagrangian().density
@@ -421,24 +472,12 @@ class GaugeModel:
                 len(_held(m, held)) == 1 for p in theta.components.values() for m in p.terms)
 
         def prove():
-            fields = [g for row in self.field for g in row]
-            antifields = [g for row in self.antifield for g in row]
-            algebra = ("algebra_maps",)
-            gens, families, keys = {
-                "euler-lagrange": (fields, ("direction_swaps",) + algebra, ("L",)),
-                "master-equation": (fields + antifields + self.ghost + self.noether_antifield,
-                                    ("direction_swaps",) + algebra, ("L", "S-L")),
-                "koszul-tate": (antifields + self.noether_antifield, algebra, ("L", "rows")),
-                "parameter": (self.parameter, algebra, ("L", "parameter")),
-                "gauge": (self.ghost, algebra, ("L", "brst")),
-                "brst": (fields + self.ghost, algebra, ("brst",))}[check]
-            families = [f for f in families if getattr(self, f)()]
-            if families and (check not in ("parameter", "gauge") or splits()) \
+            if (check not in ("parameter", "gauge") or splits()) \
                     and all(self._fixes(f, key) for key in keys for f in families):
                 return orbit_roots([g for f in families for g in getattr(self, f)()], gens)
             return None
 
-        return self._once(("representatives", check), prove)
+        return self._once(("representatives", check) + tuple(map(self._source, keys)), prove)
 
     # -- symmetries -------------------------------------------------------------
 
@@ -513,9 +552,18 @@ class GaugeModel:
         return sum(on_representatives(evaluate, sources, reps).values(), Form.zero(self.ctx))
 
     def lie_derivative(self, theta):
-        """L_theta L of the Lagrangian, a density: the prolonged derivation
-        applied to L's polynomial, times the volume form."""
-        return volume(self.ctx).times_poly(prolong_apply(theta, self.ym_lagrangian().density))
+        """L_theta L of the Lagrangian, a density.  Zero when the split
+        route (`_split_lie`) gives zero; otherwise, and if that route does
+        not apply or raises, the prolonged derivation applied to L's
+        polynomial, times the volume form, so a failure reads as in jets."""
+        L = self.ym_lagrangian()
+        try:
+            split = self._split_lie(theta, L)
+        except GvcError:
+            split = None
+        if split is not None and split.is_zero():
+            return Form.zero(self.ctx)
+        return volume(self.ctx).times_poly(prolong_apply(theta, L.density))
 
     def _lie(self, kind, directions):
         """L_theta L for the part of `directions` (`_part`), kept: a parameter
@@ -605,33 +653,108 @@ class GaugeModel:
 
     # -- invariance conditions -------------------------------------------------
 
-    def split_coordinates(self, density):
-        """Rewrite first jets in the strength/symmetric coordinates.
+    def _jet_image(self, v):
+        """phi(v) for the first jet v = a^r_mu;lam, kept: the mean of the
+        two split halves for the canonical index order lam <= mu; the
+        swapped order needs the quadratic twist restored, since the
+        symmetric half is symmetric only up to it."""
+        def build():
+            (r, mu), (lam,) = self._field_at[v.gen], v.index
+            key = (r, min(lam, mu), max(lam, mu))
+            repl = self.ctx.var(self.aux_sym[key])
+            repl.den = 2
+            if lam != mu:
+                (m, _), = self.ctx.var(self.aux_strength[key]).terms.items()
+                repl.terms[m] = 1 if lam < mu else -1
+            if lam > mu:
+                twist = self._quadratic_twist(r, mu, lam)
+                accumulate(repl, twist.terms.items(), twist.den)
+            return repl.finish()
 
-        For the canonical index order the jet is the mean of the two split
-        halves; the swapped order needs the quadratic twist restored, since
-        the symmetric half is symmetric only up to it.
-        """
+        return self._once(("phi", v), build)
+
+    def split_coordinates(self, density):
+        """Rewrite first jets in the strength/symmetric coordinates: phi,
+        which sends each first jet of a field to `_jet_image` and keeps
+        every other variable."""
+        return density.substitute({v: self._jet_image(v) for v in density.variables()
+                                   if len(v.index) == 1 and v.gen in self._field_at})
+
+    def _split(self, L):
+        """phi(L) for a first-order density L, kept with L.  phi is a ring
+        map with phi(F^r_lam,mu) = Fs^r_lam,mu, so the model's own strength
+        density is built factor-wise from the strength coordinates; any
+        other L is rewritten by `split_coordinates`."""
+        def build():
+            if L is self._memo.get("lagrangian"):
+                var, Fs = self.ctx.var, self.aux_strength
+                return self._strength_density(lambda r, lam, mu: var(Fs[(r, lam, mu)]))
+            if L.density.max_jet_order() > 1:
+                raise GvcError("invariance conditions apply to first-order densities")
+            return self.split_coordinates(L.density)
+
+        return self._once(("split", L), build)
+
+    def _split_image(self, p):
+        """phi(p): p's terms without a first jet of a field kept, and each
+        term holding one, v, as phi(v) times the rest; a term holding two
+        or v squared takes p through `split_coordinates`."""
+        ctx, out = self.ctx, self.ctx.zero()
+        for (ev, od), c in p.terms.items():
+            jets = [(v, pos, e) for pos, (v, e) in enumerate(ev)
+                    if len(v.index) == 1 and v.gen in self._field_at]
+            jets += [(v, pos, 1) for pos, v in enumerate(od)
+                     if len(v.index) == 1 and v.gen in self._field_at]
+            if not jets:
+                accumulate(out, (((ev, od), c),), p.den)
+                continue
+            if len(jets) > 1 or jets[0][2] > 1:
+                return self.split_coordinates(p)
+            (v, pos, _), = jets
+            # the left partial along v: v leaves its slot for the front
+            rest = ((ev[:pos] + ev[pos + 1:], od) if v.parity == EVEN else
+                    (ev, od[:pos] + od[pos + 1:]))
+            add_product(out, self._jet_image(v), Poly(ctx, {rest: -c if v.parity and pos & 1
+                                                            else c}, p.den))
+        return out.finish()
+
+    def _preimage(self, gen):
+        """phi^-1 of a split coordinate: the strength, or the symmetric half
+        a^r_mu;lam + a^r_lam;mu - c^r_ij a^i_lam a^j_mu."""
+        strength, r, lam, mu = self._unsplit[gen]
+        if strength:
+            return self.strength(r, lam, mu)
         ctx = self.ctx
-        half = Fraction(1, 2)
-        mapping = {}
-        for r in range(self.algebra.dim):
-            for mu in range(self.metric.dim):
-                for lam in range(self.metric.dim):
-                    key = (r, min(lam, mu), max(lam, mu))
-                    repl = _add(ctx.zero(), ctx.var(self.aux_sym[key]), half)
-                    if lam != mu:
-                        _add(repl, ctx.var(self.aux_strength[key]), half if lam < mu else -half)
-                    if lam > mu:
-                        _add(repl, self._quadratic_twist(r, mu, lam))
-                    mapping[ctx.jet(self.field[r][mu], (lam,))] = repl.finish()
-        return density.substitute(mapping)
+        return (ctx.var(self.field[r][mu], lam) + ctx.var(self.field[r][lam], mu)
+                - self._quadratic_twist(r, lam, mu))
+
+    def _split_lie(self, theta, L):
+        """theta~(phi(L)), where theta~ = phi theta phi^-1 is the derivation
+        conjugated into the split coordinates, taken on the order-0 split
+        and moved generators phi(L) holds: its value on y is
+        phi(theta(phi^-1(y))).  phi is an even ring map, invertible on the
+        densities free of split coordinates, so this is phi(theta(L)), zero
+        exactly when theta(L) is.  None where that does not hold: L or a
+        component of theta holds a split coordinate, or phi(L) a jet of
+        order one or more of a generator theta~ moves."""
+        image, moved, values = self._split(L), theta.components, {}
+        held = list(moved.values()) + ([] if L is self._memo.get("lagrangian") else [L.density])
+        if any(v.gen in self._unsplit for p in held for v in p.variables()):
+            return None
+        for v in image.variables():
+            gen = v.gen
+            if gen in self._unsplit or gen in moved:
+                if v.index:
+                    return None
+                values[gen] = self._split_image(prolong_apply(theta, self._preimage(gen))
+                                                if gen in self._unsplit else moved[gen])
+        return prolong_apply(ContactDerivation(self.ctx, values, theta.parity), image)
 
     def invariance_conditions(self, L=None):
         """Residual tables for the three gauge-invariance conditions of a
-        first-order density, in the split coordinates: its partials along
-        the symmetric halves, along the undifferentiated fields, and the
-        contraction, all zero for an invariant density.
+        first-order density, in the split coordinates (`_split`): its
+        partials along the symmetric halves, along the undifferentiated
+        fields, and the contraction, all zero for an invariant density.
 
         The contraction row of direction q is, with left partials,
             sum over r, p and lam < mu of
@@ -644,10 +767,8 @@ class GaugeModel:
         """
         if L is None:
             L = self.ym_lagrangian()
-        if L.density.max_jet_order() > 1:
-            raise GvcError("invariance conditions apply to first-order densities")
         ctx = self.ctx
-        partial = dict(self.split_coordinates(L.density).partials())
+        partial = dict(self._split(L).partials())
 
         def d(gen):
             return partial.get(ctx.jet(gen), ctx.zero())

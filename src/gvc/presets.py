@@ -1,4 +1,4 @@
-"""Built-in model files and the hand-built algebras they declare.
+"""Built-in model files and hand-built su2 and osp12 algebras.
 
 Preset models are built from their model text alone; the algebra
 factories are an independent reference that tests compare it against."""
@@ -8,12 +8,6 @@ from fractions import Fraction
 from .grassmann import DEFAULT_MAX_JET_ORDER, DEFAULT_TERM_LIMIT, EVEN, ODD
 from .superlie import LieSuperalgebra
 from .modelfile import parse_model, spec_model
-
-
-def abelian_algebra():
-    alg = LieSuperalgebra(["e1"], [EVEN])
-    alg.set_form("e1", "e1", 1)
-    return alg
 
 
 def su2_algebra():

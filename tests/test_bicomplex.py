@@ -18,10 +18,8 @@ from gvc import (
     d_v,
     euler_lagrange,
     exterior_d,
-    first_variational_residual,
     interior,
     interior_dx,
-    interior_frame,
     is_variationally_trivial,
     lepage_equivalent,
     lie_derivative,
@@ -35,14 +33,15 @@ from gvc import (
     variational_derivatives,
     volume,
 )
-from gvc.bicomplex import TH, Form, letter_wedge_left, theta_letter
+from gvc.bicomplex import TH, Form, theta_letter
 from gvc.jets import iterated_derivative
 
-from util import (even_part, field_generators, make_context, odd_part, oracle_add,
-                  oracle_d_h, oracle_interior,
+from util import (even_part, field_generators, first_variational_residual,
+                  form_from_poly, interior_frame, letter_wedge_left, make_context, odd_part,
+                  oracle_add, oracle_d_h, oracle_interior,
                   oracle_interior_dx, oracle_interior_frame, oracle_letter_wedge_left,
                   oracle_project_rho, oracle_wedge, random_form, random_jet, random_poly,
-                  random_vertical)
+                  random_vertical, scale)
 
 
 class TestWedge:
@@ -107,14 +106,14 @@ class TestWedge:
                     deg_sign = (-1) ** ((k1 + h1) * (k2 + h2))
                     par_sign = (-1) ** (pa * pb)
                     lhs = a.wedge(b)
-                    rhs = (b.wedge(a)).scale(deg_sign * par_sign)
+                    rhs = scale(b.wedge(a), deg_sign * par_sign)
                     assert lhs == rhs
 
 
 class TestDifferentials:
     def test_dh_on_field(self):
         ctx = make_context(2)
-        got = d_h(Form.from_poly(ctx.var("s1")))
+        got = d_h(form_from_poly(ctx.var("s1")))
         want = Form.dx(ctx, 0).times_poly(ctx.var("s1", 0)) + \
             Form.dx(ctx, 1).times_poly(ctx.var("s1", 1))
         assert got == want
@@ -128,12 +127,12 @@ class TestDifferentials:
 
     def test_dv_on_field(self):
         ctx = make_context(2)
-        assert d_v(Form.from_poly(ctx.var("s1"))) == Form.theta(ctx, "s1")
+        assert d_v(form_from_poly(ctx.var("s1"))) == Form.theta(ctx, "s1")
 
     def test_dv_leibniz_with_parity_sign(self):
         ctx = make_context(2)
         p = ctx.var("s1", 0) * ctx.var("s2")
-        got = d_v(Form.from_poly(p))
+        got = d_v(form_from_poly(p))
         want = Form.theta(ctx, "s1", (0,)).times_poly(ctx.var("s2")) + \
             Form.theta(ctx, "s2").times_poly(ctx.var("s1", 0))
         assert got == want
@@ -306,7 +305,7 @@ class TestLieDerivative:
                 lhs = lie_derivative(theta, a.wedge(b))
                 sign = -1 if (parity and ap) else 1
                 rhs = lie_derivative(theta, a).wedge(b) + \
-                    (a.wedge(lie_derivative(theta, b))).scale(sign)
+                    scale(a.wedge(lie_derivative(theta, b)), sign)
                 assert lhs == rhs
 
     def test_zero_derivation(self):
@@ -358,7 +357,7 @@ class TestNoetherCurrent:
         L = Lagrangian(Fraction(1, 2) * ctx.var("s1", 0) * ctx.var("s1", 0))
         shift = ContactDerivation(ctx, {"s1": ctx.one()}, EVEN)
         J = noether_current(shift, L)
-        assert J == Form.from_poly(-ctx.var("s1", 0))
+        assert J == form_from_poly(-ctx.var("s1", 0))
 
     def test_requires_exact_symmetry(self):
         ctx = make_context(1, evens=1, odds=0)
@@ -510,8 +509,8 @@ class TestTimesPoly:
     def test_constant_words_scale_like_products(self):
         ctx = make_context(3)
         rng = random.Random(32)
-        half = Form.dx(ctx, 0).scale(Fraction(1, 2))
-        mixed = Form.dx(ctx, 1).scale(-3) + Form.dx(ctx, 2).times_poly(
+        half = scale(Form.dx(ctx, 0), Fraction(1, 2))
+        mixed = scale(Form.dx(ctx, 1), -3) + Form.dx(ctx, 2).times_poly(
             ctx.var("s1") + ctx.var("q1") * ctx.var("q2"))
         forms = (volume(ctx), omega_lambda(ctx, 1), omega_pair(ctx, 0, 2), half, half + mixed)
         for _ in range(20):

@@ -31,7 +31,7 @@ from gvc import (
 )
 from gvc.brst import (KoszulTate, NoetherOperator, on_representatives, orbit_representatives,
                       orbit_roots, paired_sum)
-from gvc.grassmann import ExpansionLimitError, JetOrderError
+from gvc.grassmann import ExpansionLimitError, JetOrderError, Poly
 from gvc.jets import iterated_derivative, total_derivative
 from gvc.modelfile import parse_model, spec_model
 from gvc.models import GaugeModel, Metric
@@ -1148,7 +1148,7 @@ class TestAlgebraOrbits:
         # s holds no L: the square alone proves nothing on it
         alone = _fresh(name)
         assert list(alone._brst_residuals()) == batches[0]
-        assert ("fixes", "algebra_maps", "L") not in alone._memo
+        assert ("fixes", "algebra_maps", alone.ym_lagrangian()) not in alone._memo
 
     @staticmethod
     def _brst_batches(model, monkeypatch):
@@ -1184,6 +1184,79 @@ class TestAlgebraOrbits:
             "brst-nilpotency", nilpotency_residuals(s)).line()
         with pytest.raises(GvcError, match="not nilpotent"):
             model.extended_lagrangian()
+
+
+    @staticmethod
+    def _proved(monkeypatch):
+        """The densities the orbit layer proves relabellings on, in order."""
+        proved = []
+        original = gvc.models.orbit_representatives
+
+        def counted(density, pairs, maps, moved):
+            proved.append(density)
+            return original(density, pairs, maps, moved)
+
+        monkeypatch.setattr(gvc.models, "orbit_representatives", counted)
+        return proved
+
+    def test_densities_installed_after_a_run_are_proved_again(self, monkeypatch):
+        # master-equation proves every map on L and on S - L; an S or an L
+        # installed afterwards that breaks the algebra maps is proved anew,
+        # its table is taken whole, and its row is the unreduced route's
+        def routes(install, pipeline):
+            model, rows = _fresh("su2"), []
+            for reduced in (True, False):
+                if reduced:
+                    assert model.pipeline("master-equation", deterministic=True)[0].ok
+                else:
+                    model = _fresh("su2")
+                    monkeypatch.setattr(model, "_representatives", lambda check: None)
+                density = install(model)
+                del proved[:]
+                rows.append(model.pipeline(pipeline, deterministic=True)[0])
+                if reduced:
+                    assert proved and all(p is density() for p in proved)
+                    assert not model._fixes("algebra_maps", "L" if pipeline == "brst" else "S-L")
+            assert not rows[0].ok and rows[0].line() == rows[1].line()
+            return model
+
+        def install_s(model):
+            S = Lagrangian(model.extended_lagrangian().density
+                           + _direction_strength_square(model, 0))
+            monkeypatch.setattr(model, "extended_lagrangian", lambda: S)
+            return model._s_minus_l
+
+        def install_l(model):
+            L = Lagrangian(model.ym_lagrangian().density + _direction_strength_square(model, 0))
+            monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+            return lambda: L.density
+
+        proved = self._proved(monkeypatch)
+        routes(install_s, "master-equation")
+        routes(install_l, "brst")
+
+    def test_s_minus_l_of_the_proper_solution_is_the_paired_sum(self, monkeypatch):
+        # S built here is L plus the paired sum P of s: S - L is P itself,
+        # with no subtraction, and shares its proofs; an installed S
+        # subtracts L and proves its own S - L, once per family of maps
+        model = _fresh("su2")
+        subtracted, proved = [], self._proved(monkeypatch)
+        sub = Poly.__sub__
+        monkeypatch.setattr(Poly, "__sub__", lambda p, q: subtracted.append(p) or sub(p, q))
+        assert model.pipeline("master-equation", deterministic=True)[0].ok
+        S, L, P = model.extended_lagrangian(), model.ym_lagrangian(), model._paired_sum("brst")
+        assert model._s_minus_l() is P
+        assert not any(p is S.density for p in subtracted)
+        assert sorted(("P" if d is P else "L" if d is L.density else "?") for d in proved) == \
+            ["L", "L", "P", "P"]
+        installed = Lagrangian(S.density + model.ctx.zero())
+        monkeypatch.setattr(model, "extended_lagrangian", lambda: installed)
+        del proved[:]
+        assert model.pipeline("master-equation", deterministic=True)[0].ok
+        rest = model._s_minus_l()
+        assert any(p is installed.density for p in subtracted)
+        assert rest is not P and rest == P
+        assert len(proved) == 2 and all(d is rest for d in proved)
 
 
 class TestProperSolution:

@@ -15,19 +15,20 @@ import gvc.models
 from gvc import EVEN, GvcError, Lagrangian, ODD, euler_lagrange
 from gvc.bicomplex import (EulerLagrange, Form, conservation_residual, d_h, interior,
                            lie_derivative, noether_current, superpotential_residual,
-                           variational_delta)
+                           variational_delta, volume)
 from gvc.brst import (NoetherOperator, master_equation_check, nilpotency_residuals,
                       orbit_representatives, orbit_roots, paired_sum)
 from gvc.grassmann import ExpansionLimitError, Poly
 from gvc.jets import ContactDerivation, prolong_apply, total_derivative
 from gvc.models import GaugeModel, Metric, run_parts
 from gvc.modelfile import parse_model, spec_model
-from gvc.presets import PRESET_MODEL_TEXT, abelian_algebra, preset_model, su2_algebra
+from gvc.presets import PRESET_MODEL_TEXT, preset_model, su2_algebra
 from gvc.reporting import CheckResult
 from gvc.superlie import LieSuperalgebra, bracket
 
-from util import (assert_normal, constant_parameter_symmetry, mass_term_lagrangian,
-                  rescaled_model_text, superbracket, sym_jet, sym_quadratic_lagrangian)
+from util import (abelian_algebra, assert_normal, constant_parameter_symmetry,
+                  first_variational_residual, mass_term_lagrangian, rescaled_model_text,
+                  scale, superbracket, sym_jet, sym_quadratic_lagrangian)
 
 GOLDEN = Path(__file__).parent / "golden"
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
@@ -52,6 +53,11 @@ def osp12():
 @pytest.fixture(scope="module")
 def sl21():
     return spec_model(parse_model(SL21_MODEL.read_text(encoding="utf-8")))
+
+
+@pytest.fixture(scope="module")
+def sl3():
+    return spec_model(parse_model(SL3_MODEL.read_text(encoding="utf-8")))
 
 
 class TestMetric:
@@ -419,8 +425,6 @@ class TestCurrents:
         assert su2.current() == want
 
     def test_first_variational_formula_for_gauge_symmetry(self, su2):
-        from gvc.bicomplex import first_variational_residual
-
         res = first_variational_residual(su2.parameter_symmetry(),
                                          su2.ym_lagrangian())
         assert res.is_zero()
@@ -588,15 +592,25 @@ class TestParameterOrbits:
 
     @staticmethod
     def _prolonged(monkeypatch):
-        """The derivations the symmetry checks prolong on L, in order."""
-        thetas = []
-        original = gvc.models.prolong_apply
+        """The derivations whose L_theta L the symmetry checks take, in
+        order, each with whether the jet route prolonged it on L's
+        polynomial, which it does only when the split route is nonzero."""
+        thetas, calls = [], []
+        lie, prolong = GaugeModel.lie_derivative, gvc.models.prolong_apply
 
-        def recording(theta, p):
-            thetas.append(theta)
-            return original(theta, p)
+        def recording(model, theta):
+            start = len(calls)
+            out = lie(model, theta)
+            density = model.ym_lagrangian().density
+            thetas.append((theta, any(p is density for _, p in calls[start:])))
+            return out
 
-        monkeypatch.setattr(gvc.models, "prolong_apply", recording)
+        def counted(theta, p):
+            calls.append((theta, p))
+            return prolong(theta, p)
+
+        monkeypatch.setattr(GaugeModel, "lie_derivative", recording)
+        monkeypatch.setattr(gvc.models, "prolong_apply", counted)
         return thetas
 
     @staticmethod
@@ -638,13 +652,13 @@ class TestParameterOrbits:
         whole = noether_current(theta, L)
         assert not whole.is_zero() and sum(currents, Form.zero(ctx)) == whole == model.current()
         # doubled currents and superpotentials leave nonzero residuals
-        conserved = [conservation_residual(model._part("parameter", (q,)), currents[q].scale(2),
+        conserved = [conservation_residual(model._part("parameter", (q,)), scale(currents[q], 2),
                                            el) for q in range(m)]
-        assert sum(conserved, Form.zero(ctx)) == conservation_residual(theta, whole.scale(2), el)
+        assert sum(conserved, Form.zero(ctx)) == conservation_residual(theta, scale(whole, 2), el)
         spread = [superpotential_residual(currents[q], el, model.superpotential_rows((q,)),
-                                          model.superpotential((q,)).scale(2)) for q in range(m)]
+                                          scale(model.superpotential((q,)), 2)) for q in range(m)]
         assert sum(spread, Form.zero(ctx)) == superpotential_residual(
-            whole, el, model.superpotential_rows(), model.superpotential().scale(2))
+            whole, el, model.superpotential_rows(), scale(model.superpotential(), 2))
         assert all(not f.is_zero() for f in conserved + spread)
         assert sum((model.superpotential((q,)) for q in range(m)), Form.zero(ctx)) == \
             model.superpotential()
@@ -670,15 +684,15 @@ class TestParameterOrbits:
         model = preset_model("su2")
         current, superpotential = model.current, model.superpotential
         batches = self._batches(monkeypatch)
-        monkeypatch.setattr(model, "current", lambda q=None: current(q).scale(2))
+        monkeypatch.setattr(model, "current", lambda q=None: scale(current(q), 2))
         row = dict(model._noether_parts())["current-conservation"]("current-conservation")
         monkeypatch.delattr(model, "current")
-        monkeypatch.setattr(model, "superpotential", lambda q=None: superpotential(q).scale(2))
+        monkeypatch.setattr(model, "superpotential", lambda q=None: scale(superpotential(q), 2))
         rows = self._rows(model)
         assert batches == [["xi1"], ["xi2", "xi3"], ["xi1"], ["xi1"], ["xi1"], ["xi2", "xi3"],
                            ["c1"]]
         theta, el = model.parameter_symmetry(), model.generic_euler_lagrange()
-        want = conservation_residual(theta, current().scale(2), el)
+        want = conservation_residual(theta, scale(current(), 2), el)
         assert not row.ok and row.line() == CheckResult.from_form(row.name, want).line()
         assert not rows["superpotential"].ok
         assert rows["superpotential"].line() == _unreduced_row(model, "superpotential")
@@ -701,7 +715,8 @@ class TestParameterOrbits:
         batches, prolonged = self._batches(monkeypatch), self._prolonged(monkeypatch)
         rows = self._rows(model)
         assert batches == []
-        assert prolonged == [model.parameter_symmetry(), model.gauge_operator()]
+        # the split route is nonzero on both, so the rows are the jet route's
+        assert prolonged == [(model.parameter_symmetry(), True), (model.gauge_operator(), True)]
         for kind in ("parameter", "gauge"):
             assert model._representatives(kind) is None
             lies = [model.lie_derivative(model._part(kind, (q,))) for q in range(3)]
@@ -742,7 +757,7 @@ class TestParameterOrbits:
         prolonged = self._prolonged(monkeypatch)
         rows = self._rows(model)
         assert model._representatives("parameter") is None
-        assert prolonged[0] is theta
+        assert prolonged[0] == (theta, True)
         assert not rows["parameter-symmetry"].ok
         for check in SYMMETRY_CHECKS:
             assert rows[check].line() == _unreduced_row(model, check)
@@ -752,7 +767,7 @@ class TestParameterOrbits:
         batches, prolonged = self._batches(monkeypatch), self._prolonged(monkeypatch)
         rows = self._rows(model)
         assert model.algebra_maps() == [] and batches == []
-        assert prolonged == [model.parameter_symmetry(), model.gauge_operator()]
+        assert prolonged == [(model.parameter_symmetry(), False), (model.gauge_operator(), False)]
         assert all(rows[check].ok for check in SYMMETRY_CHECKS)
 
     def test_a_source_in_L_runs_unreduced(self, monkeypatch):
@@ -771,7 +786,8 @@ class TestParameterOrbits:
         assert model._representatives("parameter") is None
         assert model._representatives("gauge") == {model.ghost[0]}
         assert batches == [["c1"]]
-        assert prolonged == [model.parameter_symmetry(), model._part("gauge", (0,))]
+        assert prolonged == [(model.parameter_symmetry(), False),
+                             (model._part("gauge", (0,)), False)]
         for check in SYMMETRY_CHECKS:
             assert rows[check].line() == _unreduced_row(model, check)
 
@@ -809,6 +825,75 @@ class TestParameterOrbits:
         assert model._representatives("parameter") == {model.parameter[0]}
         with pytest.raises(ExpansionLimitError, match="limit %d" % limit):
             run_parts(parts[2:3])
+
+
+class TestSplitRoute:
+    """L_theta L and the Utiyama tables in the split coordinates: phi(L),
+    and the conjugated derivation phi theta phi^-1 on it, against
+    `split_coordinates` and against L_theta L prolonged in jets."""
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl3", "sl21"])
+    def test_conjugated_derivation_is_phi_of_theta(self, name, request):
+        # the own L (whose phi(L) is built factor-wise), a mass term and a
+        # symmetric-quadratic L, each phi(L) kept with its own L; the even
+        # parameter symmetry and the odd gauge operator, a part of one
+        # direction and the whole
+        model = request.getfixturevalue(name)
+        own, m = model.ym_lagrangian(), model.algebra.dim
+        every = tuple(range(m))
+        for L in (own, mass_term_lagrangian(model), sym_quadratic_lagrangian(model)):
+            assert model._split(L) == model.split_coordinates(L.density)
+            for kind in ("parameter", "gauge"):
+                for directions in ((0,), every):
+                    theta = model._part(kind, directions)
+                    got = model._split_lie(theta, L)
+                    assert got == model.split_coordinates(prolong_apply(theta, L.density))
+                    assert got.is_zero() == (L is own)
+        assert model._split(own) is model._split(own)
+        # phi of a derivation's value, each term holding at most one first
+        # jet, and of a product holding two, which takes the substitution
+        value = prolong_apply(model.gauge_operator(), model.strength(m - 1, 0, 1))
+        for p in (value, value * model.strength(0, 0, 1)):
+            assert model._split_image(p) == model.split_coordinates(p)
+
+    @pytest.mark.parametrize("name, order", [
+        ("su2", None), ("su2", 1), ("su2", 2), ("osp12", None), ("osp12", 1), ("osp12", 2),
+        ("sl21", 1)])
+    def test_rows_are_the_jet_routes(self, name, order, monkeypatch):
+        # with the own L, plus a mass term or a symmetric-quadratic term,
+        # at each maximum jet order, each symmetry row is that of L_theta L
+        # prolonged in jets: zero, nonzero and raised alike
+        text = SL21_MODEL.read_text(encoding="utf-8") if name == "sl21" \
+            else PRESET_MODEL_TEXT[name]
+        lines = []
+        for extra in (None, mass_term_lagrangian, sym_quadratic_lagrangian):
+            model = spec_model(parse_model(text), max_jet_order=order)
+            if extra is not None:
+                L = Lagrangian(model.ym_lagrangian().density + extra(model).density)
+                monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True, L=L: L)
+            for kind, check in (("parameter", "parameter-symmetry"), ("gauge", "gauge-symmetry")):
+                theta = model._symmetry(kind)[0]
+                got, want = run_parts([
+                    (check, lambda n: CheckResult.from_form(n, model.lie_derivative(theta))),
+                    (check, lambda n: CheckResult.from_form(n, volume(model.ctx).times_poly(
+                        prolong_apply(theta, model.ym_lagrangian().density))))], True)
+                assert got.line() == want.line()
+                lines.append(got)
+        assert [row.ok for row in lines] == [order != 1] * 2 + [False] * 4
+        if order == 1:
+            assert all("exceeds configured maximum 1" in row.witness for row in lines)
+
+    def test_a_split_coordinate_in_L_takes_the_jet_route(self, su2, monkeypatch):
+        # F^1_01 - Fs1_01 is zero under phi, which is not injective on a
+        # density holding a split coordinate: the jet route decides
+        L = Lagrangian(su2.strength(0, 0, 1) - su2.ctx.var(su2.aux_strength[(0, 0, 1)]))
+        theta = su2.parameter_symmetry()
+        assert su2.split_coordinates(L.density).is_zero()
+        assert su2._split_lie(theta, L) is None
+        monkeypatch.setattr(su2, "ym_lagrangian", lambda validate=True: L)
+        assert su2.lie_derivative(theta) == volume(su2.ctx).times_poly(
+            prolong_apply(theta, L.density))
+        assert not su2.lie_derivative(theta).is_zero()
 
 
 class TestInvarianceConditions:
@@ -1126,14 +1211,18 @@ class TestBuildOnce:
         assert len(densities) == 2
 
     def test_parameter_lie_derivative_computed_once(self, monkeypatch):
-        calls, currents, form_lies, lepages = [], [], [], []
-        prolong, current, form_lie, lepage = (
-            gvc.models.prolong_apply, gvc.models.noether_current, gvc.bicomplex.lie_derivative,
-            gvc.models.lepage_equivalent)
+        calls, lies, currents, form_lies, lepages = [], [], [], [], []
+        prolong, lie, current, form_lie, lepage = (
+            gvc.models.prolong_apply, GaugeModel.lie_derivative, gvc.models.noether_current,
+            gvc.bicomplex.lie_derivative, gvc.models.lepage_equivalent)
 
         def counted(theta, p):
             calls.append((theta, p))
             return prolong(theta, p)
+
+        def counted_lie(model, theta):
+            lies.append(theta)
+            return lie(model, theta)
 
         def counted_current(theta, L, lie=None, lepage=None):
             currents.append((theta, lie, lepage))
@@ -1148,39 +1237,48 @@ class TestBuildOnce:
             return lepage(L)
 
         monkeypatch.setattr(gvc.models, "prolong_apply", counted)
+        monkeypatch.setattr(GaugeModel, "lie_derivative", counted_lie)
         monkeypatch.setattr(gvc.models, "noether_current", counted_current)
         monkeypatch.setattr(gvc.bicomplex, "lie_derivative", counted_form_lie)
         monkeypatch.setattr(gvc.models, "lepage_equivalent", counted_lepage)
         model = preset_model("su2")
         assert model.full_verification().ok
-        # su2's three directions are one orbit of its algebra maps: one
-        # density prolongation of the first direction's part of the
-        # parameter symmetry for parameter-symmetry, one of the gauge
-        # operator's for gauge-symmetry, and none on forms
-        density = model.ym_lagrangian().density
+        # su2's three directions are one orbit of its algebra maps: L_theta L
+        # of the first direction's part of the parameter symmetry for
+        # parameter-symmetry, and of the gauge operator's for gauge-symmetry,
+        # each by the split route: the part on the 18 strengths, the
+        # conjugated derivation once on phi(L); never on L's polynomial, and
+        # none on forms
+        L = model.ym_lagrangian()
+        image = model._split(L)
         xi, ghost = model._part("parameter", (0,)), model._part("gauge", (0,))
-        assert [(theta, p is density) for theta, p in calls] == [(xi, True), (ghost, True)]
+        assert lies == [xi, ghost]
+        assert not any(p is L.density for _, p in calls)
+        assert [p is image for _, p in calls] == ([False] * 18 + [True]) * 2
+        assert [theta for theta, p in calls if p is not image] == [xi] * 18 + [ghost] * 18
         assert form_lies == []
         # that part's current takes its own L_theta as the precondition,
         # and the one Lepage form
         assert [(theta, lie is model._lie("parameter", (0,)), xi_L is model.lepage_form())
                 for theta, lie, xi_L in currents] == [(xi, True, True)]
         assert len(lepages) == 1 and lepages[0] is model.ym_lagrangian()
-        # the whole current prolongs the whole part once, reuses its own
-        # L_theta and the same Lepage form
+        # the whole current takes L_theta of the whole part once, reuses it
+        # and the same Lepage form
         model.current()
         whole = model._part("parameter", (0, 1, 2))
-        assert [theta for theta, _ in calls[2:]] == [whole]
+        assert lies[2:] == [whole] and not any(p is L.density for _, p in calls)
         assert [(theta, lie is model._lie("parameter", (0, 1, 2)), xi_L is model.lepage_form())
                 for theta, lie, xi_L in currents[1:]] == [(whole, True, True)]
         assert len(lepages) == 1 and form_lies == []
         assert model.parameter_symmetry() is model.parameter_symmetry()
-        # sl(2|1)'s gauge-symmetry: one prolongation of the part of its
-        # four representative directions
+        # sl(2|1)'s gauge-symmetry: L_theta L of the part of its four
+        # representative directions, by the split route
+        lies.clear()
         calls.clear()
         sl21 = spec_model(parse_model(SL21_MODEL.read_text(encoding="utf-8")))
         assert all(row.ok for row in sl21.pipeline("brst"))
-        assert calls == [(sl21._part("gauge", (0, 2, 3, 4)), sl21.ym_lagrangian().density)]
+        assert lies == [sl21._part("gauge", (0, 2, 3, 4))]
+        assert not any(p is sl21.ym_lagrangian().density for _, p in calls)
 
     def test_momentum_built_once_per_direction_pair(self, monkeypatch):
         # the momentum, like the strength, is antisymmetric in its two

@@ -7,9 +7,10 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from gvc import ContactDerivation, Context, EVEN, Lagrangian, ODD
-from gvc.bicomplex import (DX, TH, Form, _letter_parity, _normal_word, dx_letter,
-                           letter_wedge_left, theta_letter)
+from gvc import ContactDerivation, Context, EVEN, Lagrangian, LieSuperalgebra, ODD
+from gvc.bicomplex import (DX, TH, Form, _add_letter_wedge, _contract_word, _form,
+                           _letter_parity, _normal_word, d_h, dx_letter, h0, interior,
+                           lepage_equivalent, lie_derivative, theta_letter, variational_delta)
 from gvc.grassmann import Poly
 from gvc.jets import iterated_derivative, prolong_apply, total_derivative
 
@@ -90,7 +91,7 @@ def random_form(rng, ctx, contact, horizontal, terms=2, max_order=2,
     out = Form.zero(ctx)
     gens = field_generators(ctx)
     for _ in range(terms):
-        word_form = Form.from_poly(
+        word_form = form_from_poly(
             random_poly(rng, ctx, terms=2, max_order=coeff_order))
         dxs = rng.sample(range(ctx.dim), horizontal)
         for lam in sorted(dxs):
@@ -614,7 +615,7 @@ def oracle_project_rho(phi):
             if len(v.index) & 1:
                 piece = -piece
             acc = oracle_add(acc, piece)
-        out = oracle_add(out, acc.scale(Fraction(1, k)))
+        out = oracle_add(out, scale(acc, Fraction(1, k)))
     return out
 
 
@@ -859,3 +860,46 @@ def superbracket(t1, t2):
         if not c.is_zero():
             comps[gen] = c
     return ContactDerivation(ctx, comps, (t1.parity + t2.parity) % 2)
+
+
+# -- test-only engine helpers ---------------------------------------------------
+#
+# Small constructors and operations on the engine's types that only tests
+# use; each is built from the engine's own kernels.
+
+
+def abelian_algebra():
+    """The one-dimensional abelian algebra with unit form."""
+    alg = LieSuperalgebra(["e1"], [EVEN])
+    alg.set_form("e1", "e1", 1)
+    return alg
+
+
+def form_from_poly(p):
+    """The 0-form of the polynomial p."""
+    return Form(p.ctx, {(): p})
+
+
+def scale(phi, c):
+    """The form phi times the scalar c."""
+    return Form(phi.ctx, {w: f * c for w, f in phi.terms.items()})
+
+
+def letter_wedge_left(ell, phi):
+    """ell wedge phi for a single basis one-form ell."""
+    return _form(phi.ctx, _add_letter_wedge({}, phi.ctx, ell, phi.terms.items()))
+
+
+def interior_frame(var, phi):
+    """Contraction with the coordinate contact frame dual to th at `var`."""
+    one = phi.ctx.one()
+    return _contract_word(phi, var.parity, lambda ell: (
+        one if ell[0] == TH and ell[1].key == var.key else None))
+
+
+def first_variational_residual(theta, L):
+    """L_theta L - theta | delta L - d_H h0(theta | Xi_L); zero when exact."""
+    lie = lie_derivative(theta, L.form)
+    dl = variational_delta(L.form)
+    xi = lepage_equivalent(L)
+    return lie - interior(theta, dl) - d_h(h0(interior(theta, xi)))
