@@ -677,37 +677,41 @@ class Poly:
         """Replace variables simultaneously: `mapping` sends each variable
         to a polynomial of the same parity.
 
-        Each term is rewritten once, as the product of its factors in
-        normal order with the replacements swapped in, so the product
-        supplies the odd signs; terms without a replaced variable are
-        kept as they are.
+        Each term is rewritten once, as the product of its replaced
+        factors' images in normal order times the monomial of its kept
+        factors: the even ones commute, and bringing each replaced odd
+        letter left past the kept odd letters before it gives the sign.
+        Terms without a replaced variable are kept as they are.
         """
         for v, repl in mapping.items():
             if repl.parity() != v.parity and not repl.is_zero():
                 raise ParityError("substitution must preserve parity")
         ctx = self.ctx
-        powers = {}  # (variable, exponent) -> its factor polynomial
+        powers = {}  # (variable, exponent) -> its replacement's power
 
         def factor(v, e):
             if (v, e) not in powers:
-                repl = mapping.get(v)
-                if repl is None:
-                    mono = (((v, e),), ()) if v.parity == EVEN else ((), (v,))
-                    powers[(v, e)] = Poly(ctx, {mono: 1})
-                else:
-                    powers[(v, e)] = repl ** e
+                powers[(v, e)] = mapping[v] if e == 1 else mapping[v] ** e
             return powers[(v, e)]
 
         out = Poly(ctx, {})
         for (ev, od), c in self.terms.items():
-            factors = ev + tuple((v, 1) for v in od)
-            if not any(v in mapping for v, _ in factors):
+            moved = [(v, e) for v, e in ev if v in mapping]
+            kept_od, crossings = [], 0
+            for v in od:
+                if v in mapping:
+                    moved.append((v, 1))
+                    crossings += len(kept_od)
+                else:
+                    kept_od.append(v)
+            if not moved:
                 accumulate(out, (((ev, od), c),))
                 continue
-            prod = Poly(ctx, {_ONE: c})
-            for v, e in factors:
+            prod = factor(*moved[0])
+            for v, e in moved[1:]:
                 prod = add_product(Poly(ctx, {}), prod, factor(v, e))
-            accumulate(out, prod.terms.items(), prod.den)
+            rest = (tuple((v, e) for v, e in ev if v not in mapping), tuple(kept_od))
+            add_product(out, prod, Poly(ctx, {rest: -c if crossings & 1 else c}))
         # the numerators summed so far are over this polynomial's denominator
         out.den *= self.den
         return out.finish()

@@ -118,11 +118,10 @@ def run_parts(parts, deterministic=False):
 
 
 def _add(out, p, c=1):
-    """out += c * p in place for a polynomial p and a nonzero scalar c;
-    returns `out`, whose denominator `finish` reduces."""
-    c = Fraction(c)
-    return accumulate(out, ((m, c.numerator * n) for m, n in p.terms.items()),
-                      c.denominator * p.den)
+    """out += c * p in place for a polynomial p and a nonzero int or
+    Fraction c; returns `out`, whose denominator `finish` reduces."""
+    num, den = (c, 1) if type(c) is int else (c.numerator, c.denominator)
+    return accumulate(out, ((m, num * n) for m, n in p.terms.items()), den * p.den)
 
 
 def _held(m, gens):
@@ -660,15 +659,15 @@ class GaugeModel:
         symmetric half is symmetric only up to it."""
         def build():
             (r, mu), (lam,) = self._field_at[v.gen], v.index
-            key = (r, min(lam, mu), max(lam, mu))
-            repl = self.ctx.var(self.aux_sym[key])
-            repl.den = 2
+            key, ctx = (r, min(lam, mu), max(lam, mu)), self.ctx
+            (sym, _), = ctx.var(self.aux_sym[key]).terms.items()
+            halves = {sym: 1}
             if lam != mu:
-                (m, _), = self.ctx.var(self.aux_strength[key]).terms.items()
-                repl.terms[m] = 1 if lam < mu else -1
+                (fs, _), = ctx.var(self.aux_strength[key]).terms.items()
+                halves[fs] = 1 if lam < mu else -1
+            repl = Poly(ctx, halves, 2)
             if lam > mu:
-                twist = self._quadratic_twist(r, mu, lam)
-                accumulate(repl, twist.terms.items(), twist.den)
+                _add(repl, self._quadratic_twist(r, mu, lam))
             return repl.finish()
 
         return self._once(("phi", v), build)
@@ -694,29 +693,6 @@ class GaugeModel:
             return self.split_coordinates(L.density)
 
         return self._once(("split", L), build)
-
-    def _split_image(self, p):
-        """phi(p): p's terms without a first jet of a field kept, and each
-        term holding one, v, as phi(v) times the rest; a term holding two
-        or v squared takes p through `split_coordinates`."""
-        ctx, out = self.ctx, self.ctx.zero()
-        for (ev, od), c in p.terms.items():
-            jets = [(v, pos, e) for pos, (v, e) in enumerate(ev)
-                    if len(v.index) == 1 and v.gen in self._field_at]
-            jets += [(v, pos, 1) for pos, v in enumerate(od)
-                     if len(v.index) == 1 and v.gen in self._field_at]
-            if not jets:
-                accumulate(out, (((ev, od), c),), p.den)
-                continue
-            if len(jets) > 1 or jets[0][2] > 1:
-                return self.split_coordinates(p)
-            (v, pos, _), = jets
-            # the left partial along v: v leaves its slot for the front
-            rest = ((ev[:pos] + ev[pos + 1:], od) if v.parity == EVEN else
-                    (ev, od[:pos] + od[pos + 1:]))
-            add_product(out, self._jet_image(v), Poly(ctx, {rest: -c if v.parity and pos & 1
-                                                            else c}, p.den))
-        return out.finish()
 
     def _preimage(self, gen):
         """phi^-1 of a split coordinate: the strength, or the symmetric half
@@ -746,8 +722,8 @@ class GaugeModel:
             if gen in self._unsplit or gen in moved:
                 if v.index:
                     return None
-                values[gen] = self._split_image(prolong_apply(theta, self._preimage(gen))
-                                                if gen in self._unsplit else moved[gen])
+                values[gen] = self.split_coordinates(prolong_apply(theta, self._preimage(gen))
+                                                     if gen in self._unsplit else moved[gen])
         return prolong_apply(ContactDerivation(self.ctx, values, theta.parity), image)
 
     def invariance_conditions(self, L=None):

@@ -850,11 +850,6 @@ class TestSplitRoute:
                     assert got == model.split_coordinates(prolong_apply(theta, L.density))
                     assert got.is_zero() == (L is own)
         assert model._split(own) is model._split(own)
-        # phi of a derivation's value, each term holding at most one first
-        # jet, and of a product holding two, which takes the substitution
-        value = prolong_apply(model.gauge_operator(), model.strength(m - 1, 0, 1))
-        for p in (value, value * model.strength(0, 0, 1)):
-            assert model._split_image(p) == model.split_coordinates(p)
 
     @pytest.mark.parametrize("name, order", [
         ("su2", None), ("su2", 1), ("su2", 2), ("osp12", None), ("osp12", 1), ("osp12", 2),
