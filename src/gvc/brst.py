@@ -9,9 +9,15 @@ antibracket use the right-derivative convention directly, so no hidden sign
 adapters are spread around the code.  Each sum (a Noether row's residual, a
 Koszul-Tate value, a `paired_sum`, such as the proper solution's S - L) is
 built in one polynomial.  The master equation is checked by Theta_S^2 alone,
-Theta_S taking L's field equations as given plus those of S - L, and the
+Theta_S taking L's field equations as given plus those of P = S - L, and the
 bracket's failure rows are E_z({S,S}) = -+2 Theta_S^2(zbar) (minus on fields
 and ghosts, plus on antifields); `antibracket` is the tests' oracle for it.
+Theta is linear in its density: Theta_S^2 = Theta_L^2 + [Theta_L, Theta_P] +
+Theta_P^2.  Theta_L moves antifields alone, by field equations, which hold
+none, so Theta_L^2 = 0; the cross term moves a generator g by -(g, (L, P)),
+which reads the field equations of (L, P) alone, and for P = P_s, the
+paired sum of an s whose field components hold no antifield, those are
+s(L)'s.  So where s(L) = 0, Theta_P^2, from P's table alone, is Theta_S^2.
 `orbit_representatives` proves that signed relabellings keep the pairing
 and fix a density (L or a paired sum); `on_representatives` takes a
 residual table on one generator per orbit of maps so proved first.
@@ -141,10 +147,10 @@ def brst_extend(u, gamma):
 
 def nilpotency_residuals(theta, gens=None):
     """theta(theta(z)) for every generator z the derivation moves, or for
-    those of `gens` (a subset), by the derivation's own action (left, or
-    right for Koszul-Tate), in key order."""
+    those of `gens`, by the derivation's own action (left, or right for
+    Koszul-Tate), in key order."""
     comps = theta.components
-    return {gen.name: theta.apply(comps[gen])
+    return {gen.name: theta.apply(theta.component(gen))
             for gen in sorted(comps if gens is None else gens, key=lambda g: g.key)}
 
 
@@ -180,20 +186,28 @@ def antibracket(L1, L2, pairs):
     return Lagrangian(out.finish())
 
 
-def master_derivation(L, pairs, split=None):
+def master_derivation(L, pairs, split=None, part=False):
     """The odd derivation generated by an even density through the
     antibracket over a pairing of all its generators; its nilpotency is
     the master equation.  With `split`, the left variational derivatives
-    of a part P of the density by generator and the density minus P, it
-    adds the latter's to them: delta is linear."""
+    of a part L0 of the density by generator and the density minus L0, P,
+    it adds the former to P's: delta is linear.  With `part` too, it
+    returns Theta_P besides, from P's one table."""
     ctx = L.ctx
     parity = L.density.require_parity()
     _require_paired((L.density,), pairs)
     if parity != EVEN:
         raise ParityError("master equation is checked for even densities")
-    left = variational_derivatives(L.density if split is None else split[1])
+    rest = variational_derivatives(L.density if split is None else split[1])
+    left = dict(rest)
     for z, p in (split[0].items() if split else ()):
-        left[z] = p + left[z] if z in left else p
+        left[z] = p + rest[z] if z in rest else p
+    theta = _paired_derivation(ctx, left, pairs)
+    return (theta, _paired_derivation(ctx, rest, pairs)) if part else theta
+
+
+def _paired_derivation(ctx, left, pairs):
+    """Theta of a density from its left variational derivatives `left`."""
     comps = {}
     for z, zbar in pairs.items():
         sign = -1 if z.parity == EVEN else 1
@@ -305,7 +319,7 @@ def on_representatives(evaluate, moved, representatives=None):
     return {z.name: residuals[z.name] for z in order}
 
 
-def master_equation_check(L, pairs, representatives=None, split=None):
+def master_equation_check(L, pairs, representatives=None, split=None, part=False):
     """The classical master equation by Theta_S^2 alone: {S, S} is
     variationally trivial exactly when it vanishes on every generator.
 
@@ -313,10 +327,12 @@ def master_equation_check(L, pairs, representatives=None, split=None):
     proved to fix S and keep the pairing (`orbit_representatives`), so
     that Theta_S^2(g z) = g Theta_S^2(z), are squared first
     (`on_representatives`); the proof is the caller's.  `split` is as in
-    `master_derivation`."""
-    theta = master_derivation(L, pairs, split)
+    `master_derivation`.  With `part`, the caller's proof that P = S - L0
+    is P_s and s(L0) = 0, Theta_P^2 stands for Theta_S^2 (module docstring)."""
+    theta, square = master_derivation(L, pairs, split, True) if part else \
+        (master_derivation(L, pairs, split),) * 2
     return MasterReport(pairs, theta, on_representatives(
-        lambda gens: nilpotency_residuals(theta, gens), theta.components, representatives))
+        lambda gens: nilpotency_residuals(square, gens), theta.components, representatives))
 
 
 def proper_solution(L, s, pairs, residuals=None, paired=None):

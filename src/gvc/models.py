@@ -156,9 +156,11 @@ class GaugeModel:
     derivations by algebra direction and their Lie derivatives, the Lepage
     form, the relabellings, the orbit layer's proofs, each once per
     relabelling and density, S and S - L, and phi(L) with each first jet's
-    image) is built on first use and kept.  The orbit layer's proofs,
-    S - L and phi(L) are kept with the density they came from, so an L or S
-    installed later is proved and split anew.
+    image) is built on first use and kept.  What L, S or s yields (the
+    field equations, Koszul-Tate, the Noether residuals, the Lie
+    derivatives, the Lepage form, S itself, the BRST square, the orbit
+    layer's proofs, S - L and phi(L)) is kept with its source, so an L, S
+    or s installed later is built, proved and split anew.
     """
 
     # Checks whose formulas are proved for even algebras only; a model
@@ -354,7 +356,8 @@ class GaugeModel:
         return EulerLagrange(ctx, comps)
 
     def generic_euler_lagrange(self):
-        return self._once("euler-lagrange", lambda: euler_lagrange(self.ym_lagrangian()))
+        L = self.ym_lagrangian()
+        return self._once(("euler-lagrange", L), lambda: euler_lagrange(L))
 
     # -- Noether structure ----------------------------------------------------
 
@@ -377,14 +380,14 @@ class GaugeModel:
                                      for j in range(m)})
 
     def _noether_residuals(self):
-        return self._once("noether-residuals", lambda: on_representatives(
+        return self._once(("noether-residuals", self.ym_lagrangian()), lambda: on_representatives(
             lambda gens: noether_residuals(self.noether_operator(),
                                            self.generic_euler_lagrange(),
                                            {g.name for g in gens}),
             self.noether_antifield, self._representatives("koszul-tate")))
 
     def koszul_tate(self):
-        return self._once("koszul-tate", lambda: koszul_tate(
+        return self._once(("koszul-tate", self.ym_lagrangian()), lambda: koszul_tate(
             self.noether_operator(), self.generic_euler_lagrange(), self._pairs))
 
     # -- orbit proofs -------------------------------------------------------------
@@ -392,11 +395,8 @@ class GaugeModel:
     def _source(self, key):
         """What the density of a proof key is kept with: L for "L", S for
         "S-L", else the derivation of the `_paired_sum` of `key`."""
-        if key == "L":
-            return self.ym_lagrangian()
-        if key == "S-L":
-            return self.extended_lagrangian()
-        return {"brst": self.brst_operator, "parameter": self.parameter_symmetry,
+        return {"L": self.ym_lagrangian, "S-L": self.extended_lagrangian,
+                "brst": self.brst_operator, "parameter": self.parameter_symmetry,
                 "rows": self.koszul_tate}[key]()
 
     def _paired_sum(self, key):
@@ -420,7 +420,7 @@ class GaugeModel:
         built here, L plus that sum; an installed S subtracts L."""
         S = self.extended_lagrangian()
         return self._once(("S-L", S), lambda: (
-            self._paired_sum("brst") if S is self._memo.get("extended-lagrangian")
+            self._paired_sum("brst") if self._proper(S)
             else S.density - self.ym_lagrangian().density))
 
     def _fixes(self, family, key):
@@ -431,7 +431,7 @@ class GaugeModel:
         source = self._source(key)
 
         def prove():
-            if key == "S-L" and source is self._memo.get("extended-lagrangian"):
+            if key == "S-L" and self._proper(source):
                 return self._fixes(family, "brst")
             density = (source.density if key == "L" else
                        self._s_minus_l() if key == "S-L" else self._paired_sum(key))
@@ -567,13 +567,18 @@ class GaugeModel:
     def _lie(self, kind, directions):
         """L_theta L for the part of `directions` (`_part`), kept: a parameter
         part's is also its current's precondition."""
-        return self._once(("lie", kind, directions),
+        return self._once(("lie", kind, directions, self.ym_lagrangian()),
                           lambda: self.lie_derivative(self._part(kind, directions)))
 
     def parameter_lie_derivative(self):
         """L_theta L for the parameter symmetry and the Lagrangian."""
-        return self._once("parameter-lie-derivative", lambda: self._by_direction(
-            "parameter", lambda qs: self._lie("parameter", qs)))
+        return self._whole_lie("parameter")
+
+    def _whole_lie(self, kind):
+        """L_theta L of the whole derivation of `kind`, kept with L; the
+        gauge operator's is s's on L, which holds fields alone."""
+        return self._once((kind + "-lie-derivative", self.ym_lagrangian()),
+                          lambda: self._by_direction(kind, lambda qs: self._lie(kind, qs)))
 
     def ghost_sector(self):
         """Quadratic ghost components completing the gauge operator."""
@@ -592,7 +597,7 @@ class GaugeModel:
 
     def _brst_residuals(self):
         """s^2 on the generators s moves, on one per orbit first."""
-        return self._once("brst-residuals", lambda: on_representatives(
+        return self._once(("brst-residuals", self.brst_operator()), lambda: on_representatives(
             lambda gens: nilpotency_residuals(self.brst_operator(), gens),
             self.brst_operator().components, self._representatives("brst")))
 
@@ -602,16 +607,22 @@ class GaugeModel:
         return self._pairs
 
     def extended_lagrangian(self):
-        return self._once("extended-lagrangian", lambda: proper_solution(
-            self.ym_lagrangian(), self.brst_operator(), self._pairs, self._brst_residuals(),
-            self._paired_sum("brst")))
+        L, s = self.ym_lagrangian(), self.brst_operator()
+        return self._once(("extended-lagrangian", L, s), lambda: proper_solution(
+            L, s, self._pairs, self._brst_residuals(), self._paired_sum("brst")))
+
+    def _proper(self, S):
+        """Whether S is the proper solution built here for L and s."""
+        return S is self._memo.get(("extended-lagrangian", self.ym_lagrangian(),
+                                    self.brst_operator()))
 
     # -- currents --------------------------------------------------------------
 
     def lepage_form(self):
         """The Lepage form Xi_L of the Lagrangian, which every current
         contracts."""
-        return self._once("lepage-form", lambda: lepage_equivalent(self.ym_lagrangian()))
+        L = self.ym_lagrangian()
+        return self._once(("lepage-form", L), lambda: lepage_equivalent(L))
 
     def _chosen(self, directions):
         """`directions`, or every algebra direction when None."""
@@ -842,10 +853,22 @@ class GaugeModel:
         return [("koszul-tate", kt_check)]
 
     def _brst_parts(self):
-        return [("gauge-symmetry", lambda n: CheckResult.from_form(
-                    n, self._by_direction("gauge", lambda qs: self._lie("gauge", qs)))),
+        return [("gauge-symmetry", lambda n: CheckResult.from_form(n, self._whole_lie("gauge"))),
                 ("brst-nilpotency", lambda n: CheckResult.from_residuals(
                     n, self._brst_residuals()))]
+
+    def _by_part(self):
+        """Whether Theta_S^2 is Theta_P^2 for P = S - L (`master_equation_check`
+        with `part`): S is the proper solution built here with the model's own
+        s, whose field components are the gauge operator's, antifield-free,
+        and whose L_s L, gauge-symmetry's, is zero; and the jets the direct
+        square forms, one order above the field equations' (at most twice
+        L's), are in bound, as Theta_P^2 forms none of them."""
+        bound = self.ctx.max_jet_order
+        return (self._proper(self.extended_lagrangian())
+                and self.brst_operator() is self._memo.get("brst-operator")
+                and (bound is None or 2 * self.ym_lagrangian().density.max_jet_order() < bound)
+                and self._whole_lie("gauge").is_zero())
 
     def _master_equation_parts(self):
         def master(check):
@@ -854,7 +877,7 @@ class GaugeModel:
             rep = master_equation_check(self.extended_lagrangian(), self._pairs,
                                         self._representatives("master-equation"),
                                         (self.generic_euler_lagrange().components,
-                                         self._s_minus_l()))
+                                         self._s_minus_l()), self._by_part())
             if not rep.ok:
                 return CheckResult.from_residuals(check, rep.bracket_residuals())
             # The derivation moves z by the variational derivative along

@@ -31,6 +31,7 @@ from gvc import (
 )
 from gvc.brst import (KoszulTate, NoetherOperator, on_representatives, orbit_representatives,
                       orbit_roots, paired_sum)
+from gvc.bicomplex import variational_derivatives
 from gvc.grassmann import ExpansionLimitError, JetOrderError, Poly
 from gvc.jets import iterated_derivative, total_derivative
 from gvc.modelfile import parse_model, spec_model
@@ -46,6 +47,7 @@ from util import (antifield_numbers, basis_orbits, even_part, field_generators, 
                   random_vertical, shared_jet_cases, shared_jet_poly)
 
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
+SL3_MODEL = SL21_MODEL.with_name("sl3.model")
 
 @pytest.fixture(scope="module")
 def su2():
@@ -74,8 +76,9 @@ def su2_euclidean():
 
 def _fresh(name):
     """A new model of the fixture `name`, with nothing built or proved."""
-    if name == "sl21":
-        return spec_model(parse_model(SL21_MODEL.read_text(encoding="utf-8")))
+    if name in ("sl21", "sl3"):
+        path = SL21_MODEL if name == "sl21" else SL3_MODEL
+        return spec_model(parse_model(path.read_text(encoding="utf-8")))
     if name == "su2_euclidean":
         return GaugeModel(su2_algebra(), Metric((1, 1, 1, 1)))
     return preset_model(name)
@@ -570,13 +573,15 @@ class TestMasterEquation:
     def test_derivation_from_the_kept_field_equations(self, name, monkeypatch):
         """Theta_S of the pipeline, from the kept field equations of L and
         the variational derivatives of S - L, is Theta_S taken from S, on
-        the proper solution and on S plus a random term; so are the split
-        sums of L alone and of S - L alone, where L's cancel."""
-        reports = []
+        the proper solution, where Theta_{S - L} is squared, and on S plus
+        a random term, where Theta_S is; so are the split sums of L alone
+        and of S - L alone, where L's cancel."""
+        reports, parts = [], []
         original = gvc.models.master_equation_check
 
-        def kept(S, pairs, representatives=None, split=None):
-            reports.append((split, original(S, pairs, representatives, split)))
+        def kept(S, pairs, representatives=None, split=None, part=False):
+            parts.append(part)
+            reports.append((split, original(S, pairs, representatives, split, part)))
             return reports[-1][1]
 
         monkeypatch.setattr(gvc.models, "master_equation_check", kept)
@@ -596,7 +601,7 @@ class TestMasterEquation:
                                   CheckResult.from_residuals("master-equation",
                                                              want.bracket_residuals())).line()
             verdicts.append(row.ok)
-        assert verdicts == [True, False]
+        assert verdicts == [True, False] and parts == [True, False]
         rest = model._paired_sum("brst")
         for S, split in ((L, (el, L.density - L.density)),
                          (Lagrangian(rest), (el, rest - L.density))):
@@ -656,6 +661,138 @@ class TestMasterIdentity:
     def test_one_sign_for_both_sides_fails(self, sign, su2):
         el, rep = self._both_routes(su2, _perturbed_solution(su2, random.Random(1406)))
         assert any(got != want for got, want in self._rows(su2, el, rep, sign, sign))
+
+
+class TestMasterSplit:
+    """Theta_S^2 = Theta_P^2 + [Theta_L, Theta_P] for S = L + P, P = P_s the
+    paired sum of s (Theta_L^2 = 0), where the cross term is the derivation
+    of the bracket (L, P_s), whose field equations are s(L)'s: the
+    pipeline squares Theta_P when S is the proper solution built here for
+    the model's own s, s(L) = 0 and the direct square's jets are in bound,
+    and Theta_S otherwise."""
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
+    def test_cross_term_is_the_bracket_derivation(self, name, request):
+        # A = L plus a mass term, so s(A) != 0 and the cross term is not
+        # zero; (g, X) is the oracle's formula on a generator g: the right
+        # variational derivative of X along zbar on a field or ghost z, the
+        # left one along z on its partner zbar
+        model = request.getfixturevalue(name)
+        pairs, ctx, s = model.pairs(), model.ctx, model.brst_operator()
+        L = model.ym_lagrangian()
+        A = Lagrangian(L.density + mass_term_lagrangian(model).density)
+        B = Lagrangian(model._paired_sum("brst"))
+        AB = antibracket(A, B, pairs)
+        moved = euler_lagrange(Lagrangian(s.apply(A.density)))
+        assert euler_lagrange(AB).components == moved.components
+        # on the ghosts, E(s(A)) is minus the Noether rows on E(A)
+        rows = noether_residuals(model.noether_operator(), euler_lagrange(A))
+        assert all(moved.component(c) == -rows[cbar.name]
+                   for c, cbar in zip(model.ghost, model.noether_antifield))
+        right = variational_derivatives(AB.density, "right", set(pairs.values()))
+        left = variational_derivatives(AB.density, "left", set(pairs))
+        bracket = {}
+        for z, zbar in pairs.items():
+            bracket[z], bracket[zbar] = right.get(zbar, ctx.zero()), left.get(z, ctx.zero())
+        for g in (model.ghost[0], model.antifield[0][1]):
+            assert antibracket(Lagrangian(ctx.var(g)), AB, pairs).density == bracket[g]
+        theta_a, theta_b = master_derivation(A, pairs), master_derivation(B, pairs)
+        for g, want in bracket.items():
+            got = theta_a.apply(theta_b.component(g)) + theta_b.apply(theta_a.component(g))
+            assert got == -want
+        assert any(not p.is_zero() for p in bracket.values())
+        for density in (L, A):
+            assert all(p.is_zero()
+                       for p in nilpotency_residuals(master_derivation(density, pairs)).values())
+
+    @staticmethod
+    def _rows(model):
+        """The pipeline's master-equation line and whether it squared
+        Theta_P, and the line of `master_equation_check(S, pairs)`."""
+        parts = []
+        original = gvc.models.master_equation_check
+
+        def kept(S, pairs, representatives=None, split=None, part=False):
+            parts.append(part)
+            return original(S, pairs, representatives, split, part)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gvc.models, "master_equation_check", kept)
+            (row,) = model.pipeline("master-equation", deterministic=True)
+        try:
+            rep = master_equation_check(model.extended_lagrangian(), model.pairs())
+        except GvcError as exc:
+            direct = CheckResult("master-equation", False, witness=str(exc))
+        else:
+            direct = CheckResult("master-equation", True) if rep.ok else \
+                CheckResult.from_residuals("master-equation", rep.bracket_residuals())
+        return row.line(), parts, direct.line()
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21", "sl3"])
+    def test_route_row_is_the_direct_row(self, name):
+        line, parts, direct = self._rows(_fresh(name))
+        assert parts == [True] and line == direct
+        assert line == CheckResult("master-equation", True).line()
+
+    def _installed(self, install):
+        """install(model) on a new su2 model, then its rows (`_rows`)."""
+        model = _fresh("su2")
+        install(model)
+        line, parts, direct = self._rows(model)
+        assert parts == [False] and line == direct
+        assert line != CheckResult("master-equation", True).line()
+
+    def test_a_mass_term_lagrangian_takes_the_direct_route(self, monkeypatch):
+        def install(model):
+            L = Lagrangian(model.ym_lagrangian().density + mass_term_lagrangian(model).density)
+            monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+
+        self._installed(install)
+
+    def test_a_nilpotent_s_moving_l_takes_the_direct_route(self, monkeypatch):
+        # s'(a^r_mu) = D_mu c^r and s'(c) = 0: nilpotent, antifield-free,
+        # but s'(L) != 0 on su2, whose L is cubic in the fields
+        def install(model):
+            comps = {row[mu]: model.ctx.var(model.ghost[r], mu)
+                     for r, row in enumerate(model.field) for mu in range(4)}
+            s = ContactDerivation(model.ctx, comps, ODD)
+            assert all(p.is_zero() for p in nilpotency_residuals(s).values())
+            assert not s.apply(model.ym_lagrangian().density).is_zero()
+            monkeypatch.setattr(model, "brst_operator", lambda: s)
+
+        self._installed(install)
+
+    def test_an_installed_s_takes_the_direct_route(self, monkeypatch):
+        def install(model):
+            S = _perturbed_solution(model, random.Random(24))
+            monkeypatch.setattr(model, "extended_lagrangian", lambda: S)
+
+        self._installed(install)
+
+    def test_jets_out_of_bound_take_the_direct_route(self):
+        # Theta_S^2 forms third jets of the ghosts, Theta_P^2 does not
+        model = preset_model("su2", max_jet_order=2)
+        line, parts, direct = self._rows(model)
+        assert parts == [False] and line == direct
+        assert line.endswith("first jet order 3 exceeds configured maximum 2 for c1")
+
+    def test_a_lagrangian_installed_after_a_run_is_built_anew(self, monkeypatch):
+        # the field equations, Koszul-Tate, the gauge Lie derivative and S
+        # are kept with L: after koszul-tate, brst and master-equation, an
+        # L with a mass term gives a new model's rows
+        model, fresh = _fresh("su2"), _fresh("su2")
+        for pipeline in ("koszul-tate", "brst", "master-equation"):
+            assert all(row.ok for row in model.pipeline(pipeline))
+        rows = []
+        for m in (model, fresh):
+            L = Lagrangian(m.ym_lagrangian().density + mass_term_lagrangian(m).density)
+            monkeypatch.setattr(m, "ym_lagrangian", lambda validate=True, L=L: L)
+            rows.append({row.name: row.line() for p in ("euler-lagrange", "koszul-tate", "brst",
+                                                       "master-equation")
+                         for row in m.pipeline(p, deterministic=True)})
+        assert rows[0] == rows[1]
+        assert all(" status fail " in rows[0][check] for check in (
+            "euler-lagrange-two-path", "koszul-tate", "gauge-symmetry", "master-equation"))
 
 
 class TestOrbitReduction:
@@ -784,17 +921,20 @@ class TestOrbitReduction:
         reports = []
         original = gvc.models.master_equation_check
 
-        def kept(S, pairs, representatives=None, split=None):
-            reports.append((representatives, original(S, pairs, representatives, split)))
-            return reports[-1][1]
+        def kept(S, pairs, representatives=None, split=None, part=False):
+            reports.append((representatives, part, original(S, pairs, representatives, split,
+                                                            part)))
+            return reports[-1][2]
 
         monkeypatch.setattr(gvc.models, "master_equation_check", kept)
         (row,) = model.pipeline("master-equation", deterministic=True)
         assert row.ok
         assert model._fixes("direction_swaps", "S-L") and model._fixes("algebra_maps", "L")
         assert not model._fixes("direction_swaps", "L")
-        ((representatives, rep),) = reports
-        assert representatives is None
+        # L is still gauge invariant, so Theta_{S - L} is squared, on every
+        # generator
+        ((representatives, part, rep),) = reports
+        assert representatives is None and part
         assert len(rep.squared) == len(rep.derivation.components) == 30
 
     def test_failure_off_the_representatives_is_caught(self):
@@ -832,14 +972,18 @@ class TestOrbitReduction:
         reports = []
         original = gvc.models.master_equation_check
 
-        def kept(L, pairs, representatives=None, split=None):
-            reports.append((representatives, original(L, pairs, representatives, split)))
-            return reports[-1][1]
+        def kept(L, pairs, representatives=None, split=None, part=False):
+            reports.append((representatives, part, original(L, pairs, representatives, split,
+                                                            part)))
+            return reports[-1][2]
 
         monkeypatch.setattr(gvc.models, "master_equation_check", kept)
         (row,) = sl21.pipeline("master-equation", deterministic=True)
         assert row.ok
-        ((representatives, rep),) = reports
+        # the representatives of Theta_S's generators, where Theta_{S - L}
+        # is squared
+        ((representatives, part, rep),) = reports
+        assert part
         # proved for the swaps and the algebra maps on L and on S - L
         assert all(sl21._fixes(family, key) for family in ("direction_swaps", "algebra_maps")
                    for key in ("L", "S-L"))
@@ -886,7 +1030,7 @@ class TestOrbitReduction:
         original = gvc.brst.nilpotency_residuals
 
         def counted(theta, gens=None):
-            squared.append(len(gens))
+            squared.append((theta, len(gens)))
             return original(theta, gens)
 
         monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
@@ -895,7 +1039,13 @@ class TestOrbitReduction:
         assert all(model._fixes(family, "L") for family in ("direction_swaps", "algebra_maps"))
         assert model._fixes("direction_swaps", "S-L") and not model._fixes("algebra_maps", "S-L")
         assert model._representatives("master-equation") is None
-        assert squared == [len(model.pairs()) * 2]
+        # s' is installed, not the model's own, so Theta_S itself is
+        # squared, on every generator
+        ((theta, count),) = squared
+        S = model.extended_lagrangian()
+        assert count == len(model.pairs()) * 2
+        assert list(theta.components.items()) == \
+            list(master_derivation(S, model.pairs()).components.items())
 
 
 def _direction_strength_square(model, r):

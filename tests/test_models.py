@@ -16,8 +16,8 @@ from gvc import EVEN, GvcError, Lagrangian, ODD, euler_lagrange
 from gvc.bicomplex import (EulerLagrange, Form, conservation_residual, d_h, interior,
                            lie_derivative, noether_current, superpotential_residual,
                            variational_delta, volume)
-from gvc.brst import (NoetherOperator, master_equation_check, nilpotency_residuals,
-                      orbit_representatives, orbit_roots, paired_sum)
+from gvc.brst import (NoetherOperator, master_derivation, master_equation_check,
+                      nilpotency_residuals, orbit_representatives, orbit_roots, paired_sum)
 from gvc.grassmann import ExpansionLimitError, Poly
 from gvc.jets import ContactDerivation, prolong_apply, total_derivative
 from gvc.models import GaugeModel, Metric, run_parts
@@ -1187,23 +1187,33 @@ class TestBuildOnce:
                  "euler_lagrange", "noether_current", "lepage_equivalent")
         for name in names:
             count(name)
-        densities = []
+        densities, tables, derived = [], [], []
         for module in (gvc.bicomplex, gvc.brst):
             def counted_derivatives(density, side="left", gens=None,
                                     original=module.variational_derivatives):
                 densities.append(density)
-                return original(density, side, gens)
+                tables.append(original(density, side, gens))
+                return tables[-1]
 
             monkeypatch.setattr(module, "variational_derivatives", counted_derivatives)
+        paired = gvc.brst._paired_derivation
+
+        def counted_paired(ctx, left, pairs):
+            derived.append(left)
+            return paired(ctx, left, pairs)
+
+        monkeypatch.setattr(gvc.brst, "_paired_derivation", counted_paired)
         model = preset_model("su2")
         assert model.full_verification().ok
         assert {name: len(calls.get(name, ())) for name in names} == dict.fromkeys(names, 1)
         assert calls["euler_lagrange"][0] == (model.ym_lagrangian(),)
         # the variational derivatives of L, the generic field equations,
-        # and of S - L, which Theta_S adds to them
+        # and of S - L, which Theta_S adds to them; Theta_{S - L}, which is
+        # squared, is built from that same table
         assert [p is q for p, q in zip(densities, (model.ym_lagrangian().density,
                                                     model._s_minus_l()))] == [True, True]
         assert len(densities) == 2
+        assert len(derived) == 2 and derived[0] is not tables[1] and derived[1] is tables[1]
 
     def test_parameter_lie_derivative_computed_once(self, monkeypatch):
         calls, lies, currents, form_lies, lepages = [], [], [], [], []
@@ -1342,11 +1352,13 @@ class TestBuildOnce:
         model = preset_model("su2")
         assert model.full_verification().ok
         # besides Koszul-Tate's: the BRST square on one generator per
-        # orbit, which proper_solution reuses, and the master derivation's
+        # orbit, which proper_solution reuses, and the square of the
+        # master derivation of S - L, which stands for Theta_S's
         calls = [theta for theta in calls if theta is not model.koszul_tate()]
         assert len(calls) == 2
         assert calls[0] is model.brst_operator()
-        assert calls[1] is not calls[0]
+        rest = master_derivation(Lagrangian(model._s_minus_l()), model.pairs())
+        assert list(calls[1].components.items()) == list(rest.components.items())
 
     @pytest.mark.parametrize("name", ["su2", "sl21"])
     def test_each_density_renamed_once_per_map(self, name, monkeypatch):
