@@ -210,11 +210,11 @@ def _paired_derivation(ctx, left, pairs):
     """Theta of a density from its left variational derivatives `left`."""
     comps = {}
     for z, zbar in pairs.items():
-        sign = -1 if z.parity == EVEN else 1
+        even = z.parity == EVEN
         if zbar in left:
-            comps[z] = left[zbar] * sign
+            comps[z] = -left[zbar] if even else left[zbar]
         if z in left:
-            comps[zbar] = left[z] * sign
+            comps[zbar] = -left[z] if even else left[z]
     return ContactDerivation(ctx, comps, ODD)
 
 
@@ -268,18 +268,18 @@ def paired_sum(ctx, values, partners):
 def orbit_representatives(density, pairs, maps, moved):
     """The smallest-key member of each orbit of the generators `moved` (a
     derivation's generators, or the sources of its directions) under the
-    relabellings `maps` (gen_map, perm, signs) of `Poly.rename`, once each
-    is proved to commute with the derivation; None if a proof fails.
+    relabellings `maps` (gen_map, signs) of `Poly.rename`, once each is
+    proved to commute with the derivation; None if a proof fails.
 
     Each map must send the pairing onto itself with one sign per pair and
-    fix `density` exactly.  With S, it is anticanonical, relabels the total
-    derivatives and commutes with Theta_S; with a Lagrangian, with its
-    field equations; with a `paired_sum` of a derivation's values, with
-    the derivation."""
-    for gen_map, perm, signs in maps:
+    fix `density` exactly.  With S, it is anticanonical, commutes with the
+    total derivatives and with Theta_S; with a Lagrangian, with its field
+    equations; with a `paired_sum` of a derivation's values, with the
+    derivation."""
+    for gen_map, signs in maps:
         if any(pairs.get(gen_map.get(z, z)) is not gen_map.get(zbar, zbar)
                or signs.get(z, 1) != signs.get(zbar, 1) for z, zbar in pairs.items()) \
-                or density.rename(gen_map, perm, signs) != density:
+                or density.rename(gen_map, signs) != density:
             return None
     return orbit_roots(maps, moved)
 
@@ -294,7 +294,7 @@ def orbit_roots(maps, moved):
             z = root[z]
         return z
 
-    for gen_map, _, _ in maps:
+    for gen_map, _ in maps:
         for z, w in gen_map.items():
             if z in root and w in root:
                 a, b = sorted((find(z), find(w)), key=lambda g: g.key)

@@ -716,14 +716,12 @@ class Poly:
         out.den *= self.den
         return out.finish()
 
-    def rename(self, gen_map, perm, signs):
-        """The image under a signed relabelling of variables: each jet
-        z;Lambda becomes signs[z] gen_map(z);perm(Lambda) and each x^lam
-        becomes x^perm(lam), where `gen_map` is a kind- and
-        parity-preserving permutation of the context's generators (a dict;
-        generators it lacks stay),
-        `signs` gives -1 or 1 (a dict; 1 where it has none) and `perm`
-        permutes the directions (perm[lam] is lam's image).
+    def rename(self, gen_map, signs):
+        """The image under a signed relabelling of generators: each jet
+        z;Lambda becomes signs[z] gen_map(z);Lambda, where `gen_map` is a
+        kind- and parity-preserving permutation of the context's generators
+        (a dict; generators it lacks stay) and `signs` gives -1 or 1 (a
+        dict; 1 where it has none).
 
         No two terms meet and no product is formed: each term takes its
         factors' signs, each to its exponent, its even part is re-sorted by
@@ -731,22 +729,19 @@ class Poly:
         inversions.  It equals `substitute` with every variable mapped to
         its signed image."""
         ctx = self.ctx
-        if sorted(perm) != list(range(ctx.dim)):
-            raise GvcError("direction map must permute 0..%d" % (ctx.dim - 1))
         registered = ctx.generators.get
         if set(gen_map.values()) != set(gen_map) or any(
                 g.parity != h.parity or g.kind != h.kind or registered(h.name) is not h
                 for g, h in gen_map.items()) or any(s not in (1, -1) for s in signs.values()):
             raise GvcError("generator map must be a kind- and parity-preserving signed "
                            "permutation of the context's generators")
-        image = {x: (ctx.coordinates[perm[lam]], 1) for lam, x in enumerate(ctx.coordinates)}
+        image = {}
         known = image.get
 
         def var(v):
             # the image has v's order and kind, so it is interned unchecked
             g = v.gen
-            index = tuple(sorted(perm[i] for i in v.index))
-            w = image[v] = (ctx._intern(gen_map.get(g, g), index), signs.get(g, 1))
+            w = image[v] = (ctx._intern(gen_map.get(g, g), v.index), signs.get(g, 1))
             return w
 
         out = {}

@@ -154,13 +154,13 @@ class GaugeModel:
     Theta_S reuses, the Noether rows and residuals, the gauge, parameter and
     BRST operators and the BRST square, the parts of the gauge and parameter
     derivations by algebra direction and their Lie derivatives, the Lepage
-    form, the relabellings, the orbit layer's proofs, each once per
-    relabelling and density, S and S - L, and phi(L) with each first jet's
-    image) is built on first use and kept.  What L, S or s yields (the
-    field equations, Koszul-Tate, the Noether residuals, the Lie
-    derivatives, the Lepage form, S itself, the BRST square, the orbit
-    layer's proofs, S - L and phi(L)) is kept with its source, so an L, S
-    or s installed later is built, proved and split anew.
+    form, the algebra maps, the orbit layer's proofs, each once per
+    density, S and S - L, and phi(L) with each first jet's image) is built
+    on first use and kept.  What L, S, s or a gauge derivation yields (the
+    field equations, Koszul-Tate, the Noether residuals, s itself, the
+    parts and their Lie derivatives, the Lepage form, S itself, the BRST
+    square, the orbit layer's proofs, S - L and phi(L)) is kept with its
+    source, so one installed later is built, proved and split anew.
     """
 
     # Checks whose formulas are proved for even algebras only; a model
@@ -229,37 +229,19 @@ class GaugeModel:
     def _once(self, key, build):
         return _once(self._memo, key, build)
 
-    def direction_swaps(self):
-        """The swaps of directions adjacent within one metric sign class,
-        which generate every direction permutation the metric admits, as
-        relabellings (gen_map, perm, {}) of fields and antifields."""
-        return self._once("direction-swaps", self._swap_relabellings)
-
-    def _swap_relabellings(self):
-        n, swaps = self.metric.dim, []
-        for sign in (1, -1):
-            dirs = [mu for mu in range(n) if self.metric.signs[mu] == sign]
-            for lam, mu in zip(dirs, dirs[1:]):
-                perm = list(range(n))
-                perm[lam], perm[mu] = mu, lam
-                swaps.append(({row[nu]: row[perm[nu]] for row in self.field + self.antifield
-                               for nu in (lam, mu)}, perm, {}))
-        return swaps
-
     def algebra_maps(self):
         """The algebra's signed automorphisms e_r -> s_r e_pi(r), found on first
-        use, as relabellings (gen_map, perm, signs) moving the field,
-        antifield, ghost, degree-two antifield and parameter of r to s_r
-        times pi(r)'s."""
+        use, as relabellings (gen_map, signs) moving the field, antifield,
+        ghost, degree-two antifield and parameter of r to s_r times pi(r)'s."""
         return self._once("algebra-maps", self._algebra_relabellings)
 
     def _algebra_relabellings(self):
-        n, m = self.metric.dim, self.algebra.dim
+        m = self.algebra.dim
         by_r = [self.field[r] + self.antifield[r]
                 + [self.ghost[r], self.noether_antifield[r], self.parameter[r]]
                 for r in range(m)]
         return [({gen: image for r in range(m) for gen, image in zip(by_r[r], by_r[pi[r]])},
-                 list(range(n)), {gen: -1 for r in range(m) if signs[r] < 0 for gen in by_r[r]})
+                 {gen: -1 for r in range(m) if signs[r] < 0 for gen in by_r[r]})
                 for pi, signs in signed_automorphisms(self.algebra)]
 
     def form_report(self):
@@ -423,45 +405,44 @@ class GaugeModel:
             self._paired_sum("brst") if self._proper(S)
             else S.density - self.ym_lagrangian().density))
 
-    def _fixes(self, family, key):
-        """Whether each relabelling of `family` (a method) keeps the pairing
-        and fixes the density `key` (L, S - L or a `_paired_sum`), once per
-        model and density (`_source`); S - L of the proper solution built
-        here is s's paired sum and shares its proof."""
+    def _fixes(self, key):
+        """Whether each algebra map keeps the pairing and fixes the density
+        `key` (L, S - L or a `_paired_sum`), once per model and density
+        (`_source`); S - L of the proper solution built here is s's paired
+        sum and shares its proof."""
         source = self._source(key)
 
         def prove():
             if key == "S-L" and self._proper(source):
-                return self._fixes(family, "brst")
+                return self._fixes("brst")
             density = (source.density if key == "L" else
                        self._s_minus_l() if key == "S-L" else self._paired_sum(key))
-            maps = getattr(self, family)()
-            return orbit_representatives(density, self._pairs, maps, ()) is not None
+            return orbit_representatives(density, self._pairs, self.algebra_maps(),
+                                         ()) is not None
 
-        return self._once(("fixes", family, source), prove)
+        return self._once(("fixes", source), prove)
 
     def _representatives(self, check):
-        """One generator per orbit of those `check` evaluates, once each
-        relabelling that can merge them fixes each density named, kept with
-        those densities' sources; None without one, if a proof fails or if
-        a symmetry check's residuals do not split by source.  Keeping the
+        """One generator per orbit of those `check` evaluates under the
+        algebra maps, once each map fixes each density named, kept with
+        those densities' sources; None without a map, if a proof fails or
+        if a symmetry check's residuals do not split by source.  Keeping the
         pairing, a map fixing L commutes with the field equations (the
-        closed route's too: it keeps c, h and the metric signs), one fixing
-        a derivation's paired sum with it; s holds no L, and its gauge part
+        closed route's too: it keeps c, h and the metric), one fixing a
+        derivation's paired sum with it; s holds no L, and its gauge part
         pairs with other partners."""
         fields = [g for row in self.field for g in row]
         antifields = [g for row in self.antifield for g in row]
-        algebra = ("algebra_maps",)
-        gens, families, keys = {
-            "euler-lagrange": (fields, ("direction_swaps",) + algebra, ("L",)),
+        gens, keys = {
+            "euler-lagrange": (fields, ("L",)),
             "master-equation": (fields + antifields + self.ghost + self.noether_antifield,
-                                ("direction_swaps",) + algebra, ("L", "S-L")),
-            "koszul-tate": (antifields + self.noether_antifield, algebra, ("L", "rows")),
-            "parameter": (self.parameter, algebra, ("L", "parameter")),
-            "gauge": (self.ghost, algebra, ("L", "brst")),
-            "brst": (fields + self.ghost, algebra, ("brst",))}[check]
-        families = [f for f in families if getattr(self, f)()]
-        if not families:
+                                ("L", "S-L")),
+            "koszul-tate": (antifields + self.noether_antifield, ("L", "rows")),
+            "parameter": (self.parameter, ("L", "parameter")),
+            "gauge": (self.ghost, ("L", "brst")),
+            "brst": (fields + self.ghost, ("brst",))}[check]
+        maps = self.algebra_maps()
+        if not maps:
             return None
 
         def splits():
@@ -472,8 +453,8 @@ class GaugeModel:
 
         def prove():
             if (check not in ("parameter", "gauge") or splits()) \
-                    and all(self._fixes(f, key) for key in keys for f in families):
-                return orbit_roots([g for f in families for g in getattr(self, f)()], gens)
+                    and all(self._fixes(key) for key in keys):
+                return orbit_roots(maps, gens)
             return None
 
         return self._once(("representatives", check) + tuple(map(self._source, keys)), prove)
@@ -517,15 +498,16 @@ class GaugeModel:
         of direction q, so the derivation is the sum of the parts of a
         partition of the directions; the part of q alone moves a^q_mu by
         D_mu sources[q] and a^r_mu by -c^r_qi sources[q] a^i_mu."""
+        theta, sources = self._symmetry(kind)
+
         def build():
-            theta, sources = self._symmetry(kind)
             if len(directions) == len(sources):
                 return theta
             batch = {sources[q] for q in directions}
             return ContactDerivation(self.ctx, {gen: _carrying(comp, batch) for gen, comp
                                                 in theta.components.items()}, theta.parity)
 
-        return self._once(("part", kind, directions), build)
+        return self._once(("part", theta, directions), build)
 
     def _by_direction(self, kind, residual):
         """The residual of the derivation of `kind`, where residual(directions)
@@ -565,19 +547,20 @@ class GaugeModel:
         return volume(self.ctx).times_poly(prolong_apply(theta, L.density))
 
     def _lie(self, kind, directions):
-        """L_theta L for the part of `directions` (`_part`), kept: a parameter
-        part's is also its current's precondition."""
-        return self._once(("lie", kind, directions, self.ym_lagrangian()),
-                          lambda: self.lie_derivative(self._part(kind, directions)))
+        """L_theta L for the part of `directions` (`_part`), kept with the
+        part and L: a parameter part's is also its current's precondition."""
+        part = self._part(kind, directions)
+        return self._once(("lie", part, self.ym_lagrangian()),
+                          lambda: self.lie_derivative(part))
 
     def parameter_lie_derivative(self):
         """L_theta L for the parameter symmetry and the Lagrangian."""
         return self._whole_lie("parameter")
 
     def _whole_lie(self, kind):
-        """L_theta L of the whole derivation of `kind`, kept with L; the
-        gauge operator's is s's on L, which holds fields alone."""
-        return self._once((kind + "-lie-derivative", self.ym_lagrangian()),
+        """L_theta L of the whole derivation of `kind`, kept with it and L;
+        the gauge operator's is s's on L, which holds fields alone."""
+        return self._once(("whole-lie", self._symmetry(kind)[0], self.ym_lagrangian()),
                           lambda: self._by_direction(kind, lambda qs: self._lie(kind, qs)))
 
     def ghost_sector(self):
@@ -591,9 +574,10 @@ class GaugeModel:
         return {gen: acc.finish() for gen, acc in gamma.items() if acc.terms}
 
     def brst_operator(self):
-        """The BRST derivation s: the gauge operator and the ghost sector."""
-        return self._once("brst-operator", lambda: brst_extend(
-            self.gauge_operator(), self.ghost_sector()))
+        """The BRST derivation s: the gauge operator and the ghost sector,
+        kept with the gauge operator."""
+        u = self.gauge_operator()
+        return self._once(("brst-operator", u), lambda: brst_extend(u, self.ghost_sector()))
 
     def _brst_residuals(self):
         """s^2 on the generators s moves, on one per orbit first."""
@@ -860,13 +844,14 @@ class GaugeModel:
     def _by_part(self):
         """Whether Theta_S^2 is Theta_P^2 for P = S - L (`master_equation_check`
         with `part`): S is the proper solution built here with the model's own
-        s, whose field components are the gauge operator's, antifield-free,
+        s, built from its own gauge operator, so antifield-free on fields,
         and whose L_s L, gauge-symmetry's, is zero; and the jets the direct
         square forms, one order above the field equations' (at most twice
         L's), are in bound, as Theta_P^2 forms none of them."""
         bound = self.ctx.max_jet_order
         return (self._proper(self.extended_lagrangian())
-                and self.brst_operator() is self._memo.get("brst-operator")
+                and self.brst_operator() is self._memo.get(
+                    ("brst-operator", self._memo.get("gauge-operator")))
                 and (bound is None or 2 * self.ym_lagrangian().density.max_jet_order() < bound)
                 and self._whole_lie("gauge").is_zero())
 

@@ -1,25 +1,13 @@
-"""Built-in model files and hand-built su2 and osp12 algebras.
+"""Built-in model files and the hand-built osp12 algebra.
 
 Preset models are built from their model text alone; the algebra
-factories are an independent reference that tests compare it against."""
+factory is an independent reference that tests compare it against."""
 
 from fractions import Fraction
 
 from .grassmann import DEFAULT_MAX_JET_ORDER, DEFAULT_TERM_LIMIT, EVEN, ODD
 from .superlie import LieSuperalgebra
 from .modelfile import parse_model, spec_model
-
-
-def su2_algebra():
-    """Three even generators with totally antisymmetric constants and the
-    Euclidean invariant form."""
-    alg = LieSuperalgebra(["e1", "e2", "e3"], [EVEN, EVEN, EVEN])
-    alg.set_constant("e1", "e2", "e3", 1)
-    alg.set_constant("e2", "e3", "e1", 1)
-    alg.set_constant("e3", "e1", "e2", 1)
-    for lab in alg.labels:
-        alg.set_form(lab, lab, 1)
-    return alg
 
 
 def osp12_algebra():

@@ -15,11 +15,11 @@ from gvc import EVEN, Lagrangian, ODD
 from gvc.bicomplex import d_h, d_v, euler_lagrange, variational_delta
 from gvc.grassmann import normalize
 from gvc.models import GaugeModel, Metric
-from gvc.presets import osp12_algebra, preset_model, su2_algebra
+from gvc.presets import osp12_algebra, preset_model
 from gvc.superlie import LieSuperalgebra, check_structure
 from gvc.brst import nilpotency_residuals, noether_residuals
 
-from util import (make_context, mass_term_lagrangian, random_form, random_poly,
+from util import (make_context, mass_term_lagrangian, random_form, random_poly, su2_algebra,
                   sym_quadratic_lagrangian)
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -36,7 +36,7 @@ from gvc.grassmann import ExpansionLimitError, JetOrderError, Poly
 from gvc.jets import iterated_derivative, total_derivative
 from gvc.modelfile import parse_model, spec_model
 from gvc.models import GaugeModel, Metric
-from gvc.presets import preset_model, su2_algebra
+from gvc.presets import preset_model
 from gvc.reporting import CheckResult
 from gvc.superlie import signed_automorphisms
 
@@ -44,7 +44,7 @@ from util import (antifield_numbers, basis_orbits, even_part, field_generators, 
                   linear_jet_polys, make_context, mass_term_lagrangian, odd_part,
                   orbit_only_failure,
                   oracle_koszul_tate_apply, oracle_koszul_tate_residuals, random_poly,
-                  random_vertical, shared_jet_cases, shared_jet_poly)
+                  random_vertical, shared_jet_cases, shared_jet_poly, su2_algebra)
 
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
 SL3_MODEL = SL21_MODEL.with_name("sl3.model")
@@ -707,13 +707,14 @@ class TestMasterSplit:
 
     @staticmethod
     def _rows(model):
-        """The pipeline's master-equation line and whether it squared
-        Theta_P, and the line of `master_equation_check(S, pairs)`."""
+        """The pipeline's master-equation line, whether it squared Theta_P
+        and on which representatives, and the line of
+        `master_equation_check(S, pairs)`."""
         parts = []
         original = gvc.models.master_equation_check
 
         def kept(S, pairs, representatives=None, split=None, part=False):
-            parts.append(part)
+            parts.append((part, representatives))
             return original(S, pairs, representatives, split, part)
 
         with pytest.MonkeyPatch.context() as patch:
@@ -728,10 +729,16 @@ class TestMasterSplit:
                 CheckResult.from_residuals("master-equation", rep.bracket_residuals())
         return row.line(), parts, direct.line()
 
-    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21", "sl3"])
+    @pytest.mark.parametrize("name", ["abelian", "su2", "osp12", "sl21", "sl3"])
     def test_route_row_is_the_direct_row(self, name):
-        line, parts, direct = self._rows(_fresh(name))
-        assert parts == [True] and line == direct
+        # on the orbit layer's representatives; abelian has no algebra map,
+        # so Theta_P is squared on every generator
+        model = _fresh(name)
+        line, parts, direct = self._rows(model)
+        ((part, representatives),) = parts
+        assert part and line == direct
+        assert representatives == model._representatives("master-equation")
+        assert (representatives is None) == (name == "abelian")
         assert line == CheckResult("master-equation", True).line()
 
     def _installed(self, install):
@@ -739,7 +746,7 @@ class TestMasterSplit:
         model = _fresh("su2")
         install(model)
         line, parts, direct = self._rows(model)
-        assert parts == [False] and line == direct
+        assert [part for part, _ in parts] == [False] and line == direct
         assert line != CheckResult("master-equation", True).line()
 
     def test_a_mass_term_lagrangian_takes_the_direct_route(self, monkeypatch):
@@ -773,7 +780,7 @@ class TestMasterSplit:
         # Theta_S^2 forms third jets of the ghosts, Theta_P^2 does not
         model = preset_model("su2", max_jet_order=2)
         line, parts, direct = self._rows(model)
-        assert parts == [False] and line == direct
+        assert [part for part, _ in parts] == [False] and line == direct
         assert line.endswith("first jet order 3 exceeds configured maximum 2 for c1")
 
     def test_a_lagrangian_installed_after_a_run_is_built_anew(self, monkeypatch):
@@ -794,19 +801,61 @@ class TestMasterSplit:
         assert all(" status fail " in rows[0][check] for check in (
             "euler-lagrange-two-path", "koszul-tate", "gauge-symmetry", "master-equation"))
 
+    def test_gauge_derivations_installed_after_a_run_are_built_anew(self, monkeypatch):
+        # s, the parts and their Lie derivatives are kept with the gauge
+        # operator or the parameter symmetry they come from: after noether,
+        # brst and master-equation, each with its a1_0 component doubled
+        # gives a new model's rows
+        model, fresh = _fresh("su2"), _fresh("su2")
+        for pipeline in ("noether", "brst", "master-equation"):
+            assert all(row.ok for row in model.pipeline(pipeline))
+        rows = []
+        for m in (model, fresh):
+            for name, parity in (("gauge_operator", ODD), ("parameter_symmetry", EVEN)):
+                comps = dict(getattr(m, name)().components)
+                a = m.field[0][0]
+                comps[a] = comps[a] * 2
+                theta = ContactDerivation(m.ctx, comps, parity)
+                monkeypatch.setattr(m, name, lambda theta=theta: theta)
+            rows.append({row.name: row.line() for p in ("noether", "brst", "master-equation")
+                         for row in m.pipeline(p, deterministic=True)})
+        assert rows[0] == rows[1]
+        for check, nonzero in (("parameter-symmetry", 120), ("gauge-symmetry", 120),
+                               ("brst-nilpotency", 4)):
+            assert " status fail | nonzero %d " % nonzero in rows[0][check]
+        assert " status fail " in rows[0]["master-equation"]
+
+    def test_paired_derivation_copies_no_component(self, monkeypatch):
+        # Theta takes each variational derivative itself where its sign is
+        # +1 and its negation where it is -1: no product is formed
+        model = _fresh("sl21")
+        left = variational_derivatives(model.extended_lagrangian().density)
+        products = []
+        mul = Poly.__mul__
+        monkeypatch.setattr(Poly, "__mul__", lambda p, q: products.append(q) or mul(p, q))
+        theta = gvc.brst._paired_derivation(model.ctx, left, model.pairs())
+        assert products == []
+        taken = 0
+        for z, zbar in model.pairs().items():
+            for gen, partner in ((z, zbar), (zbar, z)):
+                if partner in left:
+                    got = theta.components[gen]
+                    assert got == (left[partner] if z.parity == ODD else -left[partner])
+                    taken += got is left[partner]
+        assert taken > 0
+
 
 class TestOrbitReduction:
-    """Theta_S^2 on one generator per orbit of the direction swaps that
-    fix S, against the full table of every generator."""
+    """Theta_S^2 on one generator per orbit of the algebra maps, once the
+    orbit layer proves that they fix S, against the full table of every
+    generator."""
 
     @staticmethod
-    def _routes(name, build, monkeypatch, algebra_maps=False):
+    def _routes(name, build, monkeypatch):
         """The master equation of the density build(model) on a new model
-        of `name`, on the representatives its orbit layer proves (for the
-        swaps alone unless `algebra_maps`), and by the full table."""
+        of `name`, on the representatives its orbit layer proves, and by
+        the full table."""
         model = _fresh(name)
-        if not algebra_maps:
-            monkeypatch.setattr(model, "algebra_maps", lambda: [])
         S = build(model)
         monkeypatch.setattr(model, "extended_lagrangian", lambda: S)
         reps = model._representatives("master-equation")
@@ -823,20 +872,6 @@ class TestOrbitReduction:
                 for rep in (reduced, full)]
         assert rows[0] == rows[1]
 
-    @pytest.mark.parametrize("name, swaps", [
-        ("abelian", [(1, 0)]), ("osp12", []), ("su2", [(0, 2, 1, 3), (0, 1, 3, 2)]),
-        ("su2_euclidean", [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)])])
-    def test_swaps_of_directions_with_one_metric_sign(self, name, swaps, request):
-        model = request.getfixturevalue(name)
-        assert [tuple(perm) for _, perm, _ in model.direction_swaps()] == swaps
-        for gen_map, perm, signs in model.direction_swaps():
-            assert signs == {}
-            for table in (model.field, model.antifield):
-                for row in table:
-                    for mu, gen in enumerate(row):
-                        assert gen_map.get(gen, gen) is row[perm[mu]]
-            assert len(gen_map) == 4 * model.algebra.dim
-
     @pytest.mark.parametrize("name", ["abelian", "su2", "osp12", "sl21", "su2_euclidean"])
     def test_same_verdicts_on_one_generator_per_orbit(self, name, monkeypatch):
         model, reduced, full = self._routes(
@@ -845,15 +880,15 @@ class TestOrbitReduction:
         assert reduced.bracket_residuals() == full.bracket_residuals() == {}
         moved = sorted(full.derivation.components, key=lambda g: g.key)
         assert full.squared == tuple(g.name for g in moved)
-        # the representatives: ghosts, their partners, and fields and
-        # antifields of the first direction of each metric sign
-        signs = model.metric.signs
-        first = {signs.index(sign) for sign in signs}
-        direction = {gen: mu for table in (model.field, model.antifield)
-                     for row in table for mu, gen in enumerate(row)}
-        assert reduced.squared == tuple(g.name for g in moved
-                                        if direction.get(g, min(first)) in first)
-        assert len(reduced.squared) < len(moved) or name == "osp12"
+        # the representatives: every generator of the first algebra
+        # direction of each orbit; abelian has no map, so all of them
+        first = TestAlgebraOrbits._first_of_orbit(model)
+        direction = {gen: r for table in (model.field, model.antifield)
+                     for r, row in enumerate(table) for gen in row}
+        direction.update((gen, r) for table in (model.ghost, model.noether_antifield)
+                         for r, gen in enumerate(table))
+        assert reduced.squared == tuple(g.name for g in moved if first[direction[g]])
+        assert len(reduced.squared) < len(moved) or name == "abelian"
 
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl21", "su2_euclidean"])
     def test_perturbed_rows_are_identical(self, name, monkeypatch):
@@ -866,13 +901,13 @@ class TestOrbitReduction:
             monkeypatch.undo()
 
     def test_invariant_breaking_is_caught_on_representatives(self, monkeypatch):
-        # the mass term is fixed by every swap, so the proof holds, and it
-        # breaks gauge invariance, so a representative fails and the rest
-        # of the table follows
+        # the mass term is fixed by every algebra map, so the proof holds,
+        # and it breaks gauge invariance, so a representative fails and the
+        # rest of the table follows
         def build(model):
             S = Lagrangian(model.extended_lagrangian().density
                            + mass_term_lagrangian(model).density)
-            assert all(S.density.rename(*g) == S.density for g in model.direction_swaps())
+            assert all(S.density.rename(*g) == S.density for g in model.algebra_maps())
             return S
 
         squared = []
@@ -885,57 +920,9 @@ class TestOrbitReduction:
         monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
         _, reduced, full = self._routes("su2", build, monkeypatch)
         moved = len(reduced.derivation.components)
-        assert squared == [18, moved - 18, moved]
+        assert squared == [10, moved - 10, moved]
         assert not full.ok
         self._same_failure(reduced, full)
-
-    def test_direction_three_term_forces_the_full_table(self, monkeypatch):
-        # h_ij F^i_03 F^j_03 is gauge invariant, so S plus it still solves
-        # the master equation; the swap (1 2) fixes it, (2 3) does not
-        def build(model):
-            extra = model.ctx.zero()
-            for i, j, h in model.form_entries:
-                extra += h * (model.strength(i, 0, 3) * model.strength(j, 0, 3))
-            S = Lagrangian(model.extended_lagrangian().density + extra)
-            swap12, swap23 = model.direction_swaps()
-            assert S.density.rename(*swap12) == S.density
-            assert S.density.rename(*swap23) != S.density
-            return S
-
-        model, reduced, full = self._routes("su2", build, monkeypatch)
-        assert model._fixes("direction_swaps", "L") and not model._fixes("direction_swaps", "S-L")
-        assert model._representatives("master-equation") is None
-        assert reduced.ok and full.ok
-        assert reduced.squared == full.squared
-
-    def test_a_swap_breaking_lagrangian_forces_the_full_table(self, monkeypatch):
-        # L gains h_ij F^i_03 F^j_03, gauge invariant, so L + the paired sum
-        # of s still solves the master equation; S - L is that paired sum,
-        # which every swap keeps, but the swap (2 3) moves L
-        model = _fresh("su2")
-        extra = model.ctx.zero()
-        for i, j, h in model.form_entries:
-            extra += h * (model.strength(i, 0, 3) * model.strength(j, 0, 3))
-        L = Lagrangian(model.ym_lagrangian().density + extra)
-        monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
-        reports = []
-        original = gvc.models.master_equation_check
-
-        def kept(S, pairs, representatives=None, split=None, part=False):
-            reports.append((representatives, part, original(S, pairs, representatives, split,
-                                                            part)))
-            return reports[-1][2]
-
-        monkeypatch.setattr(gvc.models, "master_equation_check", kept)
-        (row,) = model.pipeline("master-equation", deterministic=True)
-        assert row.ok
-        assert model._fixes("direction_swaps", "S-L") and model._fixes("algebra_maps", "L")
-        assert not model._fixes("direction_swaps", "L")
-        # L is still gauge invariant, so Theta_{S - L} is squared, on every
-        # generator
-        ((representatives, part, rep),) = reports
-        assert representatives is None and part
-        assert len(rep.squared) == len(rep.derivation.components) == 30
 
     def test_failure_off_the_representatives_is_caught(self):
         L, pairs, g = orbit_only_failure()
@@ -956,47 +943,23 @@ class TestOrbitReduction:
         # S holds none of u1, u2, ebar1 and ebar2, so swapping them alone
         # fixes it; but the map sends u1 to u2 and keeps u1's partner
         # ubar1, and taken as a symmetry it would hide both failing rows
-        L, pairs, (gen_map, perm, signs) = orbit_only_failure()
+        L, pairs, (gen_map, signs) = orbit_only_failure()
         half = {g: h for g, h in gen_map.items() if g.name in ("u1", "u2", "ebar1", "ebar2")}
-        assert L.density.rename(half, perm, signs) == L.density
+        assert L.density.rename(half, signs) == L.density
         theta = master_derivation(L, pairs).components
-        assert master_equation_check(L, pairs, orbit_roots([(half, perm, signs)], theta)).ok
-        reps = orbit_representatives(L.density, pairs, [(half, perm, signs)], theta)
+        assert master_equation_check(L, pairs, orbit_roots([(half, signs)], theta)).ok
+        reps = orbit_representatives(L.density, pairs, [(half, signs)], theta)
         assert reps is None
         rep = master_equation_check(L, pairs, reps)
         assert not rep.ok
         assert rep.squared == ("u1", "u2", "ebar1", "ebar2", "c", "cbar")
-
-    def test_pipeline_passes_the_swaps(self, monkeypatch):
-        sl21 = _fresh("sl21")
-        reports = []
-        original = gvc.models.master_equation_check
-
-        def kept(L, pairs, representatives=None, split=None, part=False):
-            reports.append((representatives, part, original(L, pairs, representatives, split,
-                                                            part)))
-            return reports[-1][2]
-
-        monkeypatch.setattr(gvc.models, "master_equation_check", kept)
-        (row,) = sl21.pipeline("master-equation", deterministic=True)
-        assert row.ok
-        # the representatives of Theta_S's generators, where Theta_{S - L}
-        # is squared
-        ((representatives, part, rep),) = reports
-        assert part
-        # proved for the swaps and the algebra maps on L and on S - L
-        assert all(sl21._fixes(family, key) for family in ("direction_swaps", "algebra_maps")
-                   for key in ("L", "S-L"))
-        assert representatives == orbit_roots(sl21.direction_swaps() + sl21.algebra_maps(),
-                                              rep.derivation.components)
-        assert len(rep.squared) == 24 < len(rep.derivation.components) == 80
 
     @pytest.mark.parametrize("name", ["su2", "sl21"])
     def test_representatives_holding_no_generator_run_the_full_table(self, name, monkeypatch):
         # relabellings passed where representatives belong hold none of
         # the generators: the whole table is squared, and a failure shows
         model = _fresh(name)
-        wrong = model.direction_swaps() + model.algebra_maps()
+        wrong = model.algebra_maps()
         for S in (model.extended_lagrangian(), _perturbed_solution(model, random.Random(7))):
             given, full = (master_equation_check(S, model.pairs(), reps) for reps in (wrong, None))
             assert given.squared == full.squared == tuple(
@@ -1036,8 +999,7 @@ class TestOrbitReduction:
         monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
         (row,) = model.pipeline("master-equation", deterministic=True)
         assert row.ok
-        assert all(model._fixes(family, "L") for family in ("direction_swaps", "algebra_maps"))
-        assert model._fixes("direction_swaps", "S-L") and not model._fixes("algebra_maps", "S-L")
+        assert model._fixes("L") and not model._fixes("S-L")
         assert model._representatives("master-equation") is None
         # s' is installed, not the model's own, so Theta_S itself is
         # squared, on every generator
@@ -1052,8 +1014,7 @@ def _direction_strength_square(model, r):
     """sum over lam < mu of g_lam g_mu F^r_lam,mu F^r_lam,mu, the strength
     density of algebra direction r alone.  On su2, c^r_ir = 0, so it is
     invariant under the gauge transformations along r but not along the
-    other directions, and the algebra maps move it; the direction swaps
-    fix it."""
+    other directions, and the algebra maps move it."""
     signs, n = model.metric.signs, model.metric.dim
     out = model.ctx.zero()
     for lam in range(n):
@@ -1080,8 +1041,7 @@ class TestAlgebraOrbits:
         maps = model.algebra_maps()
         assert len(maps) == count
         S, L = model.extended_lagrangian().density, model.ym_lagrangian().density
-        for (gen_map, perm, signs), (pi, s) in zip(maps, signed_automorphisms(model.algebra)):
-            assert perm == list(range(model.metric.dim))
+        for (gen_map, signs), (pi, s) in zip(maps, signed_automorphisms(model.algebra)):
             for r in range(model.algebra.dim):
                 for family in (model.field, model.antifield):
                     for mu, gen in enumerate(family[r]):
@@ -1090,11 +1050,11 @@ class TestAlgebraOrbits:
                 for family in (model.ghost, model.noether_antifield):
                     assert gen_map[family[r]] is family[pi[r]]
                     assert signs.get(family[r], 1) == s[r]
-            assert S.rename(gen_map, perm, signs) == S
-            assert L.rename(gen_map, perm, signs) == L
+            assert S.rename(gen_map, signs) == S
+            assert L.rename(gen_map, signs) == L
 
     @pytest.mark.parametrize("name, squared", [
-        ("abelian", 3), ("su2", 6), ("osp12", 18), ("sl21", 24)])
+        ("abelian", 5), ("su2", 10), ("osp12", 18), ("sl21", 40)])
     def test_master_equation_on_one_direction_per_orbit(self, name, squared, request):
         model = request.getfixturevalue(name)
         S = model.extended_lagrangian()
@@ -1102,18 +1062,13 @@ class TestAlgebraOrbits:
                                         model._representatives("master-equation"))
         full = master_equation_check(S, model.pairs())
         assert reduced.ok and full.ok and len(reduced.squared) == squared
-        signs, first = model.metric.signs, self._first_of_orbit(model)
-        algebra_index = {}
-        for family in (model.field, model.antifield):
-            for r, row in enumerate(family):
-                for mu, gen in enumerate(row):
-                    if signs.index(signs[mu]) == mu:
-                        algebra_index[gen] = r
+        first = self._first_of_orbit(model)
+        algebra_index = {gen: r for family in (model.field, model.antifield)
+                         for r, row in enumerate(family) for gen in row}
         for family in (model.ghost, model.noether_antifield):
             algebra_index.update((gen, r) for r, gen in enumerate(family))
         assert reduced.squared == tuple(g.name for g in sorted(
-            full.derivation.components, key=lambda g: g.key)
-            if g in algebra_index and first[algebra_index[g]])
+            full.derivation.components, key=lambda g: g.key) if first[algebra_index[g]])
 
     @pytest.mark.parametrize("name, rows", [
         ("abelian", ["cbar1"]), ("su2", ["cbar1"]), ("osp12", ["cbar1", "cbar2", "cbar4"]),
@@ -1139,15 +1094,14 @@ class TestAlgebraOrbits:
 
     @pytest.mark.parametrize("name", ["su2", "sl21"])
     def test_order_of_the_maps_changes_nothing(self, name, request):
-        # the swaps before or after the algebra maps for the master
-        # equation, and the algebra maps reversed for the rows: the same
-        # representatives and the same reduced tables
+        # the algebra maps in either order, for the master equation and
+        # for the rows: the same representatives and the same reduced tables
         model = request.getfixturevalue(name)
-        pairs, swaps, maps = model.pairs(), model.direction_swaps(), model.algebra_maps()
-        assert len(swaps) == len(maps) == 2
+        pairs, maps = model.pairs(), model.algebra_maps()
+        assert len(maps) == 2
         S = model.extended_lagrangian()
         theta = master_derivation(S, pairs).components
-        orders = (swaps + maps, maps + swaps)
+        orders = (maps, maps[::-1])
         reps = [orbit_representatives(S.density, pairs, order, theta) for order in orders]
         reports = [master_equation_check(S, pairs, r) for r in reps]
         assert reps[0] == reps[1] and len(reps[0]) < len(theta)
@@ -1156,7 +1110,7 @@ class TestAlgebraOrbits:
             list(reports[1].derivation_residuals.items())
         kt = model.koszul_tate()
         rows = [orbit_representatives(_rows_density(model, kt), pairs, order, kt.components)
-                for order in (maps, maps[::-1])]
+                for order in orders]
         assert rows[0] == rows[1] == model._representatives("koszul-tate")
         assert len(rows[0]) < len(kt.components)
         for moved, evaluate in (
@@ -1169,26 +1123,10 @@ class TestAlgebraOrbits:
             assert set(tables[0]) == {g.name for g in moved if g in rows[0]}
 
     def test_invariant_breaking_is_caught_on_representatives(self, monkeypatch):
-        # the mass term is fixed by every swap and every algebra map, and
-        # it breaks gauge invariance: a representative fails, the rest of
-        # each table follows, and the tables are the unreduced ones
-        squared = []
-        original = gvc.brst.nilpotency_residuals
-
-        def counted(theta, gens=None):
-            squared.append(len(gens))
-            return original(theta, gens)
-
-        monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
-        _, reduced, full = TestOrbitReduction._routes("su2", lambda model: Lagrangian(
-            model.extended_lagrangian().density + mass_term_lagrangian(model).density),
-            monkeypatch, algebra_maps=True)
-        moved = len(reduced.derivation.components)
-        assert squared == [6, moved - 6, moved]
-        assert not full.ok
-        TestOrbitReduction._same_failure(reduced, full)
-        monkeypatch.undo()
-        # the rows, on a new model whose L holds the mass term
+        # the mass term is fixed by every algebra map, and it breaks gauge
+        # invariance: a representative row fails, the rest of the rows
+        # follow, and they are the unreduced ones (the master equation's
+        # table: TestOrbitReduction's test of this name)
         model = _fresh("su2")
         L = Lagrangian(model.ym_lagrangian().density + mass_term_lagrangian(model).density)
         labels = []
@@ -1207,18 +1145,13 @@ class TestAlgebraOrbits:
         assert list(got.items()) == list(want.items())
 
     def test_algebra_breaking_term_runs_the_full_tables(self, monkeypatch):
-        # the direction-1 strength square keeps the swaps and moves under
-        # the algebra maps; it spoils the Noether rows of directions 2 and
-        # 3 only, so the representative cbar1 alone would hide them
-        def build(model):
-            S = Lagrangian(model.extended_lagrangian().density
-                           + _direction_strength_square(model, 0))
-            assert all(S.density.rename(*g) == S.density for g in model.direction_swaps())
-            return S
-
-        model, reduced, full = TestOrbitReduction._routes("su2", build, monkeypatch,
-                                                          algebra_maps=True)
-        assert model._fixes("algebra_maps", "L") and not model._fixes("algebra_maps", "S-L")
+        # the direction-1 strength square moves under the algebra maps; it
+        # spoils the Noether rows of directions 2 and 3 only, so the
+        # representative cbar1 alone would hide them
+        model, reduced, full = TestOrbitReduction._routes("su2", lambda model: Lagrangian(
+            model.extended_lagrangian().density + _direction_strength_square(model, 0)),
+            monkeypatch)
+        assert model._fixes("L") and not model._fixes("S-L")
         assert model._representatives("master-equation") is None
         assert not full.ok
         TestOrbitReduction._same_failure(reduced, full)
@@ -1230,7 +1163,7 @@ class TestAlgebraOrbits:
         kt = model.koszul_tate()
         assert orbit_representatives(L.density, model.pairs(), model.algebra_maps(),
                                      kt.components) is None
-        assert not model._fixes("algebra_maps", "L")
+        assert not model._fixes("L")
         assert model._representatives("koszul-tate") is None
         want = noether_residuals(model.noether_operator(), euler_lagrange(L))
         assert want["cbar1"].is_zero() and not want["cbar2"].is_zero()
@@ -1239,6 +1172,18 @@ class TestAlgebraOrbits:
         assert not row.ok
         assert row.line() == CheckResult.from_residuals(
             "koszul-tate", nilpotency_residuals(kt)).line()
+
+    def test_a_lagrangian_breaking_the_maps_forces_the_full_table(self, monkeypatch):
+        # L gains the direction-1 strength square, which the algebra maps
+        # move: S - L is still P_s, which they keep, but the L proof fails,
+        # so no representatives are passed and the row is the full table's
+        model = _fresh("su2")
+        L = Lagrangian(model.ym_lagrangian().density + _direction_strength_square(model, 0))
+        monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+        line, parts, direct = TestMasterSplit._rows(model)
+        assert model._fixes("S-L") and not model._fixes("L")
+        assert parts == [(False, None)] and line == direct
+        assert line != CheckResult("master-equation", True).line()
 
     def test_rows_that_break_a_map_run_the_full_tables(self, monkeypatch):
         # L keeps every map, but cbar2's row has its last entry doubled:
@@ -1255,7 +1200,7 @@ class TestAlgebraOrbits:
                                      model.algebra_maps(), kt.components) is not None
         assert orbit_representatives(_rows_density(model, kt), model.pairs(),
                                      model.algebra_maps(), kt.components) is None
-        assert model._fixes("algebra_maps", "L") and not model._fixes("algebra_maps", "rows")
+        assert model._fixes("L") and not model._fixes("rows")
         assert model._representatives("koszul-tate") is None
         want = noether_residuals(broken, model.generic_euler_lagrange())
         assert want["cbar1"].is_zero() and not want["cbar2"].is_zero()
@@ -1271,10 +1216,10 @@ class TestAlgebraOrbits:
         L, pairs, _ = orbit_only_failure()
         names = ("u1", "ubar1", "u2", "ubar2", "e2", "ebar2", "c", "cbar")
         signs = {L.ctx.generator(name): -1 for name in names}
-        assert orbit_representatives(L.density, pairs, [({}, [0], signs)], {}) == set()
+        assert orbit_representatives(L.density, pairs, [({}, signs)], {}) == set()
         del signs[L.ctx.generator("u1")]
-        assert L.density.rename({}, [0], signs) == L.density
-        assert orbit_representatives(L.density, pairs, [({}, [0], signs)], {}) is None
+        assert L.density.rename({}, signs) == L.density
+        assert orbit_representatives(L.density, pairs, [({}, signs)], {}) is None
 
 
     @pytest.mark.parametrize("name, squared", [
@@ -1294,11 +1239,11 @@ class TestAlgebraOrbits:
         assert len(batches[0]) == squared
         assert list(model._brst_residuals()) == batches[0]
         if model.algebra_maps():
-            assert model._fixes("algebra_maps", "brst")
+            assert model._fixes("brst")
         # s holds no L: the square alone proves nothing on it
         alone = _fresh(name)
         assert list(alone._brst_residuals()) == batches[0]
-        assert ("fixes", "algebra_maps", alone.ym_lagrangian()) not in alone._memo
+        assert ("fixes", alone.ym_lagrangian()) not in alone._memo
 
     @staticmethod
     def _brst_batches(model, monkeypatch):
@@ -1325,7 +1270,7 @@ class TestAlgebraOrbits:
         monkeypatch.setattr(model, "ghost_sector", lambda: sector)
         batches = self._brst_batches(model, monkeypatch)
         gauge, square = model.pipeline("brst", deterministic=True)
-        assert model._fixes("algebra_maps", "L") and not model._fixes("algebra_maps", "brst")
+        assert model._fixes("L") and not model._fixes("brst")
         assert model._representatives("brst") is None is model._representatives("gauge")
         s = model.brst_operator()
         assert batches == [[g.name for g in sorted(s.components, key=lambda g: g.key)]]
@@ -1366,7 +1311,7 @@ class TestAlgebraOrbits:
                 rows.append(model.pipeline(pipeline, deterministic=True)[0])
                 if reduced:
                     assert proved and all(p is density() for p in proved)
-                    assert not model._fixes("algebra_maps", "L" if pipeline == "brst" else "S-L")
+                    assert not model._fixes("L" if pipeline == "brst" else "S-L")
             assert not rows[0].ok and rows[0].line() == rows[1].line()
             return model
 
@@ -1388,7 +1333,7 @@ class TestAlgebraOrbits:
     def test_s_minus_l_of_the_proper_solution_is_the_paired_sum(self, monkeypatch):
         # S built here is L plus the paired sum P of s: S - L is P itself,
         # with no subtraction, and shares its proofs; an installed S
-        # subtracts L and proves its own S - L, once per family of maps
+        # subtracts L and proves its own S - L once
         model = _fresh("su2")
         subtracted, proved = [], self._proved(monkeypatch)
         sub = Poly.__sub__
@@ -1398,7 +1343,7 @@ class TestAlgebraOrbits:
         assert model._s_minus_l() is P
         assert not any(p is S.density for p in subtracted)
         assert sorted(("P" if d is P else "L" if d is L.density else "?") for d in proved) == \
-            ["L", "L", "P", "P"]
+            ["L", "P"]
         installed = Lagrangian(S.density + model.ctx.zero())
         monkeypatch.setattr(model, "extended_lagrangian", lambda: installed)
         del proved[:]
@@ -1406,7 +1351,7 @@ class TestAlgebraOrbits:
         rest = model._s_minus_l()
         assert any(p is installed.density for p in subtracted)
         assert rest is not P and rest == P
-        assert len(proved) == 2 and all(d is rest for d in proved)
+        assert len(proved) == 1 and proved[0] is rest
 
 
 class TestProperSolution:

@@ -9,9 +9,9 @@ import pytest
 from gvc.grassmann import GvcError
 from gvc.modelfile import ParseError, parse_model, render_model, \
     spec_algebra, spec_model
-from gvc.presets import PRESET_MODEL_TEXT, osp12_algebra, preset_model, su2_algebra
+from gvc.presets import PRESET_MODEL_TEXT, osp12_algebra, preset_model
 
-from util import abelian_algebra
+from util import abelian_algebra, su2_algebra
 
 GOLDEN = Path(__file__).parent / "golden"
 PRESET_ALGEBRA_FACTORIES = {"abelian": abelian_algebra, "su2": su2_algebra,

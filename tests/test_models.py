@@ -22,13 +22,13 @@ from gvc.grassmann import ExpansionLimitError, Poly
 from gvc.jets import ContactDerivation, prolong_apply, total_derivative
 from gvc.models import GaugeModel, Metric, run_parts
 from gvc.modelfile import parse_model, spec_model
-from gvc.presets import PRESET_MODEL_TEXT, preset_model, su2_algebra
+from gvc.presets import PRESET_MODEL_TEXT, preset_model
 from gvc.reporting import CheckResult
 from gvc.superlie import LieSuperalgebra, bracket
 
 from util import (abelian_algebra, assert_normal, constant_parameter_symmetry,
                   first_variational_residual, mass_term_lagrangian, rescaled_model_text,
-                  scale, superbracket, sym_jet, sym_quadratic_lagrangian)
+                  scale, su2_algebra, superbracket, sym_jet, sym_quadratic_lagrangian)
 
 GOLDEN = Path(__file__).parent / "golden"
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
@@ -259,7 +259,7 @@ class TestFieldEquations:
                 assert (generic.component(g) - closed.component(g)).is_zero()
 
     @pytest.mark.parametrize("name, count", [
-        ("abelian", 1), ("su2", 2), ("osp12", 6), ("sl21", 8), ("sl3", 6)])
+        ("abelian", 2), ("su2", 4), ("osp12", 6), ("sl21", 16), ("sl3", 12)])
     def test_closed_route_on_one_field_per_orbit(self, name, count, monkeypatch):
         path = {"sl21": SL21_MODEL, "sl3": SL3_MODEL}.get(name)
         model = spec_model(parse_model(path.read_text(encoding="utf-8"))) if path \
@@ -273,19 +273,25 @@ class TestFieldEquations:
         monkeypatch.setattr(GaugeModel, "closed_euler_lagrange", counted)
         (result,) = model.pipeline("euler-lagrange", deterministic=True)
         assert result.ok
+        # abelian has no algebra map, so its whole table runs
         fields = [g for row in model.field for g in row]
         reps = model._representatives("euler-lagrange")
-        assert all(model._fixes(family, "L") for family in ("direction_swaps", "algebra_maps"))
-        assert reps == orbit_roots(model.direction_swaps() + model.algebra_maps(), fields)
-        assert asked == [[g for g in fields if g in reps]] and len(reps) == count
+        if model.algebra_maps():
+            assert model._fixes("L")
+            assert reps == orbit_roots(model.algebra_maps(), fields)
+        else:
+            assert reps is None
+        chosen = [g for g in fields if reps is None or g in reps]
+        assert asked == [chosen] and len(chosen) == count
 
     def test_mass_term_off_the_representatives_fails_the_whole_table(self, monkeypatch):
-        # a mass term on a3_3 moves under the swaps and the algebra maps,
+        # a mass term on a3_3 moves under the algebra maps,
         # and it changes the generic field equation of a3_3 alone, which
         # is on no representative: the L proof fails, the whole table
         # runs, and its row is the unreduced route's
         su2 = preset_model("su2")
-        assert {g.name for g in su2._representatives("euler-lagrange")} == {"a1_0", "a1_1"}
+        assert {g.name for g in su2._representatives("euler-lagrange")} == {
+            "a1_0", "a1_1", "a1_2", "a1_3"}
         models, lines = [], []
         for reduced in (True, False):
             model = preset_model("su2")
@@ -780,7 +786,7 @@ class TestParameterOrbits:
             extra += ctx.product(h, (ctx.jet(model.parameter[i]), ctx.jet(model.parameter[j])))
         L = Lagrangian(model.ym_lagrangian().density + extra)
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
-        assert model._fixes("algebra_maps", "L")
+        assert model._fixes("L")
         batches, prolonged = self._batches(monkeypatch), self._prolonged(monkeypatch)
         rows = self._rows(model)
         assert model._representatives("parameter") is None
@@ -1368,18 +1374,18 @@ class TestBuildOnce:
         renamed = []
         original = Poly.rename
 
-        def counted(p, gen_map, perm, signs):
+        def counted(p, gen_map, signs):
             renamed.append((p, gen_map))
-            return original(p, gen_map, perm, signs)
+            return original(p, gen_map, signs)
 
         monkeypatch.setattr(Poly, "rename", counted)
         model = preset_model(name) if name == "su2" else spec_model(
             parse_model(SL21_MODEL.read_text(encoding="utf-8")))
         assert model.full_verification().ok
         L = model.ym_lagrangian().density
-        maps = [gen_map for gen_map, _, _ in model.direction_swaps() + model.algebra_maps()]
+        maps = [gen_map for gen_map, _ in model.algebra_maps()]
         on_L = [gen_map for p, gen_map in renamed if p is L]
-        assert len(on_L) == len(maps) == 4
+        assert len(on_L) == len(maps) == 2
         assert all(any(g is gen_map for g in on_L) for gen_map in maps)
         pairs = [(id(p), id(gen_map)) for p, gen_map in renamed]
         assert len(pairs) == len(set(pairs))

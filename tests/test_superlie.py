@@ -10,11 +10,11 @@ import pytest
 from gvc import EVEN, GvcError, LieSuperalgebra, ODD, ParityError, bracket
 from gvc.superlie import check_invariant_form, check_structure, signed_automorphisms
 from gvc.modelfile import parse_model, spec_algebra
-from gvc.presets import osp12_algebra, su2_algebra
+from gvc.presets import osp12_algebra
 
 from util import (abelian_algebra, basis_orbits, brute_force_automorphisms,
                   dense_form_violations, dense_structure_violations, perturb_algebra,
-                  random_superalgebra)
+                  random_superalgebra, su2_algebra)
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench")
 

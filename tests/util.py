@@ -777,8 +777,8 @@ def constant_parameter_symmetry(model, vec):
 
 
 def orbit_only_failure():
-    """A density S, its pairing and a relabelling g = (gen_map, perm,
-    signs), with no signs, that keeps the pairing but not S, such that
+    """A density S, its pairing and a relabelling g = (gen_map, signs),
+    with no signs, that keeps the pairing but not S, such that
     Theta_S^2 vanishes on the smallest-key member of every orbit of g but
     not on u2 and ebar2.
 
@@ -802,7 +802,7 @@ def orbit_only_failure():
     gen_map = {}
     for a, b in (("u1", "u2"), ("ubar1", "ubar2"), ("e1", "e2"), ("ebar1", "ebar2")):
         gen_map[gen(a)], gen_map[gen(b)] = gen(b), gen(a)
-    return Lagrangian(density), pairs, (gen_map, [0], {})
+    return Lagrangian(density), pairs, (gen_map, {})
 
 
 def brute_force_automorphisms(alg):
@@ -872,6 +872,18 @@ def abelian_algebra():
     """The one-dimensional abelian algebra with unit form."""
     alg = LieSuperalgebra(["e1"], [EVEN])
     alg.set_form("e1", "e1", 1)
+    return alg
+
+
+def su2_algebra():
+    """Three even generators with totally antisymmetric constants and the
+    Euclidean invariant form."""
+    alg = LieSuperalgebra(["e1", "e2", "e3"], [EVEN, EVEN, EVEN])
+    alg.set_constant("e1", "e2", "e3", 1)
+    alg.set_constant("e2", "e3", "e1", 1)
+    alg.set_constant("e3", "e1", "e2", 1)
+    for lab in alg.labels:
+        alg.set_form(lab, lab, 1)
     return alg
 
 
