@@ -1,6 +1,7 @@
 """Field-antifield machinery: Noether identities, the Koszul-Tate
 differential, gauge and BRST derivations, the antibracket and the
-classical master equation.
+classical master equation.  Koszul-Tate's square on a degree-two
+antifield is its Noether row's residual (`koszul_tate`).
 
 Every derivation is a `jets.ContactDerivation` acting through left graded
 derivatives, except Koszul-Tate, whose `apply` runs the same action loop as
@@ -31,7 +32,9 @@ from .bicomplex import Lagrangian, variational_derivatives
 class NoetherOperator:
     """Rows of total differential operators annihilating the variational
     derivatives: row r is a list of (coefficient, generator, multi-index),
-    the coefficient a polynomial (a scalar is taken as a constant one)."""
+    the coefficient a polynomial (a scalar is taken as a constant one), the
+    generator a field.  No coefficient holds an antifield or a degree-two
+    antifield, the only generators Koszul-Tate moves (`koszul_tate`)."""
 
     __slots__ = ("ctx", "rows")
 
@@ -41,18 +44,21 @@ class NoetherOperator:
         for label, entries in rows.items():
             clean = []
             for coeff, gen, index in entries:
-                if isinstance(gen, str):
-                    gen = ctx.generator(gen)
-                if not isinstance(coeff, Poly):
-                    coeff = ctx.scalar(coeff)
+                gen = ctx.generator(gen) if isinstance(gen, str) else gen
+                coeff = coeff if isinstance(coeff, Poly) else ctx.scalar(coeff)
+                if gen.kind not in ("even-field", "odd-field"):
+                    raise GvcError("identity row %r references non-field %r" % (label, gen.name))
+                if any(v.gen.kind in ("antifield", "noether-antifield")
+                       for v in coeff.variables()):
+                    raise GvcError("identity row %r has a coefficient Koszul-Tate moves"
+                                   % (label,))
                 clean.append((coeff, gen, tuple(sorted(index))))
             self.rows[label] = clean
 
 
 def noether_residuals(op, el, labels=None):
     """Apply each row, or each of those labelled in `labels`, to the
-    variational derivatives; zero rows are the valid identities.  Rows
-    must reference field generators.
+    variational derivatives; zero rows are the valid identities.
 
     Each row is summed in one table; an entry whose coefficient is the
     constant +-1 adds its last total derivative straight into it."""
@@ -63,9 +69,6 @@ def noether_residuals(op, el, labels=None):
             continue
         res = ctx.zero()
         for coeff, gen, index in entries:
-            if gen.kind not in ("even-field", "odd-field"):
-                raise GvcError(
-                    "identity row %r references non-field %r" % (label, gen.name))
             comp = el.component(gen)
             if comp.is_zero():
                 continue
@@ -99,9 +102,10 @@ def koszul_tate(op, el, pairs):
 
     `pairs` is the field-antifield pairing: it maps each field generator
     entering the variational derivatives to its antifield, and the names
-    of its degree-two antifields label the rows of `op`.  Nilpotency on
-    generators is equivalent to all Noether residuals vanishing; the
-    residual on a degree-two antifield is its row's.
+    of its degree-two antifields label the rows of `op`.  delta sends cbar_j
+    to row j on antifields, sum coeff * abar_I, as field equations are on
+    fields alone (checked here); it moves no coefficient (`NoetherOperator`),
+    so delta^2(cbar_j) = sum coeff * D_I E is row j's Noether residual.
     """
     ctx = op.ctx
 
@@ -111,12 +115,14 @@ def koszul_tate(op, el, pairs):
         except KeyError:
             raise GvcError("missing antifield registration for %r" % (gen.name,))
 
+    for gen in el.generators():
+        if gen.kind not in ("even-field", "odd-field"):
+            raise GvcError("field equation on non-field %r" % (gen.name,))
     values = {antifield(gen): comp for gen, comp in el.components.items()}
     degree_two = {bar.name: bar for bar in pairs.values() if bar.antifield_number == 2}
     for label, entries in op.rows.items():
-        try:
-            nbar = degree_two[label]
-        except KeyError:
+        nbar = degree_two.get(label)
+        if nbar is None:
             raise GvcError("missing degree-two antifield for row %r" % (label,))
         acc = ctx.zero()
         for coeff, gen, index in entries:

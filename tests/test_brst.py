@@ -43,8 +43,9 @@ from gvc.superlie import signed_automorphisms
 from util import (antifield_numbers, basis_orbits, even_part, field_generators, linear_jet_paths,
                   linear_jet_polys, make_context, mass_term_lagrangian, odd_part,
                   orbit_only_failure,
-                  oracle_koszul_tate_apply, oracle_koszul_tate_residuals, random_poly,
-                  random_vertical, shared_jet_cases, shared_jet_poly, su2_algebra)
+                  oracle_koszul_tate_apply, oracle_koszul_tate_residuals, random_jet,
+                  random_poly, random_vertical, shared_jet_cases, shared_jet_poly,
+                  su2_algebra)
 
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
 SL3_MODEL = SL21_MODEL.with_name("sl3.model")
@@ -130,9 +131,21 @@ class TestNoetherIdentities:
 
     def test_mismatched_field_sets_rejected(self, su2):
         ctx = su2.ctx
-        op = NoetherOperator(ctx, {"only": [(ctx.one(), su2.ghost[0], ())]})
-        with pytest.raises(GvcError):
-            noether_residuals(op, su2.generic_euler_lagrange())
+        with pytest.raises(GvcError, match="identity row 'only' references non-field 'c1'"):
+            NoetherOperator(ctx, {"only": [(ctx.one(), su2.ghost[0], ())]})
+
+    def test_coefficients_koszul_tate_moves_rejected(self, su2):
+        # an antifield or a degree-two antifield in a coefficient, alone,
+        # as a jet or times a field; a ghost is not moved by Koszul-Tate
+        ctx = su2.ctx
+        field = ctx.var(su2.field[1][0])
+        for gen in (su2.antifield[0][2], su2.noether_antifield[1]):
+            for coeff in (ctx.var(gen), ctx.var(gen, 1), field * ctx.var(gen) + ctx.scalar(3)):
+                with pytest.raises(GvcError, match="identity row 'r2' has a coefficient "
+                                                   "Koszul-Tate moves"):
+                    NoetherOperator(ctx, {"r1": [(1, su2.field[0][0], ())],
+                                          "r2": [(coeff, su2.field[0][1], (0,))]})
+        NoetherOperator(ctx, {"r1": [(ctx.var(su2.ghost[0]) * field, su2.field[0][0], ())]})
 
     def test_zero_component_rows_allowed(self, su2):
         # a field the density never touches (the gauge parameter xi1) has
@@ -222,6 +235,23 @@ class TestKoszulTate:
         assert any(not p.is_zero() for p in noe.values())
         assert (kt_res["cbar1"] - noe["cbar1"]).is_zero()
 
+    def test_field_equation_on_a_ghost_rejected(self, su2, monkeypatch):
+        # L + a1_0 c1 c2 has field equations on c1 and c2, which pair with
+        # cbar1 and cbar2: each would be overwritten by its Noether row
+        ctx = su2.ctx
+        a, c1, c2 = ctx.var(su2.field[0][0]), ctx.var(su2.ghost[0]), ctx.var(su2.ghost[1])
+        L = Lagrangian(su2.ym_lagrangian().density + a * c1 * c2)
+        el = euler_lagrange(L)
+        assert el.component(su2.ghost[0]) == a * c2
+        with pytest.raises(GvcError, match="field equation on non-field 'c1'"):
+            koszul_tate(su2.noether_operator(), el, su2.pairs())
+        model = _fresh("su2")
+        L = Lagrangian(model.ym_lagrangian().density + model.ctx.var(model.field[0][0])
+                       * model.ctx.var(model.ghost[0]) * model.ctx.var(model.ghost[1]))
+        monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+        (row,) = model.pipeline("koszul-tate", deterministic=True)
+        assert not row.ok and row.witness == "field equation on non-field 'c1'"
+
     def test_missing_antifield_registration(self, su2):
         op, el = su2.noether_operator(), su2.generic_euler_lagrange()
         with pytest.raises(GvcError, match="missing antifield registration for 'a"):
@@ -265,8 +295,49 @@ class TestKoszulTate:
         assert {label for label, p in res.items() if not p.is_zero()} == {
             g.name for g in model.noether_antifield}
         # each degree-two antifield's residual is its Noether row's
-        noe = noether_residuals(op, model.generic_euler_lagrange())
+        el = model.generic_euler_lagrange()
+        noe = noether_residuals(op, el)
         assert noe == {g.name: res[g.name] for g in model.noether_antifield}
+        # and so on rows whose coefficients gain random field polynomials
+        rng, failing = random.Random(26), 0
+        for _ in range(3):
+            rows = {label: [(coeff + self._field_poly(rng, model, coeff.require_parity())
+                             if rng.random() < 0.3 else coeff, gen, index)
+                            for coeff, gen, index in entries]
+                    for label, entries in model.noether_operator().rows.items()}
+            op = NoetherOperator(model.ctx, rows)
+            noe = noether_residuals(op, el)
+            assert nilpotency_residuals(koszul_tate(op, el, model.pairs()),
+                                        model.noether_antifield) == noe
+            failing += sum(not p.is_zero() for p in noe.values())
+        assert failing
+
+    @staticmethod
+    def _field_poly(rng, model, parity):
+        """A random polynomial of the given parity in the model's gauge
+        fields and their first jets; zero is possible."""
+        ctx = model.ctx
+        fields = [g for row in model.field for g in row]
+        out = ctx.zero()
+        for _ in range(3):
+            factors = [random_jet(rng, ctx, rng.choice(fields), 1)
+                       for _ in range(rng.randint(1, 2))]
+            out = out + ctx.product(rng.choice([1, -1, 2, Fraction(1, 2)]), factors)
+        return even_part(out) if parity == EVEN else odd_part(out)
+
+    @pytest.mark.parametrize("mass", [False, True])
+    @pytest.mark.parametrize("name", ["abelian", "su2", "osp12", "sl21", "sl3"])
+    def test_pipeline_row_is_the_direct_square(self, name, mass, monkeypatch):
+        # the pipeline squares delta on the antifields and takes the rows'
+        # kept residuals; the direct square of every generator is the oracle
+        model = _fresh(name)
+        if mass:
+            L = Lagrangian(model.ym_lagrangian().density + mass_term_lagrangian(model).density)
+            monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+        (row,) = model.pipeline("koszul-tate", deterministic=True)
+        assert row.line() == CheckResult.from_residuals(
+            "koszul-tate", nilpotency_residuals(model.koszul_tate())).line()
+        assert row.ok is not mass
 
     def test_value_parity_enforced(self):
         ctx = make_context(2)
@@ -1076,21 +1147,28 @@ class TestAlgebraOrbits:
     def test_rows_on_one_direction_per_orbit(self, name, rows, monkeypatch):
         model = (spec_model(parse_model(SL21_MODEL.read_text(encoding="utf-8")))
                  if name == "sl21" else preset_model(name))
-        squared = []
-        original = gvc.models.nilpotency_residuals
+        squared, applied = [], []
+        original, original_rows = gvc.models.nilpotency_residuals, gvc.models.noether_residuals
 
         def counted(theta, gens=None):
             squared.append(gens)
             return original(theta, gens)
 
+        def counted_rows(op, el, labels=None):
+            applied.append(sorted(labels))
+            return original_rows(op, el, labels)
+
         monkeypatch.setattr(gvc.models, "nilpotency_residuals", counted)
+        monkeypatch.setattr(gvc.models, "noether_residuals", counted_rows)
         assert list(model._noether_residuals()) == rows
         assert all(r.ok for r in model.pipeline("koszul-tate", deterministic=True))
+        # delta is squared on the antifields of one direction per orbit
+        # alone, and the rows are the kept residuals, applied once
         first = self._first_of_orbit(model)
         (gens,) = squared
         assert [g.name for g in gens] == [
-            z.name for r in range(model.algebra.dim) if first[r]
-            for z in model.antifield[r]] + rows
+            z.name for r in range(model.algebra.dim) if first[r] for z in model.antifield[r]]
+        assert applied == [rows]
 
     @pytest.mark.parametrize("name", ["su2", "sl21"])
     def test_order_of_the_maps_changes_nothing(self, name, request):
