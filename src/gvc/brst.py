@@ -8,17 +8,18 @@ derivatives, except Koszul-Tate, whose `apply` runs the same action loop as
 `jets.prolong_apply` from the right; it and the antifield slot of the
 antibracket use the right-derivative convention directly, so no hidden sign
 adapters are spread around the code.  Each sum (a Noether row's residual, a
-Koszul-Tate value, a `paired_sum`, such as the proper solution's S - L) is
-built in one polynomial.  The master equation is checked by Theta_S^2 alone,
-Theta_S taking L's field equations as given plus those of P = S - L, and the
-bracket's failure rows are E_z({S,S}) = -+2 Theta_S^2(zbar) (minus on fields
-and ghosts, plus on antifields); `antibracket` is the tests' oracle for it.
-Theta is linear in its density: Theta_S^2 = Theta_L^2 + [Theta_L, Theta_P] +
-Theta_P^2.  Theta_L moves antifields alone, by field equations, which hold
-none, so Theta_L^2 = 0; the cross term moves a generator g by -(g, (L, P)),
-which reads the field equations of (L, P) alone, and for P = P_s, the
-paired sum of an s whose field components hold no antifield, those are
-s(L)'s.  So where s(L) = 0, Theta_P^2, from P's table alone, is Theta_S^2.
+Koszul-Tate value, a `paired_sum`, such as the proper solution's P_s) is
+built in one polynomial.  The master equation of S is checked by Theta_S^2
+alone, Theta_S from S's own variational derivatives, and the bracket's
+failure rows are E_z({S,S}) = -+2 Theta_S^2(zbar) (minus on fields and
+ghosts, plus on antifields); `antibracket` is the tests' oracle for it.
+Theta is linear in its density: for S = L + P, Theta_S^2 = Theta_L^2 +
+[Theta_L, Theta_P] + Theta_P^2.  Theta_L moves antifields alone, by field
+equations, which hold none, so Theta_L^2 = 0; the cross term moves a
+generator g by -(g, (L, P)), which reads the field equations of (L, P)
+alone, and for P = P_s, the paired sum of an s whose field components
+hold no antifield, those are s(L)'s.  So where s(L) = 0, Theta_P^2 is
+Theta_S^2.
 `orbit_representatives` proves that signed relabellings keep the pairing
 and fix a density (L or a paired sum); `on_representatives` takes a
 residual table on one generator per orbit of maps so proved first.
@@ -97,38 +98,45 @@ class KoszulTate(ContactDerivation):
         return self._act(p, right=True)
 
 
+def _antifield(pairs, gen):
+    try:
+        return pairs[gen]
+    except KeyError:
+        raise GvcError("missing antifield registration for %r" % (gen.name,))
+
+
 def koszul_tate(op, el, pairs):
     """Assemble the Koszul-Tate derivation from a Noether operator.
 
     `pairs` is the field-antifield pairing: it maps each field generator
     entering the variational derivatives to its antifield, and the names
     of its degree-two antifields label the rows of `op`.  delta sends cbar_j
-    to row j on antifields, sum coeff * abar_I, as field equations are on
+    to row j on antifields (`rows_on_antifields`), as field equations are on
     fields alone (checked here); it moves no coefficient (`NoetherOperator`),
     so delta^2(cbar_j) = sum coeff * D_I E is row j's Noether residual.
     """
-    ctx = op.ctx
-
-    def antifield(gen):
-        try:
-            return pairs[gen]
-        except KeyError:
-            raise GvcError("missing antifield registration for %r" % (gen.name,))
-
     for gen in el.generators():
         if gen.kind not in ("even-field", "odd-field"):
             raise GvcError("field equation on non-field %r" % (gen.name,))
-    values = {antifield(gen): comp for gen, comp in el.components.items()}
+    values = {_antifield(pairs, gen): comp for gen, comp in el.components.items()}
+    return KoszulTate(op.ctx, {**values, **rows_on_antifields(op, pairs)})
+
+
+def rows_on_antifields(op, pairs):
+    """delta(cbar_j) = sum coeff * abar_I for each row j of `op`, the row
+    on antifields, by its degree-two antifield cbar_j."""
+    ctx = op.ctx
     degree_two = {bar.name: bar for bar in pairs.values() if bar.antifield_number == 2}
+    values = {}
     for label, entries in op.rows.items():
         nbar = degree_two.get(label)
         if nbar is None:
             raise GvcError("missing degree-two antifield for row %r" % (label,))
         acc = ctx.zero()
         for coeff, gen, index in entries:
-            add_product(acc, coeff, ctx.var(antifield(gen), *index))
+            add_product(acc, coeff, ctx.var(_antifield(pairs, gen), *index))
         values[nbar] = acc.finish()
-    return KoszulTate(ctx, values)
+    return values
 
 
 def brst_extend(u, gamma):
@@ -192,24 +200,21 @@ def antibracket(L1, L2, pairs):
     return Lagrangian(out.finish())
 
 
-def master_derivation(L, pairs, split=None, part=False):
+def master_derivation(L, pairs):
     """The odd derivation generated by an even density through the
-    antibracket over a pairing of all its generators; its nilpotency is
-    the master equation.  With `split`, the left variational derivatives
-    of a part L0 of the density by generator and the density minus L0, P,
-    it adds the former to P's: delta is linear.  With `part` too, it
-    returns Theta_P besides, from P's one table."""
-    ctx = L.ctx
-    parity = L.density.require_parity()
-    _require_paired((L.density,), pairs)
+    antibracket over a pairing of all its generators, from the density's
+    own left variational derivatives; its nilpotency is the master
+    equation."""
+    _require_master(L, pairs)
+    return _paired_derivation(L.ctx, variational_derivatives(L.density), pairs)
+
+
+def _require_master(S, pairs):
+    """S is even and each generator it holds is paired."""
+    parity = S.density.require_parity()
+    _require_paired((S.density,), pairs)
     if parity != EVEN:
         raise ParityError("master equation is checked for even densities")
-    rest = variational_derivatives(L.density if split is None else split[1])
-    left = dict(rest)
-    for z, p in (split[0].items() if split else ()):
-        left[z] = p + rest[z] if z in rest else p
-    theta = _paired_derivation(ctx, left, pairs)
-    return (theta, _paired_derivation(ctx, rest, pairs)) if part else theta
 
 
 def _paired_derivation(ctx, left, pairs):
@@ -225,9 +230,9 @@ def _paired_derivation(ctx, left, pairs):
 
 
 class MasterReport:
-    """Outcome of the classical master equation check: the master
-    derivation Theta_S, its nilpotency residuals on the generators it
-    squared (`squared`) and the pairing."""
+    """Outcome of the classical master equation check of a density S: its
+    master derivation Theta_S, Theta_S's nilpotency residuals on the
+    generators it squared (`squared`) and the pairing."""
 
     __slots__ = ("pairs", "derivation", "derivation_residuals")
 
@@ -325,27 +330,24 @@ def on_representatives(evaluate, moved, representatives=None):
     return {z.name: residuals[z.name] for z in order}
 
 
-def master_equation_check(L, pairs, representatives=None, split=None, part=False):
-    """The classical master equation by Theta_S^2 alone: {S, S} is
-    variationally trivial exactly when it vanishes on every generator.
-
-    `representatives`, one generator per orbit of relabellings the caller
-    proved to fix S and keep the pairing (`orbit_representatives`), so
-    that Theta_S^2(g z) = g Theta_S^2(z), are squared first
-    (`on_representatives`); the proof is the caller's.  `split` is as in
-    `master_derivation`.  With `part`, the caller's proof that P = S - L0
-    is P_s and s(L0) = 0, Theta_P^2 stands for Theta_S^2 (module docstring)."""
-    theta, square = master_derivation(L, pairs, split, True) if part else \
-        (master_derivation(L, pairs, split),) * 2
+def master_equation_check(L, pairs, representatives=None):
+    """The classical master equation of an even density S by Theta_S^2
+    alone: {S, S} is variationally trivial exactly when it vanishes on every
+    generator.  The caller may pass P_s for S = L0 + P_s where s(L0) = 0
+    (module docstring), and `representatives`, one generator per orbit of
+    relabellings it proved to fix S and keep the pairing
+    (`orbit_representatives`), so that Theta_S^2(g z) = g Theta_S^2(z),
+    which are squared first (`on_representatives`)."""
+    theta = master_derivation(L, pairs)
     return MasterReport(pairs, theta, on_representatives(
-        lambda gens: nilpotency_residuals(square, gens), theta.components, representatives))
+        lambda gens: nilpotency_residuals(theta, gens), theta.components, representatives))
 
 
 def proper_solution(L, s, pairs, residuals=None, paired=None):
     """Extend a density by the antifield pairing of a nilpotent extension:
-    S = L + sum_a s(z^a) zbar_a, L plus the `paired_sum` of s.
-    `residuals` and `paired`, when given, are s's nilpotency residuals and
-    paired sum already taken."""
+    S = L + sum_a s(z^a) zbar_a, L plus the `paired_sum` of s, even and
+    paired as its master equation needs.  `residuals` and `paired`, when
+    given, are s's nilpotency residuals and paired sum already taken."""
     res = nilpotency_residuals(s) if residuals is None else residuals
     bad = [name for name, p in res.items() if not p.is_zero()]
     if bad:
@@ -353,5 +355,7 @@ def proper_solution(L, s, pairs, residuals=None, paired=None):
     for z in s.components:
         if z not in pairs:
             raise GvcError("missing antifield partner for %r" % (z.name,))
-    return Lagrangian(L.density + (paired_sum(L.ctx, s.components, pairs) if paired is None
-                                   else paired))
+    S = Lagrangian(L.density + (paired_sum(L.ctx, s.components, pairs) if paired is None
+                                else paired))
+    _require_master(S, pairs)
+    return S

@@ -47,6 +47,7 @@ from .brst import (
     orbit_roots,
     paired_sum,
     proper_solution,
+    rows_on_antifields,
 )
 from .reporting import CheckResult, Report
 
@@ -150,17 +151,14 @@ class GaugeModel:
     pairing are fixed at construction, which ends by freezing the context,
     and so are the algebra's graded constants and form entries.  Each derived
     object that several checks use (the validation reports, the strength and
-    momentum per direction pair, the Lagrangian, the field equations, which
-    Theta_S reuses, the Noether rows and residuals, the gauge, parameter and
-    BRST operators and the BRST square, the parts of the gauge and parameter
-    derivations by algebra direction and their Lie derivatives, the Lepage
-    form, the algebra maps, the orbit layer's proofs, each once per
-    density, S and S - L, and phi(L) with each first jet's image) is built
-    on first use and kept.  What L, S, s or a gauge derivation yields (the
-    field equations, Koszul-Tate, the Noether residuals, s itself, the
-    parts and their Lie derivatives, the Lepage form, S itself, the BRST
-    square, the orbit layer's proofs, S - L and phi(L)) is kept with its
-    source, so one installed later is built, proved and split anew.
+    momentum per direction pair, the Lagrangian, the field equations, the
+    Noether rows and residuals, the gauge, parameter and BRST operators and
+    the BRST square, the paired sums, the parts of the gauge and parameter
+    derivations by direction and their Lie derivatives, the Lepage form, the
+    algebra maps, the orbit layer's proofs, once per density, S among them,
+    and phi(L) with each first jet's image) is built on first use and kept
+    with its source (L, S, s, the Noether rows or a gauge derivation), so
+    one installed later is built, proved and split anew.
     """
 
     # Checks whose formulas are proved for even algebras only; a model
@@ -375,48 +373,37 @@ class GaugeModel:
     # -- orbit proofs -------------------------------------------------------------
 
     def _source(self, key):
-        """What the density of a proof key is kept with: L for "L", S for
-        "S-L", else the derivation of the `_paired_sum` of `key`."""
-        return {"L": self.ym_lagrangian, "S-L": self.extended_lagrangian,
+        """What the density of a proof key is kept with: L, S, or the
+        derivation or Noether rows whose `_paired_sum` it is."""
+        return {"L": self.ym_lagrangian, "S": self.extended_lagrangian,
                 "brst": self.brst_operator, "parameter": self.parameter_symmetry,
-                "rows": self.koszul_tate}[key]()
+                "rows": self.noether_operator}[key]()
 
     def _paired_sum(self, key):
         """The paired sum of the BRST operator ("brst") or the parameter symmetry
-        against the antifields, or of the Noether rows against the ghosts,
-        kept with that derivation."""
+        against the antifields, or of the Noether rows on antifields against
+        the ghosts, kept with its source."""
         theta = self._source(key)
 
         def build():
             if key == "rows":
-                ghosts = dict(zip(self.noether_antifield, self.ghost))
-                return paired_sum(self.ctx, {z: theta.components[z] for z in ghosts
-                                             if z in theta.components}, ghosts)
+                return paired_sum(self.ctx, rows_on_antifields(theta, self._pairs),
+                                  dict(zip(self.noether_antifield, self.ghost)))
             return paired_sum(self.ctx, theta.components, self._pairs)
 
         return self._once(("paired-sum", theta), build)
 
-    def _s_minus_l(self):
-        """S - L of the extended density S, kept with S for its proof and
-        Theta_S: the paired sum of s itself when S is the proper solution
-        built here, L plus that sum; an installed S subtracts L."""
-        S = self.extended_lagrangian()
-        return self._once(("S-L", S), lambda: (
-            self._paired_sum("brst") if self._proper(S)
-            else S.density - self.ym_lagrangian().density))
-
     def _fixes(self, key):
         """Whether each algebra map keeps the pairing and fixes the density
-        `key` (L, S - L or a `_paired_sum`), once per model and density
-        (`_source`); S - L of the proper solution built here is s's paired
-        sum and shares its proof."""
+        `key` (L, S or a `_paired_sum`), once per model and density
+        (`_source`); the proper solution built here, L plus s's paired sum,
+        shares their proofs."""
         source = self._source(key)
 
         def prove():
-            if key == "S-L" and self._proper(source):
-                return self._fixes("brst")
-            density = (source.density if key == "L" else
-                       self._s_minus_l() if key == "S-L" else self._paired_sum(key))
+            if key == "S" and self._proper(source):
+                return self._fixes("L") and self._fixes("brst")
+            density = source.density if key in ("L", "S") else self._paired_sum(key)
             return orbit_representatives(density, self._pairs, self.algebra_maps(),
                                          ()) is not None
 
@@ -436,7 +423,7 @@ class GaugeModel:
         gens, keys = {
             "euler-lagrange": (fields, ("L",)),
             "master-equation": (fields + antifields + self.ghost + self.noether_antifield,
-                                ("L", "S-L")),
+                                ("S",)),
             "koszul-tate": (antifields + self.noether_antifield, ("L", "rows")),
             "parameter": (self.parameter, ("L", "parameter")),
             "gauge": (self.ghost, ("L", "brst")),
@@ -836,12 +823,12 @@ class GaugeModel:
                     n, self._brst_residuals()))]
 
     def _by_part(self):
-        """Whether Theta_S^2 is Theta_P^2 for P = S - L (`master_equation_check`
-        with `part`): S is the proper solution built here with the model's own
-        s, built from its own gauge operator, so antifield-free on fields,
-        and whose L_s L, gauge-symmetry's, is zero; and the jets the direct
-        square forms, one order above the field equations' (at most twice
-        L's), are in bound, as Theta_P^2 forms none of them."""
+        """Whether Theta_P^2 for P = P_s stands for Theta_S^2: S is the proper
+        solution built here, L + P_s, for the model's own s, built from its
+        own gauge operator, so antifield-free on fields, whose L_s L,
+        gauge-symmetry's, is zero; and the jets the direct square forms, one
+        order above the field equations' (at most twice L's), are in bound,
+        as Theta_P^2 forms none of them."""
         bound = self.ctx.max_jet_order
         return (self._proper(self.extended_lagrangian())
                 and self.brst_operator() is self._memo.get(
@@ -853,17 +840,21 @@ class GaugeModel:
         def master(check):
             if any(not p.is_zero() for p in self._brst_residuals().values()):
                 return CheckResult(check, False, witness="no nilpotent extension")
-            rep = master_equation_check(self.extended_lagrangian(), self._pairs,
-                                        self._representatives("master-equation"),
-                                        (self.generic_euler_lagrange().components,
-                                         self._s_minus_l()), self._by_part())
+            by_part = self._by_part()
+            rep = master_equation_check(
+                Lagrangian(self._paired_sum("brst")) if by_part else self.extended_lagrangian(),
+                self._pairs, self._representatives("master-equation"))
             if not rep.ok:
                 return CheckResult.from_residuals(check, rep.bracket_residuals())
-            # The derivation moves z by the variational derivative along
-            # zbar and zbar by the one along z; the density is even, so its
-            # left and right variational derivatives vanish together.  A
-            # nontrivial solution couples both members of some pair.
-            moved = rep.derivation.components
+            # Theta_S moves z by E_zbar(S) and zbar by E_z(S), which vanish
+            # with S's right ones (S is even): a nontrivial solution couples
+            # both members of some pair.  Theta_S moves what Theta_P does and
+            # zbar for each E_z(L), which, holding no antifield, cannot cancel
+            # E_z(P_s), each of whose terms holds one.
+            moved = set(rep.derivation.components)
+            if by_part:
+                moved.update(self._pairs[z] for z in self.generic_euler_lagrange().components
+                             if z in self._pairs)
             if any(z in moved and zbar in moved for z, zbar in self.pairs().items()):
                 return CheckResult(check, True)
             return CheckResult(check, False, witness="solution is trivial")

@@ -641,51 +641,57 @@ class TestMasterEquation:
         assert request.getfixturevalue(name).extended_lagrangian().density.ghost_numbers() == {0}
 
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
-    def test_derivation_from_the_kept_field_equations(self, name, monkeypatch):
-        """Theta_S of the pipeline, from the kept field equations of L and
-        the variational derivatives of S - L, is Theta_S taken from S, on
-        the proper solution, where Theta_{S - L} is squared, and on S plus
-        a random term, where Theta_S is; so are the split sums of L alone
-        and of S - L alone, where L's cancel."""
-        reports, parts = [], []
-        original = gvc.models.master_equation_check
+    def test_derivation_from_the_paired_sum_alone(self, name, monkeypatch):
+        """On the proper solution the pipeline squares Theta_P for P = P_s,
+        the kept `_paired_sum("brst")` itself, from P's own variational
+        derivatives alone; Theta_P^2 is Theta_S^2 on every generator, for
+        the model's s and for one whose ghost sector is doubled, so that
+        s(L) = 0 still holds but neither square vanishes."""
+        squared, tables = [], []
+        original, derivatives = gvc.models.master_equation_check, gvc.brst.variational_derivatives
 
-        def kept(S, pairs, representatives=None, split=None, part=False):
-            parts.append(part)
-            reports.append((split, original(S, pairs, representatives, split, part)))
-            return reports[-1][1]
+        def kept(S, pairs, representatives=None):
+            squared.append(S)
+            return original(S, pairs, representatives)
 
-        monkeypatch.setattr(gvc.models, "master_equation_check", kept)
-        verdicts = []
-        for build in (lambda model: model.extended_lagrangian(),
-                      lambda model: _perturbed_solution(model, random.Random(22))):
-            model = _fresh(name)
-            pairs, L, S = model.pairs(), model.ym_lagrangian(), build(model)
-            el = model.generic_euler_lagrange().components
-            monkeypatch.setattr(model, "extended_lagrangian", lambda S=S: S)
+        def counted(density, side="left", gens=None):
+            tables.append(density)
+            return derivatives(density, side, gens)
+
+        model = _fresh(name)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gvc.models, "master_equation_check", kept)
+            patch.setattr(gvc.brst, "variational_derivatives", counted)
             (row,) = model.pipeline("master-equation", deterministic=True)
-            (split, rep), want = reports.pop(), master_equation_check(S, pairs)
-            assert split[0] is el and split[1] == S.density - L.density
-            assert list(rep.derivation.components.items()) == \
-                list(master_derivation(S, pairs).components.items())
-            assert row.line() == (CheckResult("master-equation", True) if want.ok else
-                                  CheckResult.from_residuals("master-equation",
-                                                             want.bracket_residuals())).line()
-            verdicts.append(row.ok)
-        assert verdicts == [True, False] and parts == [True, False]
-        rest = model._paired_sum("brst")
-        for S, split in ((L, (el, L.density - L.density)),
-                         (Lagrangian(rest), (el, rest - L.density))):
-            assert list(master_derivation(S, pairs, split).components.items()) == \
-                list(master_derivation(S, pairs).components.items())
+        P = model._paired_sum("brst")
+        assert row.ok and [S.density for S in squared] == [P] and squared[0].density is P
+        assert len(tables) == 1 and tables[0] is P
+        pairs, L, s = model.pairs(), model.ym_lagrangian(), model.brst_operator()
+        doubled = ContactDerivation(model.ctx, {z: p * 2 if z.kind == "ghost" else p
+                                                for z, p in s.components.items()}, ODD)
+        for ext, zero in ((s, True), (doubled, False)):
+            assert ext.apply(L.density).is_zero()
+            P = paired_sum(model.ctx, ext.components, pairs)
+            whole = nilpotency_residuals(master_derivation(Lagrangian(L.density + P), pairs))
+            part = master_derivation(Lagrangian(P), pairs)
+            assert all(part.apply(part.component(model.ctx.generator(g))) == p
+                       for g, p in whole.items())
+            assert all(p.is_zero() for p in whole.values()) is zero
 
 
 def _perturbed_solution(model, rng):
     """The proper solution plus a nonzero even sum of products of two or
     three paired generators; field jets go up to order one, so the
     bracket's Euler-Lagrange rows stay within the jet order bound."""
-    ctx, pairs = model.ctx, model.pairs()
-    gens = sorted(list(pairs) + list(pairs.values()), key=lambda g: g.key)
+    pairs = model.pairs()
+    return Lagrangian(model.extended_lagrangian().density + _random_even(
+        model, rng, sorted(list(pairs) + list(pairs.values()), key=lambda g: g.key)))
+
+
+def _random_even(model, rng, gens):
+    """A nonzero even sum of products of two or three of `gens`, field
+    jets of order up to one."""
+    ctx = model.ctx
     added = ctx.zero()
     while added.is_zero():
         for _ in range(2):
@@ -695,7 +701,7 @@ def _perturbed_solution(model, rng):
                 order = rng.randint(0, 1) if gen.kind in ("even-field", "odd-field") else 0
                 term = term * ctx.var(gen, *(rng.randrange(ctx.dim) for _ in range(order)))
             added = added + even_part(term)
-    return Lagrangian(model.extended_lagrangian().density + added)
+    return added
 
 
 class TestMasterIdentity:
@@ -778,19 +784,22 @@ class TestMasterSplit:
 
     @staticmethod
     def _rows(model):
-        """The pipeline's master-equation line, whether it squared Theta_P
-        and on which representatives, and the line of
-        `master_equation_check(S, pairs)`."""
+        """The pipeline's master-equation line, which density's Theta it
+        squared ("P" for P_s, "S" for S) and on which representatives, and
+        the line of `master_equation_check(S, pairs)`."""
         parts = []
         original = gvc.models.master_equation_check
 
-        def kept(S, pairs, representatives=None, split=None, part=False):
-            parts.append((part, representatives))
-            return original(S, pairs, representatives, split, part)
+        def kept(S, pairs, representatives=None):
+            parts.append((S, representatives))
+            return original(S, pairs, representatives)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gvc.models, "master_equation_check", kept)
             (row,) = model.pipeline("master-equation", deterministic=True)
+        parts = [("S" if density is model.extended_lagrangian() else
+                  "P" if density.density is model._paired_sum("brst") else "?", reps)
+                 for density, reps in parts]
         try:
             rep = master_equation_check(model.extended_lagrangian(), model.pairs())
         except GvcError as exc:
@@ -806,8 +815,8 @@ class TestMasterSplit:
         # so Theta_P is squared on every generator
         model = _fresh(name)
         line, parts, direct = self._rows(model)
-        ((part, representatives),) = parts
-        assert part and line == direct
+        ((route, representatives),) = parts
+        assert route == "P" and line == direct
         assert representatives == model._representatives("master-equation")
         assert (representatives is None) == (name == "abelian")
         assert line == CheckResult("master-equation", True).line()
@@ -817,7 +826,7 @@ class TestMasterSplit:
         model = _fresh("su2")
         install(model)
         line, parts, direct = self._rows(model)
-        assert [part for part, _ in parts] == [False] and line == direct
+        assert [route for route, _ in parts] == ["S"] and line == direct
         assert line != CheckResult("master-equation", True).line()
 
     def test_a_mass_term_lagrangian_takes_the_direct_route(self, monkeypatch):
@@ -851,8 +860,24 @@ class TestMasterSplit:
         # Theta_S^2 forms third jets of the ghosts, Theta_P^2 does not
         model = preset_model("su2", max_jet_order=2)
         line, parts, direct = self._rows(model)
-        assert [part for part, _ in parts] == [False] and line == direct
+        assert [route for route, _ in parts] == ["S"] and line == direct
         assert line.endswith("first jet order 3 exceeds configured maximum 2 for c1")
+
+    @pytest.mark.parametrize("term, power, witness", [
+        ("c1", 1, "polynomial is not parity-homogeneous"),
+        ("xi1", 2, "missing antifield partner for 'xi1'")])
+    def test_a_mixed_or_unpaired_s_is_refused(self, term, power, witness, monkeypatch):
+        # the gauge operator's L_s L is zero for L plus the odd c1, or plus
+        # xi1^2, which no antifield pairs, and the jets are in bound; but
+        # S = L + P_s is mixed or unpaired, so the proper solution refuses
+        # it, as the direct route would, before P_s could be squared
+        model = _fresh("su2")
+        L = Lagrangian(model.ym_lagrangian().density + model.ctx.var(term) ** power)
+        monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+        assert model._whole_lie("gauge").is_zero()
+        line, parts, direct = self._rows(model)
+        assert parts == [] and line == direct
+        assert line == CheckResult("master-equation", False, witness=witness).line()
 
     def test_a_lagrangian_installed_after_a_run_is_built_anew(self, monkeypatch):
         # the field equations, Koszul-Tate, the gauge Lie derivative and S
@@ -914,6 +939,88 @@ class TestMasterSplit:
                     assert got == (left[partner] if z.parity == ODD else -left[partner])
                     taken += got is left[partner]
         assert taken > 0
+
+
+class TestMasterRouteFuzz:
+    """Seeded perturbations of L, s or S, some fixed by the algebra maps
+    and some not: the pipeline's master-equation line is the line of
+    `master_equation_check(S, pairs)` on every generator, and it squares
+    the Theta of P_s exactly when `_by_part` holds, else S's."""
+
+    @staticmethod
+    def _conjugated(model, factors):
+        """The gauge operator and ghost sector of s' = phi s phi^-1 for
+        phi: c_r -> factors[r] c_r: nilpotent, and s'(L) = phi(s(L)) = 0."""
+        ctx, sector = model.ctx, model.ghost_sector()
+        phi = {ctx.jet(c, index): factors[r] * ctx.var(c, *index)
+               for r, c in enumerate(model.ghost)
+               for index in ((),) + tuple((mu,) for mu in range(ctx.dim))}
+        gauge = ContactDerivation(ctx, {z: p.substitute(phi) for z, p in
+                                        model.gauge_operator().components.items()}, ODD)
+        return gauge, {c: sector[c].substitute(phi) * Fraction(1, factors[r])
+                       for r, c in enumerate(model.ghost) if c in sector}
+
+    def _perturbations(self, rng, monkeypatch):
+        """(what is perturbed, whether the maps fix it, the route, install)."""
+        q = rng.choice([2, -1, 3, Fraction(1, 2)])
+
+        def lagrangian(build):
+            def install(model):
+                L = Lagrangian(build(model, model.ym_lagrangian().density))
+                monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+            return install
+
+        def own_s(uniform):
+            # the model's own s, built from a gauge operator kept as its
+            # own; one ghost that a map moves is scaled, or all of them
+            def install(model):
+                moved = next(c for c in model.ghost
+                             if any(g.get(c, c) is not c for g, _ in model.algebra_maps()))
+                gauge, sector = self._conjugated(model, [
+                    q if uniform else 2 if c is moved else 1 for c in model.ghost])
+                monkeypatch.setitem(model._memo, "gauge-operator", gauge)
+                monkeypatch.setattr(model, "ghost_sector", lambda: sector)
+            return install
+
+        def installed_s(model):
+            s = model.brst_operator()
+            scaled = ContactDerivation(model.ctx, {z: p * q for z, p in s.components.items()}, ODD)
+            monkeypatch.setattr(model, "brst_operator", lambda: scaled)
+
+        def extended(build):
+            def install(model):
+                S = build(model)
+                monkeypatch.setattr(model, "extended_lagrangian", lambda: S)
+            return install
+
+        return [
+            ("L", True, "P", lagrangian(lambda model, L: L * q)),
+            ("L", True, "S", lagrangian(
+                lambda model, L: L + mass_term_lagrangian(model).density * q)),
+            ("L", False, "S", lagrangian(lambda model, L: L + _random_even(
+                model, rng, [g for row in model.field for g in row]))),
+            ("brst", True, "P", own_s(True)),
+            ("brst", False, "P", own_s(False)),
+            ("brst", True, "S", installed_s),
+            ("S", True, "S", extended(lambda model: Lagrangian(
+                model.extended_lagrangian().density + model.ym_lagrangian().density * q))),
+            ("S", False, "S", extended(lambda model: _perturbed_solution(model, rng))),
+        ]
+
+    @pytest.mark.parametrize("name, seed", [("su2", 27), ("osp12", 28), ("sl21", 29)])
+    def test_routes_agree_with_the_direct_square(self, name, seed, monkeypatch):
+        verdicts = []
+        for key, fixed, route, install in self._perturbations(random.Random(seed), monkeypatch):
+            model = _fresh(name)
+            install(model)
+            line, parts, direct = TestMasterSplit._rows(model)
+            assert line == direct
+            assert parts == [(route, model._representatives("master-equation"))]
+            assert (route == "P") == bool(model._by_part())
+            assert model._fixes(key) is model._fixes("S") is fixed
+            verdicts.append(line == CheckResult("master-equation", True).line())
+            monkeypatch.undo()
+        assert True in verdicts and False in verdicts
 
 
 class TestOrbitReduction:
@@ -1049,7 +1156,7 @@ class TestOrbitReduction:
         # s' = phi s phi^-1 for phi: c1 -> 2 c1 is nilpotent, and L + the
         # paired sum of s' is S under the anticanonical c1 -> 2 c1,
         # cbar1 -> cbar1 / 2, so it solves the master equation; L is
-        # unchanged, but the algebra maps no longer fix S - L
+        # unchanged, but the algebra maps no longer fix P_s', so not S
         model = _fresh("su2")
         ctx, c1 = model.ctx, model.ghost[0]
         s = model.brst_operator()
@@ -1070,7 +1177,7 @@ class TestOrbitReduction:
         monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
         (row,) = model.pipeline("master-equation", deterministic=True)
         assert row.ok
-        assert model._fixes("L") and not model._fixes("S-L")
+        assert model._fixes("L") and not model._fixes("brst") and not model._fixes("S")
         assert model._representatives("master-equation") is None
         # s' is installed, not the model's own, so Theta_S itself is
         # squared, on every generator
@@ -1229,7 +1336,7 @@ class TestAlgebraOrbits:
         model, reduced, full = TestOrbitReduction._routes("su2", lambda model: Lagrangian(
             model.extended_lagrangian().density + _direction_strength_square(model, 0)),
             monkeypatch)
-        assert model._fixes("L") and not model._fixes("S-L")
+        assert model._fixes("L") and not model._fixes("S")
         assert model._representatives("master-equation") is None
         assert not full.ok
         TestOrbitReduction._same_failure(reduced, full)
@@ -1253,14 +1360,15 @@ class TestAlgebraOrbits:
 
     def test_a_lagrangian_breaking_the_maps_forces_the_full_table(self, monkeypatch):
         # L gains the direction-1 strength square, which the algebra maps
-        # move: S - L is still P_s, which they keep, but the L proof fails,
-        # so no representatives are passed and the row is the full table's
+        # move: S is still L + P_s, and they keep P_s, but the L proof fails,
+        # so S's does, no representatives are passed and the row is the full
+        # table's
         model = _fresh("su2")
         L = Lagrangian(model.ym_lagrangian().density + _direction_strength_square(model, 0))
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
         line, parts, direct = TestMasterSplit._rows(model)
-        assert model._fixes("S-L") and not model._fixes("L")
-        assert parts == [(False, None)] and line == direct
+        assert model._fixes("brst") and not model._fixes("L") and not model._fixes("S")
+        assert parts == [("S", None)] and line == direct
         assert line != CheckResult("master-equation", True).line()
 
     def test_rows_that_break_a_map_run_the_full_tables(self, monkeypatch):
@@ -1287,6 +1395,31 @@ class TestAlgebraOrbits:
         assert not row.ok
         assert row.line() == CheckResult.from_residuals(
             "koszul-tate", nilpotency_residuals(kt)).line()
+
+    def test_rows_are_proved_without_koszul_tate(self, monkeypatch):
+        # L + a1_0 c2 c3 + a2_0 c3 c1 + a3_0 c1 c2 keeps every algebra map
+        # and has field equations on the ghosts, so Koszul-Tate is not
+        # built; the rows' proof reads the Noether operator alone, and
+        # noether-identities reports the rows, as with no maps at all
+        lines = []
+        for reduced in (True, False):
+            model = _fresh("su2")
+            ctx, a, c = model.ctx, model.field, model.ghost
+            density = model.ym_lagrangian().density
+            for r, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                density = density + ctx.var(a[r][0]) * ctx.var(c[i]) * ctx.var(c[j])
+            L = Lagrangian(density)
+            monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True, L=L: L)
+            if reduced:
+                assert model._fixes("rows") and model._representatives("koszul-tate")
+            else:
+                monkeypatch.setattr(model, "_representatives", lambda check: None)
+            rows = {row.name: row for row in model.pipeline("noether", deterministic=True)
+                    + model.pipeline("koszul-tate", deterministic=True)}
+            assert rows["koszul-tate"].witness == "field equation on non-field 'c1'"
+            lines.append(rows["noether-identities"].line())
+        assert lines == ["check noether-identities | status fail | nonzero 12 "
+                         "| first cbar1: c2*c3;0"] * 2
 
     def test_a_sign_on_one_member_of_a_pair_is_refused(self):
         # these signs fix S and keep each pair's signs equal; without u1's
@@ -1373,8 +1506,8 @@ class TestAlgebraOrbits:
         return proved
 
     def test_densities_installed_after_a_run_are_proved_again(self, monkeypatch):
-        # master-equation proves every map on L and on S - L; an S or an L
-        # installed afterwards that breaks the algebra maps is proved anew,
+        # master-equation proves every map on L and on P_s, S's proofs; an S
+        # or an L installed afterwards that breaks the algebra maps is proved anew,
         # its table is taken whole, and its row is the unreduced route's
         def routes(install, pipeline):
             model, rows = _fresh("su2"), []
@@ -1389,7 +1522,7 @@ class TestAlgebraOrbits:
                 rows.append(model.pipeline(pipeline, deterministic=True)[0])
                 if reduced:
                     assert proved and all(p is density() for p in proved)
-                    assert not model._fixes("L" if pipeline == "brst" else "S-L")
+                    assert not model._fixes("L" if pipeline == "brst" else "S")
             assert not rows[0].ok and rows[0].line() == rows[1].line()
             return model
 
@@ -1397,7 +1530,7 @@ class TestAlgebraOrbits:
             S = Lagrangian(model.extended_lagrangian().density
                            + _direction_strength_square(model, 0))
             monkeypatch.setattr(model, "extended_lagrangian", lambda: S)
-            return model._s_minus_l
+            return lambda: S.density
 
         def install_l(model):
             L = Lagrangian(model.ym_lagrangian().density + _direction_strength_square(model, 0))
@@ -1409,27 +1542,25 @@ class TestAlgebraOrbits:
         routes(install_l, "brst")
 
     def test_s_minus_l_of_the_proper_solution_is_the_paired_sum(self, monkeypatch):
-        # S built here is L plus the paired sum P of s: S - L is P itself,
-        # with no subtraction, and shares its proofs; an installed S
-        # subtracts L and proves its own S - L once
+        # S built here is L plus the paired sum P of s: its proof is L's and
+        # P's, and no S - L is formed; an installed S equal to it is proved
+        # once, whole, and no L is subtracted from it either
         model = _fresh("su2")
         subtracted, proved = [], self._proved(monkeypatch)
         sub = Poly.__sub__
-        monkeypatch.setattr(Poly, "__sub__", lambda p, q: subtracted.append(p) or sub(p, q))
+        monkeypatch.setattr(Poly, "__sub__", lambda p, q: subtracted.append((p, q)) or sub(p, q))
         assert model.pipeline("master-equation", deterministic=True)[0].ok
         S, L, P = model.extended_lagrangian(), model.ym_lagrangian(), model._paired_sum("brst")
-        assert model._s_minus_l() is P
-        assert not any(p is S.density for p in subtracted)
         assert sorted(("P" if d is P else "L" if d is L.density else "?") for d in proved) == \
             ["L", "P"]
         installed = Lagrangian(S.density + model.ctx.zero())
+        assert installed.density is not S.density and installed.density == S.density
         monkeypatch.setattr(model, "extended_lagrangian", lambda: installed)
         del proved[:]
         assert model.pipeline("master-equation", deterministic=True)[0].ok
-        rest = model._s_minus_l()
-        assert any(p is installed.density for p in subtracted)
-        assert rest is not P and rest == P
-        assert len(proved) == 1 and proved[0] is rest
+        assert len(proved) == 1 and proved[0] is installed.density
+        assert not any(p is d or q is L.density for p, q in subtracted
+                       for d in (S.density, installed.density))
 
 
 class TestProperSolution:

@@ -1201,12 +1201,12 @@ class TestBuildOnce:
         assert {name: len(calls.get(name, ())) for name in names} == dict.fromkeys(names, 1)
         assert calls["euler_lagrange"][0] == (model.ym_lagrangian(),)
         # the variational derivatives of L, the generic field equations,
-        # and of S - L, which Theta_S adds to them; Theta_{S - L}, which is
-        # squared, is built from that same table
+        # and of P_s, whose Theta alone is built, from that table, and
+        # squared; no Theta_S is built
         assert [p is q for p, q in zip(densities, (model.ym_lagrangian().density,
-                                                    model._s_minus_l()))] == [True, True]
+                                                    model._paired_sum("brst")))] == [True, True]
         assert len(densities) == 2
-        assert len(derived) == 2 and derived[0] is not tables[1] and derived[1] is tables[1]
+        assert len(derived) == 1 and derived[0] is tables[1]
 
     def test_parameter_lie_derivative_computed_once(self, monkeypatch):
         calls, lies, currents, form_lies, lepages = [], [], [], [], []
@@ -1346,11 +1346,11 @@ class TestBuildOnce:
         assert model.full_verification().ok
         # besides Koszul-Tate's: the BRST square on one generator per
         # orbit, which proper_solution reuses, and the square of the
-        # master derivation of S - L, which stands for Theta_S's
+        # master derivation of P_s, which stands for Theta_S's
         calls = [theta for theta in calls if theta is not model.koszul_tate()]
         assert len(calls) == 2
         assert calls[0] is model.brst_operator()
-        rest = master_derivation(Lagrangian(model._s_minus_l()), model.pairs())
+        rest = master_derivation(Lagrangian(model._paired_sum("brst")), model.pairs())
         assert list(calls[1].components.items()) == list(rest.components.items())
 
     @pytest.mark.parametrize("name", ["su2", "sl21"])
