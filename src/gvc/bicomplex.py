@@ -493,7 +493,12 @@ def conservation_residual(theta, current, el):
     current J of codegree 1 and the field equations `el` of L, as one table
     times the volume form: each word w of J, lacking dx^mu, adds
     sign(dx^mu ^ w) d_mu J_w, and each field z subtracts E_z theta(z) with
-    the Koszul sign of th^z and theta passing each monomial of E_z."""
+    the Koszul sign of th^z and theta passing each monomial of E_z.
+
+    The pipeline takes this residual by Noether's second theorem from the
+    superpotential residual and the Noether rows (`GaugeModel._conserved`);
+    this direct route is its fallback, where that does not apply, and the
+    tests' oracle for it."""
     ctx = current.ctx
     (vol,) = volume(ctx).terms
     table = ctx.zero()

@@ -14,6 +14,14 @@ strength and symmetric coordinates (Fs, Ss), and the model's own
 Lagrangian becomes 1/4 h g g Fs Fs.  A Lie derivative is first taken there,
 by the derivation conjugated through phi; a nonzero or failed result is
 taken again in jets, whose Form is the row.
+
+Current conservation is taken by Noether's second theorem: for the
+parameter part of directions qs, d_h J - sum_z E_z theta(z) equals
+d_h(J - W - d_H U) + sum_q xi^q N_q(E) vol for any E and J, so the
+superpotential check's residual and the kept Noether rows give its row
+(`_conserved`), and `conservation_residual` runs only where the model's
+own parameter symmetry or rows were replaced or the rows' jets exceed
+the bound (`_by_rows`).
 """
 
 import time
@@ -28,6 +36,7 @@ from .bicomplex import (
     Form,
     Lagrangian,
     conservation_residual,
+    d_h,
     euler_lagrange,
     lepage_equivalent,
     noether_current,
@@ -360,15 +369,18 @@ class GaugeModel:
                                      for j in range(m)})
 
     def _noether_residuals(self):
-        return self._once(("noether-residuals", self.ym_lagrangian()), lambda: on_representatives(
-            lambda gens: noether_residuals(self.noether_operator(),
-                                           self.generic_euler_lagrange(),
-                                           {g.name for g in gens}),
-            self.noether_antifield, self._representatives("koszul-tate")))
+        """The Noether rows applied to E(L), on one degree-two antifield per
+        orbit first, kept with L and the rows."""
+        op = self.noether_operator()
+        return self._once(("noether-residuals", self.ym_lagrangian(), op), lambda: (
+            on_representatives(lambda gens: noether_residuals(
+                op, self.generic_euler_lagrange(), {g.name for g in gens}),
+                self.noether_antifield, self._representatives("koszul-tate"))))
 
     def koszul_tate(self):
-        return self._once(("koszul-tate", self.ym_lagrangian()), lambda: koszul_tate(
-            self.noether_operator(), self.generic_euler_lagrange(), self._pairs))
+        op = self.noether_operator()
+        return self._once(("koszul-tate", self.ym_lagrangian(), op), lambda: koszul_tate(
+            op, self.generic_euler_lagrange(), self._pairs))
 
     # -- orbit proofs -------------------------------------------------------------
 
@@ -582,10 +594,21 @@ class GaugeModel:
         return self._once(("extended-lagrangian", L, s), lambda: proper_solution(
             L, s, self._pairs, self._brst_residuals(), self._paired_sum("brst")))
 
+    def _own(self, key, built):
+        """Whether `built` is the model's own object, the one kept under `key`."""
+        return built is self._memo.get(key)
+
     def _proper(self, S):
         """Whether S is the proper solution built here for L and s."""
-        return S is self._memo.get(("extended-lagrangian", self.ym_lagrangian(),
-                                    self.brst_operator()))
+        return self._own(("extended-lagrangian", self.ym_lagrangian(), self.brst_operator()), S)
+
+    def _jets_fit(self):
+        """Whether the jets one order above the field equations' (at most
+        twice L's order) fit the bound.  A shortcut route that forms none
+        of them where its direct route does, or the other way round, gives
+        the direct route's row only then."""
+        bound = self.ctx.max_jet_order
+        return bound is None or 2 * self.ym_lagrangian().density.max_jet_order() < bound
 
     # -- currents --------------------------------------------------------------
 
@@ -786,11 +809,52 @@ class GaugeModel:
             n, on_representatives(residuals, [g for row in self.field for g in row],
                                   self._representatives("euler-lagrange"))))]
 
+    def _by_rows(self):
+        """Whether current-conservation is taken by Noether's second theorem
+        (`_conserved`): the parameter symmetry and the Noether rows are the
+        model's own, built from the same constants, and the total derivatives
+        of E(L) the rows and d_h W take are in bound (`_jets_fit`)."""
+        return (self._own("parameter-symmetry", self.parameter_symmetry())
+                and self._own("noether-operator", self.noether_operator())
+                and self._jets_fit())
+
+    def _conserved(self, directions, residual):
+        """The conservation residual of the parameter part of `directions`
+        by Noether's second theorem, for any field equations E and current J:
+            d_h J - sum_z E_z theta(z) = d_h(J - W - d_H U) + sum_q xi^q N_q(E) vol,
+        from `residual`, the superpotential check's J - W - d_H U, and the
+        kept Noether rows N_q(E) (those the kept table lacks are computed).
+        Where both are zero no product and no total derivative is formed."""
+        ctx, rows = self.ctx, self._noether_residuals()
+        labels = {self.noether_antifield[q].name: q for q in directions}
+        missing = set(labels).difference(rows)
+        if missing:
+            rows = {**rows, **noether_residuals(self.noether_operator(),
+                                                self.generic_euler_lagrange(), missing)}
+        acc = ctx.zero()
+        for label, q in labels.items():
+            add_product(acc, ctx.var(self.parameter[q]), rows[label])
+        out = volume(ctx).times_poly(acc.finish())
+        return out if residual.is_zero() else d_h(residual) + out
+
     def _noether_parts(self):
-        run = {}  # each part's current, shared by this run's last two checks only
+        # each part's current and superpotential residual, shared by this
+        # run's last two checks only
+        run = {}
 
         def current(directions):
             return _once(run, directions, lambda: self.current(directions))
+
+        def superpotential(qs):
+            return _once(run, ("superpotential", qs), lambda: superpotential_residual(
+                current(qs), self.generic_euler_lagrange(), self.superpotential_rows(qs),
+                self.superpotential(qs)))
+
+        def conserved(qs):
+            if self._by_rows():
+                return self._conserved(qs, superpotential(qs))
+            return conservation_residual(self._part("parameter", qs), current(qs),
+                                         self.generic_euler_lagrange())
 
         def by_direction(check, residual):
             return CheckResult.from_form(check, self._by_direction("parameter", residual))
@@ -800,11 +864,8 @@ class GaugeModel:
                 n, self.parameter_lie_derivative())),
             ("noether-identities", lambda n: CheckResult.from_residuals(
                 n, self._noether_residuals())),
-            ("current-conservation", lambda n: by_direction(n, lambda qs: conservation_residual(
-                self._part("parameter", qs), current(qs), self.generic_euler_lagrange()))),
-            ("superpotential", lambda n: by_direction(n, lambda qs: superpotential_residual(
-                current(qs), self.generic_euler_lagrange(), self.superpotential_rows(qs),
-                self.superpotential(qs)))),
+            ("current-conservation", lambda n: by_direction(n, conserved)),
+            ("superpotential", lambda n: by_direction(n, superpotential)),
         ]
 
     def _koszul_tate_parts(self):
@@ -825,15 +886,16 @@ class GaugeModel:
     def _by_part(self):
         """Whether Theta_P^2 for P = P_s stands for Theta_S^2: S is the proper
         solution built here, L + P_s, for the model's own s, built from its
-        own gauge operator, so antifield-free on fields, whose L_s L,
-        gauge-symmetry's, is zero; and the jets the direct square forms, one
-        order above the field equations' (at most twice L's), are in bound,
-        as Theta_P^2 forms none of them."""
-        bound = self.ctx.max_jet_order
-        return (self._proper(self.extended_lagrangian())
-                and self.brst_operator() is self._memo.get(
-                    ("brst-operator", self._memo.get("gauge-operator")))
-                and (bound is None or 2 * self.ym_lagrangian().density.max_jet_order() < bound)
+        own gauge operator, so antifield-free on fields; L holds no antifield
+        and no degree-two antifield, so Theta_L moves antifields alone; L_s L,
+        gauge-symmetry's, is zero; and the jets the direct square forms are in
+        bound (`_jets_fit`), as Theta_P^2 forms none of them."""
+        S, s = self.extended_lagrangian(), self.brst_operator()
+        bars = set(self._pairs.values())
+        return (self._proper(S)
+                and self._own(("brst-operator", self._memo.get("gauge-operator")), s)
+                and bars.isdisjoint(v.gen for v in self.ym_lagrangian().density.variables())
+                and self._jets_fit()
                 and self._whole_lie("gauge").is_zero())
 
     def _master_equation_parts(self):

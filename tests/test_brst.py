@@ -921,6 +921,41 @@ class TestMasterSplit:
             assert " status fail | nonzero %d " % nonzero in rows[0][check]
         assert " status fail " in rows[0]["master-equation"]
 
+    @pytest.mark.parametrize("pair", [("abar1_0", "abar1_1"), ("cbar1", "cbar2")])
+    def test_an_antifield_in_l_takes_the_direct_route(self, pair, monkeypatch):
+        # L plus an even product of two antifields, or of two degree-two
+        # antifields: s moves neither, so L_s L is zero, but Theta_L moves
+        # fields and Theta_P^2 no longer stands for Theta_S^2
+        def install(model):
+            extra = model.ctx.var(pair[0]) * model.ctx.var(pair[1])
+            L = Lagrangian(model.ym_lagrangian().density + extra)
+            monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+            assert model._whole_lie("gauge").is_zero()
+
+        self._installed(install)
+
+    def test_rows_installed_after_a_run_are_applied_anew(self, monkeypatch):
+        # the Noether residuals and Koszul-Tate are kept with the rows: after
+        # noether and koszul-tate, rows with their last entry doubled give a
+        # new model's rows
+        model, fresh = _fresh("su2"), _fresh("su2")
+        for pipeline in ("noether", "koszul-tate"):
+            assert all(row.ok for row in model.pipeline(pipeline))
+        rows = []
+        for m in (model, fresh):
+            doubled = NoetherOperator(m.ctx, {
+                label: entries[:-1] + [(entries[-1][0] * 2,) + entries[-1][1:]]
+                for label, entries in m.noether_operator().rows.items()})
+            monkeypatch.setattr(m, "noether_operator", lambda doubled=doubled: doubled)
+            rows.append({row.name: row.line() for p in ("noether", "koszul-tate")
+                         for row in m.pipeline(p, deterministic=True)})
+        assert rows[0] == rows[1]
+        assert " status fail " in rows[0]["noether-identities"]
+        assert " status fail " in rows[0]["koszul-tate"]
+        cbar = model.noether_antifield[0]
+        assert model.koszul_tate().components[cbar] == \
+            gvc.brst.rows_on_antifields(model.noether_operator(), model.pairs())[cbar]
+
     def test_paired_derivation_copies_no_component(self, monkeypatch):
         # Theta takes each variational derivative itself where its sign is
         # +1 and its negation where it is -1: no product is formed

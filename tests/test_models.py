@@ -14,8 +14,8 @@ import gvc.brst
 import gvc.models
 from gvc import EVEN, GvcError, Lagrangian, ODD, euler_lagrange
 from gvc.bicomplex import (EulerLagrange, Form, conservation_residual, d_h, interior,
-                           lie_derivative, noether_current, superpotential_residual,
-                           variational_delta, volume)
+                           lie_derivative, noether_current, omega_lambda,
+                           superpotential_residual, variational_delta, volume)
 from gvc.brst import (NoetherOperator, master_derivation, master_equation_check,
                       nilpotency_residuals, orbit_representatives, orbit_roots, paired_sum)
 from gvc.grassmann import ExpansionLimitError, Poly
@@ -831,6 +831,146 @@ class TestParameterOrbits:
         assert model._representatives("parameter") == {model.parameter[0]}
         with pytest.raises(ExpansionLimitError, match="limit %d" % limit):
             run_parts(parts[2:3])
+
+
+def _new_model(name, **kwargs):
+    """A new model of the fixture `name`, with nothing built or proved."""
+    if name in ("sl3", "sl21"):
+        path = SL3_MODEL if name == "sl3" else SL21_MODEL
+        return spec_model(parse_model(path.read_text(encoding="utf-8")), **kwargs)
+    return preset_model(name, **kwargs)
+
+
+class TestSecondTheorem:
+    """current-conservation by Noether's second theorem,
+        d_h J - sum_z E_z theta(z) = d_h(J - W - d_H U) + sum_q xi^q N_q(E) vol,
+    from the superpotential check's J - W - d_H U and the kept Noether rows,
+    against `conservation_residual`, the direct route and the tests' oracle."""
+
+    @staticmethod
+    def _random(rng, model, gens, terms=3, order=2):
+        """A sum of `terms` products of one to three jets of `gens` of order
+        up to `order`, of either parity."""
+        ctx, out = model.ctx, model.ctx.zero()
+        for _ in range(terms):
+            term = ctx.scalar(rng.choice([1, -1, 2, Fraction(1, 2)]))
+            for _ in range(rng.randint(1, 3)):
+                index = (rng.randrange(ctx.dim) for _ in range(rng.randint(0, order)))
+                term = term * ctx.var(rng.choice(gens), *index)
+            out = out + term
+        return out
+
+    @pytest.mark.parametrize("name", ["sl3", "su2", "osp12", "sl21"])
+    def test_identity_term_by_term(self, name, monkeypatch):
+        # random field equations and currents, random direction subsets: the
+        # route's Form is the oracle's, on the model's own E (whose kept rows
+        # hold the representatives alone, so the others are computed) and on
+        # a random E installed before any row is kept
+        rng = random.Random("second theorem %s" % name)
+        for own in (True, False):
+            model = _new_model(name)
+            ctx, m = model.ctx, model.algebra.dim
+            fields = [g for row in model.field for g in row]
+            if own:
+                el = model.generic_euler_lagrange()
+            else:
+                el = EulerLagrange(ctx, {z: self._random(rng, model, fields)
+                                         for z in rng.sample(fields, 8)})
+                monkeypatch.setattr(model, "generic_euler_lagrange", lambda el=el: el)
+            assert model._by_rows()
+            kept = model._noether_residuals()
+            assert (len(kept) < m) == own
+            for _ in range(4):
+                qs = tuple(sorted(rng.sample(range(m), rng.randint(1, m))))
+                J = sum((omega_lambda(ctx, lam).times_poly(
+                    self._random(rng, model, fields + model.parameter, 2, 1))
+                    for lam in range(ctx.dim)), Form.zero(ctx))
+                for current in (J, model.current(qs)):
+                    want = conservation_residual(model._part("parameter", qs), current, el)
+                    residual = superpotential_residual(current, el, model.superpotential_rows(qs),
+                                                       model.superpotential(qs))
+                    assert model._conserved(qs, residual) == want
+                    assert want.is_zero() == (own and current is not J)
+            monkeypatch.undo()
+
+    @staticmethod
+    def _lines(model):
+        """The pipeline's current-conservation line, whether it took the
+        second theorem, and the line of `conservation_residual` on the whole
+        derivation."""
+        rows = {row.name: row for row in model.pipeline("noether", deterministic=True)}
+        return (rows["current-conservation"].line(), model._by_rows(),
+                _unreduced_row(model, "current-conservation"), rows)
+
+    def test_a_scaled_parameter_symmetry_takes_the_direct_route(self, monkeypatch):
+        # 2 theta is exact and its current 2 J conserved, but W and U are
+        # built for theta: the route would leave d_h J
+        model = _new_model("su2")
+        theta = model.parameter_symmetry()
+        doubled = ContactDerivation(model.ctx, {z: p * 2 for z, p in theta.components.items()},
+                                    EVEN)
+        monkeypatch.setattr(model, "parameter_symmetry", lambda: doubled)
+        line, by_rows, direct, _ = self._lines(model)
+        assert not by_rows and line == direct
+        assert line == CheckResult("current-conservation", True).line()
+
+    def test_installed_rows_take_the_direct_route(self, monkeypatch):
+        # rows with their last entry doubled fail noether-identities, which
+        # the direct route does not read
+        model = _new_model("su2")
+        rows = {label: entries[:-1] + [(entries[-1][0] * 2,) + entries[-1][1:]]
+                for label, entries in model.noether_operator().rows.items()}
+        doubled = NoetherOperator(model.ctx, rows)
+        monkeypatch.setattr(model, "noether_operator", lambda: doubled)
+        line, by_rows, direct, rows = self._lines(model)
+        assert not by_rows and line == direct
+        assert line == CheckResult("current-conservation", True).line()
+        assert not rows["noether-identities"].ok
+
+    def test_jets_out_of_bound_take_the_direct_route(self):
+        # the rows and d_h W take third jets, the direct route none
+        from test_cli import SU2_JET_ORDER_2
+
+        model = _new_model("su2", max_jet_order=2)
+        line, by_rows, direct, rows = self._lines(model)
+        assert not by_rows and line == direct
+        assert line == CheckResult("current-conservation", True).line()
+        assert line in SU2_JET_ORDER_2.splitlines()
+        assert rows["noether-identities"].witness.startswith("jet order 3 exceeds")
+
+    def test_a_mass_term_fails_as_the_direct_route(self, monkeypatch):
+        # the route is taken, and the current's own precondition, L_theta L
+        # = 0, fails first, as on the direct route
+        model = _new_model("su2")
+        L = Lagrangian(model.ym_lagrangian().density + mass_term_lagrangian(model).density)
+        monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+        line, by_rows, direct, _ = self._lines(model)
+        assert by_rows and line == direct
+        assert line.endswith("first derivation is not an exact symmetry of the density")
+
+    @pytest.mark.parametrize("name", ["sl3", "su2"])
+    def test_a_passing_run_forms_no_direct_residual(self, name, monkeypatch):
+        # no conservation_residual, and no d_h of the zero superpotential
+        # residual; each part's superpotential residual is taken once
+        residuals = []
+        original = gvc.models.superpotential_residual
+
+        def refused(*args):
+            raise AssertionError("formed")
+
+        def counted(*args):
+            residuals.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(gvc.models, "conservation_residual", refused)
+        monkeypatch.setattr(gvc.models, "d_h", refused)
+        monkeypatch.setattr(gvc.models, "superpotential_residual", counted)
+        model = _new_model(name)
+        report = model.full_verification(deterministic=True)
+        assert report.ok
+        assert len(residuals) == 1
+        if name == "su2":
+            assert report.render() == (GOLDEN / "su2.txt").read_text(encoding="utf-8")
 
 
 class TestSplitRoute:
