@@ -329,15 +329,6 @@ class Lagrangian:
     def form(self):
         return volume(self.ctx).times_poly(self.density)
 
-    def __add__(self, other):
-        return Lagrangian(self.density + other.density)
-
-    def __sub__(self, other):
-        return Lagrangian(self.density - other.density)
-
-    def is_zero(self):
-        return self.density.is_zero()
-
     def __repr__(self):
         return "Lagrangian(%s)" % self.density.render()
 

@@ -11,9 +11,10 @@ invariance conditions that single the Lagrangian out.
 The invariance conditions and the gauge Lie derivatives are taken in the
 Utiyama split coordinates: phi rewrites each first jet of a field by the
 strength and symmetric coordinates (Fs, Ss), and the model's own
-Lagrangian becomes 1/4 h g g Fs Fs.  A Lie derivative is first taken there,
-by the derivation conjugated through phi; a nonzero or failed result is
-taken again in jets, whose Form is the row.
+Lagrangian becomes 1/4 h g g Fs Fs.  A Lie derivative of that L is first
+taken there, by the derivation conjugated through phi, which needs values
+on Fs alone, each the image of its strength; a nonzero or failed result,
+and any other density, is taken in jets, whose Form is the row.
 
 Current conservation is taken by Noether's second theorem: for the
 parameter part of directions qs, d_h J - sum_z E_z theta(z) equals
@@ -211,20 +212,18 @@ class GaugeModel:
         self.parameter = [ctx.add_generator("xi%d" % (r + 1), kinds[r], algebra.parities[r])
                           for r in range(m)]
         # strength and symmetric split coordinates of the invariance conditions
-        # and of the gauge Lie derivatives; _unsplit names each one's preimage
+        # and of the gauge Lie derivatives, and the set of both
         self.aux_strength = {}
         self.aux_sym = {}
-        self._unsplit = {}
         for r in range(m):
             for lam in range(n):
                 for mu in range(lam, n):
                     if mu > lam:
-                        gen = self.aux_strength[(r, lam, mu)] = ctx.add_generator(
+                        self.aux_strength[(r, lam, mu)] = ctx.add_generator(
                             "Fs%d_%d%d" % (r + 1, lam, mu), kinds[r], algebra.parities[r])
-                        self._unsplit[gen] = (True, r, lam, mu)
-                    gen = self.aux_sym[(r, lam, mu)] = ctx.add_generator(
+                    self.aux_sym[(r, lam, mu)] = ctx.add_generator(
                         "Ss%d_%d%d" % (r + 1, lam, mu), kinds[r], algebra.parities[r])
-                    self._unsplit[gen] = (False, r, lam, mu)
+        self._split_gens = set(self.aux_strength.values()).union(self.aux_sym.values())
         self._field_at = {gen: (r, mu) for r in range(m) for mu, gen in enumerate(self.field[r])}
         # each field to its antifield, each ghost to its degree-two antifield
         self._pairs = {self.field[r][mu]: self.antifield[r][mu]
@@ -535,10 +534,13 @@ class GaugeModel:
         """L_theta L of the Lagrangian, a density.  Zero when the split
         route (`_split_lie`) gives zero; otherwise, and if that route does
         not apply or raises, the prolonged derivation applied to L's
-        polynomial, times the volume form, so a failure reads as in jets."""
+        polynomial, times the volume form, so a failure reads as in jets.
+        The split route takes the model's own L alone, whose phi(L) is
+        built factor-wise: any other L would first be rewritten by
+        substitution, and the jet route runs on every nonzero result anyway."""
         L = self.ym_lagrangian()
         try:
-            split = self._split_lie(theta, L)
+            split = self._split_lie(theta) if self._own("lagrangian", L) else None
         except GvcError:
             split = None
         if split is not None and split.is_zero():
@@ -690,7 +692,7 @@ class GaugeModel:
         density is built factor-wise from the strength coordinates; any
         other L is rewritten by `split_coordinates`."""
         def build():
-            if L is self._memo.get("lagrangian"):
+            if self._own("lagrangian", L):
                 var, Fs = self.ctx.var, self.aux_strength
                 return self._strength_density(lambda r, lam, mu: var(Fs[(r, lam, mu)]))
             if L.density.max_jet_order() > 1:
@@ -699,36 +701,22 @@ class GaugeModel:
 
         return self._once(("split", L), build)
 
-    def _preimage(self, gen):
-        """phi^-1 of a split coordinate: the strength, or the symmetric half
-        a^r_mu;lam + a^r_lam;mu - c^r_ij a^i_lam a^j_mu."""
-        strength, r, lam, mu = self._unsplit[gen]
-        if strength:
-            return self.strength(r, lam, mu)
-        ctx = self.ctx
-        return (ctx.var(self.field[r][mu], lam) + ctx.var(self.field[r][lam], mu)
-                - self._quadratic_twist(r, lam, mu))
-
-    def _split_lie(self, theta, L):
-        """theta~(phi(L)), where theta~ = phi theta phi^-1 is the derivation
-        conjugated into the split coordinates, taken on the order-0 split
-        and moved generators phi(L) holds: its value on y is
-        phi(theta(phi^-1(y))).  phi is an even ring map, invertible on the
-        densities free of split coordinates, so this is phi(theta(L)), zero
-        exactly when theta(L) is.  None where that does not hold: L or a
-        component of theta holds a split coordinate, or phi(L) a jet of
-        order one or more of a generator theta~ moves."""
-        image, moved, values = self._split(L), theta.components, {}
-        held = list(moved.values()) + ([] if L is self._memo.get("lagrangian") else [L.density])
-        if any(v.gen in self._unsplit for p in held for v in p.variables()):
+    def _split_lie(self, theta):
+        """theta~(phi(L)) for the model's own L, where theta~ = phi theta phi^-1
+        is the derivation conjugated into the split coordinates.  phi(L) is
+        1/4 h g g Fs Fs, so theta~ needs values on the strength coordinates
+        alone, at order zero: phi(theta(F^r_lam,mu)), F being the preimage of
+        Fs.  phi is an even ring map, invertible on the densities free of
+        split coordinates, so this is phi(theta(L)), zero exactly when
+        theta(L) is.  None where that does not hold: a component of theta
+        holds a split coordinate."""
+        if any(v.gen in self._split_gens for p in theta.components.values()
+               for v in p.variables()):
             return None
-        for v in image.variables():
-            gen = v.gen
-            if gen in self._unsplit or gen in moved:
-                if v.index:
-                    return None
-                values[gen] = self.split_coordinates(prolong_apply(theta, self._preimage(gen))
-                                                     if gen in self._unsplit else moved[gen])
+        image = self._split(self.ym_lagrangian())
+        held = {v.gen for v in image.variables()}
+        values = {gen: self.split_coordinates(prolong_apply(theta, self.strength(*key)))
+                  for key, gen in self.aux_strength.items() if gen in held}
         return prolong_apply(ContactDerivation(self.ctx, values, theta.parity), image)
 
     def invariance_conditions(self, L=None):

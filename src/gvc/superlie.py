@@ -51,7 +51,8 @@ class LieSuperalgebra:
     # -- structure constants -------------------------------------------
 
     def set_constant(self, r, i, j, value):
-        """Record c^r_ij; the graded-antisymmetric mirror is implied."""
+        """Record c^r_ij; the graded-antisymmetric mirror is implied.  A
+        stored entry is never changed: another value, zero included, raises."""
         r, i, j = self.index(r), self.index(i), self.index(j)
         value = Fraction(value)
         if i == j and self.parities[i] == EVEN and value != 0:
@@ -67,8 +68,6 @@ class LieSuperalgebra:
             )
         if val != 0:
             self._c[key] = val
-        elif old is not None:
-            del self._c[key]
 
     def constant(self, r, i, j):
         """c^r_ij with the graded antisymmetry rule applied (a point
@@ -102,7 +101,8 @@ class LieSuperalgebra:
     # -- bilinear form ---------------------------------------------------
 
     def set_form(self, i, j, value):
-        """Record h_ij; graded symmetry h_ji = (-1)^{[i][j]} h_ij is implied."""
+        """Record h_ij; graded symmetry h_ji = (-1)^{[i][j]} h_ij is implied.
+        A stored entry is never changed: another value, zero included, raises."""
         i, j = self.index(i), self.index(j)
         value = Fraction(value)
         if self.parities[i] != self.parities[j] and value != 0:
@@ -119,8 +119,6 @@ class LieSuperalgebra:
         if val != 0:
             self._h[key] = val
             self.has_form = True
-        elif old is not None:
-            del self._h[key]
 
     def form(self, i, j):
         """h_ij with the graded symmetry rule applied (a point lookup)."""

@@ -187,6 +187,12 @@ class TestVariationalOperator:
                        + ctx.var("q1") * ctx.var("q1", 0))
         assert variational_delta(L.form) == euler_lagrange(L).as_form()
 
+    def test_below_top_degree_rejected(self):
+        ctx = make_context(2)
+        phi = omega_lambda(ctx, 0).times_poly(ctx.var("s1"))
+        with pytest.raises(GvcError, match="variational operator needs top horizontal degree"):
+            variational_delta(phi)
+
     def test_delta_squared_zero(self):
         rng = random.Random(45)
         ctx = make_context(2)

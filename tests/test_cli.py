@@ -90,6 +90,27 @@ class TestExitCodes:
         assert captured.out == ""
         assert "line 3, column 1: duplicate key 'dimension' in [model]" in captured.err
 
+    def test_model_without_a_generator_is_two(self, model_file, capsys):
+        text = "[model]\ndimension = 2\nmetric = ++\n\n[algebra]\n"
+        path = model_file("empty", text)
+        assert main(["full", "--model", path, "--deterministic"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gvc: %s: line 1, column 1: at least one generator is " \
+            "required\n" % path
+
+    @pytest.mark.parametrize("line, entry, message", [
+        ("c e1 e2 e3 = 1", "c e1 e2 e3 = 0", "structure constant for (0, 1, 2)"),
+        ("h e1 e1 = 1", "h e1 e1 = 0", "form entry for (0, 0)")])
+    def test_entry_set_back_to_zero_is_two(self, model_file, capsys, line, entry, message):
+        text = PRESET_MODEL_TEXT["su2"].replace(line, line + "\n" + entry)
+        path = model_file("zeroed", text)
+        assert main(["full", "--model", path, "--deterministic"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gvc: %s: line %d, column 1: inconsistent duplicate %s\n" % (
+            path, text.splitlines().index(entry) + 1, message)
+
     def test_missing_file_is_two(self, capsys):
         assert main(["full", "--model", "/nonexistent/x.model"]) == 2
 

@@ -215,6 +215,11 @@ class TestContactDerivation:
         with pytest.raises(ParityError):
             ContactDerivation(ctx, {"s1": ctx.var("q1")}, EVEN)
 
+    def test_unregistered_component_rejected(self):
+        ctx, other = make_context(1, evens=1), make_context(1, evens=2)
+        with pytest.raises(GvcError, match="component on unregistered field 's2'"):
+            ContactDerivation(ctx, {other.generator("s2"): other.one()}, EVEN)
+
     def test_no_horizontal_components(self):
         ctx = make_context(1)
         with pytest.raises(GvcError):

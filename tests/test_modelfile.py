@@ -46,6 +46,13 @@ class TestParse:
         assert alg.stored_constants() == preset.stored_constants()
         assert alg.graded_form() == preset.graded_form()
 
+    def test_no_generator_rejected(self):
+        text = MINIMAL.replace("generator e1 parity 0\n", "")
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert "at least one generator is required" in str(err.value)
+        assert err.value.line == 1
+
     def test_six_line_mirror_entries_collapse(self):
         spec = parse_model(PRESET_MODEL_TEXT["su2"])
         alg = spec_algebra(spec)

@@ -778,7 +778,9 @@ class TestParameterOrbits:
 
     def test_a_source_in_L_runs_unreduced(self, monkeypatch):
         # h_ij xi^i xi^j is fixed by every algebra map, but with it the parts
-        # of two directions may share terms, so no part stands for another
+        # of two directions may share terms, so no part stands for another;
+        # the installed L is not the model's own, so each part is prolonged
+        # in jets
         model = preset_model("su2")
         ctx = model.ctx
         extra = ctx.zero()
@@ -792,8 +794,8 @@ class TestParameterOrbits:
         assert model._representatives("parameter") is None
         assert model._representatives("gauge") == {model.ghost[0]}
         assert batches == [["c1"]]
-        assert prolonged == [(model.parameter_symmetry(), False),
-                             (model._part("gauge", (0,)), False)]
+        assert prolonged == [(model.parameter_symmetry(), True),
+                             (model._part("gauge", (0,)), True)]
         for check in SYMMETRY_CHECKS:
             assert rows[check].line() == _unreduced_row(model, check)
 
@@ -975,27 +977,76 @@ class TestSecondTheorem:
 
 class TestSplitRoute:
     """L_theta L and the Utiyama tables in the split coordinates: phi(L),
-    and the conjugated derivation phi theta phi^-1 on it, against
-    `split_coordinates` and against L_theta L prolonged in jets."""
+    and, for the model's own L, the conjugated derivation phi theta phi^-1
+    on it, against `split_coordinates` and against L_theta L prolonged in
+    jets; any other L takes the jet route alone."""
+
+    @staticmethod
+    def _doubled(theta, gen):
+        """theta with its component on `gen` doubled."""
+        comps = dict(theta.components)
+        comps[gen] = comps[gen] + comps[gen]
+        return ContactDerivation(theta.ctx, comps, theta.parity)
 
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl3", "sl21"])
-    def test_conjugated_derivation_is_phi_of_theta(self, name, request):
+    def test_conjugated_derivation_is_phi_of_theta(self, name, request, monkeypatch):
         # the own L (whose phi(L) is built factor-wise), a mass term and a
         # symmetric-quadratic L, each phi(L) kept with its own L; the even
         # parameter symmetry and the odd gauge operator, a part of one
-        # direction and the whole
+        # direction and the whole: zero on the own L in the split
+        # coordinates, and nonzero in jets on an installed L
         model = request.getfixturevalue(name)
         own, m = model.ym_lagrangian(), model.algebra.dim
         every = tuple(range(m))
         for L in (own, mass_term_lagrangian(model), sym_quadratic_lagrangian(model)):
             assert model._split(L) == model.split_coordinates(L.density)
+            monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True, L=L: L)
             for kind in ("parameter", "gauge"):
                 for directions in ((0,), every):
                     theta = model._part(kind, directions)
-                    got = model._split_lie(theta, L)
-                    assert got == model.split_coordinates(prolong_apply(theta, L.density))
+                    got = model.lie_derivative(theta)
+                    assert got == volume(model.ctx).times_poly(prolong_apply(theta, L.density))
                     assert got.is_zero() == (L is own)
+                    if L is own:
+                        assert model._split_lie(theta) == model.split_coordinates(
+                            prolong_apply(theta, L.density))
+            monkeypatch.undo()
         assert model._split(own) is model._split(own)
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl3", "sl21"])
+    def test_conjugated_derivation_on_a_nonzero_result(self, name, request, monkeypatch):
+        # with one component doubled, theta(L) is nonzero, and the split
+        # route still gives phi(theta(L)); the row is the jet route's, and
+        # an installed L's density is never split from lie_derivative
+        model = request.getfixturevalue(name)
+        L, every = model.ym_lagrangian(), tuple(range(model.algebra.dim))
+        split_calls = []
+        original = model.split_coordinates
+
+        def recording(density):
+            split_calls.append(density)
+            return original(density)
+
+        monkeypatch.setattr(model, "split_coordinates", recording)
+        for kind in ("parameter", "gauge"):
+            for directions in ((0,), every):
+                theta = self._doubled(model._part(kind, directions), model.field[0][0])
+                got = model._split_lie(theta)
+                assert got == original(prolong_apply(theta, L.density))
+                assert not got.is_zero()
+                check = kind + "-symmetry"
+                row, want = run_parts([
+                    (check, lambda n: CheckResult.from_form(n, model.lie_derivative(theta))),
+                    (check, lambda n: CheckResult.from_form(n, volume(model.ctx).times_poly(
+                        prolong_apply(theta, L.density))))], True)
+                assert not row.ok and row.line() == want.line()
+        assert split_calls and all(p is not L.density for p in split_calls)
+        installed = Lagrangian(L.density + mass_term_lagrangian(model).density)
+        monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: installed)
+        del split_calls[:]
+        for kind in ("parameter", "gauge"):
+            model.lie_derivative(model._symmetry(kind)[0])
+        assert split_calls == []
 
     @pytest.mark.parametrize("name, order", [
         ("su2", None), ("su2", 1), ("su2", 2), ("osp12", None), ("osp12", 1), ("osp12", 2),
@@ -1026,12 +1077,19 @@ class TestSplitRoute:
 
     def test_a_split_coordinate_in_L_takes_the_jet_route(self, su2, monkeypatch):
         # F^1_01 - Fs1_01 is zero under phi, which is not injective on a
-        # density holding a split coordinate: the jet route decides
-        L = Lagrangian(su2.strength(0, 0, 1) - su2.ctx.var(su2.aux_strength[(0, 0, 1)]))
+        # density holding a split coordinate: an installed L takes the jet
+        # route, without the split one, and so does a derivation holding a
+        # split coordinate on the own L, for which the split route gives None
+        Fs = su2.ctx.var(su2.aux_strength[(0, 0, 1)])
+        held = ContactDerivation(su2.ctx, {su2.field[0][0]: Fs}, EVEN)
+        assert su2._split_lie(held) is None
+        assert su2.lie_derivative(held) == volume(su2.ctx).times_poly(
+            prolong_apply(held, su2.ym_lagrangian().density))
+        L = Lagrangian(su2.strength(0, 0, 1) - Fs)
         theta = su2.parameter_symmetry()
         assert su2.split_coordinates(L.density).is_zero()
-        assert su2._split_lie(theta, L) is None
         monkeypatch.setattr(su2, "ym_lagrangian", lambda validate=True: L)
+        monkeypatch.setattr(su2, "_split_lie", None)
         assert su2.lie_derivative(theta) == volume(su2.ctx).times_poly(
             prolong_apply(theta, L.density))
         assert not su2.lie_derivative(theta).is_zero()

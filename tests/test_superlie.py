@@ -94,6 +94,25 @@ class TestStructure:
         with pytest.raises(GvcError):
             alg.set_constant("e1", "e3", "e2", 1)  # inconsistent duplicate
 
+    def test_a_constant_set_back_to_zero_raises_and_stays(self):
+        # a stored entry is never changed, to zero included; a zero on a new
+        # entry stores nothing
+        alg = LieSuperalgebra(["e1", "e2", "e3"], [EVEN] * 3)
+        alg.set_constant("e1", "e2", "e3", 1)
+        with pytest.raises(GvcError, match="inconsistent duplicate structure constant"):
+            alg.set_constant("e1", "e3", "e2", 0)
+        alg.set_constant("e2", "e3", "e1", 0)
+        assert alg.stored_constants() == [(0, 1, 2, Fraction(1))]
+
+    def test_a_form_entry_set_back_to_zero_raises_and_stays(self):
+        alg = LieSuperalgebra(["e1", "e2"], [EVEN] * 2)
+        alg.set_form("e2", "e2", 0)
+        assert not alg.has_form and alg.graded_form() == []
+        alg.set_form("e1", "e1", 1)
+        with pytest.raises(GvcError, match="inconsistent duplicate form entry"):
+            alg.set_form("e1", "e1", 0)
+        assert alg.has_form and alg.graded_form() == [(0, 0, Fraction(1))]
+
     def test_parity_violation_reported(self):
         alg = LieSuperalgebra(["e", "f", "x"], [EVEN, EVEN, ODD])
         alg.set_constant("x", "e", "f", 1)  # [x] != [e]+[f]
@@ -124,6 +143,12 @@ class TestBracket:
         alg = osp12_algebra()
         got = bracket(alg, {"x": 1}, {"x": 1})
         assert got[alg.index("f")] == 2
+
+    def test_wrong_length_vector_rejected(self):
+        alg = su2_algebra()
+        for u, v in (([1, 0], {"e1": 1}), ({"e1": 1}, [1, 0, 0, 0])):
+            with pytest.raises(GvcError, match="coefficient vector has wrong length"):
+                bracket(alg, u, v)
 
     def test_mixed_parity_vector_rejected(self):
         alg = osp12_algebra()
