@@ -13,8 +13,9 @@ Utiyama split coordinates: phi rewrites each first jet of a field by the
 strength and symmetric coordinates (Fs, Ss), and the model's own
 Lagrangian becomes 1/4 h g g Fs Fs.  A Lie derivative of that L is first
 taken there, by the derivation conjugated through phi, which needs values
-on Fs alone, each the image of its strength; a nonzero or failed result,
-and any other density, is taken in jets, whose Form is the row.
+on Fs alone, read through the covariance theta(F^r) = M^r_i F^i; a nonzero
+or failed result, and any other density, is taken in jets, whose Form is
+the row.  The algebra maps keep c, so commute with phi: L's proofs take phi(L).
 
 Current conservation is taken by Noether's second theorem: for the
 parameter part of directions qs, d_h J - sum_z E_z theta(z) equals
@@ -237,18 +238,23 @@ class GaugeModel:
 
     def algebra_maps(self):
         """The algebra's signed automorphisms e_r -> s_r e_pi(r), found on first
-        use, as relabellings (gen_map, signs) moving the field, antifield,
-        ghost, degree-two antifield and parameter of r to s_r times pi(r)'s."""
-        return self._once("algebra-maps", self._algebra_relabellings)
+        use, as relabellings (gen_map, signs) (`_algebra_relabellings`)."""
+        return self._once("algebra-maps", lambda: self._algebra_relabellings(
+            signed_automorphisms(self.algebra)))
 
-    def _algebra_relabellings(self):
+    def _algebra_relabellings(self, automorphisms):
+        """For each (pi, s) of `automorphisms`, the relabelling moving the
+        field, antifield, ghost, degree-two antifield, parameter, strength
+        and symmetric coordinates of r to s_r times pi(r)'s."""
         m = self.algebra.dim
-        by_r = [self.field[r] + self.antifield[r]
-                + [self.ghost[r], self.noether_antifield[r], self.parameter[r]]
-                for r in range(m)]
+        by_r = self._once("by-direction", lambda: [
+            self.field[r] + self.antifield[r]
+            + [self.ghost[r], self.noether_antifield[r], self.parameter[r]]
+            + [g for table in (self.aux_strength, self.aux_sym)
+               for (q, _, _), g in table.items() if q == r] for r in range(m)])
         return [({gen: image for r in range(m) for gen, image in zip(by_r[r], by_r[pi[r]])},
                  {gen: -1 for r in range(m) if signs[r] < 0 for gen in by_r[r]})
-                for pi, signs in signed_automorphisms(self.algebra)]
+                for pi, signs in automorphisms]
 
     def form_report(self):
         """Validation report of the invariant form."""
@@ -290,20 +296,21 @@ class GaugeModel:
 
     def _strength_density(self, strength):
         """1/4 h_ij g_lam g_beta F^i_lam,beta F^j_lam,beta over lam != beta,
-        with F^r_lam,beta = strength(r, lam, beta) asked for lam < beta.
-        F is antisymmetric in (lam, beta), so each form entry is h_ij/2
-        times one table summed over lam < beta with sign g_lam g_beta."""
+        with F^r_lam,beta = strength(r, lam, beta) asked for lam < beta.  F
+        is antisymmetric in (lam, beta) and h_ji F^j F^i = h_ij F^i F^j, so
+        each stored pair i <= j is one table over lam < beta with sign
+        g_lam g_beta, times h_ij, or h_ii/2 on the diagonal."""
         ctx = self.ctx
         n = self.metric.dim
         signs = self.metric.signs
         density = ctx.zero()
-        for i, j, h in self.form_entries:
+        for i, j, h in (e for e in self.form_entries if e[0] <= e[1]):
             table = ctx.zero()
             for lam in range(n):
                 for beta in range(lam + 1, n):
                     add_product(table, strength(i, lam, beta),
                                 strength(j, lam, beta), signs[lam] * signs[beta])
-            _add(density, table, Fraction(h) / 2)
+            _add(density, table, Fraction(h) / 2 if i == j else h)
         return density.finish()
 
     # -- field equations ----------------------------------------------------
@@ -408,17 +415,32 @@ class GaugeModel:
         """Whether each algebra map keeps the pairing and fixes the density
         `key` (L, S or a `_paired_sum`), once per model and density
         (`_source`); the proper solution built here, L plus s's paired sum,
-        shares their proofs."""
+        shares their proofs.  The model's own L is proved on phi(L): a map
+        keeping c (`_keeps_constants`) commutes with phi, whose twist is c's,
+        and phi is injective on split-free densities: g(phi(L)) = phi(L) iff g(L) = L."""
         source = self._source(key)
 
         def prove():
             if key == "S" and self._proper(source):
                 return self._fixes("L") and self._fixes("brst")
-            density = source.density if key in ("L", "S") else self._paired_sum(key)
+            own = key == "L" and self._own("lagrangian", source)
+            if own and not all(self._keeps_constants(*g) for g in self.algebra_maps()):
+                return False
+            density = self._split(source) if own else source.density if key in ("L", "S") \
+                else self._paired_sum(key)
             return orbit_representatives(density, self._pairs, self.algebra_maps(),
                                          ()) is not None
 
         return self._once(("fixes", source), prove)
+
+    def _keeps_constants(self, gen_map, signs):
+        """Whether a relabelling is the algebra relabelling of the pi and s it gives
+        the fields a^r_0, and c^pi(r)_pi(i)pi(j) = s_r s_i s_j c^r_ij for each c."""
+        at = {row[0]: r for r, row in enumerate(self.field)}
+        pi, s = [at.get(gen_map.get(g, g)) for g in at], [signs.get(g, 1) for g in at]
+        return None not in pi and self._algebra_relabellings([(pi, s)]) == [(gen_map, signs)] \
+            and self.constants == sorted((pi[r], pi[i], pi[j], c if s[r] * s[i] == s[j] else -c)
+                                         for r, i, j, c in self.constants)
 
     def _representatives(self, check):
         """One generator per orbit of those `check` evaluates under the
@@ -666,16 +688,10 @@ class GaugeModel:
         symmetric half is symmetric only up to it."""
         def build():
             (r, mu), (lam,) = self._field_at[v.gen], v.index
-            key, ctx = (r, min(lam, mu), max(lam, mu)), self.ctx
-            (sym, _), = ctx.var(self.aux_sym[key]).terms.items()
-            halves = {sym: 1}
-            if lam != mu:
-                (fs, _), = ctx.var(self.aux_strength[key]).terms.items()
-                halves[fs] = 1 if lam < mu else -1
-            repl = Poly(ctx, halves, 2)
-            if lam > mu:
-                _add(repl, self._quadratic_twist(r, mu, lam))
-            return repl.finish()
+            key, var = (r, min(lam, mu), max(lam, mu)), self.ctx.var
+            fs = var(self.aux_strength[key]) if lam != mu else self.ctx.zero()
+            half = Fraction(1, 2) * (var(self.aux_sym[key]) + (fs if lam < mu else -fs))
+            return half + self._quadratic_twist(r, mu, lam) if lam > mu else half
 
         return self._once(("phi", v), build)
 
@@ -702,22 +718,36 @@ class GaugeModel:
         return self._once(("split", L), build)
 
     def _split_lie(self, theta):
-        """theta~(phi(L)) for the model's own L, where theta~ = phi theta phi^-1
-        is the derivation conjugated into the split coordinates.  phi(L) is
-        1/4 h g g Fs Fs, so theta~ needs values on the strength coordinates
-        alone, at order zero: phi(theta(F^r_lam,mu)), F being the preimage of
-        Fs.  phi is an even ring map, invertible on the densities free of
-        split coordinates, so this is phi(theta(L)), zero exactly when
-        theta(L) is.  None where that does not hold: a component of theta
-        holds a split coordinate."""
+        """theta~(phi(L)) for the model's own L, theta~ = phi theta phi^-1 the
+        derivation conjugated into the split coordinates (None if theta holds
+        one): phi is an even ring map, invertible on split-free densities, so
+        this is phi(theta(L)).  phi(L) = 1/4 h g g Fs Fs needs values on Fs
+        alone, read through the covariance of F: with M^r_i the right partial
+        of theta(a^r_mu) along a^i_mu (per (r, mu); dropped if it holds a first
+        jet of a field, so phi fixes it) and R = theta(F^r_lam,mu) - sum_i
+        M^r_i F^i, phi(theta(F^r)) = sum_i M^r_i Fs^i + phi(R); R is zero on
+        the model's own parts, and only a nonzero one is rewritten."""
         if any(v.gen in self._split_gens for p in theta.components.values()
                for v in p.variables()):
             return None
-        image = self._split(self.ym_lagrangian())
-        held = {v.gen for v in image.variables()}
-        values = {gen: self.split_coordinates(prolong_apply(theta, self.strength(*key)))
-                  for key, gen in self.aux_strength.items() if gen in held}
-        return prolong_apply(ContactDerivation(self.ctx, values, theta.parity), image)
+        ctx, field, image = self.ctx, self.field, self._split(self.ym_lagrangian())
+        held, covariance, values = {v.gen for v in image.variables()}, {}, {}
+
+        def rows(r, mu):
+            at = {ctx.jet(row[mu]): i for i, row in enumerate(field)}
+            return [(at[v], M) for v, M in theta.component(field[r][mu]).partials(
+                "right", {row[mu] for row in field}) if v in at and not any(
+                    len(w.index) == 1 and w.gen in self._field_at for w in M.variables())]
+
+        for (r, lam, mu), gen in ((key, gen) for key, gen in self.aux_strength.items()
+                                  if gen in held):
+            rest, value = prolong_apply(theta, self.strength(r, lam, mu)), ctx.zero()
+            for i, M in _once(covariance, (r, mu), lambda: rows(r, mu)):
+                add_product(rest, M, self.strength(i, lam, mu), -1)
+                add_product(value, M, ctx.var(self.aux_strength[(i, lam, mu)]))
+            values[gen] = (_add(value, self.split_coordinates(rest)) if rest.finish().terms
+                           else value).finish()
+        return prolong_apply(ContactDerivation(ctx, values, theta.parity), image)
 
     def invariance_conditions(self, L=None):
         """Residual tables for the three gauge-invariance conditions of a

@@ -1263,6 +1263,11 @@ class TestAlgebraOrbits:
                 for family in (model.ghost, model.noether_antifield):
                     assert gen_map[family[r]] is family[pi[r]]
                     assert signs.get(family[r], 1) == s[r]
+            # the strength and symmetric coordinates move with their fields
+            for table in (model.aux_strength, model.aux_sym):
+                for (r, lam, mu), gen in table.items():
+                    assert gen_map[gen] is table[(pi[r], lam, mu)]
+                    assert signs.get(gen, 1) == s[r]
             assert S.rename(gen_map, signs) == S
             assert L.rename(gen_map, signs) == L
 
@@ -1577,17 +1582,18 @@ class TestAlgebraOrbits:
         routes(install_l, "brst")
 
     def test_s_minus_l_of_the_proper_solution_is_the_paired_sum(self, monkeypatch):
-        # S built here is L plus the paired sum P of s: its proof is L's and
-        # P's, and no S - L is formed; an installed S equal to it is proved
-        # once, whole, and no L is subtracted from it either
+        # S built here is L plus the paired sum P of s: its proof is L's,
+        # taken on phi(L), and P's, and no S - L is formed; an installed S
+        # equal to it is proved once, whole, and no L is subtracted from it
         model = _fresh("su2")
         subtracted, proved = [], self._proved(monkeypatch)
         sub = Poly.__sub__
         monkeypatch.setattr(Poly, "__sub__", lambda p, q: subtracted.append((p, q)) or sub(p, q))
         assert model.pipeline("master-equation", deterministic=True)[0].ok
         S, L, P = model.extended_lagrangian(), model.ym_lagrangian(), model._paired_sum("brst")
-        assert sorted(("P" if d is P else "L" if d is L.density else "?") for d in proved) == \
-            ["L", "P"]
+        image = model._split(L)
+        assert sorted(("P" if d is P else "phi(L)" if d is image else "?") for d in proved) == \
+            ["P", "phi(L)"]
         installed = Lagrangian(S.density + model.ctx.zero())
         assert installed.density is not S.density and installed.density == S.density
         monkeypatch.setattr(model, "extended_lagrangian", lambda: installed)

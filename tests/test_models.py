@@ -27,8 +27,9 @@ from gvc.reporting import CheckResult
 from gvc.superlie import LieSuperalgebra, bracket
 
 from util import (abelian_algebra, assert_normal, constant_parameter_symmetry,
-                  first_variational_residual, mass_term_lagrangian, rescaled_model_text,
-                  scale, su2_algebra, superbracket, sym_jet, sym_quadratic_lagrangian)
+                  first_variational_residual, mass_term_lagrangian, random_poly,
+                  rescaled_model_text, scale, su2_algebra, superbracket,
+                  supermatrix_model_text, sym_jet, sym_quadratic_lagrangian)
 
 GOLDEN = Path(__file__).parent / "golden"
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
@@ -1095,6 +1096,178 @@ class TestSplitRoute:
         assert not su2.lie_derivative(theta).is_zero()
 
 
+class TestSplitProof:
+    """The orbit proof of the model's own L on phi(L): each map must be the
+    relabelling of a signed permutation that keeps c, and then fixes
+    phi(L) exactly when it fixes L; any other L is proved on itself."""
+
+    @staticmethod
+    def _proved(monkeypatch):
+        proved = []
+        original = gvc.models.orbit_representatives
+
+        def counted(density, pairs, maps, moved):
+            proved.append(density)
+            return original(density, pairs, maps, moved)
+
+        monkeypatch.setattr(gvc.models, "orbit_representatives", counted)
+        return proved
+
+    @pytest.mark.parametrize("name", ["su2", "sl3", "sl21", "two-abelian"])
+    def test_phi_of_L_is_fixed_exactly_when_L_is(self, name, request):
+        # the algebra maps fix both; on two abelian directions with
+        # h = diag(1, 2), the swap keeps c = 0 but not h and fixes neither
+        if name == "two-abelian":
+            model = spec_model(parse_model(
+                "[model]\ndimension = 2\nmetric = +-\n\n[algebra]\ngenerator A parity 0\n"
+                "generator B parity 0\n\n[form]\nh A A = 1\nh B B = 2\n"))
+            maps = model.algebra_maps() + model._algebra_relabellings(
+                [([1, 0], [1, 1]), ([1, 0], [-1, 1])])
+        else:
+            model = request.getfixturevalue(name)
+            maps = model.algebra_maps()
+        L = model.ym_lagrangian().density
+        image = model._split(model.ym_lagrangian())
+        fixed = [image.rename(*g) == image for g in maps]
+        assert fixed == [L.rename(*g) == L for g in maps]
+        assert fixed == [True] * len(model.algebra_maps()) + [False] * (len(maps) - len(
+            model.algebra_maps()))
+        assert all(model._keeps_constants(*g) for g in maps)
+
+    def test_a_map_keeping_h_but_not_c_fails_the_proof(self, monkeypatch):
+        # E12 <-> E13 and E21 <-> E31 on sl(3) keep the trace form, so they
+        # fix 1/4 h Fs Fs, but not c, so they neither commute with phi nor
+        # fix L: the proof fails, and every reduced table runs whole
+        model = _new_model("sl3")
+        names = [name for name, _ in parse_model(SL3_MODEL.read_text(encoding="utf-8")).generators]
+        pi = list(range(8))
+        for x, y in (("E12", "E13"), ("E21", "E31")):
+            pi[names.index(x)], pi[names.index(y)] = names.index(y), names.index(x)
+        (swap,) = model._algebra_relabellings([(pi, [1] * 8)])
+        assert all((pi[i], pi[j], h) in model.form_entries for i, j, h in model.form_entries)
+        L = model.ym_lagrangian()
+        image = model._split(L)
+        assert image.rename(*swap) == image and L.density.rename(*swap) != L.density
+        monkeypatch.setattr(model, "algebra_maps", lambda: [swap])
+        assert not model._keeps_constants(*swap) and not model._fixes("L")
+        reps = {check: model._representatives(check) for check in (
+            "euler-lagrange", "master-equation", "koszul-tate", "parameter", "gauge")}
+        assert reps == dict.fromkeys(reps)
+        lines = [row.line() for row in model.full_verification(True).results]
+        assert lines == [row.line() for row in _new_model("sl3").full_verification(True).results]
+
+    def test_a_map_leaving_the_split_coordinates_fails_the_proof(self, monkeypatch):
+        # each algebra map with its strength and symmetric coordinates left
+        # in place still fixes L, and trivially phi(L), but need not
+        # commute with phi: the proof fails
+        model = _new_model("su2")
+        split = model._split_gens
+        maps = [({g: h for g, h in gen_map.items() if g not in split},
+                 {g: s for g, s in signs.items() if g not in split})
+                for gen_map, signs in model.algebra_maps()]
+        L, image = model.ym_lagrangian().density, model._split(model.ym_lagrangian())
+        assert all(L.rename(*g) == L and image.rename(*g) == image for g in maps)
+        monkeypatch.setattr(model, "algebra_maps", lambda: maps)
+        assert not model._fixes("L")
+
+    def test_a_map_moving_a_field_off_the_fields_fails_the_proof(self, monkeypatch):
+        # a1_0 <-> xi1 is a kind- and parity-preserving relabelling with no
+        # direction permutation: the proof fails, and nothing raises
+        model = _new_model("su2")
+        a, xi = model.field[0][0], model.parameter[0]
+        monkeypatch.setattr(model, "algebra_maps", lambda: [({a: xi, xi: a}, {})])
+        assert not model._fixes("L")
+
+    @pytest.mark.parametrize("name", ["su2", "sl21"])
+    def test_an_installed_L_is_proved_on_itself(self, name, monkeypatch):
+        # a mass-term L, alone or added to the own L, keeps the algebra
+        # maps; it is proved by renaming it, without phi
+        for extra in (False, True):
+            model = _new_model(name)
+            mass = mass_term_lagrangian(model)
+            installed = Lagrangian(model.ym_lagrangian().density + mass.density) if extra \
+                else mass
+            monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: installed)
+            proved, split = self._proved(monkeypatch), []
+            monkeypatch.setattr(model, "split_coordinates", lambda d: split.append(d))
+            assert model._fixes("L")
+            assert proved == [installed.density] and split == []
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", ["sl3", "sl21"])
+    def test_a_passing_full_renames_no_L_and_splits_nothing(self, name, monkeypatch):
+        # the maps are proved on phi(L), each gauge Lie derivative is read
+        # through the covariance of F with R = 0, and L and phi(L) are each
+        # one table per stored form pair, of n(n-1)/2 products
+        renamed, split, products, tables = [], [], [], []
+        rename, density, product = Poly.rename, GaugeModel._strength_density, \
+            gvc.models.add_product
+        monkeypatch.setattr(Poly, "rename", lambda p, *g: renamed.append(p) or rename(p, *g))
+        monkeypatch.setattr(GaugeModel, "split_coordinates", lambda model, d: split.append(d))
+        monkeypatch.setattr(gvc.models, "add_product", lambda out, *args: products.append(
+            out) or product(out, *args))
+
+        def counted(model, strength):
+            del products[:]
+            out = density(model, strength)
+            tables.append((len({id(p) for p in products}), len(products)))
+            return out
+
+        monkeypatch.setattr(GaugeModel, "_strength_density", counted)
+        model = _new_model(name)
+        assert model.full_verification().ok
+        assert renamed and not any(p is model.ym_lagrangian().density for p in renamed)
+        assert split == []
+        stored, n = sum(i <= j for i, j, _ in model.form_entries), model.metric.dim
+        assert stored < len(model.form_entries)
+        assert tables == [(stored, stored * n * (n - 1) // 2)] * 2
+
+
+class TestSplitLieFuzz:
+    """The split route's values read through the covariance of F, against
+    phi(theta(L)) by substitution and the row against the jet route's, on
+    gauge and parameter parts with seeded random field terms added, some of
+    which put a first jet of a field into M^r_i."""
+
+    @pytest.mark.parametrize("name, seed", [("su2", 1), ("osp12", 2), ("sl3", 3), ("sl21", 4)])
+    def test_split_lie_is_phi_of_theta_of_L(self, name, seed, request):
+        model = request.getfixturevalue(name)
+        ctx, L, rng = model.ctx, model.ym_lagrangian(), random.Random(seed)
+        m, n = model.algebra.dim, model.metric.dim
+        fields = [g for row in model.field for g in row]
+        for kind in ("parameter", "gauge"):
+            sources = model._symmetry(kind)[1]
+            for directions in ((rng.randrange(m),), tuple(range(m))):
+                part = model._part(kind, directions)
+                comps = dict(part.components)
+                for _ in range(3):
+                    r, mu, i, k, nu, lam = (rng.randrange(x) for x in (m, n, m, m, n, n))
+                    a = model.field[r][mu]
+                    want = (a.parity + part.parity) % 2
+                    # a first jet of a field times a^i_mu: M^r_i holds it
+                    jet = ctx.var(model.field[k][nu], lam) * ctx.var(model.field[i][mu])
+                    factor = rng.choice([f for f in [ctx.one()] + [ctx.var(g) for g in sources]
+                                         if (jet * f).parity() == want])
+                    comps[a] = comps.get(a, ctx.zero()) + jet * factor + random_poly(
+                        rng, ctx, terms=2, max_order=1, parity=want, gens=fields + sources)
+                theta = ContactDerivation(ctx, comps, part.parity)
+                jets = prolong_apply(theta, L.density)
+                assert not jets.is_zero()
+                assert model._split_lie(theta) == model.split_coordinates(jets)
+                assert model.lie_derivative(theta) == volume(ctx).times_poly(jets)
+
+
+class TestSupermatrixModels:
+    def test_sl3_is_the_benchmark_model(self):
+        assert supermatrix_model_text((0, 0, 0)) == SL3_MODEL.read_text(encoding="utf-8")
+
+    def test_sl31_full_passes(self):
+        # sl(3|1): 15 directions, 6 of them odd, and one algebra map
+        model = spec_model(parse_model(supermatrix_model_text((0, 0, 0, 1))))
+        assert model.algebra.dim == 15 and sum(model.algebra.parities) == 6
+        assert model.full_verification().ok and len(model.algebra_maps()) == 1
+
+
 class TestInvarianceConditions:
     def test_quadratic_strength_density_passes(self, su2):
         sym, fld, contr = su2.invariance_conditions()
@@ -1528,9 +1701,15 @@ class TestBuildOnce:
 
         monkeypatch.setattr(GaugeModel, "_quadratic_twist", counted_twist)
         monkeypatch.setattr(GaugeModel, "_twist_sum", counted_build)
-        assert preset_model("su2").full_verification().ok
-        assert sorted(built) == sorted(set(asked))
-        assert len(asked) > len(built)
+        model = preset_model("su2")
+        assert model.full_verification().ok
+        # a passing run asks for each twist once, for its strength: the
+        # split route reads the covariance of F and never rewrites a jet
+        assert sorted(built) == sorted(asked) == sorted(set(asked))
+        # phi rewrites each swapped first jet with the twist already built
+        before = len(built)
+        model.split_coordinates(model.ym_lagrangian().density)
+        assert len(built) == before and len(asked) > len(built)
 
     def test_brst_residuals_computed_once(self, monkeypatch):
         calls = []
@@ -1553,9 +1732,9 @@ class TestBuildOnce:
 
     @pytest.mark.parametrize("name", ["su2", "sl21"])
     def test_each_density_renamed_once_per_map(self, name, monkeypatch):
-        # every map is proved on L once, for the master equation, the
-        # Noether rows, Koszul-Tate and the symmetry checks together, and
-        # no density is renamed twice under one map
+        # every map is proved on phi(L) once, for the master equation, the
+        # Noether rows, Koszul-Tate and the symmetry checks together; L's
+        # density is never renamed, and no density twice under one map
         renamed = []
         original = Poly.rename
 
@@ -1567,11 +1746,13 @@ class TestBuildOnce:
         model = preset_model(name) if name == "su2" else spec_model(
             parse_model(SL21_MODEL.read_text(encoding="utf-8")))
         assert model.full_verification().ok
-        L = model.ym_lagrangian().density
+        L = model.ym_lagrangian()
+        image = model._split(L)
         maps = [gen_map for gen_map, _ in model.algebra_maps()]
-        on_L = [gen_map for p, gen_map in renamed if p is L]
-        assert len(on_L) == len(maps) == 2
-        assert all(any(g is gen_map for g in on_L) for gen_map in maps)
+        on_image = [gen_map for p, gen_map in renamed if p is image]
+        assert len(on_image) == len(maps) == 2
+        assert all(any(g is gen_map for g in on_image) for gen_map in maps)
+        assert not any(p is L.density for p, _ in renamed)
         pairs = [(id(p), id(gen_map)) for p, gen_map in renamed]
         assert len(pairs) == len(set(pairs))
 

@@ -13,6 +13,7 @@ from gvc.bicomplex import (DX, TH, Form, _add_letter_wedge, _contract_word, _for
                            lepage_equivalent, lie_derivative, theta_letter, variational_delta)
 from gvc.grassmann import Poly
 from gvc.jets import iterated_derivative, prolong_apply, total_derivative
+from gvc.models import GaugeModel
 
 
 def make_context(dim, evens=2, odds=2, max_jet_order=None):
@@ -34,13 +35,14 @@ def random_jet(rng, ctx, gen, max_order):
     return ctx.jet(gen, index)
 
 
-def random_monomial(rng, ctx, max_order=2, allow_coords=True, dens=None):
-    """One normal monomial as (coefficient, factor list); the coefficient's
+def random_monomial(rng, ctx, max_order=2, allow_coords=True, dens=None, gens=None):
+    """One normal monomial as (coefficient, factor list) over jets of
+    `gens` (every non-coordinate generator when None); the coefficient's
     denominator is 1 or 2, or one of `dens` when given."""
     den = rng.randint(1, 2) if dens is None else rng.choice(dens)
     coeff = Fraction(rng.choice([1, -1]) * rng.randint(1, 3), den)
     factors = []
-    gens = field_generators(ctx)
+    gens = field_generators(ctx) if gens is None else gens
     evens = [g for g in gens if g.parity == EVEN]
     odds = [g for g in gens if g.parity == ODD]
     if allow_coords and rng.random() < 0.3:
@@ -74,10 +76,10 @@ def antifield_numbers(p):
 
 
 def random_poly(rng, ctx, terms=3, max_order=2, parity=None, allow_coords=True,
-                dens=None):
+                dens=None, gens=None):
     out = ctx.zero()
     for _ in range(terms):
-        coeff, factors = random_monomial(rng, ctx, max_order, allow_coords, dens)
+        coeff, factors = random_monomial(rng, ctx, max_order, allow_coords, dens, gens)
         mono = ctx.product(coeff, factors)
         if parity is not None:
             mono = even_part(mono) if parity == EVEN else odd_part(mono)
@@ -461,6 +463,62 @@ def rescaled_model_text(spec, scales):
     lines += ["h %s %s = %s" % (i, j, h * s[i] * s[j]) for i, j, h, _ in spec.form_entries]
     lines += ["", "[checks]"] + list(spec.checks)
     return "\n".join(lines) + "\n"
+
+
+# -- sl(m|n) from supermatrices ---------------------------------------------------
+
+
+def supermatrix_model_text(degrees):
+    """Model file of sl(m|n) in 4D on a space whose row i has Z2-degree
+    degrees[i]: the basis is H_k = s_k E_kk - s_k+1 E_k+1,k+1 (s_i = -1 on
+    an odd row), k < n - 1, then every E_ij, i != j, in row order.  Each
+    constant is a coordinate of the supercommutator [X, Y] = XY -
+    (-1)^{|X||Y|} YX and h is the supertrace of XY, both exact, in the
+    layout of bench/sl3.model, which degrees (0, 0, 0) reproduces."""
+    n = len(degrees)
+    s = [-1 if d else 1 for d in degrees]
+    labels = ["H%d" % (k + 1) for k in range(n - 1)]
+    mats = [{(k, k): Fraction(s[k]), (k + 1, k + 1): Fraction(-s[k + 1])} for k in range(n - 1)]
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                labels.append("E%d%d" % (i + 1, j + 1))
+                mats.append({(i, j): Fraction(1)})
+    parity = [next((degrees[i] + degrees[j]) % 2 for i, j in m) for m in mats]
+
+    def product(a, b):
+        out = {}
+        for (i, k), x in a.items():
+            for (k2, j), y in b.items():
+                if k == k2:
+                    out[(i, j)] = out.get((i, j), 0) + x * y
+        return out
+
+    def coordinates(m):
+        # E_ij off the diagonal; on it, x_k = s_k d_k + x_k-1 solves the H_k
+        out = [Fraction(0)] * (n - 1) + [m.get(key, 0) for key in
+                                         ((i, j) for i in range(n) for j in range(n) if i != j)]
+        for k in range(n - 1):
+            out[k] = s[k] * m.get((k, k), 0) + (out[k - 1] if k else 0)
+        assert m.get((n - 1, n - 1), 0) == -s[n - 1] * out[n - 2]
+        return out
+
+    lines = ["[model]", "dimension = 4", "metric = +---", "max_jet_order = 3", "",
+             "[algebra]"]
+    lines += ["generator %s parity %d" % item for item in zip(labels, parity)]
+    forms = []
+    for i in range(len(mats)):
+        for j in range(i, len(mats)):
+            xy, yx = product(mats[i], mats[j]), product(mats[j], mats[i])
+            sign = -1 if parity[i] and parity[j] else 1
+            bracket = {key: xy.get(key, 0) - sign * yx.get(key, 0) for key in set(xy) | set(yx)}
+            lines += ["c %s %s %s = %s" % (labels[r], labels[i], labels[j], c)
+                      for r, c in enumerate(coordinates(bracket)) if c]
+            h = sum(-x if degrees[k] else x for (k, k2), x in xy.items() if k == k2)
+            if h:
+                forms.append("h %s %s = %s" % (labels[i], labels[j], h))
+    return "\n".join(lines + ["", "[form]"] + forms + ["", "[checks]"]
+                     + list(GaugeModel.PIPELINES)) + "\n"
 
 
 # -- dense form oracles -------------------------------------------------------
