@@ -57,17 +57,15 @@ class NoetherOperator:
             self.rows[label] = clean
 
 
-def noether_residuals(op, el, labels=None):
-    """Apply each row, or each of those labelled in `labels`, to the
-    variational derivatives; zero rows are the valid identities.
+def noether_residuals(op, el):
+    """Apply each row to the variational derivatives; zero rows are the
+    valid identities.
 
     Each row is summed in one table; an entry whose coefficient is the
     constant +-1 adds its last total derivative straight into it."""
     ctx = op.ctx
     out = {}
     for label, entries in op.rows.items():
-        if labels is not None and label not in labels:
-            continue
         res = ctx.zero()
         for coeff, gen, index in entries:
             comp = el.component(gen)

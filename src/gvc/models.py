@@ -17,13 +17,12 @@ on Fs alone, read through the covariance theta(F^r) = M^r_i F^i; a nonzero
 or failed result, and any other density, is taken in jets, whose Form is
 the row.  The algebra maps keep c, so commute with phi: L's proofs take phi(L).
 
-Current conservation is taken by Noether's second theorem: for the
-parameter part of directions qs, d_h J - sum_z E_z theta(z) equals
-d_h(J - W - d_H U) + sum_q xi^q N_q(E) vol for any E and J, so the
-superpotential check's residual and the kept Noether rows give its row
-(`_conserved`), and `conservation_residual` runs only where the model's
-own parameter symmetry or rows were replaced or the rows' jets exceed
-the bound (`_by_rows`).
+Noether's second theorem gives two checks their rows.  The Noether rows are
+zero once gauge-symmetry is: N_q(E(L)) = -delta(u L)/delta C^q
+(`_noether_residuals`).  For the parameter part of directions qs,
+d_h J - sum_z E_z theta(z) = d_h(J - W - d_H U) + sum_q xi^q N_q(E) vol,
+so current conservation reads the superpotential check's residual and
+the kept rows where `_by_rows` holds (`_conserved`).
 """
 
 import time
@@ -375,13 +374,17 @@ class GaugeModel:
                                      for j in range(m)})
 
     def _noether_residuals(self):
-        """The Noether rows applied to E(L), on one degree-two antifield per
-        orbit first, kept with L and the rows."""
-        op = self.noether_operator()
-        return self._once(("noether-residuals", self.ym_lagrangian(), op), lambda: (
-            on_representatives(lambda gens: noether_residuals(
-                op, self.generic_euler_lagrange(), {g.name for g in gens}),
-                self.noether_antifield, self._representatives("koszul-tate"))))
+        """The Noether rows N_q(E), kept with the rows and E: zero where the
+        rows, u and E(L) are the model's own, L holds no ghost, the jets fit
+        and the kept u L is zero, as N_q(E(L)) = -delta(u L)/delta C^q, the
+        rows being the adjoint of u's C-coefficients; else applied to E."""
+        op, L, el = self.noether_operator(), self.ym_lagrangian(), self.generic_euler_lagrange()
+        return self._once(("noether-residuals", op, el), lambda: (
+            dict.fromkeys(op.rows, self.ctx.zero()) if self._own("noether-operator", op)
+            and self._own("gauge-operator", self.gauge_operator())
+            and self._own(("euler-lagrange", L), el) and self._jets_fit()
+            and set(self.ghost).isdisjoint(v.gen for v in L.density.variables())
+            and self._whole_lie("gauge").is_zero() else noether_residuals(op, el)))
 
     def koszul_tate(self):
         op = self.noether_operator()
@@ -457,7 +460,7 @@ class GaugeModel:
             "euler-lagrange": (fields, ("L",)),
             "master-equation": (fields + antifields + self.ghost + self.noether_antifield,
                                 ("S",)),
-            "koszul-tate": (antifields + self.noether_antifield, ("L", "rows")),
+            "koszul-tate": (antifields, ("L", "rows")),
             "parameter": (self.parameter, ("L", "parameter")),
             "gauge": (self.ghost, ("L", "brst")),
             "brst": (fields + self.ghost, ("brst",))}[check]
@@ -841,17 +844,11 @@ class GaugeModel:
         by Noether's second theorem, for any field equations E and current J:
             d_h J - sum_z E_z theta(z) = d_h(J - W - d_H U) + sum_q xi^q N_q(E) vol,
         from `residual`, the superpotential check's J - W - d_H U, and the
-        kept Noether rows N_q(E) (those the kept table lacks are computed).
+        kept Noether rows N_q(E).
         Where both are zero no product and no total derivative is formed."""
-        ctx, rows = self.ctx, self._noether_residuals()
-        labels = {self.noether_antifield[q].name: q for q in directions}
-        missing = set(labels).difference(rows)
-        if missing:
-            rows = {**rows, **noether_residuals(self.noether_operator(),
-                                                self.generic_euler_lagrange(), missing)}
-        acc = ctx.zero()
-        for label, q in labels.items():
-            add_product(acc, ctx.var(self.parameter[q]), rows[label])
+        ctx, rows, acc = self.ctx, self._noether_residuals(), self.ctx.zero()
+        for q in directions:
+            add_product(acc, ctx.var(self.parameter[q]), rows[self.noether_antifield[q].name])
         out = volume(ctx).times_poly(acc.finish())
         return out if residual.is_zero() else d_h(residual) + out
 

@@ -1292,30 +1292,36 @@ class TestAlgebraOrbits:
         ("abelian", ["cbar1"]), ("su2", ["cbar1"]), ("osp12", ["cbar1", "cbar2", "cbar4"]),
         ("sl21", ["cbar1", "cbar3", "cbar4", "cbar5"])])
     def test_rows_on_one_direction_per_orbit(self, name, rows, monkeypatch):
+        # the rows are read from u L (-delta(u L)/delta C^q), which is taken
+        # on the ghosts of one direction per orbit: no row is applied
         model = (spec_model(parse_model(SL21_MODEL.read_text(encoding="utf-8")))
                  if name == "sl21" else preset_model(name))
-        squared, applied = [], []
-        original, original_rows = gvc.models.nilpotency_residuals, gvc.models.noether_residuals
+        squared, applied, lies = [], [], []
+        original, lie = gvc.models.nilpotency_residuals, GaugeModel._lie
 
         def counted(theta, gens=None):
             squared.append(gens)
             return original(theta, gens)
 
-        def counted_rows(op, el, labels=None):
-            applied.append(sorted(labels))
-            return original_rows(op, el, labels)
+        def counted_lie(model, kind, directions):
+            lies.append((kind, directions))
+            return lie(model, kind, directions)
 
         monkeypatch.setattr(gvc.models, "nilpotency_residuals", counted)
-        monkeypatch.setattr(gvc.models, "noether_residuals", counted_rows)
-        assert list(model._noether_residuals()) == rows
+        monkeypatch.setattr(gvc.models, "noether_residuals", lambda *args: applied.append(args))
+        monkeypatch.setattr(GaugeModel, "_lie", counted_lie)
+        kept = model._noether_residuals()
+        assert list(kept) == [g.name for g in model.noether_antifield]
+        assert all(p.is_zero() for p in kept.values())
+        assert lies == [("gauge", tuple(int(label[4:]) - 1 for label in rows))]
         assert all(r.ok for r in model.pipeline("koszul-tate", deterministic=True))
         # delta is squared on the antifields of one direction per orbit
-        # alone, and the rows are the kept residuals, applied once
+        # alone, and the rows are the kept ones
         first = self._first_of_orbit(model)
         (gens,) = squared
         assert [g.name for g in gens] == [
             z.name for r in range(model.algebra.dim) if first[r] for z in model.antifield[r]]
-        assert applied == [rows]
+        assert applied == []
 
     @pytest.mark.parametrize("name", ["su2", "sl21"])
     def test_order_of_the_maps_changes_nothing(self, name, request):
@@ -1336,35 +1342,37 @@ class TestAlgebraOrbits:
         kt = model.koszul_tate()
         rows = [orbit_representatives(_rows_density(model, kt), pairs, order, kt.components)
                 for order in orders]
-        assert rows[0] == rows[1] == model._representatives("koszul-tate")
+        antifields = {g for g in rows[0] if g.kind == "antifield"}
+        assert rows[0] == rows[1] and antifields == model._representatives("koszul-tate")
         assert len(rows[0]) < len(kt.components)
+        whole = noether_residuals(model.noether_operator(), model.generic_euler_lagrange())
         for moved, evaluate in (
                 (kt.components, lambda gens: nilpotency_residuals(kt, gens)),
-                (model.noether_antifield, lambda gens: noether_residuals(
-                    model.noether_operator(), model.generic_euler_lagrange(),
-                    {g.name for g in gens}))):
+                (model.noether_antifield, lambda gens: {g.name: whole[g.name] for g in gens})):
             tables = [on_representatives(evaluate, moved, r) for r in rows]
             assert list(tables[0].items()) == list(tables[1].items())
             assert set(tables[0]) == {g.name for g in moved if g in rows[0]}
 
     def test_invariant_breaking_is_caught_on_representatives(self, monkeypatch):
         # the mass term is fixed by every algebra map, and it breaks gauge
-        # invariance: a representative row fails, the rest of the rows
-        # follow, and they are the unreduced ones (the master equation's
-        # table: TestOrbitReduction's test of this name)
+        # invariance: u L fails on the representative ghost and then on the
+        # rest, so the rows are applied, once and whole, and they are the
+        # unreduced ones (the master equation's table: TestOrbitReduction's
+        # test of this name)
         model = _fresh("su2")
         L = Lagrangian(model.ym_lagrangian().density + mass_term_lagrangian(model).density)
-        labels = []
+        applied = []
         original_rows = gvc.models.noether_residuals
 
-        def counted_rows(op, el, wanted=None):
-            labels.append(sorted(wanted))
-            return original_rows(op, el, wanted)
+        def counted_rows(op, el):
+            applied.append(op)
+            return original_rows(op, el)
 
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
         monkeypatch.setattr(gvc.models, "noether_residuals", counted_rows)
         got = model._noether_residuals()
-        assert labels == [["cbar1"], ["cbar2", "cbar3"]]
+        assert applied == [model.noether_operator()]
+        assert not model._whole_lie("gauge").is_zero()
         want = noether_residuals(model.noether_operator(), euler_lagrange(L))
         assert all(not p.is_zero() for p in want.values())
         assert list(got.items()) == list(want.items())

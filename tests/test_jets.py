@@ -17,6 +17,7 @@ from gvc import (
     total_derivative,
 )
 
+from gvc.brst import noether_residuals
 from gvc.grassmann import Context, ExpansionLimitError, JetOrderError
 from gvc.jets import add_total_derivative
 from gvc.modelfile import parse_model, spec_model
@@ -178,7 +179,12 @@ class TestRaisedJets:
         monkeypatch.setattr(Context, "jet", counted_jet)
         text = (Path(__file__).resolve().parent.parent / "bench" / "sl3.model").read_text(
             encoding="utf-8")
-        assert spec_model(parse_model(text)).full_verification().ok
+        model = spec_model(parse_model(text))
+        assert model.full_verification().ok
+        # a passing run reads the Noether rows from u L; applied whole, they
+        # raise the total derivatives of E(L) again
+        rows = noether_residuals(model.noether_operator(), model.generic_euler_lagrange())
+        assert all(p.is_zero() for p in rows.values())
         assert len(inner) == len(set(keys))
         assert len(keys) > 10 * len(inner)
 

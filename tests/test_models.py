@@ -15,9 +15,11 @@ import gvc.models
 from gvc import EVEN, GvcError, Lagrangian, ODD, euler_lagrange
 from gvc.bicomplex import (EulerLagrange, Form, conservation_residual, d_h, interior,
                            lie_derivative, noether_current, omega_lambda,
-                           superpotential_residual, variational_delta, volume)
+                           superpotential_residual, variational_delta, variational_derivatives,
+                           volume)
 from gvc.brst import (NoetherOperator, master_derivation, master_equation_check,
-                      nilpotency_residuals, orbit_representatives, orbit_roots, paired_sum)
+                      nilpotency_residuals, noether_residuals, orbit_representatives,
+                      orbit_roots, paired_sum)
 from gvc.grassmann import ExpansionLimitError, Poly
 from gvc.jets import ContactDerivation, prolong_apply, total_derivative
 from gvc.models import GaugeModel, Metric, run_parts
@@ -679,7 +681,9 @@ class TestParameterOrbits:
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
         batches = self._batches(monkeypatch)
         rows = self._rows(model)
-        assert batches == [["xi1"], ["xi2", "xi3"], ["xi1"], ["xi1"], ["c1"], ["c2", "c3"]]
+        # noether-identities reads its rows from u L, so the ghost batches
+        # come second; the rows are then applied, as u L fails
+        assert batches == [["xi1"], ["xi2", "xi3"], ["c1"], ["c2", "c3"], ["xi1"], ["xi1"]]
         for check in SYMMETRY_CHECKS:
             assert not rows[check].ok
             assert rows[check].line() == _unreduced_row(model, check)
@@ -696,8 +700,10 @@ class TestParameterOrbits:
         monkeypatch.delattr(model, "current")
         monkeypatch.setattr(model, "superpotential", lambda q=None: scale(superpotential(q), 2))
         rows = self._rows(model)
-        assert batches == [["xi1"], ["xi2", "xi3"], ["xi1"], ["xi1"], ["xi1"], ["xi2", "xi3"],
-                           ["c1"]]
+        # the first current-conservation reads the Noether rows, zero from
+        # u L on the representative ghost
+        assert batches == [["xi1"], ["c1"], ["xi2", "xi3"], ["xi1"], ["xi1"], ["xi1"],
+                           ["xi2", "xi3"]]
         theta, el = model.parameter_symmetry(), model.generic_euler_lagrange()
         want = conservation_residual(theta, scale(current(), 2), el)
         assert not row.ok and row.line() == CheckResult.from_form(row.name, want).line()
@@ -867,8 +873,8 @@ class TestSecondTheorem:
     def test_identity_term_by_term(self, name, monkeypatch):
         # random field equations and currents, random direction subsets: the
         # route's Form is the oracle's, on the model's own E (whose kept rows
-        # hold the representatives alone, so the others are computed) and on
-        # a random E installed before any row is kept
+        # are zero, read from u L) and on a random E installed before any
+        # row is kept (whose rows are applied)
         rng = random.Random("second theorem %s" % name)
         for own in (True, False):
             model = _new_model(name)
@@ -882,7 +888,8 @@ class TestSecondTheorem:
                 monkeypatch.setattr(model, "generic_euler_lagrange", lambda el=el: el)
             assert model._by_rows()
             kept = model._noether_residuals()
-            assert (len(kept) < m) == own
+            # every row is kept: zero from u L on the own E, applied on another
+            assert len(kept) == m and all(p.is_zero() for p in kept.values()) == own
             for _ in range(4):
                 qs = tuple(sorted(rng.sample(range(m), rng.randint(1, m))))
                 J = sum((omega_lambda(ctx, lam).times_poly(
@@ -974,6 +981,172 @@ class TestSecondTheorem:
         assert len(residuals) == 1
         if name == "su2":
             assert report.render() == (GOLDEN / "su2.txt").read_text(encoding="utf-8")
+
+
+class TestRowsFromGaugeSymmetry:
+    """noether-identities by Noether's second theorem in adjoint form: the
+    rows N are the adjoint of the C-coefficients of the gauge operator u, so
+    for every L holding no ghost, N_j(E(L)) = -delta(u L)/delta C^j, and a
+    model whose kept u L is zero reads zero rows, against the whole table
+    `noether_residuals`, the tests' oracle."""
+
+    @staticmethod
+    def _sides(model, L, kind="gauge", op=None, theta=None):
+        """The rows of `op` (the model's own when None) on E(L), and minus
+        the left variational derivatives of theta L (the derivation of
+        `kind` when None) along its sources, both by degree-two antifield."""
+        ctx = model.ctx
+        op = model.noether_operator() if op is None else op
+        own, sources = model._symmetry(kind)
+        d = variational_derivatives(prolong_apply(own if theta is None else theta, L), "left",
+                                    sources)
+        rows = noether_residuals(op, euler_lagrange(Lagrangian(L)))
+        return rows, {bar.name: -d.get(src, ctx.zero())
+                      for bar, src in zip(model.noether_antifield, sources)}
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl3", "sl21"])
+    def test_identity_term_by_term(self, name):
+        # the own L, L plus a mass term and L plus seeded random field terms
+        # of either parity, with C and u and with xi and the parameter
+        # symmetry: the same polynomials, row by row, with the minus sign
+        rng = random.Random("rows from u L %s" % name)
+        model = _new_model(name)
+        L = model.ym_lagrangian().density
+        fields = [g for row in model.field for g in row]
+        densities = [L, L + mass_term_lagrangian(model).density]
+        densities += [L + TestSecondTheorem._random(rng, model, fields, 3, 1) for _ in range(3)]
+        for i, density in enumerate(densities):
+            for kind in ("gauge", "parameter"):
+                rows, minus = self._sides(model, density, kind)
+                assert list(rows) == list(minus) and rows == minus
+                assert all(p.is_zero() for p in rows.values()) == (i == 0)
+
+    @pytest.mark.parametrize("name", ["su2", "sl21"])
+    def test_identity_needs_the_adjoint_pair(self, name):
+        # rows with a doubled entry, or u with one component scaled by 2,
+        # are no longer adjoint: the identity fails on the own L
+        model = _new_model(name)
+        L, ctx = model.ym_lagrangian().density, model.ctx
+        op = model.noether_operator()
+        doubled = NoetherOperator(ctx, {label: entries[:-1] + [
+            (entries[-1][0] * 2,) + entries[-1][1:]] for label, entries in op.rows.items()})
+        u = model.gauge_operator()
+        a = model.field[0][0]
+        scaled = ContactDerivation(ctx, {**u.components, a: u.components[a] * 2}, u.parity)
+        for sides in (self._sides(model, L, op=doubled), self._sides(model, L, theta=scaled)):
+            rows, minus = sides
+            assert rows != minus
+
+    def test_identity_needs_l_free_of_ghosts(self):
+        # c c_;0 a_0 on the abelian model: u moves a_0 by c_;0, so u L is
+        # zero (c_;0 is odd), yet its row is D_0(c c_;0) = c c_;00
+        model = _new_model("abelian")
+        ctx = model.ctx
+        c, a = model.ghost[0], model.field[0][0]
+        L = model.ym_lagrangian().density + ctx.var(c) * ctx.var(c, 0) * ctx.var(a)
+        assert prolong_apply(model.gauge_operator(), L).is_zero()
+        rows, minus = self._sides(model, L)
+        assert all(p.is_zero() for p in minus.values())
+        assert rows["cbar1"] == ctx.var(c) * ctx.var(c, 0, 0)
+
+    @staticmethod
+    def _whole_lines(model):
+        """The noether-identities and koszul-tate lines of the whole tables:
+        the rows applied to E, and delta squared on every generator."""
+        return [row.line() for row in run_parts([
+            ("noether-identities", lambda n: CheckResult.from_residuals(n, noether_residuals(
+                model.noether_operator(), model.generic_euler_lagrange()))),
+            ("koszul-tate", lambda n: CheckResult.from_residuals(
+                n, nilpotency_residuals(model.koszul_tate())))], deterministic=True)]
+
+    @staticmethod
+    def _cases():
+        """(case, model, order bound, install(model, monkeypatch), whether
+        the whole rows vanish): each fallback of `_noether_residuals`."""
+        def lagrangian(extra):
+            def install(model, monkeypatch):
+                L = Lagrangian(model.ym_lagrangian().density + extra(model))
+                monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+            return install
+
+        def mass(model):
+            return mass_term_lagrangian(model).density
+
+        def installed_rows(model, monkeypatch):
+            rows = {label: entries[:-1] + [(entries[-1][0] * 2,) + entries[-1][1:]]
+                    for label, entries in model.noether_operator().rows.items()}
+            doubled = NoetherOperator(model.ctx, rows)
+            monkeypatch.setattr(model, "noether_operator", lambda: doubled)
+
+        def scaled_gauge_component(model, monkeypatch):
+            u, a = model.gauge_operator(), model.field[0][0]
+            scaled = ContactDerivation(model.ctx, {**u.components, a: u.components[a] * 2},
+                                       u.parity)
+            monkeypatch.setattr(model, "gauge_operator", lambda: scaled)
+
+        def zero_gauge_operator(model, monkeypatch):
+            # zero on any L: without its own u, a massive L would pass
+            lagrangian(mass)(model, monkeypatch)
+            zero = ContactDerivation(model.ctx, {}, ODD)
+            monkeypatch.setattr(model, "gauge_operator", lambda: zero)
+
+        def installed_field_equations(model, monkeypatch):
+            rng = random.Random("installed field equations")
+            fields = [g for row in model.field for g in row]
+            el = EulerLagrange(model.ctx, {z: TestSecondTheorem._random(rng, model, fields)
+                                           for z in rng.sample(fields, 6)})
+            monkeypatch.setattr(model, "generic_euler_lagrange", lambda: el)
+
+        def antifield(model):
+            return model.ctx.var(model.antifield[0][0]) * model.ctx.var(model.antifield[0][1])
+
+        def ghost(model):
+            c, a = model.ghost[0], model.field[0][0]
+            return model.ctx.var(c) * model.ctx.var(c, 0) * model.ctx.var(a)
+
+        def nothing(model, monkeypatch):
+            pass
+
+        return [
+            ("installed-rows", "su2", None, installed_rows, False),
+            ("scaled-gauge-component", "su2", None, scaled_gauge_component, True),
+            ("zero-gauge-operator", "su2", None, zero_gauge_operator, False),
+            ("installed-field-equations", "su2", None, installed_field_equations, False),
+            ("max-jet-order-2", "su2", 2, nothing, False),
+            ("mass-term", "su2", None, lagrangian(mass), False),
+            ("antifield-in-l", "su2", None, lagrangian(antifield), True),
+            ("ghost-in-l", "abelian", None, lagrangian(ghost), False),
+        ]
+
+    @pytest.mark.parametrize("case", [case[0] for case in _cases.__func__()])
+    def test_pipeline_rows_are_the_whole_tables(self, case, monkeypatch):
+        # every precondition of reading the rows from u L, dropped in turn:
+        # the pipeline's lines are the whole tables', and each case but the
+        # scaled component and the antifields fails them
+        _, name, order, install, vanish = next(c for c in self._cases() if c[0] == case)
+        model = _new_model(name, **({} if order is None else {"max_jet_order": order}))
+        install(model, monkeypatch)
+        got = [row.line() for pipeline in ("noether", "koszul-tate")
+               for row in model.pipeline(pipeline, deterministic=True)
+               if row.name in ("noether-identities", "koszul-tate")]
+        whole = self._whole_lines(model)
+        assert got == whole
+        assert whole[0].startswith("check noether-identities | status %s |"
+                                   % ("pass" if vanish else "fail"))
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl3", "sl21"])
+    def test_a_passing_run_applies_no_row(self, name, monkeypatch):
+        # zero rows from the kept u L, the same lines as the whole tables
+        applied = []
+        original = gvc.models.noether_residuals
+        monkeypatch.setattr(gvc.models, "noether_residuals",
+                            lambda *args: applied.append(args) or original(*args))
+        model = _new_model(name)
+        got = [row.line() for pipeline in ("noether", "koszul-tate")
+               for row in model.pipeline(pipeline, deterministic=True)
+               if row.name in ("noether-identities", "koszul-tate")]
+        assert applied == [] and model._whole_lie("gauge").is_zero()
+        assert got == self._whole_lines(model)
 
 
 class TestSplitRoute:
@@ -1403,7 +1576,6 @@ class TestDimensionSweep:
     @pytest.mark.parametrize("signature", ["++", "+-", "++-", "+--"])
     def test_noether_identities_any_dimension(self, signature):
         model = GaugeModel(su2_algebra(), Metric.from_signature(signature))
-        from gvc.brst import noether_residuals
 
         res = noether_residuals(model.noether_operator(),
                                 model.generic_euler_lagrange())
@@ -1569,7 +1741,9 @@ class TestBuildOnce:
         monkeypatch.setattr(gvc.brst, "_paired_derivation", counted_paired)
         model = preset_model("su2")
         assert model.full_verification().ok
-        assert {name: len(calls.get(name, ())) for name in names} == dict.fromkeys(names, 1)
+        # the Noether rows are read from the kept u L, so none is applied
+        assert {name: len(calls.get(name, ())) for name in names} == {
+            **dict.fromkeys(names, 1), "noether_residuals": 0}
         assert calls["euler_lagrange"][0] == (model.ym_lagrangian(),)
         # the variational derivatives of L, the generic field equations,
         # and of P_s, whose Theta alone is built, from that table, and
