@@ -37,10 +37,8 @@ from .bicomplex import (
     d_h,
     d_v,
     euler_lagrange,
-    exterior_d,
     h0,
     interior,
-    interior_dx,
     is_variationally_trivial,
     lepage_equivalent,
     lie_derivative,

@@ -19,7 +19,8 @@ equations, which hold none, so Theta_L^2 = 0; the cross term moves a
 generator g by -(g, (L, P)), which reads the field equations of (L, P)
 alone, and for P = P_s, the paired sum of an s whose field components
 hold no antifield, those are s(L)'s.  So where s(L) = 0, Theta_P^2 is
-Theta_S^2.
+Theta_S^2, and by the antibracket's Jacobi identity Theta_P^2 is the
+paired derivation of Q = sum_z s^2(z) zbar, zero where s^2 is.
 `orbit_representatives` proves that signed relabellings keep the pairing
 and fix a density (L or a paired sum); `on_representatives` takes a
 residual table on one generator per orbit of maps so proved first.
@@ -229,8 +230,8 @@ def _paired_derivation(ctx, left, pairs):
 
 class MasterReport:
     """Outcome of the classical master equation check of a density S: its
-    master derivation Theta_S, Theta_S's nilpotency residuals on the
-    generators it squared (`squared`) and the pairing."""
+    master derivation Theta_S, Theta_S's nilpotency residuals on every
+    generator it moves and the pairing."""
 
     __slots__ = ("pairs", "derivation", "derivation_residuals")
 
@@ -238,12 +239,6 @@ class MasterReport:
         self.pairs = pairs
         self.derivation = derivation
         self.derivation_residuals = derivation_residuals
-
-    @property
-    def squared(self):
-        """Names of the generators Theta_S was squared on; any other it
-        moves lies in the orbit of one of them, where it is proved zero."""
-        return tuple(self.derivation_residuals)
 
     def bracket_residuals(self):
         """The nonzero E_g({S, S}) by generator name: -2 Theta_S^2(zbar)
@@ -281,9 +276,8 @@ def orbit_representatives(density, pairs, maps, moved):
     proved to commute with the derivation; None if a proof fails.
 
     Each map must send the pairing onto itself with one sign per pair and
-    fix `density` exactly.  With S, it is anticanonical, commutes with the
-    total derivatives and with Theta_S; with a Lagrangian, with its field
-    equations; with a `paired_sum` of a derivation's values, with the
+    fix `density` exactly.  With a Lagrangian, it then commutes with its
+    field equations; with a `paired_sum` of a derivation's values, with the
     derivation."""
     for gen_map, signs in maps:
         if any(pairs.get(gen_map.get(z, z)) is not gen_map.get(zbar, zbar)
@@ -328,17 +322,12 @@ def on_representatives(evaluate, moved, representatives=None):
     return {z.name: residuals[z.name] for z in order}
 
 
-def master_equation_check(L, pairs, representatives=None):
+def master_equation_check(L, pairs):
     """The classical master equation of an even density S by Theta_S^2
     alone: {S, S} is variationally trivial exactly when it vanishes on every
-    generator.  The caller may pass P_s for S = L0 + P_s where s(L0) = 0
-    (module docstring), and `representatives`, one generator per orbit of
-    relabellings it proved to fix S and keep the pairing
-    (`orbit_representatives`), so that Theta_S^2(g z) = g Theta_S^2(z),
-    which are squared first (`on_representatives`)."""
+    generator, each squared here."""
     theta = master_derivation(L, pairs)
-    return MasterReport(pairs, theta, on_representatives(
-        lambda gens: nilpotency_residuals(theta, gens), theta.components, representatives))
+    return MasterReport(pairs, theta, nilpotency_residuals(theta))
 
 
 def proper_solution(L, s, pairs, residuals=None, paired=None):

@@ -49,6 +49,7 @@ from .brst import (
     NoetherOperator,
     brst_extend,
     koszul_tate,
+    master_derivation,
     master_equation_check,
     nilpotency_residuals,
     noether_residuals,
@@ -57,7 +58,6 @@ from .brst import (
     orbit_roots,
     paired_sum,
     proper_solution,
-    rows_on_antifields,
 )
 from .reporting import CheckResult, Report
 
@@ -165,9 +165,9 @@ class GaugeModel:
     Noether rows and residuals, the gauge, parameter and BRST operators and
     the BRST square, the paired sums, the parts of the gauge and parameter
     derivations by direction and their Lie derivatives, the Lepage form, the
-    algebra maps, the orbit layer's proofs, once per density, S among them,
-    and phi(L) with each first jet's image) is built on first use and kept
-    with its source (L, S, s, the Noether rows or a gauge derivation), so
+    algebra maps, the orbit layer's proofs, once per density, and phi(L)
+    with each first jet's image) is built on first use and kept with its
+    source (L, s, the Noether rows or a gauge derivation), so
     one installed later is built, proved and split anew.
     """
 
@@ -394,42 +394,31 @@ class GaugeModel:
     # -- orbit proofs -------------------------------------------------------------
 
     def _source(self, key):
-        """What the density of a proof key is kept with: L, S, or the
-        derivation or Noether rows whose `_paired_sum` it is."""
-        return {"L": self.ym_lagrangian, "S": self.extended_lagrangian,
-                "brst": self.brst_operator, "parameter": self.parameter_symmetry,
-                "rows": self.noether_operator}[key]()
+        """What the density of a proof key is kept with: L, or the
+        derivation whose `_paired_sum` it is."""
+        return {"L": self.ym_lagrangian, "brst": self.brst_operator,
+                "parameter": self.parameter_symmetry}[key]()
 
     def _paired_sum(self, key):
         """The paired sum of the BRST operator ("brst") or the parameter symmetry
-        against the antifields, or of the Noether rows on antifields against
-        the ghosts, kept with its source."""
+        against the antifields, kept with its source."""
         theta = self._source(key)
-
-        def build():
-            if key == "rows":
-                return paired_sum(self.ctx, rows_on_antifields(theta, self._pairs),
-                                  dict(zip(self.noether_antifield, self.ghost)))
-            return paired_sum(self.ctx, theta.components, self._pairs)
-
-        return self._once(("paired-sum", theta), build)
+        return self._once(("paired-sum", theta), lambda: paired_sum(
+            self.ctx, theta.components, self._pairs))
 
     def _fixes(self, key):
         """Whether each algebra map keeps the pairing and fixes the density
-        `key` (L, S or a `_paired_sum`), once per model and density
-        (`_source`); the proper solution built here, L plus s's paired sum,
-        shares their proofs.  The model's own L is proved on phi(L): a map
+        `key` (L or a `_paired_sum`), once per model and density
+        (`_source`).  The model's own L is proved on phi(L): a map
         keeping c (`_keeps_constants`) commutes with phi, whose twist is c's,
         and phi is injective on split-free densities: g(phi(L)) = phi(L) iff g(L) = L."""
         source = self._source(key)
 
         def prove():
-            if key == "S" and self._proper(source):
-                return self._fixes("L") and self._fixes("brst")
             own = key == "L" and self._own("lagrangian", source)
             if own and not all(self._keeps_constants(*g) for g in self.algebra_maps()):
                 return False
-            density = self._split(source) if own else source.density if key in ("L", "S") \
+            density = self._split(source) if own else source.density if key == "L" \
                 else self._paired_sum(key)
             return orbit_representatives(density, self._pairs, self.algebra_maps(),
                                          ()) is not None
@@ -455,12 +444,8 @@ class GaugeModel:
         derivation's paired sum with it; s holds no L, and its gauge part
         pairs with other partners."""
         fields = [g for row in self.field for g in row]
-        antifields = [g for row in self.antifield for g in row]
         gens, keys = {
             "euler-lagrange": (fields, ("L",)),
-            "master-equation": (fields + antifields + self.ghost + self.noether_antifield,
-                                ("S",)),
-            "koszul-tate": (antifields, ("L", "rows")),
             "parameter": (self.parameter, ("L", "parameter")),
             "gauge": (self.ghost, ("L", "brst")),
             "brst": (fields + self.ghost, ("brst",))}[check]
@@ -624,10 +609,6 @@ class GaugeModel:
     def _own(self, key, built):
         """Whether `built` is the model's own object, the one kept under `key`."""
         return built is self._memo.get(key)
-
-    def _proper(self, S):
-        """Whether S is the proper solution built here for L and s."""
-        return self._own(("extended-lagrangian", self.ym_lagrangian(), self.brst_operator()), S)
 
     def _jets_fit(self):
         """Whether the jets one order above the field equations' (at most
@@ -886,9 +867,8 @@ class GaugeModel:
     def _koszul_tate_parts(self):
         def kt_check(check):
             # on a degree-two antifield, delta^2 is its row's kept residual (`koszul_tate`)
-            kt, antifields = self.koszul_tate(), [g for row in self.antifield for g in row]
-            squares = on_representatives(lambda gens: nilpotency_residuals(kt, gens),
-                                         antifields, self._representatives("koszul-tate"))
+            squares = nilpotency_residuals(self.koszul_tate(),
+                                           [g for row in self.antifield for g in row])
             return CheckResult.from_residuals(check, {**squares, **self._noether_residuals()})
 
         return [("koszul-tate", kt_check)]
@@ -899,17 +879,18 @@ class GaugeModel:
                     n, self._brst_residuals()))]
 
     def _by_part(self):
-        """Whether Theta_P^2 for P = P_s stands for Theta_S^2: S is the proper
-        solution built here, L + P_s, for the model's own s, built from its
-        own gauge operator, so antifield-free on fields; L holds no antifield
-        and no degree-two antifield, so Theta_L moves antifields alone; L_s L,
-        gauge-symmetry's, is zero; and the jets the direct square forms are in
-        bound (`_jets_fit`), as Theta_P^2 forms none of them."""
-        S, s = self.extended_lagrangian(), self.brst_operator()
+        """Whether the master equation of S follows from s L = 0 and s^2 = 0:
+        S is the proper solution built here, L + P_s, for the model's own s,
+        built from its own gauge operator, so antifield-free on fields; L
+        holds no antifield and no degree-two antifield, so Theta_L moves
+        antifields alone; L_s L, gauge-symmetry's, is zero; and the jets the
+        direct square forms are in bound (`_jets_fit`), as this route forms
+        none of them."""
+        L, s = self.ym_lagrangian(), self.brst_operator()
         bars = set(self._pairs.values())
-        return (self._proper(S)
+        return (self._own(("extended-lagrangian", L, s), self.extended_lagrangian())
                 and self._own(("brst-operator", self._memo.get("gauge-operator")), s)
-                and bars.isdisjoint(v.gen for v in self.ym_lagrangian().density.variables())
+                and bars.isdisjoint(v.gen for v in L.density.variables())
                 and self._jets_fit()
                 and self._whole_lie("gauge").is_zero())
 
@@ -917,21 +898,24 @@ class GaugeModel:
         def master(check):
             if any(not p.is_zero() for p in self._brst_residuals().values()):
                 return CheckResult(check, False, witness="no nilpotent extension")
-            by_part = self._by_part()
-            rep = master_equation_check(
-                Lagrangian(self._paired_sum("brst")) if by_part else self.extended_lagrangian(),
-                self._pairs, self._representatives("master-equation"))
-            if not rep.ok:
-                return CheckResult.from_residuals(check, rep.bracket_residuals())
-            # Theta_S moves z by E_zbar(S) and zbar by E_z(S), which vanish
-            # with S's right ones (S is even): a nontrivial solution couples
-            # both members of some pair.  Theta_S moves what Theta_P does and
-            # zbar for each E_z(L), which, holding no antifield, cannot cancel
-            # E_z(P_s), each of whose terms holds one.
-            moved = set(rep.derivation.components)
-            if by_part:
+            if self._by_part():
+                # Theta_S^2 = Theta_P^2 (brst.py) = Theta_Q for Q = sum_z s^2(z) zbar,
+                # and Q is zero with brst-nilpotency: nothing is squared.
+                # Theta_S moves what Theta_P does and zbar for each E_z(L),
+                # which, holding no antifield, cannot cancel E_z(P_s), each
+                # of whose terms holds one.
+                moved = set(master_derivation(Lagrangian(self._paired_sum("brst")),
+                                              self._pairs).components)
                 moved.update(self._pairs[z] for z in self.generic_euler_lagrange().components
                              if z in self._pairs)
+            else:
+                rep = master_equation_check(self.extended_lagrangian(), self._pairs)
+                if not rep.ok:
+                    return CheckResult.from_residuals(check, rep.bracket_residuals())
+                moved = set(rep.derivation.components)
+            # Theta_S moves z by E_zbar(S) and zbar by E_z(S), which vanish
+            # with S's right ones (S is even): a nontrivial solution couples
+            # both members of some pair.
             if any(z in moved and zbar in moved for z, zbar in self.pairs().items()):
                 return CheckResult(check, True)
             return CheckResult(check, False, witness="solution is trivial")

@@ -17,9 +17,7 @@ from gvc import (
     d_h,
     d_v,
     euler_lagrange,
-    exterior_d,
     interior,
-    interior_dx,
     is_variationally_trivial,
     lepage_equivalent,
     lie_derivative,
@@ -33,7 +31,7 @@ from gvc import (
     variational_derivatives,
     volume,
 )
-from gvc.bicomplex import TH, Form, theta_letter
+from gvc.bicomplex import TH, Form, exterior_d, interior_dx, theta_letter
 from gvc.jets import iterated_derivative
 
 from util import (even_part, field_generators, first_variational_residual,

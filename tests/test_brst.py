@@ -29,8 +29,8 @@ from gvc import (
     proper_solution,
     variational_derivative,
 )
-from gvc.brst import (KoszulTate, NoetherOperator, on_representatives, orbit_representatives,
-                      orbit_roots, paired_sum)
+from gvc.brst import (KoszulTate, MasterReport, NoetherOperator, on_representatives,
+                      orbit_representatives, orbit_roots, paired_sum)
 from gvc.bicomplex import variational_derivatives
 from gvc.grassmann import ExpansionLimitError, JetOrderError, Poly
 from gvc.jets import iterated_derivative, total_derivative
@@ -642,17 +642,18 @@ class TestMasterEquation:
 
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
     def test_derivation_from_the_paired_sum_alone(self, name, monkeypatch):
-        """On the proper solution the pipeline squares Theta_P for P = P_s,
+        """On the proper solution the pipeline builds Theta_P for P = P_s,
         the kept `_paired_sum("brst")` itself, from P's own variational
-        derivatives alone; Theta_P^2 is Theta_S^2 on every generator, for
-        the model's s and for one whose ghost sector is doubled, so that
-        s(L) = 0 still holds but neither square vanishes."""
-        squared, tables = [], []
-        original, derivatives = gvc.models.master_equation_check, gvc.brst.variational_derivatives
+        derivatives alone, and squares nothing; Theta_P^2 is Theta_S^2 on
+        every generator, for the model's s and for one whose ghost sector
+        is doubled, so that s(L) = 0 still holds but neither square
+        vanishes."""
+        squared, built, tables = [], [], []
+        original, derivatives = gvc.models.master_derivation, gvc.brst.variational_derivatives
 
-        def kept(S, pairs, representatives=None):
-            squared.append(S)
-            return original(S, pairs, representatives)
+        def kept(S, pairs):
+            built.append(S)
+            return original(S, pairs)
 
         def counted(density, side="left", gens=None):
             tables.append(density)
@@ -660,11 +661,12 @@ class TestMasterEquation:
 
         model = _fresh(name)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(gvc.models, "master_equation_check", kept)
+            patch.setattr(gvc.models, "master_equation_check", lambda *args: squared.append(args))
+            patch.setattr(gvc.models, "master_derivation", kept)
             patch.setattr(gvc.brst, "variational_derivatives", counted)
             (row,) = model.pipeline("master-equation", deterministic=True)
         P = model._paired_sum("brst")
-        assert row.ok and [S.density for S in squared] == [P] and squared[0].density is P
+        assert row.ok and squared == [] and [S.density for S in built] == [P]
         assert len(tables) == 1 and tables[0] is P
         pairs, L, s = model.pairs(), model.ym_lagrangian(), model.brst_operator()
         doubled = ContactDerivation(model.ctx, {z: p * 2 if z.kind == "ghost" else p
@@ -743,10 +745,11 @@ class TestMasterIdentity:
 class TestMasterSplit:
     """Theta_S^2 = Theta_P^2 + [Theta_L, Theta_P] for S = L + P, P = P_s the
     paired sum of s (Theta_L^2 = 0), where the cross term is the derivation
-    of the bracket (L, P_s), whose field equations are s(L)'s: the
-    pipeline squares Theta_P when S is the proper solution built here for
+    of the bracket (L, P_s), whose field equations are s(L)'s, and Theta_P^2
+    is Theta_Q for Q = sum_z s^2(z) zbar (`TestMasterByNilpotency`): the
+    pipeline squares nothing when S is the proper solution built here for
     the model's own s, s(L) = 0 and the direct square's jets are in bound,
-    and Theta_S otherwise."""
+    and Theta_S on every generator otherwise."""
 
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
     def test_cross_term_is_the_bracket_derivation(self, name, request):
@@ -784,22 +787,23 @@ class TestMasterSplit:
 
     @staticmethod
     def _rows(model):
-        """The pipeline's master-equation line, which density's Theta it
-        squared ("P" for P_s, "S" for S) and on which representatives, and
-        the line of `master_equation_check(S, pairs)`."""
+        """The pipeline's master-equation line, the route it took ("P" where
+        it built Theta_P of P_s and squared nothing, "S" where it squared
+        Theta_S by `master_equation_check`), and the line of
+        `master_equation_check(S, pairs)`."""
         parts = []
-        original = gvc.models.master_equation_check
+        checked, derivation = gvc.models.master_equation_check, gvc.models.master_derivation
 
-        def kept(S, pairs, representatives=None):
-            parts.append((S, representatives))
-            return original(S, pairs, representatives)
+        def kept(original):
+            return lambda S, pairs: parts.append(S) or original(S, pairs)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(gvc.models, "master_equation_check", kept)
+            patch.setattr(gvc.models, "master_equation_check", kept(checked))
+            patch.setattr(gvc.models, "master_derivation", kept(derivation))
             (row,) = model.pipeline("master-equation", deterministic=True)
-        parts = [("S" if density is model.extended_lagrangian() else
-                  "P" if density.density is model._paired_sum("brst") else "?", reps)
-                 for density, reps in parts]
+        parts = ["S" if density is model.extended_lagrangian() else
+                 "P" if density.density is model._paired_sum("brst") else "?"
+                 for density in parts]
         try:
             rep = master_equation_check(model.extended_lagrangian(), model.pairs())
         except GvcError as exc:
@@ -811,14 +815,10 @@ class TestMasterSplit:
 
     @pytest.mark.parametrize("name", ["abelian", "su2", "osp12", "sl21", "sl3"])
     def test_route_row_is_the_direct_row(self, name):
-        # on the orbit layer's representatives; abelian has no algebra map,
-        # so Theta_P is squared on every generator
+        # with or without algebra maps (abelian has none), nothing is squared
         model = _fresh(name)
         line, parts, direct = self._rows(model)
-        ((route, representatives),) = parts
-        assert route == "P" and line == direct
-        assert representatives == model._representatives("master-equation")
-        assert (representatives is None) == (name == "abelian")
+        assert parts == ["P"] and line == direct
         assert line == CheckResult("master-equation", True).line()
 
     def _installed(self, install):
@@ -826,7 +826,7 @@ class TestMasterSplit:
         model = _fresh("su2")
         install(model)
         line, parts, direct = self._rows(model)
-        assert [route for route, _ in parts] == ["S"] and line == direct
+        assert parts == ["S"] and line == direct
         assert line != CheckResult("master-equation", True).line()
 
     def test_a_mass_term_lagrangian_takes_the_direct_route(self, monkeypatch):
@@ -857,10 +857,10 @@ class TestMasterSplit:
         self._installed(install)
 
     def test_jets_out_of_bound_take_the_direct_route(self):
-        # Theta_S^2 forms third jets of the ghosts, Theta_P^2 does not
+        # Theta_S^2 forms third jets of the ghosts, Theta_P does not
         model = preset_model("su2", max_jet_order=2)
         line, parts, direct = self._rows(model)
-        assert [route for route, _ in parts] == ["S"] and line == direct
+        assert parts == ["S"] and line == direct
         assert line.endswith("first jet order 3 exceeds configured maximum 2 for c1")
 
     @pytest.mark.parametrize("term, power, witness", [
@@ -870,7 +870,7 @@ class TestMasterSplit:
         # the gauge operator's L_s L is zero for L plus the odd c1, or plus
         # xi1^2, which no antifield pairs, and the jets are in bound; but
         # S = L + P_s is mixed or unpaired, so the proper solution refuses
-        # it, as the direct route would, before P_s could be squared
+        # it, as the direct route would, before Theta_P could be built
         model = _fresh("su2")
         L = Lagrangian(model.ym_lagrangian().density + model.ctx.var(term) ** power)
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
@@ -925,7 +925,7 @@ class TestMasterSplit:
     def test_an_antifield_in_l_takes_the_direct_route(self, pair, monkeypatch):
         # L plus an even product of two antifields, or of two degree-two
         # antifields: s moves neither, so L_s L is zero, but Theta_L moves
-        # fields and Theta_P^2 no longer stands for Theta_S^2
+        # fields and s^2 = 0 no longer settles Theta_S^2
         def install(model):
             extra = model.ctx.var(pair[0]) * model.ctx.var(pair[1])
             L = Lagrangian(model.ym_lagrangian().density + extra)
@@ -976,11 +976,64 @@ class TestMasterSplit:
         assert taken > 0
 
 
+class TestMasterByNilpotency:
+    """Theta_P^2 = Theta_Q for P = sum_z s(z) zbar and Q = sum_z s^2(z) zbar,
+    any odd s with antifield-free components: the identity that lets the
+    pipeline's master equation read brst-nilpotency instead of a square."""
+
+    @staticmethod
+    def _sectors(model):
+        """The ghost sectors of s: the model's own, doubled, dropped, and
+        the own one with a field-dependent term on one ghost."""
+        ctx, gamma = model.ctx, model.ghost_sector()
+        r = model.algebra.parities.index(EVEN)
+        c = next(c for c in model.ghost if c in gamma)
+        field = dict(gamma)
+        field[c] = gamma[c] + ctx.var(model.field[r][0]) * gamma[c]
+        return {"own": gamma, "doubled": {g: p * 2 for g, p in gamma.items()},
+                "dropped": {}, "field": field}
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21", "sl3"])
+    def test_square_of_theta_p_is_theta_q(self, name):
+        model = _fresh(name)
+        ctx, pairs, zero = model.ctx, model.pairs(), model.ctx.zero()
+        nonzero = {}
+        for label, sector in self._sectors(model).items():
+            s = ContactDerivation(ctx, {**model.gauge_operator().components, **sector}, ODD)
+            P = paired_sum(ctx, s.components, pairs)
+            Q = paired_sum(ctx, {z: s.apply(s.component(z)) for z in s.components}, pairs)
+            res = master_equation_check(Lagrangian(P), pairs).derivation_residuals
+            dQ = variational_derivatives(Q)
+            for z, zbar in pairs.items():
+                assert res.get(z.name, zero) == dQ.get(zbar, zero)
+                assert res.get(zbar.name, zero) == -dQ.get(z, zero)
+            nonzero[label] = sum(not p.is_zero() for p in res.values())
+        assert nonzero["own"] == 0
+        assert all(nonzero[label] > 0 for label in ("doubled", "dropped", "field"))
+
+    @pytest.mark.parametrize("name", ["su2", "sl21"])
+    def test_a_ghost_sector_with_nonzero_square_is_no_nilpotent_extension(
+            self, name, monkeypatch):
+        # s with its ghost sector doubled is the model's own and keeps
+        # s(L) = 0, so the split route, which squares nothing, would take
+        # it: the nilpotency guard reads brst-nilpotency's table first
+        model = _fresh(name)
+        sector = {g: p * 2 for g, p in model.ghost_sector().items()}
+        monkeypatch.setattr(model, "ghost_sector", lambda: sector)
+        gauge, square = model.pipeline("brst", deterministic=True)
+        assert gauge.ok and not square.ok
+        assert model._own(("brst-operator", model.gauge_operator()), model.brst_operator())
+        (row,) = model.pipeline("master-equation", deterministic=True)
+        assert row.line() == CheckResult(
+            "master-equation", False, witness="no nilpotent extension").line()
+        assert row.line().endswith("| first no nilpotent extension")
+
+
 class TestMasterRouteFuzz:
     """Seeded perturbations of L, s or S, some fixed by the algebra maps
     and some not: the pipeline's master-equation line is the line of
     `master_equation_check(S, pairs)` on every generator, and it squares
-    the Theta of P_s exactly when `_by_part` holds, else S's."""
+    nothing exactly when `_by_part` holds, else Theta_S on every generator."""
 
     @staticmethod
     def _conjugated(model, factors):
@@ -1050,35 +1103,42 @@ class TestMasterRouteFuzz:
             install(model)
             line, parts, direct = TestMasterSplit._rows(model)
             assert line == direct
-            assert parts == [(route, model._representatives("master-equation"))]
+            assert parts == [route]
             assert (route == "P") == bool(model._by_part())
-            assert model._fixes(key) is model._fixes("S") is fixed
+            S = model.extended_lagrangian().density
+            fixes_s = orbit_representatives(S, model.pairs(), model.algebra_maps(), ()) is not None
+            assert (fixes_s if key == "S" else model._fixes(key)) is fixes_s is fixed
             verdicts.append(line == CheckResult("master-equation", True).line())
             monkeypatch.undo()
         assert True in verdicts and False in verdicts
 
 
 class TestOrbitReduction:
-    """Theta_S^2 on one generator per orbit of the algebra maps, once the
-    orbit layer proves that they fix S, against the full table of every
-    generator."""
+    """The orbit layer's tables (`orbit_representatives`, `on_representatives`)
+    on Theta_S^2: on one generator per orbit of the algebra maps, once they
+    are proved to fix S, against `master_equation_check`'s full table of
+    every generator."""
 
     @staticmethod
-    def _routes(name, build, monkeypatch):
+    def _square(pairs, theta, reps):
+        """theta^2 by `on_representatives` on `reps`, as a report."""
+        return MasterReport(pairs, theta, on_representatives(
+            lambda gens: gvc.brst.nilpotency_residuals(theta, gens), theta.components, reps))
+
+    @classmethod
+    def _routes(cls, name, build):
         """The master equation of the density build(model) on a new model
-        of `name`, on the representatives its orbit layer proves, and by
-        the full table."""
+        of `name`, on the representatives the algebra maps are proved to
+        have on it, and by the full table."""
         model = _fresh(name)
-        S = build(model)
-        monkeypatch.setattr(model, "extended_lagrangian", lambda: S)
-        reps = model._representatives("master-equation")
-        return (model, master_equation_check(S, model.pairs(), reps),
-                master_equation_check(S, model.pairs()))
+        S, pairs = build(model), model.pairs()
+        theta = master_derivation(S, pairs)
+        reps = orbit_representatives(S.density, pairs, model.algebra_maps(), theta.components)
+        return model, cls._square(pairs, theta, reps), master_equation_check(S, pairs)
 
     @staticmethod
     def _same_failure(reduced, full):
         """The full table and the same rows, byte for byte."""
-        assert reduced.squared == full.squared
         assert list(reduced.derivation_residuals.items()) == \
             list(full.derivation_residuals.items())
         rows = [CheckResult.from_residuals("master-equation", rep.bracket_residuals()).line()
@@ -1086,13 +1146,12 @@ class TestOrbitReduction:
         assert rows[0] == rows[1]
 
     @pytest.mark.parametrize("name", ["abelian", "su2", "osp12", "sl21", "su2_euclidean"])
-    def test_same_verdicts_on_one_generator_per_orbit(self, name, monkeypatch):
-        model, reduced, full = self._routes(
-            name, lambda model: model.extended_lagrangian(), monkeypatch)
+    def test_same_verdicts_on_one_generator_per_orbit(self, name):
+        model, reduced, full = self._routes(name, lambda model: model.extended_lagrangian())
         assert reduced.ok and full.ok
         assert reduced.bracket_residuals() == full.bracket_residuals() == {}
         moved = sorted(full.derivation.components, key=lambda g: g.key)
-        assert full.squared == tuple(g.name for g in moved)
+        assert tuple(full.derivation_residuals) == tuple(g.name for g in moved)
         # the representatives: every generator of the first algebra
         # direction of each orbit; abelian has no map, so all of them
         first = TestAlgebraOrbits._first_of_orbit(model)
@@ -1100,18 +1159,17 @@ class TestOrbitReduction:
                      for r, row in enumerate(table) for gen in row}
         direction.update((gen, r) for table in (model.ghost, model.noether_antifield)
                          for r, gen in enumerate(table))
-        assert reduced.squared == tuple(g.name for g in moved if first[direction[g]])
-        assert len(reduced.squared) < len(moved) or name == "abelian"
+        squared = tuple(reduced.derivation_residuals)
+        assert squared == tuple(g.name for g in moved if first[direction[g]])
+        assert len(squared) < len(moved) or name == "abelian"
 
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl21", "su2_euclidean"])
-    def test_perturbed_rows_are_identical(self, name, monkeypatch):
+    def test_perturbed_rows_are_identical(self, name):
         rng = random.Random(1406)
         for _ in range(2):
-            _, reduced, full = self._routes(
-                name, lambda model: _perturbed_solution(model, rng), monkeypatch)
+            _, reduced, full = self._routes(name, lambda model: _perturbed_solution(model, rng))
             assert not full.ok
             self._same_failure(reduced, full)
-            monkeypatch.undo()
 
     def test_invariant_breaking_is_caught_on_representatives(self, monkeypatch):
         # the mass term is fixed by every algebra map, so the proof holds,
@@ -1127,11 +1185,11 @@ class TestOrbitReduction:
         original = gvc.brst.nilpotency_residuals
 
         def counted(theta, gens=None):
-            squared.append(len(gens))
+            squared.append(len(theta.components if gens is None else gens))
             return original(theta, gens)
 
         monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
-        _, reduced, full = self._routes("su2", build, monkeypatch)
+        _, reduced, full = self._routes("su2", build)
         moved = len(reduced.derivation.components)
         assert squared == [10, moved - 10, moved]
         assert not full.ok
@@ -1140,14 +1198,16 @@ class TestOrbitReduction:
     def test_failure_off_the_representatives_is_caught(self):
         L, pairs, g = orbit_only_failure()
         assert L.density.rename(*g) != L.density
-        theta = master_derivation(L, pairs).components
+        full = master_equation_check(L, pairs)
+        theta = full.derivation
         # unproved, the orbits of g would hide both failing rows
-        assert master_equation_check(L, pairs, orbit_roots([g], theta)).ok
-        reps = orbit_representatives(L.density, pairs, [g], theta)
+        assert self._square(pairs, theta, orbit_roots([g], theta.components)).ok
+        reps = orbit_representatives(L.density, pairs, [g], theta.components)
         assert reps is None
-        rep = master_equation_check(L, pairs, reps)
+        rep = self._square(pairs, theta, reps)
         assert not rep.ok
-        assert rep.squared == ("u1", "u2", "ebar1", "ebar2", "c", "cbar")
+        self._same_failure(rep, full)
+        assert tuple(rep.derivation_residuals) == ("u1", "u2", "ebar1", "ebar2", "c", "cbar")
         assert [name for name, p in rep.derivation_residuals.items() if p.terms] == \
             ["u2", "ebar2"]
         assert set(rep.bracket_residuals()) == {"ubar2", "e2"}
@@ -1159,13 +1219,13 @@ class TestOrbitReduction:
         L, pairs, (gen_map, signs) = orbit_only_failure()
         half = {g: h for g, h in gen_map.items() if g.name in ("u1", "u2", "ebar1", "ebar2")}
         assert L.density.rename(half, signs) == L.density
-        theta = master_derivation(L, pairs).components
-        assert master_equation_check(L, pairs, orbit_roots([(half, signs)], theta)).ok
-        reps = orbit_representatives(L.density, pairs, [(half, signs)], theta)
+        theta = master_derivation(L, pairs)
+        assert self._square(pairs, theta, orbit_roots([(half, signs)], theta.components)).ok
+        reps = orbit_representatives(L.density, pairs, [(half, signs)], theta.components)
         assert reps is None
-        rep = master_equation_check(L, pairs, reps)
+        rep = self._square(pairs, theta, reps)
         assert not rep.ok
-        assert rep.squared == ("u1", "u2", "ebar1", "ebar2", "c", "cbar")
+        assert tuple(rep.derivation_residuals) == ("u1", "u2", "ebar1", "ebar2", "c", "cbar")
 
     @pytest.mark.parametrize("name", ["su2", "sl21"])
     def test_representatives_holding_no_generator_run_the_full_table(self, name, monkeypatch):
@@ -1174,8 +1234,9 @@ class TestOrbitReduction:
         model = _fresh(name)
         wrong = model.algebra_maps()
         for S in (model.extended_lagrangian(), _perturbed_solution(model, random.Random(7))):
-            given, full = (master_equation_check(S, model.pairs(), reps) for reps in (wrong, None))
-            assert given.squared == full.squared == tuple(
+            full = master_equation_check(S, model.pairs())
+            given = self._square(model.pairs(), full.derivation, wrong)
+            assert tuple(given.derivation_residuals) == tuple(
                 g.name for g in sorted(full.derivation.components, key=lambda g: g.key))
             self._same_failure(given, full)
         evaluated = []
@@ -1191,7 +1252,7 @@ class TestOrbitReduction:
         # s' = phi s phi^-1 for phi: c1 -> 2 c1 is nilpotent, and L + the
         # paired sum of s' is S under the anticanonical c1 -> 2 c1,
         # cbar1 -> cbar1 / 2, so it solves the master equation; L is
-        # unchanged, but the algebra maps no longer fix P_s', so not S
+        # unchanged, but the algebra maps no longer fix P_s', nor S
         model = _fresh("su2")
         ctx, c1 = model.ctx, model.ghost[0]
         s = model.brst_operator()
@@ -1206,18 +1267,18 @@ class TestOrbitReduction:
         original = gvc.brst.nilpotency_residuals
 
         def counted(theta, gens=None):
-            squared.append((theta, len(gens)))
+            squared.append((theta, len(theta.components if gens is None else gens)))
             return original(theta, gens)
 
         monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
         (row,) = model.pipeline("master-equation", deterministic=True)
         assert row.ok
-        assert model._fixes("L") and not model._fixes("brst") and not model._fixes("S")
-        assert model._representatives("master-equation") is None
+        assert model._fixes("L") and not model._fixes("brst")
+        S = model.extended_lagrangian()
+        assert orbit_representatives(S.density, model.pairs(), model.algebra_maps(), ()) is None
         # s' is installed, not the model's own, so Theta_S itself is
         # squared, on every generator
         ((theta, count),) = squared
-        S = model.extended_lagrangian()
         assert count == len(model.pairs()) * 2
         assert list(theta.components.items()) == \
             list(master_derivation(S, model.pairs()).components.items())
@@ -1237,9 +1298,10 @@ def _direction_strength_square(model, r):
 
 
 class TestAlgebraOrbits:
-    """Theta_S^2, the Noether rows and Koszul-Tate on one algebra direction
-    per orbit of the algebra's signed automorphisms, against the full
-    tables."""
+    """The gauge Lie derivative behind the Noether rows, the BRST square and
+    the orbit layer's proofs on one algebra direction per orbit of the
+    algebra's signed automorphisms, against the full tables; Theta_S^2 and
+    Koszul-Tate's square are taken whole."""
 
     @staticmethod
     def _first_of_orbit(model):
@@ -1271,23 +1333,6 @@ class TestAlgebraOrbits:
             assert S.rename(gen_map, signs) == S
             assert L.rename(gen_map, signs) == L
 
-    @pytest.mark.parametrize("name, squared", [
-        ("abelian", 5), ("su2", 10), ("osp12", 18), ("sl21", 40)])
-    def test_master_equation_on_one_direction_per_orbit(self, name, squared, request):
-        model = request.getfixturevalue(name)
-        S = model.extended_lagrangian()
-        reduced = master_equation_check(S, model.pairs(),
-                                        model._representatives("master-equation"))
-        full = master_equation_check(S, model.pairs())
-        assert reduced.ok and full.ok and len(reduced.squared) == squared
-        first = self._first_of_orbit(model)
-        algebra_index = {gen: r for family in (model.field, model.antifield)
-                         for r, row in enumerate(family) for gen in row}
-        for family in (model.ghost, model.noether_antifield):
-            algebra_index.update((gen, r) for r, gen in enumerate(family))
-        assert reduced.squared == tuple(g.name for g in sorted(
-            full.derivation.components, key=lambda g: g.key) if first[algebra_index[g]])
-
     @pytest.mark.parametrize("name, rows", [
         ("abelian", ["cbar1"]), ("su2", ["cbar1"]), ("osp12", ["cbar1", "cbar2", "cbar4"]),
         ("sl21", ["cbar1", "cbar3", "cbar4", "cbar5"])])
@@ -1315,12 +1360,9 @@ class TestAlgebraOrbits:
         assert all(p.is_zero() for p in kept.values())
         assert lies == [("gauge", tuple(int(label[4:]) - 1 for label in rows))]
         assert all(r.ok for r in model.pipeline("koszul-tate", deterministic=True))
-        # delta is squared on the antifields of one direction per orbit
-        # alone, and the rows are the kept ones
-        first = self._first_of_orbit(model)
+        # delta is squared on every antifield, and the rows are the kept ones
         (gens,) = squared
-        assert [g.name for g in gens] == [
-            z.name for r in range(model.algebra.dim) if first[r] for z in model.antifield[r]]
+        assert gens == [z for row in model.antifield for z in row]
         assert applied == []
 
     @pytest.mark.parametrize("name", ["su2", "sl21"])
@@ -1331,20 +1373,20 @@ class TestAlgebraOrbits:
         pairs, maps = model.pairs(), model.algebra_maps()
         assert len(maps) == 2
         S = model.extended_lagrangian()
-        theta = master_derivation(S, pairs).components
+        full = master_equation_check(S, pairs)
+        theta = full.derivation.components
         orders = (maps, maps[::-1])
         reps = [orbit_representatives(S.density, pairs, order, theta) for order in orders]
-        reports = [master_equation_check(S, pairs, r) for r in reps]
+        reports = [TestOrbitReduction._square(pairs, full.derivation, r) for r in reps]
         assert reps[0] == reps[1] and len(reps[0]) < len(theta)
-        assert reports[0].squared == tuple(g.name for g in sorted(reps[0], key=lambda g: g.key))
+        assert tuple(reports[0].derivation_residuals) == tuple(
+            g.name for g in sorted(reps[0], key=lambda g: g.key))
         assert list(reports[0].derivation_residuals.items()) == \
             list(reports[1].derivation_residuals.items())
         kt = model.koszul_tate()
         rows = [orbit_representatives(_rows_density(model, kt), pairs, order, kt.components)
                 for order in orders]
-        antifields = {g for g in rows[0] if g.kind == "antifield"}
-        assert rows[0] == rows[1] and antifields == model._representatives("koszul-tate")
-        assert len(rows[0]) < len(kt.components)
+        assert rows[0] == rows[1] and len(rows[0]) < len(kt.components)
         whole = noether_residuals(model.noether_operator(), model.generic_euler_lagrange())
         for moved, evaluate in (
                 (kt.components, lambda gens: nilpotency_residuals(kt, gens)),
@@ -1382,13 +1424,9 @@ class TestAlgebraOrbits:
         # spoils the Noether rows of directions 2 and 3 only, so the
         # representative cbar1 alone would hide them
         model, reduced, full = TestOrbitReduction._routes("su2", lambda model: Lagrangian(
-            model.extended_lagrangian().density + _direction_strength_square(model, 0)),
-            monkeypatch)
-        assert model._fixes("L") and not model._fixes("S")
-        assert model._representatives("master-equation") is None
-        assert not full.ok
+            model.extended_lagrangian().density + _direction_strength_square(model, 0)))
+        assert model._fixes("L") and not full.ok
         TestOrbitReduction._same_failure(reduced, full)
-        monkeypatch.undo()
         # the rows, on a new model whose L holds the term
         model = _fresh("su2")
         L = Lagrangian(model.ym_lagrangian().density + _direction_strength_square(model, 0))
@@ -1397,7 +1435,6 @@ class TestAlgebraOrbits:
         assert orbit_representatives(L.density, model.pairs(), model.algebra_maps(),
                                      kt.components) is None
         assert not model._fixes("L")
-        assert model._representatives("koszul-tate") is None
         want = noether_residuals(model.noether_operator(), euler_lagrange(L))
         assert want["cbar1"].is_zero() and not want["cbar2"].is_zero()
         assert list(model._noether_residuals().items()) == list(want.items())
@@ -1409,14 +1446,14 @@ class TestAlgebraOrbits:
     def test_a_lagrangian_breaking_the_maps_forces_the_full_table(self, monkeypatch):
         # L gains the direction-1 strength square, which the algebra maps
         # move: S is still L + P_s, and they keep P_s, but the L proof fails,
-        # so S's does, no representatives are passed and the row is the full
-        # table's
+        # and so does gauge-symmetry, so Theta_S is squared and the row is
+        # the full table's
         model = _fresh("su2")
         L = Lagrangian(model.ym_lagrangian().density + _direction_strength_square(model, 0))
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
         line, parts, direct = TestMasterSplit._rows(model)
-        assert model._fixes("brst") and not model._fixes("L") and not model._fixes("S")
-        assert parts == [("S", None)] and line == direct
+        assert model._fixes("brst") and not model._fixes("L")
+        assert parts == ["S"] and line == direct
         assert line != CheckResult("master-equation", True).line()
 
     def test_rows_that_break_a_map_run_the_full_tables(self, monkeypatch):
@@ -1434,8 +1471,7 @@ class TestAlgebraOrbits:
                                      model.algebra_maps(), kt.components) is not None
         assert orbit_representatives(_rows_density(model, kt), model.pairs(),
                                      model.algebra_maps(), kt.components) is None
-        assert model._fixes("L") and not model._fixes("rows")
-        assert model._representatives("koszul-tate") is None
+        assert model._fixes("L")
         want = noether_residuals(broken, model.generic_euler_lagrange())
         assert want["cbar1"].is_zero() and not want["cbar2"].is_zero()
         assert list(model._noether_residuals().items()) == list(want.items())
@@ -1447,8 +1483,8 @@ class TestAlgebraOrbits:
     def test_rows_are_proved_without_koszul_tate(self, monkeypatch):
         # L + a1_0 c2 c3 + a2_0 c3 c1 + a3_0 c1 c2 keeps every algebra map
         # and has field equations on the ghosts, so Koszul-Tate is not
-        # built; the rows' proof reads the Noether operator alone, and
-        # noether-identities reports the rows, as with no maps at all
+        # built; the rows are applied to E(L) without it, and
+        # noether-identities reports them, as with no maps at all
         lines = []
         for reduced in (True, False):
             model = _fresh("su2")
@@ -1459,7 +1495,7 @@ class TestAlgebraOrbits:
             L = Lagrangian(density)
             monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True, L=L: L)
             if reduced:
-                assert model._fixes("rows") and model._representatives("koszul-tate")
+                assert model._fixes("L")
             else:
                 monkeypatch.setattr(model, "_representatives", lambda check: None)
             rows = {row.name: row for row in model.pipeline("noether", deterministic=True)
@@ -1554,9 +1590,10 @@ class TestAlgebraOrbits:
         return proved
 
     def test_densities_installed_after_a_run_are_proved_again(self, monkeypatch):
-        # master-equation proves every map on L and on P_s, S's proofs; an S
-        # or an L installed afterwards that breaks the algebra maps is proved anew,
-        # its table is taken whole, and its row is the unreduced route's
+        # master-equation proves every map on L and on P_s; an L installed
+        # afterwards that breaks the algebra maps is proved anew, its table
+        # is taken whole, and its row is the unreduced route's; an S
+        # installed afterwards is squared whole and proves nothing
         def routes(install, pipeline):
             model, rows = _fresh("su2"), []
             for reduced in (True, False):
@@ -1568,9 +1605,11 @@ class TestAlgebraOrbits:
                 density = install(model)
                 del proved[:]
                 rows.append(model.pipeline(pipeline, deterministic=True)[0])
-                if reduced:
+                if reduced and pipeline == "brst":
                     assert proved and all(p is density() for p in proved)
-                    assert not model._fixes("L" if pipeline == "brst" else "S")
+                    assert not model._fixes("L")
+                elif reduced:
+                    assert proved == []
             assert not rows[0].ok and rows[0].line() == rows[1].line()
             return model
 
@@ -1590,9 +1629,10 @@ class TestAlgebraOrbits:
         routes(install_l, "brst")
 
     def test_s_minus_l_of_the_proper_solution_is_the_paired_sum(self, monkeypatch):
-        # S built here is L plus the paired sum P of s: its proof is L's,
+        # S built here is L plus the paired sum P of s: the proofs are L's,
         # taken on phi(L), and P's, and no S - L is formed; an installed S
-        # equal to it is proved once, whole, and no L is subtracted from it
+        # equal to it is squared whole, with no proof, and no L is
+        # subtracted from it
         model = _fresh("su2")
         subtracted, proved = [], self._proved(monkeypatch)
         sub = Poly.__sub__
@@ -1607,7 +1647,7 @@ class TestAlgebraOrbits:
         monkeypatch.setattr(model, "extended_lagrangian", lambda: installed)
         del proved[:]
         assert model.pipeline("master-equation", deterministic=True)[0].ok
-        assert len(proved) == 1 and proved[0] is installed.density
+        assert proved == []
         assert not any(p is d or q is L.density for p, q in subtracted
                        for d in (S.density, installed.density))
 

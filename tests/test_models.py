@@ -17,7 +17,7 @@ from gvc.bicomplex import (EulerLagrange, Form, conservation_residual, d_h, inte
                            lie_derivative, noether_current, omega_lambda,
                            superpotential_residual, variational_delta, variational_derivatives,
                            volume)
-from gvc.brst import (NoetherOperator, master_derivation, master_equation_check,
+from gvc.brst import (NoetherOperator, master_equation_check,
                       nilpotency_residuals, noether_residuals, orbit_representatives,
                       orbit_roots, paired_sum)
 from gvc.grassmann import ExpansionLimitError, Poly
@@ -1324,7 +1324,7 @@ class TestSplitProof:
         monkeypatch.setattr(model, "algebra_maps", lambda: [swap])
         assert not model._keeps_constants(*swap) and not model._fixes("L")
         reps = {check: model._representatives(check) for check in (
-            "euler-lagrange", "master-equation", "koszul-tate", "parameter", "gauge")}
+            "euler-lagrange", "parameter", "gauge")}
         assert reps == dict.fromkeys(reps)
         lines = [row.line() for row in model.full_verification(True).results]
         assert lines == [row.line() for row in _new_model("sl3").full_verification(True).results]
@@ -1896,13 +1896,10 @@ class TestBuildOnce:
         model = preset_model("su2")
         assert model.full_verification().ok
         # besides Koszul-Tate's: the BRST square on one generator per
-        # orbit, which proper_solution reuses, and the square of the
-        # master derivation of P_s, which stands for Theta_S's
+        # orbit, which proper_solution reuses; the master equation, which
+        # follows from it and s(L) = 0, squares nothing
         calls = [theta for theta in calls if theta is not model.koszul_tate()]
-        assert len(calls) == 2
-        assert calls[0] is model.brst_operator()
-        rest = master_derivation(Lagrangian(model._paired_sum("brst")), model.pairs())
-        assert list(calls[1].components.items()) == list(rest.components.items())
+        assert calls == [model.brst_operator()]
 
     @pytest.mark.parametrize("name", ["su2", "sl21"])
     def test_each_density_renamed_once_per_map(self, name, monkeypatch):
