@@ -21,9 +21,9 @@ alone, and for P = P_s, the paired sum of an s whose field components
 hold no antifield, those are s(L)'s.  So where s(L) = 0, Theta_P^2 is
 Theta_S^2, and by the antibracket's Jacobi identity Theta_P^2 is the
 paired derivation of Q = sum_z s^2(z) zbar, zero where s^2 is.
-`orbit_representatives` proves that signed relabellings keep the pairing
-and fix a density (L or a paired sum); `on_representatives` takes a
-residual table on one generator per orbit of maps so proved first.
+`orbit_roots` picks one generator per orbit of signed relabellings, and
+`on_representatives` takes a residual table on those first; the caller
+vouches that the maps carry each residual onto its image's up to sign.
 """
 
 from .grassmann import EVEN, ODD, GvcError, ParityError, Poly, add_product
@@ -269,27 +269,10 @@ def paired_sum(ctx, values, partners):
     return out.finish()
 
 
-def orbit_representatives(density, pairs, maps, moved):
-    """The smallest-key member of each orbit of the generators `moved` (a
-    derivation's generators, or the sources of its directions) under the
-    relabellings `maps` (gen_map, signs) of `Poly.rename`, once each is
-    proved to commute with the derivation; None if a proof fails.
-
-    Each map must send the pairing onto itself with one sign per pair and
-    fix `density` exactly.  With a Lagrangian, it then commutes with its
-    field equations; with a `paired_sum` of a derivation's values, with the
-    derivation."""
-    for gen_map, signs in maps:
-        if any(pairs.get(gen_map.get(z, z)) is not gen_map.get(zbar, zbar)
-               or signs.get(z, 1) != signs.get(zbar, 1) for z, zbar in pairs.items()) \
-                or density.rename(gen_map, signs) != density:
-            return None
-    return orbit_roots(maps, moved)
-
-
 def orbit_roots(maps, moved):
-    """The smallest-key member of each orbit of `moved` under the maps,
-    signs aside, from one union-find over z -- g(z); no proof."""
+    """The smallest-key member of each orbit of `moved` under the
+    relabellings `maps` (gen_map, signs), signs aside, from one union-find
+    over z -- g(z)."""
     root = {z: z for z in moved}
 
     def find(z):
@@ -308,7 +291,7 @@ def orbit_roots(maps, moved):
 def on_representatives(evaluate, moved, representatives=None):
     """The residual table of the generators `moved`, by name in key order,
     where `evaluate(gens)` gives it on a sublist.  `representatives`, one
-    per orbit of maps proved to carry each residual onto its image's up to
+    per orbit of maps that carry each residual onto its image's up to
     sign, go first, and zero on them is zero everywhere: the table holds
     them alone.  Otherwise, or if none is in `moved`, the rest follows and
     the table is rebuilt in order, so a failure reads as without maps."""

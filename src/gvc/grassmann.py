@@ -267,11 +267,6 @@ def _mono_key(m):
     )
 
 
-def _factor_key(factor):
-    """Sort key of an even factor (variable, exponent): the variable's."""
-    return factor[0].key
-
-
 def _mono_render(m, coeff):
     ev, od = m
     parts = []
@@ -715,58 +710,6 @@ class Poly:
         # the numerators summed so far are over this polynomial's denominator
         out.den *= self.den
         return out.finish()
-
-    def rename(self, gen_map, signs):
-        """The image under a signed relabelling of generators: each jet
-        z;Lambda becomes signs[z] gen_map(z);Lambda, where `gen_map` is a
-        kind- and parity-preserving permutation of the context's generators
-        (a dict; generators it lacks stay) and `signs` gives -1 or 1 (a
-        dict; 1 where it has none).
-
-        No two terms meet and no product is formed: each term takes its
-        factors' signs, each to its exponent, its even part is re-sorted by
-        key, and its odd word is sorted carrying the sign of its
-        inversions.  It equals `substitute` with every variable mapped to
-        its signed image."""
-        ctx = self.ctx
-        registered = ctx.generators.get
-        if set(gen_map.values()) != set(gen_map) or any(
-                g.parity != h.parity or g.kind != h.kind or registered(h.name) is not h
-                for g, h in gen_map.items()) or any(s not in (1, -1) for s in signs.values()):
-            raise GvcError("generator map must be a kind- and parity-preserving signed "
-                           "permutation of the context's generators")
-        image = {}
-        known = image.get
-
-        def var(v):
-            # the image has v's order and kind, so it is interned unchecked
-            g = v.gen
-            w = image[v] = (ctx._intern(gen_map.get(g, g), v.index), signs.get(g, 1))
-            return w
-
-        out = {}
-        for (ev, od), c in self.terms.items():
-            ev2 = []
-            for v, e in ev:
-                w, s = known(v) or var(v)
-                if s < 0 and e & 1:
-                    c = -c
-                ev2.append((w, e))
-            ev2.sort(key=_factor_key)
-            od2 = []
-            for v in od:
-                w, s = known(v) or var(v)
-                # insertion sort: w passes every letter above it
-                at = len(od2)
-                while at and od2[at - 1].key > w.key:
-                    at -= 1
-                if (len(od2) - at) & 1:
-                    s = -s
-                if s < 0:
-                    c = -c
-                od2.insert(at, w)
-            out[(tuple(ev2), tuple(od2))] = c
-        return Poly(ctx, out, self.den)
 
     # -- presentation ----------------------------------------------------
 

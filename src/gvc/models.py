@@ -15,7 +15,12 @@ Lagrangian becomes 1/4 h g g Fs Fs.  A Lie derivative of that L is first
 taken there, by the derivation conjugated through phi, which needs values
 on Fs alone, read through the covariance theta(F^r) = M^r_i F^i; a nonzero
 or failed result, and any other density, is taken in jets, whose Form is
-the row.  The algebra maps keep c, so commute with phi: L's proofs take phi(L).
+the row.
+
+Every object a check reads is built from c, h and the metric, so each
+signed basis permutation keeping c and h fixes it; the checks run on one
+generator per orbit of those maps where the objects are the model's own
+(`_representatives`), and whole otherwise.
 
 Noether's second theorem gives two checks their rows.  The Noether rows are
 zero once gauge-symmetry is: N_q(E(L)) = -delta(u L)/delta C^q
@@ -27,6 +32,7 @@ the kept rows where `_by_rows` holds (`_conserved`).
 
 import time
 from fractions import Fraction
+from types import MappingProxyType
 
 from .grassmann import (DEFAULT_MAX_JET_ORDER, DEFAULT_TERM_LIMIT, Context, EVEN, ODD,
                         ExpansionLimitError, GvcError, Poly, accumulate, add_product)
@@ -54,7 +60,6 @@ from .brst import (
     nilpotency_residuals,
     noether_residuals,
     on_representatives,
-    orbit_representatives,
     orbit_roots,
     paired_sum,
     proper_solution,
@@ -135,16 +140,11 @@ def _add(out, p, c=1):
     return accumulate(out, ((m, num * n) for m, n in p.terms.items()), den * p.den)
 
 
-def _held(m, gens):
-    """The generators of `gens` with a jet among the monomial m's factors,
-    once per factor."""
-    ev, od = m
-    return [v.gen for v, _ in ev if v.gen in gens] + [v.gen for v in od if v.gen in gens]
-
-
 def _carrying(p, gens):
     """The terms of p with a factor that is a jet of one of `gens`."""
-    return Poly(p.ctx, {m: c for m, c in p.terms.items() if _held(m, gens)}, p.den).finish()
+    return Poly(p.ctx, {(ev, od): c for (ev, od), c in p.terms.items()
+                        if any(v.gen in gens for v, _ in ev) or any(v.gen in gens for v in od)},
+                p.den).finish()
 
 
 def _once(store, key, build):
@@ -165,10 +165,10 @@ class GaugeModel:
     Noether rows and residuals, the gauge, parameter and BRST operators and
     the BRST square, the paired sums, the parts of the gauge and parameter
     derivations by direction and their Lie derivatives, the Lepage form, the
-    algebra maps, the orbit layer's proofs, once per density, and phi(L)
-    with each first jet's image) is built on first use and kept with its
-    source (L, s, the Noether rows or a gauge derivation), so
-    one installed later is built, proved and split anew.
+    algebra maps and each check's orbit representatives, and phi(L) with each
+    first jet's image) is built on first use and kept with its source (L, s,
+    the Noether rows or a gauge derivation), so one installed later is built
+    and split anew, and its checks run whole.
     """
 
     # Checks whose formulas are proved for even algebras only; a model
@@ -391,81 +391,34 @@ class GaugeModel:
         return self._once(("koszul-tate", self.ym_lagrangian(), op), lambda: koszul_tate(
             op, self.generic_euler_lagrange(), self._pairs))
 
-    # -- orbit proofs -------------------------------------------------------------
-
-    def _source(self, key):
-        """What the density of a proof key is kept with: L, or the
-        derivation whose `_paired_sum` it is."""
-        return {"L": self.ym_lagrangian, "brst": self.brst_operator,
-                "parameter": self.parameter_symmetry}[key]()
-
-    def _paired_sum(self, key):
-        """The paired sum of the BRST operator ("brst") or the parameter symmetry
-        against the antifields, kept with its source."""
-        theta = self._source(key)
-        return self._once(("paired-sum", theta), lambda: paired_sum(
-            self.ctx, theta.components, self._pairs))
-
-    def _fixes(self, key):
-        """Whether each algebra map keeps the pairing and fixes the density
-        `key` (L or a `_paired_sum`), once per model and density
-        (`_source`).  The model's own L is proved on phi(L): a map
-        keeping c (`_keeps_constants`) commutes with phi, whose twist is c's,
-        and phi is injective on split-free densities: g(phi(L)) = phi(L) iff g(L) = L."""
-        source = self._source(key)
-
-        def prove():
-            own = key == "L" and self._own("lagrangian", source)
-            if own and not all(self._keeps_constants(*g) for g in self.algebra_maps()):
-                return False
-            density = self._split(source) if own else source.density if key == "L" \
-                else self._paired_sum(key)
-            return orbit_representatives(density, self._pairs, self.algebra_maps(),
-                                         ()) is not None
-
-        return self._once(("fixes", source), prove)
-
-    def _keeps_constants(self, gen_map, signs):
-        """Whether a relabelling is the algebra relabelling of the pi and s it gives
-        the fields a^r_0, and c^pi(r)_pi(i)pi(j) = s_r s_i s_j c^r_ij for each c."""
-        at = {row[0]: r for r, row in enumerate(self.field)}
-        pi, s = [at.get(gen_map.get(g, g)) for g in at], [signs.get(g, 1) for g in at]
-        return None not in pi and self._algebra_relabellings([(pi, s)]) == [(gen_map, signs)] \
-            and self.constants == sorted((pi[r], pi[i], pi[j], c if s[r] * s[i] == s[j] else -c)
-                                         for r, i, j, c in self.constants)
+    # -- orbit reduction ---------------------------------------------------------
 
     def _representatives(self, check):
         """One generator per orbit of those `check` evaluates under the
-        algebra maps, once each map fixes each density named, kept with
-        those densities' sources; None without a map, if a proof fails or
-        if a symmetry check's residuals do not split by source.  Keeping the
-        pairing, a map fixing L commutes with the field equations (the
-        closed route's too: it keeps c, h and the metric), one fixing a
-        derivation's paired sum with it; s holds no L, and its gauge part
-        pairs with other partners."""
+        algebra maps, where the maps and every object the check reads are
+        the model's own (`_own`), kept; else None, and the whole table runs.
+        Those objects (L, E(L), u, the ghost sector, s and the parameter
+        symmetry) are built from c, h and the metric alone, so a map keeping
+        c, h and the pairing (`signed_automorphisms`) fixes each: it commutes
+        with the field equations by both routes and with each derivation,
+        and carries each residual onto its image's up to sign."""
+        maps, own = self.algebra_maps(), self._own
+        if check == "brst":
+            u = self.gauge_operator()
+            reads = own("gauge-operator", u) and own("ghost-sector", self.ghost_sector()) \
+                and own(("brst-operator", u), self.brst_operator())
+        else:
+            L = self.ym_lagrangian()
+            reads = own("lagrangian", L) and {
+                "euler-lagrange": lambda: own(("euler-lagrange", L), self.generic_euler_lagrange()),
+                "parameter": lambda: own("parameter-symmetry", self.parameter_symmetry()),
+                "gauge": lambda: own("gauge-operator", self.gauge_operator())}[check]()
+        if not (maps and own("algebra-maps", maps) and reads):
+            return None
         fields = [g for row in self.field for g in row]
-        gens, keys = {
-            "euler-lagrange": (fields, ("L",)),
-            "parameter": (self.parameter, ("L", "parameter")),
-            "gauge": (self.ghost, ("L", "brst")),
-            "brst": (fields + self.ghost, ("brst",))}[check]
-        maps = self.algebra_maps()
-        if not maps:
-            return None
-
-        def splits():
-            theta, sources = self._symmetry(check)
-            held, L = set(sources), self.ym_lagrangian().density
-            return held.isdisjoint(v.gen for v in L.variables()) and all(
-                len(_held(m, held)) == 1 for p in theta.components.values() for m in p.terms)
-
-        def prove():
-            if (check not in ("parameter", "gauge") or splits()) \
-                    and all(self._fixes(key) for key in keys):
-                return orbit_roots(maps, gens)
-            return None
-
-        return self._once(("representatives", check) + tuple(map(self._source, keys)), prove)
+        return self._once(("representatives", check), lambda: orbit_roots(maps, {
+            "euler-lagrange": fields, "parameter": self.parameter, "gauge": self.ghost,
+            "brst": fields + self.ghost}[check]))
 
     # -- symmetries -------------------------------------------------------------
 
@@ -520,13 +473,14 @@ class GaugeModel:
     def _by_direction(self, kind, residual):
         """The residual of the derivation of `kind`, where residual(directions)
         is the Form of its part with those directions' sources (`_part`).
-        With `_representatives`, each term of a residual carries one source
-        jet, so the parts of two directions share no term, and a map that
-        fixes L and the derivation's paired sum sends q's part and residual
-        onto pi(q)'s (U and W, built from c and h, follow).  So the part of
-        one direction per orbit goes first (`on_representatives`), and the
-        table, split by source, is summed back into one Form; otherwise the
-        whole derivation's is taken at once."""
+        With `_representatives`, L and the derivation are the model's own:
+        L holds no source and each term of a residual carries one source
+        jet, so the parts of two directions share no term, and an algebra
+        map sends q's part and residual onto pi(q)'s (U and W, built from c
+        and h, follow).  So the part of one direction per orbit goes first
+        (`on_representatives`), and the table, split by source, is summed
+        back into one Form; otherwise the whole derivation's is taken at
+        once."""
         sources = self._symmetry(kind)[1]
         reps = self._representatives(kind)
         if reps is None:
@@ -575,7 +529,11 @@ class GaugeModel:
                           lambda: self._by_direction(kind, lambda qs: self._lie(kind, qs)))
 
     def ghost_sector(self):
-        """Quadratic ghost components completing the gauge operator."""
+        """Quadratic ghost components completing the gauge operator, kept
+        read-only: `_representatives` trusts the model's own."""
+        return self._once("ghost-sector", lambda: MappingProxyType(self._ghost_components()))
+
+    def _ghost_components(self):
         ctx = self.ctx
         gamma = {}
         for r, i, j, c in self.constants:
@@ -589,6 +547,13 @@ class GaugeModel:
         kept with the gauge operator."""
         u = self.gauge_operator()
         return self._once(("brst-operator", u), lambda: brst_extend(u, self.ghost_sector()))
+
+    def _paired_sum(self):
+        """P_s, the paired sum of the BRST operator against the antifields,
+        kept with s."""
+        s = self.brst_operator()
+        return self._once(("paired-sum", s), lambda: paired_sum(self.ctx, s.components,
+                                                                self._pairs))
 
     def _brst_residuals(self):
         """s^2 on the generators s moves, on one per orbit first."""
@@ -604,7 +569,7 @@ class GaugeModel:
     def extended_lagrangian(self):
         L, s = self.ym_lagrangian(), self.brst_operator()
         return self._once(("extended-lagrangian", L, s), lambda: proper_solution(
-            L, s, self._pairs, self._brst_residuals(), self._paired_sum("brst")))
+            L, s, self._pairs, self._brst_residuals(), self._paired_sum()))
 
     def _own(self, key, built):
         """Whether `built` is the model's own object, the one kept under `key`."""
@@ -904,7 +869,7 @@ class GaugeModel:
                 # Theta_S moves what Theta_P does and zbar for each E_z(L),
                 # which, holding no antifield, cannot cancel E_z(P_s), each
                 # of whose terms holds one.
-                moved = set(master_derivation(Lagrangian(self._paired_sum("brst")),
+                moved = set(master_derivation(Lagrangian(self._paired_sum()),
                                               self._pairs).components)
                 moved.update(self._pairs[z] for z in self.generic_euler_lagrange().components
                              if z in self._pairs)

@@ -2,6 +2,7 @@
 and the classical master equation."""
 
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,21 +31,21 @@ from gvc import (
     variational_derivative,
 )
 from gvc.brst import (KoszulTate, MasterReport, NoetherOperator, on_representatives,
-                      orbit_representatives, orbit_roots, paired_sum)
+                      orbit_roots, paired_sum)
 from gvc.bicomplex import variational_derivatives
 from gvc.grassmann import ExpansionLimitError, JetOrderError, Poly
 from gvc.jets import iterated_derivative, total_derivative
 from gvc.modelfile import parse_model, spec_model
 from gvc.models import GaugeModel, Metric
-from gvc.presets import preset_model
+from gvc.presets import PRESET_MODEL_TEXT, preset_model
 from gvc.reporting import CheckResult
 from gvc.superlie import signed_automorphisms
 
-from util import (antifield_numbers, basis_orbits, even_part, field_generators, linear_jet_paths,
-                  linear_jet_polys, make_context, mass_term_lagrangian, odd_part,
-                  orbit_only_failure,
+from util import (antifield_numbers, basis_orbits, even_part, field_generators, fixed_by,
+                  linear_jet_paths, linear_jet_polys, make_context, mass_term_lagrangian,
+                  odd_part, orbit_only_failure,
                   oracle_koszul_tate_apply, oracle_koszul_tate_residuals, random_jet,
-                  random_poly, random_vertical, shared_jet_cases, shared_jet_poly,
+                  random_poly, random_vertical, relabel, shared_jet_cases, shared_jet_poly,
                   su2_algebra)
 
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
@@ -643,7 +644,7 @@ class TestMasterEquation:
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
     def test_derivation_from_the_paired_sum_alone(self, name, monkeypatch):
         """On the proper solution the pipeline builds Theta_P for P = P_s,
-        the kept `_paired_sum("brst")` itself, from P's own variational
+        the kept `_paired_sum()` itself, from P's own variational
         derivatives alone, and squares nothing; Theta_P^2 is Theta_S^2 on
         every generator, for the model's s and for one whose ghost sector
         is doubled, so that s(L) = 0 still holds but neither square
@@ -665,7 +666,7 @@ class TestMasterEquation:
             patch.setattr(gvc.models, "master_derivation", kept)
             patch.setattr(gvc.brst, "variational_derivatives", counted)
             (row,) = model.pipeline("master-equation", deterministic=True)
-        P = model._paired_sum("brst")
+        P = model._paired_sum()
         assert row.ok and squared == [] and [S.density for S in built] == [P]
         assert len(tables) == 1 and tables[0] is P
         pairs, L, s = model.pairs(), model.ym_lagrangian(), model.brst_operator()
@@ -761,7 +762,7 @@ class TestMasterSplit:
         pairs, ctx, s = model.pairs(), model.ctx, model.brst_operator()
         L = model.ym_lagrangian()
         A = Lagrangian(L.density + mass_term_lagrangian(model).density)
-        B = Lagrangian(model._paired_sum("brst"))
+        B = Lagrangian(model._paired_sum())
         AB = antibracket(A, B, pairs)
         moved = euler_lagrange(Lagrangian(s.apply(A.density)))
         assert euler_lagrange(AB).components == moved.components
@@ -802,7 +803,7 @@ class TestMasterSplit:
             patch.setattr(gvc.models, "master_derivation", kept(derivation))
             (row,) = model.pipeline("master-equation", deterministic=True)
         parts = ["S" if density is model.extended_lagrangian() else
-                 "P" if density.density is model._paired_sum("brst") else "?"
+                 "P" if density.density is model._paired_sum() else "?"
                  for density in parts]
         try:
             rep = master_equation_check(model.extended_lagrangian(), model.pairs())
@@ -820,6 +821,25 @@ class TestMasterSplit:
         line, parts, direct = self._rows(model)
         assert parts == ["P"] and line == direct
         assert line == CheckResult("master-equation", True).line()
+
+    @pytest.mark.parametrize("name, passes", [("abelian", False), ("su2", True),
+                                              ("osp12", True)])
+    def test_dimension_one_rows(self, name, passes):
+        # in one dimension F has no component, so L = 0 and E(L) = 0: the
+        # solution is nontrivial only through E(P_s), which couples c and
+        # cbar where the ghost sector is nonzero (su2, osp12), and not on
+        # the abelian model, whose s moves a1_0 alone
+        text = re.sub(r"dimension = \d+\nmetric = \S+", "dimension = 1\nmetric = +",
+                      PRESET_MODEL_TEXT[name])
+        model = spec_model(parse_model(text))
+        assert model.ym_lagrangian().density.is_zero()
+        assert model.generic_euler_lagrange().is_zero()
+        line, parts, direct = self._rows(model)
+        assert parts == ["P"] and model._by_part()
+        assert direct == CheckResult("master-equation", True).line()
+        assert line == (direct if passes else
+                        "check master-equation | status fail | nonzero 0 | first solution is trivial")
+        assert bool(model.ghost_sector()) is passes
 
     def _installed(self, install):
         """install(model) on a new su2 model, then its rows (`_rows`)."""
@@ -1033,7 +1053,8 @@ class TestMasterRouteFuzz:
     """Seeded perturbations of L, s or S, some fixed by the algebra maps
     and some not: the pipeline's master-equation line is the line of
     `master_equation_check(S, pairs)` on every generator, and it squares
-    nothing exactly when `_by_part` holds, else Theta_S on every generator."""
+    nothing exactly when `_by_part` holds, else Theta_S on every generator.
+    The gauge-symmetry and brst-nilpotency lines are the whole tables'."""
 
     @staticmethod
     def _conjugated(model, factors):
@@ -1105,19 +1126,27 @@ class TestMasterRouteFuzz:
             assert line == direct
             assert parts == [route]
             assert (route == "P") == bool(model._by_part())
-            S = model.extended_lagrangian().density
-            fixes_s = orbit_representatives(S, model.pairs(), model.algebra_maps(), ()) is not None
-            assert (fixes_s if key == "S" else model._fixes(key)) is fixes_s is fixed
+            maps, S = model.algebra_maps(), model.extended_lagrangian().density
+            perturbed = {"L": model.ym_lagrangian().density, "brst": model._paired_sum(),
+                         "S": S}[key]
+            assert fixed_by(maps, perturbed) is fixed_by(maps, S) is fixed
+            # own_s(False) makes a u no map fixes the model's own: the gauge
+            # check reduces on it, and u L is still zero on each part
+            gauge, square = model.pipeline("brst", deterministic=True)
+            assert gauge.line() == CheckResult.from_form(
+                "gauge-symmetry", model.lie_derivative(model.gauge_operator())).line()
+            assert square.line() == CheckResult.from_residuals(
+                "brst-nilpotency", nilpotency_residuals(model.brst_operator())).line()
             verdicts.append(line == CheckResult("master-equation", True).line())
             monkeypatch.undo()
         assert True in verdicts and False in verdicts
 
 
 class TestOrbitReduction:
-    """The orbit layer's tables (`orbit_representatives`, `on_representatives`)
-    on Theta_S^2: on one generator per orbit of the algebra maps, once they
-    are proved to fix S, against `master_equation_check`'s full table of
-    every generator."""
+    """The orbit layer's tables (`orbit_roots`, `on_representatives`) on
+    Theta_S^2: on one generator per orbit of the algebra maps where each
+    fixes S and keeps the pairing (`relabel`), against
+    `master_equation_check`'s full table of every generator."""
 
     @staticmethod
     def _square(pairs, theta, reps):
@@ -1125,15 +1154,25 @@ class TestOrbitReduction:
         return MasterReport(pairs, theta, on_representatives(
             lambda gens: gvc.brst.nilpotency_residuals(theta, gens), theta.components, reps))
 
+    @staticmethod
+    def _roots(density, pairs, maps, moved):
+        """`orbit_roots` of `moved` where each map keeps the pairing with one
+        sign per pair and fixes `density`, else None."""
+        if all(pairs.get(gen_map.get(z, z)) is gen_map.get(zbar, zbar)
+               and signs.get(z, 1) == signs.get(zbar, 1) for gen_map, signs in maps
+               for z, zbar in pairs.items()) and fixed_by(maps, density):
+            return orbit_roots(maps, moved)
+        return None
+
     @classmethod
     def _routes(cls, name, build):
         """The master equation of the density build(model) on a new model
-        of `name`, on the representatives the algebra maps are proved to
-        have on it, and by the full table."""
+        of `name`, on the representatives of the algebra maps where they
+        fix it (`_roots`), and by the full table."""
         model = _fresh(name)
         S, pairs = build(model), model.pairs()
         theta = master_derivation(S, pairs)
-        reps = orbit_representatives(S.density, pairs, model.algebra_maps(), theta.components)
+        reps = cls._roots(S.density, pairs, model.algebra_maps(), theta.components)
         return model, cls._square(pairs, theta, reps), master_equation_check(S, pairs)
 
     @staticmethod
@@ -1178,7 +1217,7 @@ class TestOrbitReduction:
         def build(model):
             S = Lagrangian(model.extended_lagrangian().density
                            + mass_term_lagrangian(model).density)
-            assert all(S.density.rename(*g) == S.density for g in model.algebra_maps())
+            assert fixed_by(model.algebra_maps(), S.density)
             return S
 
         squared = []
@@ -1197,12 +1236,12 @@ class TestOrbitReduction:
 
     def test_failure_off_the_representatives_is_caught(self):
         L, pairs, g = orbit_only_failure()
-        assert L.density.rename(*g) != L.density
+        assert relabel(L.density, *g) != L.density
         full = master_equation_check(L, pairs)
         theta = full.derivation
-        # unproved, the orbits of g would hide both failing rows
+        # the orbits of g, which does not fix S, would hide both failing rows
         assert self._square(pairs, theta, orbit_roots([g], theta.components)).ok
-        reps = orbit_representatives(L.density, pairs, [g], theta.components)
+        reps = self._roots(L.density, pairs, [g], theta.components)
         assert reps is None
         rep = self._square(pairs, theta, reps)
         assert not rep.ok
@@ -1218,10 +1257,10 @@ class TestOrbitReduction:
         # ubar1, and taken as a symmetry it would hide both failing rows
         L, pairs, (gen_map, signs) = orbit_only_failure()
         half = {g: h for g, h in gen_map.items() if g.name in ("u1", "u2", "ebar1", "ebar2")}
-        assert L.density.rename(half, signs) == L.density
+        assert relabel(L.density, half, signs) == L.density
         theta = master_derivation(L, pairs)
         assert self._square(pairs, theta, orbit_roots([(half, signs)], theta.components)).ok
-        reps = orbit_representatives(L.density, pairs, [(half, signs)], theta.components)
+        reps = self._roots(L.density, pairs, [(half, signs)], theta.components)
         assert reps is None
         rep = self._square(pairs, theta, reps)
         assert not rep.ok
@@ -1273,9 +1312,12 @@ class TestOrbitReduction:
         monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
         (row,) = model.pipeline("master-equation", deterministic=True)
         assert row.ok
-        assert model._fixes("L") and not model._fixes("brst")
+        maps = model.algebra_maps()
+        assert fixed_by(maps, model.ym_lagrangian().density)
+        assert not fixed_by(maps, model._paired_sum())
+        assert model._representatives("brst") is None
         S = model.extended_lagrangian()
-        assert orbit_representatives(S.density, model.pairs(), model.algebra_maps(), ()) is None
+        assert not fixed_by(maps, S.density)
         # s' is installed, not the model's own, so Theta_S itself is
         # squared, on every generator
         ((theta, count),) = squared
@@ -1298,10 +1340,11 @@ def _direction_strength_square(model, r):
 
 
 class TestAlgebraOrbits:
-    """The gauge Lie derivative behind the Noether rows, the BRST square and
-    the orbit layer's proofs on one algebra direction per orbit of the
-    algebra's signed automorphisms, against the full tables; Theta_S^2 and
-    Koszul-Tate's square are taken whole."""
+    """The gauge Lie derivative behind the Noether rows and the BRST square
+    on one algebra direction per orbit of the algebra's signed
+    automorphisms, where the maps and what each check reads are the
+    model's own, against the full tables; Theta_S^2 and Koszul-Tate's
+    square are taken whole."""
 
     @staticmethod
     def _first_of_orbit(model):
@@ -1330,8 +1373,8 @@ class TestAlgebraOrbits:
                 for (r, lam, mu), gen in table.items():
                     assert gen_map[gen] is table[(pi[r], lam, mu)]
                     assert signs.get(gen, 1) == s[r]
-            assert S.rename(gen_map, signs) == S
-            assert L.rename(gen_map, signs) == L
+            assert relabel(S, gen_map, signs) == S
+            assert relabel(L, gen_map, signs) == L
 
     @pytest.mark.parametrize("name, rows", [
         ("abelian", ["cbar1"]), ("su2", ["cbar1"]), ("osp12", ["cbar1", "cbar2", "cbar4"]),
@@ -1376,7 +1419,7 @@ class TestAlgebraOrbits:
         full = master_equation_check(S, pairs)
         theta = full.derivation.components
         orders = (maps, maps[::-1])
-        reps = [orbit_representatives(S.density, pairs, order, theta) for order in orders]
+        reps = [TestOrbitReduction._roots(S.density, pairs, order, theta) for order in orders]
         reports = [TestOrbitReduction._square(pairs, full.derivation, r) for r in reps]
         assert reps[0] == reps[1] and len(reps[0]) < len(theta)
         assert tuple(reports[0].derivation_residuals) == tuple(
@@ -1384,7 +1427,7 @@ class TestAlgebraOrbits:
         assert list(reports[0].derivation_residuals.items()) == \
             list(reports[1].derivation_residuals.items())
         kt = model.koszul_tate()
-        rows = [orbit_representatives(_rows_density(model, kt), pairs, order, kt.components)
+        rows = [TestOrbitReduction._roots(_rows_density(model, kt), pairs, order, kt.components)
                 for order in orders]
         assert rows[0] == rows[1] and len(rows[0]) < len(kt.components)
         whole = noether_residuals(model.noether_operator(), model.generic_euler_lagrange())
@@ -1425,16 +1468,15 @@ class TestAlgebraOrbits:
         # representative cbar1 alone would hide them
         model, reduced, full = TestOrbitReduction._routes("su2", lambda model: Lagrangian(
             model.extended_lagrangian().density + _direction_strength_square(model, 0)))
-        assert model._fixes("L") and not full.ok
+        assert fixed_by(model.algebra_maps(), model.ym_lagrangian().density) and not full.ok
         TestOrbitReduction._same_failure(reduced, full)
         # the rows, on a new model whose L holds the term
         model = _fresh("su2")
         L = Lagrangian(model.ym_lagrangian().density + _direction_strength_square(model, 0))
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
         kt = model.koszul_tate()
-        assert orbit_representatives(L.density, model.pairs(), model.algebra_maps(),
-                                     kt.components) is None
-        assert not model._fixes("L")
+        assert not fixed_by(model.algebra_maps(), L.density)
+        assert model._representatives("gauge") is None
         want = noether_residuals(model.noether_operator(), euler_lagrange(L))
         assert want["cbar1"].is_zero() and not want["cbar2"].is_zero()
         assert list(model._noether_residuals().items()) == list(want.items())
@@ -1445,14 +1487,16 @@ class TestAlgebraOrbits:
 
     def test_a_lagrangian_breaking_the_maps_forces_the_full_table(self, monkeypatch):
         # L gains the direction-1 strength square, which the algebra maps
-        # move: S is still L + P_s, and they keep P_s, but the L proof fails,
-        # and so does gauge-symmetry, so Theta_S is squared and the row is
-        # the full table's
+        # move: S is still L + P_s, and they keep P_s, but the installed L
+        # is not the model's own, so gauge-symmetry runs whole and fails,
+        # Theta_S is squared and the row is the full table's
         model = _fresh("su2")
         L = Lagrangian(model.ym_lagrangian().density + _direction_strength_square(model, 0))
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
         line, parts, direct = TestMasterSplit._rows(model)
-        assert model._fixes("brst") and not model._fixes("L")
+        maps = model.algebra_maps()
+        assert fixed_by(maps, model._paired_sum()) and not fixed_by(maps, L.density)
+        assert model._representatives("gauge") is None
         assert parts == ["S"] and line == direct
         assert line != CheckResult("master-equation", True).line()
 
@@ -1467,11 +1511,9 @@ class TestAlgebraOrbits:
         broken = NoetherOperator(model.ctx, rows)
         monkeypatch.setattr(model, "noether_operator", lambda: broken)
         kt = model.koszul_tate()
-        assert orbit_representatives(model.ym_lagrangian().density, model.pairs(),
-                                     model.algebra_maps(), kt.components) is not None
-        assert orbit_representatives(_rows_density(model, kt), model.pairs(),
-                                     model.algebra_maps(), kt.components) is None
-        assert model._fixes("L")
+        maps = model.algebra_maps()
+        assert fixed_by(maps, model.ym_lagrangian().density)
+        assert not fixed_by(maps, _rows_density(model, kt))
         want = noether_residuals(broken, model.generic_euler_lagrange())
         assert want["cbar1"].is_zero() and not want["cbar2"].is_zero()
         assert list(model._noether_residuals().items()) == list(want.items())
@@ -1484,7 +1526,8 @@ class TestAlgebraOrbits:
         # L + a1_0 c2 c3 + a2_0 c3 c1 + a3_0 c1 c2 keeps every algebra map
         # and has field equations on the ghosts, so Koszul-Tate is not
         # built; the rows are applied to E(L) without it, and
-        # noether-identities reports them, as with no maps at all
+        # noether-identities reports them, as with no maps at all: an
+        # installed L is not the model's own, so no table is reduced
         lines = []
         for reduced in (True, False):
             model = _fresh("su2")
@@ -1495,7 +1538,8 @@ class TestAlgebraOrbits:
             L = Lagrangian(density)
             monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True, L=L: L)
             if reduced:
-                assert model._fixes("L")
+                assert fixed_by(model.algebra_maps(), L.density)
+                assert model._representatives("gauge") is None
             else:
                 monkeypatch.setattr(model, "_representatives", lambda check: None)
             rows = {row.name: row for row in model.pipeline("noether", deterministic=True)
@@ -1505,23 +1549,27 @@ class TestAlgebraOrbits:
         assert lines == ["check noether-identities | status fail | nonzero 12 "
                          "| first cbar1: c2*c3;0"] * 2
 
-    def test_a_sign_on_one_member_of_a_pair_is_refused(self):
-        # these signs fix S and keep each pair's signs equal; without u1's
-        # sign S is still fixed, as u1 is not in it, but ubar1 is
-        L, pairs, _ = orbit_only_failure()
-        names = ("u1", "ubar1", "u2", "ubar2", "e2", "ebar2", "c", "cbar")
-        signs = {L.ctx.generator(name): -1 for name in names}
-        assert orbit_representatives(L.density, pairs, [({}, signs)], {}) == set()
-        del signs[L.ctx.generator("u1")]
-        assert L.density.rename({}, signs) == L.density
-        assert orbit_representatives(L.density, pairs, [({}, signs)], {}) is None
-
+    def test_a_sign_on_one_member_of_a_pair_is_refused(self, monkeypatch):
+        # the su2 maps with their antifields' signs dropped still fix L,
+        # which holds no antifield, but no longer keep the pairing; maps
+        # other than the kept ones reduce no table, and every row is the
+        # one of a new model's
+        model = _fresh("su2")
+        bars = set(model.pairs().values())
+        maps = [(gen_map, {g: sign for g, sign in signs.items() if g not in bars})
+                for gen_map, signs in model.algebra_maps()]
+        assert maps != model.algebra_maps() and fixed_by(maps, model.ym_lagrangian().density)
+        monkeypatch.setattr(model, "algebra_maps", lambda: maps)
+        assert [model._representatives(check) for check in (
+            "euler-lagrange", "parameter", "gauge", "brst")] == [None] * 4
+        assert [row.line() for row in model.full_verification(True).results] == \
+            [row.line() for row in _fresh("su2").full_verification(True).results]
 
     @pytest.mark.parametrize("name, squared", [
         ("abelian", 2), ("su2", 5), ("osp12", 9), ("sl21", 20)])
     def test_brst_square_on_one_direction_per_orbit(self, name, squared, monkeypatch):
         # the fields and ghosts of the first direction of each orbit; the
-        # maps are proved on the paired sum of s alone
+        # square reads u, the ghost sector and s, and no L
         model = _fresh(name)
         batches = self._brst_batches(model, monkeypatch)
         gauge, square = model.pipeline("brst", deterministic=True)
@@ -1533,12 +1581,11 @@ class TestAlgebraOrbits:
         assert batches == [[g.name for g in moved if first[direction[g]]]]
         assert len(batches[0]) == squared
         assert list(model._brst_residuals()) == batches[0]
-        if model.algebra_maps():
-            assert model._fixes("brst")
-        # s holds no L: the square alone proves nothing on it
+        assert fixed_by(model.algebra_maps(), model._paired_sum())
+        # s holds no L: the square alone builds none
         alone = _fresh(name)
         assert list(alone._brst_residuals()) == batches[0]
-        assert ("fixes", alone.ym_lagrangian()) not in alone._memo
+        assert "lagrangian" not in alone._memo
 
     @staticmethod
     def _brst_batches(model, monkeypatch):
@@ -1556,17 +1603,18 @@ class TestAlgebraOrbits:
 
     def test_a_ghost_sector_perturbation_forces_the_full_square(self, monkeypatch):
         # s(c2) doubled: L and the gauge part still keep every algebra map,
-        # but the paired sum of s does not, so the square is taken on every
-        # generator at once, and gauge-symmetry, which shares that proof,
-        # on the whole derivation
+        # but the paired sum of s does not; the installed sector is not the
+        # model's own, so the square is taken on every generator at once,
+        # while gauge-symmetry, which reads L and u alone, is reduced
         model = _fresh("su2")
-        sector = model.ghost_sector()
+        sector = dict(model.ghost_sector())
         sector[model.ghost[1]] = sector[model.ghost[1]] * 2
         monkeypatch.setattr(model, "ghost_sector", lambda: sector)
         batches = self._brst_batches(model, monkeypatch)
         gauge, square = model.pipeline("brst", deterministic=True)
-        assert model._fixes("L") and not model._fixes("brst")
-        assert model._representatives("brst") is None is model._representatives("gauge")
+        assert not fixed_by(model.algebra_maps(), model._paired_sum())
+        assert model._representatives("brst") is None
+        assert model._representatives("gauge") == {model.ghost[0]}
         s = model.brst_operator()
         assert batches == [[g.name for g in sorted(s.components, key=lambda g: g.key)]]
         assert gauge.ok and not square.ok
@@ -1576,78 +1624,53 @@ class TestAlgebraOrbits:
             model.extended_lagrangian()
 
 
-    @staticmethod
-    def _proved(monkeypatch):
-        """The densities the orbit layer proves relabellings on, in order."""
-        proved = []
-        original = gvc.models.orbit_representatives
-
-        def counted(density, pairs, maps, moved):
-            proved.append(density)
-            return original(density, pairs, maps, moved)
-
-        monkeypatch.setattr(gvc.models, "orbit_representatives", counted)
-        return proved
-
-    def test_densities_installed_after_a_run_are_proved_again(self, monkeypatch):
-        # master-equation proves every map on L and on P_s; an L installed
-        # afterwards that breaks the algebra maps is proved anew, its table
-        # is taken whole, and its row is the unreduced route's; an S
-        # installed afterwards is squared whole and proves nothing
+    def test_densities_installed_after_a_run_run_whole_tables(self, monkeypatch):
+        # master-equation reduces the BRST square on the model's own s; an L
+        # installed afterwards that breaks the algebra maps is not the
+        # model's own, so its tables are taken whole, and its row is the
+        # unreduced route's; an S installed afterwards is squared whole
         def routes(install, pipeline):
             model, rows = _fresh("su2"), []
             for reduced in (True, False):
                 if reduced:
                     assert model.pipeline("master-equation", deterministic=True)[0].ok
+                    assert model._representatives("brst") is not None
                 else:
                     model = _fresh("su2")
                     monkeypatch.setattr(model, "_representatives", lambda check: None)
-                density = install(model)
-                del proved[:]
+                install(model)
                 rows.append(model.pipeline(pipeline, deterministic=True)[0])
                 if reduced and pipeline == "brst":
-                    assert proved and all(p is density() for p in proved)
-                    assert not model._fixes("L")
-                elif reduced:
-                    assert proved == []
+                    assert model._representatives("gauge") is None
             assert not rows[0].ok and rows[0].line() == rows[1].line()
-            return model
 
         def install_s(model):
             S = Lagrangian(model.extended_lagrangian().density
                            + _direction_strength_square(model, 0))
             monkeypatch.setattr(model, "extended_lagrangian", lambda: S)
-            return lambda: S.density
 
         def install_l(model):
             L = Lagrangian(model.ym_lagrangian().density + _direction_strength_square(model, 0))
             monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
-            return lambda: L.density
 
-        proved = self._proved(monkeypatch)
         routes(install_s, "master-equation")
         routes(install_l, "brst")
 
     def test_s_minus_l_of_the_proper_solution_is_the_paired_sum(self, monkeypatch):
-        # S built here is L plus the paired sum P of s: the proofs are L's,
-        # taken on phi(L), and P's, and no S - L is formed; an installed S
-        # equal to it is squared whole, with no proof, and no L is
+        # S built here is L plus the paired sum P of s, and no S - L is
+        # formed; an installed S equal to it is squared whole, and no L is
         # subtracted from it
         model = _fresh("su2")
-        subtracted, proved = [], self._proved(monkeypatch)
+        subtracted = []
         sub = Poly.__sub__
         monkeypatch.setattr(Poly, "__sub__", lambda p, q: subtracted.append((p, q)) or sub(p, q))
         assert model.pipeline("master-equation", deterministic=True)[0].ok
-        S, L, P = model.extended_lagrangian(), model.ym_lagrangian(), model._paired_sum("brst")
-        image = model._split(L)
-        assert sorted(("P" if d is P else "phi(L)" if d is image else "?") for d in proved) == \
-            ["P", "phi(L)"]
+        S, L = model.extended_lagrangian(), model.ym_lagrangian()
+        assert S.density == L.density + model._paired_sum()
         installed = Lagrangian(S.density + model.ctx.zero())
         assert installed.density is not S.density and installed.density == S.density
         monkeypatch.setattr(model, "extended_lagrangian", lambda: installed)
-        del proved[:]
         assert model.pipeline("master-equation", deterministic=True)[0].ok
-        assert proved == []
         assert not any(p is d or q is L.density for p, q in subtracted
                        for d in (S.density, installed.density))
 

@@ -13,7 +13,8 @@ from gvc.jets import add_total_derivative, total_derivative
 
 from util import (antifield_numbers, assert_normal, even_part, field_generators,
                   make_context, odd_part, oracle_add_product, oracle_add_total_derivative,
-                  oracle_coeffs, oracle_partial, oracle_poly, oracle_substitute, random_poly)
+                  oracle_coeffs, oracle_partial, oracle_poly, oracle_substitute, random_poly,
+                  relabel)
 
 
 @pytest.fixture
@@ -732,10 +733,10 @@ class TestExactCoefficients:
 
 
 class TestRename:
-    """`Poly.rename` against substitution of each variable's image (the
-    kernel's and the `Fraction` oracle's) and against a bubble-sort sign
-    of each odd word, under random parity-preserving permutations of
-    generators."""
+    """`relabel` (tests/util.py), the signed relabelling by `Poly.substitute`
+    that the algebra-map tests apply, against the `Fraction` oracle's
+    substitution and against a bubble-sort sign of each odd word, under
+    random parity-preserving permutations of generators."""
 
     @staticmethod
     def _relabelling(rng, ctx):
@@ -762,7 +763,7 @@ class TestRename:
         long_words = 0
         for ctx, p, gen_map, image in self._cases(1406):
             mapping = {v: ctx.var(image(v).gen, *image(v).index) for v in p.variables()}
-            got = p.rename(gen_map, {})
+            got = relabel(p, gen_map, {})
             assert_normal(got)
             assert got.coeffs() == oracle_substitute(p, mapping)
             assert got == p.substitute(mapping)
@@ -772,7 +773,7 @@ class TestRename:
     def test_odd_sign_is_the_inversion_count(self):
         flips = 0
         for ctx, p, gen_map, image in self._cases(6318):
-            got = p.rename(gen_map, {})
+            got = relabel(p, gen_map, {})
             assert len(got.terms) == len(p.terms) and got.den == p.den
             for (ev, od), c in p.terms.items():
                 letters = {image(v).key: image(v) for v in od}
@@ -793,7 +794,7 @@ class TestRename:
             signs = self._signs(rng, ctx)
             mapping = {v: ctx.var(image(v).gen, *image(v).index) * signs.get(v.gen, 1)
                        for v in p.variables()}
-            got = p.rename(gen_map, signs)
+            got = relabel(p, gen_map, signs)
             assert_normal(got)
             assert got.coeffs() == oracle_substitute(p, mapping)
             assert got == p.substitute(mapping)
@@ -805,7 +806,7 @@ class TestRename:
         long_negated = 0
         for ctx, p, gen_map, image in self._cases(6318):
             signs = self._signs(rng, ctx)
-            got = p.rename(gen_map, signs)
+            got = relabel(p, gen_map, signs)
             for (ev, od), c in p.terms.items():
                 letters = {image(v).key: image(v) for v in od}
                 sign, keys = bubble_sign([image(v).key for v in od])
@@ -815,40 +816,3 @@ class TestRename:
                 assert got.terms[(even, tuple(letters[k] for k in keys))] == sign * c
                 long_negated += len(od) >= 3 and any(signs[v.gen] == -1 for v in od)
         assert long_negated > 20
-
-    def test_refuses_maps_that_are_no_signed_permutation(self):
-        ctx = make_context(2)
-        s1, s2, q1 = ctx.generator("s1"), ctx.generator("s2"), ctx.generator("q1")
-        p = ctx.var("s1", 0) * ctx.var("q1", 1) * ctx.var("q2") + ctx.var("x1")
-        assert p.rename({s1: s2, s2: s1}, {s1: -1, q1: 1}) == \
-            -(ctx.var("s2", 0) * ctx.var("q1", 1) * ctx.var("q2")) + ctx.var("x1")
-        for gen_map, signs in (({}, {s1: 2}), ({}, {q1: 0}), ({}, {s1: Fraction(-1, 2)}),
-                               ({s1: s2}, {s1: -1}), ({s1: q1, q1: s1}, {s1: -1, q1: -1})):
-            with pytest.raises(GvcError):
-                p.rename(gen_map, signs)
-
-    def test_refuses_maps_across_kinds_or_contexts(self):
-        # the images are interned unchecked, so a map must keep each
-        # generator's kind (not an even field to an even antifield or to a
-        # coordinate) and stay within the context
-        ctx = make_context(2)
-        ctx.add_generator("t1", "antifield", EVEN)
-        other = make_context(2)
-        s1, t1, x0 = ctx.generator("s1"), ctx.generator("t1"), ctx.generator("x0")
-        p = ctx.var("s1", 0) * ctx.var("x0")
-        assert p.rename({s1: s1}, {}) == p
-        foreign = other.generator("s1")
-        for gen_map in ({s1: t1, t1: s1}, {s1: x0, x0: s1}, {s1: foreign, foreign: s1}):
-            with pytest.raises(GvcError, match="kind- and parity-preserving"):
-                p.rename(gen_map, {})
-
-    def test_identity_and_bad_maps(self):
-        ctx = make_context(2)
-        s1, s2, q1 = ctx.generator("s1"), ctx.generator("s2"), ctx.generator("q1")
-        p = ctx.var("s1", 0) * ctx.var("q1", 1) * ctx.var("q2") + ctx.var("x1")
-        assert p.rename({}, {}) == p
-        assert p.rename({s1: s2, s2: s1}, {}) == \
-            ctx.var("s2", 0) * ctx.var("q1", 1) * ctx.var("q2") + ctx.var("x1")
-        for gen_map in ({s1: s2}, {s1: q1, q1: s1}):
-            with pytest.raises(GvcError):
-                p.rename(gen_map, {})

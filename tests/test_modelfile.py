@@ -178,6 +178,9 @@ class TestPresets:
         golden = (GOLDEN / ("%s.model" % name)).read_bytes()
         assert PRESET_MODEL_TEXT[name].encode("utf-8") == golden
 
+    def test_every_golden_model_file_is_a_preset(self):
+        assert sorted(p.stem for p in GOLDEN.glob("*.model")) == sorted(PRESET_MODEL_TEXT)
+
     @pytest.mark.parametrize("name", sorted(PRESET_MODEL_TEXT))
     def test_preset_model_renders_the_golden_report(self, name):
         report = preset_model(name).full_verification(deterministic=True)

@@ -18,19 +18,18 @@ from gvc.bicomplex import (EulerLagrange, Form, conservation_residual, d_h, inte
                            superpotential_residual, variational_delta, variational_derivatives,
                            volume)
 from gvc.brst import (NoetherOperator, master_equation_check,
-                      nilpotency_residuals, noether_residuals, orbit_representatives,
-                      orbit_roots, paired_sum)
+                      nilpotency_residuals, noether_residuals, orbit_roots, paired_sum)
 from gvc.grassmann import ExpansionLimitError, Poly
 from gvc.jets import ContactDerivation, prolong_apply, total_derivative
 from gvc.models import GaugeModel, Metric, run_parts
 from gvc.modelfile import parse_model, spec_model
 from gvc.presets import PRESET_MODEL_TEXT, preset_model
 from gvc.reporting import CheckResult
-from gvc.superlie import LieSuperalgebra, bracket
+from gvc.superlie import LieSuperalgebra, bracket, signed_automorphisms
 
 from util import (abelian_algebra, assert_normal, constant_parameter_symmetry,
-                  first_variational_residual, mass_term_lagrangian, random_poly,
-                  rescaled_model_text, scale, su2_algebra, superbracket,
+                  first_variational_residual, fixed_by, mass_term_lagrangian, random_poly,
+                  relabel, rescaled_model_text, scale, su2_algebra, superbracket,
                   supermatrix_model_text, sym_jet, sym_quadratic_lagrangian)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -280,7 +279,6 @@ class TestFieldEquations:
         fields = [g for row in model.field for g in row]
         reps = model._representatives("euler-lagrange")
         if model.algebra_maps():
-            assert model._fixes("L")
             assert reps == orbit_roots(model.algebra_maps(), fields)
         else:
             assert reps is None
@@ -290,8 +288,8 @@ class TestFieldEquations:
     def test_mass_term_off_the_representatives_fails_the_whole_table(self, monkeypatch):
         # a mass term on a3_3 moves under the algebra maps,
         # and it changes the generic field equation of a3_3 alone, which
-        # is on no representative: the L proof fails, the whole table
-        # runs, and its row is the unreduced route's
+        # is on no representative: the installed L is not the model's
+        # own, the whole table runs, and its row is the unreduced route's
         su2 = preset_model("su2")
         assert {g.name for g in su2._representatives("euler-lagrange")} == {
             "a1_0", "a1_1", "a1_2", "a1_3"}
@@ -309,6 +307,25 @@ class TestFieldEquations:
         assert not row.ok and row.nonzero == 1 and row.witness.startswith("a3_3: ")
         assert lines[0] == lines[1]
         assert models[0]._representatives("euler-lagrange") is None
+
+    def test_installed_field_equations_run_the_whole_table(self, monkeypatch):
+        # the model's own L with field equations that gain a term on a3_3,
+        # on no representative: they are not the model's own, so the whole
+        # table runs, and its row is the unreduced route's
+        lines = []
+        for reduced in (True, False):
+            model = preset_model("su2")
+            generic = model.generic_euler_lagrange()
+            a = model.field[2][3]
+            installed = EulerLagrange(model.ctx, {**generic.components, a: generic.component(
+                a) + model.ctx.var(a)})
+            monkeypatch.setattr(model, "generic_euler_lagrange", lambda: installed)
+            if not reduced:
+                monkeypatch.setattr(model, "_representatives", lambda check: None)
+            (row,) = model.pipeline("euler-lagrange", deterministic=True)
+            lines.append(row.line())
+        assert not row.ok and row.nonzero == 1 and row.witness.startswith("a3_3: ")
+        assert lines[0] == lines[1]
 
 
 class TestSymmetries:
@@ -576,8 +593,8 @@ SYMMETRY_CHECKS = ("parameter-symmetry", "current-conservation", "superpotential
 class TestParameterOrbits:
     """The parameter and gauge symmetry checks, each a sum over algebra
     directions q of a residual linear in the source xi^q or c^q, on one
-    direction per orbit of the algebra maps, against the whole
-    derivation."""
+    direction per orbit of the algebra maps where L and the derivation are
+    the model's own, against the whole derivation."""
 
     @staticmethod
     def _batches(monkeypatch):
@@ -674,16 +691,16 @@ class TestParameterOrbits:
 
     def test_invariant_perturbation_is_caught_on_representatives(self, monkeypatch):
         # the mass term is fixed by every algebra map and breaks both
-        # symmetries: the first direction fails, the rest follows, and each
-        # row is the whole derivation's
+        # symmetries; the installed L is not the model's own, so no table
+        # is reduced, and each row is the whole derivation's
         model = preset_model("su2")
         L = Lagrangian(model.ym_lagrangian().density + mass_term_lagrangian(model).density)
+        assert fixed_by(model.algebra_maps(), L.density)
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
         batches = self._batches(monkeypatch)
         rows = self._rows(model)
-        # noether-identities reads its rows from u L, so the ghost batches
-        # come second; the rows are then applied, as u L fails
-        assert batches == [["xi1"], ["xi2", "xi3"], ["c1"], ["c2", "c3"], ["xi1"], ["xi1"]]
+        assert batches == []
+        assert model._representatives("parameter") is None is model._representatives("gauge")
         for check in SYMMETRY_CHECKS:
             assert not rows[check].ok
             assert rows[check].line() == _unreduced_row(model, check)
@@ -710,21 +727,32 @@ class TestParameterOrbits:
         assert not rows["superpotential"].ok
         assert rows["superpotential"].line() == _unreduced_row(model, "superpotential")
 
+    @staticmethod
+    def _install(model, monkeypatch, patched):
+        """Installs the parameter symmetry and the gauge operator of the
+        components patched(model, sources), made from the model's own."""
+        for kind, parity in (("parameter", EVEN), ("gauge", ODD)):
+            sources = model._symmetry(kind)[1]
+            theta = ContactDerivation(model.ctx, patched(
+                model, sources, model._gauge_components(sources)), parity)
+            monkeypatch.setattr(model, "parameter_symmetry" if kind == "parameter"
+                                else "gauge_operator", lambda theta=theta: theta)
+
     def test_a_component_breaking_a_map_forces_the_full_route(self, monkeypatch):
         # the last direction's component on a3_0 gains its source times
         # a3_0: the algebra maps no longer carry it, and only that
-        # direction's piece fails, so the representative alone would pass
-        original = GaugeModel._gauge_components
-
-        def broken(model, sources):
-            comps = original(model, sources)
+        # direction's piece fails, so the representative alone would pass;
+        # installed, the derivations are not the model's own
+        def broken(model, sources, comps):
             q = model.algebra.dim - 1
             a = model.field[q][0]
             comps[a] = comps[a] + model.ctx.var(sources[q]) * model.ctx.var(a)
             return comps
 
-        monkeypatch.setattr(GaugeModel, "_gauge_components", broken)
         model = preset_model("su2")
+        self._install(model, monkeypatch, broken)
+        assert not fixed_by(model.algebra_maps(), paired_sum(
+            model.ctx, model.parameter_symmetry().components, model.pairs()))
         batches, prolonged = self._batches(monkeypatch), self._prolonged(monkeypatch)
         rows = self._rows(model)
         assert batches == []
@@ -743,11 +771,9 @@ class TestParameterOrbits:
         # every parameter-symmetry component gains the field, or the
         # parameter, of its direction times h_ij a^i_0 a^j_0, or times
         # h_ij xi^i xi^j: the algebra maps still commute with it, but such a
-        # term would belong to no part, or to three
-        original = GaugeModel._gauge_components
-
-        def patched(model, sources):
-            comps = original(model, sources)
+        # term would belong to no part, or to three; installed, it is not
+        # the model's own
+        def patched(model, sources, comps):
             if sources is model.parameter:
                 ctx, n = model.ctx, model.metric.dim
                 pair = [model.field[r][0] for r in range(3)] if extra == "no source" \
@@ -761,12 +787,11 @@ class TestParameterOrbits:
                         comps[a] = comps[a] + ctx.var(first) * scalar
             return comps
 
-        monkeypatch.setattr(GaugeModel, "_gauge_components", patched)
         model = preset_model("su2")
+        self._install(model, monkeypatch, patched)
         theta = model.parameter_symmetry()
-        carried = paired_sum(model.ctx, theta.components, model.pairs())
-        assert orbit_representatives(carried, model.pairs(), model.algebra_maps(),
-                                     model.parameter) == {model.parameter[0]}
+        assert fixed_by(model.algebra_maps(), paired_sum(model.ctx, theta.components,
+                                                         model.pairs()))
         prolonged = self._prolonged(monkeypatch)
         rows = self._rows(model)
         assert model._representatives("parameter") is None
@@ -786,8 +811,8 @@ class TestParameterOrbits:
     def test_a_source_in_L_runs_unreduced(self, monkeypatch):
         # h_ij xi^i xi^j is fixed by every algebra map, but with it the parts
         # of two directions may share terms, so no part stands for another;
-        # the installed L is not the model's own, so each part is prolonged
-        # in jets
+        # the installed L is not the model's own, so no table is reduced,
+        # and each derivation is prolonged in jets
         model = preset_model("su2")
         ctx = model.ctx
         extra = ctx.zero()
@@ -795,14 +820,12 @@ class TestParameterOrbits:
             extra += ctx.product(h, (ctx.jet(model.parameter[i]), ctx.jet(model.parameter[j])))
         L = Lagrangian(model.ym_lagrangian().density + extra)
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
-        assert model._fixes("L")
+        assert fixed_by(model.algebra_maps(), L.density)
         batches, prolonged = self._batches(monkeypatch), self._prolonged(monkeypatch)
         rows = self._rows(model)
-        assert model._representatives("parameter") is None
-        assert model._representatives("gauge") == {model.ghost[0]}
-        assert batches == [["c1"]]
-        assert prolonged == [(model.parameter_symmetry(), True),
-                             (model._part("gauge", (0,)), True)]
+        assert model._representatives("parameter") is None is model._representatives("gauge")
+        assert batches == []
+        assert prolonged == [(model.parameter_symmetry(), True), (model.gauge_operator(), True)]
         for check in SYMMETRY_CHECKS:
             assert rows[check].line() == _unreduced_row(model, check)
 
@@ -814,20 +837,21 @@ class TestParameterOrbits:
         pairs = shared.pairs()
         for kind in ("parameter", "gauge"):
             theta, sources = shared._symmetry(kind)
-            carried = paired_sum(shared.ctx, theta.components, pairs)
-            reps = [orbit_representatives(carried, pairs, order, sources)
-                    for order in (maps, maps[::-1])]
+            assert fixed_by(maps, paired_sum(shared.ctx, theta.components, pairs))
+            reps = [orbit_roots(order, sources) for order in (maps, maps[::-1])]
             assert reps[0] == reps[1] == shared._representatives(kind)
             assert len(reps[0]) < len(sources)
         lines, runs = [], []
         for order in (maps, maps[::-1]):
             model = preset_model(name) if name == "su2" else spec_model(
                 parse_model(SL21_MODEL.read_text(encoding="utf-8")))
-            monkeypatch.setattr(model, "algebra_maps", lambda order=order: order)
+            # the maps in this order, kept as the model's own
+            monkeypatch.setitem(model._memo, "algebra-maps", model._algebra_relabellings(
+                signed_automorphisms(model.algebra)[::1 if order is maps else -1]))
             runs.append(self._batches(monkeypatch))
             lines.append([row.line() for row in model.full_verification(True).results])
             monkeypatch.undo()
-        assert runs[0] == runs[1] and lines[0] == lines[1]
+        assert runs[0] == runs[1] and runs[0] and lines[0] == lines[1]
 
     def test_term_limit_on_the_reduced_current_route(self):
         # the Lepage form, built for the representative's current, is the
@@ -1270,21 +1294,11 @@ class TestSplitRoute:
 
 
 class TestSplitProof:
-    """The orbit proof of the model's own L on phi(L): each map must be the
-    relabelling of a signed permutation that keeps c, and then fixes
-    phi(L) exactly when it fixes L; any other L is proved on itself."""
+    """The algebra maps against phi(L): each fixes phi(L) exactly when it
+    fixes L, and a map that is not the model's own, whether or not it
+    keeps h, c or the split coordinates, reduces no table."""
 
-    @staticmethod
-    def _proved(monkeypatch):
-        proved = []
-        original = gvc.models.orbit_representatives
-
-        def counted(density, pairs, maps, moved):
-            proved.append(density)
-            return original(density, pairs, maps, moved)
-
-        monkeypatch.setattr(gvc.models, "orbit_representatives", counted)
-        return proved
+    CHECKS = ("euler-lagrange", "parameter", "gauge", "brst")
 
     @pytest.mark.parametrize("name", ["su2", "sl3", "sl21", "two-abelian"])
     def test_phi_of_L_is_fixed_exactly_when_L_is(self, name, request):
@@ -1301,16 +1315,15 @@ class TestSplitProof:
             maps = model.algebra_maps()
         L = model.ym_lagrangian().density
         image = model._split(model.ym_lagrangian())
-        fixed = [image.rename(*g) == image for g in maps]
-        assert fixed == [L.rename(*g) == L for g in maps]
+        fixed = [fixed_by([g], image) for g in maps]
+        assert fixed == [fixed_by([g], L) for g in maps]
         assert fixed == [True] * len(model.algebra_maps()) + [False] * (len(maps) - len(
             model.algebra_maps()))
-        assert all(model._keeps_constants(*g) for g in maps)
 
     def test_a_map_keeping_h_but_not_c_fails_the_proof(self, monkeypatch):
         # E12 <-> E13 and E21 <-> E31 on sl(3) keep the trace form, so they
         # fix 1/4 h Fs Fs, but not c, so they neither commute with phi nor
-        # fix L: the proof fails, and every reduced table runs whole
+        # fix L; not the model's own maps, they reduce no table
         model = _new_model("sl3")
         names = [name for name, _ in parse_model(SL3_MODEL.read_text(encoding="utf-8")).generators]
         pi = list(range(8))
@@ -1320,11 +1333,9 @@ class TestSplitProof:
         assert all((pi[i], pi[j], h) in model.form_entries for i, j, h in model.form_entries)
         L = model.ym_lagrangian()
         image = model._split(L)
-        assert image.rename(*swap) == image and L.density.rename(*swap) != L.density
+        assert relabel(image, *swap) == image and relabel(L.density, *swap) != L.density
         monkeypatch.setattr(model, "algebra_maps", lambda: [swap])
-        assert not model._keeps_constants(*swap) and not model._fixes("L")
-        reps = {check: model._representatives(check) for check in (
-            "euler-lagrange", "parameter", "gauge")}
+        reps = {check: model._representatives(check) for check in self.CHECKS}
         assert reps == dict.fromkeys(reps)
         lines = [row.line() for row in model.full_verification(True).results]
         assert lines == [row.line() for row in _new_model("sl3").full_verification(True).results]
@@ -1332,50 +1343,61 @@ class TestSplitProof:
     def test_a_map_leaving_the_split_coordinates_fails_the_proof(self, monkeypatch):
         # each algebra map with its strength and symmetric coordinates left
         # in place still fixes L, and trivially phi(L), but need not
-        # commute with phi: the proof fails
+        # commute with phi; not the model's own maps, they reduce no table
         model = _new_model("su2")
         split = model._split_gens
         maps = [({g: h for g, h in gen_map.items() if g not in split},
                  {g: s for g, s in signs.items() if g not in split})
                 for gen_map, signs in model.algebra_maps()]
         L, image = model.ym_lagrangian().density, model._split(model.ym_lagrangian())
-        assert all(L.rename(*g) == L and image.rename(*g) == image for g in maps)
+        assert fixed_by(maps, L) and fixed_by(maps, image)
         monkeypatch.setattr(model, "algebra_maps", lambda: maps)
-        assert not model._fixes("L")
+        assert [model._representatives(check) for check in self.CHECKS] == [None] * 4
 
     def test_a_map_moving_a_field_off_the_fields_fails_the_proof(self, monkeypatch):
         # a1_0 <-> xi1 is a kind- and parity-preserving relabelling with no
-        # direction permutation: the proof fails, and nothing raises
+        # direction permutation: it reduces no table, and nothing raises
         model = _new_model("su2")
         a, xi = model.field[0][0], model.parameter[0]
         monkeypatch.setattr(model, "algebra_maps", lambda: [({a: xi, xi: a}, {})])
-        assert not model._fixes("L")
+        assert [model._representatives(check) for check in self.CHECKS] == [None] * 4
 
     @pytest.mark.parametrize("name", ["su2", "sl21"])
-    def test_an_installed_L_is_proved_on_itself(self, name, monkeypatch):
+    def test_an_installed_L_runs_whole_tables(self, name, monkeypatch):
         # a mass-term L, alone or added to the own L, keeps the algebra
-        # maps; it is proved by renaming it, without phi
+        # maps, but is not the model's own: no table is reduced, nothing is
+        # split, and each row is the unreduced route's
         for extra in (False, True):
-            model = _new_model(name)
-            mass = mass_term_lagrangian(model)
-            installed = Lagrangian(model.ym_lagrangian().density + mass.density) if extra \
-                else mass
-            monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: installed)
-            proved, split = self._proved(monkeypatch), []
-            monkeypatch.setattr(model, "split_coordinates", lambda d: split.append(d))
-            assert model._fixes("L")
-            assert proved == [installed.density] and split == []
-            monkeypatch.undo()
+            lines = []
+            for reduced in (True, False):
+                model = _new_model(name)
+                mass = mass_term_lagrangian(model)
+                installed = Lagrangian(model.ym_lagrangian().density + mass.density) if extra \
+                    else mass
+                assert fixed_by(model.algebra_maps(), installed.density)
+                monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: installed)
+                split = []
+                monkeypatch.setattr(model, "split_coordinates", lambda d: split.append(d))
+                if reduced:
+                    assert [model._representatives(check) for check in self.CHECKS[:3]] == \
+                        [None] * 3
+                else:
+                    monkeypatch.setattr(model, "_representatives", lambda check: None)
+                lines.append([row.line() for pipeline in ("euler-lagrange", "brst")
+                              for row in model.pipeline(pipeline, deterministic=True)])
+                assert split == []
+                monkeypatch.undo()
+            assert lines[0] == lines[1]
 
     @pytest.mark.parametrize("name", ["sl3", "sl21"])
     def test_a_passing_full_renames_no_L_and_splits_nothing(self, name, monkeypatch):
-        # the maps are proved on phi(L), each gauge Lie derivative is read
+        # no density is relabelled, each gauge Lie derivative is read
         # through the covariance of F with R = 0, and L and phi(L) are each
         # one table per stored form pair, of n(n-1)/2 products
         renamed, split, products, tables = [], [], [], []
-        rename, density, product = Poly.rename, GaugeModel._strength_density, \
+        substitute, density, product = Poly.substitute, GaugeModel._strength_density, \
             gvc.models.add_product
-        monkeypatch.setattr(Poly, "rename", lambda p, *g: renamed.append(p) or rename(p, *g))
+        monkeypatch.setattr(Poly, "substitute", lambda p, m: renamed.append(p) or substitute(p, m))
         monkeypatch.setattr(GaugeModel, "split_coordinates", lambda model, d: split.append(d))
         monkeypatch.setattr(gvc.models, "add_product", lambda out, *args: products.append(
             out) or product(out, *args))
@@ -1389,11 +1411,40 @@ class TestSplitProof:
         monkeypatch.setattr(GaugeModel, "_strength_density", counted)
         model = _new_model(name)
         assert model.full_verification().ok
-        assert renamed and not any(p is model.ym_lagrangian().density for p in renamed)
-        assert split == []
+        assert renamed == [] and split == []
         stored, n = sum(i <= j for i, j, _ in model.form_entries), model.metric.dim
         assert stored < len(model.form_entries)
         assert tables == [(stored, stored * n * (n - 1) // 2)] * 2
+
+
+class TestAlgebraMapsFixTheModel:
+    """What `_representatives` takes from the construction: each kept
+    algebra map keeps the pairing with one sign per pair, fixes L, phi(L),
+    P_s and the parameter symmetry's paired sum, and sends each field
+    equation E_z(L), by either route, onto s_z E_g(z)(L)."""
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21", "sl3", "sl31"])
+    def test_each_map_fixes_what_the_checks_read(self, name):
+        model = spec_model(parse_model(supermatrix_model_text((0, 0, 0, 1)))) \
+            if name == "sl31" else _new_model(name)
+        maps, pairs, ctx = model.algebra_maps(), model.pairs(), model.ctx
+        assert maps
+        for gen_map, signs in maps:
+            for z, zbar in pairs.items():
+                assert pairs[gen_map.get(z, z)] is gen_map.get(zbar, zbar)
+                assert signs.get(z, 1) == signs.get(zbar, 1)
+        L = model.ym_lagrangian()
+        for density in (L.density, model._split(L), model._paired_sum(),
+                        paired_sum(ctx, model.parameter_symmetry().components, pairs)):
+            assert fixed_by(maps, density)
+        fields = [g for row in model.field for g in row]
+        for el in (model.generic_euler_lagrange(), model.closed_euler_lagrange()):
+            assert set(el.components) == set(fields)
+            for gen_map, signs in maps:
+                assert any(gen_map[z] is not z for z in fields)
+                for z in fields:
+                    assert relabel(el.component(z), gen_map, signs) == \
+                        el.component(gen_map[z]) * signs.get(z, 1)
 
 
 class TestSplitLieFuzz:
@@ -1749,7 +1800,7 @@ class TestBuildOnce:
         # and of P_s, whose Theta alone is built, from that table, and
         # squared; no Theta_S is built
         assert [p is q for p, q in zip(densities, (model.ym_lagrangian().density,
-                                                    model._paired_sum("brst")))] == [True, True]
+                                                    model._paired_sum()))] == [True, True]
         assert len(densities) == 2
         assert len(derived) == 1 and derived[0] is tables[1]
 
@@ -1885,6 +1936,15 @@ class TestBuildOnce:
         model.split_coordinates(model.ym_lagrangian().density)
         assert len(built) == before and len(asked) > len(built)
 
+    def test_ghost_sector_kept_read_only(self):
+        # the kept sector is the model's own, which the BRST square's orbit
+        # reduction trusts, so no caller may change it in place
+        model = preset_model("su2")
+        sector = model.ghost_sector()
+        assert sector is model.ghost_sector() and sector
+        with pytest.raises(TypeError):
+            sector[model.ghost[0]] = model.ctx.zero()
+
     def test_brst_residuals_computed_once(self, monkeypatch):
         calls = []
         for module in (gvc.brst, gvc.models):
@@ -1903,29 +1963,41 @@ class TestBuildOnce:
 
     @pytest.mark.parametrize("name", ["su2", "sl21"])
     def test_each_density_renamed_once_per_map(self, name, monkeypatch):
-        # every map is proved on phi(L) once, for the master equation, the
-        # Noether rows, Koszul-Tate and the symmetry checks together; L's
-        # density is never renamed, and no density twice under one map
-        renamed = []
-        original = Poly.rename
+        # no density is relabelled: each check's representatives are the
+        # orbits of the kept maps, found once per check, and finding them
+        # builds nothing but what the check itself reads
+        renamed, roots, added = [], [], []
+        substitute, find = Poly.substitute, gvc.models.orbit_roots
+        reps = GaugeModel._representatives
+        monkeypatch.setattr(Poly, "substitute", lambda p, m: renamed.append(p) or substitute(p, m))
+        monkeypatch.setattr(gvc.models, "orbit_roots", lambda maps, gens: roots.append(
+            len(gens)) or find(maps, gens))
 
-        def counted(p, gen_map, signs):
-            renamed.append((p, gen_map))
-            return original(p, gen_map, signs)
+        def counted(model, check):
+            before = set(model._memo)
+            out = reps(model, check)
+            added.extend((check, key) for key in set(model._memo) - before)
+            return out
 
-        monkeypatch.setattr(Poly, "rename", counted)
+        monkeypatch.setattr(GaugeModel, "_representatives", counted)
         model = preset_model(name) if name == "su2" else spec_model(
             parse_model(SL21_MODEL.read_text(encoding="utf-8")))
         assert model.full_verification().ok
+        # a graded model runs no parameter check
+        checks = [check for check in ("euler-lagrange", "parameter", "gauge", "brst")
+                  if model.all_even or check != "parameter"]
+        sizes = {"euler-lagrange": len(model.field) * model.metric.dim,
+                 "parameter": len(model.parameter), "gauge": len(model.ghost)}
+        sizes["brst"] = sizes["euler-lagrange"] + sizes["gauge"]
+        assert renamed == []
+        assert roots == [sizes[check] for check in checks]
+        # the maps themselves, with their table by direction, and E(L)
+        # are built for the first check, euler-lagrange
         L = model.ym_lagrangian()
-        image = model._split(L)
-        maps = [gen_map for gen_map, _ in model.algebra_maps()]
-        on_image = [gen_map for p, gen_map in renamed if p is image]
-        assert len(on_image) == len(maps) == 2
-        assert all(any(g is gen_map for g in on_image) for gen_map in maps)
-        assert not any(p is L.density for p, _ in renamed)
-        pairs = [(id(p), id(gen_map)) for p, gen_map in renamed]
-        assert len(pairs) == len(set(pairs))
+        assert sorted(added, key=repr) == sorted([
+            ("euler-lagrange", key) for key in (("euler-lagrange", L), "algebra-maps",
+                                                "by-direction")] + [
+            (check, ("representatives", check)) for check in checks], key=repr)
 
     @pytest.mark.parametrize("name", ["su2", "osp12"])
     def test_pipelines_in_reverse_order_match_full(self, name):

@@ -890,6 +890,20 @@ def brute_force_automorphisms(alg):
     return out
 
 
+def relabel(p, gen_map, signs):
+    """The image of p under a signed relabelling of generators: each jet
+    z;Lambda becomes signs[z] gen_map(z);Lambda (z itself where `gen_map`
+    has no entry, sign 1 where `signs` has none), by `Poly.substitute`."""
+    return p.substitute({v: p.ctx.var(gen_map.get(v.gen, v.gen), *v.index) * signs.get(v.gen, 1)
+                         for v in p.variables() if v.gen in gen_map or v.gen in signs})
+
+
+def fixed_by(maps, p):
+    """Whether each signed relabelling (gen_map, signs) of `maps` fixes the
+    polynomial p (`relabel`)."""
+    return all(relabel(p, *g) == p for g in maps)
+
+
 def basis_orbits(m, maps):
     """The orbits of the permutations pi of (pi, s) on range(m), as a set
     of frozensets, by closing each index under the maps."""
