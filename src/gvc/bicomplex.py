@@ -8,8 +8,11 @@ Coefficients are graded polynomials and always sit to the left of the
 wedge word, with Koszul signs tracked on every reordering.
 """
 
+from types import MappingProxyType
+
 from .grassmann import _ONE, EVEN, GvcError, Poly, accumulate, add_product
-from .jets import add_total_derivative, iterated_derivative
+from .jets import (add_total_derivative, iterated_derivative, variational_derivative,
+                   variational_derivatives)
 
 DX = 0
 TH = 1
@@ -334,18 +337,62 @@ class Lagrangian:
 
 
 class EulerLagrange:
-    """Variational derivatives, one polynomial per field generator."""
+    """Variational derivatives, one polynomial per field generator, in a
+    read-only table.
 
-    __slots__ = ("ctx", "components")
+    Built whole from a table, or from a density alone (`by_field`): then
+    each E_z is built on first request, for a batch of generators at once
+    (`fill`), from one index of the density's terms by variable, so a
+    batch reads only its own terms; `components`, `is_zero` and
+    `generators` first fill whatever is missing.  Each E_z is the one of
+    `euler_lagrange` on the whole density, and a batch that fails raises
+    the whole table's error."""
 
-    def __init__(self, ctx, components):
-        self.ctx = ctx
-        self.components = {g: p for g, p in components.items() if not p.is_zero()}
+    __slots__ = ("ctx", "_table", "_density", "_index", "_pending")
+
+    def __init__(self, ctx, components, density=None):
+        self.ctx, self._density, self._index = ctx, density, None
+        self._table = {g: p for g, p in components.items() if not p.is_zero()}
+
+    @classmethod
+    def by_field(cls, density):
+        """E of `density`, each component built on first request."""
+        return cls(density.ctx, {}, density)
+
+    def fill(self, gens=None):
+        """Build E_z for each generator z of `gens` (all when None) not
+        built yet, in one batch, over z's jets in the density's order, as
+        on the whole density.  Once every z is built, the table takes the
+        whole table's order, and the density and its index are let go."""
+        density = self._density
+        if density is None:
+            return
+        if self._index is None:
+            self._index = density.terms_by_variable()
+            self._pending = {v.gen for v in self._index if v.gen.kind != "coordinate"}
+        batch = self._pending if gens is None else self._pending.intersection(gens)
+        if batch:
+            try:
+                self._table.update(variational_derivatives(density, "left", batch, self._index))
+            except GvcError:
+                variational_derivatives(density)  # the whole table's error
+                raise
+            self._pending = self._pending - batch
+        if not self._pending:
+            table = self._table
+            self._table = {v.gen: table[v.gen] for v in self._index if v.gen in table}
+            self._density = self._index = None
+
+    @property
+    def components(self):
+        self.fill()
+        return MappingProxyType(self._table)
 
     def component(self, gen):
         if isinstance(gen, str):
             gen = self.ctx.generator(gen)
-        return self.components.get(gen, self.ctx.zero())
+        self.fill((gen,))
+        return self._table.get(gen, self.ctx.zero())
 
     def is_zero(self):
         return not self.components
@@ -366,34 +413,6 @@ class EulerLagrange:
 def euler_lagrange(L):
     """Term-by-term alternating-sign total derivatives of jet partials."""
     return EulerLagrange(L.ctx, variational_derivatives(L.density))
-
-
-def variational_derivative(density, gen, side="left"):
-    """delta/delta(z) of a density for one generator, left or right."""
-    ctx = density.ctx
-    if isinstance(gen, str):
-        gen = ctx.generator(gen)
-    return variational_derivatives(density, side, (gen,)).get(gen, ctx.zero())
-
-
-def variational_derivatives(density, side="left", gens=None):
-    """delta/delta(z) of a density for every generator z in `gens` (every
-    non-coordinate generator when None) that occurs, by generator: the
-    sum over the jets v of z of (-1)^|Lambda| d_Lambda of the partial
-    along v, accumulated in place; the last total derivative of each jet
-    writes straight into its generator's table."""
-    ctx = density.ctx
-    comps = {}
-    for v, dv in density.partials(side, gens):
-        if gens is None and v.gen.kind == "coordinate":
-            continue
-        table = comps.setdefault(v.gen, ctx.zero())
-        if v.index:
-            add_total_derivative(table, v.index[-1], iterated_derivative(v.index[:-1], dv),
-                                 -1 if len(v.index) & 1 else 1)
-        else:
-            accumulate(table, dv.terms.items(), dv.den)
-    return {gen: table.finish() for gen, table in comps.items() if table.terms}
 
 
 def is_variationally_trivial(L):

@@ -26,6 +26,8 @@ paired derivation of Q = sum_z s^2(z) zbar, zero where s^2 is.
 vouches that the maps carry each residual onto its image's up to sign.
 """
 
+from types import MappingProxyType
+
 from .grassmann import EVEN, ODD, GvcError, ParityError, Poly, add_product
 from .jets import ContactDerivation, add_total_derivative, iterated_derivative
 from .bicomplex import Lagrangian, variational_derivatives
@@ -36,13 +38,14 @@ class NoetherOperator:
     derivatives: row r is a list of (coefficient, generator, multi-index),
     the coefficient a polynomial (a scalar is taken as a constant one), the
     generator a field.  No coefficient holds an antifield or a degree-two
-    antifield, the only generators Koszul-Tate moves (`koszul_tate`)."""
+    antifield, the only generators Koszul-Tate moves (`koszul_tate`).  The
+    table of rows is read-only, like a `ContactDerivation`'s."""
 
     __slots__ = ("ctx", "rows")
 
     def __init__(self, ctx, rows):
         self.ctx = ctx
-        self.rows = {}
+        table = {}
         for label, entries in rows.items():
             clean = []
             for coeff, gen, index in entries:
@@ -55,7 +58,8 @@ class NoetherOperator:
                     raise GvcError("identity row %r has a coefficient Koszul-Tate moves"
                                    % (label,))
                 clean.append((coeff, gen, tuple(sorted(index))))
-            self.rows[label] = clean
+            table[label] = clean
+        self.rows = MappingProxyType(table)
 
 
 def noether_residuals(op, el):

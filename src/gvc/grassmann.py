@@ -643,19 +643,30 @@ class Poly:
             raise UnknownGeneratorError("variable %s not registered here" % v.render())
         return Poly(self.ctx, _partial_terms(self.terms.items(), v, side), self.den).finish()
 
-    def partials(self, side="left", gens=None):
+    def partials(self, side="left", gens=None, index=None):
         """Yield (variable, nonzero partial derivative) for every variable
         that occurs, in order of first occurrence; when `gens` (a
         collection of generators) is given, only for the variables whose
         generator is in it.
 
-        One pass indexes the terms by the variables they contain, keeping
-        references only; each partial is then built from its own terms
-        when it is reached, so one partial at a time is alive.  Each
-        value equals `deriv(v, side)`.
+        One pass indexes the terms by the variables they contain
+        (`terms_by_variable`), or `index` is that index, kept by the
+        caller, so each call reads only its variables' terms; each partial
+        is then built from its own terms when it is reached, so one partial
+        at a time is alive.  Each value equals `deriv(v, side)`.
         """
         if side not in ("left", "right"):
             raise GvcError("side must be 'left' or 'right'")
+        if index is None:
+            index = self.terms_by_variable(gens)
+        for v, items in index.items():
+            if gens is None or v.gen in gens:
+                yield v, Poly(self.ctx, _partial_terms(items, v, side), self.den).finish()
+
+    def terms_by_variable(self, gens=None):
+        """Each variable that occurs (whose generator is in `gens`, when
+        given), in order of first occurrence, to the (monomial, numerator)
+        pairs of the terms holding it: one walk, references only."""
         index = {}
         for item in self.terms.items():
             ev, od = item[0]
@@ -665,8 +676,7 @@ class Poly:
             for v in od:
                 if gens is None or v.gen in gens:
                     index.setdefault(v, []).append(item)
-        for v, items in index.items():
-            yield v, Poly(self.ctx, _partial_terms(items, v, side), self.den).finish()
+        return index
 
     def substitute(self, mapping):
         """Replace variables simultaneously: `mapping` sends each variable

@@ -9,6 +9,9 @@ straight into the caller's sum (`add_total_derivative`).  A contact
 derivation is determined by its components on the generating basis; it
 acts on jets of a field through total derivatives of the component, and
 each jet's value is one total derivative of its parent jet's value.
+The variational derivatives of a density, the sum over the jets v of z
+of (-1)^|Lambda| d_Lambda of the partial along v, are built here too
+(`variational_derivatives`), for `bicomplex`'s field equations.
 `ContactDerivation` is the one graded derivation type, with one action
 loop (`ContactDerivation._act`): `prolong_apply` runs it from the left
 and `brst.KoszulTate.apply` from the right.  The loop walks p's terms
@@ -20,7 +23,9 @@ is exactly +-v adds the total derivative of the parent's value instead
 of building v's own.
 """
 
-from .grassmann import GvcError, ParityError, add_times, common_denominator
+from types import MappingProxyType
+
+from .grassmann import GvcError, ParityError, accumulate, add_times, common_denominator
 
 
 def total_derivative(lam, p):
@@ -116,22 +121,52 @@ def iterated_derivative(index, p):
     return p
 
 
+def variational_derivative(density, gen, side="left"):
+    """delta/delta(z) of a density for one generator, left or right."""
+    ctx = density.ctx
+    if isinstance(gen, str):
+        gen = ctx.generator(gen)
+    return variational_derivatives(density, side, (gen,)).get(gen, ctx.zero())
+
+
+def variational_derivatives(density, side="left", gens=None, index=None):
+    """delta/delta(z) of a density for every generator z in `gens` (every
+    non-coordinate generator when None) that occurs, by generator: the
+    sum over the jets v of z of (-1)^|Lambda| d_Lambda of the partial
+    along v, accumulated in place; the last total derivative of each jet
+    writes straight into its generator's table.  `index`, when given, is
+    the density's kept `terms_by_variable()` (`Poly.partials`)."""
+    ctx = density.ctx
+    comps = {}
+    for v, dv in density.partials(side, gens, index):
+        if gens is None and v.gen.kind == "coordinate":
+            continue
+        table = comps.setdefault(v.gen, ctx.zero())
+        if v.index:
+            add_total_derivative(table, v.index[-1], iterated_derivative(v.index[:-1], dv),
+                                 -1 if len(v.index) & 1 else 1)
+        else:
+            accumulate(table, dv.terms.items(), dv.den)
+    return {gen: table.finish() for gen, table in comps.items() if table.terms}
+
+
 class ContactDerivation:
     """A vertical generalized vector field given by its components.
 
     `components` maps generators to polynomials; the derivation acts on
     the jet s^A_Lambda by the Lambda-th total derivative of the component
     on s^A, which is the infinite prolongation of the underlying field
-    transformation.
+    transformation.  The table is read-only, so a derivation a caller
+    keeps (`GaugeModel` trusts its own by identity) cannot change.
     """
 
     __slots__ = ("ctx", "components", "parity", "_values")
 
     def __init__(self, ctx, components, parity):
         self.ctx = ctx
-        self.components = {}
         self.parity = parity
         self._values = {}  # jet variable -> contract_variable value
+        table = {}
         for gen, comp in components.items():
             if isinstance(gen, str):
                 gen = ctx.generator(gen)
@@ -147,7 +182,8 @@ class ContactDerivation:
                     "component on %s must have parity %d"
                     % (gen.name, (gen.parity + parity) % 2)
                 )
-            self.components[gen] = comp
+            table[gen] = comp
+        self.components = MappingProxyType(table)
 
     def component(self, gen):
         if isinstance(gen, str):

@@ -28,6 +28,13 @@ zero once gauge-symmetry is: N_q(E(L)) = -delta(u L)/delta C^q
 d_h J - sum_z E_z theta(z) = d_h(J - W - d_H U) + sum_q xi^q N_q(E) vol,
 so current conservation reads the superpotential check's residual and
 the kept rows where `_by_rows` holds (`_conserved`).
+
+The generic field equations E(L) are kept with L and filled field by
+field where a check reads them (`EulerLagrange.by_field`): the two-path
+check on its representatives, the superpotential on its part's fields.
+Koszul-Tate's square on an antifield is delta(E_z(L)), zero by
+construction where E(L) holds no antifield (`_squares_vanish`), so there
+Koszul-Tate is not built and no E_z is read.
 """
 
 import time
@@ -44,7 +51,6 @@ from .bicomplex import (
     Lagrangian,
     conservation_residual,
     d_h,
-    euler_lagrange,
     lepage_equivalent,
     noether_current,
     omega_pair,
@@ -350,8 +356,10 @@ class GaugeModel:
         return EulerLagrange(ctx, comps)
 
     def generic_euler_lagrange(self):
+        """E(L) by variational derivatives, kept with L; each E_z is built
+        when a check first reads it (`EulerLagrange.by_field`)."""
         L = self.ym_lagrangian()
-        return self._once(("euler-lagrange", L), lambda: euler_lagrange(L))
+        return self._once(("euler-lagrange", L), lambda: EulerLagrange.by_field(L.density))
 
     # -- Noether structure ----------------------------------------------------
 
@@ -377,14 +385,29 @@ class GaugeModel:
         """The Noether rows N_q(E), kept with the rows and E: zero where the
         rows, u and E(L) are the model's own, L holds no ghost, the jets fit
         and the kept u L is zero, as N_q(E(L)) = -delta(u L)/delta C^q, the
-        rows being the adjoint of u's C-coefficients; else applied to E."""
+        rows being the adjoint of u's C-coefficients; else applied to E.
+        Comparing E(L) with the model's own builds none of its components."""
         op, L, el = self.noether_operator(), self.ym_lagrangian(), self.generic_euler_lagrange()
         return self._once(("noether-residuals", op, el), lambda: (
             dict.fromkeys(op.rows, self.ctx.zero()) if self._own("noether-operator", op)
             and self._own("gauge-operator", self.gauge_operator())
             and self._own(("euler-lagrange", L), el) and self._jets_fit()
-            and set(self.ghost).isdisjoint(v.gen for v in L.density.variables())
+            and set(self.ghost).isdisjoint(self._walk()[0])
             and self._whole_lie("gauge").is_zero() else noether_residuals(op, el)))
+
+    def _squares_vanish(self):
+        """Whether delta^2 is zero on every antifield with nothing built:
+        E(L), kept with L, and the rows are the model's own, and L holds
+        gauge fields alone (`_walk`), so delta(abar_z) = E_z(L) holds no
+        antifield and no degree-two antifield, the only generators delta
+        moves, and `koszul_tate` accepts E and the rows.  Where E's jets
+        are out of bound, so are the rows' (`_jets_fit`): the kept rows
+        are applied to E and raise its error, as building Koszul-Tate
+        would."""
+        L = self.ym_lagrangian()
+        return (self._own("noether-operator", self.noether_operator())
+                and self._own(("euler-lagrange", L), self.generic_euler_lagrange())
+                and self._walk()[0] <= self._field_at.keys())
 
     def koszul_tate(self):
         op = self.noether_operator()
@@ -581,7 +604,19 @@ class GaugeModel:
         of them where its direct route does, or the other way round, gives
         the direct route's row only then."""
         bound = self.ctx.max_jet_order
-        return bound is None or 2 * self.ym_lagrangian().density.max_jet_order() < bound
+        return bound is None or 2 * self._walk()[1] < bound
+
+    def _walk(self):
+        """The generators L holds and its maximum jet order, from one walk
+        of its terms, kept with L."""
+        L = self.ym_lagrangian()
+
+        def build():
+            held = L.density.variables()
+            return ({v.gen for v in held},
+                    max((v.order for v in held if v.gen.kind != "coordinate"), default=0))
+
+        return self._once(("walk", L), build)
 
     # -- currents --------------------------------------------------------------
 
@@ -769,7 +804,9 @@ class GaugeModel:
 
     def _euler_lagrange_parts(self):
         def residuals(gens):
-            generic, closed = self.generic_euler_lagrange(), self.closed_euler_lagrange(gens)
+            generic = self.generic_euler_lagrange()
+            generic.fill(gens)
+            closed = self.closed_euler_lagrange(gens)
             return {g.name: generic.component(g) - closed.component(g) for g in gens}
 
         return [("euler-lagrange-two-path", lambda n: CheckResult.from_residuals(
@@ -831,9 +868,11 @@ class GaugeModel:
 
     def _koszul_tate_parts(self):
         def kt_check(check):
-            # on a degree-two antifield, delta^2 is its row's kept residual (`koszul_tate`)
-            squares = nilpotency_residuals(self.koszul_tate(),
-                                           [g for row in self.antifield for g in row])
+            # on a degree-two antifield, delta^2 is its row's kept residual
+            # (`koszul_tate`); on an antifield it is delta(E_z), zero by
+            # construction where `_squares_vanish`, else squared
+            squares = {} if self._squares_vanish() else nilpotency_residuals(
+                self.koszul_tate(), [g for row in self.antifield for g in row])
             return CheckResult.from_residuals(check, {**squares, **self._noether_residuals()})
 
         return [("koszul-tate", kt_check)]
@@ -852,10 +891,9 @@ class GaugeModel:
         direct square forms are in bound (`_jets_fit`), as this route forms
         none of them."""
         L, s = self.ym_lagrangian(), self.brst_operator()
-        bars = set(self._pairs.values())
         return (self._own(("extended-lagrangian", L, s), self.extended_lagrangian())
                 and self._own(("brst-operator", self._memo.get("gauge-operator")), s)
-                and bars.isdisjoint(v.gen for v in L.density.variables())
+                and self._walk()[0].isdisjoint(self._pairs.values())
                 and self._jets_fit()
                 and self._whole_lie("gauge").is_zero())
 
@@ -868,11 +906,15 @@ class GaugeModel:
                 # and Q is zero with brst-nilpotency: nothing is squared.
                 # Theta_S moves what Theta_P does and zbar for each E_z(L),
                 # which, holding no antifield, cannot cancel E_z(P_s), each
-                # of whose terms holds one.
+                # of whose terms holds one; E_z(L) is read only for a pair
+                # Theta_P leaves undecided, z moved and zbar not.
                 moved = set(master_derivation(Lagrangian(self._paired_sum()),
                                               self._pairs).components)
-                moved.update(self._pairs[z] for z in self.generic_euler_lagrange().components
-                             if z in self._pairs)
+                undecided = [z for z, zbar in self._pairs.items()
+                             if z in moved and zbar not in moved]
+                el = self.generic_euler_lagrange()
+                el.fill(undecided)
+                moved.update(self._pairs[z] for z in undecided if not el.component(z).is_zero())
             else:
                 rep = master_equation_check(self.extended_lagrangian(), self._pairs)
                 if not rep.ok:

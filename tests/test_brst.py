@@ -1403,10 +1403,12 @@ class TestAlgebraOrbits:
         assert all(p.is_zero() for p in kept.values())
         assert lies == [("gauge", tuple(int(label[4:]) - 1 for label in rows))]
         assert all(r.ok for r in model.pipeline("koszul-tate", deterministic=True))
-        # delta is squared on every antifield, and the rows are the kept ones
-        (gens,) = squared
-        assert gens == [z for row in model.antifield for z in row]
-        assert applied == []
+        # delta squared on an antifield is delta(E_z(L)), zero by
+        # construction: this lone koszul-tate squares nothing and builds no
+        # E_z, and the rows are the kept ones
+        assert model._squares_vanish()
+        assert squared == [] and applied == []
+        assert model.generic_euler_lagrange()._table == {}
 
     @pytest.mark.parametrize("name", ["su2", "sl21"])
     def test_order_of_the_maps_changes_nothing(self, name, request):
@@ -1673,6 +1675,96 @@ class TestAlgebraOrbits:
         assert model.pipeline("master-equation", deterministic=True)[0].ok
         assert not any(p is d or q is L.density for p, q in subtracted
                        for d in (S.density, installed.density))
+
+
+class TestKoszulTateRouteFuzz:
+    """koszul-tate squares nothing on the antifields where E(L) and the
+    rows are the model's own and L holds gauge fields alone
+    (`_squares_vanish`): delta^2(abar_z) = delta(E_z(L)) is zero by
+    construction, also for an installed L such as a massive one, and where
+    E cannot be built the rows, applied to it, raise its error.  Under
+    seeded installs, its line is the direct route's: delta squared on every
+    antifield by `nilpotency_residuals`, the rows applied by
+    `noether_residuals`."""
+
+    KINDS = ("own", "mass-term", "max-order-2", "max-order-1", "bar-in-l", "random-e",
+             "doubled-entry", "unknown-row")
+
+    @staticmethod
+    def _install(kind, name, rng, monkeypatch):
+        """A new model of `name` with the install of `kind`."""
+        model = _fresh(name) if not kind.startswith("max-order") else spec_model(
+            parse_model(PRESET_MODEL_TEXT[name] if name != "sl21"
+                        else SL21_MODEL.read_text(encoding="utf-8")), max_jet_order=int(kind[-1]))
+        ctx = model.ctx
+        fields = [g for row in model.field for g in row]
+        bars = [g for row in model.antifield for g in row] + model.noether_antifield
+        if kind == "mass-term":
+            L = Lagrangian(model.ym_lagrangian().density + mass_term_lagrangian(model).density)
+            monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+        elif kind == "bar-in-l":
+            # an antifield or degree-two antifield times a field jet
+            term = ctx.var(rng.choice(bars)) * ctx.var(rng.choice(fields), rng.randrange(ctx.dim))
+            L = Lagrangian(model.ym_lagrangian().density + term)
+            monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+        elif kind == "random-e":
+            # field equations on four fields, of their parities, holding
+            # the antifields of two of them, which delta moves
+            zs = rng.sample(fields, 4)
+            gens = fields + [model.pairs()[z] for z in zs[:2]]
+            el = EulerLagrange(ctx, {z: random_poly(rng, ctx, terms=6, max_order=1,
+                                                    parity=z.parity, gens=gens)
+                                     for z in zs})
+            monkeypatch.setattr(model, "generic_euler_lagrange", lambda: el)
+        elif kind == "doubled-entry":
+            rows = dict(model.noether_operator().rows)
+            label = rng.choice(sorted(rows))
+            k = rng.randrange(len(rows[label]))
+            coeff, gen, index = rows[label][k]
+            rows[label] = rows[label][:k] + [(coeff * 2, gen, index)] + rows[label][k + 1:]
+            doubled = NoetherOperator(ctx, rows)
+            monkeypatch.setattr(model, "noether_operator", lambda: doubled)
+        elif kind == "unknown-row":
+            # a row labelled by no degree-two antifield, which Koszul-Tate refuses
+            rows = dict(model.noether_operator().rows)
+            rows["q%d" % rng.randrange(9)] = rows.pop(rng.choice(sorted(rows)))
+            relabelled = NoetherOperator(ctx, rows)
+            monkeypatch.setattr(model, "noether_operator", lambda: relabelled)
+        return model
+
+    @staticmethod
+    def _direct(model):
+        """The koszul-tate line of the direct route."""
+        op, el = model.noether_operator(), model.generic_euler_lagrange()
+        try:
+            kt = koszul_tate(op, el, model.pairs())
+            squares = nilpotency_residuals(kt, [g for row in model.antifield for g in row])
+            rows = noether_residuals(op, el)
+        except GvcError as exc:
+            return CheckResult("koszul-tate", False, witness=str(exc)).line(), None
+        return CheckResult.from_residuals("koszul-tate", {**squares, **rows}).line(), squares
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
+    def test_line_is_the_direct_routes(self, name, kind, seed, monkeypatch):
+        rng = random.Random("koszul-tate %s %s %d" % (name, kind, seed))
+        model = self._install(kind, name, rng, monkeypatch)
+        built, original = [], GaugeModel.koszul_tate
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(GaugeModel, "koszul_tate", lambda m: built.append(m) or original(m))
+            (row,) = model.pipeline("koszul-tate", deterministic=True)
+        # Koszul-Tate is built only where delta^2 is not zero by construction
+        by_construction = kind in ("own", "mass-term", "max-order-2", "max-order-1")
+        assert model._squares_vanish() == by_construction
+        assert (built == []) == by_construction
+        assert row.ok == (kind == "own")
+        if kind == "own":
+            assert model.generic_euler_lagrange()._table == {}
+        line, squares = self._direct(model)
+        assert row.line() == line
+        if kind == "random-e":
+            assert any(not p.is_zero() for p in squares.values())
 
 
 class TestProperSolution:

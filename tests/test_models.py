@@ -4,6 +4,7 @@ currents, superpotentials and the end-to-end verification report."""
 import gc
 import random
 import weakref
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -326,6 +327,84 @@ class TestFieldEquations:
             lines.append(row.line())
         assert not row.ok and row.nonzero == 1 and row.witness.startswith("a3_3: ")
         assert lines[0] == lines[1]
+
+
+class TestFieldEquationsByField:
+    """The kept E(L) is filled field by field (`EulerLagrange.by_field`):
+    each component is the one of `euler_lagrange` on the whole density, in
+    any order of requests, and a passing run fills only what it reads."""
+
+    @staticmethod
+    def _model(name):
+        if name == "sl31":
+            return spec_model(parse_model(supermatrix_model_text((0, 0, 0, 1))))
+        return _new_model(name)
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21", "sl3", "sl31", "su2-mixed"])
+    def test_filled_field_by_field_is_the_whole_table(self, name):
+        # seeded orders of single requests and batches over the fields,
+        # ghosts, antifields and degree-two antifields, of which the own L
+        # holds the fields alone; su2-mixed adds terms in all of them and a
+        # coordinate to L
+        rng = random.Random("by field %s" % name)
+        model = self._model(name.split("-")[0])
+        ctx, density = model.ctx, model.ym_lagrangian().density
+        gens = [g for row in model.field + model.antifield for g in row]
+        gens += model.ghost + model.noether_antifield
+        if name == "su2-mixed":
+            density = density + TestSecondTheorem._random(rng, model, gens, 6, 1) \
+                + ctx.product(1, (ctx.jet(model.field[0][1], (2,)), ctx.coordinate(1)))
+        whole = euler_lagrange(Lagrangian(density))
+        assert (name == "su2-mixed") == any(g.kind not in ("even-field", "odd-field")
+                                            for g in whole.components)
+        for _ in range(3):
+            el = EulerLagrange.by_field(density)
+            asked = rng.sample(gens, len(gens))
+            while asked:
+                k = rng.randint(1, 6)
+                batch, asked = asked[:k], asked[k:]
+                if rng.random() < 0.5:
+                    el.fill(batch)
+                for g in batch:
+                    assert el.component(g) == whole.component(g)
+            # every generator asked: the table is whole, in the whole table's order
+            assert el._density is None
+            assert list(el.components.items()) == list(whole.components.items())
+        el = model.generic_euler_lagrange()
+        assert list(el.components.items()) == list(euler_lagrange(model.ym_lagrangian())
+                                                    .components.items())
+
+    @pytest.mark.parametrize("name", ["su2", "sl21"])
+    def test_a_failing_batch_raises_the_whole_tables_error(self, name):
+        # at order 1 no field equation fits; the batch of one field alone
+        # would name another jet than the whole table does
+        model = _new_model(name, max_jet_order=1)
+        L = model.ym_lagrangian()
+        with pytest.raises(GvcError) as whole:
+            euler_lagrange(L)
+        for gen in (model.field[-1][-1], model.field[1][2]):
+            with pytest.raises(GvcError, match="jet order 2 exceeds") as alone:
+                variational_derivatives(L.density, "left", {gen})
+            el = EulerLagrange.by_field(L.density)
+            with pytest.raises(GvcError) as got:
+                el.fill([gen])
+            assert str(got.value) == str(whole.value) != str(alone.value)
+            assert el._table == {}
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21", "sl3"])
+    def test_a_passing_full_fills_only_the_representatives(self, name, monkeypatch):
+        # euler-lagrange-two-path and superpotential read E on one field per
+        # orbit; koszul-tate squares nothing, so Koszul-Tate is neither built
+        # nor applied; master-equation is settled by Theta_P alone
+        built, applied = [], []
+        monkeypatch.setattr(GaugeModel, "koszul_tate", lambda model: built.append(model))
+        monkeypatch.setattr(gvc.brst.KoszulTate, "apply", lambda kt, p: applied.append(p))
+        model = _new_model(name)
+        assert model.full_verification(deterministic=True).ok
+        assert built == [] and applied == []
+        reps = model._representatives("euler-lagrange")
+        assert set(model.generic_euler_lagrange()._table) == reps
+        assert len(reps) < len(model.field) * model.metric.dim
 
 
 class TestSymmetries:
@@ -1771,15 +1850,16 @@ class TestBuildOnce:
             monkeypatch.setattr(gvc.models, name, counted)
 
         names = ("check_structure", "check_invariant_form", "noether_residuals",
-                 "euler_lagrange", "noether_current", "lepage_equivalent")
+                 "noether_current", "lepage_equivalent")
         for name in names:
             count(name)
-        densities, tables, derived = [], [], []
+        densities, asked, tables, derived = [], [], [], []
         for module in (gvc.bicomplex, gvc.brst):
-            def counted_derivatives(density, side="left", gens=None,
+            def counted_derivatives(density, side="left", gens=None, index=None,
                                     original=module.variational_derivatives):
                 densities.append(density)
-                tables.append(original(density, side, gens))
+                asked.append(gens)
+                tables.append(original(density, side, gens, index))
                 return tables[-1]
 
             monkeypatch.setattr(module, "variational_derivatives", counted_derivatives)
@@ -1795,13 +1875,15 @@ class TestBuildOnce:
         # the Noether rows are read from the kept u L, so none is applied
         assert {name: len(calls.get(name, ())) for name in names} == {
             **dict.fromkeys(names, 1), "noether_residuals": 0}
-        assert calls["euler_lagrange"][0] == (model.ym_lagrangian(),)
-        # the variational derivatives of L, the generic field equations,
-        # and of P_s, whose Theta alone is built, from that table, and
-        # squared; no Theta_S is built
+        # the variational derivatives of L on the euler-lagrange
+        # representatives alone, the generic field equations the check
+        # reads, and of P_s, whose Theta alone is built, from that table,
+        # and squared; no Theta_S is built
+        reps = model._representatives("euler-lagrange")
         assert [p is q for p, q in zip(densities, (model.ym_lagrangian().density,
                                                     model._paired_sum()))] == [True, True]
-        assert len(densities) == 2
+        assert len(densities) == 2 and set(asked[0]) == reps and asked[1] is None
+        assert set(model.generic_euler_lagrange()._table) == reps
         assert len(derived) == 1 and derived[0] is tables[1]
 
     def test_parameter_lie_derivative_computed_once(self, monkeypatch):
@@ -1936,6 +2018,32 @@ class TestBuildOnce:
         model.split_coordinates(model.ym_lagrangian().density)
         assert len(built) == before and len(asked) > len(built)
 
+    def test_kept_tables_are_read_only(self, monkeypatch):
+        # the kept derivations, Noether rows and field equations are trusted
+        # by identity (`_own`), so none may change in place: adding c3*a3_0
+        # to the kept u's component on a3_0 in place had given gauge-symmetry
+        # a pass on one ghost per orbit; installed as a new u, it fails whole
+        model = preset_model("su2")
+        ctx, a, c = model.ctx, model.field[2][0], model.ghost[2]
+        u = model.gauge_operator()
+        moved = u.components[a] + ctx.var(c) * ctx.var(a)
+        with pytest.raises(TypeError):
+            u.components[a] = moved
+        tables = [model.parameter_symmetry().components, model.brst_operator().components,
+                  model.noether_operator().rows, model.generic_euler_lagrange().components]
+        for table in tables:
+            key = next(iter(table))
+            with pytest.raises(TypeError):
+                table[key] = table[key]
+            with pytest.raises(TypeError):
+                del table[key]
+        assert model.pipeline("brst", deterministic=True)[0].ok
+        installed = ContactDerivation(ctx, {**u.components, a: moved}, u.parity)
+        monkeypatch.setattr(model, "gauge_operator", lambda: installed)
+        (gauge, _) = model.pipeline("brst", deterministic=True)
+        assert model._representatives("gauge") is None
+        assert gauge.line().startswith("check gauge-symmetry | status fail | nonzero 48 |")
+
     def test_ghost_sector_kept_read_only(self):
         # the kept sector is the model's own, which the BRST square's orbit
         # reduction trusts, so no caller may change it in place
@@ -1991,8 +2099,9 @@ class TestBuildOnce:
         sizes["brst"] = sizes["euler-lagrange"] + sizes["gauge"]
         assert renamed == []
         assert roots == [sizes[check] for check in checks]
-        # the maps themselves, with their table by direction, and E(L)
-        # are built for the first check, euler-lagrange
+        # the maps themselves, with their table by direction, and E(L),
+        # whose components are built only when read, are kept for the
+        # first check, euler-lagrange
         L = model.ym_lagrangian()
         assert sorted(added, key=repr) == sorted([
             ("euler-lagrange", key) for key in (("euler-lagrange", L), "algebra-maps",
@@ -2092,7 +2201,7 @@ def _polys(obj, seen):
         for entries in obj.rows.values():
             for coeff, _, _ in entries:
                 yield from _polys(coeff, seen)
-    elif isinstance(obj, dict):
+    elif isinstance(obj, Mapping):
         for value in obj.values():
             yield from _polys(value, seen)
     elif isinstance(obj, (tuple, list)):
