@@ -473,12 +473,12 @@ def lepage_equivalent(L):
     """First-order Lepage form: L plus th^A ^ (dL/d s^A_lam) omega_lam."""
     density = L.density
     ctx = L.ctx
-    if density.max_jet_order() > 1:
-        raise GvcError("Lepage form implemented for first-order densities only")
     table = _add_form({}, L.form)
     for v, momentum in density.partials():
-        if v.gen.kind == "coordinate" or v.order != 1:
+        if v.gen.kind == "coordinate" or v.order == 0:
             continue
+        if v.order > 1:
+            raise GvcError("Lepage form implemented for first-order densities only")
         piece = omega_lambda(ctx, v.index[0]).times_poly(momentum)
         _add_letter_wedge(table, ctx, theta_letter(ctx.jet(v.gen)), piece.terms.items())
     return _form(ctx, table)

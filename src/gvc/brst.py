@@ -22,8 +22,9 @@ hold no antifield, those are s(L)'s.  So where s(L) = 0, Theta_P^2 is
 Theta_S^2, and by the antibracket's Jacobi identity Theta_P^2 is the
 paired derivation of Q = sum_z s^2(z) zbar, zero where s^2 is.
 `orbit_roots` picks one generator per orbit of signed relabellings, and
-`on_representatives` takes a residual table on those first; the caller
-vouches that the maps carry each residual onto its image's up to sign.
+`on_representatives` gives a residual table that is zero on those or
+taken whole; the caller vouches that the maps carry each residual onto
+its image's up to sign.
 """
 
 from types import MappingProxyType
@@ -294,19 +295,18 @@ def orbit_roots(maps, moved):
 
 def on_representatives(evaluate, moved, representatives=None):
     """The residual table of the generators `moved`, by name in key order,
-    where `evaluate(gens)` gives it on a sublist.  `representatives`, one
-    per orbit of maps that carry each residual onto its image's up to
-    sign, go first, and zero on them is zero everywhere: the table holds
-    them alone.  Otherwise, or if none is in `moved`, the rest follows and
-    the table is rebuilt in order, so a failure reads as without maps."""
+    where `evaluate(gens)` gives it on a sublist in the sublist's order.
+    `representatives`, one per orbit of maps that carry each residual onto
+    its image's up to sign, go first, and zero on them is zero everywhere:
+    the table holds them alone.  Otherwise, or if none is in `moved`, the
+    whole table is evaluated, so a failure reads as without maps."""
     order = sorted(moved, key=lambda g: g.key)
     chosen = [z for z in order if z in representatives] if representatives else []
-    kept = evaluate(chosen) if chosen else {}
-    if kept and all(p.is_zero() for p in kept.values()):
-        return kept
-    residuals = evaluate([z for z in order if z.name not in kept])
-    residuals.update(kept)
-    return {z.name: residuals[z.name] for z in order}
+    if chosen:
+        kept = evaluate(chosen)
+        if all(p.is_zero() for p in kept.values()):
+            return kept
+    return evaluate(order)
 
 
 def master_equation_check(L, pairs):

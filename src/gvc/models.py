@@ -17,10 +17,13 @@ on Fs alone, read through the covariance theta(F^r) = M^r_i F^i; a nonzero
 or failed result, and any other density, is taken in jets, whose Form is
 the row.
 
-Every object a check reads is built from c, h and the metric, so each
-signed basis permutation keeping c and h fixes it; the checks run on one
-generator per orbit of those maps where the objects are the model's own
-(`_representatives`), and whole otherwise.
+Every shortcut route runs only on the model's own objects, those kept
+under their keys (`_own`), whose shape follows from their construction;
+an installed object takes the check's direct route.  Every object a check
+reads is built from c, h and the metric, so each signed basis permutation
+keeping c and h fixes it; the checks run on one generator per orbit of
+those maps where the objects are the model's own (`_representatives`),
+and a reduced table is zero on the representatives or taken whole.
 
 Noether's second theorem gives two checks their rows.  The Noether rows are
 zero once gauge-symmetry is: N_q(E(L)) = -delta(u L)/delta C^q
@@ -33,8 +36,10 @@ The generic field equations E(L) are kept with L and filled field by
 field where a check reads them (`EulerLagrange.by_field`): the two-path
 check on its representatives, the superpotential on its part's fields.
 Koszul-Tate's square on an antifield is delta(E_z(L)), zero by
-construction where E(L) holds no antifield (`_squares_vanish`), so there
-Koszul-Tate is not built and no E_z is read.
+construction for the model's own L, E(L) and rows (`_squares_vanish`), so
+there Koszul-Tate is not built and no E_z is read.  The master equation
+on the split route squares nothing and builds no Theta: its nontriviality
+is read from E(S) on s's generators.
 """
 
 import time
@@ -44,7 +49,7 @@ from types import MappingProxyType
 from .grassmann import (DEFAULT_MAX_JET_ORDER, DEFAULT_TERM_LIMIT, Context, EVEN, ODD,
                         ExpansionLimitError, GvcError, Poly, accumulate, add_product)
 from .superlie import check_invariant_form, check_structure, signed_automorphisms
-from .jets import ContactDerivation, add_total_derivative, prolong_apply
+from .jets import ContactDerivation, add_total_derivative, prolong_apply, variational_derivatives
 from .bicomplex import (
     EulerLagrange,
     Form,
@@ -61,7 +66,6 @@ from .brst import (
     NoetherOperator,
     brst_extend,
     koszul_tate,
-    master_derivation,
     master_equation_check,
     nilpotency_residuals,
     noether_residuals,
@@ -382,32 +386,33 @@ class GaugeModel:
                                      for j in range(m)})
 
     def _noether_residuals(self):
-        """The Noether rows N_q(E), kept with the rows and E: zero where the
-        rows, u and E(L) are the model's own, L holds no ghost, the jets fit
-        and the kept u L is zero, as N_q(E(L)) = -delta(u L)/delta C^q, the
-        rows being the adjoint of u's C-coefficients; else applied to E.
-        Comparing E(L) with the model's own builds none of its components."""
+        """The Noether rows N_q(E), kept with the rows and E: zero where L,
+        the rows, u and E(L) are the model's own, the jets fit and the kept
+        u L is zero, as N_q(E(L)) = -delta(u L)/delta C^q for an L holding
+        no ghost, as the own L does, the rows being the adjoint of u's
+        C-coefficients; else applied to E.  Comparing E(L) with the model's
+        own builds none of its components."""
         op, L, el = self.noether_operator(), self.ym_lagrangian(), self.generic_euler_lagrange()
         return self._once(("noether-residuals", op, el), lambda: (
-            dict.fromkeys(op.rows, self.ctx.zero()) if self._own("noether-operator", op)
+            dict.fromkeys(op.rows, self.ctx.zero()) if self._own("lagrangian", L)
+            and self._own("noether-operator", op)
             and self._own("gauge-operator", self.gauge_operator())
             and self._own(("euler-lagrange", L), el) and self._jets_fit()
-            and set(self.ghost).isdisjoint(self._walk()[0])
             and self._whole_lie("gauge").is_zero() else noether_residuals(op, el)))
 
     def _squares_vanish(self):
         """Whether delta^2 is zero on every antifield with nothing built:
-        E(L), kept with L, and the rows are the model's own, and L holds
-        gauge fields alone (`_walk`), so delta(abar_z) = E_z(L) holds no
-        antifield and no degree-two antifield, the only generators delta
-        moves, and `koszul_tate` accepts E and the rows.  Where E's jets
-        are out of bound, so are the rows' (`_jets_fit`): the kept rows
-        are applied to E and raise its error, as building Koszul-Tate
+        L, E(L), kept with L, and the rows are the model's own, and the
+        model's own L holds gauge fields alone, so delta(abar_z) = E_z(L)
+        holds no antifield and no degree-two antifield, the only generators
+        delta moves, and `koszul_tate` accepts E and the rows.  Where E's
+        jets are out of bound, so are the rows' (`_jets_fit`): the kept
+        rows are applied to E and raise its error, as building Koszul-Tate
         would."""
         L = self.ym_lagrangian()
-        return (self._own("noether-operator", self.noether_operator())
-                and self._own(("euler-lagrange", L), self.generic_euler_lagrange())
-                and self._walk()[0] <= self._field_at.keys())
+        return (self._own("lagrangian", L)
+                and self._own("noether-operator", self.noether_operator())
+                and self._own(("euler-lagrange", L), self.generic_euler_lagrange()))
 
     def koszul_tate(self):
         op = self.noether_operator()
@@ -500,22 +505,16 @@ class GaugeModel:
         L holds no source and each term of a residual carries one source
         jet, so the parts of two directions share no term, and an algebra
         map sends q's part and residual onto pi(q)'s (U and W, built from c
-        and h, follow).  So the part of one direction per orbit goes first
-        (`on_representatives`), and the table, split by source, is summed
-        back into one Form; otherwise the whole derivation's is taken at
-        once."""
+        and h, follow).  So the part of one direction per orbit goes first,
+        and zero there is zero on the whole; otherwise, or without
+        representatives, the whole derivation's residual is taken."""
         sources = self._symmetry(kind)[1]
         reps = self._representatives(kind)
-        if reps is None:
-            return residual(tuple(range(len(sources))))
-        index = {src: q for q, src in enumerate(sources)}
-
-        def evaluate(gens):
-            form = residual(tuple(index[g] for g in gens))
-            return {g.name: Form(self.ctx, {w: _carrying(f, (g,)) for w, f in form.terms.items()})
-                    for g in gens}
-
-        return sum(on_representatives(evaluate, sources, reps).values(), Form.zero(self.ctx))
+        if reps is not None:
+            part = residual(tuple(q for q, src in enumerate(sources) if src in reps))
+            if part.is_zero():
+                return part
+        return residual(tuple(range(len(sources))))
 
     def lie_derivative(self, theta):
         """L_theta L of the Lagrangian, a density.  Zero when the split
@@ -599,24 +598,15 @@ class GaugeModel:
         return built is self._memo.get(key)
 
     def _jets_fit(self):
-        """Whether the jets one order above the field equations' (at most
-        twice L's order) fit the bound.  A shortcut route that forms none
-        of them where its direct route does, or the other way round, gives
-        the direct route's row only then."""
+        """Whether the jets one order above the field equations' fit the
+        bound, for the model's own L, which each caller requires: the
+        strength density is at most first order, so its field equations
+        are second order, and the rows and d_h W form third jets.  A
+        shortcut route that forms none of them where its direct route
+        does, or the other way round, gives the direct route's row only
+        then."""
         bound = self.ctx.max_jet_order
-        return bound is None or 2 * self._walk()[1] < bound
-
-    def _walk(self):
-        """The generators L holds and its maximum jet order, from one walk
-        of its terms, kept with L."""
-        L = self.ym_lagrangian()
-
-        def build():
-            held = L.density.variables()
-            return ({v.gen for v in held},
-                    max((v.order for v in held if v.gen.kind != "coordinate"), default=0))
-
-        return self._once(("walk", L), build)
+        return bound is None or bound > 2
 
     # -- currents --------------------------------------------------------------
 
@@ -815,10 +805,12 @@ class GaugeModel:
 
     def _by_rows(self):
         """Whether current-conservation is taken by Noether's second theorem
-        (`_conserved`): the parameter symmetry and the Noether rows are the
-        model's own, built from the same constants, and the total derivatives
-        of E(L) the rows and d_h W take are in bound (`_jets_fit`)."""
-        return (self._own("parameter-symmetry", self.parameter_symmetry())
+        (`_conserved`): L, the parameter symmetry and the Noether rows are
+        the model's own, the last two built from the same constants, and
+        the total derivatives of E(L) the rows and d_h W take are in bound
+        (`_jets_fit`)."""
+        return (self._own("lagrangian", self.ym_lagrangian())
+                and self._own("parameter-symmetry", self.parameter_symmetry())
                 and self._own("noether-operator", self.noether_operator())
                 and self._jets_fit())
 
@@ -884,16 +876,16 @@ class GaugeModel:
 
     def _by_part(self):
         """Whether the master equation of S follows from s L = 0 and s^2 = 0:
-        S is the proper solution built here, L + P_s, for the model's own s,
-        built from its own gauge operator, so antifield-free on fields; L
-        holds no antifield and no degree-two antifield, so Theta_L moves
-        antifields alone; L_s L, gauge-symmetry's, is zero; and the jets the
-        direct square forms are in bound (`_jets_fit`), as this route forms
-        none of them."""
+        L is the model's own, so it holds no antifield and no degree-two
+        antifield, and Theta_L moves antifields alone; S is the proper
+        solution built here, L + P_s, for the model's own s, built from its
+        own gauge operator, so antifield-free on fields; L_s L,
+        gauge-symmetry's, is zero; and the jets the direct square forms are
+        in bound (`_jets_fit`), as this route forms none of them."""
         L, s = self.ym_lagrangian(), self.brst_operator()
-        return (self._own(("extended-lagrangian", L, s), self.extended_lagrangian())
+        return (self._own("lagrangian", L)
+                and self._own(("extended-lagrangian", L, s), self.extended_lagrangian())
                 and self._own(("brst-operator", self._memo.get("gauge-operator")), s)
-                and self._walk()[0].isdisjoint(self._pairs.values())
                 and self._jets_fit()
                 and self._whole_lie("gauge").is_zero())
 
@@ -903,27 +895,28 @@ class GaugeModel:
                 return CheckResult(check, False, witness="no nilpotent extension")
             if self._by_part():
                 # Theta_S^2 = Theta_P^2 (brst.py) = Theta_Q for Q = sum_z s^2(z) zbar,
-                # and Q is zero with brst-nilpotency: nothing is squared.
-                # Theta_S moves what Theta_P does and zbar for each E_z(L),
-                # which, holding no antifield, cannot cancel E_z(P_s), each
-                # of whose terms holds one; E_z(L) is read only for a pair
-                # Theta_P leaves undecided, z moved and zbar not.
-                moved = set(master_derivation(Lagrangian(self._paired_sum()),
-                                              self._pairs).components)
-                undecided = [z for z, zbar in self._pairs.items()
-                             if z in moved and zbar not in moved]
-                el = self.generic_euler_lagrange()
-                el.fill(undecided)
-                moved.update(self._pairs[z] for z in undecided if not el.component(z).is_zero())
+                # and Q is zero with brst-nilpotency: nothing is squared.  L
+                # holds no antifield, so Theta_S moves z by E_zbar(S) = +-s(z),
+                # nonzero exactly for z in s.components, and zbar by E_z(S) =
+                # E_z(L) + E_z(P_s), whose terms cannot cancel: E_z(L)'s hold
+                # no antifield, and each of E_z(P_s)'s holds one.  E_z(L) is
+                # read only where no E_z(P_s) couples a pair.
+                s = self.brst_operator()
+                coupled = bool(variational_derivatives(self._paired_sum(), "left", s.components))
+                if not coupled:
+                    el = self.generic_euler_lagrange()
+                    el.fill(s.components)
+                    coupled = any(not el.component(z).is_zero() for z in s.components)
             else:
                 rep = master_equation_check(self.extended_lagrangian(), self._pairs)
                 if not rep.ok:
                     return CheckResult.from_residuals(check, rep.bracket_residuals())
-                moved = set(rep.derivation.components)
-            # Theta_S moves z by E_zbar(S) and zbar by E_z(S), which vanish
-            # with S's right ones (S is even): a nontrivial solution couples
-            # both members of some pair.
-            if any(z in moved and zbar in moved for z, zbar in self.pairs().items()):
+                # Theta_S moves z by E_zbar(S) and zbar by E_z(S), which
+                # vanish with S's right ones (S is even)
+                moved = rep.derivation.components
+                coupled = any(z in moved and zbar in moved for z, zbar in self._pairs.items())
+            # a nontrivial solution couples both members of some pair
+            if coupled:
                 return CheckResult(check, True)
             return CheckResult(check, False, witness="solution is trivial")
 

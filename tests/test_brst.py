@@ -643,32 +643,32 @@ class TestMasterEquation:
 
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
     def test_derivation_from_the_paired_sum_alone(self, name, monkeypatch):
-        """On the proper solution the pipeline builds Theta_P for P = P_s,
-        the kept `_paired_sum()` itself, from P's own variational
-        derivatives alone, and squares nothing; Theta_P^2 is Theta_S^2 on
-        every generator, for the model's s and for one whose ghost sector
-        is doubled, so that s(L) = 0 still holds but neither square
-        vanishes."""
+        """On the proper solution the pipeline reads the left variational
+        derivatives of P = P_s, the kept `_paired_sum()` itself, on s's
+        generators alone, builds no Theta and squares nothing; Theta_P^2 is
+        Theta_S^2 on every generator, for the model's s and for one whose
+        ghost sector is doubled, so that s(L) = 0 still holds but neither
+        square vanishes."""
         squared, built, tables = [], [], []
-        original, derivatives = gvc.models.master_derivation, gvc.brst.variational_derivatives
+        paired, derivatives = gvc.brst._paired_derivation, gvc.models.variational_derivatives
 
-        def kept(S, pairs):
-            built.append(S)
-            return original(S, pairs)
+        def kept(ctx, left, pairs):
+            built.append(left)
+            return paired(ctx, left, pairs)
 
         def counted(density, side="left", gens=None):
-            tables.append(density)
+            tables.append((density, side, gens))
             return derivatives(density, side, gens)
 
         model = _fresh(name)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gvc.models, "master_equation_check", lambda *args: squared.append(args))
-            patch.setattr(gvc.models, "master_derivation", kept)
-            patch.setattr(gvc.brst, "variational_derivatives", counted)
+            patch.setattr(gvc.brst, "_paired_derivation", kept)
+            patch.setattr(gvc.models, "variational_derivatives", counted)
             (row,) = model.pipeline("master-equation", deterministic=True)
         P = model._paired_sum()
-        assert row.ok and squared == [] and [S.density for S in built] == [P]
-        assert len(tables) == 1 and tables[0] is P
+        assert row.ok and squared == [] and built == []
+        assert tables == [(P, "left", model.brst_operator().components)]
         pairs, L, s = model.pairs(), model.ym_lagrangian(), model.brst_operator()
         doubled = ContactDerivation(model.ctx, {z: p * 2 if z.kind == "ghost" else p
                                                 for z, p in s.components.items()}, ODD)
@@ -748,9 +748,9 @@ class TestMasterSplit:
     paired sum of s (Theta_L^2 = 0), where the cross term is the derivation
     of the bracket (L, P_s), whose field equations are s(L)'s, and Theta_P^2
     is Theta_Q for Q = sum_z s^2(z) zbar (`TestMasterByNilpotency`): the
-    pipeline squares nothing when S is the proper solution built here for
-    the model's own s, s(L) = 0 and the direct square's jets are in bound,
-    and Theta_S on every generator otherwise."""
+    pipeline squares nothing when L is the model's own, S is the proper
+    solution built here for the model's own s, s(L) = 0 and the direct
+    square's jets are in bound, and Theta_S on every generator otherwise."""
 
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
     def test_cross_term_is_the_bracket_derivation(self, name, request):
@@ -789,21 +789,21 @@ class TestMasterSplit:
     @staticmethod
     def _rows(model):
         """The pipeline's master-equation line, the route it took ("P" where
-        it built Theta_P of P_s and squared nothing, "S" where it squared
-        Theta_S by `master_equation_check`), and the line of
+        it read the variational derivatives of P_s and squared nothing, "S"
+        where it squared Theta_S by `master_equation_check`), and the line of
         `master_equation_check(S, pairs)`."""
         parts = []
-        checked, derivation = gvc.models.master_equation_check, gvc.models.master_derivation
-
-        def kept(original):
-            return lambda S, pairs: parts.append(S) or original(S, pairs)
+        checked, derivatives = gvc.models.master_equation_check, gvc.models.variational_derivatives
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(gvc.models, "master_equation_check", kept(checked))
-            patch.setattr(gvc.models, "master_derivation", kept(derivation))
+            patch.setattr(gvc.models, "master_equation_check",
+                          lambda S, pairs: parts.append(S) or checked(S, pairs))
+            patch.setattr(gvc.models, "variational_derivatives",
+                          lambda density, *args: parts.append(density) or derivatives(
+                              density, *args))
             (row,) = model.pipeline("master-equation", deterministic=True)
         parts = ["S" if density is model.extended_lagrangian() else
-                 "P" if density.density is model._paired_sum() else "?"
+                 "P" if density is model._paired_sum() else "?"
                  for density in parts]
         try:
             rep = master_equation_check(model.extended_lagrangian(), model.pairs())
@@ -840,6 +840,28 @@ class TestMasterSplit:
         assert line == (direct if passes else
                         "check master-equation | status fail | nonzero 0 | first solution is trivial")
         assert bool(model.ghost_sector()) is passes
+
+    @pytest.mark.parametrize("name", ["abelian", "su2", "osp12", "sl21", "sl3", "abelian-dim1",
+                                      "su2-dim1", "osp12-dim1"])
+    def test_coupled_pairs_are_read_from_s_generators(self, name):
+        # the pairs Theta_S moves on both sides are the z of s.components
+        # with E_z(P_s) != 0 or E_z(L) != 0, each taken whole here, and the
+        # pipeline's row passes exactly when there is one
+        if name.endswith("-dim1"):
+            model = spec_model(parse_model(re.sub(
+                r"dimension = \d+\nmetric = \S+", "dimension = 1\nmetric = +",
+                PRESET_MODEL_TEXT[name[:-5]])))
+        else:
+            model = _fresh(name)
+        pairs, s = model.pairs(), model.brst_operator()
+        of_p = variational_derivatives(model._paired_sum())
+        of_l = euler_lagrange(model.ym_lagrangian()).components
+        read = {z for z in s.components if z in of_p or z in of_l}
+        moved = master_equation_check(model.extended_lagrangian(), pairs).derivation.components
+        assert read == {z for z, zbar in pairs.items() if z in moved and zbar in moved}
+        (row,) = model.pipeline("master-equation", deterministic=True)
+        assert model._by_part() and row.ok == bool(read)
+        assert bool(read) is (name != "abelian-dim1")
 
     def _installed(self, install):
         """install(model) on a new su2 model, then its rows (`_rows`)."""
@@ -1103,7 +1125,7 @@ class TestMasterRouteFuzz:
             return install
 
         return [
-            ("L", True, "P", lagrangian(lambda model, L: L * q)),
+            ("L", True, "S", lagrangian(lambda model, L: L * q)),
             ("L", True, "S", lagrangian(
                 lambda model, L: L + mass_term_lagrangian(model).density * q)),
             ("L", False, "S", lagrangian(lambda model, L: L + _random_even(
@@ -1213,7 +1235,7 @@ class TestOrbitReduction:
     def test_invariant_breaking_is_caught_on_representatives(self, monkeypatch):
         # the mass term is fixed by every algebra map, so the proof holds,
         # and it breaks gauge invariance, so a representative fails and the
-        # rest of the table follows
+        # whole table is squared
         def build(model):
             S = Lagrangian(model.extended_lagrangian().density
                            + mass_term_lagrangian(model).density)
@@ -1230,7 +1252,7 @@ class TestOrbitReduction:
         monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
         _, reduced, full = self._routes("su2", build)
         moved = len(reduced.derivation.components)
-        assert squared == [10, moved - 10, moved]
+        assert squared == [10, moved, moved]
         assert not full.ok
         self._same_failure(reduced, full)
 
@@ -1678,11 +1700,11 @@ class TestAlgebraOrbits:
 
 
 class TestKoszulTateRouteFuzz:
-    """koszul-tate squares nothing on the antifields where E(L) and the
-    rows are the model's own and L holds gauge fields alone
-    (`_squares_vanish`): delta^2(abar_z) = delta(E_z(L)) is zero by
-    construction, also for an installed L such as a massive one, and where
-    E cannot be built the rows, applied to it, raise its error.  Under
+    """koszul-tate squares nothing on the antifields where L, E(L) and the
+    rows are the model's own (`_squares_vanish`): delta^2(abar_z) =
+    delta(E_z(L)) is zero by construction, and where E cannot be built the
+    rows, applied to it, raise its error; an installed L, such as a
+    massive one, takes the direct route.  Under
     seeded installs, its line is the direct route's: delta squared on every
     antifield by `nilpotency_residuals`, the rows applied by
     `noether_residuals`."""
@@ -1755,7 +1777,7 @@ class TestKoszulTateRouteFuzz:
             patch.setattr(GaugeModel, "koszul_tate", lambda m: built.append(m) or original(m))
             (row,) = model.pipeline("koszul-tate", deterministic=True)
         # Koszul-Tate is built only where delta^2 is not zero by construction
-        by_construction = kind in ("own", "mass-term", "max-order-2", "max-order-1")
+        by_construction = kind in ("own", "max-order-2", "max-order-1")
         assert model._squares_vanish() == by_construction
         assert (built == []) == by_construction
         assert row.ok == (kind == "own")

@@ -7,6 +7,7 @@ import weakref
 from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -677,22 +678,23 @@ class TestParameterOrbits:
 
     @staticmethod
     def _batches(monkeypatch):
-        """The source names of each batch the symmetry checks evaluate."""
+        """The source names of each batch the symmetry checks evaluate
+        where their tables are reduced (`_representatives`)."""
         batches = []
-        original = gvc.models.on_representatives
+        original = GaugeModel._by_direction
 
-        def recording(evaluate, moved, representatives=None):
-            def record(gens):
-                # parameters and ghosts alone; the Noether rows and
-                # Koszul-Tate batches hold antifields, the BRST square's
-                # gauge fields
-                if gens and all(g.kind == "ghost" or g.name.startswith("xi") for g in gens):
-                    batches.append([g.name for g in gens])
-                return evaluate(gens)
+        def recording(model, kind, residual):
+            sources = model._symmetry(kind)[1]
+            reduced = model._representatives(kind) is not None
 
-            return original(record, moved, representatives)
+            def record(directions):
+                if reduced:
+                    batches.append([sources[q].name for q in directions])
+                return residual(directions)
 
-        monkeypatch.setattr(gvc.models, "on_representatives", recording)
+            return original(model, kind, record)
+
+        monkeypatch.setattr(GaugeModel, "_by_direction", recording)
         return batches
 
     @staticmethod
@@ -797,9 +799,10 @@ class TestParameterOrbits:
         monkeypatch.setattr(model, "superpotential", lambda q=None: scale(superpotential(q), 2))
         rows = self._rows(model)
         # the first current-conservation reads the Noether rows, zero from
-        # u L on the representative ghost
-        assert batches == [["xi1"], ["c1"], ["xi2", "xi3"], ["xi1"], ["xi1"], ["xi1"],
-                           ["xi2", "xi3"]]
+        # u L on the representative ghost; a residual nonzero on the
+        # representative is taken whole
+        every = ["xi1", "xi2", "xi3"]
+        assert batches == [["xi1"], ["c1"], every, ["xi1"], ["xi1"], ["xi1"], every]
         theta, el = model.parameter_symmetry(), model.generic_euler_lagrange()
         want = conservation_residual(theta, scale(current(), 2), el)
         assert not row.ok and row.line() == CheckResult.from_form(row.name, want).line()
@@ -945,6 +948,55 @@ class TestParameterOrbits:
             run_parts(parts[2:3])
 
 
+class TestOrbitFuzz:
+    """A reduced table is zero on its representatives or taken whole.  An
+    installed object runs whole tables, so only an object placed in the
+    memo, as the model's own, reaches the failure path: seeded
+    perturbations that every algebra map fixes, a mass term added to L
+    (gauge fields alone, first order) and the ghost sector scaled by one
+    factor on every ghost.  Each reduced row is the row with no
+    representatives.  The split route reads phi of the strength density
+    by construction, so the massive L passes the symmetry checks on both
+    runs; the field equations, the current and the superpotential see it."""
+
+    CHECKS = ("euler-lagrange-two-path", "parameter-symmetry", "current-conservation",
+              "superpotential", "gauge-symmetry", "brst-nilpotency")
+    FAILING = {"mass-term": {"euler-lagrange-two-path", "current-conservation", "superpotential"},
+               "ghost-sector": {"brst-nilpotency"}}
+
+    @staticmethod
+    def _rows(model):
+        """Every row of the euler-lagrange, noether and brst parts, the
+        even-only checks included."""
+        parts = model._euler_lagrange_parts() + model._noether_parts() + model._brst_parts()
+        return {row.name: row.line() for row in run_parts(parts, deterministic=True)}
+
+    @pytest.mark.parametrize("kind", ["mass-term", "ghost-sector"])
+    @pytest.mark.parametrize("name", ["su2", "sl21"])
+    def test_reduced_rows_are_the_whole_tables(self, name, kind, monkeypatch):
+        q = random.Random("orbit fuzz %s %s" % (name, kind)).choice([2, -1, 3, Fraction(1, 2)])
+        lines = []
+        for reduced in (True, False):
+            model = _new_model(name)
+            if kind == "mass-term":
+                L = Lagrangian(model.ym_lagrangian().density
+                               + mass_term_lagrangian(model).density * q)
+                assert fixed_by(model.algebra_maps(), L.density)
+                monkeypatch.setitem(model._memo, "lagrangian", L)
+            else:
+                monkeypatch.setitem(model._memo, "ghost-sector", MappingProxyType(
+                    {c: p * q for c, p in model.ghost_sector().items()}))
+            if not reduced:
+                monkeypatch.setattr(model, "_representatives", lambda check: None)
+            lines.append(self._rows(model))
+            if reduced:
+                assert all(model._representatives(family) is not None for family in (
+                    "euler-lagrange", "parameter", "gauge", "brst"))
+        assert lines[0] == lines[1]
+        assert {check for check in self.CHECKS if " status fail " in lines[0][check]} == \
+            self.FAILING[kind]
+
+
 def _new_model(name, **kwargs):
     """A new model of the fixture `name`, with nothing built or proved."""
     if name in ("sl3", "sl21"):
@@ -1052,13 +1104,13 @@ class TestSecondTheorem:
         assert rows["noether-identities"].witness.startswith("jet order 3 exceeds")
 
     def test_a_mass_term_fails_as_the_direct_route(self, monkeypatch):
-        # the route is taken, and the current's own precondition, L_theta L
-        # = 0, fails first, as on the direct route
+        # an installed L is not the model's own, so the direct route is
+        # taken, and the current's own precondition, L_theta L = 0, fails
         model = _new_model("su2")
         L = Lagrangian(model.ym_lagrangian().density + mass_term_lagrangian(model).density)
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
         line, by_rows, direct, _ = self._lines(model)
-        assert by_rows and line == direct
+        assert not by_rows and line == direct
         assert line.endswith("first derivation is not an exact symmetry of the density")
 
     @pytest.mark.parametrize("name", ["sl3", "su2"])
@@ -1854,7 +1906,7 @@ class TestBuildOnce:
         for name in names:
             count(name)
         densities, asked, tables, derived = [], [], [], []
-        for module in (gvc.bicomplex, gvc.brst):
+        for module in (gvc.bicomplex, gvc.brst, gvc.models):
             def counted_derivatives(density, side="left", gens=None, index=None,
                                     original=module.variational_derivatives):
                 densities.append(density)
@@ -1877,14 +1929,15 @@ class TestBuildOnce:
             **dict.fromkeys(names, 1), "noether_residuals": 0}
         # the variational derivatives of L on the euler-lagrange
         # representatives alone, the generic field equations the check
-        # reads, and of P_s, whose Theta alone is built, from that table,
-        # and squared; no Theta_S is built
+        # reads, and of P_s on s's generators, from which the master
+        # equation reads its nontriviality; no Theta is built
         reps = model._representatives("euler-lagrange")
         assert [p is q for p, q in zip(densities, (model.ym_lagrangian().density,
                                                     model._paired_sum()))] == [True, True]
-        assert len(densities) == 2 and set(asked[0]) == reps and asked[1] is None
+        assert len(densities) == 2 and set(asked[0]) == reps
+        assert asked[1] is model.brst_operator().components and tables[1]
         assert set(model.generic_euler_lagrange()._table) == reps
-        assert len(derived) == 1 and derived[0] is tables[1]
+        assert derived == []
 
     def test_parameter_lie_derivative_computed_once(self, monkeypatch):
         calls, lies, currents, form_lies, lepages = [], [], [], [], []
