@@ -21,10 +21,11 @@ alone, and for P = P_s, the paired sum of an s whose field components
 hold no antifield, those are s(L)'s.  So where s(L) = 0, Theta_P^2 is
 Theta_S^2, and by the antibracket's Jacobi identity Theta_P^2 is the
 paired derivation of Q = sum_z s^2(z) zbar, zero where s^2 is.
-`orbit_roots` picks one generator per orbit of signed relabellings, and
-`on_representatives` gives a residual table that is zero on those or
-taken whole; the caller vouches that the maps carry each residual onto
-its image's up to sign.
+`on_representatives` gives a residual table that is zero on given
+representatives or taken whole; the caller vouches that the orbits they
+stand for are those of maps carrying each residual onto its image's up to
+sign (for a model, the fields and ghosts of one algebra direction per
+orbit of the algebra's signed automorphisms).
 """
 
 from types import MappingProxyType
@@ -274,31 +275,12 @@ def paired_sum(ctx, values, partners):
     return out.finish()
 
 
-def orbit_roots(maps, moved):
-    """The smallest-key member of each orbit of `moved` under the
-    relabellings `maps` (gen_map, signs), signs aside, from one union-find
-    over z -- g(z)."""
-    root = {z: z for z in moved}
-
-    def find(z):
-        while root[z] is not z:
-            z = root[z]
-        return z
-
-    for gen_map, _ in maps:
-        for z, w in gen_map.items():
-            if z in root and w in root:
-                a, b = sorted((find(z), find(w)), key=lambda g: g.key)
-                root[b] = a
-    return {z for z in moved if find(z) is z}
-
-
 def on_representatives(evaluate, moved, representatives=None):
     """The residual table of the generators `moved`, by name in key order,
     where `evaluate(gens)` gives it on a sublist in the sublist's order.
-    `representatives`, one per orbit of maps that carry each residual onto
-    its image's up to sign, go first, and zero on them is zero everywhere:
-    the table holds them alone.  Otherwise, or if none is in `moved`, the
+    Those of `representatives` in `moved`, one per orbit of maps that carry
+    each residual onto its image's up to sign, go first, and zero on them
+    is zero everywhere: the table holds them alone.  Otherwise, or if none is in `moved`, the
     whole table is evaluated, so a failure reads as without maps."""
     order = sorted(moved, key=lambda g: g.key)
     chosen = [z for z in order if z in representatives] if representatives else []

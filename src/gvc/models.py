@@ -19,11 +19,13 @@ the row.
 
 Every shortcut route runs only on the model's own objects, those kept
 under their keys (`_own`), whose shape follows from their construction;
-an installed object takes the check's direct route.  Every object a check
-reads is built from c, h and the metric, so each signed basis permutation
-keeping c and h fixes it; the checks run on one generator per orbit of
-those maps where the objects are the model's own (`_representatives`),
-and a reduced table is zero on the representatives or taken whole.
+an installed object takes the check's direct route.  Every generator
+carries one algebra direction, and every object a check reads is built
+from c, h and the metric, so each signed permutation of the algebra's
+basis keeping c and h, moving each generator with its direction, fixes
+it.  Where the objects are the model's own, the checks run on one
+direction per orbit of those maps (`_representatives`), and a reduced
+table is zero on the representatives or taken whole.
 
 Noether's second theorem gives two checks their rows.  The Noether rows are
 zero once gauge-symmetry is: N_q(E(L)) = -delta(u L)/delta C^q
@@ -48,7 +50,7 @@ from types import MappingProxyType
 
 from .grassmann import (DEFAULT_MAX_JET_ORDER, DEFAULT_TERM_LIMIT, Context, EVEN, ODD,
                         ExpansionLimitError, GvcError, Poly, accumulate, add_product)
-from .superlie import check_invariant_form, check_structure, signed_automorphisms
+from .superlie import check_invariant_form, check_structure, orbit_roots, signed_automorphisms
 from .jets import ContactDerivation, add_total_derivative, prolong_apply, variational_derivatives
 from .bicomplex import (
     EulerLagrange,
@@ -70,7 +72,6 @@ from .brst import (
     nilpotency_residuals,
     noether_residuals,
     on_representatives,
-    orbit_roots,
     paired_sum,
     proper_solution,
 )
@@ -175,7 +176,7 @@ class GaugeModel:
     Noether rows and residuals, the gauge, parameter and BRST operators and
     the BRST square, the paired sums, the parts of the gauge and parameter
     derivations by direction and their Lie derivatives, the Lepage form, the
-    algebra maps and each check's orbit representatives, and phi(L) with each
+    algebra maps and their representative directions, and phi(L) with each
     first jet's image) is built on first use and kept with its source (L, s,
     the Noether rows or a gauge derivation), so one installed later is built
     and split anew, and its checks run whole.
@@ -246,24 +247,9 @@ class GaugeModel:
         return _once(self._memo, key, build)
 
     def algebra_maps(self):
-        """The algebra's signed automorphisms e_r -> s_r e_pi(r), found on first
-        use, as relabellings (gen_map, signs) (`_algebra_relabellings`)."""
-        return self._once("algebra-maps", lambda: self._algebra_relabellings(
-            signed_automorphisms(self.algebra)))
-
-    def _algebra_relabellings(self, automorphisms):
-        """For each (pi, s) of `automorphisms`, the relabelling moving the
-        field, antifield, ghost, degree-two antifield, parameter, strength
-        and symmetric coordinates of r to s_r times pi(r)'s."""
-        m = self.algebra.dim
-        by_r = self._once("by-direction", lambda: [
-            self.field[r] + self.antifield[r]
-            + [self.ghost[r], self.noether_antifield[r], self.parameter[r]]
-            + [g for table in (self.aux_strength, self.aux_sym)
-               for (q, _, _), g in table.items() if q == r] for r in range(m)])
-        return [({gen: image for r in range(m) for gen, image in zip(by_r[r], by_r[pi[r]])},
-                 {gen: -1 for r in range(m) if signs[r] < 0 for gen in by_r[r]})
-                for pi, signs in automorphisms]
+        """The algebra's signed automorphisms (pi, s), e_r -> s_r e_pi(r),
+        found on first use."""
+        return self._once("algebra-maps", lambda: signed_automorphisms(self.algebra))
 
     def form_report(self):
         """Validation report of the invariant form."""
@@ -422,14 +408,16 @@ class GaugeModel:
     # -- orbit reduction ---------------------------------------------------------
 
     def _representatives(self, check):
-        """One generator per orbit of those `check` evaluates under the
-        algebra maps, where the maps and every object the check reads are
-        the model's own (`_own`), kept; else None, and the whole table runs.
-        Those objects (L, E(L), u, the ghost sector, s and the parameter
-        symmetry) are built from c, h and the metric alone, so a map keeping
-        c, h and the pairing (`signed_automorphisms`) fixes each: it commutes
-        with the field equations by both routes and with each derivation,
-        and carries each residual onto its image's up to sign."""
+        """The smallest algebra direction of each orbit of the algebra maps
+        (`orbit_roots`), kept once per model, where the maps and every
+        object `check` reads are the model's own (`_own`); else None, and
+        the whole table runs.  A map (pi, s) keeps c and h
+        (`signed_automorphisms`), so e_r -> s_r e_pi(r) on every generator
+        of direction r keeps the pairing and fixes those objects (L, E(L),
+        u, the ghost sector, s and the parameter symmetry), built from c, h
+        and the metric alone: it commutes with the field equations by both
+        routes and with each derivation, and carries each residual of
+        direction r onto pi(r)'s up to sign."""
         maps, own = self.algebra_maps(), self._own
         if check == "brst":
             u = self.gauge_operator()
@@ -443,10 +431,13 @@ class GaugeModel:
                 "gauge": lambda: own("gauge-operator", self.gauge_operator())}[check]()
         if not (maps and own("algebra-maps", maps) and reads):
             return None
-        fields = [g for row in self.field for g in row]
-        return self._once(("representatives", check), lambda: orbit_roots(maps, {
-            "euler-lagrange": fields, "parameter": self.parameter, "gauge": self.ghost,
-            "brst": fields + self.ghost}[check]))
+        return self._once("representatives", lambda: orbit_roots(maps, self.algebra.dim))
+
+    def _representative_generators(self, check):
+        """The fields and ghosts of `check`'s representative directions, a
+        generator table's representatives, or None (`_representatives`)."""
+        reps = self._representatives(check)
+        return reps and {g for r in reps for g in self.field[r] + [self.ghost[r]]}
 
     # -- symmetries -------------------------------------------------------------
 
@@ -505,16 +496,15 @@ class GaugeModel:
         L holds no source and each term of a residual carries one source
         jet, so the parts of two directions share no term, and an algebra
         map sends q's part and residual onto pi(q)'s (U and W, built from c
-        and h, follow).  So the part of one direction per orbit goes first,
-        and zero there is zero on the whole; otherwise, or without
+        and h, follow).  So the part of the representative directions goes
+        first, and zero there is zero on the whole; otherwise, or without
         representatives, the whole derivation's residual is taken."""
-        sources = self._symmetry(kind)[1]
         reps = self._representatives(kind)
         if reps is not None:
-            part = residual(tuple(q for q, src in enumerate(sources) if src in reps))
+            part = residual(reps)
             if part.is_zero():
                 return part
-        return residual(tuple(range(len(sources))))
+        return residual(tuple(range(self.algebra.dim)))
 
     def lie_derivative(self, theta):
         """L_theta L of the Lagrangian, a density.  Zero when the split
@@ -578,10 +568,11 @@ class GaugeModel:
                                                                 self._pairs))
 
     def _brst_residuals(self):
-        """s^2 on the generators s moves, on one per orbit first."""
+        """s^2 on the generators s moves, on those of the representative
+        directions first."""
         return self._once(("brst-residuals", self.brst_operator()), lambda: on_representatives(
             lambda gens: nilpotency_residuals(self.brst_operator(), gens),
-            self.brst_operator().components, self._representatives("brst")))
+            self.brst_operator().components, self._representative_generators("brst")))
 
     def pairs(self):
         """Field-antifield pairing of the extended algebra: each field to
@@ -801,7 +792,7 @@ class GaugeModel:
 
         return [("euler-lagrange-two-path", lambda n: CheckResult.from_residuals(
             n, on_representatives(residuals, [g for row in self.field for g in row],
-                                  self._representatives("euler-lagrange"))))]
+                                  self._representative_generators("euler-lagrange"))))]
 
     def _by_rows(self):
         """Whether current-conservation is taken by Noether's second theorem

@@ -223,11 +223,14 @@ def signed_automorphisms(alg):
     """Parity-preserving signed permutations e_i -> s_i e_pi(i) of the basis
     with c^pi(r)_pi(i)pi(j) = s_r s_i s_j c^r_ij and h_pi(i)pi(j) = s_i s_j h_ij,
     as (pi, s): a short list with the orbits of the group of all of them,
-    found from the constants and form alone.  For each pair i < j in two
-    orbits whose profiles (parity, positions and magnitudes of entries)
-    agree, a map sending i to j is sought by backtracking, nearest to i
-    first, cut at the first nonzero entry mapped wrongly (mapping those
-    into themselves keeps the zeros); only maps that merge are kept."""
+    found from the constants and form alone.  For each pair i < j of roots
+    of the orbits of the maps so far (`orbit_roots`) whose profiles (parity,
+    positions and magnitudes of entries) agree, a map sending i to j is
+    sought by backtracking, nearest to i first, cut at the first nonzero
+    entry mapped wrongly (mapping those into themselves keeps the zeros).
+    The search is exhaustive and the maps form a group, so where i or j is
+    no root and they lie in two orbits, no map sends i to j: one would have
+    merged their orbits at an earlier pair."""
     m, par = alg.dim, alg.parities
     consts = {(r, i, j): c for r, i, j, c in _scaled(alg.graded_constants())}
     form = {(i, j): h for i, j, h in _scaled(alg.graded_form())}
@@ -280,17 +283,26 @@ def signed_automorphisms(alg):
 
         return (tuple(pi), tuple(s)) if extend(0) else None
 
-    orbit, maps = list(range(m)), []
+    maps, roots = [], orbit_roots([], m)
     for i in range(m):
         for j in range(i + 1, m):
-            if orbit[i] != orbit[j] and kind[i] == kind[j]:
+            if i in roots and j in roots and kind[i] == kind[j]:
                 found = search(i, j)
                 if found:
                     maps.append(found)
-                    for k, t in enumerate(found[0]):
-                        a, b = sorted((orbit[k], orbit[t]))
-                        orbit = [a if o == b else o for o in orbit]
+                    roots = orbit_roots(maps, m)
     return maps
+
+
+def orbit_roots(maps, m):
+    """The smallest index of each orbit of range(m) under the permutations
+    pi of the signed automorphisms (pi, s) `maps`, in increasing order."""
+    orbit = list(range(m))
+    for pi, _ in maps:
+        for k, t in enumerate(pi):
+            a, b = sorted((orbit[k], orbit[t]))
+            orbit = [a if o == b else o for o in orbit]
+    return tuple(k for k in range(m) if orbit[k] == k)
 
 
 def _det(rows):

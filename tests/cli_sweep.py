@@ -6,7 +6,12 @@ checkout's `src/gvc` and calls `gvc.cli.main` in process, once per case,
 with `--deterministic`.  It prints one line, the number of cases, how
 many exited 0, and a SHA-256 over each case's name, exit code, stdout and
 stderr.  Two checkouts whose lines match gave byte-identical output and
-exit codes on every case.  The cases:
+exit codes on every case.
+
+`python tests/cli_sweep.py --direct` runs each case without GVC_MAX_TERMS
+twice in process, by the shortcut routes and with every shortcut off
+(`util.direct_routes`), and exits 1 naming the first case whose exit code
+or output differs.  The cases:
 
 - abelian, su2 and osp12 (tests/golden) and each in dimension 1 (metric
   +), x every command x {default, --max-order 2, --max-order 1};
@@ -32,7 +37,7 @@ ROOT = HERE.parent
 sys.path[:0] = [str(ROOT / "src"), str(HERE)]
 
 from gvc.cli import COMMANDS, main  # noqa: E402
-from util import supermatrix_model_text  # noqa: E402
+from util import direct_routes, supermatrix_model_text  # noqa: E402
 
 FIVE_COMMANDS = ("noether", "koszul-tate", "brst", "master-equation", "full")
 ORDERS = ((), ("--max-order", "2"), ("--max-order", "1"))
@@ -89,28 +94,67 @@ def _run(argv, limit):
     return code, out.getvalue(), err.getvalue()
 
 
-def sweep():
-    """(cases run, cases that exited 0, hex digest)."""
-    digest, count, passed = hashlib.sha256(), 0, 0
+@contextlib.contextmanager
+def _model_files():
+    """(temporary directory, model name to the path of its text there)."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, text in _models().items():
             paths[name] = os.path.join(tmp, name + ".model")
             with open(paths[name], "w", encoding="utf-8") as handle:
                 handle.write(text)
-        for model, command, tail, limit in _cases():
-            argv = [command, "--model", paths[model], "--deterministic", *tail]
-            code, out, err = _run(argv, limit)
-            # the temporary directory differs between runs
-            out, err = out.replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")
-            case = "%s %s %s GVC_MAX_TERMS=%s" % (model, command, " ".join(tail), limit)
-            for part in (case, str(code), out, err):
+        yield tmp, paths
+
+
+def _case(tmp, paths, model, command, tail, limit):
+    """(case name, exit code, stdout, stderr) of one case."""
+    argv = [command, "--model", paths[model], "--deterministic", *tail]
+    code, out, err = _run(argv, limit)
+    # the temporary directory differs between runs
+    out, err = out.replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")
+    case = "%s %s %s GVC_MAX_TERMS=%s" % (model, command, " ".join(tail), limit)
+    return case, str(code), out, err
+
+
+def sweep():
+    """(cases run, cases that exited 0, hex digest)."""
+    digest, count, passed = hashlib.sha256(), 0, 0
+    with _model_files() as (tmp, paths):
+        for case in _cases():
+            parts = _case(tmp, paths, *case)
+            for part in parts:
                 digest.update(part.encode("utf-8"))
                 digest.update(b"\0")
             count += 1
-            passed += code == 0
+            passed += parts[1] == "0"
     return count, passed, digest.hexdigest()
 
 
+def first_difference():
+    """(cases compared, the name of the first case without GVC_MAX_TERMS
+    whose exit code or output changes with every shortcut off
+    (`util.direct_routes`), or None).  GVC_MAX_TERMS is left out: the
+    direct routes build larger intermediates, so they abort earlier."""
+    count = 0
+    with _model_files() as (tmp, paths):
+        for case in _cases():
+            if case[3] is None:
+                shortcut = _case(tmp, paths, *case)
+                with direct_routes():
+                    direct = _case(tmp, paths, *case)
+                count += 1
+                if shortcut != direct:
+                    return count, shortcut[0]
+    return count, None
+
+
 if __name__ == "__main__":
-    print("cli sweep: %d cases, %d exit 0, sha256 %s" % sweep())
+    if sys.argv[1:] == ["--direct"]:
+        count, differs = first_difference()
+        if differs is not None:
+            sys.exit("cli sweep --direct: case %d differs: %s" % (count, differs))
+        print("cli sweep --direct: %d cases alike on both routes" % count)
+    elif sys.argv[1:]:
+        sys.exit("usage: python tests/cli_sweep.py [--direct]")
+    else:
+        print("cli sweep: %d cases, %d exit 0, sha256 %s" % sweep())

@@ -30,8 +30,7 @@ from gvc import (
     proper_solution,
     variational_derivative,
 )
-from gvc.brst import (KoszulTate, MasterReport, NoetherOperator, on_representatives,
-                      orbit_roots, paired_sum)
+from gvc.brst import KoszulTate, MasterReport, NoetherOperator, on_representatives, paired_sum
 from gvc.bicomplex import variational_derivatives
 from gvc.grassmann import ExpansionLimitError, JetOrderError, Poly
 from gvc.jets import iterated_derivative, total_derivative
@@ -42,11 +41,11 @@ from gvc.reporting import CheckResult
 from gvc.superlie import signed_automorphisms
 
 from util import (antifield_numbers, basis_orbits, even_part, field_generators, fixed_by,
-                  linear_jet_paths, linear_jet_polys, make_context, mass_term_lagrangian,
-                  odd_part, orbit_only_failure,
+                  generator_roots, linear_jet_paths, linear_jet_polys, make_context,
+                  mass_term_lagrangian, odd_part, orbit_only_failure,
                   oracle_koszul_tate_apply, oracle_koszul_tate_residuals, random_jet,
-                  random_poly, random_vertical, relabel, shared_jet_cases, shared_jet_poly,
-                  su2_algebra)
+                  random_poly, random_vertical, relabel, relabellings, shared_jet_cases,
+                  shared_jet_poly, su2_algebra)
 
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
 SL3_MODEL = SL21_MODEL.with_name("sl3.model")
@@ -1105,8 +1104,8 @@ class TestMasterRouteFuzz:
             # the model's own s, built from a gauge operator kept as its
             # own; one ghost that a map moves is scaled, or all of them
             def install(model):
-                moved = next(c for c in model.ghost
-                             if any(g.get(c, c) is not c for g, _ in model.algebra_maps()))
+                moved = next(c for r, c in enumerate(model.ghost)
+                             if any(pi[r] != r for pi, _ in model.algebra_maps()))
                 gauge, sector = self._conjugated(model, [
                     q if uniform else 2 if c is moved else 1 for c in model.ghost])
                 monkeypatch.setitem(model._memo, "gauge-operator", gauge)
@@ -1148,7 +1147,8 @@ class TestMasterRouteFuzz:
             assert line == direct
             assert parts == [route]
             assert (route == "P") == bool(model._by_part())
-            maps, S = model.algebra_maps(), model.extended_lagrangian().density
+            maps = relabellings(model, model.algebra_maps())
+            S = model.extended_lagrangian().density
             perturbed = {"L": model.ym_lagrangian().density, "brst": model._paired_sum(),
                          "S": S}[key]
             assert fixed_by(maps, perturbed) is fixed_by(maps, S) is fixed
@@ -1165,10 +1165,10 @@ class TestMasterRouteFuzz:
 
 
 class TestOrbitReduction:
-    """The orbit layer's tables (`orbit_roots`, `on_representatives`) on
-    Theta_S^2: on one generator per orbit of the algebra maps where each
-    fixes S and keeps the pairing (`relabel`), against
-    `master_equation_check`'s full table of every generator."""
+    """The orbit layer's table (`on_representatives`) on Theta_S^2: on one
+    generator per orbit of the algebra maps' relabellings (`relabellings`,
+    `generator_roots`) where each fixes S and keeps the pairing (`relabel`),
+    against `master_equation_check`'s full table of every generator."""
 
     @staticmethod
     def _square(pairs, theta, reps):
@@ -1178,12 +1178,12 @@ class TestOrbitReduction:
 
     @staticmethod
     def _roots(density, pairs, maps, moved):
-        """`orbit_roots` of `moved` where each map keeps the pairing with one
-        sign per pair and fixes `density`, else None."""
+        """`generator_roots` of `moved` where each relabelling keeps the
+        pairing with one sign per pair and fixes `density`, else None."""
         if all(pairs.get(gen_map.get(z, z)) is gen_map.get(zbar, zbar)
                and signs.get(z, 1) == signs.get(zbar, 1) for gen_map, signs in maps
                for z, zbar in pairs.items()) and fixed_by(maps, density):
-            return orbit_roots(maps, moved)
+            return generator_roots(maps, moved)
         return None
 
     @classmethod
@@ -1194,7 +1194,8 @@ class TestOrbitReduction:
         model = _fresh(name)
         S, pairs = build(model), model.pairs()
         theta = master_derivation(S, pairs)
-        reps = cls._roots(S.density, pairs, model.algebra_maps(), theta.components)
+        reps = cls._roots(S.density, pairs, relabellings(model, model.algebra_maps()),
+                          theta.components)
         return model, cls._square(pairs, theta, reps), master_equation_check(S, pairs)
 
     @staticmethod
@@ -1239,7 +1240,7 @@ class TestOrbitReduction:
         def build(model):
             S = Lagrangian(model.extended_lagrangian().density
                            + mass_term_lagrangian(model).density)
-            assert fixed_by(model.algebra_maps(), S.density)
+            assert fixed_by(relabellings(model, model.algebra_maps()), S.density)
             return S
 
         squared = []
@@ -1262,7 +1263,7 @@ class TestOrbitReduction:
         full = master_equation_check(L, pairs)
         theta = full.derivation
         # the orbits of g, which does not fix S, would hide both failing rows
-        assert self._square(pairs, theta, orbit_roots([g], theta.components)).ok
+        assert self._square(pairs, theta, generator_roots([g], theta.components)).ok
         reps = self._roots(L.density, pairs, [g], theta.components)
         assert reps is None
         rep = self._square(pairs, theta, reps)
@@ -1281,7 +1282,7 @@ class TestOrbitReduction:
         half = {g: h for g, h in gen_map.items() if g.name in ("u1", "u2", "ebar1", "ebar2")}
         assert relabel(L.density, half, signs) == L.density
         theta = master_derivation(L, pairs)
-        assert self._square(pairs, theta, orbit_roots([(half, signs)], theta.components)).ok
+        assert self._square(pairs, theta, generator_roots([(half, signs)], theta.components)).ok
         reps = self._roots(L.density, pairs, [(half, signs)], theta.components)
         assert reps is None
         rep = self._square(pairs, theta, reps)
@@ -1334,7 +1335,7 @@ class TestOrbitReduction:
         monkeypatch.setattr(gvc.brst, "nilpotency_residuals", counted)
         (row,) = model.pipeline("master-equation", deterministic=True)
         assert row.ok
-        maps = model.algebra_maps()
+        maps = relabellings(model, model.algebra_maps())
         assert fixed_by(maps, model.ym_lagrangian().density)
         assert not fixed_by(maps, model._paired_sum())
         assert model._representatives("brst") is None
@@ -1378,10 +1379,13 @@ class TestAlgebraOrbits:
         ("abelian", 0), ("su2", 2), ("osp12", 1), ("sl21", 2)])
     def test_maps_move_a_direction_with_one_sign(self, name, count, request):
         model = request.getfixturevalue(name)
+        # the kept maps are the algebra's signed automorphisms; each moves
+        # every generator of direction r onto pi(r)'s with the sign s_r
+        # (`relabellings`) and so fixes S and L
         maps = model.algebra_maps()
-        assert len(maps) == count
+        assert maps == signed_automorphisms(model.algebra) and len(maps) == count
         S, L = model.extended_lagrangian().density, model.ym_lagrangian().density
-        for (gen_map, signs), (pi, s) in zip(maps, signed_automorphisms(model.algebra)):
+        for (gen_map, signs), (pi, s) in zip(relabellings(model, maps), maps):
             for r in range(model.algebra.dim):
                 for family in (model.field, model.antifield):
                     for mu, gen in enumerate(family[r]):
@@ -1437,7 +1441,7 @@ class TestAlgebraOrbits:
         # the algebra maps in either order, for the master equation and
         # for the rows: the same representatives and the same reduced tables
         model = request.getfixturevalue(name)
-        pairs, maps = model.pairs(), model.algebra_maps()
+        pairs, maps = model.pairs(), relabellings(model, model.algebra_maps())
         assert len(maps) == 2
         S = model.extended_lagrangian()
         full = master_equation_check(S, pairs)
@@ -1492,14 +1496,15 @@ class TestAlgebraOrbits:
         # representative cbar1 alone would hide them
         model, reduced, full = TestOrbitReduction._routes("su2", lambda model: Lagrangian(
             model.extended_lagrangian().density + _direction_strength_square(model, 0)))
-        assert fixed_by(model.algebra_maps(), model.ym_lagrangian().density) and not full.ok
+        maps = relabellings(model, model.algebra_maps())
+        assert fixed_by(maps, model.ym_lagrangian().density) and not full.ok
         TestOrbitReduction._same_failure(reduced, full)
         # the rows, on a new model whose L holds the term
         model = _fresh("su2")
         L = Lagrangian(model.ym_lagrangian().density + _direction_strength_square(model, 0))
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
         kt = model.koszul_tate()
-        assert not fixed_by(model.algebra_maps(), L.density)
+        assert not fixed_by(relabellings(model, model.algebra_maps()), L.density)
         assert model._representatives("gauge") is None
         want = noether_residuals(model.noether_operator(), euler_lagrange(L))
         assert want["cbar1"].is_zero() and not want["cbar2"].is_zero()
@@ -1518,7 +1523,7 @@ class TestAlgebraOrbits:
         L = Lagrangian(model.ym_lagrangian().density + _direction_strength_square(model, 0))
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
         line, parts, direct = TestMasterSplit._rows(model)
-        maps = model.algebra_maps()
+        maps = relabellings(model, model.algebra_maps())
         assert fixed_by(maps, model._paired_sum()) and not fixed_by(maps, L.density)
         assert model._representatives("gauge") is None
         assert parts == ["S"] and line == direct
@@ -1535,7 +1540,7 @@ class TestAlgebraOrbits:
         broken = NoetherOperator(model.ctx, rows)
         monkeypatch.setattr(model, "noether_operator", lambda: broken)
         kt = model.koszul_tate()
-        maps = model.algebra_maps()
+        maps = relabellings(model, model.algebra_maps())
         assert fixed_by(maps, model.ym_lagrangian().density)
         assert not fixed_by(maps, _rows_density(model, kt))
         want = noether_residuals(broken, model.generic_euler_lagrange())
@@ -1562,7 +1567,7 @@ class TestAlgebraOrbits:
             L = Lagrangian(density)
             monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True, L=L: L)
             if reduced:
-                assert fixed_by(model.algebra_maps(), L.density)
+                assert fixed_by(relabellings(model, model.algebra_maps()), L.density)
                 assert model._representatives("gauge") is None
             else:
                 monkeypatch.setattr(model, "_representatives", lambda check: None)
@@ -1574,20 +1579,32 @@ class TestAlgebraOrbits:
                          "| first cbar1: c2*c3;0"] * 2
 
     def test_a_sign_on_one_member_of_a_pair_is_refused(self, monkeypatch):
-        # the su2 maps with their antifields' signs dropped still fix L,
-        # which holds no antifield, but no longer keep the pairing; maps
+        # the su2 maps' relabellings with their antifields' signs dropped
+        # still fix L, which holds no antifield, but no longer keep the
+        # pairing; a direction map moves both members of a pair with their
+        # direction's sign, so none does that.  Installed direction maps
         # other than the kept ones reduce no table, and every row is the
-        # one of a new model's
+        # one of a new model's: the su2 maps with direction 1's sign
+        # flipped, which keep h but not c and fix no L, and an equal copy
+        # of the kept maps, which fixes L
         model = _fresh("su2")
         bars = set(model.pairs().values())
-        maps = [(gen_map, {g: sign for g, sign in signs.items() if g not in bars})
-                for gen_map, signs in model.algebra_maps()]
-        assert maps != model.algebra_maps() and fixed_by(maps, model.ym_lagrangian().density)
-        monkeypatch.setattr(model, "algebra_maps", lambda: maps)
-        assert [model._representatives(check) for check in (
-            "euler-lagrange", "parameter", "gauge", "brst")] == [None] * 4
-        assert [row.line() for row in model.full_verification(True).results] == \
-            [row.line() for row in _fresh("su2").full_verification(True).results]
+        dropped = [(gen_map, {g: sign for g, sign in signs.items() if g not in bars})
+                   for gen_map, signs in relabellings(model, model.algebra_maps())]
+        assert fixed_by(dropped, model.ym_lagrangian().density)
+        assert any(signs.get(z, 1) != signs.get(zbar, 1) for _, signs in dropped
+                   for z, zbar in model.pairs().items())
+        want = [row.line() for row in _fresh("su2").full_verification(True).results]
+        kept = model.algebra_maps()
+        flipped = [(pi, (-s[0],) + tuple(s[1:])) for pi, s in kept]
+        for maps, fixes in ((flipped, False), (list(kept), True)):
+            model = _fresh("su2")
+            assert maps is not model.algebra_maps()
+            assert fixed_by(relabellings(model, maps), model.ym_lagrangian().density) is fixes
+            monkeypatch.setattr(model, "algebra_maps", lambda maps=maps: maps)
+            assert [model._representatives(check) for check in (
+                "euler-lagrange", "parameter", "gauge", "brst")] == [None] * 4
+            assert [row.line() for row in model.full_verification(True).results] == want
 
     @pytest.mark.parametrize("name, squared", [
         ("abelian", 2), ("su2", 5), ("osp12", 9), ("sl21", 20)])
@@ -1605,7 +1622,7 @@ class TestAlgebraOrbits:
         assert batches == [[g.name for g in moved if first[direction[g]]]]
         assert len(batches[0]) == squared
         assert list(model._brst_residuals()) == batches[0]
-        assert fixed_by(model.algebra_maps(), model._paired_sum())
+        assert fixed_by(relabellings(model, model.algebra_maps()), model._paired_sum())
         # s holds no L: the square alone builds none
         alone = _fresh(name)
         assert list(alone._brst_residuals()) == batches[0]
@@ -1636,9 +1653,9 @@ class TestAlgebraOrbits:
         monkeypatch.setattr(model, "ghost_sector", lambda: sector)
         batches = self._brst_batches(model, monkeypatch)
         gauge, square = model.pipeline("brst", deterministic=True)
-        assert not fixed_by(model.algebra_maps(), model._paired_sum())
+        assert not fixed_by(relabellings(model, model.algebra_maps()), model._paired_sum())
         assert model._representatives("brst") is None
-        assert model._representatives("gauge") == {model.ghost[0]}
+        assert model._representatives("gauge") == (0,)
         s = model.brst_operator()
         assert batches == [[g.name for g in sorted(s.components, key=lambda g: g.key)]]
         assert gauge.ok and not square.ok

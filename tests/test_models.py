@@ -1,8 +1,10 @@
 """Model builders: rosters, strengths, Lagrangians, field equations,
 currents, superpotentials and the end-to-end verification report."""
 
+import contextlib
 import gc
 import random
+import re
 import weakref
 from collections.abc import Mapping
 from fractions import Fraction
@@ -20,19 +22,19 @@ from gvc.bicomplex import (EulerLagrange, Form, conservation_residual, d_h, inte
                            superpotential_residual, variational_delta, variational_derivatives,
                            volume)
 from gvc.brst import (NoetherOperator, master_equation_check,
-                      nilpotency_residuals, noether_residuals, orbit_roots, paired_sum)
+                      nilpotency_residuals, noether_residuals, paired_sum)
 from gvc.grassmann import ExpansionLimitError, Poly
 from gvc.jets import ContactDerivation, prolong_apply, total_derivative
 from gvc.models import GaugeModel, Metric, run_parts
 from gvc.modelfile import parse_model, spec_model
 from gvc.presets import PRESET_MODEL_TEXT, preset_model
 from gvc.reporting import CheckResult
-from gvc.superlie import LieSuperalgebra, bracket, signed_automorphisms
+from gvc.superlie import LieSuperalgebra, bracket, orbit_roots, signed_automorphisms
 
-from util import (abelian_algebra, assert_normal, constant_parameter_symmetry,
-                  first_variational_residual, fixed_by, mass_term_lagrangian, random_poly,
-                  relabel, rescaled_model_text, scale, su2_algebra, superbracket,
-                  supermatrix_model_text, sym_jet, sym_quadratic_lagrangian)
+from util import (abelian_algebra, assert_normal, constant_parameter_symmetry, direct_routes,
+                  first_variational_residual, fixed_by, generator_roots, mass_term_lagrangian,
+                  random_poly, relabel, relabellings, rescaled_model_text, scale, su2_algebra,
+                  superbracket, supermatrix_model_text, sym_jet, sym_quadratic_lagrangian)
 
 GOLDEN = Path(__file__).parent / "golden"
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
@@ -277,14 +279,20 @@ class TestFieldEquations:
         monkeypatch.setattr(GaugeModel, "closed_euler_lagrange", counted)
         (result,) = model.pipeline("euler-lagrange", deterministic=True)
         assert result.ok
-        # abelian has no algebra map, so its whole table runs
+        # abelian has no algebra map, so its whole table runs; elsewhere the
+        # fields of the representative directions, which are the
+        # smallest-key fields of their orbits under the relabellings below
+        # ten directions
         fields = [g for row in model.field for g in row]
-        reps = model._representatives("euler-lagrange")
-        if model.algebra_maps():
-            assert reps == orbit_roots(model.algebra_maps(), fields)
+        reps, maps = model._representatives("euler-lagrange"), model.algebra_maps()
+        if maps:
+            assert reps == orbit_roots(maps, model.algebra.dim)
+            assert {g for r in reps for g in model.field[r]} == generator_roots(
+                relabellings(model, maps), fields)
         else:
             assert reps is None
-        chosen = [g for g in fields if reps is None or g in reps]
+        chosen = [g for r, row in enumerate(model.field) for g in row
+                  if reps is None or r in reps]
         assert asked == [chosen] and len(chosen) == count
 
     def test_mass_term_off_the_representatives_fails_the_whole_table(self, monkeypatch):
@@ -293,8 +301,7 @@ class TestFieldEquations:
         # is on no representative: the installed L is not the model's
         # own, the whole table runs, and its row is the unreduced route's
         su2 = preset_model("su2")
-        assert {g.name for g in su2._representatives("euler-lagrange")} == {
-            "a1_0", "a1_1", "a1_2", "a1_3"}
+        assert su2._representatives("euler-lagrange") == (0,)
         models, lines = [], []
         for reduced in (True, False):
             model = preset_model("su2")
@@ -404,8 +411,9 @@ class TestFieldEquationsByField:
         assert model.full_verification(deterministic=True).ok
         assert built == [] and applied == []
         reps = model._representatives("euler-lagrange")
-        assert set(model.generic_euler_lagrange()._table) == reps
-        assert len(reps) < len(model.field) * model.metric.dim
+        assert set(model.generic_euler_lagrange()._table) == {
+            g for r in reps for g in model.field[r]}
+        assert len(reps) < model.algebra.dim
 
 
 class TestSymmetries:
@@ -776,7 +784,7 @@ class TestParameterOrbits:
         # is reduced, and each row is the whole derivation's
         model = preset_model("su2")
         L = Lagrangian(model.ym_lagrangian().density + mass_term_lagrangian(model).density)
-        assert fixed_by(model.algebra_maps(), L.density)
+        assert fixed_by(relabellings(model, model.algebra_maps()), L.density)
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
         batches = self._batches(monkeypatch)
         rows = self._rows(model)
@@ -833,7 +841,7 @@ class TestParameterOrbits:
 
         model = preset_model("su2")
         self._install(model, monkeypatch, broken)
-        assert not fixed_by(model.algebra_maps(), paired_sum(
+        assert not fixed_by(relabellings(model, model.algebra_maps()), paired_sum(
             model.ctx, model.parameter_symmetry().components, model.pairs()))
         batches, prolonged = self._batches(monkeypatch), self._prolonged(monkeypatch)
         rows = self._rows(model)
@@ -872,8 +880,8 @@ class TestParameterOrbits:
         model = preset_model("su2")
         self._install(model, monkeypatch, patched)
         theta = model.parameter_symmetry()
-        assert fixed_by(model.algebra_maps(), paired_sum(model.ctx, theta.components,
-                                                         model.pairs()))
+        assert fixed_by(relabellings(model, model.algebra_maps()),
+                        paired_sum(model.ctx, theta.components, model.pairs()))
         prolonged = self._prolonged(monkeypatch)
         rows = self._rows(model)
         assert model._representatives("parameter") is None
@@ -902,7 +910,7 @@ class TestParameterOrbits:
             extra += ctx.product(h, (ctx.jet(model.parameter[i]), ctx.jet(model.parameter[j])))
         L = Lagrangian(model.ym_lagrangian().density + extra)
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
-        assert fixed_by(model.algebra_maps(), L.density)
+        assert fixed_by(relabellings(model, model.algebra_maps()), L.density)
         batches, prolonged = self._batches(monkeypatch), self._prolonged(monkeypatch)
         rows = self._rows(model)
         assert model._representatives("parameter") is None is model._representatives("gauge")
@@ -916,20 +924,21 @@ class TestParameterOrbits:
         shared = request.getfixturevalue(name)
         maps = shared.algebra_maps()
         assert len(maps) == 2
-        pairs = shared.pairs()
+        pairs, m = shared.pairs(), shared.algebra.dim
         for kind in ("parameter", "gauge"):
-            theta, sources = shared._symmetry(kind)
-            assert fixed_by(maps, paired_sum(shared.ctx, theta.components, pairs))
-            reps = [orbit_roots(order, sources) for order in (maps, maps[::-1])]
+            theta = shared._symmetry(kind)[0]
+            assert fixed_by(relabellings(shared, maps), paired_sum(shared.ctx, theta.components,
+                                                                    pairs))
+            reps = [orbit_roots(order, m) for order in (maps, maps[::-1])]
             assert reps[0] == reps[1] == shared._representatives(kind)
-            assert len(reps[0]) < len(sources)
+            assert len(reps[0]) < m
         lines, runs = [], []
         for order in (maps, maps[::-1]):
             model = preset_model(name) if name == "su2" else spec_model(
                 parse_model(SL21_MODEL.read_text(encoding="utf-8")))
             # the maps in this order, kept as the model's own
-            monkeypatch.setitem(model._memo, "algebra-maps", model._algebra_relabellings(
-                signed_automorphisms(model.algebra)[::1 if order is maps else -1]))
+            monkeypatch.setitem(model._memo, "algebra-maps", signed_automorphisms(
+                model.algebra)[::1 if order is maps else -1])
             runs.append(self._batches(monkeypatch))
             lines.append([row.line() for row in model.full_verification(True).results])
             monkeypatch.undo()
@@ -943,7 +952,7 @@ class TestParameterOrbits:
         model = spec_model(parse_model(PRESET_MODEL_TEXT["su2"]), term_limit=limit)
         parts = model._noether_parts()
         assert all(row.ok for row in run_parts(parts[:2]))
-        assert model._representatives("parameter") == {model.parameter[0]}
+        assert model._representatives("parameter") == (0,)
         with pytest.raises(ExpansionLimitError, match="limit %d" % limit):
             run_parts(parts[2:3])
 
@@ -981,7 +990,7 @@ class TestOrbitFuzz:
             if kind == "mass-term":
                 L = Lagrangian(model.ym_lagrangian().density
                                + mass_term_lagrangian(model).density * q)
-                assert fixed_by(model.algebra_maps(), L.density)
+                assert fixed_by(relabellings(model, model.algebra_maps()), L.density)
                 monkeypatch.setitem(model._memo, "lagrangian", L)
             else:
                 monkeypatch.setitem(model._memo, "ghost-sector", MappingProxyType(
@@ -995,6 +1004,91 @@ class TestOrbitFuzz:
         assert lines[0] == lines[1]
         assert {check for check in self.CHECKS if " status fail " in lines[0][check]} == \
             self.FAILING[kind]
+
+
+class TestDirectRoutes:
+    """Every shortcut against the direct routes over a whole report: the
+    deterministic `full` report is the same with every shortcut off
+    (`direct_routes`), at the default jet order, --max-order 2 and
+    --max-order 1.  The models are the presets and each in dimension 1,
+    sl(3), and sl(2|1) in its supertrace basis and with its odd directions
+    doubled (`TestBasisRescaling`); the failing ones install a mass term
+    in L, or the proper solution with its H1 ghost term counted twice.
+    sl(4), whose 15 directions part the smallest index from the smallest
+    generator name, runs at the default order.  GVC_MAX_TERMS stays out: the direct routes build larger intermediates,
+    so they abort earlier by design."""
+
+    @staticmethod
+    def _text(name):
+        """The model text of `name`."""
+        if name == "sl21-doubled":
+            spec = parse_model(SL21_MODEL.read_text(encoding="utf-8"))
+            return rescaled_model_text(
+                spec, {label: 2 for label, parity in spec.generators if parity == ODD})
+        if name in ("sl3", "sl21"):
+            return (SL3_MODEL if name == "sl3" else SL21_MODEL).read_text(encoding="utf-8")
+        if name == "sl4":
+            return supermatrix_model_text((0, 0, 0, 0))
+        text = PRESET_MODEL_TEXT[name.replace("-dim1", "")]
+        return re.sub(r"dimension = \d+\nmetric = \S+", "dimension = 1\nmetric = +", text) \
+            if name.endswith("-dim1") else text
+
+    @staticmethod
+    def _mass_term(model):
+        L = Lagrangian(model.ym_lagrangian().density + mass_term_lagrangian(model).density)
+        model.ym_lagrangian = lambda validate=True: L
+
+    @staticmethod
+    def _ghost_term(model):
+        own, kept = model.extended_lagrangian, []
+
+        def perturbed():
+            if not kept:
+                ghost = model.ghost[model.algebra.index("H1")]
+                kept.append(Lagrangian(own().density + model.brst_operator().components[
+                    ghost] * model.ctx.var(model.pairs()[ghost])))
+            return kept[0]
+
+        model.extended_lagrangian = perturbed
+
+    @classmethod
+    def _reports(cls, name, order, install=None):
+        """The report by the shortcut routes and by the direct routes."""
+        reports = []
+        for routes in (contextlib.nullcontext, direct_routes):
+            with routes():
+                model = spec_model(parse_model(cls._text(name)), max_jet_order=order)
+                if install:
+                    install(model)
+                reports.append(model.full_verification(deterministic=True).render())
+        return reports
+
+    @pytest.mark.parametrize("order", [None, 2, 1])
+    @pytest.mark.parametrize("name", ["abelian", "su2", "osp12", "abelian-dim1", "su2-dim1",
+                                      "osp12-dim1", "sl3", "sl21", "sl21-doubled"])
+    def test_a_model_reports_alike_on_both_routes(self, name, order):
+        shortcut, direct = self._reports(name, order)
+        assert shortcut == direct
+
+    @pytest.mark.parametrize("order", [None, 2, 1])
+    @pytest.mark.parametrize("name, install", [
+        ("su2", "_mass_term"), ("sl21", "_mass_term"), ("sl21", "_ghost_term"),
+        ("sl21-doubled", "_ghost_term")])
+    def test_a_failing_model_reports_alike_on_both_routes(self, name, install, order):
+        shortcut, direct = self._reports(name, order, getattr(self, install))
+        assert shortcut == direct and " status fail " in shortcut
+
+    def test_sl4_reports_alike_on_both_routes(self):
+        # 15 directions: the representatives are the smallest index of each
+        # orbit, no longer the fields of smallest name ("a10_0" sorts before
+        # "a2_0"), and the report does not depend on which
+        model = spec_model(parse_model(self._text("sl4")))
+        fields = [g for row in model.field for g in row]
+        reps = model._representatives("euler-lagrange")
+        assert {g for r in reps for g in model.field[r]} != generator_roots(
+            relabellings(model, model.algebra_maps()), fields)
+        shortcut, direct = self._reports("sl4", None)
+        assert shortcut == direct and " status fail " not in shortcut
 
 
 def _new_model(name, **kwargs):
@@ -1426,8 +1520,8 @@ class TestSplitRoute:
 
 class TestSplitProof:
     """The algebra maps against phi(L): each fixes phi(L) exactly when it
-    fixes L, and a map that is not the model's own, whether or not it
-    keeps h, c or the split coordinates, reduces no table."""
+    fixes L (`relabellings`), and an installed direction map that is not
+    the model's own, whether or not it keeps h or c, reduces no table."""
 
     CHECKS = ("euler-lagrange", "parameter", "gauge", "brst")
 
@@ -1439,11 +1533,11 @@ class TestSplitProof:
             model = spec_model(parse_model(
                 "[model]\ndimension = 2\nmetric = +-\n\n[algebra]\ngenerator A parity 0\n"
                 "generator B parity 0\n\n[form]\nh A A = 1\nh B B = 2\n"))
-            maps = model.algebra_maps() + model._algebra_relabellings(
-                [([1, 0], [1, 1]), ([1, 0], [-1, 1])])
+            maps = relabellings(model, model.algebra_maps() + [((1, 0), (1, 1)),
+                                                               ((1, 0), (-1, 1))])
         else:
             model = request.getfixturevalue(name)
-            maps = model.algebra_maps()
+            maps = relabellings(model, model.algebra_maps())
         L = model.ym_lagrangian().density
         image = model._split(model.ym_lagrangian())
         fixed = [fixed_by([g], image) for g in maps]
@@ -1460,37 +1554,43 @@ class TestSplitProof:
         pi = list(range(8))
         for x, y in (("E12", "E13"), ("E21", "E31")):
             pi[names.index(x)], pi[names.index(y)] = names.index(y), names.index(x)
-        (swap,) = model._algebra_relabellings([(pi, [1] * 8)])
+        direction_map = (tuple(pi), (1,) * 8)
+        (swap,) = relabellings(model, [direction_map])
         assert all((pi[i], pi[j], h) in model.form_entries for i, j, h in model.form_entries)
         L = model.ym_lagrangian()
         image = model._split(L)
         assert relabel(image, *swap) == image and relabel(L.density, *swap) != L.density
-        monkeypatch.setattr(model, "algebra_maps", lambda: [swap])
+        monkeypatch.setattr(model, "algebra_maps", lambda: [direction_map])
         reps = {check: model._representatives(check) for check in self.CHECKS}
         assert reps == dict.fromkeys(reps)
         lines = [row.line() for row in model.full_verification(True).results]
         assert lines == [row.line() for row in _new_model("sl3").full_verification(True).results]
 
     def test_a_map_leaving_the_split_coordinates_fails_the_proof(self, monkeypatch):
-        # each algebra map with its strength and symmetric coordinates left
-        # in place still fixes L, and trivially phi(L), but need not
-        # commute with phi; not the model's own maps, they reduce no table
+        # each algebra map's relabelling with its strength and symmetric
+        # coordinates left in place still fixes L, and trivially phi(L),
+        # but need not commute with phi; a direction map moves those
+        # coordinates with their direction, so none leaves them, and an
+        # installed copy of the kept maps is not the model's own: it
+        # reduces no table
         model = _new_model("su2")
         split = model._split_gens
-        maps = [({g: h for g, h in gen_map.items() if g not in split},
+        left = [({g: h for g, h in gen_map.items() if g not in split},
                  {g: s for g, s in signs.items() if g not in split})
-                for gen_map, signs in model.algebra_maps()]
+                for gen_map, signs in relabellings(model, model.algebra_maps())]
         L, image = model.ym_lagrangian().density, model._split(model.ym_lagrangian())
-        assert fixed_by(maps, L) and fixed_by(maps, image)
+        assert fixed_by(left, L) and fixed_by(left, image)
+        maps = list(model.algebra_maps())
+        assert maps == model.algebra_maps()
         monkeypatch.setattr(model, "algebra_maps", lambda: maps)
         assert [model._representatives(check) for check in self.CHECKS] == [None] * 4
 
     def test_a_map_moving_a_field_off_the_fields_fails_the_proof(self, monkeypatch):
-        # a1_0 <-> xi1 is a kind- and parity-preserving relabelling with no
-        # direction permutation: it reduces no table, and nothing raises
+        # e3 -> e4, a direction su2 lacks, would move a3_mu off the fields;
+        # installed, the map is not the model's own: it reduces no table,
+        # and nothing raises
         model = _new_model("su2")
-        a, xi = model.field[0][0], model.parameter[0]
-        monkeypatch.setattr(model, "algebra_maps", lambda: [({a: xi, xi: a}, {})])
+        monkeypatch.setattr(model, "algebra_maps", lambda: [((1, 0, 3), (1, 1, 1))])
         assert [model._representatives(check) for check in self.CHECKS] == [None] * 4
 
     @pytest.mark.parametrize("name", ["su2", "sl21"])
@@ -1505,7 +1605,7 @@ class TestSplitProof:
                 mass = mass_term_lagrangian(model)
                 installed = Lagrangian(model.ym_lagrangian().density + mass.density) if extra \
                     else mass
-                assert fixed_by(model.algebra_maps(), installed.density)
+                assert fixed_by(relabellings(model, model.algebra_maps()), installed.density)
                 monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: installed)
                 split = []
                 monkeypatch.setattr(model, "split_coordinates", lambda d: split.append(d))
@@ -1558,7 +1658,9 @@ class TestAlgebraMapsFixTheModel:
     def test_each_map_fixes_what_the_checks_read(self, name):
         model = spec_model(parse_model(supermatrix_model_text((0, 0, 0, 1)))) \
             if name == "sl31" else _new_model(name)
-        maps, pairs, ctx = model.algebra_maps(), model.pairs(), model.ctx
+        pairs, ctx = model.pairs(), model.ctx
+        assert model.algebra_maps() == signed_automorphisms(model.algebra)
+        maps = relabellings(model, model.algebra_maps())
         assert maps
         for gen_map, signs in maps:
             for z, zbar in pairs.items():
@@ -1931,7 +2033,7 @@ class TestBuildOnce:
         # representatives alone, the generic field equations the check
         # reads, and of P_s on s's generators, from which the master
         # equation reads its nontriviality; no Theta is built
-        reps = model._representatives("euler-lagrange")
+        reps = {g for r in model._representatives("euler-lagrange") for g in model.field[r]}
         assert [p is q for p, q in zip(densities, (model.ym_lagrangian().density,
                                                     model._paired_sum()))] == [True, True]
         assert len(densities) == 2 and set(asked[0]) == reps
@@ -2124,19 +2226,21 @@ class TestBuildOnce:
 
     @pytest.mark.parametrize("name", ["su2", "sl21"])
     def test_each_density_renamed_once_per_map(self, name, monkeypatch):
-        # no density is relabelled: each check's representatives are the
-        # orbits of the kept maps, found once per check, and finding them
-        # builds nothing but what the check itself reads
-        renamed, roots, added = [], [], []
+        # no density is relabelled: every check's representatives are the
+        # roots of the kept maps' orbits on the algebra's directions, found
+        # once per model, and finding them builds nothing but what the
+        # first check itself reads
+        renamed, roots, added, asked = [], [], [], set()
         substitute, find = Poly.substitute, gvc.models.orbit_roots
         reps = GaugeModel._representatives
         monkeypatch.setattr(Poly, "substitute", lambda p, m: renamed.append(p) or substitute(p, m))
-        monkeypatch.setattr(gvc.models, "orbit_roots", lambda maps, gens: roots.append(
-            len(gens)) or find(maps, gens))
+        monkeypatch.setattr(gvc.models, "orbit_roots", lambda maps, m: roots.append(
+            m) or find(maps, m))
 
         def counted(model, check):
             before = set(model._memo)
             out = reps(model, check)
+            asked.add(check)
             added.extend((check, key) for key in set(model._memo) - before)
             return out
 
@@ -2147,19 +2251,15 @@ class TestBuildOnce:
         # a graded model runs no parameter check
         checks = [check for check in ("euler-lagrange", "parameter", "gauge", "brst")
                   if model.all_even or check != "parameter"]
-        sizes = {"euler-lagrange": len(model.field) * model.metric.dim,
-                 "parameter": len(model.parameter), "gauge": len(model.ghost)}
-        sizes["brst"] = sizes["euler-lagrange"] + sizes["gauge"]
         assert renamed == []
-        assert roots == [sizes[check] for check in checks]
-        # the maps themselves, with their table by direction, and E(L),
-        # whose components are built only when read, are kept for the
-        # first check, euler-lagrange
+        assert roots == [model.algebra.dim] and asked == set(checks)
+        # the maps, their representative directions and E(L), whose
+        # components are built only when read, are kept for the first
+        # check, euler-lagrange, and the later checks add nothing
         L = model.ym_lagrangian()
         assert sorted(added, key=repr) == sorted([
             ("euler-lagrange", key) for key in (("euler-lagrange", L), "algebra-maps",
-                                                "by-direction")] + [
-            (check, ("representatives", check)) for check in checks], key=repr)
+                                                "representatives")], key=repr)
 
     @pytest.mark.parametrize("name", ["su2", "osp12"])
     def test_pipelines_in_reverse_order_match_full(self, name):

@@ -8,13 +8,13 @@ from fractions import Fraction
 import pytest
 
 from gvc import EVEN, GvcError, LieSuperalgebra, ODD, ParityError, bracket
-from gvc.superlie import check_invariant_form, check_structure, signed_automorphisms
+from gvc.superlie import check_invariant_form, check_structure, orbit_roots, signed_automorphisms
 from gvc.modelfile import parse_model, spec_algebra
 from gvc.presets import osp12_algebra
 
 from util import (abelian_algebra, basis_orbits, brute_force_automorphisms,
                   dense_form_violations, dense_structure_violations, perturb_algebra,
-                  random_superalgebra, su2_algebra)
+                  random_superalgebra, su2_algebra, supermatrix_model_text)
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench")
 
@@ -334,6 +334,19 @@ class TestSignedAutomorphisms:
         # each kept map merges orbits of the ones before it
         for k in range(len(maps)):
             assert len(basis_orbits(alg.dim, maps[:k + 1])) < len(basis_orbits(alg.dim, maps[:k]))
+
+    @pytest.mark.parametrize("name", ["abelian", "su2", "osp12", "sl3.model", "sl21.model",
+                                      "sl31"])
+    def test_orbit_roots_are_the_smallest_of_each_orbit(self, name):
+        # the smallest index of each orbit, in increasing order, whatever
+        # the order of the maps; sl(3|1) has 15 directions, where the
+        # smallest index and the smallest generator name part ways
+        alg = spec_algebra(parse_model(supermatrix_model_text((0, 0, 0, 1)))) \
+            if name == "sl31" else self._algebra(name)
+        maps = signed_automorphisms(alg)
+        want = tuple(sorted(min(o) for o in basis_orbits(alg.dim, maps)))
+        assert orbit_roots(maps, alg.dim) == orbit_roots(maps[::-1], alg.dim) == want
+        assert orbit_roots([], alg.dim) == tuple(range(alg.dim))
 
     @staticmethod
     def _signature(alg):

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: deterministic random polynomials
 and forms over small field contents."""
 
+import contextlib
 import itertools
 import math
 import random
@@ -918,6 +919,54 @@ def basis_orbits(m, maps):
                     todo.append(pi[k])
         out.add(frozenset(orbit))
     return out
+
+
+def relabellings(model, maps):
+    """For each algebra map (pi, s) of `maps`, the generator relabelling
+    (gen_map, signs) moving the field, antifield, ghost, degree-two
+    antifield, parameter, strength and symmetric coordinates of direction
+    r to s_r times pi(r)'s, for `relabel` and `fixed_by`."""
+    m = model.algebra.dim
+    by_r = [model.field[r] + model.antifield[r]
+            + [model.ghost[r], model.noether_antifield[r], model.parameter[r]]
+            + [g for table in (model.aux_strength, model.aux_sym)
+               for (q, _, _), g in table.items() if q == r] for r in range(m)]
+    return [({gen: image for r in range(m) for gen, image in zip(by_r[r], by_r[pi[r]])},
+             {gen: -1 for r in range(m) if signs[r] < 0 for gen in by_r[r]})
+            for pi, signs in maps]
+
+
+def generator_roots(maps, moved):
+    """The smallest-key member of each orbit of the generators `moved` under
+    the relabellings `maps` (gen_map, signs), signs aside, from one
+    union-find over z -- g(z)."""
+    root = {z: z for z in moved}
+
+    def find(z):
+        while root[z] is not z:
+            z = root[z]
+        return z
+
+    for gen_map, _ in maps:
+        for z, w in gen_map.items():
+            if z in root and w in root:
+                a, b = sorted((find(z), find(w)), key=lambda g: g.key)
+                root[b] = a
+    return {z for z in moved if find(z) is z}
+
+
+@contextlib.contextmanager
+def direct_routes():
+    """Every model takes every check's direct route while the block runs:
+    no object is the model's own (`GaugeModel._own` is False) and no table
+    is orbit-reduced (`GaugeModel._representatives` is None)."""
+    saved = GaugeModel._own, GaugeModel._representatives
+    GaugeModel._own = lambda self, key, built: False
+    GaugeModel._representatives = lambda self, check: None
+    try:
+        yield
+    finally:
+        GaugeModel._own, GaugeModel._representatives = saved
 
 
 def superbracket(t1, t2):
