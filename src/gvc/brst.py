@@ -21,11 +21,6 @@ alone, and for P = P_s, the paired sum of an s whose field components
 hold no antifield, those are s(L)'s.  So where s(L) = 0, Theta_P^2 is
 Theta_S^2, and by the antibracket's Jacobi identity Theta_P^2 is the
 paired derivation of Q = sum_z s^2(z) zbar, zero where s^2 is.
-`on_representatives` gives a residual table that is zero on given
-representatives or taken whole; the caller vouches that the orbits they
-stand for are those of maps carrying each residual onto its image's up to
-sign (for a model, the fields and ghosts of one algebra direction per
-orbit of the algebra's signed automorphisms).
 """
 
 from types import MappingProxyType
@@ -273,22 +268,6 @@ def paired_sum(ctx, values, partners):
     for z, value in values.items():
         add_product(out, value, ctx.var(partners[z]))
     return out.finish()
-
-
-def on_representatives(evaluate, moved, representatives=None):
-    """The residual table of the generators `moved`, by name in key order,
-    where `evaluate(gens)` gives it on a sublist in the sublist's order.
-    Those of `representatives` in `moved`, one per orbit of maps that carry
-    each residual onto its image's up to sign, go first, and zero on them
-    is zero everywhere: the table holds them alone.  Otherwise, or if none is in `moved`, the
-    whole table is evaluated, so a failure reads as without maps."""
-    order = sorted(moved, key=lambda g: g.key)
-    chosen = [z for z in order if z in representatives] if representatives else []
-    if chosen:
-        kept = evaluate(chosen)
-        if all(p.is_zero() for p in kept.values()):
-            return kept
-    return evaluate(order)
 
 
 def master_equation_check(L, pairs):

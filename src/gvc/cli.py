@@ -2,8 +2,9 @@
 emit the report.
 
 Exit status: 0 when every check passes, 1 when any check fails, 2 for
-parse or usage errors, an unreadable model file or an unwritable report.
-GVC_MAX_TERMS bounds the monomial count of any intermediate expansion.
+parse or usage errors, an unreadable model file, an expansion past
+GVC_MAX_TERMS or an unwritable report.  GVC_MAX_TERMS bounds the
+monomial count of any intermediate expansion.
 """
 
 import argparse

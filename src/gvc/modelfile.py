@@ -34,8 +34,9 @@ class ModelSpec:
         self.max_jet_order = DEFAULT_MAX_JET_ORDER
         self.algebra = None       # built by parse_model, reused by spec_model
         self.generators = []      # (name, parity)
-        self.constants = []       # (r, i, j, Fraction)
-        self.form_entries = []    # (i, j, Fraction)
+        # label strings, the Fraction value and its line number
+        self.constants = []       # (r, i, j, value, lineno)
+        self.form_entries = []    # (i, j, value, lineno)
         self.checks = []
 
 

@@ -23,9 +23,10 @@ an installed object takes the check's direct route.  Every generator
 carries one algebra direction, and every object a check reads is built
 from c, h and the metric, so each signed permutation of the algebra's
 basis keeping c and h, moving each generator with its direction, fixes
-it.  Where the objects are the model's own, the checks run on one
-direction per orbit of those maps (`_representatives`), and a reduced
-table is zero on the representatives or taken whole.
+it.  Where the objects are the model's own, six checks run on one
+direction per orbit of those maps (`_representatives`), all through one
+rule (`_by_direction`): a reduced table is zero on the representatives,
+or taken whole.
 
 Noether's second theorem gives two checks their rows.  The Noether rows are
 zero once gauge-symmetry is: N_q(E(L)) = -delta(u L)/delta C^q
@@ -71,7 +72,6 @@ from .brst import (
     master_equation_check,
     nilpotency_residuals,
     noether_residuals,
-    on_representatives,
     paired_sum,
     proper_solution,
 )
@@ -433,12 +433,6 @@ class GaugeModel:
             return None
         return self._once("representatives", lambda: orbit_roots(maps, self.algebra.dim))
 
-    def _representative_generators(self, check):
-        """The fields and ghosts of `check`'s representative directions, a
-        generator table's representatives, or None (`_representatives`)."""
-        reps = self._representatives(check)
-        return reps and {g for r in reps for g in self.field[r] + [self.ghost[r]]}
-
     # -- symmetries -------------------------------------------------------------
 
     def _gauge_components(self, sources):
@@ -489,20 +483,23 @@ class GaugeModel:
 
         return self._once(("part", theta, directions), build)
 
-    def _by_direction(self, kind, residual):
-        """The residual of the derivation of `kind`, where residual(directions)
-        is the Form of its part with those directions' sources (`_part`).
-        With `_representatives`, L and the derivation are the model's own:
-        L holds no source and each term of a residual carries one source
-        jet, so the parts of two directions share no term, and an algebra
-        map sends q's part and residual onto pi(q)'s (U and W, built from c
-        and h, follow).  So the part of the representative directions goes
+    def _by_direction(self, check, residual):
+        """The residual of `check`, where residual(directions) is its
+        residual on those algebra directions: the Form of the derivation's
+        part with their sources (`_part`), or a table by generator on their
+        fields and ghosts.  With `_representatives`, what the check reads is
+        the model's own, and an algebra map carries direction q's residual
+        onto pi(q)'s up to sign: a generator's onto its image's, and a
+        Form's as L holds no source and each term of a residual carries one
+        source jet, so the parts of two directions share no term (U and W,
+        built from c and h, follow).  So the representative directions go
         first, and zero there is zero on the whole; otherwise, or without
-        representatives, the whole derivation's residual is taken."""
-        reps = self._representatives(kind)
-        if reps is not None:
+        representatives, the whole residual is taken, so a failure reads
+        as without maps."""
+        reps = self._representatives(check)
+        if reps:
             part = residual(reps)
-            if part.is_zero():
+            if all(p.is_zero() for p in (part.values() if isinstance(part, dict) else [part])):
                 return part
         return residual(tuple(range(self.algebra.dim)))
 
@@ -568,11 +565,12 @@ class GaugeModel:
                                                                 self._pairs))
 
     def _brst_residuals(self):
-        """s^2 on the generators s moves, on those of the representative
-        directions first."""
-        return self._once(("brst-residuals", self.brst_operator()), lambda: on_representatives(
-            lambda gens: nilpotency_residuals(self.brst_operator(), gens),
-            self.brst_operator().components, self._representative_generators("brst")))
+        """s^2 on the generators s moves (`_by_direction`): on the fields
+        and ghosts of directions qs, or on every one for all of them."""
+        s = self.brst_operator()
+        return self._once(("brst-residuals", s), lambda: self._by_direction("brst", lambda qs: (
+            nilpotency_residuals(s, s.components if len(qs) == self.algebra.dim else [
+                g for q in qs for g in self.field[q] + [self.ghost[q]] if g in s.components]))))
 
     def pairs(self):
         """Field-antifield pairing of the extended algebra: each field to
@@ -784,15 +782,15 @@ class GaugeModel:
         return validation_parts(self.algebra, lambda: self.structure, self.form_report)
 
     def _euler_lagrange_parts(self):
-        def residuals(gens):
+        def residual(qs):
+            gens = [g for q in qs for g in self.field[q]]
             generic = self.generic_euler_lagrange()
             generic.fill(gens)
             closed = self.closed_euler_lagrange(gens)
             return {g.name: generic.component(g) - closed.component(g) for g in gens}
 
         return [("euler-lagrange-two-path", lambda n: CheckResult.from_residuals(
-            n, on_representatives(residuals, [g for row in self.field for g in row],
-                                  self._representative_generators("euler-lagrange"))))]
+            n, self._by_direction("euler-lagrange", residual)))]
 
     def _by_rows(self):
         """Whether current-conservation is taken by Noether's second theorem
@@ -837,16 +835,15 @@ class GaugeModel:
             return conservation_residual(self._part("parameter", qs), current(qs),
                                          self.generic_euler_lagrange())
 
-        def by_direction(check, residual):
-            return CheckResult.from_form(check, self._by_direction("parameter", residual))
-
         return [
             ("parameter-symmetry", lambda n: CheckResult.from_form(
                 n, self.parameter_lie_derivative())),
             ("noether-identities", lambda n: CheckResult.from_residuals(
                 n, self._noether_residuals())),
-            ("current-conservation", lambda n: by_direction(n, conserved)),
-            ("superpotential", lambda n: by_direction(n, superpotential)),
+            ("current-conservation", lambda n: CheckResult.from_form(
+                n, self._by_direction("parameter", conserved))),
+            ("superpotential", lambda n: CheckResult.from_form(
+                n, self._by_direction("parameter", superpotential))),
         ]
 
     def _koszul_tate_parts(self):

@@ -30,7 +30,7 @@ from gvc import (
     proper_solution,
     variational_derivative,
 )
-from gvc.brst import KoszulTate, MasterReport, NoetherOperator, on_representatives, paired_sum
+from gvc.brst import KoszulTate, MasterReport, NoetherOperator, paired_sum
 from gvc.bicomplex import variational_derivatives
 from gvc.grassmann import ExpansionLimitError, JetOrderError, Poly
 from gvc.jets import iterated_derivative, total_derivative
@@ -44,8 +44,8 @@ from util import (antifield_numbers, basis_orbits, even_part, field_generators, 
                   generator_roots, linear_jet_paths, linear_jet_polys, make_context,
                   mass_term_lagrangian, odd_part, orbit_only_failure,
                   oracle_koszul_tate_apply, oracle_koszul_tate_residuals, random_jet,
-                  random_poly, random_vertical, relabel, relabellings, shared_jet_cases,
-                  shared_jet_poly, su2_algebra)
+                  random_poly, random_vertical, reduce_or_whole, relabel, relabellings,
+                  shared_jet_cases, shared_jet_poly, su2_algebra)
 
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
 SL3_MODEL = SL21_MODEL.with_name("sl3.model")
@@ -1165,15 +1165,15 @@ class TestMasterRouteFuzz:
 
 
 class TestOrbitReduction:
-    """The orbit layer's table (`on_representatives`) on Theta_S^2: on one
+    """The orbit layer's rule (`reduce_or_whole`) on Theta_S^2: on one
     generator per orbit of the algebra maps' relabellings (`relabellings`,
     `generator_roots`) where each fixes S and keeps the pairing (`relabel`),
     against `master_equation_check`'s full table of every generator."""
 
     @staticmethod
     def _square(pairs, theta, reps):
-        """theta^2 by `on_representatives` on `reps`, as a report."""
-        return MasterReport(pairs, theta, on_representatives(
+        """theta^2 by `reduce_or_whole` on `reps`, as a report."""
+        return MasterReport(pairs, theta, reduce_or_whole(
             lambda gens: gvc.brst.nilpotency_residuals(theta, gens), theta.components, reps))
 
     @staticmethod
@@ -1307,7 +1307,7 @@ class TestOrbitReduction:
             evaluated.append(len(gens))
             return {g.name: model.ctx.one() for g in gens}
 
-        table = on_representatives(evaluate, model.ghost, {model.field[0][0]})
+        table = reduce_or_whole(evaluate, model.ghost, {model.field[0][0]})
         assert evaluated == [len(model.ghost)] and len(table) == len(model.ghost)
 
     def test_a_perturbed_brst_operator_forces_the_full_route(self, monkeypatch):
@@ -1462,7 +1462,7 @@ class TestAlgebraOrbits:
         for moved, evaluate in (
                 (kt.components, lambda gens: nilpotency_residuals(kt, gens)),
                 (model.noether_antifield, lambda gens: {g.name: whole[g.name] for g in gens})):
-            tables = [on_representatives(evaluate, moved, r) for r in rows]
+            tables = [reduce_or_whole(evaluate, moved, r) for r in rows]
             assert list(tables[0].items()) == list(tables[1].items())
             assert set(tables[0]) == {g.name for g in moved if g in rows[0]}
 
@@ -1630,13 +1630,14 @@ class TestAlgebraOrbits:
 
     @staticmethod
     def _brst_batches(model, monkeypatch):
-        """The generator names of each batch the BRST square is taken on."""
+        """The generator names of each batch the BRST square is taken on, in
+        key order."""
         batches = []
         original = gvc.models.nilpotency_residuals
 
         def counted(theta, gens=None):
             if theta is model.brst_operator():
-                batches.append([g.name for g in gens])
+                batches.append([g.name for g in sorted(gens, key=lambda g: g.key)])
             return original(theta, gens)
 
         monkeypatch.setattr(gvc.models, "nilpotency_residuals", counted)

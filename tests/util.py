@@ -955,6 +955,22 @@ def generator_roots(maps, moved):
     return {z for z in moved if find(z) is z}
 
 
+def reduce_or_whole(evaluate, moved, representatives=None):
+    """The residual table of the generators `moved`, by name in key order,
+    where `evaluate(gens)` gives it on a sublist: on those of
+    `representatives` in `moved` alone where it is zero there, else whole
+    (also when none is in `moved`).  The tests' copy of the rule
+    `GaugeModel._by_direction` keeps, on generators instead of algebra
+    directions, for densities the model does not reduce."""
+    order = sorted(moved, key=lambda g: g.key)
+    chosen = [z for z in order if z in representatives] if representatives else []
+    if chosen:
+        kept = evaluate(chosen)
+        if all(p.is_zero() for p in kept.values()):
+            return kept
+    return evaluate(order)
+
+
 @contextlib.contextmanager
 def direct_routes():
     """Every model takes every check's direct route while the block runs:
