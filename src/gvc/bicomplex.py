@@ -340,33 +340,34 @@ class EulerLagrange:
     """Variational derivatives, one polynomial per field generator, in a
     read-only table.
 
-    Built whole from a table, or from a density alone (`by_field`): then
-    each E_z is built on first request, for a batch of generators at once
-    (`fill`), from one index of the density's terms by variable, so a
-    batch reads only its own terms; `components`, `is_zero` and
+    Built whole from a table, or from a Lagrangian alone (`by_field`):
+    then each E_z is built on first request, for a batch of generators at
+    once (`fill`), from one index of the density's terms by variable, so
+    a batch reads only its own terms; `components`, `is_zero` and
     `generators` first fill whatever is missing.  Each E_z is the one of
     `euler_lagrange` on the whole density, and a batch that fails raises
     the whole table's error."""
 
-    __slots__ = ("ctx", "_table", "_density", "_index", "_pending")
+    __slots__ = ("ctx", "_table", "_L", "_index", "_pending")
 
-    def __init__(self, ctx, components, density=None):
-        self.ctx, self._density, self._index = ctx, density, None
+    def __init__(self, ctx, components, L=None):
+        self.ctx, self._L, self._index = ctx, L, None
         self._table = {g: p for g, p in components.items() if not p.is_zero()}
 
     @classmethod
-    def by_field(cls, density):
-        """E of `density`, each component built on first request."""
-        return cls(density.ctx, {}, density)
+    def by_field(cls, L):
+        """E of the Lagrangian L, each component built on first request;
+        L's density is first read by the first `fill`."""
+        return cls(L.ctx, {}, L)
 
     def fill(self, gens=None):
         """Build E_z for each generator z of `gens` (all when None) not
         built yet, in one batch, over z's jets in the density's order, as
         on the whole density.  Once every z is built, the table takes the
-        whole table's order, and the density and its index are let go."""
-        density = self._density
-        if density is None:
+        whole table's order, and L and the index are let go."""
+        if self._L is None:
             return
+        density = self._L.density
         if self._index is None:
             self._index = density.terms_by_variable()
             self._pending = {v.gen for v in self._index if v.gen.kind != "coordinate"}
@@ -381,7 +382,7 @@ class EulerLagrange:
         if not self._pending:
             table = self._table
             self._table = {v.gen: table[v.gen] for v in self._index if v.gen in table}
-            self._density = self._index = None
+            self._L = self._index = None
 
     @property
     def components(self):

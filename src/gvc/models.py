@@ -35,9 +35,15 @@ d_h J - sum_z E_z theta(z) = d_h(J - W - d_H U) + sum_q xi^q N_q(E) vol,
 so current conservation reads the superpotential check's residual and
 the kept rows where `_by_rows` holds (`_conserved`).
 
-The generic field equations E(L) are kept with L and filled field by
-field where a check reads them (`EulerLagrange.by_field`): the two-path
-check on its representatives, the superpotential on its part's fields.
+The model's own L is kept, its form validated at once, but its strength
+density in jets is built only when first read (`_YangMills`, which also
+keeps the strengths, and no model): the invariance conditions and the
+gauge Lie derivatives read phi(L), built from the strength coordinates,
+so `utiyama`, `brst`, `koszul-tate` and a graded `noether` never expand
+L.  The generic field equations E(L) are kept with L, read its density at
+their first fill, and are filled field by field where a check reads them
+(`EulerLagrange.by_field`): the two-path check on its representatives,
+the superpotential on its part's fields.
 Koszul-Tate's square on an antifield is delta(E_z(L)), zero by
 construction for the model's own L, E(L) and rows (`_squares_vanish`), so
 there Koszul-Tate is not built and no E_z is read.  The master equation
@@ -165,21 +171,88 @@ def _once(store, key, build):
     return store[key]
 
 
+def _strength_density(L, strength):
+    """1/4 h_ij g_lam g_beta F^i_lam,beta F^j_lam,beta over lam != beta,
+    with F^r_lam,beta = strength(r, lam, beta) asked for lam < beta, and
+    the context, form entries and metric signs of the model's own L
+    (`_YangMills`).
+    F is antisymmetric in (lam, beta) and h_ji F^j F^i = h_ij F^i F^j, so
+    each stored pair i <= j is one table over lam < beta with sign
+    g_lam g_beta, times h_ij, or h_ii/2 on the diagonal."""
+    ctx, signs = L.ctx, L.signs
+    n = len(signs)
+    density = ctx.zero()
+    for i, j, h in (e for e in L.form_entries if e[0] <= e[1]):
+        table = ctx.zero()
+        for lam in range(n):
+            for beta in range(lam + 1, n):
+                add_product(table, strength(i, lam, beta),
+                            strength(j, lam, beta), signs[lam] * signs[beta])
+        _add(density, table, Fraction(h) / 2 if i == j else h)
+    return density.finish()
+
+
+class _YangMills(Lagrangian):
+    """The model's own L, the strength density (`_strength_density`), with
+    the strength F^r_lam,mu in jets and its algebra-quadratic twist per
+    (r, lam, mu), each kept once built.  The density is built when first
+    read: while its slot is empty, reading it falls through to
+    `__getattr__`.  It holds the context, the fields, the constants, the
+    form entries and the metric signs, and no model: the model keeps it,
+    and a path from it back to the model would be a cycle that only the
+    cycle collector frees."""
+
+    __slots__ = ("field", "constants_by_r", "form_entries", "signs", "memo")
+
+    def __init__(self, ctx, field, constants, form_entries, signs):
+        self.ctx, self.field, self.form_entries, self.signs = ctx, field, form_entries, signs
+        self.constants_by_r = [[e for e in constants if e[0] == r] for r in range(len(field))]
+        self.memo = {}
+
+    def __getattr__(self, name):
+        if name != "density":
+            raise AttributeError(name)
+        self.density = _strength_density(self, self.strength)
+        return self.density
+
+    def twist(self, r, lam, mu):
+        """The algebra-quadratic part of the split, c^r_ij a^i_lam a^j_mu."""
+        return _once(self.memo, ("twist", r, lam, mu), lambda: self._twist_sum(r, lam, mu))
+
+    def _twist_sum(self, r, lam, mu):
+        ctx = self.ctx
+        out = ctx.zero()
+        for _, i, j, c in self.constants_by_r[r]:
+            _add(out, ctx.product(c, (ctx.jet(self.field[i][lam]),
+                                      ctx.jet(self.field[j][mu]))))
+        return out.finish()
+
+    def strength(self, r, lam, mu):
+        """Antisymmetric half of the split first jets (the curvature), built for
+        lam < mu: graded antisymmetric constants give F_mu,lam = -F_lam,mu, F_lam,lam = 0."""
+        ctx = self.ctx
+        return _once(self.memo, ("strength", r, lam, mu), lambda: (
+            ctx.var(self.field[r][mu], lam) - ctx.var(self.field[r][lam], mu)
+            + self.twist(r, lam, mu) if lam < mu
+            else -self.strength(r, mu, lam) if lam > mu else ctx.zero()))
+
+
 class GaugeModel:
     """A Yang-Mills system over a validated Lie (super)algebra.
 
     The generator roster, split coordinates included, and the field-antifield
     pairing are fixed at construction, which ends by freezing the context,
-    and so are the algebra's graded constants and form entries.  Each derived
-    object that several checks use (the validation reports, the strength and
-    momentum per direction pair, the Lagrangian, the field equations, the
-    Noether rows and residuals, the gauge, parameter and BRST operators and
-    the BRST square, the paired sums, the parts of the gauge and parameter
-    derivations by direction and their Lie derivatives, the Lepage form, the
-    algebra maps and their representative directions, and phi(L) with each
-    first jet's image) is built on first use and kept with its source (L, s,
-    the Noether rows or a gauge derivation), so one installed later is built
-    and split anew, and its checks run whole.
+    and so are the algebra's graded constants and form entries.  The
+    strength per direction pair is kept in the model's own L (`_YangMills`),
+    and each derived object that several checks use (the validation
+    reports, the momentum per direction pair, the Lagrangian, the field
+    equations, the Noether rows and residuals, the gauge, parameter and BRST
+    operators and the BRST square, the paired sums, the parts of the gauge
+    and parameter derivations by direction and their Lie derivatives, the
+    Lepage form, the algebra maps and their representative directions, and
+    phi(L) with each first jet's image) is built on first use and kept with
+    its source (L, s, the Noether rows or a gauge derivation), so one
+    installed later is built and split anew, and its checks run whole.
     """
 
     # Checks whose formulas are proved for even algebras only; a model
@@ -201,7 +274,6 @@ class GaugeModel:
         self.constants = algebra.graded_constants()
         self.form_entries = algebra.graded_form()
         # per algebra index r, the entries holding r where a builder looks
-        self._constants_by_r = [[e for e in self.constants if e[0] == r] for r in range(m)]
         self._constants_by_i = [[e for e in self.constants if e[1] == r] for r in range(m)]
         self._form_by_i = [[e for e in self.form_entries if e[0] == r] for r in range(m)]
         kinds = ["even-field" if p == EVEN else "odd-field" for p in algebra.parities]
@@ -240,6 +312,8 @@ class GaugeModel:
         self._pairs = {self.field[r][mu]: self.antifield[r][mu]
                        for r in range(m) for mu in range(n)}
         self._pairs.update(zip(self.ghost, self.noether_antifield))
+        self._yang_mills = _YangMills(ctx, self.field, self.constants, self.form_entries,
+                                      metric.signs)
         self._memo = {}
         ctx.freeze()
 
@@ -257,56 +331,24 @@ class GaugeModel:
 
     # -- strength and splitting -----------------------------------------
 
-    def _quadratic_twist(self, r, lam, mu):
-        """The algebra-quadratic part of the split, c^r_ij a^i_lam a^j_mu."""
-        return self._once(("twist", r, lam, mu), lambda: self._twist_sum(r, lam, mu))
-
-    def _twist_sum(self, r, lam, mu):
-        ctx = self.ctx
-        out = ctx.zero()
-        for _, i, j, c in self._constants_by_r[r]:
-            _add(out, ctx.product(c, (ctx.jet(self.field[i][lam]),
-                                      ctx.jet(self.field[j][mu]))))
-        return out.finish()
-
     def strength(self, r, lam, mu):
-        """Antisymmetric half of the split first jets (the curvature), built for
-        lam < mu: graded antisymmetric constants give F_mu,lam = -F_lam,mu, F_lam,lam = 0."""
-        ctx = self.ctx
-        return self._once(("strength", r, lam, mu), lambda: (
-            ctx.var(self.field[r][mu], lam) - ctx.var(self.field[r][lam], mu)
-            + self._quadratic_twist(r, lam, mu) if lam < mu
-            else -self.strength(r, mu, lam) if lam > mu else ctx.zero()))
+        """The curvature F^r_lam,mu in jets, kept (`_YangMills.strength`)."""
+        return self._yang_mills.strength(r, lam, mu)
 
     # -- Lagrangians ------------------------------------------------------
 
     def ym_lagrangian(self, validate=True):
-        """Quadratic strength Lagrangian for the stored invariant form."""
+        """Quadratic strength Lagrangian for the stored invariant form, the
+        model's own, kept.  The form is validated at once; the density in
+        jets is built when first read (`_YangMills`), which phi(L), the gauge
+        Lie derivatives' split route and the kept E(L) before its first fill
+        never do."""
         if not self.algebra.has_form:
             raise GvcError("the quadratic Lagrangian needs an invariant form")
         if validate and not self.form_report().ok:
             raise GvcError("invariant form fails validation: %s"
                            % self.form_report().describe())
-        return self._once("lagrangian", lambda: Lagrangian(self._strength_density(self.strength)))
-
-    def _strength_density(self, strength):
-        """1/4 h_ij g_lam g_beta F^i_lam,beta F^j_lam,beta over lam != beta,
-        with F^r_lam,beta = strength(r, lam, beta) asked for lam < beta.  F
-        is antisymmetric in (lam, beta) and h_ji F^j F^i = h_ij F^i F^j, so
-        each stored pair i <= j is one table over lam < beta with sign
-        g_lam g_beta, times h_ij, or h_ii/2 on the diagonal."""
-        ctx = self.ctx
-        n = self.metric.dim
-        signs = self.metric.signs
-        density = ctx.zero()
-        for i, j, h in (e for e in self.form_entries if e[0] <= e[1]):
-            table = ctx.zero()
-            for lam in range(n):
-                for beta in range(lam + 1, n):
-                    add_product(table, strength(i, lam, beta),
-                                strength(j, lam, beta), signs[lam] * signs[beta])
-            _add(density, table, Fraction(h) / 2 if i == j else h)
-        return density.finish()
+        return self._once("lagrangian", lambda: self._yang_mills)
 
     # -- field equations ----------------------------------------------------
 
@@ -349,7 +391,7 @@ class GaugeModel:
         """E(L) by variational derivatives, kept with L; each E_z is built
         when a check first reads it (`EulerLagrange.by_field`)."""
         L = self.ym_lagrangian()
-        return self._once(("euler-lagrange", L), lambda: EulerLagrange.by_field(L.density))
+        return self._once(("euler-lagrange", L), lambda: EulerLagrange.by_field(L))
 
     # -- Noether structure ----------------------------------------------------
 
@@ -654,7 +696,7 @@ class GaugeModel:
             key, var = (r, min(lam, mu), max(lam, mu)), self.ctx.var
             fs = var(self.aux_strength[key]) if lam != mu else self.ctx.zero()
             half = Fraction(1, 2) * (var(self.aux_sym[key]) + (fs if lam < mu else -fs))
-            return half + self._quadratic_twist(r, mu, lam) if lam > mu else half
+            return half + self._yang_mills.twist(r, mu, lam) if lam > mu else half
 
         return self._once(("phi", v), build)
 
@@ -673,7 +715,7 @@ class GaugeModel:
         def build():
             if self._own("lagrangian", L):
                 var, Fs = self.ctx.var, self.aux_strength
-                return self._strength_density(lambda r, lam, mu: var(Fs[(r, lam, mu)]))
+                return _strength_density(self._yang_mills, lambda r, lam, mu: var(Fs[(r, lam, mu)]))
             if L.density.max_jet_order() > 1:
                 raise GvcError("invariance conditions apply to first-order densities")
             return self.split_coordinates(L.density)

@@ -272,6 +272,23 @@ class TestResourceBounds:
         assert captured.out == ""
         assert "limit %d" % limit in captured.err
 
+    @pytest.mark.parametrize("name", ["su2", "osp12"])
+    def test_term_limit_below_L_aborts_only_what_reads_L(self, name, model_file, capsys,
+                                                        monkeypatch):
+        # one term below L in jets: the checks that read phi(L), u L and
+        # the kept E(L) and rows by identity alone never form L, and pass;
+        # the field equations and the proper solution S = L + P_s do
+        limit = len(preset_model(name).ym_lagrangian().density.terms) - 1
+        monkeypatch.setenv("GVC_MAX_TERMS", str(limit))
+        path = model_file(name)
+        for command in ("utiyama", "brst", "koszul-tate"):
+            assert main([command, "--model", path, "--deterministic"]) == 0, command
+            assert capsys.readouterr().out.endswith("result pass\n")
+        for command in ("euler-lagrange", "master-equation"):
+            assert main([command, "--model", path, "--deterministic"]) == 2, command
+            captured = capsys.readouterr()
+            assert captured.out == "" and "limit %d" % limit in captured.err
+
 
 class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, model_file, capsys):

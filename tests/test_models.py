@@ -25,7 +25,7 @@ from gvc.brst import (NoetherOperator, master_equation_check,
                       nilpotency_residuals, noether_residuals, paired_sum)
 from gvc.grassmann import ExpansionLimitError, Poly
 from gvc.jets import ContactDerivation, prolong_apply, total_derivative
-from gvc.models import GaugeModel, Metric, run_parts
+from gvc.models import GaugeModel, Metric, _YangMills, run_parts
 from gvc.modelfile import parse_model, spec_model
 from gvc.presets import PRESET_MODEL_TEXT, preset_model
 from gvc.reporting import CheckResult
@@ -360,7 +360,7 @@ class TestFieldEquationsByField:
         assert (name == "su2-mixed") == any(g.kind not in ("even-field", "odd-field")
                                             for g in whole.components)
         for _ in range(3):
-            el = EulerLagrange.by_field(density)
+            el = EulerLagrange.by_field(Lagrangian(density))
             asked = rng.sample(gens, len(gens))
             while asked:
                 k = rng.randint(1, 6)
@@ -370,7 +370,7 @@ class TestFieldEquationsByField:
                 for g in batch:
                     assert el.component(g) == whole.component(g)
             # every generator asked: the table is whole, in the whole table's order
-            assert el._density is None
+            assert el._L is None
             assert list(el.components.items()) == list(whole.components.items())
         el = model.generic_euler_lagrange()
         assert list(el.components.items()) == list(euler_lagrange(model.ym_lagrangian())
@@ -387,7 +387,7 @@ class TestFieldEquationsByField:
         for gen in (model.field[-1][-1], model.field[1][2]):
             with pytest.raises(GvcError, match="jet order 2 exceeds") as alone:
                 variational_derivatives(L.density, "left", {gen})
-            el = EulerLagrange.by_field(L.density)
+            el = EulerLagrange.by_field(L)
             with pytest.raises(GvcError) as got:
                 el.fill([gen])
             assert str(got.value) == str(whole.value) != str(alone.value)
@@ -1628,20 +1628,20 @@ class TestSplitProof:
         # through the covariance of F with R = 0, and L and phi(L) are each
         # one table per stored form pair, of n(n-1)/2 products
         renamed, split, products, tables = [], [], [], []
-        substitute, density, product = Poly.substitute, GaugeModel._strength_density, \
+        substitute, density, product = Poly.substitute, gvc.models._strength_density, \
             gvc.models.add_product
         monkeypatch.setattr(Poly, "substitute", lambda p, m: renamed.append(p) or substitute(p, m))
         monkeypatch.setattr(GaugeModel, "split_coordinates", lambda model, d: split.append(d))
         monkeypatch.setattr(gvc.models, "add_product", lambda out, *args: products.append(
             out) or product(out, *args))
 
-        def counted(model, strength):
+        def counted(L, strength):
             del products[:]
-            out = density(model, strength)
+            out = density(L, strength)
             tables.append((len({id(p) for p in products}), len(products)))
             return out
 
-        monkeypatch.setattr(GaugeModel, "_strength_density", counted)
+        monkeypatch.setattr(gvc.models, "_strength_density", counted)
         model = _new_model(name)
         assert model.full_verification().ok
         assert renamed == [] and split == []
@@ -1821,7 +1821,7 @@ class TestOneTableBuilders:
                     for s, i, j, c in consts:
                         if s == r:
                             want += c * (var(model.field[i][lam]) * var(model.field[j][mu]))
-                    assert model._twist_sum(r, lam, mu) == want
+                    assert model._yang_mills._twist_sum(r, lam, mu) == want
         for sources in (model.ghost, model.parameter):
             want = {model.field[r][mu]: var(sources[r], mu)
                     for r in range(alg.dim) for mu in range(n)}
@@ -1851,7 +1851,7 @@ class TestOneTableBuilders:
                     if lam <= mu:
                         repl = half * (strength + sym)
                     else:
-                        repl = half * (sym - strength) + model._twist_sum(r, mu, lam)
+                        repl = half * (sym - strength) + model._yang_mills._twist_sum(r, mu, lam)
                     mapping[ctx.jet(model.field[r][mu], (lam,))] = repl
         density = model.ym_lagrangian().density
         assert model.split_coordinates(density) == density.substitute(mapping)
@@ -2152,18 +2152,18 @@ class TestBuildOnce:
 
     def test_quadratic_twist_built_once_per_argument(self, monkeypatch):
         asked, built = [], []
-        twist, build = GaugeModel._quadratic_twist, GaugeModel._twist_sum
+        twist, build = _YangMills.twist, _YangMills._twist_sum
 
-        def counted_twist(model, *args):
+        def counted_twist(L, *args):
             asked.append(args)
-            return twist(model, *args)
+            return twist(L, *args)
 
-        def counted_build(model, *args):
+        def counted_build(L, *args):
             built.append(args)
-            return build(model, *args)
+            return build(L, *args)
 
-        monkeypatch.setattr(GaugeModel, "_quadratic_twist", counted_twist)
-        monkeypatch.setattr(GaugeModel, "_twist_sum", counted_build)
+        monkeypatch.setattr(_YangMills, "twist", counted_twist)
+        monkeypatch.setattr(_YangMills, "_twist_sum", counted_build)
         model = preset_model("su2")
         assert model.full_verification().ok
         # a passing run asks for each twist once, for its strength: the
@@ -2272,15 +2272,63 @@ class TestBuildOnce:
         assert [r.line() for r in rows] == [r.line() for r in full.results]
 
     def test_context_freed_without_the_cycle_collector(self):
+        # after `full`, and after each pipeline alone that never reads L's
+        # density: the kept L, which builds its density when first read,
+        # may hold no path back to the model, whose memo keeps L
         gc.disable()
         try:
-            model = preset_model("su2")
-            assert model.full_verification().ok
-            ref = weakref.ref(model.ctx)
-            del model
-            assert ref() is None
+            for command in ("full", "utiyama", "brst", "koszul-tate"):
+                model = preset_model("su2")
+                if command == "full":
+                    assert model.full_verification().ok
+                else:
+                    assert all(row.ok for row in model.pipeline(command))
+                ref = weakref.ref(model.ctx)
+                del model
+                assert ref() is None, command
         finally:
             gc.enable()
+
+    @staticmethod
+    def _density_builds(monkeypatch):
+        """The list that each build of a model's own L in jets, the
+        strength density of its jet strengths, appends that L to."""
+        built, density = [], gvc.models._strength_density
+
+        def counted(L, strength):
+            if strength == L.strength:
+                built.append(L)
+            return density(L, strength)
+
+        monkeypatch.setattr(gvc.models, "_strength_density", counted)
+        return built
+
+    @pytest.mark.parametrize("name, command", [
+        (name, command) for name in ("su2", "osp12", "sl21")
+        for command in ("utiyama", "brst", "koszul-tate")] + [("sl21", "noether")])
+    def test_lone_pipeline_leaves_L_unbuilt(self, name, command, monkeypatch):
+        # the invariance conditions and the gauge Lie derivatives read
+        # phi(L), built from the strength coordinates, and the kept E(L)
+        # and Noether rows are compared by identity: none reads L in jets
+        built = self._density_builds(monkeypatch)
+        model = _new_model(name)
+        rows = model.pipeline(command, deterministic=True)
+        assert rows and all(row.ok for row in rows)
+        assert built == []
+        assert model._own("lagrangian", model.ym_lagrangian())
+        assert model.ym_lagrangian().density.terms and len(built) == 1
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
+    def test_L_built_once_where_read(self, name, monkeypatch):
+        # euler-lagrange reads E(L), and full reads it and L itself
+        # (Lepage form, S = L + P_s) again: one build each
+        built = self._density_builds(monkeypatch)
+        model = _new_model(name)
+        assert all(row.ok for row in model.pipeline("euler-lagrange", deterministic=True))
+        assert built == [model.ym_lagrangian()]
+        model = _new_model(name)
+        assert model.full_verification(deterministic=True).ok
+        assert built == [built[0], model.ym_lagrangian()]
 
     def test_context_fixed_after_construction(self):
         model = preset_model("su2")
@@ -2369,7 +2417,7 @@ def test_memoized_coefficients_are_canonical(name):
     denominator, and its coefficients read as ints when integral."""
     model = preset_model(name)
     assert model.full_verification().ok
-    polys = list(_polys(model._memo, set()))
+    polys = list(_polys((model._memo, model._yang_mills.memo), set()))
     for p in polys:
         assert_normal(p)
     coeffs = [c for p in polys for c in p.coeffs().values()]

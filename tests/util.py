@@ -802,7 +802,7 @@ def sym_jet(model, r, lam, mu):
     strength add up to twice the jet."""
     ctx = model.ctx
     return (ctx.var(model.field[r][mu], lam) + ctx.var(model.field[r][lam], mu)
-            - model._quadratic_twist(r, lam, mu))
+            - model._yang_mills.twist(r, lam, mu))
 
 
 def sym_quadratic_lagrangian(model):
