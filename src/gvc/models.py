@@ -11,11 +11,13 @@ invariance conditions that single the Lagrangian out.
 The invariance conditions and the gauge Lie derivatives are taken in the
 Utiyama split coordinates: phi rewrites each first jet of a field by the
 strength and symmetric coordinates (Fs, Ss), and the model's own
-Lagrangian becomes 1/4 h g g Fs Fs.  A Lie derivative of that L is first
-taken there, by the derivation conjugated through phi, which needs values
-on Fs alone, read through the covariance theta(F^r) = M^r_i F^i; a nonzero
-or failed result, and any other density, is taken in jets, whose Form is
-the row.
+Lagrangian becomes 1/4 h g g Fs Fs.  Its Lie derivative by a part of the
+model's own gauge or parameter derivation is taken there, where the jets
+fit, by the derivation conjugated through phi, which needs values on Fs
+alone: F is covariant, theta(F^r) = M^r_i F^i, by the graded Jacobi
+identity the algebra passes, so no jet strength is formed.  Any other
+derivation or density, and a nonzero result, is taken in jets, whose Form
+is the row.
 
 Every shortcut route runs only on the model's own objects, those kept
 under their keys (`_own`), whose shape follows from their construction;
@@ -40,10 +42,10 @@ density in jets is built only when first read (`_YangMills`, which also
 keeps the strengths, and no model): the invariance conditions and the
 gauge Lie derivatives read phi(L), built from the strength coordinates,
 so `utiyama`, `brst`, `koszul-tate` and a graded `noether` never expand
-L.  The generic field equations E(L) are kept with L, read its density at
-their first fill, and are filled field by field where a check reads them
-(`EulerLagrange.by_field`): the two-path check on its representatives,
-the superpotential on its part's fields.
+L, nor build a jet strength.  The generic field equations E(L) are kept
+with L, read its density at their first fill, and are filled field by
+field where a check reads them (`EulerLagrange.by_field`): the two-path
+check on its representatives, the superpotential on its part's fields.
 Koszul-Tate's square on an antifield is delta(E_z(L)), zero by
 construction for the model's own L, E(L) and rows (`_squares_vanish`), so
 there Koszul-Tate is not built and no E_z is read.  The master equation
@@ -306,7 +308,6 @@ class GaugeModel:
                             "Fs%d_%d%d" % (r + 1, lam, mu), kinds[r], algebra.parities[r])
                     self.aux_sym[(r, lam, mu)] = ctx.add_generator(
                         "Ss%d_%d%d" % (r + 1, lam, mu), kinds[r], algebra.parities[r])
-        self._split_gens = set(self.aux_strength.values()).union(self.aux_sym.values())
         self._field_at = {gen: (r, mu) for r in range(m) for mu, gen in enumerate(self.field[r])}
         # each field to its antifield, each ghost to its degree-two antifield
         self._pairs = {self.field[r][mu]: self.antifield[r][mu]
@@ -547,17 +548,11 @@ class GaugeModel:
 
     def lie_derivative(self, theta):
         """L_theta L of the Lagrangian, a density.  Zero when the split
-        route (`_split_lie`) gives zero; otherwise, and if that route does
-        not apply or raises, the prolonged derivation applied to L's
-        polynomial, times the volume form, so a failure reads as in jets.
-        The split route takes the model's own L alone, whose phi(L) is
-        built factor-wise: any other L would first be rewritten by
-        substitution, and the jet route runs on every nonzero result anyway."""
+        route (`_split_lie`), which takes the model's own L alone, gives
+        zero; otherwise the prolonged derivation applied to L's polynomial,
+        times the volume form, so a failure reads as in jets."""
         L = self.ym_lagrangian()
-        try:
-            split = self._split_lie(theta) if self._own("lagrangian", L) else None
-        except GvcError:
-            split = None
+        split = self._split_lie(theta) if self._own("lagrangian", L) else None
         if split is not None and split.is_zero():
             return Form.zero(self.ctx)
         return volume(self.ctx).times_poly(prolong_apply(theta, L.density))
@@ -722,37 +717,38 @@ class GaugeModel:
 
         return self._once(("split", L), build)
 
+    def _owns_part(self, theta):
+        """Whether theta is a kept part (`_part`) of the model's own gauge
+        or parameter derivation."""
+        return any(type(key) is tuple and key[0] == "part" and self._own(key, theta) and (
+            self._own("gauge-operator", key[1]) or self._own("parameter-symmetry", key[1]))
+            for key in self._memo)
+
     def _split_lie(self, theta):
         """theta~(phi(L)) for the model's own L, theta~ = phi theta phi^-1 the
-        derivation conjugated into the split coordinates (None if theta holds
-        one): phi is an even ring map, invertible on split-free densities, so
-        this is phi(theta(L)).  phi(L) = 1/4 h g g Fs Fs needs values on Fs
-        alone, read through the covariance of F: with M^r_i the right partial
-        of theta(a^r_mu) along a^i_mu (per (r, mu); dropped if it holds a first
-        jet of a field, so phi fixes it) and R = theta(F^r_lam,mu) - sum_i
-        M^r_i F^i, phi(theta(F^r)) = sum_i M^r_i Fs^i + phi(R); R is zero on
-        the model's own parts, and only a nonzero one is rewritten."""
-        if any(v.gen in self._split_gens for p in theta.components.values()
-               for v in p.variables()):
+        derivation conjugated into the split coordinates, where theta is a
+        part of the model's own gauge or parameter derivation and the jets
+        fit, since the jet route forms the sources' second jets; else None.
+        phi is an even ring map, invertible on split-free densities, so this
+        is phi(theta(L)).  phi(L) = 1/4 h g g Fs Fs needs values on Fs alone,
+        read through the covariance of F (graded Jacobi): a part moves F^r by
+        sum_i M^r_i F^i, M^r_i the right partial of theta(a^r_mu) along
+        a^i_mu, a source times a constant, so theta~(Fs^r) = sum_i M^r_i Fs^i."""
+        if not (self._jets_fit() and self._owns_part(theta)):
             return None
-        ctx, field, image = self.ctx, self.field, self._split(self.ym_lagrangian())
-        held, covariance, values = {v.gen for v in image.variables()}, {}, {}
+        ctx, field, Fs, covariance, values = self.ctx, self.field, self.aux_strength, {}, {}
 
         def rows(r, mu):
-            at = {ctx.jet(row[mu]): i for i, row in enumerate(field)}
-            return [(at[v], M) for v, M in theta.component(field[r][mu]).partials(
-                "right", {row[mu] for row in field}) if v in at and not any(
-                    len(w.index) == 1 and w.gen in self._field_at for w in M.variables())]
+            return [(self._field_at[v.gen][0], M) for v, M in theta.component(
+                field[r][mu]).partials("right", {row[mu] for row in field})]
 
-        for (r, lam, mu), gen in ((key, gen) for key, gen in self.aux_strength.items()
-                                  if gen in held):
-            rest, value = prolong_apply(theta, self.strength(r, lam, mu)), ctx.zero()
+        for (r, lam, mu), gen in Fs.items():
+            value = ctx.zero()
             for i, M in _once(covariance, (r, mu), lambda: rows(r, mu)):
-                add_product(rest, M, self.strength(i, lam, mu), -1)
-                add_product(value, M, ctx.var(self.aux_strength[(i, lam, mu)]))
-            values[gen] = (_add(value, self.split_coordinates(rest)) if rest.finish().terms
-                           else value).finish()
-        return prolong_apply(ContactDerivation(ctx, values, theta.parity), image)
+                add_product(value, M, ctx.var(Fs[(i, lam, mu)]))
+            values[gen] = value.finish()
+        return prolong_apply(ContactDerivation(ctx, values, theta.parity),
+                             self._split(self.ym_lagrangian()))
 
     def invariance_conditions(self, L=None):
         """Residual tables for the three gauge-invariance conditions of a

@@ -33,8 +33,10 @@ from gvc.superlie import LieSuperalgebra, bracket, orbit_roots, signed_automorph
 
 from util import (abelian_algebra, assert_normal, constant_parameter_symmetry, direct_routes,
                   first_variational_residual, fixed_by, generator_roots, mass_term_lagrangian,
-                  random_poly, relabel, relabellings, rescaled_model_text, scale, su2_algebra,
-                  superbracket, supermatrix_model_text, sym_jet, sym_quadratic_lagrangian)
+                  oracle_add_product, oracle_coeffs, oracle_partial, oracle_poly,
+                  oracle_prolong_apply, osp_model_text, random_poly, relabel, relabellings,
+                  rescaled_model_text, scale, su2_algebra, superbracket, supermatrix_model_text,
+                  sym_jet, sym_quadratic_lagrangian)
 
 GOLDEN = Path(__file__).parent / "golden"
 SL21_MODEL = Path(__file__).resolve().parent.parent / "bench" / "sl21.model"
@@ -1440,9 +1442,10 @@ class TestSplitRoute:
 
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl3", "sl21"])
     def test_conjugated_derivation_on_a_nonzero_result(self, name, request, monkeypatch):
-        # with one component doubled, theta(L) is nonzero, and the split
-        # route still gives phi(theta(L)); the row is the jet route's, and
-        # an installed L's density is never split from lie_derivative
+        # with one component doubled, theta(L) is nonzero and theta is no
+        # part of the model's own derivation: the split route gives None,
+        # the row is the jet route's, nothing is split, and an installed
+        # L's density is never split from lie_derivative either
         model = request.getfixturevalue(name)
         L, every = model.ym_lagrangian(), tuple(range(model.algebra.dim))
         split_calls = []
@@ -1456,16 +1459,14 @@ class TestSplitRoute:
         for kind in ("parameter", "gauge"):
             for directions in ((0,), every):
                 theta = self._doubled(model._part(kind, directions), model.field[0][0])
-                got = model._split_lie(theta)
-                assert got == original(prolong_apply(theta, L.density))
-                assert not got.is_zero()
+                assert model._split_lie(theta) is None
                 check = kind + "-symmetry"
                 row, want = run_parts([
                     (check, lambda n: CheckResult.from_form(n, model.lie_derivative(theta))),
                     (check, lambda n: CheckResult.from_form(n, volume(model.ctx).times_poly(
                         prolong_apply(theta, L.density))))], True)
                 assert not row.ok and row.line() == want.line()
-        assert split_calls and all(p is not L.density for p in split_calls)
+        assert split_calls == []
         installed = Lagrangian(L.density + mass_term_lagrangian(model).density)
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: installed)
         del split_calls[:]
@@ -1576,7 +1577,7 @@ class TestSplitProof:
         # installed copy of the kept maps is not the model's own: it
         # reduces no table
         model = _new_model("su2")
-        split = model._split_gens
+        split = set(model.aux_strength.values()).union(model.aux_sym.values())
         left = [({g: h for g, h in gen_map.items() if g not in split},
                  {g: s for g, s in signs.items() if g not in split})
                 for gen_map, signs in relabellings(model, model.algebra_maps())]
@@ -1625,7 +1626,7 @@ class TestSplitProof:
     @pytest.mark.parametrize("name", ["sl3", "sl21"])
     def test_a_passing_full_renames_no_L_and_splits_nothing(self, name, monkeypatch):
         # no density is relabelled, each gauge Lie derivative is read
-        # through the covariance of F with R = 0, and L and phi(L) are each
+        # through the covariance of F, and L and phi(L) are each
         # one table per stored form pair, of n(n-1)/2 products
         renamed, split, products, tables = [], [], [], []
         substitute, density, product = Poly.substitute, gvc.models._strength_density, \
@@ -1682,10 +1683,10 @@ class TestAlgebraMapsFixTheModel:
 
 
 class TestSplitLieFuzz:
-    """The split route's values read through the covariance of F, against
-    phi(theta(L)) by substitution and the row against the jet route's, on
-    gauge and parameter parts with seeded random field terms added, some of
-    which put a first jet of a field into M^r_i."""
+    """Gauge and parameter parts with seeded random field terms added, some
+    of which put a first jet of a field into M^r_i: no part of the model's
+    own derivations, so the split route gives None and L_theta L is the jet
+    route's."""
 
     @pytest.mark.parametrize("name, seed", [("su2", 1), ("osp12", 2), ("sl3", 3), ("sl21", 4)])
     def test_split_lie_is_phi_of_theta_of_L(self, name, seed, request):
@@ -1711,8 +1712,107 @@ class TestSplitLieFuzz:
                 theta = ContactDerivation(ctx, comps, part.parity)
                 jets = prolong_apply(theta, L.density)
                 assert not jets.is_zero()
-                assert model._split_lie(theta) == model.split_coordinates(jets)
+                assert model._split_lie(theta) is None
                 assert model.lie_derivative(theta) == volume(ctx).times_poly(jets)
+
+
+class TestCovarianceOfF:
+    """What the split route (`_split_lie`) takes from the construction: each
+    part of the model's own gauge and parameter derivations, of one
+    direction or of all, moves the jet strength covariantly,
+        theta(F^r_lam,mu) = sum_i M^r_i F^i_lam,mu,
+    M^r_i the right partial of theta(a^r_mu) along a^i_mu, by the tests'
+    oracles (`oracle_prolong_apply`, `oracle_partial`, `oracle_add_product`),
+    which share no code with the prolonged action.  With one twist term's
+    sign flipped and installed, the identity breaks, the split route
+    stands aside and the row is the jet route's."""
+
+    MODELS = ["abelian", "su2", "osp12", "sl3", "sl21", "sl31", "sl12", "sl21-rescaled",
+              "osp14", "osp32"]
+
+    @staticmethod
+    def _model(name):
+        if name == "sl12":
+            return spec_model(parse_model(supermatrix_model_text((0, 1, 1))))
+        if name == "sl21-rescaled":
+            # every basis vector scaled by a non-integer: 3/2, 5/2, ...
+            spec = parse_model(SL21_MODEL.read_text(encoding="utf-8"))
+            return spec_model(parse_model(rescaled_model_text(spec, {
+                label: Fraction(2 * k + 3, 2) for k, (label, _) in enumerate(spec.generators)})))
+        if name.startswith("osp"):
+            return spec_model(parse_model(osp_model_text(int(name[3]), int(name[4]))))
+        return _new_model(name)
+
+    @staticmethod
+    def _defects(model, theta):
+        """theta(F^r_lam,mu) - sum_i M^r_i F^i_lam,mu by the oracles, as
+        rational coefficients, on each (r, lam, mu), lam < mu, where it is
+        nonzero; and the number of nonzero M^r_i read."""
+        ctx, m, n = model.ctx, model.algebra.dim, model.metric.dim
+        defects, read = {}, 0
+        for r in range(m):
+            for mu in range(n):
+                comp = theta.component(model.field[r][mu])
+                M = [oracle_poly(ctx, oracle_partial(comp, ctx.jet(model.field[i][mu]), "right"))
+                     for i in range(m)]
+                read += sum(bool(p.terms) for p in M)
+                for lam in range(mu):
+                    moved = oracle_coeffs(oracle_prolong_apply(theta, model.strength(r, lam, mu)))
+                    for i, p in enumerate(M):
+                        if p.terms:
+                            oracle_add_product(moved, p, model.strength(i, lam, mu), -1)
+                    if moved:
+                        defects[(r, lam, mu)] = moved
+        return defects, read
+
+    @staticmethod
+    def _directions(model):
+        m = model.algebra.dim
+        return [(q,) for q in range(m)] + [tuple(range(m))]
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_each_part_moves_F_by_M(self, name):
+        model = self._model(name)
+        assert model.form_report().ok
+        for kind in ("gauge", "parameter"):
+            reads = []
+            for directions in self._directions(model):
+                part = model._part(kind, directions)
+                defects, read = self._defects(model, part)
+                assert defects == {}
+                reads.append(read)
+                split = model._split_lie(part)
+                assert split is not None and split.is_zero()
+            # every part but abelian's reads some M, a twist
+            assert all((read > 0) == bool(model.constants) for read in reads)
+
+    @pytest.mark.parametrize("name", MODELS[1:])
+    def test_a_flipped_twist_term_breaks_it(self, name, monkeypatch):
+        # -c^r_ji sources[j] a^i_mu in theta(a^r_mu) becomes +c^r_ji ...
+        model = self._model(name)
+        ctx, L, every = model.ctx, model.ym_lagrangian(), tuple(range(model.algebra.dim))
+        r, j, i, c = random.Random(name).choice(model.constants)
+        mu = model.metric.dim - 1
+        for kind in ("gauge", "parameter"):
+            theta, sources = model._symmetry(kind)
+            a = model.field[r][mu]
+            flip = ctx.product(2 * c, (ctx.jet(sources[j]), ctx.jet(model.field[i][mu])))
+            flipped = ContactDerivation(ctx, {**theta.components, a: theta.component(a) + flip},
+                                        theta.parity)
+            assert len((flipped.component(a) - theta.component(a)).terms) == 1
+            monkeypatch.setattr(model, "gauge_operator" if kind == "gauge"
+                                else "parameter_symmetry", lambda flipped=flipped: flipped)
+            assert self._defects(model, model._part(kind, (j,)))[0]
+            for directions in ((j,), every):
+                assert model._split_lie(model._part(kind, directions)) is None
+            check = kind + "-symmetry"
+            parts = dict(model._brst_parts() if kind == "gauge" else model._noether_parts())
+            row, want = run_parts([
+                (check, parts[check]),
+                (check, lambda n: CheckResult.from_form(n, volume(ctx).times_poly(
+                    prolong_apply(flipped, L.density))))], True)
+            assert not row.ok and row.line() == want.line()
+            monkeypatch.undo()
 
 
 class TestSupermatrixModels:
@@ -1724,6 +1824,30 @@ class TestSupermatrixModels:
         model = spec_model(parse_model(supermatrix_model_text((0, 0, 0, 1))))
         assert model.algebra.dim == 15 and sum(model.algebra.parities) == 6
         assert model.full_verification().ok and len(model.algebra_maps()) == 1
+
+
+class TestOrthosymplecticModels:
+    """osp(m|2n) from `osp_model_text`: its odd-odd bracket and its form on
+    the odd part differ from sl(m|n)'s."""
+
+    @pytest.mark.parametrize("m, two_n, dim, odd", [(1, 4, 14, 4), (3, 2, 12, 6)])
+    def test_validate_algebra_passes(self, m, two_n, dim, odd):
+        model = spec_model(parse_model(osp_model_text(m, two_n)))
+        assert model.algebra.dim == dim and sum(model.algebra.parities) == odd
+        rows = model.pipeline("validate-algebra", deterministic=True)
+        assert [row.name for row in rows] == ["algebra-structure", "invariant-form"]
+        assert all(row.ok for row in rows)
+
+    @pytest.mark.parametrize("m, two_n", [(1, 4), (3, 2)])
+    def test_full_passes_on_both_routes(self, m, two_n):
+        reports = []
+        for routes in (contextlib.nullcontext, direct_routes):
+            with routes():
+                report = spec_model(parse_model(osp_model_text(m, two_n))).full_verification(
+                    deterministic=True)
+                assert report.ok
+                reports.append(report.render())
+        assert reports[0] == reports[1]
 
 
 class TestInvarianceConditions:
@@ -2078,16 +2202,15 @@ class TestBuildOnce:
         # su2's three directions are one orbit of its algebra maps: L_theta L
         # of the first direction's part of the parameter symmetry for
         # parameter-symmetry, and of the gauge operator's for gauge-symmetry,
-        # each by the split route: the part on the 18 strengths, the
-        # conjugated derivation once on phi(L); never on L's polynomial, and
-        # none on forms
+        # each by the split route: the conjugated derivation, read through
+        # the covariance of F, once on phi(L); no jet strength, never on L's
+        # polynomial, and none on forms
         L = model.ym_lagrangian()
         image = model._split(L)
         xi, ghost = model._part("parameter", (0,)), model._part("gauge", (0,))
         assert lies == [xi, ghost]
         assert not any(p is L.density for _, p in calls)
-        assert [p is image for _, p in calls] == ([False] * 18 + [True]) * 2
-        assert [theta for theta, p in calls if p is not image] == [xi] * 18 + [ghost] * 18
+        assert [p is image for _, p in calls] == [True] * 2
         assert form_lies == []
         # that part's current takes its own L_theta as the precondition,
         # and the one Lepage form
@@ -2305,16 +2428,20 @@ class TestBuildOnce:
 
     @pytest.mark.parametrize("name, command", [
         (name, command) for name in ("su2", "osp12", "sl21")
-        for command in ("utiyama", "brst", "koszul-tate")] + [("sl21", "noether")])
+        for command in ("utiyama", "brst", "koszul-tate")] + [("sl21", "noether"),
+                                                               ("osp12", "noether")])
     def test_lone_pipeline_leaves_L_unbuilt(self, name, command, monkeypatch):
         # the invariance conditions and the gauge Lie derivatives read
-        # phi(L), built from the strength coordinates, and the kept E(L)
-        # and Noether rows are compared by identity: none reads L in jets
+        # phi(L), built from the strength coordinates, the gauge Lie
+        # derivatives through the covariance of F, and the kept E(L) and
+        # Noether rows are compared by identity: none reads L in jets, and
+        # none builds a jet strength
         built = self._density_builds(monkeypatch)
         model = _new_model(name)
         rows = model.pipeline(command, deterministic=True)
         assert rows and all(row.ok for row in rows)
         assert built == []
+        assert not any(key[0] == "strength" for key in model._yang_mills.memo)
         assert model._own("lagrangian", model.ym_lagrangian())
         assert model.ym_lagrangian().density.terms and len(built) == 1
 

@@ -472,10 +472,9 @@ def rescaled_model_text(spec, scales):
 def supermatrix_model_text(degrees):
     """Model file of sl(m|n) in 4D on a space whose row i has Z2-degree
     degrees[i]: the basis is H_k = s_k E_kk - s_k+1 E_k+1,k+1 (s_i = -1 on
-    an odd row), k < n - 1, then every E_ij, i != j, in row order.  Each
-    constant is a coordinate of the supercommutator [X, Y] = XY -
-    (-1)^{|X||Y|} YX and h is the supertrace of XY, both exact, in the
-    layout of bench/sl3.model, which degrees (0, 0, 0) reproduces."""
+    an odd row), k < n - 1, then every E_ij, i != j, in row order, written
+    by `_matrix_model_text`, in the layout of bench/sl3.model, which
+    degrees (0, 0, 0) reproduces."""
     n = len(degrees)
     s = [-1 if d else 1 for d in degrees]
     labels = ["H%d" % (k + 1) for k in range(n - 1)]
@@ -485,15 +484,6 @@ def supermatrix_model_text(degrees):
             if i != j:
                 labels.append("E%d%d" % (i + 1, j + 1))
                 mats.append({(i, j): Fraction(1)})
-    parity = [next((degrees[i] + degrees[j]) % 2 for i, j in m) for m in mats]
-
-    def product(a, b):
-        out = {}
-        for (i, k), x in a.items():
-            for (k2, j), y in b.items():
-                if k == k2:
-                    out[(i, j)] = out.get((i, j), 0) + x * y
-        return out
 
     def coordinates(m):
         # E_ij off the diagonal; on it, x_k = s_k d_k + x_k-1 solves the H_k
@@ -504,13 +494,107 @@ def supermatrix_model_text(degrees):
         assert m.get((n - 1, n - 1), 0) == -s[n - 1] * out[n - 2]
         return out
 
+    return _matrix_model_text(labels, mats, degrees, coordinates)
+
+
+def osp_model_text(m, two_n):
+    """Model file of osp(m|2n) in 4D: the supermatrices X on m even rows,
+    then 2n odd ones, that keep the supersymmetric form B = diag(I_m, J),
+    J = [[0, I_n], [-I_n, 0]], so that for every row a and column b
+        (X^T B)_ab + (-1)^{|X| d_a} (B X)_ab = 0,
+    d_a the degree of row a.  Each parity's solutions are an exact rational
+    nullspace (`_nullspace`), one basis vector per free entry: X_k (even)
+    and Y_k (odd), written by `_matrix_model_text`."""
+    n, size = two_n // 2, m + two_n
+    degrees = [0] * m + [1] * two_n
+    form = {(a, a): 1 for a in range(m)}
+    for k in range(m, m + n):
+        form[(k, k + n)], form[(k + n, k)] = 1, -1
+    labels, mats, free = [], [], []
+    for parity, letter in ((0, "X"), (1, "Y")):
+        entries = [(i, j) for i in range(size) for j in range(size)
+                   if (degrees[i] + degrees[j]) % 2 == parity]
+        column = {e: k for k, e in enumerate(entries)}
+        rows = []
+        for a in range(size):
+            for b in range(size):
+                row = [Fraction(0)] * len(entries)
+                for c in range(size):
+                    if (c, b) in form and (c, a) in column:
+                        row[column[(c, a)]] += form[(c, b)]
+                    if (a, c) in form and (c, b) in column:
+                        row[column[(c, b)]] += (-1) ** (parity * degrees[a]) * form[(a, c)]
+                rows.append(row)
+        for vector, k in _nullspace(rows, len(entries)):
+            labels.append("%s%d" % (letter, sum(label[0] == letter for label in labels) + 1))
+            mats.append({e: x for e, x in zip(entries, vector) if x})
+            free.append(entries[k])
+
+    def coordinates(mat):
+        # each basis vector is 1 on its free entry and 0 on the others'
+        out = [mat.get(e, 0) for e in free]
+        spanned = {}
+        for x, basis in zip(out, mats):
+            for e, y in basis.items():
+                spanned[e] = spanned.get(e, 0) + x * y
+        assert {e: y for e, y in spanned.items() if y} == {e: y for e, y in mat.items() if y}
+        return out
+
+    return _matrix_model_text(labels, mats, degrees, coordinates)
+
+
+def _nullspace(rows, width):
+    """(vector, free column) for a basis of the rational nullspace of
+    `rows`, lists of `width` Fractions, by exact row reduction: one vector
+    per free column, 1 there and 0 on every other free column."""
+    rows, pivots = [list(row) for row in rows], []
+    for col in range(width):
+        rank = len(pivots)
+        pivot = next((k for k in range(rank, len(rows)) if rows[k][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [x / lead for x in rows[rank]]
+        for k, row in enumerate(rows):
+            if k != rank and row[col]:
+                rows[k] = [x - row[col] * y for x, y in zip(row, rows[rank])]
+        pivots.append(col)
+    out = []
+    for col in (c for c in range(width) if c not in pivots):
+        vector = [Fraction(0)] * width
+        vector[col] = Fraction(1)
+        for row, pivot in zip(rows, pivots):
+            vector[pivot] = -row[col]
+        out.append((vector, col))
+    return out
+
+
+def _product(a, b):
+    """The product of two matrices given as dicts (row, column) -> entry."""
+    out = {}
+    for (i, k), x in a.items():
+        for (k2, j), y in b.items():
+            if k == k2:
+                out[(i, j)] = out.get((i, j), 0) + x * y
+    return out
+
+
+def _matrix_model_text(labels, mats, degrees, coordinates):
+    """Model file in 4D of the Lie superalgebra with basis `mats`, homogeneous
+    supermatrices as dicts (row, column) -> Fraction named `labels`, on rows
+    of Z2-degrees `degrees`: each constant is a coordinate
+    (`coordinates(matrix)`, one per basis element) of the supercommutator
+    [X, Y] = XY - (-1)^{|X||Y|} YX and h is the supertrace of XY, both
+    exact, in the layout of bench/sl3.model."""
+    parity = [next((degrees[i] + degrees[j]) % 2 for i, j in m) for m in mats]
     lines = ["[model]", "dimension = 4", "metric = +---", "max_jet_order = 3", "",
              "[algebra]"]
     lines += ["generator %s parity %d" % item for item in zip(labels, parity)]
     forms = []
     for i in range(len(mats)):
         for j in range(i, len(mats)):
-            xy, yx = product(mats[i], mats[j]), product(mats[j], mats[i])
+            xy, yx = _product(mats[i], mats[j]), _product(mats[j], mats[i])
             sign = -1 if parity[i] and parity[j] else 1
             bracket = {key: xy.get(key, 0) - sign * yx.get(key, 0) for key in set(xy) | set(yx)}
             lines += ["c %s %s %s = %s" % (labels[r], labels[i], labels[j], c)
@@ -519,7 +603,7 @@ def supermatrix_model_text(degrees):
             if h:
                 forms.append("h %s %s = %s" % (labels[i], labels[j], h))
     return "\n".join(lines + ["", "[form]"] + forms + ["", "[checks]"]
-                     + list(GaugeModel.PIPELINES)) + "\n"
+                      + list(GaugeModel.PIPELINES)) + "\n"
 
 
 # -- dense form oracles -------------------------------------------------------
