@@ -8,16 +8,18 @@ field per orbit), the Noether rows, the Koszul-Tate, gauge and BRST
 derivations, the extended density solving the master equation, and the
 invariance conditions that single the Lagrangian out.
 
-The invariance conditions and the gauge Lie derivatives are taken in the
-Utiyama split coordinates: phi rewrites each first jet of a field by the
-strength and symmetric coordinates (Fs, Ss), and the model's own
-Lagrangian becomes 1/4 h g g Fs Fs.  Its Lie derivative by a part of the
-model's own gauge or parameter derivation is taken there, where the jets
-fit, by the derivation conjugated through phi, which needs values on Fs
-alone: F is covariant, theta(F^r) = M^r_i F^i, by the graded Jacobi
-identity the algebra passes, so no jet strength is formed.  Any other
-derivation or density, and a nonzero result, is taken in jets, whose Form
-is the row.
+The invariance conditions are taken in the Utiyama split coordinates:
+phi rewrites each first jet of a field by the strength and symmetric
+coordinates (Fs, Ss), and the model's own Lagrangian becomes
+1/4 h g g Fs Fs.  They are the partials of phi(L), kept with L; the
+contraction row of direction q (`_contraction`), built from them once,
+also gives the gauge Lie derivatives.  A part of the model's own gauge or
+parameter derivation on directions qs moves F covariantly, by the graded
+Jacobi identity the algebra passes, so phi(theta(L)) = sum over q in qs
+of sources[q] times row q: where the jets fit and those rows are zero,
+L_theta L is zero, with no jet strength and no prolongation formed.  Any
+other derivation or density, and a nonzero row, is taken in jets, whose
+Form is the row.
 
 Every shortcut route runs only on the model's own objects, those kept
 under their keys (`_own`), whose shape follows from their construction;
@@ -40,9 +42,9 @@ the kept rows where `_by_rows` holds (`_conserved`).
 The model's own L is kept, its form validated at once, but its strength
 density in jets is built only when first read (`_YangMills`, which also
 keeps the strengths, and no model): the invariance conditions and the
-gauge Lie derivatives read phi(L), built from the strength coordinates,
-so `utiyama`, `brst`, `koszul-tate` and a graded `noether` never expand
-L, nor build a jet strength.  The generic field equations E(L) are kept
+gauge Lie derivatives read the partials of phi(L), built from the strength
+coordinates, so `utiyama`, `brst`, `koszul-tate` and a graded `noether`
+never expand L, nor build a jet strength.  The generic field equations E(L) are kept
 with L, read its density at their first fill, and are filled field by
 field where a check reads them (`EulerLagrange.by_field`): the two-path
 check on its representatives, the superpotential on its part's fields.
@@ -251,10 +253,11 @@ class GaugeModel:
     equations, the Noether rows and residuals, the gauge, parameter and BRST
     operators and the BRST square, the paired sums, the parts of the gauge
     and parameter derivations by direction and their Lie derivatives, the
-    Lepage form, the algebra maps and their representative directions, and
-    phi(L) with each first jet's image) is built on first use and kept with
-    its source (L, s, the Noether rows or a gauge derivation), so one
-    installed later is built and split anew, and its checks run whole.
+    Lepage form, the algebra maps and their representative directions, each
+    first jet's image under phi, and the partials of phi(L) with the
+    contraction row per direction) is built on first use and kept with its
+    source (L, s, the Noether rows or a gauge derivation), so one installed
+    later is built and split anew, and its checks run whole.
     """
 
     # Checks whose formulas are proved for even algebras only; a model
@@ -341,9 +344,9 @@ class GaugeModel:
     def ym_lagrangian(self, validate=True):
         """Quadratic strength Lagrangian for the stored invariant form, the
         model's own, kept.  The form is validated at once; the density in
-        jets is built when first read (`_YangMills`), which phi(L), the gauge
-        Lie derivatives' split route and the kept E(L) before its first fill
-        never do."""
+        jets is built when first read (`_YangMills`), which phi(L), the
+        contraction rows that give the gauge Lie derivatives and the kept
+        E(L) before its first fill never do."""
         if not self.algebra.has_form:
             raise GvcError("the quadratic Lagrangian needs an invariant form")
         if validate and not self.form_report().ok:
@@ -468,10 +471,9 @@ class GaugeModel:
                 and own(("brst-operator", u), self.brst_operator())
         else:
             L = self.ym_lagrangian()
-            reads = own("lagrangian", L) and {
-                "euler-lagrange": lambda: own(("euler-lagrange", L), self.generic_euler_lagrange()),
-                "parameter": lambda: own("parameter-symmetry", self.parameter_symmetry()),
-                "gauge": lambda: own("gauge-operator", self.gauge_operator())}[check]()
+            reads = own("lagrangian", L) and (
+                own(("euler-lagrange", L), self.generic_euler_lagrange())
+                if check == "euler-lagrange" else self._own_symmetry(check))
         if not (maps and own("algebra-maps", maps) and reads):
             return None
         return self._once("representatives", lambda: orbit_roots(maps, self.algebra.dim))
@@ -507,6 +509,11 @@ class GaugeModel:
         if kind == "gauge":
             return self.gauge_operator(), self.ghost
         return self.parameter_symmetry(), self.parameter
+
+    def _own_symmetry(self, kind):
+        """Whether the derivation of `kind` is the model's own."""
+        return self._own("gauge-operator" if kind == "gauge" else "parameter-symmetry",
+                         self._symmetry(kind)[0])
 
     def _part(self, kind, directions):
         """The part of the derivation of `kind` whose terms carry the source
@@ -547,26 +554,33 @@ class GaugeModel:
         return residual(tuple(range(self.algebra.dim)))
 
     def lie_derivative(self, theta):
-        """L_theta L of the Lagrangian, a density.  Zero when the split
-        route (`_split_lie`), which takes the model's own L alone, gives
-        zero; otherwise the prolonged derivation applied to L's polynomial,
-        times the volume form, so a failure reads as in jets."""
-        L = self.ym_lagrangian()
-        split = self._split_lie(theta) if self._own("lagrangian", L) else None
-        if split is not None and split.is_zero():
-            return Form.zero(self.ctx)
-        return volume(self.ctx).times_poly(prolong_apply(theta, L.density))
+        """L_theta L of the Lagrangian, a density: the prolonged derivation
+        applied to L's polynomial, times the volume form."""
+        return volume(self.ctx).times_poly(prolong_apply(theta, self.ym_lagrangian().density))
 
     def _lie(self, kind, directions):
         """L_theta L for the part of `directions` (`_part`), kept with the
-        part and L: a parameter part's is also its current's precondition."""
-        part = self._part(kind, directions)
-        return self._once(("lie", part, self.ym_lagrangian()),
-                          lambda: self.lie_derivative(part))
+        derivation, the directions and L: a parameter part's is also its
+        current's precondition.
 
-    def parameter_lie_derivative(self):
-        """L_theta L for the parameter symmetry and the Lagrangian."""
-        return self._whole_lie("parameter")
+        For the model's own L and derivation, phi(theta(L)) = sum over q in
+        directions of sources[q] times the contraction row of q
+        (`_contraction`): the part of q moves a^r_mu by -c^r_qp sources[q]
+        a^p_mu besides D_mu sources[q], and so F covariantly, theta(F^r) =
+        -sum_p c^r_qp sources[q] F^p.  phi is invertible on densities free
+        of split coordinates, so zero rows give zero, with no part built,
+        where the jets fit (the jet route forms the sources' second jets);
+        otherwise the part is prolonged in jets (`lie_derivative`), whose
+        Form is the row."""
+        theta, L = self._symmetry(kind)[0], self.ym_lagrangian()
+
+        def build():
+            if (self._own("lagrangian", L) and self._own_symmetry(kind) and self._jets_fit()
+                    and all(self._contraction(L, q).is_zero() for q in directions)):
+                return Form.zero(self.ctx)
+            return self.lie_derivative(self._part(kind, directions))
+
+        return self._once(("lie", theta, directions, L), build)
 
     def _whole_lie(self, kind):
         """L_theta L of the whole derivation of `kind`, kept with it and L;
@@ -703,94 +717,64 @@ class GaugeModel:
                                    if len(v.index) == 1 and v.gen in self._field_at})
 
     def _split(self, L):
-        """phi(L) for a first-order density L, kept with L.  phi is a ring
-        map with phi(F^r_lam,mu) = Fs^r_lam,mu, so the model's own strength
-        density is built factor-wise from the strength coordinates; any
-        other L is rewritten by `split_coordinates`."""
+        """phi(L) for a first-order density L.  phi is a ring map with
+        phi(F^r_lam,mu) = Fs^r_lam,mu, so the model's own strength density
+        is built factor-wise from the strength coordinates; any other L is
+        rewritten by `split_coordinates`."""
+        if self._own("lagrangian", L):
+            var, Fs = self.ctx.var, self.aux_strength
+            return _strength_density(self._yang_mills, lambda r, lam, mu: var(Fs[(r, lam, mu)]))
+        if L.density.max_jet_order() > 1:
+            raise GvcError("invariance conditions apply to first-order densities")
+        return self.split_coordinates(L.density)
+
+    def _partials(self, L):
+        """The left partials of phi(L) (`_split`) along its undifferentiated
+        variables, the only ones the invariance conditions read, by
+        generator, kept with L."""
+        return self._once(("partials", L), lambda: {
+            v.gen: p for v, p in self._split(L).partials() if not v.index})
+
+    def _contraction(self, L, q):
+        """The contraction row of direction q, kept with L: with the left
+        partials of phi(L) (`_partials`),
+            -sum over r, p and lam < mu of c^r_qp F^p_lam,mu dL/dF^r_lam,mu,
+        the coefficient of xi^q in the variation of L along a constant
+        parameter xi, under which F^r moves by c^r_pq F^p xi^q =
+        -c^r_qp xi^q F^p: bringing xi^q left past F^p gives (-1)^{|p||q|},
+        which graded antisymmetry turns into the sign of c^r_qp."""
         def build():
-            if self._own("lagrangian", L):
-                var, Fs = self.ctx.var, self.aux_strength
-                return _strength_density(self._yang_mills, lambda r, lam, mu: var(Fs[(r, lam, mu)]))
-            if L.density.max_jet_order() > 1:
-                raise GvcError("invariance conditions apply to first-order densities")
-            return self.split_coordinates(L.density)
+            ctx, Fs, partial, n = self.ctx, self.aux_strength, self._partials(L), self.metric.dim
+            row = ctx.zero()
+            for r, _, p, c in self._constants_by_i[q]:
+                for lam in range(n):
+                    for mu in range(lam + 1, n):
+                        dpoly = partial.get(Fs[(r, lam, mu)])
+                        if dpoly is not None:
+                            add_product(row, ctx.product(c, (ctx.jet(Fs[(p, lam, mu)]),)),
+                                        dpoly, -1)
+            return row.finish()
 
-        return self._once(("split", L), build)
-
-    def _owns_part(self, theta):
-        """Whether theta is a kept part (`_part`) of the model's own gauge
-        or parameter derivation."""
-        return any(type(key) is tuple and key[0] == "part" and self._own(key, theta) and (
-            self._own("gauge-operator", key[1]) or self._own("parameter-symmetry", key[1]))
-            for key in self._memo)
-
-    def _split_lie(self, theta):
-        """theta~(phi(L)) for the model's own L, theta~ = phi theta phi^-1 the
-        derivation conjugated into the split coordinates, where theta is a
-        part of the model's own gauge or parameter derivation and the jets
-        fit, since the jet route forms the sources' second jets; else None.
-        phi is an even ring map, invertible on split-free densities, so this
-        is phi(theta(L)).  phi(L) = 1/4 h g g Fs Fs needs values on Fs alone,
-        read through the covariance of F (graded Jacobi): a part moves F^r by
-        sum_i M^r_i F^i, M^r_i the right partial of theta(a^r_mu) along
-        a^i_mu, a source times a constant, so theta~(Fs^r) = sum_i M^r_i Fs^i."""
-        if not (self._jets_fit() and self._owns_part(theta)):
-            return None
-        ctx, field, Fs, covariance, values = self.ctx, self.field, self.aux_strength, {}, {}
-
-        def rows(r, mu):
-            return [(self._field_at[v.gen][0], M) for v, M in theta.component(
-                field[r][mu]).partials("right", {row[mu] for row in field})]
-
-        for (r, lam, mu), gen in Fs.items():
-            value = ctx.zero()
-            for i, M in _once(covariance, (r, mu), lambda: rows(r, mu)):
-                add_product(value, M, ctx.var(Fs[(i, lam, mu)]))
-            values[gen] = value.finish()
-        return prolong_apply(ContactDerivation(ctx, values, theta.parity),
-                             self._split(self.ym_lagrangian()))
+        return self._once(("contraction", L, q), build)
 
     def invariance_conditions(self, L=None):
         """Residual tables for the three gauge-invariance conditions of a
         first-order density, in the split coordinates (`_split`): its
         partials along the symmetric halves, along the undifferentiated
-        fields, and the contraction, all zero for an invariant density.
-
-        The contraction row of direction q is, with left partials,
-            sum over r, p and lam < mu of
-            (-1)^{|p||q|} c^r_pq F^p_lam,mu dL/dF^r_lam,mu,
-        the coefficient of xi^q in the variation of L along a constant
-        parameter xi, under which F^r moves by c^r_pq F^p xi^q: bringing
-        xi^q left past F^p gives the sign, which is -1 only for odd p and
-        odd q.  Every model computes all three tables; `EVEN_ONLY_CHECKS`
-        alone keeps the contraction row out of graded reports.
+        fields, and the contraction rows (`_contraction`), all zero for an
+        invariant density.  Every model computes all three tables;
+        `EVEN_ONLY_CHECKS` alone keeps the contraction rows out of graded
+        reports.
         """
         if L is None:
             L = self.ym_lagrangian()
-        ctx = self.ctx
-        partial = dict(self._split(L).partials())
-
-        def d(gen):
-            return partial.get(ctx.jet(gen), ctx.zero())
-
+        partial, zero = self._partials(L), self.ctx.zero()
         m, n = self.algebra.dim, self.metric.dim
-        parities = self.algebra.parities
-        sym_res = {"S%d_%d%d" % (r + 1, lam, mu): d(gen)
-                   for (r, lam, mu), gen in sorted(self.aux_sym.items())}
-        field_res = {"a%d_%d" % (r + 1, mu): d(self.field[r][mu])
+        sym_res = {"S%d_%d%d" % (r + 1, lam, mu): partial.get(gen, zero)
+                   for (r, lam, mu), gen in self.aux_sym.items()}
+        field_res = {"a%d_%d" % (r + 1, mu): partial.get(self.field[r][mu], zero)
                      for r in range(m) for mu in range(n)}
-        contraction_res = [ctx.zero() for _ in range(m)]
-        for r, p, q, c in self.constants:
-            sign = -1 if parities[p] and parities[q] else 1
-            for lam in range(n):
-                for mu in range(lam + 1, n):
-                    dpoly = partial.get(ctx.jet(self.aux_strength[(r, lam, mu)]))
-                    if dpoly is not None:
-                        add_product(contraction_res[q], ctx.product(
-                            c, (ctx.jet(self.aux_strength[(p, lam, mu)]),)), dpoly, sign)
-        contraction_res = {"q%d" % (q + 1): res.finish()
-                           for q, res in enumerate(contraction_res)}
-        return sym_res, field_res, contraction_res
+        return sym_res, field_res, {"q%d" % (q + 1): self._contraction(L, q) for q in range(m)}
 
     # -- end-to-end -------------------------------------------------------------
 
@@ -875,7 +859,7 @@ class GaugeModel:
 
         return [
             ("parameter-symmetry", lambda n: CheckResult.from_form(
-                n, self.parameter_lie_derivative())),
+                n, self._whole_lie("parameter"))),
             ("noether-identities", lambda n: CheckResult.from_residuals(
                 n, self._noether_residuals())),
             ("current-conservation", lambda n: CheckResult.from_form(
@@ -949,16 +933,11 @@ class GaugeModel:
         return [("master-equation", master)]
 
     def _utiyama_parts(self):
+        # each table reads the kept partials of phi(L) and contraction rows
         kinds = ("utiyama-strength-dependence", "utiyama-field-independence",
                  "utiyama-contraction")
-        run = {}  # the three residual tables, computed once per run
-
-        def utiyama(kind):
-            tables = _once(run, "tables",
-                           lambda: dict(zip(kinds, self.invariance_conditions())))
-            return CheckResult.from_residuals(kind, tables[kind])
-
-        return [(kind, utiyama) for kind in kinds]
+        return [(kind, lambda n: CheckResult.from_residuals(
+            n, dict(zip(kinds, self.invariance_conditions()))[n])) for kind in kinds]
 
     _PIPELINE_PARTS = {
         "validate-algebra": _validate_algebra_parts,

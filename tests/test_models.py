@@ -561,7 +561,7 @@ class TestCurrents:
 
         model = request.getfixturevalue(name)
         assert not model.all_even
-        assert model.parameter_lie_derivative().is_zero()
+        assert model._whole_lie("parameter").is_zero()
         current = model.current()
         residual = d_h(current) - interior(model.parameter_symmetry(),
                                            variational_delta(model.ym_lagrangian().form))
@@ -704,9 +704,10 @@ class TestParameterOrbits:
 
     @staticmethod
     def _prolonged(monkeypatch):
-        """The derivations whose L_theta L the symmetry checks take, in
-        order, each with whether the jet route prolonged it on L's
-        polynomial, which it does only when the split route is nonzero."""
+        """The derivations whose L_theta L the symmetry checks take in jets
+        (`lie_derivative`), in order, each with whether it was prolonged on
+        L's polynomial: `_lie` takes that route only where the shortcut
+        does not apply or a contraction row is nonzero."""
         thetas, calls = [], []
         lie, prolong = GaugeModel.lie_derivative, gvc.models.prolong_apply
 
@@ -843,7 +844,8 @@ class TestParameterOrbits:
         batches, prolonged = self._batches(monkeypatch), self._prolonged(monkeypatch)
         rows = self._rows(model)
         assert batches == []
-        # the split route is nonzero on both, so the rows are the jet route's
+        # installed, neither derivation is the model's own, so both rows
+        # are the jet route's
         assert prolonged == [(model.parameter_symmetry(), True), (model.gauge_operator(), True)]
         for kind in ("parameter", "gauge"):
             assert model._representatives(kind) is None
@@ -888,11 +890,29 @@ class TestParameterOrbits:
             assert rows[check].line() == _unreduced_row(model, check)
 
     def test_abelian_runs_unreduced(self, monkeypatch):
+        # no algebra map, so the whole derivations; with no constants every
+        # contraction row is zero, so neither is prolonged
         model = preset_model("abelian")
         batches, prolonged = self._batches(monkeypatch), self._prolonged(monkeypatch)
         rows = self._rows(model)
         assert model.algebra_maps() == [] and batches == []
-        assert prolonged == [(model.parameter_symmetry(), False), (model.gauge_operator(), False)]
+        assert prolonged == []
+        assert all(rows[check].ok for check in SYMMETRY_CHECKS)
+
+    def test_a_nonzero_row_sends_its_part_to_the_jet_route(self, monkeypatch):
+        # a contraction row forced nonzero on su2's representative
+        # direction: its part, and no other, is prolonged on L's density,
+        # where it is zero, so both checks still pass
+        model = preset_model("su2")
+        ctx, L, contraction = model.ctx, model.ym_lagrangian(), model._contraction
+        monkeypatch.setattr(model, "_contraction", lambda L, q: contraction(L, q) + (
+            ctx.one() if q == 0 else ctx.zero()))
+        prolonged = self._prolonged(monkeypatch)
+        rows = self._rows(model)
+        assert model._representatives("parameter") == (0,) == model._representatives("gauge")
+        assert prolonged == [(model._part("parameter", (0,)), True),
+                             (model._part("gauge", (0,)), True)]
+        assert model._contraction(L, 0) == ctx.one()
         assert all(rows[check].ok for check in SYMMETRY_CHECKS)
 
     def test_a_source_in_L_runs_unreduced(self, monkeypatch):
@@ -961,7 +981,7 @@ class TestOrbitFuzz:
     perturbations that every algebra map fixes, a mass term added to L
     (gauge fields alone, first order) and the ghost sector scaled by one
     factor on every ghost.  Each reduced row is the row with no
-    representatives.  The split route reads phi of the strength density
+    representatives.  The contraction rows read phi of the strength density
     by construction, so the massive L passes the symmetry checks on both
     runs; the field equations, the current and the superpotential see it.
     sl(3|1) has 15 directions, so its representatives' generators are not
@@ -1054,7 +1074,8 @@ class TestDirectRoutes:
 
     @classmethod
     def _reports(cls, name, order, install=None):
-        """The report by the shortcut routes and by the direct routes."""
+        """The report by the shortcut routes and by the direct routes, where
+        the one switch (`direct_routes`) also reduces no table."""
         reports = []
         for routes in (contextlib.nullcontext, direct_routes):
             with routes():
@@ -1062,6 +1083,9 @@ class TestDirectRoutes:
                 if install:
                     install(model)
                 reports.append(model.full_verification(deterministic=True).render())
+                if routes is direct_routes:
+                    assert [model._representatives(check) for check in (
+                        "euler-lagrange", "parameter", "gauge", "brst")] == [None] * 4
         return reports
 
     @pytest.mark.parametrize("order", [None, 2, 1])
@@ -1403,10 +1427,11 @@ class TestRowsFromGaugeSymmetry:
 
 
 class TestSplitRoute:
-    """L_theta L and the Utiyama tables in the split coordinates: phi(L),
-    and, for the model's own L, the conjugated derivation phi theta phi^-1
-    on it, against `split_coordinates` and against L_theta L prolonged in
-    jets; any other L takes the jet route alone."""
+    """L_theta L and the Utiyama tables in the split coordinates: phi(L)
+    against `split_coordinates`, and each symmetry check's L_theta L, read
+    off the contraction rows for the model's own L and derivations, against
+    L_theta L prolonged in jets; an installed L or derivation takes the jet
+    route alone."""
 
     @staticmethod
     def _doubled(theta, gen):
@@ -1418,10 +1443,10 @@ class TestSplitRoute:
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl3", "sl21"])
     def test_conjugated_derivation_is_phi_of_theta(self, name, request, monkeypatch):
         # the own L (whose phi(L) is built factor-wise), a mass term and a
-        # symmetric-quadratic L, each phi(L) kept with its own L; the even
-        # parameter symmetry and the odd gauge operator, a part of one
-        # direction and the whole: zero on the own L in the split
-        # coordinates, and nonzero in jets on an installed L
+        # symmetric-quadratic L, each phi(L)'s partials kept with its own L;
+        # the even parameter symmetry and the odd gauge operator, a part of
+        # one direction and the whole: zero on the own L, and nonzero in
+        # jets on an installed L
         model = request.getfixturevalue(name)
         own, m = model.ym_lagrangian(), model.algebra.dim
         every = tuple(range(m))
@@ -1430,49 +1455,43 @@ class TestSplitRoute:
             monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True, L=L: L)
             for kind in ("parameter", "gauge"):
                 for directions in ((0,), every):
-                    theta = model._part(kind, directions)
-                    got = model.lie_derivative(theta)
-                    assert got == volume(model.ctx).times_poly(prolong_apply(theta, L.density))
+                    got = model._lie(kind, directions)
+                    assert got == volume(model.ctx).times_poly(
+                        prolong_apply(model._part(kind, directions), L.density))
                     assert got.is_zero() == (L is own)
-                    if L is own:
-                        assert model._split_lie(theta) == model.split_coordinates(
-                            prolong_apply(theta, L.density))
             monkeypatch.undo()
-        assert model._split(own) is model._split(own)
+        assert model._partials(own) is model._partials(own)
 
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl3", "sl21"])
     def test_conjugated_derivation_on_a_nonzero_result(self, name, request, monkeypatch):
-        # with one component doubled, theta(L) is nonzero and theta is no
-        # part of the model's own derivation: the split route gives None,
-        # the row is the jet route's, nothing is split, and an installed
-        # L's density is never split from lie_derivative either
+        # with one component doubled and installed, theta(L) is nonzero and
+        # theta is not the model's own: the row is the jet route's, no row
+        # is read and nothing is split; an installed L's density is never
+        # split from a Lie derivative either
         model = request.getfixturevalue(name)
         L, every = model.ym_lagrangian(), tuple(range(model.algebra.dim))
-        split_calls = []
+        split_calls, rows = [], []
         original = model.split_coordinates
-
-        def recording(density):
-            split_calls.append(density)
-            return original(density)
-
-        monkeypatch.setattr(model, "split_coordinates", recording)
+        monkeypatch.setattr(model, "split_coordinates", lambda density: split_calls.append(
+            density) or original(density))
+        monkeypatch.setattr(model, "_contraction", lambda L, q: rows.append(q))
         for kind in ("parameter", "gauge"):
+            theta = self._doubled(model._symmetry(kind)[0], model.field[0][0])
+            monkeypatch.setattr(model, "parameter_symmetry" if kind == "parameter"
+                                else "gauge_operator", lambda theta=theta: theta)
             for directions in ((0,), every):
-                theta = self._doubled(model._part(kind, directions), model.field[0][0])
-                assert model._split_lie(theta) is None
                 check = kind + "-symmetry"
                 row, want = run_parts([
-                    (check, lambda n: CheckResult.from_form(n, model.lie_derivative(theta))),
+                    (check, lambda n: CheckResult.from_form(n, model._lie(kind, directions))),
                     (check, lambda n: CheckResult.from_form(n, volume(model.ctx).times_poly(
-                        prolong_apply(theta, L.density))))], True)
+                        prolong_apply(model._part(kind, directions), L.density))))], True)
                 assert not row.ok and row.line() == want.line()
-        assert split_calls == []
+        assert split_calls == [] and rows == []
         installed = Lagrangian(L.density + mass_term_lagrangian(model).density)
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: installed)
-        del split_calls[:]
         for kind in ("parameter", "gauge"):
-            model.lie_derivative(model._symmetry(kind)[0])
-        assert split_calls == []
+            model._whole_lie(kind)
+        assert split_calls == [] and rows == []
 
     @pytest.mark.parametrize("name, order", [
         ("su2", None), ("su2", 1), ("su2", 2), ("osp12", None), ("osp12", 1), ("osp12", 2),
@@ -1480,7 +1499,8 @@ class TestSplitRoute:
     def test_rows_are_the_jet_routes(self, name, order, monkeypatch):
         # with the own L, plus a mass term or a symmetric-quadratic term,
         # at each maximum jet order, each symmetry row is that of L_theta L
-        # prolonged in jets: zero, nonzero and raised alike
+        # prolonged in jets: zero, nonzero and raised alike; below a bound
+        # of 3 (`_jets_fit`) no contraction row is read
         text = SL21_MODEL.read_text(encoding="utf-8") if name == "sl21" \
             else PRESET_MODEL_TEXT[name]
         lines = []
@@ -1492,33 +1512,29 @@ class TestSplitRoute:
             for kind, check in (("parameter", "parameter-symmetry"), ("gauge", "gauge-symmetry")):
                 theta = model._symmetry(kind)[0]
                 got, want = run_parts([
-                    (check, lambda n: CheckResult.from_form(n, model.lie_derivative(theta))),
+                    (check, lambda n: CheckResult.from_form(n, model._whole_lie(kind))),
                     (check, lambda n: CheckResult.from_form(n, volume(model.ctx).times_poly(
                         prolong_apply(theta, model.ym_lagrangian().density))))], True)
                 assert got.line() == want.line()
                 lines.append(got)
+            read = [key for key in model._memo if key[0] == "contraction"]
+            assert bool(read) == (extra is None and order is None)
         assert [row.ok for row in lines] == [order != 1] * 2 + [False] * 4
         if order == 1:
             assert all("exceeds configured maximum 1" in row.witness for row in lines)
 
     def test_a_split_coordinate_in_L_takes_the_jet_route(self, su2, monkeypatch):
         # F^1_01 - Fs1_01 is zero under phi, which is not injective on a
-        # density holding a split coordinate: an installed L takes the jet
-        # route, without the split one, and so does a derivation holding a
-        # split coordinate on the own L, for which the split route gives None
+        # density holding a split coordinate: such an L is installed, so
+        # it takes the jet route, where its Lie derivative is nonzero
         Fs = su2.ctx.var(su2.aux_strength[(0, 0, 1)])
-        held = ContactDerivation(su2.ctx, {su2.field[0][0]: Fs}, EVEN)
-        assert su2._split_lie(held) is None
-        assert su2.lie_derivative(held) == volume(su2.ctx).times_poly(
-            prolong_apply(held, su2.ym_lagrangian().density))
         L = Lagrangian(su2.strength(0, 0, 1) - Fs)
         theta = su2.parameter_symmetry()
         assert su2.split_coordinates(L.density).is_zero()
         monkeypatch.setattr(su2, "ym_lagrangian", lambda validate=True: L)
-        monkeypatch.setattr(su2, "_split_lie", None)
-        assert su2.lie_derivative(theta) == volume(su2.ctx).times_poly(
-            prolong_apply(theta, L.density))
-        assert not su2.lie_derivative(theta).is_zero()
+        got = su2._whole_lie("parameter")
+        assert got == volume(su2.ctx).times_poly(prolong_apply(theta, L.density))
+        assert not got.is_zero()
 
 
 class TestSplitProof:
@@ -1625,9 +1641,9 @@ class TestSplitProof:
 
     @pytest.mark.parametrize("name", ["sl3", "sl21"])
     def test_a_passing_full_renames_no_L_and_splits_nothing(self, name, monkeypatch):
-        # no density is relabelled, each gauge Lie derivative is read
-        # through the covariance of F, and L and phi(L) are each
-        # one table per stored form pair, of n(n-1)/2 products
+        # no density is relabelled, each gauge Lie derivative is read off
+        # the contraction rows, and L and phi(L) are each built once, one
+        # table per stored form pair, of n(n-1)/2 products
         renamed, split, products, tables = [], [], [], []
         substitute, density, product = Poly.substitute, gvc.models._strength_density, \
             gvc.models.add_product
@@ -1683,49 +1699,52 @@ class TestAlgebraMapsFixTheModel:
 
 
 class TestSplitLieFuzz:
-    """Gauge and parameter parts with seeded random field terms added, some
-    of which put a first jet of a field into M^r_i: no part of the model's
-    own derivations, so the split route gives None and L_theta L is the jet
-    route's."""
+    """Gauge and parameter derivations with seeded random field terms
+    added, some of which put a first jet of a field into M^r_i, installed:
+    not the model's own, so no contraction row is read and L_theta L of
+    each part is the jet route's."""
 
     @pytest.mark.parametrize("name, seed", [("su2", 1), ("osp12", 2), ("sl3", 3), ("sl21", 4)])
-    def test_split_lie_is_phi_of_theta_of_L(self, name, seed, request):
+    def test_split_lie_is_phi_of_theta_of_L(self, name, seed, request, monkeypatch):
         model = request.getfixturevalue(name)
         ctx, L, rng = model.ctx, model.ym_lagrangian(), random.Random(seed)
         m, n = model.algebra.dim, model.metric.dim
         fields = [g for row in model.field for g in row]
+        monkeypatch.setattr(model, "_contraction", None)
         for kind in ("parameter", "gauge"):
-            sources = model._symmetry(kind)[1]
-            for directions in ((rng.randrange(m),), tuple(range(m))):
-                part = model._part(kind, directions)
-                comps = dict(part.components)
-                for _ in range(3):
-                    r, mu, i, k, nu, lam = (rng.randrange(x) for x in (m, n, m, m, n, n))
-                    a = model.field[r][mu]
-                    want = (a.parity + part.parity) % 2
-                    # a first jet of a field times a^i_mu: M^r_i holds it
-                    jet = ctx.var(model.field[k][nu], lam) * ctx.var(model.field[i][mu])
-                    factor = rng.choice([f for f in [ctx.one()] + [ctx.var(g) for g in sources]
-                                         if (jet * f).parity() == want])
-                    comps[a] = comps.get(a, ctx.zero()) + jet * factor + random_poly(
-                        rng, ctx, terms=2, max_order=1, parity=want, gens=fields + sources)
-                theta = ContactDerivation(ctx, comps, part.parity)
-                jets = prolong_apply(theta, L.density)
-                assert not jets.is_zero()
-                assert model._split_lie(theta) is None
-                assert model.lie_derivative(theta) == volume(ctx).times_poly(jets)
+            theta, sources = model._symmetry(kind)
+            comps = dict(theta.components)
+            q = rng.randrange(m)
+            for _ in range(3):
+                r, mu, i, k, nu, lam = (rng.randrange(x) for x in (m, n, m, m, n, n))
+                a = model.field[r][mu]
+                want = (a.parity + theta.parity) % 2
+                # a first jet of a field times a^i_mu: M^r_i holds it
+                jet = ctx.var(model.field[k][nu], lam) * ctx.var(model.field[i][mu])
+                factor = rng.choice([f for f in [ctx.one()] + [ctx.var(g) for g in sources]
+                                     if (jet * f).parity() == want])
+                comps[a] = comps.get(a, ctx.zero()) + jet * factor + random_poly(
+                    rng, ctx, terms=2, max_order=1, parity=want, gens=fields + sources)
+            fuzzed = ContactDerivation(ctx, comps, theta.parity)
+            monkeypatch.setattr(model, "parameter_symmetry" if kind == "parameter"
+                                else "gauge_operator", lambda fuzzed=fuzzed: fuzzed)
+            for directions in ((q,), tuple(range(m))):
+                jets = prolong_apply(model._part(kind, directions), L.density)
+                assert model._lie(kind, directions) == volume(ctx).times_poly(jets)
+            assert not jets.is_zero()
 
 
 class TestCovarianceOfF:
-    """What the split route (`_split_lie`) takes from the construction: each
-    part of the model's own gauge and parameter derivations, of one
-    direction or of all, moves the jet strength covariantly,
+    """What the contraction rows' reading of L_theta L (`GaugeModel._lie`,
+    `TestContractionRows`) takes from the construction: each part of the
+    model's own gauge and parameter derivations, of one direction or of
+    all, moves the jet strength covariantly,
         theta(F^r_lam,mu) = sum_i M^r_i F^i_lam,mu,
     M^r_i the right partial of theta(a^r_mu) along a^i_mu, by the tests'
     oracles (`oracle_prolong_apply`, `oracle_partial`, `oracle_add_product`),
     which share no code with the prolonged action.  With one twist term's
-    sign flipped and installed, the identity breaks, the split route
-    stands aside and the row is the jet route's."""
+    sign flipped and installed, the identity breaks, and each row and each
+    part's L_theta L is the jet route's, nonzero."""
 
     MODELS = ["abelian", "su2", "osp12", "sl3", "sl21", "sl31", "sl12", "sl21-rescaled",
               "osp14", "osp32"]
@@ -1781,8 +1800,6 @@ class TestCovarianceOfF:
                 defects, read = self._defects(model, part)
                 assert defects == {}
                 reads.append(read)
-                split = model._split_lie(part)
-                assert split is not None and split.is_zero()
             # every part but abelian's reads some M, a twist
             assert all((read > 0) == bool(model.constants) for read in reads)
 
@@ -1804,7 +1821,9 @@ class TestCovarianceOfF:
                                 else "parameter_symmetry", lambda flipped=flipped: flipped)
             assert self._defects(model, model._part(kind, (j,)))[0]
             for directions in ((j,), every):
-                assert model._split_lie(model._part(kind, directions)) is None
+                got = model._lie(kind, directions)
+                assert not got.is_zero() and got == volume(ctx).times_poly(
+                    prolong_apply(model._part(kind, directions), L.density))
             check = kind + "-symmetry"
             parts = dict(model._brst_parts() if kind == "gauge" else model._noether_parts())
             row, want = run_parts([
@@ -1813,6 +1832,57 @@ class TestCovarianceOfF:
                     prolong_apply(flipped, L.density))))], True)
             assert not row.ok and row.line() == want.line()
             monkeypatch.undo()
+
+
+class TestContractionRows:
+    """The identity `GaugeModel._lie` reads gauge invariance from: for each
+    part of the model's own gauge or parameter derivation on directions qs,
+    of one direction or of all, and the model's own L,
+        phi(theta(L)) = sum over q in qs of sources[q] * (contraction row q),
+    the left side by prolonging theta on L's density in jets and rewriting
+    it by `split_coordinates`, sharing no code with the rows.  It holds for
+    any form h, so also with one form entry doubled (`ym_lagrangian` with
+    validate=False), where both sides are nonzero."""
+
+    MODELS = ["abelian", "su2", "osp12", "sl3", "sl21", "sl31", "osp14", "osp32"]
+
+    @staticmethod
+    def _text(name):
+        if name in PRESET_MODEL_TEXT:
+            return PRESET_MODEL_TEXT[name]
+        if name in ("sl3", "sl21"):
+            return (SL3_MODEL if name == "sl3" else SL21_MODEL).read_text(encoding="utf-8")
+        if name == "sl31":
+            return supermatrix_model_text((0, 0, 0, 1))
+        return osp_model_text(int(name[3]), int(name[4]))
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("name", MODELS)
+    def test_lie_derivative_is_sources_times_rows(self, name, perturbed):
+        text = self._text(name)
+        if perturbed:
+            # the first form entry doubled
+            text = re.sub(r"^(h \S+ \S+ = )(\S+)$", lambda m: m.group(1) + str(
+                2 * Fraction(m.group(2))), text, count=1, flags=re.M)
+        model = spec_model(parse_model(text))
+        assert model.form_report().ok is (not perturbed or name == "abelian")
+        L = model.ym_lagrangian(validate=not perturbed)
+        ctx, m = model.ctx, model.algebra.dim
+        rows = model.invariance_conditions(L)[2]
+        nonzero = 0
+        for kind in ("gauge", "parameter"):
+            sources = model._symmetry(kind)[1]
+            for directions in [(q,) for q in range(m)] + [tuple(range(m))]:
+                got = model.split_coordinates(prolong_apply(model._part(kind, directions),
+                                                            L.density))
+                want = ctx.zero()
+                for q in directions:
+                    want = want + ctx.var(sources[q]) * rows["q%d" % (q + 1)]
+                assert got == want
+                nonzero += not got.is_zero()
+        # the invariant form's rows are zero; a doubled entry breaks
+        # invariance unless there is no bracket
+        assert (nonzero > 0) is (perturbed and name != "abelian")
 
 
 class TestSupermatrixModels:
@@ -2202,16 +2272,13 @@ class TestBuildOnce:
         # su2's three directions are one orbit of its algebra maps: L_theta L
         # of the first direction's part of the parameter symmetry for
         # parameter-symmetry, and of the gauge operator's for gauge-symmetry,
-        # each by the split route: the conjugated derivation, read through
-        # the covariance of F, once on phi(L); no jet strength, never on L's
-        # polynomial, and none on forms
+        # each read off the contraction row of that direction, zero: nothing
+        # is prolonged, on L's polynomial or on phi(L), and none on forms;
+        # utiyama-contraction reads every row, each kept once with L
         L = model.ym_lagrangian()
-        image = model._split(L)
-        xi, ghost = model._part("parameter", (0,)), model._part("gauge", (0,))
-        assert lies == [xi, ghost]
-        assert not any(p is L.density for _, p in calls)
-        assert [p is image for _, p in calls] == [True] * 2
-        assert form_lies == []
+        xi = model._part("parameter", (0,))
+        assert lies == [] and calls == [] and form_lies == []
+        assert sorted(key[2] for key in model._memo if key[:2] == ("contraction", L)) == [0, 1, 2]
         # that part's current takes its own L_theta as the precondition,
         # and the one Lepage form
         assert [(theta, lie is model._lie("parameter", (0,)), xi_L is model.lepage_form())
@@ -2221,19 +2288,18 @@ class TestBuildOnce:
         # and the same Lepage form
         model.current()
         whole = model._part("parameter", (0, 1, 2))
-        assert lies[2:] == [whole] and not any(p is L.density for _, p in calls)
+        assert lies == [] and calls == []
         assert [(theta, lie is model._lie("parameter", (0, 1, 2)), xi_L is model.lepage_form())
                 for theta, lie, xi_L in currents[1:]] == [(whole, True, True)]
         assert len(lepages) == 1 and form_lies == []
         assert model.parameter_symmetry() is model.parameter_symmetry()
         # sl(2|1)'s gauge-symmetry: L_theta L of the part of its four
-        # representative directions, by the split route
-        lies.clear()
-        calls.clear()
+        # representative directions, read off their rows alone
         sl21 = spec_model(parse_model(SL21_MODEL.read_text(encoding="utf-8")))
         assert all(row.ok for row in sl21.pipeline("brst"))
-        assert lies == [sl21._part("gauge", (0, 2, 3, 4))]
-        assert not any(p is sl21.ym_lagrangian().density for _, p in calls)
+        assert sl21._representatives("gauge") == (0, 2, 3, 4)
+        assert lies == [] and calls == []
+        assert sorted(key[2] for key in sl21._memo if key[0] == "contraction") == [0, 2, 3, 4]
 
     def test_momentum_built_once_per_direction_pair(self, monkeypatch):
         # the momentum, like the strength, is antisymmetric in its two
@@ -2290,7 +2356,8 @@ class TestBuildOnce:
         model = preset_model("su2")
         assert model.full_verification().ok
         # a passing run asks for each twist once, for its strength: the
-        # split route reads the covariance of F and never rewrites a jet
+        # gauge Lie derivatives read the contraction rows and never rewrite
+        # a jet
         assert sorted(built) == sorted(asked) == sorted(set(asked))
         # phi rewrites each swapped first jet with the twist already built
         before = len(built)
@@ -2431,9 +2498,9 @@ class TestBuildOnce:
         for command in ("utiyama", "brst", "koszul-tate")] + [("sl21", "noether"),
                                                                ("osp12", "noether")])
     def test_lone_pipeline_leaves_L_unbuilt(self, name, command, monkeypatch):
-        # the invariance conditions and the gauge Lie derivatives read
-        # phi(L), built from the strength coordinates, the gauge Lie
-        # derivatives through the covariance of F, and the kept E(L) and
+        # the invariance conditions and the gauge Lie derivatives read the
+        # partials of phi(L), built from the strength coordinates, the gauge
+        # Lie derivatives through the contraction rows, and the kept E(L) and
         # Noether rows are compared by identity: none reads L in jets, and
         # none builds a jet strength
         built = self._density_builds(monkeypatch)

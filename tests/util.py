@@ -1058,15 +1058,14 @@ def reduce_or_whole(evaluate, moved, representatives=None):
 @contextlib.contextmanager
 def direct_routes():
     """Every model takes every check's direct route while the block runs:
-    no object is the model's own (`GaugeModel._own` is False) and no table
-    is orbit-reduced (`GaugeModel._representatives` is None)."""
-    saved = GaugeModel._own, GaugeModel._representatives
+    no object is the model's own (`GaugeModel._own` is False), so no table
+    is orbit-reduced either (`GaugeModel._representatives` is None)."""
+    saved = GaugeModel._own
     GaugeModel._own = lambda self, key, built: False
-    GaugeModel._representatives = lambda self, check: None
     try:
         yield
     finally:
-        GaugeModel._own, GaugeModel._representatives = saved
+        GaugeModel._own = saved
 
 
 def superbracket(t1, t2):
