@@ -834,7 +834,7 @@ class TestMasterSplit:
         assert model.ym_lagrangian().density.is_zero()
         assert model.generic_euler_lagrange().is_zero()
         line, parts, direct = self._rows(model)
-        assert parts == ["P"] and model._by_part()
+        assert parts == ["P"] and model._detour("master-equation") is None
         assert direct == CheckResult("master-equation", True).line()
         assert line == (direct if passes else
                         "check master-equation | status fail | nonzero 0 | first solution is trivial")
@@ -859,7 +859,7 @@ class TestMasterSplit:
         moved = master_equation_check(model.extended_lagrangian(), pairs).derivation.components
         assert read == {z for z, zbar in pairs.items() if z in moved and zbar in moved}
         (row,) = model.pipeline("master-equation", deterministic=True)
-        assert model._by_part() and row.ok == bool(read)
+        assert model._detour("master-equation") is None and row.ok == bool(read)
         assert bool(read) is (name != "abelian-dim1")
 
     def _installed(self, install):
@@ -1074,7 +1074,8 @@ class TestMasterRouteFuzz:
     """Seeded perturbations of L, s or S, some fixed by the algebra maps
     and some not: the pipeline's master-equation line is the line of
     `master_equation_check(S, pairs)` on every generator, and it squares
-    nothing exactly when `_by_part` holds, else Theta_S on every generator.
+    nothing exactly when its route runs (`_detour`), else Theta_S on every
+    generator, and an install names the condition it breaks.
     The gauge-symmetry and brst-nilpotency lines are the whole tables'."""
 
     @staticmethod
@@ -1146,7 +1147,8 @@ class TestMasterRouteFuzz:
             line, parts, direct = TestMasterSplit._rows(model)
             assert line == direct
             assert parts == [route]
-            assert (route == "P") == bool(model._by_part())
+            assert model._detour("master-equation") == (None if route == "P" else {
+                "L": "lagrangian", "brst": "brst-operator", "S": "extended-lagrangian"}[key])
             maps = relabellings(model, model.algebra_maps())
             S = model.extended_lagrangian().density
             perturbed = {"L": model.ym_lagrangian().density, "brst": model._paired_sum(),
@@ -1432,7 +1434,7 @@ class TestAlgebraOrbits:
         # delta squared on an antifield is delta(E_z(L)), zero by
         # construction: this lone koszul-tate squares nothing and builds no
         # E_z, and the rows are the kept ones
-        assert model._squares_vanish()
+        assert model._detour("koszul-tate") is None
         assert squared == [] and applied == []
         assert model.generic_euler_lagrange()._table == {}
 
@@ -1719,7 +1721,7 @@ class TestAlgebraOrbits:
 
 class TestKoszulTateRouteFuzz:
     """koszul-tate squares nothing on the antifields where L, E(L) and the
-    rows are the model's own (`_squares_vanish`): delta^2(abar_z) =
+    rows are the model's own (`_detour`): delta^2(abar_z) =
     delta(E_z(L)) is zero by construction, and where E cannot be built the
     rows, applied to it, raise its error; an installed L, such as a
     massive one, takes the direct route.  Under
@@ -1796,7 +1798,9 @@ class TestKoszulTateRouteFuzz:
             (row,) = model.pipeline("koszul-tate", deterministic=True)
         # Koszul-Tate is built only where delta^2 is not zero by construction
         by_construction = kind in ("own", "max-order-2", "max-order-1")
-        assert model._squares_vanish() == by_construction
+        assert model._detour("koszul-tate") == {
+            "mass-term": "lagrangian", "bar-in-l": "lagrangian", "random-e": "euler-lagrange",
+            "doubled-entry": "noether-operator", "unknown-row": "noether-operator"}.get(kind)
         assert (built == []) == by_construction
         assert row.ok == (kind == "own")
         if kind == "own":

@@ -1163,7 +1163,7 @@ class TestSecondTheorem:
                 el = EulerLagrange(ctx, {z: self._random(rng, model, fields)
                                          for z in rng.sample(fields, 8)})
                 monkeypatch.setattr(model, "generic_euler_lagrange", lambda el=el: el)
-            assert model._by_rows()
+            assert model._detour("current-conservation") is None
             kept = model._noether_residuals()
             # every row is kept: zero from u L on the own E, applied on another
             assert len(kept) == m and all(p.is_zero() for p in kept.values()) == own
@@ -1182,11 +1182,11 @@ class TestSecondTheorem:
 
     @staticmethod
     def _lines(model):
-        """The pipeline's current-conservation line, whether it took the
-        second theorem, and the line of `conservation_residual` on the whole
-        derivation."""
+        """The pipeline's current-conservation line, the condition that kept
+        it off the second theorem (`_detour`), and the line of
+        `conservation_residual` on the whole derivation."""
         rows = {row.name: row for row in model.pipeline("noether", deterministic=True)}
-        return (rows["current-conservation"].line(), model._by_rows(),
+        return (rows["current-conservation"].line(), model._detour("current-conservation"),
                 _unreduced_row(model, "current-conservation"), rows)
 
     def test_a_scaled_parameter_symmetry_takes_the_direct_route(self, monkeypatch):
@@ -1197,8 +1197,8 @@ class TestSecondTheorem:
         doubled = ContactDerivation(model.ctx, {z: p * 2 for z, p in theta.components.items()},
                                     EVEN)
         monkeypatch.setattr(model, "parameter_symmetry", lambda: doubled)
-        line, by_rows, direct, _ = self._lines(model)
-        assert not by_rows and line == direct
+        line, detour, direct, _ = self._lines(model)
+        assert detour == "parameter-symmetry" and line == direct
         assert line == CheckResult("current-conservation", True).line()
 
     def test_installed_rows_take_the_direct_route(self, monkeypatch):
@@ -1209,8 +1209,8 @@ class TestSecondTheorem:
                 for label, entries in model.noether_operator().rows.items()}
         doubled = NoetherOperator(model.ctx, rows)
         monkeypatch.setattr(model, "noether_operator", lambda: doubled)
-        line, by_rows, direct, rows = self._lines(model)
-        assert not by_rows and line == direct
+        line, detour, direct, rows = self._lines(model)
+        assert detour == "noether-operator" and line == direct
         assert line == CheckResult("current-conservation", True).line()
         assert not rows["noether-identities"].ok
 
@@ -1219,8 +1219,8 @@ class TestSecondTheorem:
         from test_cli import SU2_JET_ORDER_2
 
         model = _new_model("su2", max_jet_order=2)
-        line, by_rows, direct, rows = self._lines(model)
-        assert not by_rows and line == direct
+        line, detour, direct, rows = self._lines(model)
+        assert detour == "jets-fit" and line == direct
         assert line == CheckResult("current-conservation", True).line()
         assert line in SU2_JET_ORDER_2.splitlines()
         assert rows["noether-identities"].witness.startswith("jet order 3 exceeds")
@@ -1231,8 +1231,8 @@ class TestSecondTheorem:
         model = _new_model("su2")
         L = Lagrangian(model.ym_lagrangian().density + mass_term_lagrangian(model).density)
         monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
-        line, by_rows, direct, _ = self._lines(model)
-        assert not by_rows and line == direct
+        line, detour, direct, _ = self._lines(model)
+        assert detour == "lagrangian" and line == direct
         assert line.endswith("first derivation is not an exact symmetry of the density")
 
     @pytest.mark.parametrize("name", ["sl3", "su2"])
@@ -1500,7 +1500,7 @@ class TestSplitRoute:
         # with the own L, plus a mass term or a symmetric-quadratic term,
         # at each maximum jet order, each symmetry row is that of L_theta L
         # prolonged in jets: zero, nonzero and raised alike; below a bound
-        # of 3 (`_jets_fit`) no contraction row is read
+        # of 3 (the jets-fit condition) no contraction row is read
         text = SL21_MODEL.read_text(encoding="utf-8") if name == "sl21" \
             else PRESET_MODEL_TEXT[name]
         lines = []
@@ -1883,6 +1883,97 @@ class TestContractionRows:
         # the invariant form's rows are zero; a doubled entry breaks
         # invariance unless there is no bracket
         assert (nonzero > 0) is (perturbed and name != "abelian")
+
+
+class TestGatedChecksOnGradedModels:
+    """The checks `EVEN_ONLY_CHECKS` keeps out of graded reports, run
+    directly from the noether and utiyama pipelines' parts: on graded
+    models every row passes, and each is the direct routes' row."""
+
+    @pytest.mark.parametrize("name", ["osp12", "sl21", "sl31", "osp14", "osp32"])
+    def test_every_row_passes_on_both_routes(self, name):
+        lines = []
+        for routes in (contextlib.nullcontext, direct_routes):
+            with routes():
+                model = spec_model(parse_model(TestContractionRows._text(name)))
+                rows = run_parts(model._noether_parts() + model._utiyama_parts(),
+                                 deterministic=True)
+            assert not model.all_even and all(row.ok for row in rows)
+            lines.append([row.line() for row in rows])
+        assert {row.name for row in rows} >= set(GaugeModel.EVEN_ONLY_CHECKS)
+        assert lines[0] == lines[1]
+
+
+class TestRouteDecision:
+    """One table decides every shortcut route (`GaugeModel._ROUTES`): the
+    resolver `_detour` is None where a route runs, and otherwise names the
+    first of its conditions (`GaugeModel._CONDITIONS`) that fails."""
+
+    ROUTES = GaugeModel._ROUTES
+
+    @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
+    def test_every_route_runs_on_a_fresh_model_and_none_on_the_direct_routes(self, name):
+        model = _new_model(name)
+        assert [model._detour(route) for route in self.ROUTES] == [None] * len(self.ROUTES)
+        with direct_routes():
+            model = _new_model(name)
+            # no object is the model's own, and each route tests one first
+            assert [model._detour(route) for route in self.ROUTES] == [
+                conditions[0] for conditions in self.ROUTES.values()]
+
+    def test_the_table_orders_each_condition_after_what_it_assumes(self):
+        for route, conditions in self.ROUTES.items():
+            assert len(set(conditions)) == len(conditions), route
+            # the jets fit for the model's own L, which is at most first order
+            if "jets-fit" in conditions:
+                assert "lagrangian" in conditions[:conditions.index("jets-fit")], route
+            # the kept L_u L is the model's own u's
+            if "gauge-invariant" in conditions:
+                assert {"gauge-operator", "brst-operator"} & set(
+                    conditions[:conditions.index("gauge-invariant")]), route
+        assert set().union(*self.ROUTES.values()) == set(GaugeModel._CONDITIONS)
+
+    @staticmethod
+    def _installs(model):
+        """Per condition, the accessor and the object installed through it:
+        a mass-term L, and a copy of each other object, equal to the
+        model's own but not the one kept under its key."""
+        ctx, rows = model.ctx, model.noether_operator().rows
+        u, theta, s = model.gauge_operator(), model.parameter_symmetry(), model.brst_operator()
+        return {
+            "algebra-maps": ("algebra_maps", list(model.algebra_maps())),
+            "lagrangian": ("ym_lagrangian", Lagrangian(
+                model.ym_lagrangian().density + mass_term_lagrangian(model).density)),
+            "euler-lagrange": ("generic_euler_lagrange",
+                               EulerLagrange.by_field(model.ym_lagrangian())),
+            "gauge-operator": ("gauge_operator", ContactDerivation(ctx, dict(u.components), ODD)),
+            "parameter-symmetry": ("parameter_symmetry", ContactDerivation(
+                ctx, dict(theta.components), EVEN)),
+            "noether-operator": ("noether_operator", NoetherOperator(ctx, dict(rows))),
+            "ghost-sector": ("ghost_sector", dict(model.ghost_sector())),
+            "brst-operator": ("brst_operator", ContactDerivation(ctx, dict(s.components), ODD)),
+            "extended-lagrangian": ("extended_lagrangian", Lagrangian(
+                model.extended_lagrangian().density)),
+        }
+
+    @pytest.mark.parametrize("condition", list(GaugeModel._CONDITIONS))
+    def test_a_broken_condition_is_named_by_each_route_reading_it(self, condition, monkeypatch):
+        if condition == "jets-fit":
+            model = _new_model("su2", max_jet_order=2)
+        elif condition == "gauge-invariant":
+            # the first form entry doubled: the model's own L, not invariant
+            model = spec_model(parse_model(re.sub(
+                r"^(h \S+ \S+ = )(\S+)$", lambda m: m.group(1) + str(2 * Fraction(m.group(2))),
+                PRESET_MODEL_TEXT["su2"], count=1, flags=re.M)))
+            L = model.ym_lagrangian(validate=False)
+            monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+        else:
+            model = _new_model("su2")
+            accessor, installed = self._installs(model)[condition]
+            monkeypatch.setattr(model, accessor, lambda *args, **kwargs: installed)
+        assert {route: model._detour(route) for route in self.ROUTES} == {
+            route: condition if condition in conditions else None
+            for route, conditions in self.ROUTES.items()}
 
 
 class TestSupermatrixModels:

@@ -1058,7 +1058,8 @@ def reduce_or_whole(evaluate, moved, representatives=None):
 @contextlib.contextmanager
 def direct_routes():
     """Every model takes every check's direct route while the block runs:
-    no object is the model's own (`GaugeModel._own` is False), so no table
+    no object is the model's own (`GaugeModel._own` is False), so every
+    route names a failing condition (`GaugeModel._detour`), and no table
     is orbit-reduced either (`GaugeModel._representatives` is None)."""
     saved = GaugeModel._own
     GaugeModel._own = lambda self, key, built: False
