@@ -23,15 +23,15 @@ Form is the row.
 
 Every shortcut route runs only on the model's own objects, those kept
 under their keys (`_own`), whose shape follows from their construction:
-one table lists each route's conditions (`_ROUTES`), and `_detour` names
-the first that fails, so an installed object takes the check's direct
-route.  Every generator carries one algebra direction, and every object a
-check reads is built from c, h and the metric, so each signed permutation
-of the algebra's basis keeping c and h, moving each generator with its
-direction, fixes it.  Where the objects are the model's own, six checks
-run on one direction per orbit of those maps (`_representatives`), all
-through one rule (`_by_direction`): a reduced table is zero on the
-representatives, or taken whole.
+one table lists each route's conditions, one per object it reads
+(`_ROUTES`), and `_detour` names the first that fails, so an installed
+object takes the check's direct route.  Every generator carries one
+algebra direction, and every object a check reads is built from c, h and
+the metric, so each signed permutation of the algebra's basis keeping c
+and h, moving each generator with its direction, fixes it.  Where the
+objects are the model's own, six checks run on one direction per orbit of
+those maps (`_representatives`), all through one rule (`_by_direction`):
+a reduced table is zero on the representatives, or taken whole.
 
 Noether's second theorem gives two checks their rows.  The Noether rows are
 zero once gauge-symmetry is: N_q(E(L)) = -delta(u L)/delta C^q
@@ -51,9 +51,9 @@ field where a check reads them (`EulerLagrange.by_field`): the two-path
 check on its representatives, the superpotential on its part's fields.
 Koszul-Tate's square on an antifield is delta(E_z(L)), zero by
 construction for the model's own L, E(L) and rows, so there Koszul-Tate
-is not built and no E_z is read.  The master equation on the split route
-squares nothing and builds no Theta: its nontriviality is read from E(S)
-on s's generators.
+is not built and no E_z is read.  The master equation on its route squares
+nothing and builds no Theta and no S = L + P_s: its nontriviality is read
+from E(P_s), or E(L), on s's generators.
 """
 
 import time
@@ -597,8 +597,9 @@ class GaugeModel:
         return self._pairs
 
     def extended_lagrangian(self):
+        """S = L + P_s, kept with L and s: the master equation's direct route squares it."""
         L, s = self.ym_lagrangian(), self.brst_operator()
-        return self._once(("extended-lagrangian", L, s), lambda: proper_solution(
+        return self._once(("proper-solution", L, s), lambda: proper_solution(
             L, s, self._pairs, self._brst_residuals(), self._paired_sum()))
 
     # -- shortcut routes ----------------------------------------------------------
@@ -621,9 +622,6 @@ class GaugeModel:
         "ghost-sector": lambda m: m._own("ghost-sector", m.ghost_sector()),
         "brst-operator": lambda m: m._own(("brst-operator", m.gauge_operator()),
                                           m.brst_operator()),
-        "extended-lagrangian": lambda m: m._own(
-            ("extended-lagrangian", m.ym_lagrangian(), m.brst_operator()),
-            m.extended_lagrangian()),
         # the own L is at most first order, so its field equations are
         # second order and the rows and d_h W form third jets: a route that
         # forms none of them where the direct one does, or the other way
@@ -633,13 +631,13 @@ class GaugeModel:
         "gauge-invariant": lambda m: m._whole_lie("gauge").is_zero(),
     }
 
-    # Each shortcut route's conditions, in the order `_detour` tests them.
+    # Each shortcut route's conditions, one per object it reads, in `_detour`'s order.
     _ROUTES = {
-        # orbit families: an algebra map fixes what is built from c, h and
-        # the metric (`_representatives`)
+        # orbit families: an algebra map fixes what each reads, built from c,
+        # h and the metric (`_representatives`)
         "euler-lagrange": ("lagrangian", "euler-lagrange", "algebra-maps"),
         "gauge": ("lagrangian", "gauge-operator", "algebra-maps"),
-        "parameter": ("lagrangian", "parameter-symmetry", "algebra-maps"),
+        "parameter": ("lagrangian", "parameter-symmetry", "euler-lagrange", "algebra-maps"),
         "brst": ("gauge-operator", "ghost-sector", "brst-operator", "algebra-maps"),
         # phi(theta(L)) = sum over q of sources[q] times row q (`_lie`); the
         # jet route forms the sources' second jets
@@ -658,8 +656,9 @@ class GaugeModel:
         "current-conservation": ("lagrangian", "parameter-symmetry", "noether-operator",
                                  "jets-fit"),
         # Theta_S^2 = Theta_P^2 for S = L + P_s, the own L holding no
-        # antifield and s built from the own u (`_master_equation_parts`)
-        "master-equation": ("lagrangian", "extended-lagrangian", "gauge-operator",
+        # antifield and s built from the own u; a coupled pair is read from
+        # E(P_s), else E(L), and S is not built (`_master_equation_parts`)
+        "master-equation": ("lagrangian", "euler-lagrange", "gauge-operator",
                             "brst-operator", "jets-fit", "gauge-invariant"),
     }
 

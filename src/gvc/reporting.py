@@ -8,31 +8,31 @@ class CheckResult:
 
     __slots__ = ("name", "ok", "nonzero", "witness", "seconds")
 
-    def __init__(self, name, ok, nonzero=0, witness="-", seconds=None):
+    def __init__(self, name, ok, nonzero=0, witness="-"):
         self.name = name
         self.ok = bool(ok)
         self.nonzero = nonzero
         self.witness = witness
-        self.seconds = seconds
+        self.seconds = None
 
     @classmethod
-    def from_residuals(cls, name, residuals, seconds=None):
+    def from_residuals(cls, name, residuals):
         """Summarize a mapping label -> residual polynomial."""
         bad = [(str(k), p) for k, p in sorted(residuals.items(), key=lambda it: str(it[0]))
                if not p.is_zero()]
         if not bad:
-            return cls(name, True, 0, "-", seconds)
+            return cls(name, True)
         label, first = bad[0]
         nonzero = sum(len(p.terms) for _, p in bad)
         witness = "%s: %s" % (label, first.leading_monomial())
-        return cls(name, False, nonzero, witness, seconds)
+        return cls(name, False, nonzero, witness)
 
     @classmethod
-    def from_form(cls, name, form, seconds=None):
+    def from_form(cls, name, form):
         if form.is_zero():
-            return cls(name, True, 0, "-", seconds)
+            return cls(name, True)
         nonzero = sum(len(p.terms) for p in form.terms.values())
-        return cls(name, False, nonzero, form.leading_term(), seconds)
+        return cls(name, False, nonzero, form.leading_term())
 
     def line(self, with_time=True):
         bits = [

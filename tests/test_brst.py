@@ -40,8 +40,8 @@ from gvc.presets import PRESET_MODEL_TEXT, preset_model
 from gvc.reporting import CheckResult
 from gvc.superlie import signed_automorphisms
 
-from util import (antifield_numbers, basis_orbits, even_part, field_generators, fixed_by,
-                  generator_roots, linear_jet_paths, linear_jet_polys, make_context,
+from util import (antifield_numbers, basis_orbits, direct_routes, even_part, field_generators,
+                  fixed_by, generator_roots, linear_jet_paths, linear_jet_polys, make_context,
                   mass_term_lagrangian, odd_part, orbit_only_failure,
                   oracle_koszul_tate_apply, oracle_koszul_tate_residuals, random_jet,
                   random_poly, random_vertical, reduce_or_whole, relabel, relabellings,
@@ -890,10 +890,24 @@ class TestMasterSplit:
 
         self._installed(install)
 
-    def test_an_installed_s_takes_the_direct_route(self, monkeypatch):
+    def test_an_s_installed_alone_is_not_read(self, monkeypatch):
+        # the route reads L, s, P_s and u L, never S: an S installed alone
+        # leaves the route's passing row, and is never called
+        model = _fresh("su2")
+        S, called = _perturbed_solution(model, random.Random(24)), []
+        monkeypatch.setattr(model, "extended_lagrangian", lambda: called.append(S) or S)
+        (row,) = model.pipeline("master-equation", deterministic=True)
+        assert model._detour("master-equation") is None and called == []
+        assert row.line() == CheckResult("master-equation", True).line()
+
+    def test_an_s_installed_as_its_lagrangian_takes_the_direct_route(self, monkeypatch):
+        # the same S' installed as L' = S' - P_s: the proper solution built
+        # from L' is S', and the direct route squares it
         def install(model):
             S = _perturbed_solution(model, random.Random(24))
-            monkeypatch.setattr(model, "extended_lagrangian", lambda: S)
+            L = Lagrangian(S.density - model._paired_sum())
+            monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
+            assert model.extended_lagrangian().density == S.density
 
         self._installed(install)
 
@@ -1072,10 +1086,11 @@ class TestMasterByNilpotency:
 
 class TestMasterRouteFuzz:
     """Seeded perturbations of L, s or S, some fixed by the algebra maps
-    and some not: the pipeline's master-equation line is the line of
-    `master_equation_check(S, pairs)` on every generator, and it squares
-    nothing exactly when its route runs (`_detour`), else Theta_S on every
-    generator, and an install names the condition it breaks.
+    and some not, an S' installed as L' = S' - P_s: the pipeline's
+    master-equation line is the line of `master_equation_check(S, pairs)`
+    on every generator, and it squares nothing exactly when its route runs
+    (`_detour`), else Theta_S on every generator, and an install names the
+    condition it breaks.
     The gauge-symmetry and brst-nilpotency lines are the whole tables'."""
 
     @staticmethod
@@ -1120,8 +1135,8 @@ class TestMasterRouteFuzz:
 
         def extended(build):
             def install(model):
-                S = build(model)
-                monkeypatch.setattr(model, "extended_lagrangian", lambda: S)
+                L = Lagrangian(build(model).density - model._paired_sum())
+                monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
             return install
 
         return [
@@ -1148,7 +1163,7 @@ class TestMasterRouteFuzz:
             assert line == direct
             assert parts == [route]
             assert model._detour("master-equation") == (None if route == "P" else {
-                "L": "lagrangian", "brst": "brst-operator", "S": "extended-lagrangian"}[key])
+                "L": "lagrangian", "brst": "brst-operator", "S": "lagrangian"}[key])
             maps = relabellings(model, model.algebra_maps())
             S = model.extended_lagrangian().density
             perturbed = {"L": model.ym_lagrangian().density, "brst": model._paired_sum(),
@@ -1672,7 +1687,8 @@ class TestAlgebraOrbits:
         # master-equation reduces the BRST square on the model's own s; an L
         # installed afterwards that breaks the algebra maps is not the
         # model's own, so its tables are taken whole, and its row is the
-        # unreduced route's; an S installed afterwards is squared whole
+        # unreduced route's; an S installed afterwards as L' = S - P_s is
+        # squared whole
         def routes(install, pipeline):
             model, rows = _fresh("su2"), []
             for reduced in (True, False):
@@ -1691,7 +1707,8 @@ class TestAlgebraOrbits:
         def install_s(model):
             S = Lagrangian(model.extended_lagrangian().density
                            + _direction_strength_square(model, 0))
-            monkeypatch.setattr(model, "extended_lagrangian", lambda: S)
+            L = Lagrangian(S.density - model._paired_sum())
+            monkeypatch.setattr(model, "ym_lagrangian", lambda validate=True: L)
 
         def install_l(model):
             L = Lagrangian(model.ym_lagrangian().density + _direction_strength_square(model, 0))
@@ -1702,8 +1719,8 @@ class TestAlgebraOrbits:
 
     def test_s_minus_l_of_the_proper_solution_is_the_paired_sum(self, monkeypatch):
         # S built here is L plus the paired sum P of s, and no S - L is
-        # formed; an installed S equal to it is squared whole, and no L is
-        # subtracted from it
+        # formed; an installed S equal to it, which the direct route alone
+        # reads, is squared whole, and no L is subtracted from it
         model = _fresh("su2")
         subtracted = []
         sub = Poly.__sub__
@@ -1714,7 +1731,8 @@ class TestAlgebraOrbits:
         installed = Lagrangian(S.density + model.ctx.zero())
         assert installed.density is not S.density and installed.density == S.density
         monkeypatch.setattr(model, "extended_lagrangian", lambda: installed)
-        assert model.pipeline("master-equation", deterministic=True)[0].ok
+        with direct_routes():
+            assert model.pipeline("master-equation", deterministic=True)[0].ok
         assert not any(p is d or q is L.density for p, q in subtracted
                        for d in (S.density, installed.density))
 

@@ -275,19 +275,18 @@ class TestResourceBounds:
     @pytest.mark.parametrize("name", ["su2", "osp12"])
     def test_term_limit_below_L_aborts_only_what_reads_L(self, name, model_file, capsys,
                                                         monkeypatch):
-        # one term below L in jets: the checks that read phi(L), u L and
-        # the kept E(L) and rows by identity alone never form L, and pass;
-        # the field equations and the proper solution S = L + P_s do
+        # one term below L in jets: the checks that read phi(L), u L, P_s
+        # and the kept E(L) and rows by identity alone never form L, and
+        # pass; the field equations do
         limit = len(preset_model(name).ym_lagrangian().density.terms) - 1
         monkeypatch.setenv("GVC_MAX_TERMS", str(limit))
         path = model_file(name)
-        for command in ("utiyama", "brst", "koszul-tate"):
+        for command in ("utiyama", "brst", "koszul-tate", "master-equation"):
             assert main([command, "--model", path, "--deterministic"]) == 0, command
             assert capsys.readouterr().out.endswith("result pass\n")
-        for command in ("euler-lagrange", "master-equation"):
-            assert main([command, "--model", path, "--deterministic"]) == 2, command
-            captured = capsys.readouterr()
-            assert captured.out == "" and "limit %d" % limit in captured.err
+        assert main(["euler-lagrange", "--model", path, "--deterministic"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "limit %d" % limit in captured.err
 
 
 class TestDeterminism:

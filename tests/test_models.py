@@ -1034,7 +1034,9 @@ class TestDirectRoutes:
     --max-order 1.  The models are the presets and each in dimension 1,
     sl(3), and sl(2|1) in its supertrace basis and with its odd directions
     doubled (`TestBasisRescaling`); the failing ones install a mass term
-    in L, or the proper solution with its H1 ghost term counted twice.
+    in L, or the H1 ghost term of the proper solution, which L + P_s then
+    counts twice.  Each object a route reads, installed through its
+    accessor on abelian, su2 and sl3, reports alike too.
     sl(4), whose 15 directions part the smallest index from the smallest
     generator name, runs at the default order.  GVC_MAX_TERMS stays out: the direct routes build larger intermediates,
     so they abort earlier by design."""
@@ -1061,16 +1063,12 @@ class TestDirectRoutes:
 
     @staticmethod
     def _ghost_term(model):
-        own, kept = model.extended_lagrangian, []
-
-        def perturbed():
-            if not kept:
-                ghost = model.ghost[model.algebra.index("H1")]
-                kept.append(Lagrangian(own().density + model.brst_operator().components[
-                    ghost] * model.ctx.var(model.pairs()[ghost])))
-            return kept[0]
-
-        model.extended_lagrangian = perturbed
+        # L' = L + s(c_H1) cbar_H1, whose proper solution L' + P_s counts
+        # the H1 ghost term twice
+        ghost = model.ghost[model.algebra.index("H1")]
+        L = Lagrangian(model.ym_lagrangian().density + model.brst_operator().components[
+            ghost] * model.ctx.var(model.pairs()[ghost]))
+        model.ym_lagrangian = lambda validate=True: L
 
     @classmethod
     def _reports(cls, name, order, install=None):
@@ -1102,6 +1100,81 @@ class TestDirectRoutes:
     def test_a_failing_model_reports_alike_on_both_routes(self, name, install, order):
         shortcut, direct = self._reports(name, order, getattr(self, install))
         assert shortcut == direct and " status fail " in shortcut
+
+    @staticmethod
+    def _off_orbit(model):
+        """A direction that is no orbit's representative, or the last one
+        where every direction is (abelian)."""
+        roots = orbit_roots(model.algebra_maps(), model.algebra.dim)
+        return next((q for q in range(model.algebra.dim) if q not in roots),
+                    model.algebra.dim - 1)
+
+    @classmethod
+    def _installed(cls, accessor, build):
+        """An install of build(model, q), q off the orbit representatives
+        (`_off_orbit`), as what the model's `accessor` returns."""
+        def install(model):
+            obj = build(model, cls._off_orbit(model))
+            setattr(model, accessor, lambda *args, **kwargs: obj)
+        return install
+
+    @staticmethod
+    def _doubled(theta, gen):
+        """theta with its component on gen doubled."""
+        return ContactDerivation(theta.ctx, {**theta.components, gen: theta.component(gen) * 2},
+                                 theta.parity)
+
+    @staticmethod
+    def _el_plus_field(model, q):
+        """E(L) plus the field a^q_0 on the component of a^q_0."""
+        el, z = model.generic_euler_lagrange(), model.field[q][0]
+        return EulerLagrange(model.ctx, {**el.components, z: el.component(z) + model.ctx.var(z)})
+
+    @staticmethod
+    def _rows_doubled(model, q):
+        """The Noether rows with the last entry of row q doubled."""
+        rows = dict(model.noether_operator().rows)
+        label = model.noether_antifield[q].name
+        *entries, (coeff, *rest) = rows[label]
+        rows[label] = entries + [(coeff * 2, *rest)]
+        return NoetherOperator(model.ctx, rows)
+
+    INSTALLS = {
+        # E read where its route runs: by the master equation's coupling
+        # test where P_s couples no pair (abelian), and off the
+        # representatives by the superpotential and conservation residuals
+        "zero-el": ("generic_euler_lagrange", lambda m, q: EulerLagrange(m.ctx, {})),
+        "el": ("generic_euler_lagrange", _el_plus_field),
+        "lagrangian": ("ym_lagrangian", lambda m, q: Lagrangian(
+            m.ym_lagrangian().density * 2)),
+        "gauge": ("gauge_operator", lambda m, q: TestDirectRoutes._doubled(
+            m.gauge_operator(), m.field[q][0])),
+        "parameter": ("parameter_symmetry", lambda m, q: TestDirectRoutes._doubled(
+            m.parameter_symmetry(), m.field[q][0])),
+        "rows": ("noether_operator", _rows_doubled),
+        "ghost-sector": ("ghost_sector", lambda m, q: {c: p * 2 if c is m.ghost[q] else p
+                                                       for c, p in m.ghost_sector().items()}),
+    }
+
+    @pytest.mark.parametrize("order", [None, 2])
+    @pytest.mark.parametrize("name, install", [
+        ("abelian", "zero-el"), ("su2", "el"), ("sl3", "el")] + [
+        (name, install) for name in ("su2", "sl3")
+        for install in ("lagrangian", "gauge", "parameter", "rows", "ghost-sector")])
+    def test_an_installed_object_reports_alike_on_both_routes(self, name, install, order):
+        shortcut, direct = self._reports(name, order, self._installed(*self.INSTALLS[install]))
+        assert shortcut == direct
+
+    @pytest.mark.parametrize("name, line", [
+        ("abelian", "check master-equation | status pass "),
+        ("su2", "check superpotential | status fail "),
+        ("sl3", "check superpotential | status fail ")])
+    def test_the_rows_that_read_an_installed_el(self, name, line):
+        # S is built from L, so E = 0 leaves the direct master equation's
+        # pass; E + a^q_0 fails the superpotential off the representatives
+        shortcut, _ = self._reports(name, None, self._installed(
+            *self.INSTALLS["zero-el" if name == "abelian" else "el"]))
+        assert line in shortcut
 
     def test_sl4_reports_alike_on_both_routes(self):
         # 15 directions: the representatives are the smallest index of each
@@ -1952,8 +2025,6 @@ class TestRouteDecision:
             "noether-operator": ("noether_operator", NoetherOperator(ctx, dict(rows))),
             "ghost-sector": ("ghost_sector", dict(model.ghost_sector())),
             "brst-operator": ("brst_operator", ContactDerivation(ctx, dict(s.components), ODD)),
-            "extended-lagrangian": ("extended_lagrangian", Lagrangian(
-                model.extended_lagrangian().density)),
         }
 
     @pytest.mark.parametrize("condition", list(GaugeModel._CONDITIONS))
@@ -2211,12 +2282,14 @@ class TestFullVerification:
 
 
 class TestMasterEquationWitnesses:
-    """The master-equation row on densities other than the proper solution."""
+    """The direct route's master-equation row on densities other than the
+    proper solution, installed as S: only the direct route reads S."""
 
     def test_plain_lagrangian_is_a_trivial_solution(self, monkeypatch):
         model = preset_model("su2")
         monkeypatch.setattr(model, "extended_lagrangian", model.ym_lagrangian)
-        (row,) = model.pipeline("master-equation", deterministic=True)
+        with direct_routes():
+            (row,) = model.pipeline("master-equation", deterministic=True)
         assert not row.ok and row.witness == "solution is trivial"
 
     def test_perturbed_ghost_term_fails_the_bracket(self, monkeypatch):
@@ -2226,7 +2299,8 @@ class TestMasterEquationWitnesses:
         term = model.brst_operator().components[ghost] * model.ctx.var(pairs[ghost])
         perturbed = Lagrangian(model.extended_lagrangian().density + term)
         monkeypatch.setattr(model, "extended_lagrangian", lambda: perturbed)
-        (row,) = model.pipeline("master-equation", deterministic=True)
+        with direct_routes():
+            (row,) = model.pipeline("master-equation", deterministic=True)
         el = euler_lagrange(gvc.brst.antibracket(perturbed, perturbed, pairs))
         assert not el.is_zero()
         want = CheckResult.from_residuals(
@@ -2267,7 +2341,8 @@ class TestBasisRescaling:
             perturbed = Lagrangian(model.extended_lagrangian().density
                                    + s_c * model.ctx.var(pairs[ghost]))
             monkeypatch.setattr(model, "extended_lagrangian", lambda: perturbed)
-            (row,) = model.pipeline("master-equation", deterministic=True)
+            with direct_routes():
+                (row,) = model.pipeline("master-equation", deterministic=True)
             assert not row.ok
             rows.append((row.nonzero, row.witness.split(":")[0]))
             residuals = master_equation_check(perturbed, pairs).bracket_residuals()
@@ -2584,29 +2659,45 @@ class TestBuildOnce:
         monkeypatch.setattr(gvc.models, "_strength_density", counted)
         return built
 
+    @staticmethod
+    def _solutions(monkeypatch):
+        """The list that each build of a proper solution S = L + P_s
+        appends its S to."""
+        built, solution = [], gvc.models.proper_solution
+        monkeypatch.setattr(gvc.models, "proper_solution", lambda *args: built.append(
+            solution(*args)) or built[-1])
+        return built
+
+    @staticmethod
+    def _kept_densities(model):
+        """The Lagrangians the model keeps other than its own L."""
+        return [v for v in model._memo.values()
+                if isinstance(v, Lagrangian) and v is not model.ym_lagrangian()]
+
     @pytest.mark.parametrize("name, command", [
         (name, command) for name in ("su2", "osp12", "sl21")
-        for command in ("utiyama", "brst", "koszul-tate")] + [("sl21", "noether"),
-                                                               ("osp12", "noether")])
+        for command in ("utiyama", "brst", "koszul-tate", "master-equation")] + [
+        ("sl21", "noether"), ("osp12", "noether"), ("sl3", "master-equation")])
     def test_lone_pipeline_leaves_L_unbuilt(self, name, command, monkeypatch):
         # the invariance conditions and the gauge Lie derivatives read the
         # partials of phi(L), built from the strength coordinates, the gauge
         # Lie derivatives through the contraction rows, and the kept E(L) and
-        # Noether rows are compared by identity: none reads L in jets, and
-        # none builds a jet strength
-        built = self._density_builds(monkeypatch)
+        # Noether rows are compared by identity; the master equation reads
+        # s^2, u L and, where P_s couples a pair, E(P_s) alone: none reads L
+        # in jets, none builds a jet strength, and none builds S = L + P_s
+        built, solutions = self._density_builds(monkeypatch), self._solutions(monkeypatch)
         model = _new_model(name)
         rows = model.pipeline(command, deterministic=True)
         assert rows and all(row.ok for row in rows)
-        assert built == []
+        assert built == [] and solutions == [] and self._kept_densities(model) == []
         assert not any(key[0] == "strength" for key in model._yang_mills.memo)
         assert model._own("lagrangian", model.ym_lagrangian())
         assert model.ym_lagrangian().density.terms and len(built) == 1
 
     @pytest.mark.parametrize("name", ["su2", "osp12", "sl21"])
     def test_L_built_once_where_read(self, name, monkeypatch):
-        # euler-lagrange reads E(L), and full reads it and L itself
-        # (Lepage form, S = L + P_s) again: one build each
+        # euler-lagrange reads E(L), and full reads it and L itself (the
+        # Lepage form) again: one build each
         built = self._density_builds(monkeypatch)
         model = _new_model(name)
         assert all(row.ok for row in model.pipeline("euler-lagrange", deterministic=True))
@@ -2614,6 +2705,22 @@ class TestBuildOnce:
         model = _new_model(name)
         assert model.full_verification(deterministic=True).ok
         assert built == [built[0], model.ym_lagrangian()]
+
+    @pytest.mark.parametrize("name", ["su2", "sl21"])
+    def test_full_builds_no_proper_solution(self, name, monkeypatch):
+        # a passing master equation reads s^2 = 0 and s(L) = 0, not S
+        solutions = self._solutions(monkeypatch)
+        model = _new_model(name)
+        assert model.full_verification(deterministic=True).ok
+        assert solutions == [] and self._kept_densities(model) == []
+
+    def test_abelian_master_equation_builds_L_once(self, monkeypatch):
+        # P_s couples no pair on the abelian model, so the coupling is read
+        # from E(L), which reads L in jets; S is still not built
+        built, solutions = self._density_builds(monkeypatch), self._solutions(monkeypatch)
+        model = _new_model("abelian")
+        assert all(row.ok for row in model.pipeline("master-equation", deterministic=True))
+        assert built == [model.ym_lagrangian()] and solutions == []
 
     def test_context_fixed_after_construction(self):
         model = preset_model("su2")
