@@ -303,8 +303,7 @@ def accumulate(out, items, den=1):
     denominator `den` into the polynomial `out` in place, dropping
     cancelled monomials, then enforce the context's term limit; returns
     `out`, whose denominator `finish` reduces.  Every kernel sum takes
-    this step: here, or inlined in the two hot loops, `add_times` and
-    `jets.add_total_derivative`."""
+    this step: here, or inlined in the one hot loop, `add_times`."""
     lift = common_denominator(out, den)
     if lift != 1:
         items = ((m, c * lift) for m, c in items)

@@ -3,29 +3,27 @@ contact derivations.
 
 A multi-index is a multiset of spacetime directions, held as a sorted
 tuple (`Variable.index`); total derivatives commute, so iterated
-derivatives only depend on the multiset.  A total
-derivative is one loop over the terms that writes each raised term
-straight into the caller's sum (`add_total_derivative`).  A contact
-derivation is determined by its components on the generating basis; it
-acts on jets of a field through total derivatives of the component, and
-each jet's value is one total derivative of its parent jet's value.
-The variational derivatives of a density, the sum over the jets v of z
-of (-1)^|Lambda| d_Lambda of the partial along v, are built here too
+derivatives only depend on the multiset.  A contact derivation is
+determined by its components on the generating basis; each jet's value
+is one total derivative of its parent jet's value.  The variational
+derivatives of a density, the sum over the jets v of z of
+(-1)^|Lambda| d_Lambda of the partial along v, are built here too
 (`variational_derivatives`), for `bicomplex`'s field equations.
-`ContactDerivation` is the one graded derivation type, with one action
-loop (`ContactDerivation._act`): `prolong_apply` runs it from the left
-and `brst.KoszulTate.apply` from the right.  The loop walks p's terms
-once, takes each factor the derivation moves out of its term in place
-and multiplies that jet's value by the remainder straight into one
-table through the kernel's one monomial product (`grassmann.add_times`),
-so no partial derivative (`Poly.partials`) is built; a term that
-is exactly +-v adds the total derivative of the parent's value instead
-of building v's own.
+
+A total derivative (`add_total_derivative`) and the action of
+`ContactDerivation`, the one graded derivation type (one loop, `_act`;
+`prolong_apply` runs it from the left and `brst.KoszulTate.apply` from
+the right), each walk the terms once and write straight into one table
+through the kernel's one monomial product (`grassmann.add_times`), so
+no partial derivative (`Poly.partials`) is built.  The action adds the
+total derivative of the parent's value for a term that is exactly +-v;
+the total derivative swaps an even factor of exponent 1 whose raised
+jet sorts into its own slot in place (see `add_total_derivative`).
 """
 
 from types import MappingProxyType
 
-from .grassmann import GvcError, ParityError, accumulate, add_times, common_denominator
+from .grassmann import _ONE, GvcError, ParityError, accumulate, add_times, common_denominator
 
 
 def total_derivative(lam, p):
@@ -37,81 +35,39 @@ def add_total_derivative(out, lam, p, sign=1):
     """out += sign * d_lam p (sign +-1) for a polynomial `out`, in place;
     returns `out`, whose denominator `finish` reduces.
 
-    One loop over the terms: in each monomial every jet factor in turn is
-    traded for its raised jet (`Context.raised`), which takes the factor's
-    slot when it still sorts between the slot's neighbours, and a factor
-    x^lam is lowered; each result is summed into `out` as `accumulate`
-    does, and the term limit is checked at the end."""
-    ctx = p.ctx
-    raised = ctx.raised
-    x = ctx.coordinate(lam)
+    Each jet factor in turn is taken out of its term and its raised jet
+    (`Context.raised`) multiplied back in by `add_times`, an odd one at
+    slot pos with the sign (-1)^pos; x^lam is lowered, the rest times
+    the empty monomial.  A lone even factor whose raised jet sorts into
+    its slot takes it, and those terms, already over out's denominator,
+    are summed by one `accumulate`, which checks the term limit."""
+    raised = p.ctx.raised
+    x = p.ctx.coordinate(lam)
     lift = common_denominator(out, p.den) * sign
     terms = out.terms
-    setdefault = terms.setdefault
+    swapped = []
     for (ev, od), c in p.terms.items():
-        if lift != 1:
-            c *= lift
-        last = len(ev) - 1
+        c *= lift
         for pos, (w, e) in enumerate(ev):
             if w.gen.kind == "coordinate":
                 if w is not x:
                     continue
-                if e == 1:
-                    m = (ev[:pos] + ev[pos + 1 :], od)
-                else:
-                    m = (ev[:pos] + ((w, e - 1),) + ev[pos + 1 :], od)
+                m = _ONE
             else:
                 r = raised(w, lam)
                 key = r.key
                 if e == 1 and (not pos or ev[pos - 1][0].key < key) and (
-                        pos == last or key < ev[pos + 1][0].key):
-                    # r sorts where w stood: swap it into the slot
-                    m = (ev[:pos] + ((r, 1),) + ev[pos + 1 :], od)
-                else:
-                    rest = ev[:pos] + ev[pos + 1 :] if e == 1 else \
-                        ev[:pos] + ((w, e - 1),) + ev[pos + 1 :]
-                    at = 0
-                    for u, f in rest:
-                        if u.key >= key:
-                            break
-                        at += 1
-                    if at < len(rest) and rest[at][0] is r:
-                        m = (rest[:at] + ((r, rest[at][1] + 1),) + rest[at + 1 :], od)
-                    else:
-                        m = (rest[:at] + ((r, 1),) + rest[at:], od)
-            ce = c if e == 1 else c * e
-            n = len(terms)
-            s = setdefault(m, ce)
-            if len(terms) == n:
-                s += ce
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
+                        pos + 1 == len(ev) or key < ev[pos + 1][0].key):
+                    swapped.append(((ev[:pos] + ((r, 1),) + ev[pos + 1 :], od), c))
+                    continue
+                m = (((r, 1),), ())
+            rest = ev[:pos] + ev[pos + 1 :] if e == 1 else \
+                ev[:pos] + ((w, e - 1),) + ev[pos + 1 :]
+            add_times(terms, ((m, 1),), rest, od, c if e == 1 else c * e)
         for pos, w in enumerate(od):
-            r = raised(w, lam)
-            rest = od[:pos] + od[pos + 1 :]
-            key = r.key
-            at = 0
-            for u in rest:
-                if u.key >= key:
-                    break
-                at += 1
-            if at < len(rest) and rest[at] is r:
-                continue
-            # moving r from slot pos to slot at passes |pos - at| odd factors
-            m = (ev, rest[:at] + (r,) + rest[at:])
-            ce = -c if (pos - at) & 1 else c
-            n = len(terms)
-            s = setdefault(m, ce)
-            if len(terms) == n:
-                s += ce
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
-    ctx.check_terms(len(terms))
-    return out
+            add_times(terms, ((((), (raised(w, lam),)), 1),), ev, od[:pos] + od[pos + 1 :],
+                      -c if pos & 1 else c)
+    return accumulate(out, swapped, out.den)
 
 
 def iterated_derivative(index, p):

@@ -608,8 +608,8 @@ class GaugeModel:
         """Whether `built` is the model's own object, the one kept under `key`."""
         return built is self._memo.get(key)
 
-    # Each condition a shortcut route reads, true where it holds; all but
-    # the last two hold where an object is the model's own.
+    # Each condition a shortcut route reads, true where it holds; all but the
+    # last two hold on the model's own objects (algebra-maps, once there is a map).
     _CONDITIONS = {
         "algebra-maps": lambda m: bool(m.algebra_maps()) and m._own(
             "algebra-maps", m.algebra_maps()),

@@ -15,8 +15,9 @@ or output differs.  The cases:
 
 - abelian, su2 and osp12 (tests/golden) and each in dimension 1 (metric
   +), x every command x {default, --max-order 2, --max-order 1};
-- sl3 and sl21 (bench) and sl(3|1) (`util.supermatrix_model_text`) x
-  FIVE_COMMANDS x the same three bounds;
+- sl3 and sl21 (bench), sl(3|1) (`util.supermatrix_model_text`) and
+  osp(4|2) = D(2,1;1) (`util.osp_model_text`) x FIVE_COMMANDS x the same
+  three bounds;
 - su2, osp12, sl21 and sl3 x FIVE_COMMANDS x GVC_MAX_TERMS in TERM_LIMITS.
 
 The file name keeps pytest from collecting it; it needs the standard
@@ -37,7 +38,7 @@ ROOT = HERE.parent
 sys.path[:0] = [str(ROOT / "src"), str(HERE)]
 
 from gvc.cli import COMMANDS, main  # noqa: E402
-from util import direct_routes, supermatrix_model_text  # noqa: E402
+from util import direct_routes, osp_model_text, supermatrix_model_text  # noqa: E402
 
 FIVE_COMMANDS = ("noether", "koszul-tate", "brst", "master-equation", "full")
 ORDERS = ((), ("--max-order", "2"), ("--max-order", "1"))
@@ -55,6 +56,7 @@ def _models():
     for name in ("sl3", "sl21"):
         texts[name] = (ROOT / "bench" / ("%s.model" % name)).read_text(encoding="utf-8")
     texts["sl31"] = supermatrix_model_text((0, 0, 0, 1))
+    texts["osp42"] = osp_model_text(4, 2)
     return texts
 
 
@@ -65,7 +67,7 @@ def _cases():
         for command in COMMANDS:
             for order in ORDERS:
                 yield model, command, order, None
-    for model in ("sl3", "sl21", "sl31"):
+    for model in ("sl3", "sl21", "sl31", "osp42"):
         for command in FIVE_COMMANDS:
             for order in ORDERS:
                 yield model, command, order, None

@@ -87,6 +87,16 @@ class TestTotalDerivative:
         assert total_derivative(0, p) == want
         # the raised jet of q may already be a factor: q q_0 -> q q_00
         assert total_derivative(0, q * q0) == q * ctx.var("q1", 0, 0)
+        # powers of x^lam, and an even jet of exponent 2 or more whose
+        # raised jet sorts away from its slot
+        x0, x1, t1 = ctx.var("x0"), ctx.var("x1"), ctx.var("s2", 1)
+        for p in (x0 * x0, x0 ** 3 * s0 * q, x0 * x0 * x1 * s * s * q0 * q1,
+                  t1 ** 3 * s0 * s0 * q):
+            for lam in range(2):
+                for sign in (1, -1):
+                    out = add_total_derivative(ctx.zero(), lam, p, sign).finish()
+                    assert out.coeffs() == oracle_add_total_derivative({}, lam, p, sign)
+                    assert_normal(out)
 
     def test_jet_order_cap(self):
         ctx = make_context(2, max_jet_order=2)

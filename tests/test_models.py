@@ -1963,7 +1963,7 @@ class TestGatedChecksOnGradedModels:
     directly from the noether and utiyama pipelines' parts: on graded
     models every row passes, and each is the direct routes' row."""
 
-    @pytest.mark.parametrize("name", ["osp12", "sl21", "sl31", "osp14", "osp32"])
+    @pytest.mark.parametrize("name", ["osp12", "sl21", "sl31", "osp14", "osp32", "osp42"])
     def test_every_row_passes_on_both_routes(self, name):
         lines = []
         for routes in (contextlib.nullcontext, direct_routes):
@@ -2062,7 +2062,8 @@ class TestOrthosymplecticModels:
     """osp(m|2n) from `osp_model_text`: its odd-odd bracket and its form on
     the odd part differ from sl(m|n)'s."""
 
-    @pytest.mark.parametrize("m, two_n, dim, odd", [(1, 4, 14, 4), (3, 2, 12, 6)])
+    @pytest.mark.parametrize("m, two_n, dim, odd", [(1, 4, 14, 4), (3, 2, 12, 6),
+                                                  (4, 2, 17, 8)])
     def test_validate_algebra_passes(self, m, two_n, dim, odd):
         model = spec_model(parse_model(osp_model_text(m, two_n)))
         assert model.algebra.dim == dim and sum(model.algebra.parities) == odd
@@ -2070,7 +2071,7 @@ class TestOrthosymplecticModels:
         assert [row.name for row in rows] == ["algebra-structure", "invariant-form"]
         assert all(row.ok for row in rows)
 
-    @pytest.mark.parametrize("m, two_n", [(1, 4), (3, 2)])
+    @pytest.mark.parametrize("m, two_n", [(1, 4), (3, 2), (4, 2)])
     def test_full_passes_on_both_routes(self, m, two_n):
         reports = []
         for routes in (contextlib.nullcontext, direct_routes):
